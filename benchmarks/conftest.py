@@ -10,6 +10,12 @@ series on disk.
 sizing — CI's smoke job uses it so the harness and the fastpath
 kernels cannot rot between perf PRs. Quick sessions never touch
 ``results.txt``: only bench-scale numbers are published.
+
+Wall-clock ratios (speedups, scaling) are always measured, printed and
+published, but asserted only under ``REPRO_BENCH_GATES=1`` (the
+``wall_clock_gates`` fixture): a single timing sample on a shared host
+is noise, and tier-1 gates on deterministic counters — loss within
+bound, bytes through the pipe, rng calls — never on clocks.
 """
 
 from __future__ import annotations
@@ -58,6 +64,12 @@ def _scale_name() -> str:
 def bench_scale() -> ExperimentScale:
     """The sizing every figure benchmark runs at."""
     return _SCALES[_scale_name()]()
+
+
+@pytest.fixture(scope="session")
+def wall_clock_gates() -> bool:
+    """Whether wall-clock ratio assertions are live this session."""
+    return os.environ.get("REPRO_BENCH_GATES") == "1"
 
 
 def _split_tables(text: str) -> list[str]:

@@ -4,7 +4,8 @@ Measures the two hot-path kernels the fast path vectorizes — streaming
 reservoir sampling and the full ``whsamp`` interval — over the same
 Gaussian sub-stream mix Fig. 5 uses, and appends the throughput
 comparison to ``benchmarks/results.txt``. The acceptance bar is a
->= 5x speedup for the numpy backend on batch reservoir sampling.
+>= 5x speedup for the numpy backend on batch reservoir sampling,
+asserted only under ``REPRO_BENCH_GATES=1`` (wall-clock; see conftest).
 """
 
 from __future__ import annotations
@@ -106,13 +107,15 @@ def run_fastpath_comparison(scale: ExperimentScale) -> tuple[str, dict[str, floa
     return table.render(), speedups
 
 
-def test_bench_fastpath(benchmark, bench_scale, results_sink):
+def test_bench_fastpath(benchmark, bench_scale, results_sink, wall_clock_gates):
     """Numpy backend is >= 5x faster on batch reservoir sampling."""
     text, speedups = benchmark.pedantic(
         run_fastpath_comparison, args=(bench_scale,), rounds=1, iterations=1
     )
     results_sink(text)
 
+    if not wall_clock_gates:
+        return
     assert speedups["reservoir"] >= 5.0, speedups
     # The full whsamp interval amortises grouping/allocation overhead
     # shared by both backends, so the bar is lower but must still win.

@@ -14,14 +14,22 @@ runs the same plane (slower, but identical results).
 
 Two properties make the plane a drop-in:
 
-* **Seeded parity with the object plane.** Every generator's
-  ``generate_columns`` draws values with exactly the per-item RNG
-  calls of its ``generate``, and the sampling kernels select survivor
-  *indices* with the entropy the object kernels would have spent on
-  items. A seeded run therefore samples the *same* records on either
-  plane; only floating-point summation order differs (vectorized sums
-  associate differently), so cross-plane estimates agree to ~1e-12
-  relative rather than bit-for-bit.
+* **Seeded parity with the object plane, by construction.** Every
+  per-record random decision is made once, on columns: a source's
+  object batch *is* its columnar batch transposed, a generator's
+  ``generate`` *is* its ``generate_columns`` transposed, the sampling
+  kernels select survivor *indices*, and one coin-flip mask is applied
+  to whichever representation a run moves. A seeded run is therefore
+  deterministic per ``(seed, backend)`` and samples the *same* records
+  on either plane, every transport and every shard count. The
+  ``python`` backend draws one ``random.Random`` call per record and
+  is bit-stable across releases; the ``numpy`` backend draws whole
+  columns from per-source ``numpy.random.Generator`` streams (same
+  distributions, different identities — the rule
+  :mod:`repro.core.fastpath` set for reservoirs). Only floating-point
+  summation order differs between planes (vectorized sums associate
+  differently), so cross-plane estimates agree to ~1e-12 relative
+  rather than bit-for-bit.
 * **Compatibility shims.** :meth:`ColumnarBatch.from_items` /
   :meth:`ColumnarBatch.to_items` convert at any seam, and iterating a
   batch yields :class:`StreamItem` objects, so per-item consumers
@@ -43,12 +51,13 @@ except ImportError:  # pragma: no cover
     _np = None
 
 __all__ = [
-    "ColumnBuffer",
     "ColumnarBatch",
+    "compress_payload",
     "concat_value_chunks",
     "group_payload",
     "masked_sum",
     "payload_timestamps",
+    "payload_values",
     "value_column",
 ]
 
@@ -69,54 +78,6 @@ def _empty_column():
     if _np is not None:
         return _np.empty(0, dtype=_np.float64)
     return array("d")
-
-
-class ColumnBuffer:
-    """A preallocated, reusable staging buffer for value draws.
-
-    Workload generators draw one value per record; materializing each
-    window's draws as a fresh Python list allocates a count-sized list
-    (plus the conversion into a column) every single window. A
-    ``ColumnBuffer`` amortizes that churn: each generator keeps one
-    buffer, grown high-water-mark style and reused across windows —
-    draws land directly in preallocated float storage via
-    :meth:`writable`, and :meth:`column` copies the filled prefix out
-    as a fresh, independently-owned column (one ``memcpy``-class op).
-
-    The copy-out is what makes reuse safe: emitted batches never alias
-    the staging storage, so overwriting the buffer next window cannot
-    corrupt a batch already travelling through the tree. Callers must
-    not retain the :meth:`writable` view across windows (the buffer
-    cannot grow while a view is exported).
-    """
-
-    __slots__ = ("_buffer",)
-
-    def __init__(self) -> None:
-        self._buffer = array("d")
-
-    @property
-    def capacity(self) -> int:
-        """Preallocated slots (the high-water mark of past windows)."""
-        return len(self._buffer)
-
-    def writable(self, count: int) -> memoryview:
-        """A writable float view over the first ``count`` staging slots."""
-        if count < 0:
-            raise SamplingError(f"count must be >= 0, got {count}")
-        buffer = self._buffer
-        if len(buffer) < count:
-            buffer.frombytes(bytes(buffer.itemsize * (count - len(buffer))))
-        return memoryview(buffer)[:count]
-
-    def column(self, count: int):
-        """The first ``count`` staged values as a fresh, owned column."""
-        view = memoryview(self._buffer)[:count]
-        if _np is not None:
-            return _np.array(view, dtype=_np.float64)
-        out = array("d")
-        out.frombytes(view.tobytes())
-        return out
 
 
 def _take(column, indices: Sequence[int]):
@@ -461,3 +422,22 @@ def payload_timestamps(payload) -> Iterable[float]:
     if isinstance(payload, ColumnarBatch):
         return payload.timestamps
     return (item.emitted_at for item in payload)
+
+
+def payload_values(payload) -> Sequence[float]:
+    """Record values of either payload representation, in order."""
+    if isinstance(payload, ColumnarBatch):
+        return payload.values
+    return [item.value for item in payload]
+
+
+def compress_payload(payload, mask: Sequence[bool]):
+    """Keep the records whose mask entry is true, on the payload's plane.
+
+    The one application point of a coin-flip mask (see
+    :meth:`~repro.core.srs.CoinFlipSampler.decisions`): the same mask
+    keeps the same records whether they travel as columns or objects.
+    """
+    if isinstance(payload, ColumnarBatch):
+        return payload.compress(mask)
+    return [item for item, keep in zip(payload, mask) if keep]

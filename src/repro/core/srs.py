@@ -13,6 +13,7 @@ from __future__ import annotations
 import random
 from typing import Generic, Iterable, Sequence, TypeVar
 
+from repro.core.fastpath import BACKEND_NUMPY, make_generator, resolve_backend
 from repro.errors import SamplingError
 
 __all__ = ["CoinFlipSampler", "srs_sample"]
@@ -27,15 +28,34 @@ class CoinFlipSampler(Generic[T]):
     buffer: each item is decided on arrival. That is why, in the
     paper's Figure 9, the SRS system's latency does not grow with the
     window size while ApproxIoT's does.
+
+    ``backend`` picks the entropy source, under the rule
+    :mod:`repro.core.fastpath` set for reservoirs: ``"python"`` spends
+    one ``rng.random()`` per record (bit-stable across releases);
+    ``"numpy"`` seeds a ``numpy.random.Generator`` once from ``rng`` and
+    decides whole batches in one vector draw. Seeded runs are
+    deterministic per backend; kept identities differ between backends,
+    the keep distribution does not.
     """
 
-    def __init__(self, fraction: float, rng: random.Random | None = None) -> None:
+    def __init__(
+        self,
+        fraction: float,
+        rng: random.Random | None = None,
+        *,
+        backend: str = "python",
+    ) -> None:
         if not 0.0 < fraction <= 1.0:
             raise SamplingError(
                 f"sampling fraction must be in (0, 1], got {fraction}"
             )
         self._fraction = float(fraction)
         self._rng = rng if rng is not None else random.Random()
+        self._gen = (
+            make_generator(self._rng)
+            if resolve_backend(backend) == BACKEND_NUMPY
+            else None
+        )
         self._seen = 0
         self._kept = 0
 
@@ -61,36 +81,35 @@ class CoinFlipSampler(Generic[T]):
 
     def offer(self, item: T) -> T | None:
         """Offer an item; return it if kept, ``None`` if dropped."""
-        self._seen += 1
-        if self._rng.random() < self._fraction:
-            self._kept += 1
-            return item
-        return None
+        return item if self.decisions(1)[0] else None
 
     def filter(self, items: Iterable[T]) -> list[T]:
         """Keep each item of an iterable independently."""
-        kept: list[T] = []
-        for item in items:
-            if self.offer(item) is not None:
-                kept.append(item)
-        return kept
+        items = items if isinstance(items, Sequence) else list(items)
+        mask = self.decisions(len(items))
+        return [item for item, keep in zip(items, mask) if keep]
 
-    def decisions(self, count: int) -> list[bool]:
+    def decisions(self, count: int) -> Sequence[bool]:
         """Keep/drop decisions for ``count`` records, in arrival order.
 
-        The columnar plane's coin flip: one decision per record drawn
-        with exactly the entropy :meth:`offer` would consume, so a
-        seeded run keeps the same records on either plane. The caller
-        applies the mask to its columns in one vector op (see
-        :meth:`~repro.core.columns.ColumnarBatch.compress`).
+        The one place a coin is flipped: :meth:`offer` and
+        :meth:`filter` are this mask applied to items, and the engines
+        apply it to whichever payload representation they move, so a
+        seeded run keeps the same records on either data plane. The
+        ``numpy`` backend returns a boolean array from a single draw.
         """
         if count < 0:
             raise SamplingError(f"count must be >= 0, got {count}")
-        rng = self._rng
         fraction = self._fraction
-        mask = [rng.random() < fraction for _ in range(count)]
+        if self._gen is not None:
+            mask = self._gen.random(count) < fraction
+            kept = int(mask.sum())
+        else:
+            rng = self._rng
+            mask = [rng.random() < fraction for _ in range(count)]
+            kept = sum(mask)
         self._seen += count
-        self._kept += sum(mask)
+        self._kept += kept
         return mask
 
     def merge_counters(self, other: "CoinFlipSampler") -> None:

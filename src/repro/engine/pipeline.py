@@ -44,8 +44,10 @@ class Pipeline:
         backend: The sampling backend, resolved once at assembly
             (``config.resolved_backend`` cached for the whole run).
         rng: The run's random source. Sources received derived seeds
-            from this generator during assembly; every subsequent
-            sampling decision draws from it in execution order.
+            from this generator during assembly (on the ``numpy``
+            backend each seeds its own ``numpy.random.Generator`` from
+            that, once); every subsequent sampling decision draws from
+            it in execution order.
         sources: One :class:`~repro.workloads.source.Source` per source
             node, keyed by node name.
         source_rates: Per-source emission rate (items/second).
@@ -135,7 +137,8 @@ class Pipeline:
 
         Returns ``list[StreamItem]`` on the object plane, a
         :class:`~repro.core.columns.ColumnarBatch` on the columnar
-        plane — with identical seeded records either way.
+        plane — the same records either way (the object batch is the
+        columnar one transposed).
         """
         source = self.sources[node_name]
         if self.data_plane == "columnar":
@@ -162,6 +165,7 @@ def _build_sources(
     schedule: RateSchedule,
     generators: dict[str, ItemGenerator],
     rng: random.Random,
+    backend: str,
 ) -> tuple[dict[str, Source], dict[str, str]]:
     """Assign sub-streams round-robin across the tree's sources.
 
@@ -193,6 +197,7 @@ def _build_sources(
                 generators[substream],
                 per_source_rate,
                 rng=random.Random(rng.getrandbits(64)),
+                backend=backend,
             )
             source_substreams[node.name] = substream
     return sources, source_substreams
@@ -213,11 +218,14 @@ def build_pipeline(
     """
     tree = config.tree
     rng = random.Random(config.seed)
-    sources, source_substreams = _build_sources(tree, schedule, generators, rng)
+    backend = config.resolved_backend
+    sources, source_substreams = _build_sources(
+        tree, schedule, generators, rng, backend
+    )
     pipeline = Pipeline(
         config=config,
         tree=tree,
-        backend=config.resolved_backend,
+        backend=backend,
         rng=rng,
         data_plane=config.data_plane,
         sources=sources,

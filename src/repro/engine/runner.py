@@ -33,7 +33,7 @@ import random
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
-from repro.core.columns import ColumnarBatch, group_payload, masked_sum
+from repro.core.columns import group_payload, masked_sum, payload_values
 from repro.core.error_bounds import ApproximateResult, estimate_sum_with_error
 from repro.core.estimator import ThetaStore
 from repro.core.items import StreamItem, WeightedBatch
@@ -44,6 +44,7 @@ from repro.engine.transport import Transport
 from repro.errors import PipelineError
 
 if TYPE_CHECKING:  # import cycle is only structural: scenarios are data
+    from repro.core.columns import ColumnarBatch
     from repro.scenarios.engine import ScenarioEngine, WindowState
 
 __all__ = [
@@ -528,28 +529,24 @@ class EngineRunner:
     ) -> float:
         """The baseline: coin-flip at the first edge layer, HT at root.
 
-        The kept sum accumulates directly — no intermediate list of
-        kept values is materialized. On the columnar plane the coin
-        flip is a mask applied to the value column in one vector op
-        (decision entropy is identical per record, so seeded runs keep
-        the same records on either plane).
+        One keep/drop mask per source, applied to its value column in
+        one select-and-reduce — no intermediate list of kept values is
+        materialized, and the same mask keeps the same records on
+        either data plane.
         """
         fraction = self._pipeline.config.sampling_fraction
         rng = self._pipeline.rng
         kept_sum = 0.0
         for node in self._pipeline.tree.sources:
             sampler = CoinFlipSampler(
-                fraction, random.Random(rng.getrandbits(64))
+                fraction,
+                random.Random(rng.getrandbits(64)),
+                backend=self._pipeline.backend,
             )
             payload = emitted[node.name]
-            if isinstance(payload, ColumnarBatch):
-                kept_sum += masked_sum(
-                    payload.values, sampler.decisions(len(payload))
-                )
-            else:
-                for item in payload:
-                    if sampler.offer(item) is not None:
-                        kept_sum += item.value
+            kept_sum += masked_sum(
+                payload_values(payload), sampler.decisions(len(payload))
+            )
         return kept_sum / fraction
 
     def run_native(

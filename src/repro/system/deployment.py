@@ -46,7 +46,12 @@ from dataclasses import dataclass
 from typing import Callable
 
 from repro.broker.broker import Broker
-from repro.core.columns import ColumnarBatch, group_payload, payload_timestamps
+from repro.core.columns import (
+    ColumnarBatch,
+    compress_payload,
+    group_payload,
+    payload_timestamps,
+)
 from repro.core.items import StreamItem, WeightedBatch
 from repro.core.srs import CoinFlipSampler
 from repro.engine.pipeline import Pipeline, build_pipeline
@@ -341,14 +346,13 @@ class DeploymentSimulator:
         if self._config.mode == ExecutionMode.SRS and node.layer == 1:
             fraction = self._config.sampling_fraction
             sampler = CoinFlipSampler(
-                fraction, random.Random(self._rng.getrandbits(64))
+                fraction,
+                random.Random(self._rng.getrandbits(64)),
+                backend=self._pipeline.backend,
             )
-            if isinstance(payload, ColumnarBatch):
-                # Same per-record decision entropy as filter(); the
-                # mask is applied to the columns in one vector op.
-                payload = payload.compress(sampler.decisions(len(payload)))
-            else:
-                payload = sampler.filter(payload)
+            payload = compress_payload(
+                payload, sampler.decisions(len(payload))
+            )
             weight = batch.weight / fraction
         if not len(payload):
             return

@@ -18,11 +18,11 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterable
 
-from repro.core.columns import ColumnBuffer, ColumnarBatch
 from repro.core.items import StreamItem
 from repro.errors import WorkloadError
+from repro.workloads.source import SubstreamGenerator
 
 __all__ = [
     "POLLUTANTS",
@@ -126,14 +126,14 @@ class PollutionTraceSynthesizer:
         return items
 
 
-class PollutantSubstream:
+class PollutantSubstream(SubstreamGenerator):
     """Item generator for one pollutant's sensor feed.
 
     Implements the :class:`~repro.workloads.source.ItemGenerator`
     protocol with a self-contained AR(1) level per instance, driven by
-    the caller's RNG. Values stay close to the pollutant baseline (low
-    innovation variance), which is the stability property the paper
-    notes for this dataset.
+    the caller's entropy. Values stay close to the pollutant baseline
+    (low innovation variance), which is the stability property the
+    paper notes for this dataset.
     """
 
     def __init__(self, pollutant: str, item_bytes: int = 64) -> None:
@@ -143,65 +143,31 @@ class PollutantSubstream:
                 f"choose from {sorted(POLLUTANTS)}"
             )
         self.pollutant = pollutant
+        self.name = f"pollution/{pollutant}"
         self.item_bytes = item_bytes
-        baseline, _scale = POLLUTANTS[pollutant]
-        self._level = baseline
-        self._staging = ColumnBuffer()
+        self._baseline, self._scale = POLLUTANTS[pollutant]
+        self._level = self._baseline
 
-    def _draw_values(self, count: int, rng: random.Random) -> Sequence[float]:
-        """The one AR(1) advance loop both data planes share.
+    def _advance(self, innovations: Iterable[float]) -> list[float]:
+        """The one clamped AR(1) recurrence, fed by either backend's noise.
 
-        A single copy of the stateful level recurrence keeps the
-        cross-plane parity invariant structural: ``generate`` and
-        ``generate_columns`` consume exactly this entropy and apply
-        exactly these level updates. Draws land in the reusable
-        staging buffer; see :class:`~repro.core.columns.ColumnBuffer`
-        for the reuse contract.
+        Clamping at zero makes the level inherently sequential, so the
+        vector path vectorises only the innovations.
         """
-        if count < 0:
-            raise WorkloadError(f"count must be >= 0, got {count}")
-        baseline, scale = POLLUTANTS[self.pollutant]
-        staged = self._staging.writable(count)
-        for index in range(count):
-            self._level = max(
-                0.0,
-                baseline + 0.95 * (self._level - baseline)
-                + rng.gauss(0, scale),
-            )
-            staged[index] = round(self._level, 2)
-        return staged
+        baseline = self._baseline
+        level = self._level
+        readings = []
+        for innovation in innovations:
+            level = max(0.0, baseline + 0.95 * (level - baseline) + innovation)
+            readings.append(round(level, 2))
+        self._level = level
+        return readings
 
-    def generate(
-        self, count: int, rng: random.Random, emitted_at: float = 0.0
-    ) -> list[StreamItem]:
-        """Draw ``count`` readings for this pollutant."""
-        return [
-            StreamItem(
-                substream=f"pollution/{self.pollutant}",
-                value=value,
-                emitted_at=emitted_at,
-                size_bytes=self.item_bytes,
-            )
-            for value in self._draw_values(count, rng)
-        ]
+    def _scalar_values(self, count: int, rng: random.Random) -> list[float]:
+        return self._advance(rng.gauss(0, self._scale) for _ in range(count))
 
-    def generate_columns(
-        self, count: int, rng: random.Random, emitted_at: float = 0.0
-    ) -> ColumnarBatch:
-        """Advance the AR(1) level ``count`` steps into a columnar batch.
-
-        Same entropy and level updates as :meth:`generate` (they share
-        the advance loop), so seeded runs emit identical readings on
-        either data plane; the staging buffer is copied out so
-        successive windows never alias.
-        """
-        self._draw_values(count, rng)
-        return ColumnarBatch.single(
-            f"pollution/{self.pollutant}",
-            self._staging.column(count),
-            emitted_at,
-            self.item_bytes,
-        )
+    def _vector_values(self, count: int, gen) -> list[float]:
+        return self._advance(gen.normal(0.0, self._scale, count).tolist())
 
 
 def pollutant_generators() -> dict[str, PollutantSubstream]:

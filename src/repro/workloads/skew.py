@@ -70,42 +70,46 @@ class SkewedMixture:
             sub.name: count for sub, count in zip(self.substreams, counts)
         }
 
-    def generate(
-        self, total_items: int, rng: random.Random, emitted_at: float = 0.0
-    ) -> list[StreamItem]:
-        """Generate a shuffled batch following the mixture proportions."""
-        items: list[StreamItem] = []
+    def _stacked(self, draw: str, total_items: int, entropy, emitted_at: float):
+        """Every sub-stream's ``draw`` batch for its exact share, stacked."""
         counts = self.counts_for(total_items)
-        for substream in self.substreams:
-            items.extend(
-                substream.generate(counts[substream.name], rng, emitted_at)
-            )
-        rng.shuffle(items)
-        return items
-
-    def generate_columns(
-        self, total_items: int, rng: random.Random, emitted_at: float = 0.0
-    ) -> ColumnarBatch:
-        """Columnar twin of :meth:`generate` (a mixed-stratum batch).
-
-        Sub-stream draws and the shuffle consume exactly the object
-        path's entropy — ``random.shuffle`` spends one draw per
-        position regardless of element type, so shuffling an index
-        permutation and gathering the columns lands every record in
-        the same slot a shuffled item list would occupy.
-        """
-        counts = self.counts_for(total_items)
-        merged = ColumnarBatch.concat(
+        return ColumnarBatch.concat(
             [
-                substream.generate_columns(
-                    counts[substream.name], rng, emitted_at
+                getattr(substream, draw)(
+                    counts[substream.name], entropy, emitted_at
                 )
                 for substream in self.substreams
             ]
         )
+
+    def generate_columns(
+        self, total_items: int, rng: random.Random, emitted_at: float = 0.0
+    ) -> ColumnarBatch:
+        """A shuffled mixed-stratum batch following the proportions.
+
+        ``random.shuffle`` spends one draw per position regardless of
+        element type, so shuffling an index permutation and gathering
+        the columns lands every record in the slot a shuffled item
+        list would occupy.
+        """
+        merged = self._stacked("generate_columns", total_items, rng, emitted_at)
         order = list(range(len(merged)))
         rng.shuffle(order)
         return merged.select(order)
+
+    def draw_columns(
+        self, total_items: int, gen, emitted_at: float = 0.0
+    ) -> ColumnarBatch:
+        """:meth:`generate_columns` from a numpy ``Generator``: vector
+        per-stratum draws and one ``permutation``."""
+        merged = self._stacked("draw_columns", total_items, gen, emitted_at)
+        return merged.select(gen.permutation(len(merged)))
+
+    def generate(
+        self, total_items: int, rng: random.Random, emitted_at: float = 0.0
+    ) -> list[StreamItem]:
+        """:meth:`generate_columns`, transposed into items."""
+        return self.generate_columns(total_items, rng, emitted_at).to_items()
 
 
 def paper_skewed_mixture() -> SkewedMixture:

@@ -13,6 +13,7 @@ import random
 from typing import Callable, Protocol
 
 from repro.core.columns import ColumnarBatch
+from repro.core.fastpath import BACKEND_NUMPY, make_generator, resolve_backend
 from repro.core.items import StreamItem
 from repro.errors import WorkloadError
 from repro.workloads.rates import RateSchedule
@@ -20,6 +21,7 @@ from repro.workloads.rates import RateSchedule
 __all__ = [
     "Source",
     "ItemGenerator",
+    "SubstreamGenerator",
     "generate_columns",
     "sources_from_schedule",
 ]
@@ -28,10 +30,15 @@ __all__ = [
 class ItemGenerator(Protocol):
     """Anything that can generate ``count`` items at a timestamp.
 
-    Generators may additionally implement ``generate_columns`` with
-    the same signature returning a
-    :class:`~repro.core.columns.ColumnarBatch`; the columnar data
-    plane uses it when present (see :func:`generate_columns`).
+    Generators may additionally implement two optional hooks, each
+    returning a :class:`~repro.core.columns.ColumnarBatch`:
+    ``generate_columns(count, rng, emitted_at)`` — the same scalar
+    ``random.Random`` entropy, emitted as columns (see
+    :func:`generate_columns`) — and ``draw_columns(count, gen,
+    emitted_at)`` — whole-column draws from a
+    ``numpy.random.Generator``, which a ``backend="numpy"``
+    :class:`Source` prefers. A generator with neither keeps receiving
+    the source's ``random.Random`` on every backend.
     """
 
     def generate(
@@ -60,8 +67,55 @@ def generate_columns(
     return ColumnarBatch.from_items(generator.generate(count, rng, emitted_at))
 
 
+class SubstreamGenerator:
+    """Base of the single-stratum generators: one value draw per backend.
+
+    A subclass carries its stratum tag as ``name`` and its
+    ``item_bytes``, and supplies ``_scalar_values(count, rng)`` — one
+    ``random.Random`` call sequence per record, the ``python``
+    backend's bit-stable entropy — and
+    ``_vector_values(count, gen)`` — whole-column
+    ``numpy.random.Generator`` draws with the same distribution. Every
+    batch shape is derived here, so the object plane is the columnar
+    draw transposed rather than a second loop kept in step with it.
+    """
+
+    name: str
+    item_bytes: int
+
+    def _batch(self, draw, count: int, entropy, emitted_at: float) -> ColumnarBatch:
+        if count < 0:
+            raise WorkloadError(f"count must be >= 0, got {count}")
+        return ColumnarBatch.single(
+            self.name, draw(count, entropy), emitted_at, self.item_bytes
+        )
+
+    def generate_columns(
+        self, count: int, rng: random.Random, emitted_at: float = 0.0
+    ) -> ColumnarBatch:
+        """Draw ``count`` values from ``rng``, one scalar call sequence each."""
+        return self._batch(self._scalar_values, count, rng, emitted_at)
+
+    def draw_columns(self, count: int, gen, emitted_at: float = 0.0) -> ColumnarBatch:
+        """Draw ``count`` values from a numpy ``Generator`` in vector ops."""
+        return self._batch(self._vector_values, count, gen, emitted_at)
+
+    def generate(
+        self, count: int, rng: random.Random, emitted_at: float = 0.0
+    ) -> list[StreamItem]:
+        """:meth:`generate_columns`, transposed into items."""
+        return self.generate_columns(count, rng, emitted_at).to_items()
+
+
 class Source:
-    """One logical data source with a fixed arrival rate."""
+    """One logical data source with a fixed arrival rate.
+
+    ``backend`` picks the entropy the source hands its generator:
+    ``"python"`` (the default of the low-level primitives) passes the
+    source's ``random.Random``; ``"numpy"`` seeds one
+    ``numpy.random.Generator`` from it, once, and uses the generator's
+    ``draw_columns`` hook where it has one.
+    """
 
     def __init__(
         self,
@@ -70,6 +124,7 @@ class Source:
         rate_per_second: float,
         *,
         rng: random.Random | None = None,
+        backend: str = "python",
     ) -> None:
         if rate_per_second < 0:
             raise WorkloadError(
@@ -79,6 +134,16 @@ class Source:
         self._generator = generator
         self.rate_per_second = float(rate_per_second)
         self._rng = rng if rng is not None else random.Random()
+        self._draw_columns = (
+            getattr(generator, "draw_columns", None)
+            if resolve_backend(backend) == BACKEND_NUMPY
+            else None
+        )
+        self._gen = (
+            make_generator(self._rng)
+            if self._draw_columns is not None
+            else None
+        )
         self.items_emitted = 0
         # Centered at 0.5 so a lone interval rounds to nearest rather
         # than truncating; see _interval_count.
@@ -111,46 +176,34 @@ class Source:
     def emit_interval(
         self, interval_start: float, interval_seconds: float
     ) -> list[StreamItem]:
-        """Produce this source's batch for one interval.
+        """This source's batch for one interval, as items.
 
-        Items get emission timestamps spread uniformly over the
-        interval so latency accounting sees realistic in-interval
-        arrival spread.
+        The columnar emission transposed, so the two planes cannot
+        drift: same draws, same in-interval timestamp spread.
         """
-        count = self._interval_count(interval_seconds)
-        if count == 0:
-            return []
-        batch = self._generator.generate(count, self._rng, interval_start)
-        spread: list[StreamItem] = []
-        for index, item in enumerate(batch):
-            offset = interval_seconds * (index + 1) / (count + 1)
-            spread.append(
-                StreamItem(
-                    item.substream,
-                    item.value,
-                    interval_start + offset,
-                    item.size_bytes,
-                )
-            )
-        self.items_emitted += len(spread)
-        return spread
+        return self.emit_interval_columns(
+            interval_start, interval_seconds
+        ).to_items()
 
     def emit_interval_columns(
         self, interval_start: float, interval_seconds: float
     ) -> ColumnarBatch:
-        """Columnar twin of :meth:`emit_interval`.
+        """Produce this source's batch for one interval.
 
-        Values come from the generator's columnar path (identical
-        entropy, so seeded emissions match the object plane exactly)
-        and the in-interval timestamp spread is one vector op instead
-        of a second per-item copy of the whole batch.
+        Records get emission timestamps spread uniformly over the
+        interval (one vector op) so latency accounting sees realistic
+        in-interval arrival spread.
         """
         count = self._interval_count(interval_seconds)
         if count == 0:
             return ColumnarBatch.empty()
-        batch = generate_columns(
-            self._generator, count, self._rng, interval_start
-        ).with_spread_timestamps(interval_start, interval_seconds)
+        if self._draw_columns is not None:
+            batch = self._draw_columns(count, self._gen, interval_start)
+        else:
+            batch = generate_columns(
+                self._generator, count, self._rng, interval_start
+            )
+        batch = batch.with_spread_timestamps(interval_start, interval_seconds)
         self.items_emitted += len(batch)
         return batch
 

@@ -9,13 +9,12 @@ sub-stream name.
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass, field
-from typing import Sequence
 
-from repro.core.columns import ColumnBuffer, ColumnarBatch
-from repro.core.items import StreamItem
 from repro.errors import WorkloadError
+from repro.workloads.source import SubstreamGenerator
 
 __all__ = [
     "GaussianSubstream",
@@ -26,63 +25,23 @@ __all__ = [
 
 
 @dataclass
-class GaussianSubstream:
+class GaussianSubstream(SubstreamGenerator):
     """Generates normally-distributed item values for one stratum."""
 
     name: str
     mu: float
     sigma: float
     item_bytes: int = 100
-    _staging: ColumnBuffer = field(
-        default_factory=ColumnBuffer, init=False, repr=False, compare=False
-    )
 
     def __post_init__(self) -> None:
         if self.sigma < 0:
             raise WorkloadError(f"sigma must be >= 0, got {self.sigma}")
 
-    def _draw_values(self, count: int, rng: random.Random) -> Sequence[float]:
-        """The one value-draw loop both data planes share.
+    def _scalar_values(self, count: int, rng: random.Random) -> list[float]:
+        return [rng.gauss(self.mu, self.sigma) for _ in range(count)]
 
-        Keeping a single copy is what makes cross-plane parity
-        structural: both ``generate`` and ``generate_columns`` consume
-        exactly this entropy, in this order. Draws land in the
-        generator's reusable staging buffer (no per-window list
-        allocation); the returned view is only valid until the next
-        draw — ``generate_columns`` copies it out via
-        ``ColumnBuffer.column`` before the batch leaves.
-        """
-        if count < 0:
-            raise WorkloadError(f"count must be >= 0, got {count}")
-        staged = self._staging.writable(count)
-        for index in range(count):
-            staged[index] = rng.gauss(self.mu, self.sigma)
-        return staged
-
-    def generate(
-        self, count: int, rng: random.Random, emitted_at: float = 0.0
-    ) -> list[StreamItem]:
-        """Draw ``count`` items at the given emission time."""
-        return [
-            StreamItem(self.name, value, emitted_at, self.item_bytes)
-            for value in self._draw_values(count, rng)
-        ]
-
-    def generate_columns(
-        self, count: int, rng: random.Random, emitted_at: float = 0.0
-    ) -> ColumnarBatch:
-        """Draw ``count`` values straight into a columnar batch.
-
-        Same entropy as :meth:`generate` (they share the draw loop),
-        so seeded runs emit identical values on either data plane; no
-        :class:`StreamItem` objects are ever created, and the staging
-        buffer is copied out so successive windows never alias.
-        """
-        self._draw_values(count, rng)
-        return ColumnarBatch.single(
-            self.name, self._staging.column(count), emitted_at,
-            self.item_bytes,
-        )
+    def _vector_values(self, count: int, gen):
+        return gen.normal(self.mu, self.sigma, count)
 
     @property
     def expected_value(self) -> float:
@@ -91,35 +50,33 @@ class GaussianSubstream:
 
 
 @dataclass
-class PoissonSubstream:
+class PoissonSubstream(SubstreamGenerator):
     """Generates Poisson-distributed item values for one stratum.
 
-    Uses numpy-free inversion/normal-approximation sampling: exact
+    The scalar (``python`` backend) draw is numpy-free: exact Knuth
     inversion for small λ, normal approximation (rounded, clamped at 0)
     for large λ, which matches the paper's use of λ up to 10^7 without
-    pathological generation cost.
+    pathological generation cost. The vector (``numpy`` backend) draw
+    is ``Generator.poisson`` — exact at every λ.
     """
 
     name: str
     lam: float
     item_bytes: int = 100
     _approximation_threshold: float = 1000.0
-    _staging: ColumnBuffer = field(
-        default_factory=ColumnBuffer, init=False, repr=False, compare=False
-    )
+    _knuth_threshold: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.lam <= 0:
             raise WorkloadError(f"lambda must be positive, got {self.lam}")
+        self._knuth_threshold = math.exp(-self.lam)
 
     def _draw(self, rng: random.Random) -> float:
         if self.lam >= self._approximation_threshold:
             value = rng.gauss(self.lam, self.lam ** 0.5)
             return float(max(0, round(value)))
         # Knuth inversion for small lambda.
-        import math
-
-        threshold = math.exp(-self.lam)
+        threshold = self._knuth_threshold
         k = 0
         product = rng.random()
         while product > threshold:
@@ -127,43 +84,11 @@ class PoissonSubstream:
             product *= rng.random()
         return float(k)
 
-    def _draw_values(self, count: int, rng: random.Random) -> Sequence[float]:
-        """The one value-draw loop both data planes share.
+    def _scalar_values(self, count: int, rng: random.Random) -> list[float]:
+        return [self._draw(rng) for _ in range(count)]
 
-        Draws land in the reusable staging buffer; see
-        :class:`~repro.core.columns.ColumnBuffer` for the reuse
-        contract.
-        """
-        if count < 0:
-            raise WorkloadError(f"count must be >= 0, got {count}")
-        staged = self._staging.writable(count)
-        for index in range(count):
-            staged[index] = self._draw(rng)
-        return staged
-
-    def generate(
-        self, count: int, rng: random.Random, emitted_at: float = 0.0
-    ) -> list[StreamItem]:
-        """Draw ``count`` items at the given emission time."""
-        return [
-            StreamItem(self.name, value, emitted_at, self.item_bytes)
-            for value in self._draw_values(count, rng)
-        ]
-
-    def generate_columns(
-        self, count: int, rng: random.Random, emitted_at: float = 0.0
-    ) -> ColumnarBatch:
-        """Draw ``count`` values straight into a columnar batch.
-
-        Same entropy as :meth:`generate` (they share the draw loop),
-        so seeded runs emit identical values on either data plane; the
-        staging buffer is copied out so successive windows never alias.
-        """
-        self._draw_values(count, rng)
-        return ColumnarBatch.single(
-            self.name, self._staging.column(count), emitted_at,
-            self.item_bytes,
-        )
+    def _vector_values(self, count: int, gen):
+        return gen.poisson(self.lam, count).astype(float)
 
     @property
     def expected_value(self) -> float:

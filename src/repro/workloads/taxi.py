@@ -22,11 +22,10 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Sequence
 
-from repro.core.columns import ColumnBuffer, ColumnarBatch
 from repro.core.items import StreamItem
 from repro.errors import WorkloadError
+from repro.workloads.source import SubstreamGenerator
 
 __all__ = ["TaxiRide", "TaxiTraceSynthesizer", "BoroughSubstream", "BOROUGHS"]
 
@@ -148,13 +147,13 @@ class TaxiTraceSynthesizer:
         return rides
 
 
-class BoroughSubstream:
+class BoroughSubstream(SubstreamGenerator):
     """Item generator for one borough's ride feed.
 
     Implements the :class:`~repro.workloads.source.ItemGenerator`
     protocol: values are synthesized ride ``total_amount`` figures with
     the same marginals as :class:`TaxiTraceSynthesizer`, drawn from the
-    caller-supplied RNG so runs stay reproducible.
+    caller-supplied entropy so runs stay reproducible.
     """
 
     FLAGFALL = TaxiTraceSynthesizer.FLAGFALL
@@ -166,8 +165,8 @@ class BoroughSubstream:
                 f"unknown borough {borough!r}; choose from {sorted(BOROUGHS)}"
             )
         self.borough = borough
+        self.name = f"taxi/{borough}"
         self.item_bytes = item_bytes
-        self._staging = ColumnBuffer()
 
     def _total_amount(self, rng: random.Random) -> float:
         distance = min(50.0, rng.lognormvariate(0.55, 0.85))
@@ -176,47 +175,14 @@ class BoroughSubstream:
         tip = 0.0 if rng.random() < 0.45 else fare * rng.uniform(0.05, 0.30)
         return round(fare + surcharges + tip, 2)
 
-    def _draw_values(self, count: int, rng: random.Random) -> Sequence[float]:
-        """The one fare-draw loop both data planes share.
+    def _scalar_values(self, count: int, rng: random.Random) -> list[float]:
+        return [self._total_amount(rng) for _ in range(count)]
 
-        Draws land in the reusable staging buffer; see
-        :class:`~repro.core.columns.ColumnBuffer` for the reuse
-        contract.
-        """
-        if count < 0:
-            raise WorkloadError(f"count must be >= 0, got {count}")
-        staged = self._staging.writable(count)
-        for index in range(count):
-            staged[index] = self._total_amount(rng)
-        return staged
-
-    def generate(
-        self, count: int, rng: random.Random, emitted_at: float = 0.0
-    ) -> list[StreamItem]:
-        """Draw ``count`` ride payments for this borough."""
-        return [
-            StreamItem(
-                substream=f"taxi/{self.borough}",
-                value=value,
-                emitted_at=emitted_at,
-                size_bytes=self.item_bytes,
-            )
-            for value in self._draw_values(count, rng)
-        ]
-
-    def generate_columns(
-        self, count: int, rng: random.Random, emitted_at: float = 0.0
-    ) -> ColumnarBatch:
-        """Draw ``count`` ride payments straight into a columnar batch.
-
-        Same entropy as :meth:`generate` (they share the draw loop),
-        so seeded runs emit identical fares on either data plane; the
-        staging buffer is copied out so successive windows never alias.
-        """
-        self._draw_values(count, rng)
-        return ColumnarBatch.single(
-            f"taxi/{self.borough}",
-            self._staging.column(count),
-            emitted_at,
-            self.item_bytes,
-        )
+    def _vector_values(self, count: int, gen):
+        """:meth:`_total_amount`'s marginals, one column per term."""
+        distance = gen.lognormal(0.55, 0.85, count).clip(max=50.0)
+        fare = self.FLAGFALL + self.PER_MILE * distance
+        surcharges = gen.choice([0.0, 0.5, 1.0], count)
+        tipped = gen.random(count) >= 0.45
+        tip = tipped * (fare * gen.uniform(0.05, 0.30, count))
+        return (fare + surcharges + tip).round(2)

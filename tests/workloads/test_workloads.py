@@ -389,14 +389,15 @@ class TestGeneratorColumnParity:
 
 
 class TestColumnStaging:
-    """Generators reuse a staging buffer; emitted batches never alias."""
+    """No staging is shared between draws: each returns an owned column,
+    so emitted batches never alias."""
 
     def test_successive_windows_do_not_alias(self):
         gen = GaussianSubstream("g", 100.0, 5.0)
         rng = random.Random(11)
         first = gen.generate_columns(50, rng, 0.0)
         snapshot = list(first.values)
-        gen.generate_columns(50, rng, 1.0)  # overwrites the staging slots
+        gen.generate_columns(50, rng, 1.0)
         assert list(first.values) == snapshot
 
     def test_reuse_preserves_cross_plane_parity(self):
@@ -420,31 +421,6 @@ class TestColumnStaging:
                     )
             values[plane] = drawn
         assert values["objects"] == values["columnar"]
-
-    def test_buffer_grows_high_water_mark_style(self):
-        from repro.core.columns import ColumnBuffer
-
-        buffer = ColumnBuffer()
-        view = buffer.writable(4)
-        view[0] = 1.5
-        assert buffer.capacity == 4
-        del view
-        buffer.writable(2)
-        assert buffer.capacity == 4  # shrinking requests keep the slots
-        assert list(buffer.column(2)) == [1.5, 0.0]
-        buffer.writable(10)
-        assert buffer.capacity == 10
-
-    def test_column_copies_are_independent(self):
-        from repro.core.columns import ColumnBuffer
-
-        buffer = ColumnBuffer()
-        staged = buffer.writable(3)
-        staged[0], staged[1], staged[2] = 1.0, 2.0, 3.0
-        del staged
-        first = buffer.column(3)
-        buffer.writable(3)[0] = 99.0
-        assert list(first) == [1.0, 2.0, 3.0]
 
 
 class TestScheduleSplit:
