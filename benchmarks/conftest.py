@@ -1,15 +1,19 @@
 """Shared fixtures for the figure benchmarks.
 
 Every benchmark regenerates one figure of the paper's evaluation at
-bench scale, asserts the paper's qualitative shape, and appends the
-rendered paper-style table to ``benchmarks/results.txt`` so a
-``pytest benchmarks/ --benchmark-only`` run leaves the full set of
-series on disk.
+bench scale, asserts the paper's qualitative shape, and hands the
+rendered paper-style table to ``results_sink``.
+
+The tables land in pytest's tmp dir (``<basetemp>/bench-tables*/
+results.txt``), so a plain ``pytest`` leaves ``git status`` clean.
+``REPRO_BENCH_PUBLISH=1`` additionally publishes a bench-scale
+session to the tracked ``benchmarks/results.txt`` — the one way that
+file is ever rewritten.
 
 ``REPRO_BENCH_SCALE=quick`` shrinks every benchmark to the unit-test
 sizing — CI's smoke job uses it so the harness and the fastpath
-kernels cannot rot between perf PRs. Quick sessions never touch
-``results.txt``: only bench-scale numbers are published.
+kernels cannot rot between perf PRs. Quick sessions never publish,
+asked or not: only bench-scale numbers go into ``results.txt``.
 
 Wall-clock ratios (speedups, scaling) are always measured, printed and
 published, but asserted only under ``REPRO_BENCH_GATES=1`` (the
@@ -95,18 +99,19 @@ def _merge_tables(existing: str, fresh: list[str]) -> str:
 
 
 @pytest.fixture(scope="session")
-def results_sink(request):
-    """Append rendered tables to the session's results file.
+def results_sink(request, tmp_path_factory):
+    """Collect the session's rendered tables; publish them when asked.
 
-    Tables accumulate in a scratch file next to the target and
-    ``results.txt`` is swapped atomically at session end, so an
+    Tables accumulate in a file under pytest's tmp dir. Under
+    ``REPRO_BENCH_PUBLISH=1``, at bench scale, the tracked
+    ``results.txt`` is then swapped atomically at session end, so an
     interrupted session never truncates the previously published
     tables. A complete, green benchmark session publishes exactly its
     own tables (pruning tables whose benchmark was renamed or
     removed); a partial or failing session merges by table title,
     refreshing only what it regenerated.
     """
-    scratch = RESULTS_PATH.with_name(RESULTS_PATH.name + ".tmp")
+    scratch = tmp_path_factory.mktemp("bench-tables") / "results.txt"
     scratch.write_text("")
 
     def sink(text: str) -> None:
@@ -115,16 +120,17 @@ def results_sink(request):
 
     yield sink
 
-    if _scale_name() != "bench":  # smoke runs publish nothing
-        scratch.unlink()
-        return
-    fresh = _split_tables(scratch.read_text())
-    if not fresh:
-        scratch.unlink()
-        return
+    asked = os.environ.get("REPRO_BENCH_PUBLISH") == "1"
+    published = scratch.read_text()
+    fresh = _split_tables(published)
+    if not (asked and fresh and _scale_name() == "bench"):
+        return  # smoke runs publish nothing, asked or not
     all_modules = {path.name for path in BENCH_DIR.glob("test_bench_*.py")}
     complete = _RAN_BENCH_MODULES >= all_modules
     if not (complete and request.session.testsfailed == 0):
         existing = RESULTS_PATH.read_text() if RESULTS_PATH.exists() else ""
-        scratch.write_text(_merge_tables(existing, fresh))
-    os.replace(scratch, RESULTS_PATH)
+        published = _merge_tables(existing, fresh)
+    # Staged next to the target: os.replace must not cross filesystems.
+    staged = RESULTS_PATH.with_name(RESULTS_PATH.name + ".tmp")
+    staged.write_text(published)
+    os.replace(staged, RESULTS_PATH)

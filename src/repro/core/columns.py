@@ -80,8 +80,8 @@ def _empty_column():
     return array("d")
 
 
-def _take(column, indices: Sequence[int]):
-    """Gather ``column[i]`` for each index, preserving index order."""
+def _take(column, indices):
+    """Gather ``column[i]`` per index (an ``intp`` array as is, or a list)."""
     if _np is not None and isinstance(column, _np.ndarray):
         return column[_np.asarray(indices, dtype=_np.intp)]
     return array("d", (column[i] for i in indices))
@@ -256,8 +256,8 @@ class ColumnarBatch:
     # ------------------------------------------------------------------
     # Transformation
     # ------------------------------------------------------------------
-    def select(self, indices: Sequence[int]) -> "ColumnarBatch":
-        """Gather the records at ``indices`` (the sampling primitive)."""
+    def select(self, indices) -> "ColumnarBatch":
+        """Gather the records at ``indices`` (an ``intp`` array or a list)."""
         substreams = (
             self.substreams
             if isinstance(self.substreams, str)
@@ -417,11 +417,11 @@ def concat_value_chunks(chunks: list) -> Sequence[float]:
     return flat
 
 
-def payload_timestamps(payload) -> Iterable[float]:
-    """Emission timestamps of either payload representation."""
+def payload_timestamps(payload) -> Sequence[float]:
+    """Emission timestamps of either payload representation, in order."""
     if isinstance(payload, ColumnarBatch):
         return payload.timestamps
-    return (item.emitted_at for item in payload)
+    return [item.emitted_at for item in payload]
 
 
 def payload_values(payload) -> Sequence[float]:

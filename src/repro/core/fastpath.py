@@ -7,7 +7,8 @@ backend that draws the survivor index set for a whole batch at once:
 
 * :func:`batch_sample_indices` — the one-shot kernel. A reservoir
   sample of a *materialised* batch is exactly a uniform random subset,
-  so it reduces to one ``Generator.choice`` call.
+  so it reduces to one ``Generator.choice`` call; the sorted ``intp``
+  array it returns indexes columns as is (only the object plane lists it).
 * :class:`NumpyReservoirSampler` — a drop-in, *streaming*
   ``ReservoirSampler`` whose :meth:`extend` replays Algorithm R with
   array ops: one vectorized draw decides the replacement slot of every
@@ -119,8 +120,8 @@ def make_generator(rng: random.Random | None = None):
     return _np.random.default_rng(seed)
 
 
-def batch_sample_indices(population: int, capacity: int, gen) -> list[int]:
-    """Survivor indices of a one-shot reservoir sample, sorted ascending.
+def batch_sample_indices(population: int, capacity: int, gen):
+    """Survivor indices of a one-shot reservoir sample: sorted ``intp`` array.
 
     A reservoir sample over a fully materialised batch is a uniform
     random subset of size ``min(capacity, population)`` — exactly the
@@ -133,10 +134,10 @@ def batch_sample_indices(population: int, capacity: int, gen) -> list[int]:
     if population < 0:
         raise SamplingError(f"population must be >= 0, got {population}")
     if population <= capacity:
-        return list(range(population))
+        return _np.arange(population, dtype=_np.intp)
     indices = gen.choice(population, size=capacity, replace=False)
     indices.sort()
-    return indices.tolist()
+    return indices.astype(_np.intp, copy=False)
 
 
 def reservoir_sample_indices(
@@ -172,7 +173,8 @@ def sample_materialized(items: Sequence[T], capacity: int, gen) -> list[T]:
     """
     if len(items) <= capacity:
         return list(items)
-    return [items[i] for i in batch_sample_indices(len(items), capacity, gen)]
+    indices = batch_sample_indices(len(items), capacity, gen)
+    return [items[i] for i in indices.tolist()]
 
 
 class NumpyReservoirSampler(ReservoirSampler[T]):

@@ -324,8 +324,9 @@ class DeploymentSimulator:
             self._items_at_root += ingested
             self._root_last_completion = max(self._root_last_completion, now)
             for batch in result.batches:
-                for emitted_at in payload_timestamps(batch.items):
-                    self._latency.record(emitted_at, now)
+                self._latency.record_column(
+                    payload_timestamps(batch.items), now
+                )
         else:
             assert state.node.parent is not None
             for batch in result.batches:
@@ -338,8 +339,7 @@ class DeploymentSimulator:
         if node.name == "root":
             self._items_at_root += len(batch)
             self._root_last_completion = max(self._root_last_completion, now)
-            for emitted_at in payload_timestamps(batch.items):
-                self._latency.record(emitted_at, now)
+            self._latency.record_column(payload_timestamps(batch.items), now)
             return
         payload = batch.items
         weight = batch.weight
