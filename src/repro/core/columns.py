@@ -83,7 +83,7 @@ def _empty_column():
 def _take(column, indices):
     """Gather ``column[i]`` per index (an ``intp`` array as is, or a list)."""
     if _np is not None and isinstance(column, _np.ndarray):
-        return column[_np.asarray(indices, dtype=_np.intp)]
+        return column[indices]
     return array("d", (column[i] for i in indices))
 
 
@@ -287,30 +287,27 @@ class ColumnarBatch:
             indices = [i for i, keep in enumerate(mask) if keep]
         return self.select(indices)
 
-    def with_spread_timestamps(
-        self, interval_start: float, interval_seconds: float
-    ) -> "ColumnarBatch":
-        """Spread emission times uniformly over an interval.
+    def spread_offsets(self, interval_seconds: float):
+        """Offsets spreading the records uniformly over an interval.
 
-        Element-wise this computes exactly the object plane's
-        ``interval_start + interval_seconds * (i + 1) / (count + 1)``,
-        so timestamps agree bit-for-bit across planes — the network
-        simulator's latency accounting sees identical arrival times.
+        Element-wise ``interval_seconds * (i + 1) / (count + 1)``: added
+        to the interval start (:meth:`with_timestamps_from`) exactly the
+        object plane's spread, so timestamps agree bit-for-bit across
+        planes. A function of count and interval length alone, so a
+        steady-rate source computes it once and reuses it.
         """
         n = len(self)
-        if n == 0:
-            return self
         if _np is not None and isinstance(self.values, _np.ndarray):
             offsets = interval_seconds * _np.arange(1, n + 1, dtype=_np.float64)
-            timestamps = interval_start + offsets / (n + 1)
+            return offsets / (n + 1)
+        return array("d", (interval_seconds * (i + 1) / (n + 1) for i in range(n)))
+
+    def with_timestamps_from(self, interval_start: float, offsets) -> "ColumnarBatch":
+        """The same records re-stamped at ``interval_start + offsets``."""
+        if _np is not None and isinstance(self.values, _np.ndarray):
+            timestamps = interval_start + offsets
         else:
-            timestamps = array(
-                "d",
-                (
-                    interval_start + interval_seconds * (i + 1) / (n + 1)
-                    for i in range(n)
-                ),
-            )
+            timestamps = array("d", (interval_start + o for o in offsets))
         return ColumnarBatch(self.substreams, self.values, timestamps, self.sizes)
 
     def group_by_substream(self) -> dict[str, "ColumnarBatch"]:

@@ -1,14 +1,14 @@
 """NumPy-accelerated sampling fast path (the backend seam).
 
-Every figure benchmark is dominated by the WHSamp hot path (Algorithm 1
-of the paper): a pure-Python ``ReservoirSampler.offer()`` loop draws one
-random number per arriving item. This module provides a vectorized
-backend that draws the survivor index set for a whole batch at once:
+Where the pure-Python ``ReservoirSampler.offer()`` loop of Algorithm 1
+draws one random number per arriving item, this backend draws the
+survivor index set for a whole batch at once:
 
 * :func:`batch_sample_indices` — the one-shot kernel. A reservoir
   sample of a *materialised* batch is exactly a uniform random subset,
-  so it reduces to one ``Generator.choice`` call; the sorted ``intp``
-  array it returns indexes columns as is (only the object plane lists it).
+  so it reduces to one ``Generator.choice`` call — of the survivors, or
+  of the dropped indices when more than half survive (the complement
+  rule); the sorted ``intp`` array it returns indexes columns as is.
 * :class:`NumpyReservoirSampler` — a drop-in, *streaming*
   ``ReservoirSampler`` whose :meth:`extend` replays Algorithm R with
   array ops: one vectorized draw decides the replacement slot of every
@@ -34,11 +34,18 @@ and :class:`~repro.system.config.PipelineConfig`:
   the pipeline-level objects, so installing numpy speeds up every
   runner without code changes.
 
-Randomness stays reproducible: numpy ``Generator`` instances are seeded
-from the caller's ``random.Random`` (see :func:`make_generator`), so a
-seeded run is deterministic per backend. The two backends consume their
-entropy differently, so the *identity* of sampled items differs between
-backends for the same seed while every distribution is identical.
+Randomness stays reproducible and each stream has one owner: a
+pipeline seeds **one** ``Generator`` from its run seed
+(:func:`make_generator`, ``Pipeline.gen``) and every reservoir draw and
+coin flip of the run consumes it in execution order — no node, window
+or batch builds another; a sharded run has one per shard. Standalone
+primitives (``whsamp_batches``, ``CoinFlipSampler``, the streaming
+sampler) seed their own from the caller's ``random.Random``. Seeded
+runs are deterministic per backend; backends consume entropy
+differently, so sampled *identities* differ between them while every
+distribution is identical. ``python`` is golden-pinned; the numpy
+identities were last re-baselined in PR 16 (shared stream, complement
+rule).
 """
 
 from __future__ import annotations
@@ -106,7 +113,7 @@ def resolve_backend(backend: str = BACKEND_AUTO) -> str:
     return backend
 
 
-def make_generator(rng: random.Random | None = None):
+def make_generator(rng: random.Random):
     """A numpy ``Generator`` deterministically seeded from a ``Random``.
 
     Seeding from the caller's Python RNG keeps whole-pipeline runs
@@ -116,8 +123,7 @@ def make_generator(rng: random.Random | None = None):
         raise SamplingError(
             "cannot create a numpy Generator: numpy is not installed"
         )
-    seed = rng.getrandbits(64) if rng is not None else None
-    return _np.random.default_rng(seed)
+    return _np.random.default_rng(rng.getrandbits(64))
 
 
 def batch_sample_indices(population: int, capacity: int, gen):
@@ -128,6 +134,9 @@ def batch_sample_indices(population: int, capacity: int, gen):
     distribution Algorithm R induces — so the whole survivor set is
     drawn with a single vectorized call instead of one ``randrange``
     per item. Sorting preserves arrival order in the output sample.
+    When more than half survive, the *dropped* indices are drawn and
+    the rest returned (the complement of a uniform ``k``-subset is a
+    uniform ``(n - k)``-subset; ``choice`` near ``k = n`` shuffles all).
     """
     if capacity <= 0:
         raise SamplingError(f"reservoir capacity must be >= 1, got {capacity}")
@@ -135,7 +144,12 @@ def batch_sample_indices(population: int, capacity: int, gen):
         raise SamplingError(f"population must be >= 0, got {population}")
     if population <= capacity:
         return _np.arange(population, dtype=_np.intp)
-    indices = gen.choice(population, size=capacity, replace=False)
+    if capacity > population / 2:
+        dropped = population - capacity
+        keep = _np.ones(population, dtype=bool)
+        keep[gen.choice(population, dropped, replace=False, shuffle=False)] = False
+        return _np.flatnonzero(keep)
+    indices = gen.choice(population, capacity, replace=False, shuffle=False)
     indices.sort()
     return indices.astype(_np.intp, copy=False)
 
@@ -234,10 +248,6 @@ class NumpyReservoirSampler(ReservoirSampler[T]):
         for offset, slot in zip(accepted.tolist(), slots[accepted].tolist()):
             self._reservoir[slot] = seq[position + offset]
         self._seen = start + remaining
-
-    def reset(self) -> None:
-        """Clear reservoir state; the generator keeps its stream."""
-        super().reset()
 
 
 def make_reservoir_sampler(

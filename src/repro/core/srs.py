@@ -29,13 +29,11 @@ class CoinFlipSampler(Generic[T]):
     paper's Figure 9, the SRS system's latency does not grow with the
     window size while ApproxIoT's does.
 
-    ``backend`` picks the entropy source, under the rule
-    :mod:`repro.core.fastpath` set for reservoirs: ``"python"`` spends
-    one ``rng.random()`` per record (bit-stable across releases);
-    ``"numpy"`` seeds a ``numpy.random.Generator`` once from ``rng`` and
-    decides whole batches in one vector draw. Seeded runs are
-    deterministic per backend; kept identities differ between backends,
-    the keep distribution does not.
+    ``backend`` picks the entropy source under the contract in
+    :mod:`repro.core.fastpath`: ``"python"`` spends one ``rng.random()``
+    per record (bit-stable across releases); ``"numpy"`` decides whole
+    batches in one vector draw from ``gen`` — the engine passes its
+    pipeline's Generator — or from one seeded once from ``rng``.
     """
 
     def __init__(
@@ -44,6 +42,7 @@ class CoinFlipSampler(Generic[T]):
         rng: random.Random | None = None,
         *,
         backend: str = "python",
+        gen=None,
     ) -> None:
         if not 0.0 < fraction <= 1.0:
             raise SamplingError(
@@ -51,11 +50,9 @@ class CoinFlipSampler(Generic[T]):
             )
         self._fraction = float(fraction)
         self._rng = rng if rng is not None else random.Random()
-        self._gen = (
-            make_generator(self._rng)
-            if resolve_backend(backend) == BACKEND_NUMPY
-            else None
-        )
+        if gen is None and resolve_backend(backend) == BACKEND_NUMPY:
+            gen = make_generator(self._rng)
+        self._gen = gen
         self._seen = 0
         self._kept = 0
 

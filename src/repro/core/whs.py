@@ -83,6 +83,7 @@ def whsamp_batches(
     policy: AllocationPolicy = allocate_fair_fill,
     rng: random.Random | None = None,
     backend: str = BACKEND_PYTHON,
+    gen=None,
 ) -> WHSampResult:
     """Run Algorithm 1 over the interval's ``(W_in, items)`` pairs.
 
@@ -107,7 +108,10 @@ def whsamp_batches(
     ``backend`` selects the per-group sampling kernel (see
     :mod:`repro.core.fastpath`): the pure-Python reservoir loop (the
     bit-for-bit default) or the vectorized numpy survivor-set draw.
-    Both satisfy the Eq. 8 invariant exactly.
+    Both satisfy the Eq. 8 invariant exactly. The numpy kernel draws
+    from ``gen`` (the engine passes its pipeline's one Generator) or,
+    standalone, from one seeded from ``rng`` when the first group
+    overflows its allocation: a pass-through interval costs no entropy.
 
     Payloads may arrive on either data plane. Columnar groups are
     sampled natively — survivor *indices* are drawn with exactly the
@@ -118,53 +122,51 @@ def whsamp_batches(
     if sample_size <= 0:
         raise SamplingError(f"sample size must be positive, got {sample_size}")
     rng = rng if rng is not None else random.Random()
-    backend = resolve_backend(backend)
+    numpy_kernel = resolve_backend(backend) == BACKEND_NUMPY
 
-    segments: dict[tuple[str, float], list] = {}
+    # One scan of the inbox: group payloads by (sub-stream, W_in) and
+    # count arrivals; silent payloads are dropped here.
+    groups: dict[tuple[str, float], list] = {}
+    counts: dict[tuple[str, float], int] = {}
     for batch in batches:
-        segments.setdefault((batch.substream, batch.weight), []).append(
-            batch.items
-        )
-    groups: dict[tuple[str, float], "list[StreamItem] | ColumnarBatch"] = {}
-    for key, payloads in segments.items():
-        payloads = [payload for payload in payloads if len(payload)]
-        if not payloads:
-            continue
-        if all(isinstance(payload, ColumnarBatch) for payload in payloads):
-            groups[key] = ColumnarBatch.concat(payloads)
-        else:  # object plane (or a mixed-plane seam: materialize)
-            merged: list[StreamItem] = []
-            for payload in payloads:
-                merged.extend(payload)
-            groups[key] = merged
+        if len(batch.items):
+            key = (batch.substream, batch.weight)
+            groups.setdefault(key, []).append(batch.items)
+            counts[key] = counts.get(key, 0) + len(batch.items)
 
     result = WHSampResult()
     if not groups:
         return result
-    # Built only when there is work: an empty interval must neither pay
-    # Generator setup nor consume entropy from the caller's rng.
-    gen = make_generator(rng) if backend == BACKEND_NUMPY else None
-
-    counts = {key: len(items) for key, items in groups.items()}
     allocation = policy(sample_size, counts)  # line 7: getSampleSize
     dominant: dict[str, int] = {}
-    for (substream, w_in), group_items in groups.items():
-        key = (substream, w_in)
+    for key, payloads in groups.items():
+        substream, w_in = key
+        count = counts[key]
         capacity = allocation[key]
+        if len(payloads) == 1:
+            group_items: "list[StreamItem] | ColumnarBatch" = payloads[0]
+        elif all(isinstance(payload, ColumnarBatch) for payload in payloads):
+            group_items = ColumnarBatch.concat(payloads)
+        else:  # object plane (or a mixed-plane seam: materialize)
+            group_items = []
+            for payload in payloads:
+                group_items.extend(payload)
+        if count > capacity and numpy_kernel and gen is None:
+            gen = make_generator(rng)
         if isinstance(group_items, ColumnarBatch):
             # line 10: RS(S_i, N_i) on columns — survivor indices drawn
             # with the same entropy as the object kernels, one gather.
-            if counts[key] <= capacity:
+            if count <= capacity:
                 sampled: "list[StreamItem] | ColumnarBatch" = group_items
-            elif gen is not None:
+            elif numpy_kernel:
                 sampled = group_items.select(
-                    batch_sample_indices(counts[key], capacity, gen)
+                    batch_sample_indices(count, capacity, gen)
                 )
             else:
                 sampled = group_items.select(
-                    reservoir_sample_indices(counts[key], capacity, rng)
+                    reservoir_sample_indices(count, capacity, rng)
                 )
-        elif gen is not None:  # line 10: RS(S_i, N_i), vectorized
+        elif numpy_kernel:  # line 10: RS(S_i, N_i), vectorized
             sampled = sample_materialized(group_items, capacity, gen)
         else:  # line 10: RS(S_i, N_i), per-item Algorithm R
             sampler: ReservoirSampler[StreamItem] = ReservoirSampler(
@@ -172,14 +174,14 @@ def whsamp_batches(
             )
             sampler.extend(group_items)
             sampled = sampler.sample()
-        w_out = output_weight(w_in, counts[key], capacity)  # Eq. 1-2
+        w_out = output_weight(w_in, count, capacity)  # Eq. 1-2
         result.batches.append(WeightedBatch(substream, w_out, sampled))
-        result.seen[substream] = result.seen.get(substream, 0) + counts[key]
+        result.seen[substream] = result.seen.get(substream, 0) + count
         result.allocation[substream] = (
             result.allocation.get(substream, 0) + capacity
         )
-        if counts[key] >= dominant.get(substream, 0):
-            dominant[substream] = counts[key]
+        if count >= dominant.get(substream, 0):
+            dominant[substream] = count
             result.weights.update(substream, w_out)
     return result
 

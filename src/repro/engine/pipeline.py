@@ -17,6 +17,8 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
 from repro.core.cost import FractionBudget
+from repro.core.fastpath import BACKEND_NUMPY, make_generator
+from repro.core.srs import CoinFlipSampler
 from repro.core.stratified import AllocationPolicy
 from repro.errors import PipelineError
 from repro.topology.tree import LogicalTree, TreeNode
@@ -44,10 +46,13 @@ class Pipeline:
         backend: The sampling backend, resolved once at assembly
             (``config.resolved_backend`` cached for the whole run).
         rng: The run's random source. Sources received derived seeds
-            from this generator during assembly (on the ``numpy``
-            backend each seeds its own ``numpy.random.Generator`` from
-            that, once); every subsequent sampling decision draws from
-            it in execution order.
+            from it during assembly (on ``numpy`` each seeds its own
+            ``numpy.random.Generator`` from that, once); on ``python``
+            every later sampling decision draws from it in order.
+        gen: The run's one ``numpy.random.Generator``, seeded from
+            ``rng`` after the sources' seeds and consumed in execution
+            order by every reservoir draw and coin flip — no node or
+            window builds another. ``None`` on ``python``.
         sources: One :class:`~repro.workloads.source.Source` per source
             node, keyed by node name.
         source_rates: Per-source emission rate (items/second).
@@ -73,6 +78,7 @@ class Pipeline:
     tree: LogicalTree
     backend: str
     rng: random.Random
+    gen: object = None
     data_plane: str = "objects"
     sources: dict[str, Source] = field(default_factory=dict)
     source_rates: dict[str, float] = field(default_factory=dict)
@@ -129,6 +135,12 @@ class Pipeline:
         if count == 0:
             raise PipelineError(f"no sources produce sub-stream {substream!r}")
         return count
+
+    def coin_flipper(self, fraction: float) -> CoinFlipSampler:
+        """An SRS sampler on the run's entropy: ``gen``, or a seeded ``Random``."""
+        if self.gen is not None:
+            return CoinFlipSampler(fraction, self.rng, gen=self.gen)
+        return CoinFlipSampler(fraction, random.Random(self.rng.getrandbits(64)))
 
     def emit_source(
         self, node_name: str, interval_start: float, interval_seconds: float
@@ -227,6 +239,7 @@ def build_pipeline(
         tree=tree,
         backend=backend,
         rng=rng,
+        gen=make_generator(rng) if backend == BACKEND_NUMPY else None,
         data_plane=config.data_plane,
         sources=sources,
         source_substreams=source_substreams,

@@ -37,7 +37,6 @@ from repro.core.columns import group_payload, masked_sum, payload_values
 from repro.core.error_bounds import ApproximateResult, estimate_sum_with_error
 from repro.core.estimator import ThetaStore
 from repro.core.items import StreamItem, WeightedBatch
-from repro.core.srs import CoinFlipSampler
 from repro.core.whs import WHSampResult, whsamp_batches
 from repro.engine.pipeline import Pipeline
 from repro.engine.transport import Transport
@@ -192,6 +191,7 @@ def sample_interval(
         policy=policy,
         rng=pipeline.rng,
         backend=pipeline.backend,
+        gen=pipeline.gen,
     )
 
 
@@ -535,14 +535,9 @@ class EngineRunner:
         either data plane.
         """
         fraction = self._pipeline.config.sampling_fraction
-        rng = self._pipeline.rng
         kept_sum = 0.0
         for node in self._pipeline.tree.sources:
-            sampler = CoinFlipSampler(
-                fraction,
-                random.Random(rng.getrandbits(64)),
-                backend=self._pipeline.backend,
-            )
+            sampler = self._pipeline.coin_flipper(fraction)
             payload = emitted[node.name]
             kept_sum += masked_sum(
                 payload_values(payload), sampler.decisions(len(payload))

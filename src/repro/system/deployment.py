@@ -41,7 +41,6 @@ This is the engine behind Figs. 6, 7, 8, 9 and 11(b).
 from __future__ import annotations
 
 import math
-import random
 from dataclasses import dataclass
 from typing import Callable
 
@@ -53,7 +52,6 @@ from repro.core.columns import (
     payload_timestamps,
 )
 from repro.core.items import StreamItem, WeightedBatch
-from repro.core.srs import CoinFlipSampler
 from repro.engine.pipeline import Pipeline, build_pipeline
 from repro.engine.runner import sample_interval
 from repro.engine.transport import BrokerTransport, SimnetBrokerTransport
@@ -139,7 +137,6 @@ class DeploymentSimulator:
         self._n_windows = n_windows
         self._pipeline: Pipeline = build_pipeline(config, schedule, generators)
         self._tree = self._pipeline.tree
-        self._rng = self._pipeline.rng
         self._network = place_tree(self._tree, config.placement)
         self._clock = self._network.clock
         self._transport = self._make_transport(config.transport)
@@ -345,11 +342,7 @@ class DeploymentSimulator:
         weight = batch.weight
         if self._config.mode == ExecutionMode.SRS and node.layer == 1:
             fraction = self._config.sampling_fraction
-            sampler = CoinFlipSampler(
-                fraction,
-                random.Random(self._rng.getrandbits(64)),
-                backend=self._pipeline.backend,
-            )
+            sampler = self._pipeline.coin_flipper(fraction)
             payload = compress_payload(
                 payload, sampler.decisions(len(payload))
             )

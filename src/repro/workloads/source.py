@@ -145,6 +145,8 @@ class Source:
             else None
         )
         self.items_emitted = 0
+        # ((count, interval), offsets): a steady source reuses its spread.
+        self._spread: tuple = (None, None)
         # Centered at 0.5 so a lone interval rounds to nearest rather
         # than truncating; see _interval_count.
         self._carry = 0.5
@@ -203,7 +205,10 @@ class Source:
             batch = generate_columns(
                 self._generator, count, self._rng, interval_start
             )
-        batch = batch.with_spread_timestamps(interval_start, interval_seconds)
+        key = (len(batch), interval_seconds)
+        if key != self._spread[0]:
+            self._spread = (key, batch.spread_offsets(interval_seconds))
+        batch = batch.with_timestamps_from(interval_start, self._spread[1])
         self.items_emitted += len(batch)
         return batch
 

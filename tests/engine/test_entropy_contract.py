@@ -7,8 +7,12 @@
 * ``numpy`` — whole-column draws from per-source generators; seeded
   runs repeat byte for byte, process shards equal their inline twin,
   and a generator that only knows ``random.Random`` still runs.
-* the perf gate is a *counter*: a numpy-backend window makes
-  O(sources) scalar rng calls, never O(items).
+* the perf gates are *counters*: a numpy-backend window makes
+  O(sources) scalar rng calls, never O(items), and a whole run builds
+  O(sources) ``numpy.random.Generator`` objects, never O(windows).
+* the numpy draws all come from the pipeline's one Generator through
+  the fraction-aware ``batch_sample_indices`` kernel, whose two
+  branches are held to the same uniform-subset contract.
 """
 
 import hashlib
@@ -17,9 +21,15 @@ import struct
 
 import pytest
 
-from repro.core.fastpath import numpy_available
-from repro.core.items import StreamItem
+from repro.core.columns import ColumnarBatch
+from repro.core.fastpath import (
+    batch_sample_indices,
+    make_generator,
+    numpy_available,
+)
+from repro.core.items import StreamItem, WeightedBatch
 from repro.core.srs import CoinFlipSampler
+from repro.core.whs import whsamp_batches
 from repro.engine.pipeline import build_pipeline
 from repro.engine.runner import EngineRunner
 from repro.engine.sharding import ShardedEngineRunner
@@ -296,3 +306,106 @@ def test_numpy_window_makes_o_sources_scalar_rng_calls(monkeypatch):
     _pipeline, scalar = engine_for("python", "columnar", schedule=schedule)
     scalar.run_window_with_theta()
     assert calls["gauss"] >= 100_000 and calls["random"] >= 100_000
+
+
+@needs_numpy
+def test_numpy_run_builds_o_sources_generators(monkeypatch):
+    """A run seeds one Generator per source plus the pipeline's one.
+
+    No node, window, source batch or SRS delivery builds another, so the
+    count does not move with the number of windows.
+    """
+    import numpy
+
+    built = []
+    original = numpy.random.default_rng
+
+    def counted(*args, **kwargs):
+        built.append(1)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(numpy.random, "default_rng", counted)
+
+    def engine_run(windows):
+        _pipeline, runner = engine_for("numpy", "columnar")
+        runner.run(windows)
+
+    def srs_deployment_run(windows):
+        config = PipelineConfig(
+            sampling_fraction=0.1, seed=42, mode="srs", backend="numpy",
+            data_plane="columnar",
+        )
+        DeploymentSimulator(config, SCHEDULE, GENS, n_windows=windows).run()
+
+    sources = len(PipelineConfig().tree.sources)
+    for run in (engine_run, srs_deployment_run):
+        per_windows = {}
+        for windows in (1, 4):
+            built.clear()
+            run(windows)
+            per_windows[windows] = len(built)
+        assert per_windows[4] == per_windows[1] <= sources + 1, per_windows
+
+
+# ----------------------------------------------------------------------
+# (f) the one-shot kernel: a uniform subset on either side of n / 2
+# ----------------------------------------------------------------------
+@needs_numpy
+class TestBatchSampleIndices:
+    POPULATION = 1000
+
+    @pytest.mark.parametrize(
+        "capacity", [1, 100, 499, 500, 501, 999, 1000, 1500]
+    )
+    def test_sorted_unique_intp_of_exact_size(self, capacity):
+        import numpy
+
+        n = self.POPULATION
+        indices = batch_sample_indices(
+            n, capacity, make_generator(random.Random(capacity))
+        )
+        assert isinstance(indices, numpy.ndarray)
+        assert indices.dtype == numpy.intp
+        assert len(indices) == min(capacity, n)
+        assert (numpy.diff(indices) > 0).all()  # sorted and unique
+        assert indices[0] >= 0 and indices[-1] < n
+
+    @pytest.mark.parametrize("capacity", [10, 30])  # choice / complement
+    def test_every_index_is_kept_with_probability_k_over_n(self, capacity):
+        import numpy
+
+        n, draws = 40, 4000
+        gen = make_generator(random.Random(11))
+        kept = numpy.zeros(n)
+        for _ in range(draws):
+            kept[batch_sample_indices(n, capacity, gen)] += 1
+        p = capacity / n
+        sigma = (draws * p * (1 - p)) ** 0.5
+        assert numpy.abs(kept - draws * p).max() <= 5 * sigma
+
+    @pytest.mark.parametrize(
+        "fraction", [0.05, 0.2, 0.35, 0.5, 0.65, 0.8, 0.95]
+    )
+    def test_eq8_count_recovery_through_three_layers(self, fraction):
+        _pipeline, runner = engine_for("numpy", "columnar", fraction=fraction)
+        for _ in range(2):
+            outcome, theta = runner.run_window_with_theta()
+            recovered = sum(
+                estimate.estimated_count
+                for estimate in theta.per_substream().values()
+            )
+            assert recovered == pytest.approx(outcome.items_emitted, rel=1e-9)
+            assert outcome.items_sampled < outcome.items_emitted
+
+    def test_pass_through_node_leaves_the_shared_stream_untouched(self):
+        gen = make_generator(random.Random(3))
+        before = gen.bit_generator.state
+        batches = [
+            WeightedBatch(name, 2.0, ColumnarBatch.single(name, range(50)))
+            for name in "ABCD"
+        ]
+        result = whsamp_batches(batches, 200, backend="numpy", gen=gen)
+        assert result.sampled_count == 200
+        assert gen.bit_generator.state == before
+        whsamp_batches(batches, 199, backend="numpy", gen=gen)
+        assert gen.bit_generator.state != before
