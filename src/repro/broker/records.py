@@ -10,7 +10,7 @@ accounting used by the network simulator.
 The module also hosts the engine's compact binary codec for weighted
 batches (:func:`encode_weighted_batch` / :data:`COLUMNAR_SERDE`): a
 batch's records travel as raw little-endian column buffers (numpy
-``tobytes``/``frombuffer``, stdlib ``array('d')`` fallback) instead of
+buffer views/``frombuffer``, stdlib ``array('d')`` fallback) instead of
 a per-record pickle graph. This is what the sharded execution engine
 ships between worker processes and what :class:`BrokerTransport` uses
 when given a serde, so cross-process transport cost scales with bytes,
@@ -18,12 +18,12 @@ not with record count.
 
 The codec has a zero-copy-friendly surface for the shared-memory shard
 transport (:mod:`repro.engine.shm`): the ``*_chunks`` encoders return
-the raw byte chunks without joining them (each chunk lands in the
-shared segment with one copy, no intermediate buffer), and the
-decoders accept any bytes-like buffer — a ``memoryview`` over a shared
-segment decodes in place, with numpy ``frombuffer`` reading the column
-bytes straight off the shared pages before copying out into owned
-columns.
+the raw byte chunks without joining them (float columns as views of
+their own buffers: each lands in the shared segment with one copy),
+and the decoders accept any bytes-like buffer — a ``memoryview`` over
+a shared segment decodes in place, with numpy ``frombuffer`` reading
+the column bytes straight off the shared pages before copying out into
+owned columns.
 """
 
 from __future__ import annotations
@@ -159,15 +159,22 @@ def _unpack_str(data, offset: int) -> tuple[str, int]:
     return bytes(data[offset : offset + length]).decode(), offset + length
 
 
-def _float_column_bytes(column) -> bytes:
-    """A float column as raw little-endian float64 bytes."""
+def _float_column_bytes(column) -> bytes | memoryview:
+    """A float column as raw little-endian float64 bytes, uncopied.
+
+    The chunk is a view of the column's own buffer, so the consumer's
+    ring write (or ``join``) is the one copy; a zero-length view cannot
+    be cast, hence the empty ``bytes``.
+    """
+    if not len(column):
+        return b""
     if _np is not None and isinstance(column, _np.ndarray):
-        return _np.ascontiguousarray(column, dtype="<f8").tobytes()
+        return memoryview(_np.ascontiguousarray(column, dtype="<f8")).cast("B")
     buf = column if isinstance(column, array) else array("d", column)
     if sys.byteorder == "big":  # pragma: no cover - exotic hosts only
         buf = array("d", buf)
         buf.byteswap()
-    return buf.tobytes()
+    return memoryview(buf).cast("B")
 
 
 def _float_column_from(data: bytes):
@@ -185,14 +192,14 @@ def _float_column_from(data: bytes):
     return buf
 
 
-def encode_weighted_batch_chunks(batch: WeightedBatch) -> list[bytes]:
+def encode_weighted_batch_chunks(batch: WeightedBatch) -> list[bytes | memoryview]:
     """One batch's wire bytes as a chunk list, without the final join.
 
     The shared-memory shard transport writes each chunk straight into
-    its segment — one copy per column buffer, no intermediate joined
-    bytes object. Joining the chunks yields exactly
-    :func:`encode_weighted_batch`'s output, so the two paths are
-    bit-identical on the wire.
+    its segment — one copy per column buffer (views, valid while the
+    batch is unmodified), no intermediate joined bytes object. Joining
+    the chunks yields exactly :func:`encode_weighted_batch`'s output,
+    so the two paths are bit-identical on the wire.
 
     Both data planes are supported: a columnar payload's columns are
     dumped as raw buffers directly; an object payload is transposed
@@ -209,7 +216,7 @@ def encode_weighted_batch_chunks(batch: WeightedBatch) -> list[bytes]:
     else:
         plane = _PLANE_OBJECTS
         columns = ColumnarBatch.from_items(payload)
-    out: list[bytes] = [_BATCH_MAGIC, struct.pack("<B", plane)]
+    out: list[bytes | memoryview] = [_BATCH_MAGIC, struct.pack("<B", plane)]
     _pack_str(out, batch.substream)
     out.append(struct.pack("<dQ", batch.weight, len(columns)))
     if isinstance(columns.substreams, str):
@@ -292,7 +299,9 @@ def decode_weighted_batch(data) -> WeightedBatch:
     return batch
 
 
-def encode_weighted_batches_chunks(batches: list[WeightedBatch]) -> list[bytes]:
+def encode_weighted_batches_chunks(
+    batches: list[WeightedBatch],
+) -> list[bytes | memoryview]:
     """A whole Theta contribution's wire bytes as a chunk list.
 
     The shared-memory framing: the sharded engine writes these chunks

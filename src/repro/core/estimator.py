@@ -96,6 +96,11 @@ class ThetaStore:
         return list(self._batches)
 
     @property
+    def sampled_items(self) -> int:
+        """Physical items held across the stored pairs (no snapshot)."""
+        return sum(len(batch) for batch in self._batches)
+
+    @property
     def substreams(self) -> list[str]:
         """Sorted list of sub-streams present in the store."""
         return sorted({batch.substream for batch in self._batches})

@@ -50,6 +50,7 @@ __all__ = [
     "WindowOutcome",
     "RunOutcome",
     "ApproxIoTWindow",
+    "SampledWindow",
     "EngineRunner",
     "accuracy_loss",
     "sample_interval",
@@ -153,7 +154,25 @@ class ApproxIoTWindow:
     sampled: int
 
 
-def _estimate_window(theta: ThetaStore, confidence: float) -> ApproximateResult:
+@dataclass(slots=True)
+class SampledWindow:
+    """One window sampled into Theta and not yet estimated.
+
+    What a worker shard ships to the parent, which estimates over the
+    merged Theta (fields as on :class:`WindowOutcome`).
+    """
+
+    exact_sum: float
+    srs_sum: float
+    items_emitted: int
+    items_dropped: int
+    sample_budget: int
+    theta: ThetaStore
+
+
+def _estimate_window(
+    theta: ThetaStore, confidence: float, scenario_run: bool
+) -> ApproximateResult:
     """One window's root estimate, honest about total blackouts.
 
     A window in which *nothing* physically reached the root — possible
@@ -161,8 +180,12 @@ def _estimate_window(theta: ThetaStore, confidence: float) -> ApproximateResult:
     every root-bound batch — has no data to estimate from. The honest
     answer is 0 with a zero-width interval over zero samples: 100 %
     loss, never "in bound", which is exactly what a blackout costs.
+    Static runs keep the loud EstimationError on an empty Theta:
+    nothing can legitimately destroy root-bound batches without a
+    scenario, so silence would hide a misconfiguration (e.g. budgets
+    rounded to zero).
     """
-    if not theta.batches:
+    if scenario_run and len(theta) == 0:
         return ApproximateResult(
             value=0.0, error=0.0, confidence=confidence, variance=0.0,
             sampled_items=0,
@@ -298,17 +321,13 @@ class EngineRunner:
         outcome, _theta = self.run_window_with_theta()
         return outcome
 
-    def run_window_with_theta(
-        self,
-    ) -> tuple[WindowOutcome | None, ThetaStore | None]:
-        """One window's outcome plus the root's Theta store behind it.
+    def sample_window(self) -> SampledWindow | None:
+        """Run one window up to, and not including, the root estimate.
 
-        The sharded engine runs this loop per worker shard and needs
-        the window's ``(W_out, I)`` pairs — not just the shard-local
-        estimate — so the root can merge Theta across shards and
-        estimate once over the union. :meth:`run_window` is this with
-        the store dropped; both advance window time identically, so a
-        single-shard run is bit-for-bit the in-process run.
+        The sharded engine runs this per worker shard: a shard's Theta
+        is final only once the parent has merged every shard's
+        ``(W_out, I)`` pairs, so the one estimate per window is made
+        there. ``None`` marks a window in which no source emitted.
         """
         window_start = self._windows_run * self._pipeline.config.window_seconds
         self._window_dropped = 0
@@ -323,7 +342,7 @@ class EngineRunner:
             # against emissions, and a no-emission window has no ground
             # truth to measure late arrivals against.
             self._windows_run += 1
-            return None, None
+            return None
 
         # The ground truth is the native strategy's answer, computed
         # directly: forwarding everything through the transport would
@@ -334,26 +353,47 @@ class EngineRunner:
             exact_sum = sum(
                 item.value for batch in emitted.values() for item in batch
             )
-        approx = self.run_approxiot(emitted)
+        theta = self.sample_theta(emitted)
         srs_sum = self.run_srs(emitted)
-        if self._observe_locally and self._controller.wants_observations:
-            self._controller.observe(
-                self._observe_window(
-                    self._windows_run, approx.theta, approx.approx
-                )
-            )
         self._windows_run += 1
-        outcome = WindowOutcome(
-            window_index=self._windows_run,
+        return SampledWindow(
             exact_sum=exact_sum,
-            approx_sum=approx.approx,
             srs_sum=srs_sum,
             items_emitted=items_emitted,
-            items_sampled=approx.sampled,
             items_dropped=self._window_dropped,
             sample_budget=sample_budget,
+            theta=theta,
         )
-        return outcome, approx.theta
+
+    def run_window_with_theta(
+        self,
+    ) -> tuple[WindowOutcome | None, ThetaStore | None]:
+        """One window's outcome plus the root's Theta store behind it.
+
+        :meth:`sample_window`, then the root estimate over its Theta;
+        :meth:`run_window` is this with the store dropped. All three
+        advance window time identically, so a single-shard run is
+        bit-for-bit the in-process run.
+        """
+        window = self.sample_window()
+        if window is None:
+            return None, None
+        approx = self._estimate(window.theta)
+        if self._observe_locally and self._controller.wants_observations:
+            self._controller.observe(
+                self._observe_window(self._windows_run - 1, window.theta, approx)
+            )
+        outcome = WindowOutcome(
+            window_index=self._windows_run,
+            exact_sum=window.exact_sum,
+            approx_sum=approx,
+            srs_sum=window.srs_sum,
+            items_emitted=window.items_emitted,
+            items_sampled=window.theta.sampled_items,
+            items_dropped=window.items_dropped,
+            sample_budget=window.sample_budget,
+        )
+        return outcome, window.theta
 
     def run(self, windows: int) -> RunOutcome:
         """Run several windows and collect the outcomes.
@@ -485,12 +525,25 @@ class EngineRunner:
     def run_approxiot(
         self, emitted: "dict[str, list[StreamItem] | ColumnarBatch]"
     ) -> ApproxIoTWindow:
+        """One window through the tree, then the root estimate."""
+        theta = self.sample_theta(emitted)
+        return ApproxIoTWindow(theta, self._estimate(theta), theta.sampled_items)
+
+    def _estimate(self, theta: ThetaStore) -> ApproximateResult:
+        """The root estimate over a window's final Theta."""
+        return _estimate_window(
+            theta, self._pipeline.config.confidence, self._scenario is not None
+        )
+
+    def sample_theta(
+        self, emitted: "dict[str, list[StreamItem] | ColumnarBatch]"
+    ) -> ThetaStore:
         """Propagate one window bottom-up with WHSamp at every node.
 
-        Under a scenario, straggler batches due this window are
-        released first, offline nodes are skipped (their traffic was
-        routed around them at send time), and every upward hop goes
-        through the scenario-aware :meth:`_deliver`.
+        Returns the root's Theta. Under a scenario, straggler batches
+        due this window are released first, offline nodes are skipped
+        (their traffic was routed around them at send time), and every
+        upward hop goes through the scenario-aware :meth:`_deliver`.
         """
         self._release_due_stragglers()
         self._inject(emitted)
@@ -511,18 +564,7 @@ class EngineRunner:
             else:
                 for batch in result.batches:
                     self._deliver(node.name, node.parent, batch)
-        sampled = sum(len(batch) for batch in theta.batches)
-        if self._scenario is not None:
-            approx = _estimate_window(theta, self._pipeline.config.confidence)
-        else:
-            # Static runs keep the loud EstimationError on an empty
-            # Theta: nothing can legitimately destroy root-bound
-            # batches without a scenario, so silence would hide a
-            # misconfiguration (e.g. budgets rounded to zero).
-            approx = estimate_sum_with_error(
-                theta, self._pipeline.config.confidence
-            )
-        return ApproxIoTWindow(theta=theta, approx=approx, sampled=sampled)
+        return theta
 
     def run_srs(
         self, emitted: "dict[str, list[StreamItem] | ColumnarBatch]"

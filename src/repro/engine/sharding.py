@@ -99,7 +99,6 @@ from repro.broker.records import (
     decode_weighted_batches,
     encode_weighted_batches_chunks,
 )
-from repro.core.error_bounds import estimate_sum_with_error
 from repro.core.estimator import ThetaStore
 from repro.engine import faults as fault_injection
 from repro.engine import shm
@@ -263,8 +262,8 @@ class _ShardState:
                 fault_injection.fire(fault)  # crash/hang never return
             if observations is not None and observations[slot] is not None:
                 self._runner.apply_observation(observations[slot])
-            outcome, theta = self._runner.run_window_with_theta()
-            if outcome is None:
+            window = self._runner.sample_window()
+            if window is None:
                 # Budget still reported: a mixed slot (this shard idle,
                 # others emitting) must sum the live decision exactly.
                 pipeline = self._runner.pipeline
@@ -272,7 +271,7 @@ class _ShardState:
                 results.append((0, 0.0, 0.0, 0, 0, None, budget, 0, 0.0))
             else:
                 started = time.perf_counter()
-                chunks = encode_weighted_batches_chunks(theta.batches)
+                chunks = encode_weighted_batches_chunks(window.theta.batches)
                 theta_bytes = sum(len(chunk) for chunk in chunks)
                 frame: "bytes | tuple[int, int, int] | None" = None
                 if self._segment is not None:
@@ -286,13 +285,13 @@ class _ShardState:
                 encode_seconds = time.perf_counter() - started
                 results.append(
                     (
-                        outcome.items_emitted,
-                        outcome.exact_sum,
-                        outcome.srs_sum,
-                        outcome.items_sampled,
-                        outcome.items_dropped,
+                        window.items_emitted,
+                        window.exact_sum,
+                        window.srs_sum,
+                        window.theta.sampled_items,
+                        window.items_dropped,
                         frame,
-                        outcome.sample_budget,
+                        window.sample_budget,
                         theta_bytes,
                         encode_seconds,
                     )
@@ -1148,13 +1147,11 @@ class ShardedEngineRunner:
         for _result, batches in slot_results:  # shard order == plan order
             if batches is not None:
                 theta.extend(batches)
-        if self._scenario is not None:
-            # A scenario's degraded links can destroy every shard's
-            # root-bound batches, leaving a non-empty window with an
-            # empty merged Theta; static runs keep the loud error.
-            approx = _estimate_window(theta, self._config.confidence)
-        else:
-            approx = estimate_sum_with_error(theta, self._config.confidence)
+        # The window's one estimate (shards ship Theta unestimated); a
+        # scenario's degraded links can leave the merged Theta empty.
+        approx = _estimate_window(
+            theta, self._config.confidence, self._scenario is not None
+        )
         if self._adaptive:
             # The merged root state is the observation — identical to
             # what an unsharded engine would observe, because the

@@ -236,14 +236,17 @@ class ShardSegment:
         self._ring_cursor = 0
         self._ctrl_cursor = 0
 
-    def write_frame(self, chunks: list[bytes], total: int) -> tuple[int, int, int] | None:
+    def write_frame(
+        self, chunks: list[bytes | memoryview], total: int
+    ) -> tuple[int, int, int] | None:
         """Append one payload frame to the ring (shard side).
 
-        ``chunks`` are the codec's byte chunks (column buffers and
-        framing), copied into the ring in order without an intermediate
-        join. Returns the ``(sequence, offset, length)`` descriptor to
-        send over the pipe, or ``None`` when the ring cannot hold the
-        frame — the caller falls back to the pipe codec for that slot.
+        ``chunks`` are the codec's bytes-like chunks (framing bytes and
+        views of the column buffers), copied into the ring in order —
+        the payload's only copy on this side. Returns the ``(sequence,
+        offset, length)`` descriptor to send over the pipe, or ``None``
+        when the ring cannot hold the frame — the caller falls back to
+        the pipe codec for that slot.
         """
         if total > self._ring_bytes - self._ring_cursor:
             return None

@@ -1,15 +1,14 @@
 """The simulated network: hosts wired by links over a shared clock.
 
-A thin graph layer (networkx ``DiGraph``) that owns hosts and links,
-routes messages over single hops or shortest multi-hop paths, and
-aggregates transfer statistics for the bandwidth experiments.
+A thin graph layer (an adjacency map beside the link table) that owns
+hosts and links, routes messages over single hops or shortest multi-hop
+paths, and aggregates transfer statistics for the bandwidth experiments.
 """
 
 from __future__ import annotations
 
+from collections import deque
 from typing import Any, Callable
-
-import networkx as nx
 
 from repro.errors import NetworkError
 from repro.simnet.clock import Clock
@@ -25,9 +24,10 @@ class Network:
 
     def __init__(self, clock: Clock | None = None) -> None:
         self.clock = clock if clock is not None else Clock()
-        self._graph = nx.DiGraph()
         self._hosts: dict[str, Host] = {}
         self._links: dict[tuple[str, str], Link] = {}
+        #: host -> direct successors, in the order their links were added.
+        self._successors: dict[str, list[str]] = {}
 
     # ------------------------------------------------------------------
     # Construction
@@ -38,7 +38,7 @@ class Network:
             raise NetworkError(f"host {name!r} already exists")
         host = Host(name, self.clock, service_rate)
         self._hosts[name] = host
-        self._graph.add_node(name)
+        self._successors[name] = []
         return host
 
     def add_link(self, src: str, dst: str, config: NetemConfig) -> Link:
@@ -50,7 +50,7 @@ class Network:
             raise NetworkError(f"link {src}->{dst} already exists")
         link = Link(f"{src}->{dst}", self.clock, config)
         self._links[key] = link
-        self._graph.add_edge(src, dst, link=link)
+        self._successors[src].append(dst)
         return link
 
     def add_duplex_link(
@@ -101,11 +101,22 @@ class Network:
         return self.link(src, dst).transfer(size_bytes, payload, deliver)
 
     def route(self, src: str, dst: str) -> list[str]:
-        """Shortest path (hop count) from src to dst."""
-        try:
-            return nx.shortest_path(self._graph, src, dst)
-        except (nx.NetworkXNoPath, nx.NodeNotFound) as exc:
-            raise NetworkError(f"no route {src} -> {dst}") from exc
+        """Shortest path (hop count) from src to dst.
+
+        Breadth-first, so among equally short paths the one through
+        the earliest-added links wins.
+        """
+        paths = {src: [src]} if src in self._hosts else {}
+        queue = deque(paths)
+        while queue and dst not in paths:
+            here = queue.popleft()
+            for successor in self._successors[here]:
+                if successor not in paths:
+                    paths[successor] = paths[here] + [successor]
+                    queue.append(successor)
+        if dst not in paths:
+            raise NetworkError(f"no route {src} -> {dst}")
+        return paths[dst]
 
     def send_routed(
         self,

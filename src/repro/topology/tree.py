@@ -41,6 +41,7 @@ class LogicalTree:
     layer_sizes: list[int]
     nodes: dict[str, TreeNode] = field(init=False, default_factory=dict)
     _children: dict[str, list[str]] = field(init=False, default_factory=dict)
+    _layers: list[list[TreeNode]] = field(init=False, default_factory=list)
 
     def __post_init__(self) -> None:
         if len(self.layer_sizes) < 2:
@@ -57,6 +58,7 @@ class LogicalTree:
                 if layer + 1 < len(self.layer_sizes)
                 else None
             )
+            self._layers.append([])
             for index in range(size):
                 name = self._node_name(layer, index)
                 parent = None
@@ -65,6 +67,7 @@ class LogicalTree:
                     parent = self._node_name(layer + 1, parent_index)
                 node = TreeNode(name, layer, index, parent)
                 self.nodes[name] = node
+                self._layers[layer].append(node)
                 if parent is not None:
                     self._children.setdefault(parent, []).append(name)
 
@@ -89,13 +92,10 @@ class LogicalTree:
         return self.depth - 1
 
     def layer(self, layer: int) -> list[TreeNode]:
-        """All nodes of one layer, in index order."""
+        """All nodes of one layer, in index order (a copy of the memo)."""
         if not 0 <= layer < self.depth:
             raise TreeError(f"no layer {layer} in a {self.depth}-layer tree")
-        return sorted(
-            (node for node in self.nodes.values() if node.layer == layer),
-            key=lambda node: node.index,
-        )
+        return list(self._layers[layer])
 
     @property
     def sources(self) -> list[TreeNode]:
@@ -110,10 +110,7 @@ class LogicalTree:
     @property
     def sampling_nodes(self) -> list[TreeNode]:
         """All non-source nodes, bottom-up, root last."""
-        out: list[TreeNode] = []
-        for layer in range(1, self.depth):
-            out.extend(self.layer(layer))
-        return out
+        return [node for layer in self._layers[1:] for node in layer]
 
     def node(self, name: str) -> TreeNode:
         """Look up a node by name."""

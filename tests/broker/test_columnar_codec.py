@@ -8,6 +8,8 @@ a columnar batch back to columns, and byte accounting
 the serde-backed broker transport rely on.
 """
 
+import struct
+
 import pytest
 
 from repro.broker.records import (
@@ -15,7 +17,9 @@ from repro.broker.records import (
     decode_weighted_batch,
     decode_weighted_batches,
     encode_weighted_batch,
+    encode_weighted_batch_chunks,
     encode_weighted_batches,
+    encode_weighted_batches_chunks,
 )
 from repro.core.columns import ColumnarBatch
 from repro.core.items import StreamItem, WeightedBatch
@@ -93,6 +97,68 @@ class TestColumnarRoundtrip:
     def test_bad_magic_is_rejected(self):
         with pytest.raises(ConfigurationError):
             decode_weighted_batch(b"not-a-batch")
+
+
+class TestWireBytes:
+    """The frame layout, byte for byte, and how the chunks carry it."""
+
+    PAYLOAD = ([1.5, -2.25, 1e300], 7.125, 64)
+    WIRE = (
+        b"RWB1" + b"\x01"                          # magic, columnar plane
+        + b"\x01\x00\x00\x00A"                     # batch sub-stream
+        + struct.pack("<dQ", 2.5, 3)               # weight, n
+        + b"\x00" + b"\x01\x00\x00\x00A"           # uniform tag
+        + b"\x00" + struct.pack("<q", 64)          # uniform size
+        + struct.pack("<3d", 1.5, -2.25, 1e300)    # values
+        + struct.pack("<3d", 7.125, 7.125, 7.125)  # timestamps
+    )
+
+    def batch(self):
+        values, emitted_at, size = self.PAYLOAD
+        return WeightedBatch(
+            "A", 2.5, ColumnarBatch.single("A", values, emitted_at, size)
+        )
+
+    def test_frame_bytes_are_pinned(self):
+        batch = self.batch()
+        assert encode_weighted_batch(batch) == self.WIRE
+        assert b"".join(encode_weighted_batch_chunks(batch)) == self.WIRE
+        assert encode_weighted_batches([batch, batch]) == (
+            struct.pack("<I", 2) + self.WIRE + self.WIRE
+        )
+
+    def test_float_columns_travel_as_views_of_their_own_buffers(self):
+        batch = self.batch()
+        *_framing, values, timestamps = encode_weighted_batch_chunks(batch)
+        for chunk, column in (
+            (values, batch.items.values), (timestamps, batch.items.timestamps)
+        ):
+            assert isinstance(chunk, memoryview)
+            assert chunk.obj is column  # no tobytes() copy in between
+            assert (chunk.format, chunk.nbytes, len(chunk)) == ("B", 24, 24)
+
+    def test_empty_columns_encode_as_empty_chunks(self):
+        empty = WeightedBatch("A", 1.0, ColumnarBatch.empty())
+        *_framing, values, timestamps = encode_weighted_batch_chunks(empty)
+        assert (bytes(values), bytes(timestamps)) == (b"", b"")
+
+    def test_ring_write_of_the_chunks_lands_the_same_bytes(self):
+        from repro.engine import shm
+
+        if not shm.shm_available():
+            pytest.skip("shared memory unavailable on this host")
+        batch = self.batch()
+        chunks = encode_weighted_batches_chunks([batch])
+        total = sum(len(chunk) for chunk in chunks)
+        segment = shm.ShardSegment.create(ring_bytes=4096)
+        try:
+            segment.begin_round(1)
+            view = segment.read_frame(segment.write_frame(chunks, total))
+            landed = bytes(view)
+            view.release()
+        finally:
+            segment.release()
+        assert landed == encode_weighted_batches([batch])
 
 
 class TestSerde:
