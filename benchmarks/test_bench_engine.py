@@ -1,32 +1,27 @@
-"""Benchmark: end-to-end engine throughput, objects vs columnar plane.
+"""Benchmark: end-to-end engine throughput by sampling backend.
 
 Runs the statistical engine (all three strategies per window) at the
 Fig. 6 workload — four equal-rate Gaussian sub-streams at the scale's
-rate — on both data planes and every available sampling backend, and
-reports sustained items/s. This is the headline number for the
-columnar data plane: the same seeded run, the same sampled records,
-with per-item object churn replaced by structure-of-arrays columns.
+rate — on every available sampling backend and reports sustained
+items/s.
 
 The gates, in two classes (see ``conftest.py``):
 
-* **deterministic, always live** — the two planes' seeded mean
-  accuracy losses agree to 1e-6 (same records sampled → same
-  estimates); mean loss sits within the reported §III-D error bound
-  (which Eq. 8's exact count recovery keeps tight) at every worker
-  count and shard transport; the shm transport cuts bytes through the
-  Pipe per window by >= 10x (descriptors only).
-* **wall-clock, report-only unless** ``REPRO_BENCH_GATES=1`` —
-  columnar >= 0.9x objects at any scale and >= 3x on numpy at bench
-  scale; 2 shards >= 0.9x single-process from 2 cores, >= 2.5x at 4
-  shards from 4 cores; shm >= 0.9x pipe at every width. The ratios
-  are always printed and published.
+* **deterministic, always live** — mean loss sits within the reported
+  §III-D error bound (which Eq. 8's exact count recovery keeps tight)
+  at every worker count and shard transport; the shm transport cuts
+  bytes through the Pipe per window by >= 10x (descriptors only).
+* **wall-clock, report-only unless** ``REPRO_BENCH_GATES=1`` — numpy
+  >= 0.9x python; 2 shards >= 0.9x single-process from 2 cores, >=
+  2.5x at 4 shards from 4 cores; shm >= 0.9x pipe at every width. The
+  ratios are always printed and published.
 
 The module also publishes the worker-scaling table for sharded
-multi-process execution (1/2/4/8 shards over the columnar plane on the
-same workload), with one row per shard transport where the host
-supports both: the classic pipe codec and the zero-copy shared-memory
-rings of :mod:`repro.engine.shm`, plus the measured bytes through the
-Pipe per window for each. Since generation and the SRS coin flips
+multi-process execution (1/2/4/8 shards on the same workload), with
+one row per shard transport where the host supports both: the classic
+pipe codec and the zero-copy shared-memory rings of
+:mod:`repro.engine.shm`, plus the measured bytes through the Pipe per
+window for each. Since generation and the SRS coin flips
 vectorised, a Fig. 6-scale window is a few milliseconds of work —
 shorter than a lock-step IPC round trip — so at this operating point
 sharding no longer pays (the old 1.8x at 2 shards was two processes
@@ -61,16 +56,15 @@ WORKER_COUNTS = (1, 2, 4, 8)
 
 
 @dataclass(frozen=True, slots=True)
-class PlanePoint:
-    """Measured throughput of one (backend, data plane) combination."""
+class BackendPoint:
+    """Measured throughput of one sampling backend."""
 
     backend: str
-    data_plane: str
     items_per_second: float
     mean_loss_percent: float
 
 
-def _measure(backend: str, data_plane: str, scale: ExperimentScale) -> PlanePoint:
+def _measure(backend: str, scale: ExperimentScale) -> BackendPoint:
     generators = {g.name: g for g in paper_gaussian_substreams()}
     schedule = uniform_schedule(scale.rate_scale)
     best = 0.0
@@ -81,7 +75,6 @@ def _measure(backend: str, data_plane: str, scale: ExperimentScale) -> PlanePoin
             seed=scale.seed,
             backend=backend,
             transport="inprocess",
-            data_plane=data_plane,
         )
         runner = StatisticalRunner(config, schedule, generators)
         start = time.perf_counter()
@@ -90,37 +83,27 @@ def _measure(backend: str, data_plane: str, scale: ExperimentScale) -> PlanePoin
         items = sum(window.items_emitted for window in run.windows)
         best = max(best, items / elapsed)
         loss = run.mean_approxiot_loss
-    return PlanePoint(backend, data_plane, best, loss)
+    return BackendPoint(backend, best, loss)
 
 
-def run_engine_bench(scale: ExperimentScale) -> list[PlanePoint]:
-    """Throughput of both planes on every available backend."""
+def run_engine_bench(scale: ExperimentScale) -> list[BackendPoint]:
+    """Throughput on every available backend, ``python`` first."""
     backends = ["python"] + (["numpy"] if numpy_available() else [])
-    return [
-        _measure(backend, plane, scale)
-        for backend in backends
-        for plane in ("objects", "columnar")
-    ]
+    return [_measure(backend, scale) for backend in backends]
 
 
-def render_table(points: list[PlanePoint]) -> str:
+def render_table(points: list[BackendPoint]) -> str:
     """The paper-style table for one measured sweep."""
     table = Table(
-        "Engine throughput: objects vs columnar data plane (Fig. 6 "
-        "workload, 10% fraction)",
-        ["backend", "plane", "items/s", "speedup", "mean loss"],
+        "Engine throughput by backend (Fig. 6 workload, 10% fraction)",
+        ["backend", "items/s", "speedup", "mean loss"],
     )
-    baselines = {
-        p.backend: p.items_per_second
-        for p in points
-        if p.data_plane == "objects"
-    }
+    baseline = points[0].items_per_second
     for point in points:
         table.add_row(
             point.backend,
-            point.data_plane,
             format_rate(point.items_per_second),
-            f"{point.items_per_second / baselines[point.backend]:.1f}x",
+            f"{point.items_per_second / baseline:.1f}x",
             f"{point.mean_loss_percent:.3f}%",
         )
     return table.render()
@@ -165,7 +148,6 @@ def _measure_workers(
         seed=scale.seed,
         backend="auto",
         transport="inprocess",
-        data_plane="columnar",
         workers=workers,
         shard_transport=transport,
     )
@@ -246,8 +228,7 @@ def render_scaling_table(points: list[ScalingPoint]) -> str:
     """The paper-style worker-scaling table for one measured sweep."""
     cores = os.cpu_count() or 1
     table = Table(
-        "Worker scaling: sharded engine, columnar plane (Fig. 6 "
-        "workload, 10% fraction)",
+        "Worker scaling: sharded engine (Fig. 6 workload, 10% fraction)",
         ["workers", "transport", "host cores", "items/s", "speedup",
          "mean loss", "error bound", "pipe bytes/window", "restarts"],
     )
@@ -269,7 +250,7 @@ def render_scaling_table(points: list[ScalingPoint]) -> str:
 
 
 def test_bench_engine(benchmark, bench_scale, results_sink, wall_clock_gates):
-    """Planes agree on accuracy; columnar's speedup is reported.
+    """Every backend's throughput is reported; numpy never trails python.
 
     One measured sweep feeds both the published table and the gating
     assertions, so the numbers in ``results.txt`` are exactly the
@@ -282,21 +263,13 @@ def test_bench_engine(benchmark, bench_scale, results_sink, wall_clock_gates):
     print(text)
     results_sink(text)
 
-    by_key = {(p.backend, p.data_plane): p for p in points}
-    at_bench = os.environ.get("REPRO_BENCH_SCALE", "bench") == "bench"
-    for backend in {backend for backend, _ in by_key}:
-        objects = by_key[(backend, "objects")]
-        columnar = by_key[(backend, "columnar")]
-        # Seeded accuracy is plane-invariant (same records sampled).
-        assert abs(columnar.mean_loss_percent - objects.mean_loss_percent) < 1e-6
-        if not wall_clock_gates:
-            continue
-        # The columnar plane must never fall behind the object plane;
-        # 0.9x tolerance absorbs timer noise.
-        assert columnar.items_per_second >= 0.9 * objects.items_per_second
-        if at_bench and backend == "numpy":
-            # The headline claim: ≥ 3x end-to-end at Fig. 6 scale.
-            assert columnar.items_per_second >= 3.0 * objects.items_per_second
+    by_backend = {point.backend: point for point in points}
+    if not wall_clock_gates or "numpy" not in by_backend:
+        return
+    python, numpy = by_backend["python"], by_backend["numpy"]
+    # The vectorised backend must never fall behind the scalar one;
+    # 0.9x tolerance absorbs timer noise.
+    assert numpy.items_per_second >= 0.9 * python.items_per_second
 
 
 def test_bench_worker_scaling(

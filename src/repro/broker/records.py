@@ -37,7 +37,7 @@ from dataclasses import dataclass, field
 from typing import Any, Callable, Mapping
 
 from repro.core.columns import ColumnarBatch
-from repro.core.items import StreamItem, WeightedBatch
+from repro.core.items import WeightedBatch
 from repro.errors import ConfigurationError
 
 try:  # pragma: no cover - trivially environment-dependent
@@ -126,7 +126,7 @@ PICKLE_SERDE = Serde(pickle.dumps, pickle.loads)
 #
 # Wire layout (all integers/floats little-endian):
 #
-#   batch   := MAGIC plane:u8 substream:str weight:f64 n:u64
+#   batch   := MAGIC format:u8 substream:str weight:f64 n:u64
 #              tags sizes values:(n x f64) timestamps:(n x f64)
 #   tags    := 0x00 str            (every record in one sub-stream)
 #            | 0x01 str * n        (per-record stratum ids)
@@ -134,17 +134,15 @@ PICKLE_SERDE = Serde(pickle.dumps, pickle.loads)
 #            | 0x01 i64 * n        (per-record sizes)
 #   str     := len:u32 utf8-bytes
 #
-# ``plane`` records which payload representation the batch carried so a
-# decoded batch lands on the same data plane it left: 0 decodes to a
-# ``list[StreamItem]``, 1 to a ``ColumnarBatch``. Either way the record
-# data crosses the wire as whole column buffers — the encoder never
-# walks a Python object per record on the columnar plane, and the
-# decoder rebuilds columns with one ``frombuffer`` per column.
+# ``format`` is a tag with one legal value, 1 (column buffers); the
+# decoder rejects any other. The record data crosses the wire as
+# whole column buffers — the encoder never walks a Python object per
+# record, and the decoder rebuilds columns with one ``frombuffer`` per
+# column.
 
 _BATCH_MAGIC = b"RWB1"
 _PICKLE_MAGIC = b"RPK1"
-_PLANE_OBJECTS = 0
-_PLANE_COLUMNAR = 1
+_FORMAT_TAG = 1
 
 
 def _pack_str(out: list[bytes], text: str) -> None:
@@ -201,22 +199,14 @@ def encode_weighted_batch_chunks(batch: WeightedBatch) -> list[bytes | memoryvie
     the chunks yields exactly :func:`encode_weighted_batch`'s output,
     so the two paths are bit-identical on the wire.
 
-    Both data planes are supported: a columnar payload's columns are
-    dumped as raw buffers directly; an object payload is transposed
-    once at the seam (the same ``from_items`` shim the columnar plane
-    uses everywhere else) so the wire format is identical. Float
-    values and timestamps round-trip bit-for-bit through float64, and
-    per-record sizes are preserved, so byte accounting
+    Float values and timestamps round-trip bit-for-bit through
+    float64, and per-record sizes are preserved, so byte accounting
     (``WeightedBatch.total_bytes``) is unchanged by a round trip.
     """
-    payload = batch.items
-    if isinstance(payload, ColumnarBatch):
-        plane = _PLANE_COLUMNAR
-        columns = payload
-    else:
-        plane = _PLANE_OBJECTS
-        columns = ColumnarBatch.from_items(payload)
-    out: list[bytes | memoryview] = [_BATCH_MAGIC, struct.pack("<B", plane)]
+    columns = batch.items
+    out: list[bytes | memoryview] = [
+        _BATCH_MAGIC, struct.pack("<B", _FORMAT_TAG)
+    ]
     _pack_str(out, batch.substream)
     out.append(struct.pack("<dQ", batch.weight, len(columns)))
     if isinstance(columns.substreams, str):
@@ -256,41 +246,55 @@ def _decode_weighted_batch(data, offset: int) -> tuple[WeightedBatch, int]:
             "produced without the columnar serde?"
         )
     offset += 4
-    plane = data[offset]
-    offset += 1
-    substream, offset = _unpack_str(data, offset)
-    weight, n = struct.unpack_from("<dQ", data, offset)
-    offset += 16
-    tags: str | list[str]
-    if data[offset] == 0:
-        tags, offset = _unpack_str(data, offset + 1)
-    else:
+    try:
+        if data[offset] != _FORMAT_TAG:
+            raise ConfigurationError(
+                f"unknown weighted-batch format tag {data[offset]}; expected "
+                f"{_FORMAT_TAG}"
+            )
         offset += 1
-        per_record = []
-        for _ in range(n):
-            tag, offset = _unpack_str(data, offset)
-            per_record.append(tag)
-        tags = per_record
-    sizes: int | list[int]
-    if data[offset] == 0:
-        (sizes,) = struct.unpack_from("<q", data, offset + 1)
-        offset += 9
-    else:
-        offset += 1
-        size_column = array("q")
-        size_column.frombytes(data[offset : offset + 8 * n])
-        if sys.byteorder == "big":  # pragma: no cover - exotic hosts only
-            size_column.byteswap()
-        sizes = size_column.tolist()
-        offset += 8 * n
+        substream, offset = _unpack_str(data, offset)
+        weight, n = struct.unpack_from("<dQ", data, offset)
+        offset += 16
+        tags: str | list[str]
+        if data[offset] == 0:
+            tags, offset = _unpack_str(data, offset + 1)
+        else:
+            offset += 1
+            per_record = []
+            for _ in range(n):
+                tag, offset = _unpack_str(data, offset)
+                per_record.append(tag)
+            tags = per_record
+        sizes: int | list[int]
+        if data[offset] == 0:
+            (sizes,) = struct.unpack_from("<q", data, offset + 1)
+            offset += 9
+        else:
+            offset += 1
+            size_column = array("q")
+            size_column.frombytes(data[offset : offset + 8 * n])
+            if sys.byteorder == "big":  # pragma: no cover - exotic hosts only
+                size_column.byteswap()
+            sizes = size_column.tolist()
+            offset += 8 * n
+    except (IndexError, struct.error) as exc:
+        raise ConfigurationError(
+            f"truncated weighted batch: the frame ends inside the header "
+            f"({exc})"
+        ) from exc
     values = _float_column_from(data[offset : offset + 8 * n])
     offset += 8 * n
     timestamps = _float_column_from(data[offset : offset + 8 * n])
     offset += 8 * n
+    if len(values) != n or len(timestamps) != n:
+        raise ConfigurationError(
+            f"truncated weighted batch: header declares {n} records, "
+            f"frame holds {len(values)} values and {len(timestamps)} "
+            f"timestamps"
+        )
     columns = ColumnarBatch(tags, values, timestamps, sizes)
-    if plane == _PLANE_COLUMNAR:
-        return WeightedBatch(substream, weight, columns), offset
-    return WeightedBatch(substream, weight, columns.to_items()), offset
+    return WeightedBatch(substream, weight, columns), offset
 
 
 def decode_weighted_batch(data) -> WeightedBatch:

@@ -3,16 +3,16 @@
 Commands:
 
 * ``figures [ids...] [--scale quick|bench] [--backend ...]
-  [--transport ...] [--data-plane ...] [--workers N]
+  [--transport ...] [--workers N]
   [--budget-controller ...] [--shard-transport ...]
   [--shard-timeout S] [--on-shard-loss ...] [--inject-fault SPEC]`` —
   regenerate the paper's evaluation figures as text tables (all of
   them by default) on the selected sampling backend, inter-node
-  transport, data plane, worker-shard count, per-window budget
+  transport, worker-shard count, per-window budget
   controller, shard IPC plane and shard-supervision knobs (watchdog
   deadline, loss policy, injected faults).
 * ``scenarios run <name> [--windows N] [--fraction F] [--scale ...]
-  [--backend ...] [--transport ...] [--data-plane ...] [--workers N]
+  [--backend ...] [--transport ...] [--workers N]
   [--budget-controller ...] [--shard-transport ...]
   [--shard-timeout S] [--on-shard-loss ...] [--inject-fault SPEC]`` —
   run a built-in dynamic-workload scenario (bursts, skew drift, node
@@ -43,7 +43,6 @@ from repro.experiments.figures import FIGURES, run_figure
 from repro.scenarios.catalog import BUILTIN_SCENARIOS, get_scenario
 from repro.system.config import (
     BUDGET_CONTROLLERS,
-    DATA_PLANES,
     SHARD_LOSS_POLICIES,
     SHARD_TRANSPORTS,
     TRANSPORTS,
@@ -92,14 +91,6 @@ def _add_engine_knobs(parser: argparse.ArgumentParser, *, transport_help: str,
         choices=sorted(TRANSPORTS),
         default="auto",
         help=transport_help,
-    )
-    parser.add_argument(
-        "--data-plane",
-        choices=sorted(DATA_PLANES),
-        default="objects",
-        help="record representation between layers (default: objects; "
-             "columnar moves structure-of-arrays batches end-to-end "
-             "with identical seeded samples)",
     )
     parser.add_argument(
         "--workers",
@@ -238,7 +229,6 @@ def _scale_from_args(args: argparse.Namespace) -> ExperimentScale:
         _SCALES[args.scale](),
         backend=args.backend,
         transport=args.transport,
-        data_plane=args.data_plane,
         workers=args.workers,
         budget_controller=args.budget_controller,
         shard_transport=args.shard_transport,

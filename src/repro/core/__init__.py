@@ -10,9 +10,7 @@ budget allocation) and the budget cost functions.
 
 from repro.core.columns import (
     ColumnarBatch,
-    group_payload,
     masked_sum,
-    payload_timestamps,
 )
 from repro.core.cost import (
     AdaptiveErrorBudget,
@@ -97,9 +95,7 @@ __all__ = [
     "estimate_sum_with_error",
     "get_allocation_policy",
     "group_by_substream",
-    "group_payload",
     "masked_sum",
-    "payload_timestamps",
     "horvitz_thompson_sum",
     "local_weight",
     "make_reservoir_sampler",

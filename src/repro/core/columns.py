@@ -1,40 +1,33 @@
-"""Columnar (structure-of-arrays) batches — the columnar data plane.
+"""Columnar (structure-of-arrays) batches — the one record representation.
 
-The object data plane moves one :class:`~repro.core.items.StreamItem`
-per record through every layer, which makes Python object churn — not
-sampling math — the dominant cost of a run. A :class:`ColumnarBatch`
-holds the same records as four parallel columns (sub-stream ids,
-values, emission timestamps, serialized sizes), so the hot path — rate
-spreading, grouping, reservoir selection, weighted sums, coin flips —
-becomes array indexing instead of per-item attribute access.
+A :class:`ColumnarBatch` holds a set of stream records as four parallel
+columns (sub-stream ids, values, emission timestamps, serialized
+sizes), so the hot path — rate spreading, grouping, reservoir
+selection, weighted sums, coin flips — is array indexing instead of
+per-item attribute access. It is the only payload the engine, the
+transports, the codec, the shards and the deployment simulator move.
 
 Columns are numpy ``float64`` arrays when numpy is importable and
-stdlib ``array('d')`` buffers otherwise, so the dependency-free CI leg
-runs the same plane (slower, but identical results).
+stdlib ``array('d')`` buffers otherwise: the base install declares no
+dependencies, so the ``array('d')`` storage is the only one that runs
+there (slower, identical results).
 
-Two properties make the plane a drop-in:
-
-* **Seeded parity with the object plane, by construction.** Every
-  per-record random decision is made once, on columns: a source's
-  object batch *is* its columnar batch transposed, a generator's
-  ``generate`` *is* its ``generate_columns`` transposed, the sampling
-  kernels select survivor *indices*, and one coin-flip mask is applied
-  to whichever representation a run moves. A seeded run is therefore
-  deterministic per ``(seed, backend)`` and samples the *same* records
-  on either plane, every transport and every shard count. The
-  ``python`` backend draws one ``random.Random`` call per record and
-  is bit-stable across releases; the ``numpy`` backend draws whole
-  columns from per-source ``numpy.random.Generator`` streams (same
-  distributions, different identities — the rule
-  :mod:`repro.core.fastpath` set for reservoirs). Only floating-point
-  summation order differs between planes (vectorized sums associate
-  differently), so cross-plane estimates agree to ~1e-12 relative
-  rather than bit-for-bit.
-* **Compatibility shims.** :meth:`ColumnarBatch.from_items` /
-  :meth:`ColumnarBatch.to_items` convert at any seam, and iterating a
-  batch yields :class:`StreamItem` objects, so per-item consumers
-  (streams processors, queries) keep working unmodified against a
-  columnar payload.
+* **Seeded determinism.** Every per-record random decision is made
+  once, on columns: the sampling kernels select survivor *indices* and
+  one coin-flip mask is applied to a column. A seeded run is therefore
+  deterministic per ``(seed, backend)`` on every transport and every
+  shard count. The ``python`` backend draws one ``random.Random`` call
+  per record and is bit-stable across releases; the ``numpy`` backend
+  draws whole columns from per-source ``numpy.random.Generator``
+  streams (same distributions, different identities — the rule
+  :mod:`repro.core.fastpath` set for reservoirs).
+* **The edge adapter.** :class:`~repro.core.items.StreamItem` lists are
+  accepted and returned at the public API edge only:
+  :meth:`ColumnarBatch.from_items` converts one in (and returns a
+  ``ColumnarBatch`` argument unchanged), :meth:`ColumnarBatch.to_items`
+  and iteration hand ``StreamItem`` objects back out, so per-item
+  consumers (streams processors, queries, examples) keep their
+  contracts.
 """
 
 from __future__ import annotations
@@ -42,7 +35,7 @@ from __future__ import annotations
 from array import array
 from typing import Iterable, Iterator, Sequence
 
-from repro.core.items import StreamItem, group_by_substream
+from repro.core.items import StreamItem
 from repro.errors import SamplingError
 
 try:  # pragma: no cover - trivially environment-dependent
@@ -52,12 +45,8 @@ except ImportError:  # pragma: no cover
 
 __all__ = [
     "ColumnarBatch",
-    "compress_payload",
     "concat_value_chunks",
-    "group_payload",
     "masked_sum",
-    "payload_timestamps",
-    "payload_values",
     "value_column",
 ]
 
@@ -168,8 +157,16 @@ class ColumnarBatch:
         return cls("", _empty_column(), _empty_column())
 
     @classmethod
-    def from_items(cls, items: Sequence[StreamItem]) -> "ColumnarBatch":
-        """Transpose object records into columns (the object→SoA shim)."""
+    def from_items(
+        cls, items: "Iterable[StreamItem] | ColumnarBatch"
+    ) -> "ColumnarBatch":
+        """Transpose ``StreamItem`` records into columns (the edge adapter).
+
+        A ``ColumnarBatch`` argument is returned unchanged, so callers
+        that accept either form normalise with one call.
+        """
+        if isinstance(items, ColumnarBatch):
+            return items
         items = list(items)
         if not items:
             return cls.empty()
@@ -290,11 +287,10 @@ class ColumnarBatch:
     def spread_offsets(self, interval_seconds: float):
         """Offsets spreading the records uniformly over an interval.
 
-        Element-wise ``interval_seconds * (i + 1) / (count + 1)``: added
-        to the interval start (:meth:`with_timestamps_from`) exactly the
-        object plane's spread, so timestamps agree bit-for-bit across
-        planes. A function of count and interval length alone, so a
-        steady-rate source computes it once and reuses it.
+        Element-wise ``interval_seconds * (i + 1) / (count + 1)``,
+        added to the interval start by :meth:`with_timestamps_from`. A
+        function of count and interval length alone, so a steady-rate
+        source computes it once and reuses it.
         """
         n = len(self)
         if _np is not None and isinstance(self.values, _np.ndarray):
@@ -339,10 +335,10 @@ class ColumnarBatch:
         }
 
     # ------------------------------------------------------------------
-    # Object-plane shims
+    # The StreamItem edge
     # ------------------------------------------------------------------
     def to_items(self) -> list[StreamItem]:
-        """Materialize object records (the SoA→object shim)."""
+        """Materialize ``StreamItem`` records (the edge adapter, outbound)."""
         return list(self)
 
     def __iter__(self) -> Iterator[StreamItem]:
@@ -367,25 +363,11 @@ class ColumnarBatch:
         return f"ColumnarBatch({label!r}, n={len(self)})"
 
 
-def group_payload(payload) -> dict:
-    """Stratify either payload representation by sub-stream.
-
-    The one dispatch point the engines share: a ``list[StreamItem]``
-    goes through :func:`~repro.core.items.group_by_substream`, a
-    :class:`ColumnarBatch` through its own (usually zero-copy)
-    grouping. Both return first-occurrence-ordered dicts, so a seeded
-    run visits strata in the same order on either plane.
-    """
-    if isinstance(payload, ColumnarBatch):
-        return payload.group_by_substream()
-    return group_by_substream(payload)
-
-
 def masked_sum(column, mask: Sequence[bool]) -> float:
     """Sum of the column entries whose mask entry is true.
 
     One select-and-reduce vector op on numpy columns; the SRS
-    baseline's Horvitz-Thompson numerator on the columnar plane.
+    baseline's Horvitz-Thompson numerator.
     """
     if _np is not None and isinstance(column, _np.ndarray):
         return float(column[_np.asarray(mask, dtype=bool)].sum())
@@ -393,48 +375,10 @@ def masked_sum(column, mask: Sequence[bool]) -> float:
 
 
 def concat_value_chunks(chunks: list) -> Sequence[float]:
-    """Flatten per-batch value chunks into one value sequence.
+    """Flatten per-batch value columns into one contiguous column.
 
-    The root estimator accumulates one chunk per stored batch — a
-    plain list on the object plane, a value column on the columnar
-    plane. A single chunk passes through untouched (the object plane
-    keeps its exact list identity semantics); columnar chunks merge
-    into one contiguous column so the variance estimator stays
-    vectorized.
+    The root estimator accumulates one value column per stored batch;
+    merging them keeps the variance estimator one vector op on numpy
+    columns. A single chunk passes through untouched.
     """
-    if len(chunks) == 1:
-        return chunks[0]
-    if _np is not None and any(isinstance(c, _np.ndarray) for c in chunks):
-        return _np.concatenate(
-            [_np.asarray(c, dtype=_np.float64) for c in chunks]
-        )
-    flat: list[float] = []
-    for chunk in chunks:
-        flat.extend(chunk)
-    return flat
-
-
-def payload_timestamps(payload) -> Sequence[float]:
-    """Emission timestamps of either payload representation, in order."""
-    if isinstance(payload, ColumnarBatch):
-        return payload.timestamps
-    return [item.emitted_at for item in payload]
-
-
-def payload_values(payload) -> Sequence[float]:
-    """Record values of either payload representation, in order."""
-    if isinstance(payload, ColumnarBatch):
-        return payload.values
-    return [item.value for item in payload]
-
-
-def compress_payload(payload, mask: Sequence[bool]):
-    """Keep the records whose mask entry is true, on the payload's plane.
-
-    The one application point of a coin-flip mask (see
-    :meth:`~repro.core.srs.CoinFlipSampler.decisions`): the same mask
-    keeps the same records whether they travel as columns or objects.
-    """
-    if isinstance(payload, ColumnarBatch):
-        return payload.compress(mask)
-    return [item for item, keep in zip(payload, mask) if keep]
+    return _concat(chunks)

@@ -96,9 +96,9 @@ class ApproximateResult:
 def sample_variance(values: Sequence[float]) -> float:
     """Unbiased sample variance ``s^2`` (Eq. 12); 0.0 for n < 2.
 
-    Accepts either a plain sequence (the object plane, summed exactly
-    as the seed implementation did) or a contiguous numpy value column
-    (the columnar plane, reduced with one vector op).
+    A numpy value column is reduced with one vector op; any other
+    sequence (the no-numpy install's ``array('d')`` columns, plain
+    lists from callers) is summed in Python.
     """
     n = len(values)
     if n < 2:

@@ -33,9 +33,8 @@ class SubstreamEstimate:
         estimated_sum: ``SUM_i`` of Eq. 3.
         estimated_count: ``c_i,b`` recovered through Eq. 8.
         sampled_count: ``zeta`` — number of physical items at the root.
-        sampled_values: The raw sampled values (needed for variance) —
-            a plain list on the object plane, a contiguous value
-            column on the columnar plane.
+        sampled_values: The raw sampled values (needed for variance),
+            as one contiguous value column.
     """
 
     substream: str
@@ -111,10 +110,9 @@ class ThetaStore:
     def per_substream(self) -> dict[str, SubstreamEstimate]:
         """Compute :class:`SubstreamEstimate` for every stored stratum.
 
-        Works on either data plane: object batches contribute their
-        item values, columnar batches contribute their value columns
-        directly (Eq. 3's weighted sums are one vector op each), and a
-        stratum's sampled values stay columnar when its batches were.
+        Batches contribute their value columns directly: Eq. 3's
+        weighted sums are one vector op each, and a stratum's sampled
+        values are its batches' columns concatenated.
         """
         sums: dict[str, float] = {}
         counts: dict[str, float] = {}
@@ -123,13 +121,7 @@ class ThetaStore:
             key = batch.substream
             sums[key] = sums.get(key, 0.0) + batch.estimated_sum
             counts[key] = counts.get(key, 0.0) + batch.estimated_count
-            payload = batch.items
-            chunk = (
-                [item.value for item in payload]
-                if isinstance(payload, list)
-                else payload.values
-            )
-            chunks.setdefault(key, []).append(chunk)
+            chunks.setdefault(key, []).append(batch.items.values)
         sampled = {key: concat_value_chunks(chunks[key]) for key in chunks}
         return {
             key: SubstreamEstimate(

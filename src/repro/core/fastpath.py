@@ -73,7 +73,6 @@ __all__ = [
     "numpy_available",
     "reservoir_sample_indices",
     "resolve_backend",
-    "sample_materialized",
 ]
 
 T = TypeVar("T")
@@ -159,12 +158,12 @@ def reservoir_sample_indices(
 ) -> list[int]:
     """Survivor indices of Algorithm R over ``range(population)``.
 
-    The pure-Python twin of :func:`batch_sample_indices` for the
-    columnar plane: it replays :class:`ReservoirSampler`'s per-item
-    entropy consumption (one ``randrange(seen)`` per item beyond the
-    capacity) over *indices* instead of items, so a seeded columnar run
-    selects exactly the records — in exactly the reservoir-slot order —
-    that the object plane's ``ReservoirSampler`` would have kept.
+    The pure-Python twin of :func:`batch_sample_indices`: it replays
+    :class:`ReservoirSampler`'s per-item entropy consumption (one
+    ``randrange(seen)`` per item beyond the capacity) over *indices*
+    instead of items, so a seeded run selects exactly the records — in
+    exactly the reservoir-slot order — that a ``ReservoirSampler`` fed
+    the same items would have kept.
     """
     if capacity <= 0:
         raise SamplingError(f"reservoir capacity must be >= 1, got {capacity}")
@@ -176,19 +175,6 @@ def reservoir_sample_indices(
         if slot < capacity:
             reservoir[slot] = index
     return reservoir
-
-
-def sample_materialized(items: Sequence[T], capacity: int, gen) -> list[T]:
-    """One-shot reservoir-equivalent sample of a materialised batch.
-
-    This is the vectorized replacement for ``RS(S_i, N_i)`` in
-    Algorithm 1 line 10 when the sub-stream of the interval is already
-    held in memory (which it always is inside ``whsamp``).
-    """
-    if len(items) <= capacity:
-        return list(items)
-    indices = batch_sample_indices(len(items), capacity, gen)
-    return [items[i] for i in indices.tolist()]
 
 
 class NumpyReservoirSampler(ReservoirSampler[T]):

@@ -6,25 +6,18 @@ which its source emitted it. Nodes exchange *weighted batches*: a set of
 items from one sub-stream together with the output weight computed by
 Algorithm 1 (the ``(W_out, I)`` pairs the paper stores in ``Theta``).
 
-A batch's payload takes one of two representations — the *data plane*:
-
-* a ``list[StreamItem]`` (the object plane, this module's original
-  contract), or
-* a :class:`~repro.core.columns.ColumnarBatch` (the columnar plane:
-  the same records as structure-of-arrays columns, which the hot paths
-  aggregate with vector ops instead of per-item attribute access).
-
-:class:`WeightedBatch` dispatches on the payload so every consumer —
-transports, Theta, the estimators — works with either plane.
+A batch's payload is always a
+:class:`~repro.core.columns.ColumnarBatch` — the records as
+structure-of-arrays columns, which the hot paths aggregate with vector
+ops. ``StreamItem`` lists are an edge format: :class:`WeightedBatch`
+accepts one and converts it once on construction, and iterating a batch
+hands ``StreamItem`` objects back out.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Iterable, Iterator, Sequence
-
-if TYPE_CHECKING:  # circular at runtime: repro.core.columns imports us
-    from repro.core.columns import ColumnarBatch
+from typing import Iterable, Iterator, Sequence
 
 __all__ = ["StreamItem", "WeightedBatch", "group_by_substream"]
 
@@ -65,19 +58,24 @@ class WeightedBatch:
         weight: The output weight ``W_out`` attached by the last node
             that sampled the batch. A weight of ``w`` means each carried
             item statistically represents ``w`` original items.
-        items: The sampled records — a ``list[StreamItem]`` on the
-            object plane or a :class:`~repro.core.columns.ColumnarBatch`
-            on the columnar plane. Iterating yields
-            :class:`StreamItem` objects on either plane.
+        items: The sampled records as a
+            :class:`~repro.core.columns.ColumnarBatch`. Anything else
+            handed to the constructor (a ``StreamItem`` sequence) is
+            converted once with ``ColumnarBatch.from_items``; iterating
+            yields :class:`StreamItem` objects.
     """
 
     substream: str
     weight: float
-    items: "list[StreamItem] | ColumnarBatch" = field(default_factory=list)
+    items: _columns.ColumnarBatch = field(default_factory=list)
 
     def __post_init__(self) -> None:
         if self.weight <= 0:
             raise ValueError(f"batch weight must be positive, got {self.weight}")
+        # The tree builds a batch per group per node: columns cost one
+        # isinstance here, only the StreamItem edge pays a conversion.
+        if not isinstance(self.items, _columns.ColumnarBatch):
+            self.items = _columns.ColumnarBatch.from_items(self.items)
 
     def __len__(self) -> int:
         return len(self.items)
@@ -97,15 +95,11 @@ class WeightedBatch:
     @property
     def estimated_sum(self) -> float:
         """Weighted sum contribution of this batch (inner term of Eq. 3)."""
-        if isinstance(self.items, list):
-            return self.weight * sum(item.value for item in self.items)
         return self.weight * self.items.value_sum()
 
     @property
     def total_bytes(self) -> int:
         """Serialized payload size of the batch for bandwidth accounting."""
-        if isinstance(self.items, list):
-            return sum(item.size_bytes for item in self.items)
         return self.items.total_bytes
 
 
@@ -125,3 +119,8 @@ def group_by_substream(items: Iterable[StreamItem]) -> dict[str, list[StreamItem
 def total_value(batches: Sequence[WeightedBatch]) -> float:
     """Sum the weighted values over a collection of batches."""
     return sum(batch.estimated_sum for batch in batches)
+
+
+# At the bottom because the import is circular: repro.core.columns takes
+# StreamItem from this module, WeightedBatch normalises through it.
+from repro.core import columns as _columns  # noqa: E402

@@ -91,9 +91,8 @@ class CoinFlipSampler(Generic[T]):
 
         The one place a coin is flipped: :meth:`offer` and
         :meth:`filter` are this mask applied to items, and the engines
-        apply it to whichever payload representation they move, so a
-        seeded run keeps the same records on either data plane. The
-        ``numpy`` backend returns a boolean array from a single draw.
+        apply it to a column. The ``numpy`` backend returns a boolean
+        array from a single draw.
         """
         if count < 0:
             raise SamplingError(f"count must be >= 0, got {count}")

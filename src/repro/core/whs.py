@@ -31,10 +31,8 @@ from repro.core.fastpath import (
     make_generator,
     reservoir_sample_indices,
     resolve_backend,
-    sample_materialized,
 )
-from repro.core.items import StreamItem, WeightedBatch, group_by_substream
-from repro.core.reservoir import ReservoirSampler
+from repro.core.items import StreamItem, WeightedBatch
 from repro.core.stratified import AllocationPolicy, allocate_fair_fill
 from repro.core.weights import WeightMap, output_weight
 from repro.errors import SamplingError
@@ -113,11 +111,8 @@ def whsamp_batches(
     standalone, from one seeded from ``rng`` when the first group
     overflows its allocation: a pass-through interval costs no entropy.
 
-    Payloads may arrive on either data plane. Columnar groups are
-    sampled natively — survivor *indices* are drawn with exactly the
-    entropy the object kernels would spend on items, then gathered
-    with one column op — so a seeded run keeps the same records on
-    either plane without any list→array conversion on the hot path.
+    Either kernel draws survivor *indices* and gathers them with one
+    column op; no record is touched individually.
     """
     if sample_size <= 0:
         raise SamplingError(f"sample size must be positive, got {sample_size}")
@@ -143,37 +138,23 @@ def whsamp_batches(
         substream, w_in = key
         count = counts[key]
         capacity = allocation[key]
-        if len(payloads) == 1:
-            group_items: "list[StreamItem] | ColumnarBatch" = payloads[0]
-        elif all(isinstance(payload, ColumnarBatch) for payload in payloads):
-            group_items = ColumnarBatch.concat(payloads)
-        else:  # object plane (or a mixed-plane seam: materialize)
-            group_items = []
-            for payload in payloads:
-                group_items.extend(payload)
-        if count > capacity and numpy_kernel and gen is None:
-            gen = make_generator(rng)
-        if isinstance(group_items, ColumnarBatch):
-            # line 10: RS(S_i, N_i) on columns — survivor indices drawn
-            # with the same entropy as the object kernels, one gather.
-            if count <= capacity:
-                sampled: "list[StreamItem] | ColumnarBatch" = group_items
-            elif numpy_kernel:
-                sampled = group_items.select(
-                    batch_sample_indices(count, capacity, gen)
-                )
-            else:
-                sampled = group_items.select(
-                    reservoir_sample_indices(count, capacity, rng)
-                )
-        elif numpy_kernel:  # line 10: RS(S_i, N_i), vectorized
-            sampled = sample_materialized(group_items, capacity, gen)
-        else:  # line 10: RS(S_i, N_i), per-item Algorithm R
-            sampler: ReservoirSampler[StreamItem] = ReservoirSampler(
-                capacity, rng
+        group_items = (
+            payloads[0] if len(payloads) == 1
+            else ColumnarBatch.concat(payloads)
+        )
+        # line 10: RS(S_i, N_i) — survivor indices, then one gather.
+        if count <= capacity:
+            sampled = group_items
+        elif numpy_kernel:
+            if gen is None:
+                gen = make_generator(rng)
+            sampled = group_items.select(
+                batch_sample_indices(count, capacity, gen)
             )
-            sampler.extend(group_items)
-            sampled = sampler.sample()
+        else:
+            sampled = group_items.select(
+                reservoir_sample_indices(count, capacity, rng)
+            )
         w_out = output_weight(w_in, count, capacity)  # Eq. 1-2
         result.batches.append(WeightedBatch(substream, w_out, sampled))
         result.seen[substream] = result.seen.get(substream, 0) + count
@@ -225,7 +206,7 @@ def merge_results(results: Iterable[WHSampResult]) -> WHSampResult:
 
 
 def whsamp(
-    items: Iterable[StreamItem],
+    items: "Iterable[StreamItem] | ColumnarBatch",
     sample_size: int,
     input_weights: WeightMap | Mapping[str, float] | None = None,
     *,
@@ -237,7 +218,9 @@ def whsamp(
 
     Args:
         items: The data items received within the interval (possibly
-            from many sub-streams, in arrival order).
+            from many sub-streams, in arrival order) — a
+            :class:`~repro.core.columns.ColumnarBatch`, or a
+            ``StreamItem`` sequence that is converted to one.
         sample_size: The node's total sample budget for the interval,
             derived from the resource budget by the cost function.
         input_weights: ``W_in`` — the latest weights received from
@@ -260,13 +243,8 @@ def whsamp(
         if isinstance(input_weights, WeightMap)
         else WeightMap(input_weights)
     )
-    # line 5: Update(items) — plane-aware stratification (a columnar
-    # input batch is grouped without materializing objects).
-    substreams = (
-        items.group_by_substream()
-        if isinstance(items, ColumnarBatch)
-        else group_by_substream(items)
-    )
+    # line 5: Update(items)
+    substreams = ColumnarBatch.from_items(items).group_by_substream()
     pairs = [
         WeightedBatch(substream, weights_in.get(substream), sub_items)
         for substream, sub_items in substreams.items()

@@ -27,11 +27,7 @@ from repro.workloads.source import ItemGenerator, Source
 
 if TYPE_CHECKING:  # circular at runtime: repro.system facades import us
     from repro.core.columns import ColumnarBatch
-    from repro.core.items import StreamItem
     from repro.system.config import PipelineConfig
-
-    #: One source's interval batch, in either plane's representation.
-    SourcePayload = list[StreamItem] | ColumnarBatch
 
 __all__ = ["Pipeline", "build_pipeline"]
 
@@ -59,10 +55,6 @@ class Pipeline:
         budgets: Per-interval sample budget for every sampling node,
             sized so the node passes on ``sampling_fraction`` of its
             subtree's original volume.
-        data_plane: The record representation this run moves between
-            layers (``config.data_plane``): ``"objects"`` emits
-            ``list[StreamItem]`` batches, ``"columnar"`` emits
-            :class:`~repro.core.columns.ColumnarBatch` columns.
         source_substreams: The sub-stream each source node produces —
             the round-robin ownership chosen at assembly. Scenario
             state (per-sub-stream rate modulation, skew drift) is
@@ -79,7 +71,6 @@ class Pipeline:
     backend: str
     rng: random.Random
     gen: object = None
-    data_plane: str = "objects"
     sources: dict[str, Source] = field(default_factory=dict)
     source_rates: dict[str, float] = field(default_factory=dict)
     budgets: dict[str, int] = field(default_factory=dict)
@@ -144,25 +135,17 @@ class Pipeline:
 
     def emit_source(
         self, node_name: str, interval_start: float, interval_seconds: float
-    ) -> "SourcePayload":
-        """One source's batch on this run's data plane.
+    ) -> "ColumnarBatch":
+        """One source's batch for one interval."""
+        return self.sources[node_name].emit_interval_columns(
+            interval_start, interval_seconds
+        )
 
-        Returns ``list[StreamItem]`` on the object plane, a
-        :class:`~repro.core.columns.ColumnarBatch` on the columnar
-        plane — the same records either way (the object batch is the
-        columnar one transposed).
-        """
-        source = self.sources[node_name]
-        if self.data_plane == "columnar":
-            return source.emit_interval_columns(interval_start, interval_seconds)
-        return source.emit_interval(interval_start, interval_seconds)
-
-    def emit_window(self, window_start: float) -> "dict[str, SourcePayload]":
+    def emit_window(self, window_start: float) -> "dict[str, ColumnarBatch]":
         """One window's emissions, keyed by source node name.
 
         Sources are driven in tree order so a seeded run is
-        deterministic regardless of the transport in use. Payload
-        representation follows :attr:`data_plane`.
+        deterministic regardless of the transport in use.
         """
         return {
             node.name: self.emit_source(
@@ -240,7 +223,6 @@ def build_pipeline(
         backend=backend,
         rng=rng,
         gen=make_generator(rng) if backend == BACKEND_NUMPY else None,
-        data_plane=config.data_plane,
         sources=sources,
         source_substreams=source_substreams,
     )

@@ -24,7 +24,7 @@ drift), offline nodes (churn; batches re-parent to the nearest live
 ancestor) and degraded uplinks (seeded batch loss, straggler delays
 that deliver whole windows late). Scenario state is a pure function of
 the window index, so seeded scenario runs stay deterministic on every
-transport, data plane and worker-shard count.
+transport and worker-shard count.
 """
 
 from __future__ import annotations
@@ -33,10 +33,10 @@ import random
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
-from repro.core.columns import group_payload, masked_sum, payload_values
+from repro.core.columns import masked_sum
 from repro.core.error_bounds import ApproximateResult, estimate_sum_with_error
 from repro.core.estimator import ThetaStore
-from repro.core.items import StreamItem, WeightedBatch
+from repro.core.items import WeightedBatch
 from repro.core.whs import WHSampResult, whsamp_batches
 from repro.engine.pipeline import Pipeline
 from repro.engine.transport import Transport
@@ -347,12 +347,7 @@ class EngineRunner:
         # The ground truth is the native strategy's answer, computed
         # directly: forwarding everything through the transport would
         # reach the same sum with an O(n) traversal for nothing.
-        if self._pipeline.data_plane == "columnar":
-            exact_sum = sum(batch.value_sum() for batch in emitted.values())
-        else:
-            exact_sum = sum(
-                item.value for batch in emitted.values() for item in batch
-            )
+        exact_sum = sum(batch.value_sum() for batch in emitted.values())
         theta = self.sample_theta(emitted)
         srs_sum = self.run_srs(emitted)
         self._windows_run += 1
@@ -501,12 +496,10 @@ class EngineRunner:
     # ------------------------------------------------------------------
     # Strategies
     # ------------------------------------------------------------------
-    def _inject(self, emitted: "dict[str, list[StreamItem] | ColumnarBatch]") -> None:
+    def _inject(self, emitted: "dict[str, ColumnarBatch]") -> None:
         """Ship one window's emissions to the first sampling layer.
 
-        Plane-agnostic: object batches stratify per item, columnar
-        batches group by column (zero-copy for single-stratum sources)
-        — the payload rides the transport either way.
+        Batches group by column — zero-copy for single-stratum sources.
         """
         tree = self._pipeline.tree
         for source_node in tree.sources:
@@ -515,7 +508,7 @@ class EngineRunner:
                 continue
             parent = source_node.parent
             assert parent is not None
-            for substream, chunk in group_payload(payload).items():
+            for substream, chunk in payload.group_by_substream().items():
                 self._deliver(
                     source_node.name,
                     parent,
@@ -523,7 +516,7 @@ class EngineRunner:
                 )
 
     def run_approxiot(
-        self, emitted: "dict[str, list[StreamItem] | ColumnarBatch]"
+        self, emitted: "dict[str, ColumnarBatch]"
     ) -> ApproxIoTWindow:
         """One window through the tree, then the root estimate."""
         theta = self.sample_theta(emitted)
@@ -536,7 +529,7 @@ class EngineRunner:
         )
 
     def sample_theta(
-        self, emitted: "dict[str, list[StreamItem] | ColumnarBatch]"
+        self, emitted: "dict[str, ColumnarBatch]"
     ) -> ThetaStore:
         """Propagate one window bottom-up with WHSamp at every node.
 
@@ -567,14 +560,13 @@ class EngineRunner:
         return theta
 
     def run_srs(
-        self, emitted: "dict[str, list[StreamItem] | ColumnarBatch]"
+        self, emitted: "dict[str, ColumnarBatch]"
     ) -> float:
         """The baseline: coin-flip at the first edge layer, HT at root.
 
         One keep/drop mask per source, applied to its value column in
         one select-and-reduce — no intermediate list of kept values is
-        materialized, and the same mask keeps the same records on
-        either data plane.
+        materialized.
         """
         fraction = self._pipeline.config.sampling_fraction
         kept_sum = 0.0
@@ -582,12 +574,12 @@ class EngineRunner:
             sampler = self._pipeline.coin_flipper(fraction)
             payload = emitted[node.name]
             kept_sum += masked_sum(
-                payload_values(payload), sampler.decisions(len(payload))
+                payload.values, sampler.decisions(len(payload))
             )
         return kept_sum / fraction
 
     def run_native(
-        self, emitted: "dict[str, list[StreamItem] | ColumnarBatch]"
+        self, emitted: "dict[str, ColumnarBatch]"
     ) -> float:
         """Everything forwarded unsampled; the root's sum is exact."""
         self._inject(emitted)

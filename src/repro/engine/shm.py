@@ -3,7 +3,7 @@
 The worker-scaling benchmark showed sharded execution is IPC-bound on
 small hosts: every window's root Theta round-trips through
 ``encode_weighted_batches`` → ``Pipe.send`` → ``decode_weighted_batches``,
-serializing the very column buffers the columnar plane was built to
+serializing the very column buffers the columnar batches were built to
 avoid copying — the pipe carries the payload *and* the kernel copies it
 twice. This module removes the payload from the pipe: each shard owns
 one ``multiprocessing.shared_memory`` segment into which it writes its

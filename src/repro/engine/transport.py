@@ -20,15 +20,12 @@ All three deliver batches in send order per destination, so a seeded
 run produces identical samples on every transport (the cross-transport
 parity tests assert this exactly).
 
-Transports are data-plane agnostic: a :class:`WeightedBatch` payload
-may be a ``list[StreamItem]`` (object plane) or a
-:class:`~repro.core.columns.ColumnarBatch` (columnar plane). In
-process, columnar batches move by reference — four array pointers
-instead of N objects. Over the broker and simnet the record value *is*
-the column set (column-wise, not per-item), and byte accounting
-(``batch.total_bytes``, feeding link serialization and Fig. 7's
-bandwidth series) dispatches to the size column, so both planes charge
-the network identically.
+A :class:`WeightedBatch` payload is a
+:class:`~repro.core.columns.ColumnarBatch`. In process, batches move by
+reference — four array pointers instead of N objects. Over the broker
+and simnet the record value *is* the column set (column-wise, not
+per-item), and byte accounting (``batch.total_bytes``, feeding link
+serialization and Fig. 7's bandwidth series) reads the size column.
 """
 
 from __future__ import annotations

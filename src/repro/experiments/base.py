@@ -47,9 +47,6 @@ class ExperimentScale:
         transport: Inter-node transport every runner uses (``"auto"``
             resolves per engine; see
             :attr:`repro.system.config.PipelineConfig.transport`).
-        data_plane: Record representation every runner uses
-            (``"objects"`` / ``"columnar"``; see
-            :attr:`repro.system.config.PipelineConfig.data_plane`).
         workers: Process-parallel worker shards for statistical runs
             (see :attr:`repro.system.config.PipelineConfig.workers`;
             deployment figures model distribution via simnet and
@@ -78,7 +75,6 @@ class ExperimentScale:
     seed: int = 42
     backend: str = "auto"
     transport: str = "auto"
-    data_plane: str = "objects"
     workers: int = 1
     budget_controller: str = "static"
     shard_transport: str = "auto"
@@ -156,11 +152,11 @@ def base_config(fraction: float, scale: ExperimentScale,
                 placement: PlacementSpec | None = None) -> PipelineConfig:
     """A pipeline config with experiment-standard defaults.
 
-    Threads the scale's seed, sampling backend, transport, data plane,
+    Threads the scale's seed, sampling backend, transport,
     worker-shard count, budget controller, shard transport and shard
     supervision knobs (watchdog timeout, loss policy, injected faults)
     into the config, so ``python -m repro figures --backend/
-    --transport/--data-plane/--workers/--budget-controller/
+    --transport/--workers/--budget-controller/
     --shard-transport/--shard-timeout/--on-shard-loss/--inject-fault``
     reach every figure runner through one seam.
     """
@@ -178,7 +174,6 @@ def base_config(fraction: float, scale: ExperimentScale,
         seed=scale.seed,
         backend=scale.backend,
         transport=scale.transport,
-        data_plane=scale.data_plane,
         workers=scale.workers,
         budget_controller=scale.budget_controller,
         shard_transport=scale.shard_transport,

@@ -14,7 +14,6 @@ __all__ = [
     "PipelineConfig",
     "ExecutionMode",
     "BUDGET_CONTROLLERS",
-    "DATA_PLANES",
     "SHARD_LOSS_POLICIES",
     "SHARD_TRANSPORTS",
     "TRANSPORTS",
@@ -40,14 +39,6 @@ TRANSPORT_AUTO = "auto"
 #: Valid values of :attr:`PipelineConfig.transport` (see
 #: :mod:`repro.engine.transport` for the implementations).
 TRANSPORTS = (TRANSPORT_AUTO, "inprocess", "broker", "simnet")
-
-#: Valid values of :attr:`PipelineConfig.data_plane` — how records are
-#: represented between layers: per-item ``StreamItem`` objects
-#: (``"objects"``, the compatibility default) or structure-of-arrays
-#: :class:`~repro.core.columns.ColumnarBatch` columns (``"columnar"``,
-#: the high-throughput plane). Seeded runs sample identical records on
-#: either plane.
-DATA_PLANES = ("objects", "columnar")
 
 #: Valid values of :attr:`PipelineConfig.shard_transport` — how a
 #: worker shard's per-window Theta payload crosses the process
@@ -105,15 +96,6 @@ class PipelineConfig:
             transport). The statistical runner supports inprocess and
             broker; the deployment simulator supports simnet and
             broker.
-        data_plane: How records are represented between layers —
-            ``"objects"`` (per-item ``StreamItem`` objects; the
-            compatibility default, bit-for-bit the seed behaviour) or
-            ``"columnar"`` (structure-of-arrays
-            :class:`~repro.core.columns.ColumnarBatch` batches,
-            aggregated with vector ops end-to-end). Seeded runs sample
-            identical records on either plane; vectorized reductions
-            associate differently, so estimates agree to ~1e-12
-            relative rather than bit-for-bit.
         workers: Process-parallel worker shards for the statistical
             engine (§III-E). ``1`` (the default) runs the whole tree
             in-process; ``N > 1`` splits every sub-stream's rate into
@@ -181,7 +163,6 @@ class PipelineConfig:
     seed: int = 42
     backend: str = "auto"
     transport: str = TRANSPORT_AUTO
-    data_plane: str = "objects"
     workers: int = 1
     budget_controller: str = "static"
     shard_transport: str = "auto"
@@ -216,11 +197,6 @@ class PipelineConfig:
             raise ConfigurationError(
                 f"transport must be one of {TRANSPORTS}, got "
                 f"{self.transport!r}"
-            )
-        if self.data_plane not in DATA_PLANES:
-            raise ConfigurationError(
-                f"data_plane must be one of {DATA_PLANES}, got "
-                f"{self.data_plane!r}"
             )
         if not isinstance(self.workers, int) or self.workers < 1:
             raise ConfigurationError(
@@ -293,10 +269,6 @@ class PipelineConfig:
     def with_transport(self, transport: str) -> "PipelineConfig":
         """A copy of this config on a different inter-node transport."""
         return replace(self, transport=transport)
-
-    def with_data_plane(self, data_plane: str) -> "PipelineConfig":
-        """A copy of this config on a different data plane."""
-        return replace(self, data_plane=data_plane)
 
     def with_seed(self, seed: int) -> "PipelineConfig":
         """A copy of this config with a different random seed."""

@@ -45,13 +45,8 @@ from dataclasses import dataclass
 from typing import Callable
 
 from repro.broker.broker import Broker
-from repro.core.columns import (
-    ColumnarBatch,
-    compress_payload,
-    group_payload,
-    payload_timestamps,
-)
-from repro.core.items import StreamItem, WeightedBatch
+from repro.core.columns import ColumnarBatch
+from repro.core.items import WeightedBatch
 from repro.engine.pipeline import Pipeline, build_pipeline
 from repro.engine.runner import sample_interval
 from repro.engine.transport import BrokerTransport, SimnetBrokerTransport
@@ -257,15 +252,11 @@ class DeploymentSimulator:
         self,
         src: str,
         dst: str,
-        payload: "list[StreamItem] | ColumnarBatch",
+        payload: ColumnarBatch,
         weight: float,
     ) -> None:
-        """Ship records toward ``dst``, splitting per sub-stream.
-
-        Plane-agnostic: the payload is stratified on its own plane and
-        each stratum rides the transport in its native representation.
-        """
-        for substream, chunk in group_payload(payload).items():
+        """Ship records toward ``dst``, splitting per sub-stream."""
+        for substream, chunk in payload.group_by_substream().items():
             self._send_batch(src, dst, WeightedBatch(substream, weight, chunk))
 
     def _send_batch(self, src: str, dst: str, batch: WeightedBatch) -> None:
@@ -321,9 +312,7 @@ class DeploymentSimulator:
             self._items_at_root += ingested
             self._root_last_completion = max(self._root_last_completion, now)
             for batch in result.batches:
-                self._latency.record_column(
-                    payload_timestamps(batch.items), now
-                )
+                self._latency.record_column(batch.items.timestamps, now)
         else:
             assert state.node.parent is not None
             for batch in result.batches:
@@ -336,16 +325,14 @@ class DeploymentSimulator:
         if node.name == "root":
             self._items_at_root += len(batch)
             self._root_last_completion = max(self._root_last_completion, now)
-            self._latency.record_column(payload_timestamps(batch.items), now)
+            self._latency.record_column(batch.items.timestamps, now)
             return
         payload = batch.items
         weight = batch.weight
         if self._config.mode == ExecutionMode.SRS and node.layer == 1:
             fraction = self._config.sampling_fraction
             sampler = self._pipeline.coin_flipper(fraction)
-            payload = compress_payload(
-                payload, sampler.decisions(len(payload))
-            )
+            payload = payload.compress(sampler.decisions(len(payload)))
             weight = batch.weight / fraction
         if not len(payload):
             return

@@ -10,7 +10,7 @@ paper-style table through :mod:`repro.metrics.report`, which is what
 ``python -m repro scenarios run <name>`` prints.
 
 Any engine configuration runs any scenario: sampling backend, inter-node
-transport (in-process or broker), data plane and worker shards all
+transport (in-process or broker) and worker shards all
 compose — a fixed ``(seed, scenario, workers)`` triple is
 bit-reproducible. The ``simnet`` transport is rejected loudly: churn
 re-parents tree traffic mid-run, and the simulated-WAN transport builds

@@ -52,7 +52,7 @@ class StatisticalRunner:
     ``scenario`` (a :class:`~repro.scenarios.scenario.Scenario`) makes
     the run dynamic: the engine applies the scenario's per-window
     state — rate bursts, skew drift, node churn, degraded links —
-    before each window, on any transport/backend/plane/worker
+    before each window, on any transport/backend/worker
     combination. ``None`` (the default) is the classic static run,
     bit-for-bit unchanged.
     """

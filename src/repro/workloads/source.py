@@ -76,8 +76,8 @@ class SubstreamGenerator:
     backend's bit-stable entropy — and
     ``_vector_values(count, gen)`` — whole-column
     ``numpy.random.Generator`` draws with the same distribution. Every
-    batch shape is derived here, so the object plane is the columnar
-    draw transposed rather than a second loop kept in step with it.
+    batch shape is derived here, so ``generate`` is the columnar draw
+    transposed rather than a second loop kept in step with it.
     """
 
     name: str
@@ -174,18 +174,6 @@ class Source:
         count = int(due)
         self._carry = due - count
         return count
-
-    def emit_interval(
-        self, interval_start: float, interval_seconds: float
-    ) -> list[StreamItem]:
-        """This source's batch for one interval, as items.
-
-        The columnar emission transposed, so the two planes cannot
-        drift: same draws, same in-interval timestamp spread.
-        """
-        return self.emit_interval_columns(
-            interval_start, interval_seconds
-        ).to_items()
 
     def emit_interval_columns(
         self, interval_start: float, interval_seconds: float

@@ -1,14 +1,15 @@
 """Roundtrip parity for the compact binary weighted-batch codec.
 
-The codec must be a faithful, plane-preserving bijection: values,
-timestamps, sizes and weights survive bit-for-bit (float64 end to
-end), an object-plane batch decodes back to ``StreamItem`` objects and
-a columnar batch back to columns, and byte accounting
+The codec must be a faithful bijection: values, timestamps, sizes and
+weights survive bit-for-bit (float64 end to end), and byte accounting
 (``total_bytes``) is unchanged — the properties the sharded engine and
-the serde-backed broker transport rely on.
+the serde-backed broker transport rely on. A frame that is cut short or
+carries an unknown format tag is rejected, never decoded to fewer
+records than its header declares.
 """
 
 import struct
+from itertools import accumulate
 
 import pytest
 
@@ -59,21 +60,18 @@ class TestColumnarRoundtrip:
         assert decoded.items.size_list() == [10, 20, 30]
         assert decoded.total_bytes == 60
 
-    def test_object_plane_roundtrips_to_items(self):
+    def test_list_built_batch_roundtrips_to_equal_items(self):
         items = [
             StreamItem("B", 4.5, 1.0, 10),
             StreamItem("B", 5.5, 2.0, 20),
         ]
         decoded = roundtrip(WeightedBatch("B", 3.0, items))
-        assert isinstance(decoded.items, list)
-        assert decoded.items == items
+        assert isinstance(decoded.items, ColumnarBatch)
+        assert decoded.items.to_items() == items
 
-    def test_empty_payloads_roundtrip(self):
-        assert roundtrip(WeightedBatch("A", 1.0, [])).items == []
-        columnar = roundtrip(
-            WeightedBatch("A", 1.0, ColumnarBatch.empty())
-        )
-        assert len(columnar.items) == 0
+    def test_empty_payload_roundtrips(self):
+        decoded = roundtrip(WeightedBatch("A", 1.0, ColumnarBatch.empty()))
+        assert len(decoded.items) == 0
 
     def test_accounting_is_codec_invariant(self):
         payload = ColumnarBatch.single("C", [10.0, 20.0, 30.0], 1.0, 100)
@@ -104,7 +102,7 @@ class TestWireBytes:
 
     PAYLOAD = ([1.5, -2.25, 1e300], 7.125, 64)
     WIRE = (
-        b"RWB1" + b"\x01"                          # magic, columnar plane
+        b"RWB1" + b"\x01"                          # magic, format tag
         + b"\x01\x00\x00\x00A"                     # batch sub-stream
         + struct.pack("<dQ", 2.5, 3)               # weight, n
         + b"\x00" + b"\x01\x00\x00\x00A"           # uniform tag
@@ -161,6 +159,45 @@ class TestWireBytes:
         assert landed == encode_weighted_batches([batch])
 
 
+class TestMalformedFrames:
+    """Outside bytes: a bad frame raises, it never shrinks a batch."""
+
+    BATCHES = [
+        WeightedBatch(
+            "A", 2.0,
+            ColumnarBatch(
+                ["A", "B", "A"], [1.0, 2.0, 3.0], [0.1, 0.2, 0.3], [10, 20, 30]
+            ),
+        ),
+        WeightedBatch("C", 1.5, ColumnarBatch.single("C", [4.0, 5.0], 1.0, 64)),
+    ]
+    CHUNKS = encode_weighted_batches_chunks(BATCHES)
+    FRAME = b"".join(CHUNKS)
+    #: Every offset at which one field ends and the next begins.
+    BOUNDARIES = list(accumulate(len(chunk) for chunk in CHUNKS))[:-1]
+
+    def test_the_whole_frame_decodes(self):
+        decoded = decode_weighted_batches(self.FRAME)
+        assert [len(batch) for batch in decoded] == [3, 2]
+
+    @pytest.mark.parametrize("cut", BOUNDARIES)
+    def test_a_frame_cut_at_a_field_boundary_is_rejected(self, cut):
+        with pytest.raises(ConfigurationError):
+            decode_weighted_batches(self.FRAME[:cut])
+
+    def test_a_missing_column_is_named_in_the_error(self):
+        frame = encode_weighted_batches(self.BATCHES[1:])
+        with pytest.raises(ConfigurationError, match="declares 2 records"):
+            decode_weighted_batches(frame[:-32])  # both columns gone
+
+    @pytest.mark.parametrize("tag", [0, 2, 255])
+    def test_an_unknown_format_tag_is_rejected(self, tag):
+        frame = bytearray(encode_weighted_batch(self.BATCHES[1]))
+        frame[4] = tag
+        with pytest.raises(ConfigurationError, match="format tag"):
+            decode_weighted_batch(bytes(frame))
+
+
 class TestSerde:
     def test_weighted_batches_use_the_binary_format(self):
         batch = WeightedBatch(
@@ -185,8 +222,7 @@ class TestBrokerTransportSerde:
         "serde", {"A": 200.0, "B": 200.0, "C": 200.0, "D": 200.0}
     )
 
-    @pytest.mark.parametrize("plane", ["objects", "columnar"])
-    def test_serde_backed_broker_run_is_bit_identical(self, plane):
+    def test_serde_backed_broker_run_is_bit_identical(self):
         """Producing real bytes instead of object references changes
         nothing about a seeded run — the codec is exact."""
         outcomes = {}
@@ -196,7 +232,6 @@ class TestBrokerTransportSerde:
                 seed=13,
                 backend="python",
                 transport="broker",
-                data_plane=plane,
             )
             pipeline = build_pipeline(config, self.SCHEDULE, self.GENS)
             runner = EngineRunner(pipeline, BrokerTransport(serde=serde))

@@ -1,4 +1,4 @@
-"""Unit tests for the columnar (SoA) data-plane primitives."""
+"""Unit tests for the columnar (SoA) batch and its StreamItem edge."""
 
 import random
 
@@ -7,9 +7,7 @@ import pytest
 from repro.core.columns import (
     ColumnarBatch,
     concat_value_chunks,
-    group_payload,
     masked_sum,
-    payload_timestamps,
     value_column,
 )
 from repro.core.fastpath import reservoir_sample_indices
@@ -118,7 +116,7 @@ class TestTransformation:
         assert mixed.uniform_substream is None
         assert mixed.substream_ids() == ["A", "A", "B"]
 
-    def test_spread_matches_object_plane_bitwise(self):
+    def test_spread_is_the_closed_form_bitwise(self):
         n, start, seconds = 7, 5.0, 2.0
         batch = ColumnarBatch.single("A", [0.0] * n, start)
         batch = batch.with_timestamps_from(start, batch.spread_offsets(seconds))
@@ -138,27 +136,37 @@ class TestTransformation:
         assert batch.group_by_substream()["A"] is batch
 
 
-class TestPayloadDispatch:
-    def test_group_payload(self):
-        items = items_fixture()
-        assert list(group_payload(items)) == ["A", "B"]
-        assert list(group_payload(ColumnarBatch.from_items(items))) == ["A", "B"]
+class TestStreamItemEdge:
+    """Lists of ``StreamItem`` enter and leave at the API edge only."""
 
-    def test_payload_timestamps(self):
-        items = items_fixture()
-        assert list(payload_timestamps(items)) == [0.1, 0.2, 0.3, 0.4]
-        columnar = ColumnarBatch.from_items(items)
-        assert list(payload_timestamps(columnar)) == [0.1, 0.2, 0.3, 0.4]
+    def test_from_items_is_the_identity_on_a_columnar_batch(self):
+        batch = ColumnarBatch.from_items(items_fixture())
+        assert ColumnarBatch.from_items(batch) is batch
 
-    def test_weighted_batch_dispatch(self):
-        items = [StreamItem("A", 2.0, size_bytes=10) for _ in range(4)]
-        objects = WeightedBatch("A", 3.0, items)
-        columnar = WeightedBatch("A", 3.0, ColumnarBatch.from_items(items))
-        assert len(columnar) == len(objects) == 4
-        assert columnar.estimated_sum == pytest.approx(objects.estimated_sum)
-        assert columnar.estimated_count == objects.estimated_count
-        assert columnar.total_bytes == objects.total_bytes == 40
-        assert list(columnar) == items
+    @pytest.mark.parametrize(
+        "items",
+        [
+            [],
+            [StreamItem("A", 2.0, 0.5, 10) for _ in range(4)],
+            items_fixture(),  # mixed strata, mixed sizes
+        ],
+        ids=["empty", "uniform", "mixed"],
+    )
+    def test_weighted_batch_normalises_a_list_and_iterates_it_back(self, items):
+        batch = WeightedBatch("A", 3.0, items)
+        assert isinstance(batch.items, ColumnarBatch)
+        assert list(batch) == batch.items.to_items() == items
+        assert len(batch) == len(items)
+        assert batch.estimated_count == 3.0 * len(items)
+        assert batch.estimated_sum == pytest.approx(
+            3.0 * sum(item.value for item in items)
+        )
+        assert batch.total_bytes == sum(item.size_bytes for item in items)
+
+    def test_weighted_batch_keeps_a_columnar_payload_as_is(self):
+        columns = ColumnarBatch.from_items(items_fixture())
+        assert WeightedBatch("A", 1.0, columns).items is columns
+        assert isinstance(WeightedBatch("A", 1.0).items, ColumnarBatch)
 
 
 class TestReservoirIndexKernel:

@@ -4,6 +4,8 @@ import random
 
 import pytest
 
+from repro.core.columns import ColumnarBatch
+from repro.core.fastpath import numpy_available
 from repro.core.items import StreamItem
 from repro.core.stratified import allocate_proportional
 from repro.core.weights import WeightMap
@@ -85,6 +87,52 @@ class TestWhsamp:
         result = whsamp(items, 10, rng=random.Random(9))
         values = sorted(i.value for i in result.batches[0].items)
         assert values == [7.0, 8.0]
+
+
+class TestListInputIsTheColumnarInput:
+    """``whsamp`` normalises a ``StreamItem`` list to columns once, so a
+    list and its ``from_items`` transpose are the same call."""
+
+    @pytest.mark.parametrize(
+        "backend",
+        [
+            "python",
+            pytest.param(
+                "numpy",
+                marks=pytest.mark.skipif(
+                    not numpy_available(), reason="numpy not installed"
+                ),
+            ),
+        ],
+    )
+    def test_same_batches_for_a_seeded_rng(self, backend):
+        items = [
+            StreamItem("abc"[i % 3], float(i), i / 100, 50 + i % 7)
+            for i in range(300)
+        ]
+        items += make_items("d", range(5))  # passes through unsampled
+        weights = {"a": 2.0, "c": 1.5}
+        from_list = whsamp(
+            items, 40, weights, rng=random.Random(11), backend=backend
+        )
+        from_columns = whsamp(
+            ColumnarBatch.from_items(items), 40, weights,
+            rng=random.Random(11), backend=backend,
+        )
+        assert from_list.sampled_count == 40
+        assert [
+            (b.substream, b.weight, b.items.to_items())
+            for b in from_list.batches
+        ] == [
+            (b.substream, b.weight, b.items.to_items())
+            for b in from_columns.batches
+        ]
+        assert from_list.seen == from_columns.seen
+        assert from_list.allocation == from_columns.allocation
+        assert dict(from_list.weights.items()) == dict(
+            from_columns.weights.items()
+        )
+        assert all(isinstance(b.items, ColumnarBatch) for b in from_list.batches)
 
 
 class TestStatefulSampler:

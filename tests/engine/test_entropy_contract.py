@@ -50,7 +50,6 @@ GENS = {g.name: g for g in paper_gaussian_substreams()}
 SCHEDULE = RateSchedule(
     "golden", {"A": 300.0, "B": 300.0, "C": 300.0, "D": 300.0}
 )
-PLANES = ["objects", "columnar"]
 
 needs_numpy = pytest.mark.skipif(
     not numpy_available(), reason="numpy backend not installed"
@@ -63,11 +62,10 @@ def digest(floats) -> str:
     return hashlib.sha256(packed).hexdigest()[:16]
 
 
-def engine_for(backend, plane, seed=42, fraction=0.1, schedule=SCHEDULE,
+def engine_for(backend, seed=42, fraction=0.1, schedule=SCHEDULE,
                generators=GENS):
     config = PipelineConfig(
         sampling_fraction=fraction, seed=seed, backend=backend,
-        data_plane=plane,
     )
     pipeline = build_pipeline(config, schedule, generators)
     return pipeline, EngineRunner(pipeline, InProcessTransport())
@@ -117,14 +115,14 @@ GOLDEN_GENERATOR_DIGESTS = {
 
 #: Sums are compared to 1e-12: the draws and the kept records are pinned
 #: bit for bit, but summation order is not part of the contract (it
-#: already differed between the planes and between Python versions).
+#: differs between Python versions and between numpy and ``array('d')``
+#: column storage).
 SUM_TOLERANCE = 1e-12
 
 
-@pytest.mark.parametrize("plane", PLANES)
 class TestPythonBackendGolden:
-    def test_first_window_values_and_srs_are_unchanged(self, plane):
-        pipeline, runner = engine_for("python", plane)
+    def test_first_window_values_and_srs_are_unchanged(self):
+        pipeline, runner = engine_for("python")
         emitted = pipeline.emit_window(0.0)
         for name, payload in emitted.items():
             items = list(payload)
@@ -134,8 +132,8 @@ class TestPythonBackendGolden:
             GOLDEN_SRS_FIRST_WINDOW, rel=SUM_TOLERANCE
         )
 
-    def test_second_window_outcome_is_unchanged(self, plane):
-        pipeline, runner = engine_for("python", plane)
+    def test_second_window_outcome_is_unchanged(self):
+        pipeline, runner = engine_for("python")
         runner.run_srs(pipeline.emit_window(0.0))
         outcome = runner.run_window()
         exact, approx, srs, at_root = GOLDEN_SECOND_WINDOW
@@ -171,11 +169,10 @@ class TestPythonBackendGoldenPrimitives:
 # ----------------------------------------------------------------------
 @needs_numpy
 class TestNumpyDeterminism:
-    @pytest.mark.parametrize("plane", PLANES)
-    def test_same_seed_repeats_byte_for_byte(self, plane):
+    def test_same_seed_repeats_byte_for_byte(self):
         runs = []
         for _ in range(2):
-            pipeline, runner = engine_for("numpy", plane, seed=7)
+            pipeline, runner = engine_for("numpy", seed=7)
             emitted = pipeline.emit_window(0.0)
             columns = {
                 name: (
@@ -200,22 +197,11 @@ class TestNumpyDeterminism:
         scalar = CoinFlipSampler(0.3, random.Random(5)).decisions(500)
         assert bytes(scalar) != masks[0]
 
-    def test_planes_emit_identical_records(self):
-        emitted = {
-            plane: engine_for("numpy", plane)[0].emit_window(0.0)
-            for plane in PLANES
-        }
-        for name, items in emitted["objects"].items():
-            assert emitted["columnar"][name].to_items() == items
-
-    @pytest.mark.parametrize("plane", PLANES)
     @pytest.mark.parametrize("shard_transport", ["pipe", "shm"])
-    def test_two_processes_equal_their_inline_twin(
-        self, plane, shard_transport
-    ):
+    def test_two_processes_equal_their_inline_twin(self, shard_transport):
         config = PipelineConfig(
             sampling_fraction=0.2, seed=13, backend="numpy",
-            data_plane=plane, workers=2, shard_transport=shard_transport,
+            workers=2, shard_transport=shard_transport,
         )
         inline = ShardedEngineRunner(
             config, SCHEDULE, GENS, inline=True
@@ -246,12 +232,11 @@ class ScalarOnlyGenerator:
 
 
 @needs_numpy
-@pytest.mark.parametrize("plane", PLANES)
 class TestScalarOnlyGeneratorUnderNumpy:
-    def test_statistical_run(self, plane):
+    def test_statistical_run(self):
         generators = {name: ScalarOnlyGenerator(name) for name in "ABCD"}
         _pipeline, runner = engine_for(
-            "numpy", plane, fraction=0.2, generators=generators
+            "numpy", fraction=0.2, generators=generators
         )
         outcome = runner.run(2)
         assert all(w.items_emitted == 1200 for w in outcome.windows)
@@ -259,11 +244,10 @@ class TestScalarOnlyGeneratorUnderNumpy:
         for generator in generators.values():
             assert generator.rng_types == {random.Random}
 
-    def test_deployment_run(self, plane):
+    def test_deployment_run(self):
         generators = {name: ScalarOnlyGenerator(name) for name in "ABCD"}
         config = PipelineConfig(
             sampling_fraction=0.2, seed=3, mode="srs", backend="numpy",
-            data_plane=plane,
         )
         report = DeploymentSimulator(
             config, SCHEDULE, generators, n_windows=2
@@ -297,13 +281,13 @@ def test_numpy_window_makes_o_sources_scalar_rng_calls(monkeypatch):
     count_calls("gauss")
     count_calls("random")
     schedule = RateSchedule("fig6", {name: 25_000.0 for name in "ABCD"})
-    pipeline, runner = engine_for("numpy", "columnar", schedule=schedule)
+    pipeline, runner = engine_for("numpy", schedule=schedule)
     outcome, _theta = runner.run_window_with_theta()
     assert outcome.items_emitted == 100_000
     sources = len(pipeline.tree.sources)
     assert calls["gauss"] + calls["random"] <= 4 * sources, calls
     # The counter does see the scalar path: same window, python backend.
-    _pipeline, scalar = engine_for("python", "columnar", schedule=schedule)
+    _pipeline, scalar = engine_for("python", schedule=schedule)
     scalar.run_window_with_theta()
     assert calls["gauss"] >= 100_000 and calls["random"] >= 100_000
 
@@ -327,13 +311,12 @@ def test_numpy_run_builds_o_sources_generators(monkeypatch):
     monkeypatch.setattr(numpy.random, "default_rng", counted)
 
     def engine_run(windows):
-        _pipeline, runner = engine_for("numpy", "columnar")
+        _pipeline, runner = engine_for("numpy")
         runner.run(windows)
 
     def srs_deployment_run(windows):
         config = PipelineConfig(
             sampling_fraction=0.1, seed=42, mode="srs", backend="numpy",
-            data_plane="columnar",
         )
         DeploymentSimulator(config, SCHEDULE, GENS, n_windows=windows).run()
 
@@ -387,7 +370,7 @@ class TestBatchSampleIndices:
         "fraction", [0.05, 0.2, 0.35, 0.5, 0.65, 0.8, 0.95]
     )
     def test_eq8_count_recovery_through_three_layers(self, fraction):
-        _pipeline, runner = engine_for("numpy", "columnar", fraction=fraction)
+        _pipeline, runner = engine_for("numpy", fraction=fraction)
         for _ in range(2):
             outcome, theta = runner.run_window_with_theta()
             recovered = sum(

@@ -103,7 +103,7 @@ def sharded(case, backend, *, inline):
     controller, scenario = CASES[case]
     config = PipelineConfig(
         sampling_fraction=0.2, seed=13, backend=backend,
-        data_plane="columnar", workers=2, budget_controller=controller,
+        workers=2, budget_controller=controller,
     )
     return ShardedEngineRunner(
         config, SCHEDULE, GENS, inline=inline, scenario=scenario

@@ -6,7 +6,7 @@ The sharded engine's contract (§III-E made physical):
   sharded runs are bit-identical, and inline (sequential, in-process)
   execution matches real multi-process execution exactly;
 * ``workers=1`` sharded execution *is* the in-process engine, window
-  by window, bit for bit, on either data plane;
+  by window, bit for bit;
 * the root merge respects Eq. 8: the merged Theta store recovers the
   union's emitted count exactly, and accuracy stays within the
   single-process engine's envelope for all three strategies.
@@ -31,13 +31,12 @@ SCHEDULE = RateSchedule(
 )
 
 
-def config_for(workers=1, plane="objects", seed=13, fraction=0.2):
+def config_for(workers=1, seed=13, fraction=0.2):
     return PipelineConfig(
         sampling_fraction=fraction,
         window_seconds=1.0,
         seed=seed,
         backend="python",
-        data_plane=plane,
         workers=workers,
     )
 
@@ -82,10 +81,9 @@ class TestShardPlanner:
         assert seeds_a != seeds_b
 
 
-@pytest.mark.parametrize("plane", ["objects", "columnar"])
 class TestSingleWorkerParity:
-    def test_workers1_matches_the_inprocess_engine_bitwise(self, plane):
-        config = config_for(workers=1, plane=plane)
+    def test_workers1_matches_the_inprocess_engine_bitwise(self):
+        config = config_for(workers=1)
         direct = EngineRunner(
             build_pipeline(config, SCHEDULE, GENS),
             make_statistical_transport("auto"),
@@ -97,10 +95,9 @@ class TestSingleWorkerParity:
         ]
 
 
-@pytest.mark.parametrize("plane", ["objects", "columnar"])
 class TestDeterminism:
-    def test_same_seed_and_workers_reproduce_bitwise(self, plane):
-        config = config_for(workers=3, plane=plane)
+    def test_same_seed_and_workers_reproduce_bitwise(self):
+        config = config_for(workers=3)
         runs = []
         for _ in range(2):
             with ShardedEngineRunner(config, SCHEDULE, GENS) as runner:
@@ -109,8 +106,8 @@ class TestDeterminism:
             outcome_tuple(w) for w in runs[1].windows
         ]
 
-    def test_inline_matches_multiprocess_execution(self, plane):
-        config = config_for(workers=3, plane=plane)
+    def test_inline_matches_multiprocess_execution(self):
+        config = config_for(workers=3)
         inline = ShardedEngineRunner(
             config, SCHEDULE, GENS, inline=True
         ).run(3)
@@ -120,8 +117,8 @@ class TestDeterminism:
             outcome_tuple(w) for w in processes.windows
         ]
 
-    def test_stepwise_windows_continue_shard_state(self, plane):
-        config = config_for(workers=2, plane=plane)
+    def test_stepwise_windows_continue_shard_state(self):
+        config = config_for(workers=2)
         with ShardedEngineRunner(config, SCHEDULE, GENS) as stepped:
             windows = [stepped.run_window() for _ in range(3)]
         with ShardedEngineRunner(config, SCHEDULE, GENS) as whole:

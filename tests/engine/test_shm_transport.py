@@ -3,8 +3,8 @@
 The zero-copy transport's contract (:mod:`repro.engine.shm`):
 
 * a run on the shm transport is bit-for-bit the pipe-transport run and
-  the inline run at fixed (seed, workers, scenario, controller), on
-  both data planes, static and adaptive;
+  the inline run at fixed (seed, workers, scenario, controller),
+  static and adaptive;
 * ``"shm"``/``"auto"`` degrade to the pipe codec on spawn hosts and on
   hosts without usable shared memory — bit-identically;
 * a frame that outgrows the ring falls back to the pipe codec for that
@@ -43,14 +43,13 @@ shm_capable = pytest.mark.skipif(
 )
 
 
-def config_for(workers=2, plane="objects", transport="auto", seed=13,
+def config_for(workers=2, transport="auto", seed=13,
                fraction=0.2, controller="static"):
     return PipelineConfig(
         sampling_fraction=fraction,
         window_seconds=1.0,
         seed=seed,
         backend="python",
-        data_plane=plane,
         workers=workers,
         shard_transport=transport,
         budget_controller=controller,
@@ -114,29 +113,25 @@ class TestTransportResolution:
 
 @shm_capable
 class TestBitParity:
-    @pytest.mark.parametrize("plane", ["objects", "columnar"])
-    def test_shm_matches_pipe_and_inline_bitwise(self, plane):
+    def test_shm_matches_pipe_and_inline_bitwise(self):
         shm_out, shm_stats, transport = run_outcomes(
-            config_for(plane=plane, transport="shm")
+            config_for(transport="shm")
         )
-        pipe_out, _, _ = run_outcomes(config_for(plane=plane, transport="pipe"))
+        pipe_out, _, _ = run_outcomes(config_for(transport="pipe"))
         inline_out, _, _ = run_outcomes(
-            config_for(plane=plane, transport="shm"), inline=True
+            config_for(transport="shm"), inline=True
         )
         assert transport == "shm"
         assert shm_out == pipe_out == inline_out
         assert shm_stats.ring_overflows == 0
 
-    @pytest.mark.parametrize("plane", ["objects", "columnar"])
-    def test_adaptive_broadcast_rides_the_ring_bit_identically(self, plane):
+    def test_adaptive_broadcast_rides_the_ring_bit_identically(self):
         shm_out, shm_stats, _ = run_outcomes(
-            config_for(plane=plane, transport="shm",
-                       controller="variance_aware"),
+            config_for(transport="shm", controller="variance_aware"),
             windows=4,
         )
         pipe_out, pipe_stats, _ = run_outcomes(
-            config_for(plane=plane, transport="pipe",
-                       controller="variance_aware"),
+            config_for(transport="pipe", controller="variance_aware"),
             windows=4,
         )
         assert shm_out == pipe_out

@@ -5,7 +5,7 @@ The supervisor's contract (:mod:`repro.engine.sharding`, §"Supervision"):
 * a faulted run — a shard SIGKILLed mid-round, raising, hanging, or
   handing back a corrupted frame — recovers within the restart budget
   and produces **bit-identical** results to the unfaulted run, on both
-  shard transports, both data planes, static and adaptive;
+  shard transports, static and adaptive;
 * recovery is deterministic respawn-and-replay: the replacement shard
   is rebuilt from the same :class:`ShardPlan` and fast-forwarded
   through every completed window (adaptive runs rebroadcast the
@@ -55,7 +55,7 @@ SHARD_WINDOW_ITEMS = 480
 TRANSPORTS = ["pipe", pytest.param("shm", marks=shm_capable)]
 
 
-def config_for(workers=2, plane="objects", transport="pipe", seed=13,
+def config_for(workers=2, transport="pipe", seed=13,
                fraction=0.2, controller="static", faults=(), timeout=None,
                restarts=2, on_loss="abort"):
     return PipelineConfig(
@@ -63,7 +63,6 @@ def config_for(workers=2, plane="objects", transport="pipe", seed=13,
         window_seconds=1.0,
         seed=seed,
         backend="python",
-        data_plane=plane,
         workers=workers,
         shard_transport=transport,
         budget_controller=controller,
@@ -99,15 +98,12 @@ def run_outcomes(config, windows=3):
 class TestRecoveryBitParity:
     """The SIGKILL satellite: a crash fault is ``os.kill(getpid(),
     SIGKILL)`` fired mid-round inside the shard — recovery must be
-    invisible in the results on every (transport, plane, controller)."""
+    invisible in the results on every (transport, controller)."""
 
     @pytest.mark.parametrize("transport", TRANSPORTS)
-    @pytest.mark.parametrize("plane", ["objects", "columnar"])
     @pytest.mark.parametrize("controller", ["static", "variance_aware"])
-    def test_sigkill_recovery_is_bit_identical(
-        self, transport, plane, controller
-    ):
-        base = dict(transport=transport, plane=plane, controller=controller)
+    def test_sigkill_recovery_is_bit_identical(self, transport, controller):
+        base = dict(transport=transport, controller=controller)
         expected, _ = run_outcomes(config_for(**base))
         faulted, stats = run_outcomes(
             config_for(**base, faults=["crash@0:1"])

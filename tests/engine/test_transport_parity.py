@@ -1,4 +1,4 @@
-"""Cross-transport and cross-plane parity: the seed defines the run.
+"""Cross-transport parity: the seed defines the run.
 
 The engine's contract is that every transport delivers batches in send
 order per destination, so a seeded run must produce *identical* samples
@@ -6,22 +6,14 @@ order per destination, so a seeded run must produce *identical* samples
 move by in-process callback or through broker topics, on either
 sampling backend. The Eq. 8 count invariant is asserted end-to-end on
 the root's Theta store as the estimates are compared.
-
-The same contract extends to the *data plane*: a seeded run samples
-exactly the same records whether payloads are ``StreamItem`` lists or
-columnar (SoA) batches. Record identities match bit-for-bit; sums are
-compared at 1e-12 relative because vectorized reductions associate
-floating-point additions differently.
 """
 
 import pytest
 
-from repro.core.columns import ColumnarBatch
 from repro.engine.pipeline import build_pipeline
 from repro.engine.runner import EngineRunner
 from repro.engine.transport import make_statistical_transport
 from repro.system.config import PipelineConfig
-from repro.system.deployment import DeploymentSimulator
 from repro.system.statistical import StatisticalRunner
 from repro.workloads.rates import RateSchedule
 from repro.workloads.synthetic import paper_gaussian_substreams
@@ -40,14 +32,13 @@ except ImportError:
     pass
 
 
-def config_for(backend, transport, fraction=0.2, seed=13, plane="objects"):
+def config_for(backend, transport, fraction=0.2, seed=13):
     return PipelineConfig(
         sampling_fraction=fraction,
         window_seconds=1.0,
         seed=seed,
         backend=backend,
         transport=transport,
-        data_plane=plane,
     )
 
 
@@ -106,111 +97,6 @@ class TestCrossTransportParity:
             assert runner.run_native(emitted) == pytest.approx(
                 direct, rel=1e-12
             )
-
-
-def sampled_identities(theta):
-    """The root's sampled record values, plane-independent."""
-    values = []
-    for batch in theta.batches:
-        payload = batch.items
-        if isinstance(payload, ColumnarBatch):
-            values.extend(float(v) for v in payload.values)
-        else:
-            values.extend(item.value for item in payload)
-    return sorted(values)
-
-
-@pytest.mark.parametrize("backend", BACKENDS)
-class TestCrossPlaneParity:
-    """Objects-vs-columnar: same seed, same records, equal estimates —
-    across all three strategies and all three transports."""
-
-    def test_statistical_estimates_match_on_every_transport(self, backend):
-        """ApproxIoT, SRS and native agree across planes, window by
-        window, on both statistical transports."""
-        for transport in ("inprocess", "broker"):
-            runs = {
-                plane: StatisticalRunner(
-                    config_for(backend, transport, plane=plane), SCHEDULE, GENS
-                ).run(3)
-                for plane in ("objects", "columnar")
-            }
-            pairs = zip(runs["objects"].windows, runs["columnar"].windows)
-            for objects, columnar in pairs:
-                assert objects.items_emitted == columnar.items_emitted
-                assert objects.items_sampled == columnar.items_sampled
-                assert columnar.exact_sum == pytest.approx(
-                    objects.exact_sum, rel=1e-12
-                )
-                assert columnar.approx_sum.value == pytest.approx(
-                    objects.approx_sum.value, rel=1e-12
-                )
-                assert columnar.approx_sum.error == pytest.approx(
-                    objects.approx_sum.error, rel=1e-9, abs=1e-9
-                )
-                assert columnar.srs_sum == pytest.approx(
-                    objects.srs_sum, rel=1e-12
-                )
-
-    def test_sampled_record_identities_match_bitwise(self, backend):
-        """The root's Theta holds the *same* records on either plane —
-        sampling entropy is plane-invariant, not merely unbiased."""
-        thetas = {}
-        for plane in ("objects", "columnar"):
-            config = config_for(backend, "inprocess", plane=plane)
-            pipeline = build_pipeline(config, SCHEDULE, GENS)
-            runner = EngineRunner(
-                pipeline, make_statistical_transport("inprocess")
-            )
-            emitted = pipeline.emit_window(0.0)
-            thetas[plane] = runner.run_approxiot(emitted).theta
-        assert sampled_identities(thetas["objects"]) == sampled_identities(
-            thetas["columnar"]
-        )
-
-    def test_native_strategy_matches_across_planes(self, backend):
-        """The pass-through strategy recovers the same ground truth on
-        either plane."""
-        totals = {}
-        for plane in ("objects", "columnar"):
-            config = config_for(backend, "inprocess", plane=plane)
-            pipeline = build_pipeline(config, SCHEDULE, GENS)
-            runner = EngineRunner(
-                pipeline, make_statistical_transport("inprocess")
-            )
-            totals[plane] = runner.run_native(pipeline.emit_window(0.0))
-        assert totals["columnar"] == pytest.approx(
-            totals["objects"], rel=1e-12
-        )
-
-    def test_deployment_parity_on_simnet_and_broker(self, backend):
-        """The deployment engine (the third transport, simnet) measures
-        identical runs on either plane, in every mode."""
-        for transport in ("simnet", "broker"):
-            for mode in ("approxiot", "srs", "native"):
-                reports = {}
-                for plane in ("objects", "columnar"):
-                    config = PipelineConfig(
-                        sampling_fraction=0.2,
-                        seed=13,
-                        mode=mode,
-                        backend=backend,
-                        transport=transport,
-                        data_plane=plane,
-                    )
-                    reports[plane] = DeploymentSimulator(
-                        config, SCHEDULE, GENS, n_windows=3
-                    ).run()
-                objects, columnar = reports["objects"], reports["columnar"]
-                assert objects.items_emitted == columnar.items_emitted
-                assert objects.items_at_root == columnar.items_at_root
-                assert objects.boundary_bytes == columnar.boundary_bytes
-                assert columnar.makespan_seconds == pytest.approx(
-                    objects.makespan_seconds, rel=1e-12
-                )
-                assert columnar.mean_latency_seconds == pytest.approx(
-                    objects.mean_latency_seconds, rel=1e-12
-                )
 
 
 @pytest.mark.skipif(len(BACKENDS) < 2, reason="needs both backends")

@@ -3,7 +3,7 @@
 The contracts under test:
 
 * a fixed ``(seed, scenario, workers)`` triple is bit-reproducible
-  across repeats, on either data plane;
+  across repeats;
 * inline shard execution equals real multi-process execution under
   churn (the scenario timeline is a pure function of the window
   index, recomputed identically in every process);
@@ -51,14 +51,12 @@ def generators():
     return {g.name: g for g in paper_gaussian_substreams()}
 
 
-def config_for(workers=1, plane="objects", seed=13, fraction=0.2,
-               transport="auto"):
+def config_for(workers=1, seed=13, fraction=0.2, transport="auto"):
     return PipelineConfig(
         sampling_fraction=fraction,
         window_seconds=1.0,
         seed=seed,
         backend="python",
-        data_plane=plane,
         workers=workers,
         transport=transport,
     )
@@ -83,11 +81,8 @@ def run_scenario(name_or_scenario, **config_kwargs):
 
 
 class TestDeterminism:
-    @pytest.mark.parametrize("plane", ["objects", "columnar"])
-    def test_fixed_seed_scenario_is_bit_reproducible(self, plane):
-        runs = [
-            run_scenario("brownout", plane=plane, seed=13) for _ in range(2)
-        ]
+    def test_fixed_seed_scenario_is_bit_reproducible(self):
+        runs = [run_scenario("brownout", seed=13) for _ in range(2)]
         assert [window_tuple(w) for w in runs[0].windows] == [
             window_tuple(w) for w in runs[1].windows
         ]

@@ -270,12 +270,11 @@ class TestScenarios:
         args = build_parser().parse_args(
             ["scenarios", "run", "churn", "--windows", "5",
              "--fraction", "0.4", "--backend", "python",
-             "--transport", "broker", "--data-plane", "columnar",
-             "--workers", "2"]
+             "--transport", "broker", "--workers", "2"]
         )
         assert (args.windows, args.fraction) == (5, 0.4)
         assert (args.backend, args.transport) == ("python", "broker")
-        assert (args.data_plane, args.workers) == ("columnar", 2)
+        assert args.workers == 2
 
     def test_list_prints_the_catalog(self, capsys):
         assert main(["scenarios", "list"]) == 0

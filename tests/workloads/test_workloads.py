@@ -233,29 +233,18 @@ class TestSource:
     def test_emit_interval_count_matches_rate(self):
         gen = GaussianSubstream("X", 1.0, 0.0)
         source = Source("s", gen, rate_per_second=100.0, rng=random.Random(9))
-        batch = source.emit_interval(0.0, 2.0)
+        batch = source.emit_interval_columns(0.0, 2.0)
         assert len(batch) == 200
         assert source.items_emitted == 200
-
-    def test_emission_times_spread_within_interval(self):
-        gen = GaussianSubstream("X", 1.0, 0.0)
-        source = Source("s", gen, 10.0, rng=random.Random(10))
-        batch = source.emit_interval(5.0, 1.0)
-        assert all(5.0 < item.emitted_at < 6.0 for item in batch)
-        times = [item.emitted_at for item in batch]
-        assert times == sorted(times)
-
-    def test_zero_rate_emits_nothing(self):
-        gen = GaussianSubstream("X", 1.0, 0.0)
-        source = Source("s", gen, 0.0)
-        assert source.emit_interval(0.0, 1.0) == []
 
     def test_fractional_rate_carries_remainder(self):
         """A 0.4 items/s source must emit ~0.4 items per second long
         run, not zero forever (the old per-interval rounding bug)."""
         gen = GaussianSubstream("X", 1.0, 0.0)
         source = Source("s", gen, rate_per_second=0.4, rng=random.Random(3))
-        counts = [len(source.emit_interval(float(t), 1.0)) for t in range(10)]
+        counts = [
+            len(source.emit_interval_columns(float(t), 1.0)) for t in range(10)
+        ]
         assert sum(counts) == 4
         assert counts[0] == 0  # nothing due yet after 0.4 items
 
@@ -263,7 +252,7 @@ class TestSource:
         gen = GaussianSubstream("X", 1.0, 0.0)
         source = Source("s", gen, rate_per_second=7.3, rng=random.Random(4))
         for t in range(100):
-            source.emit_interval(float(t), 1.0)
+            source.emit_interval_columns(float(t), 1.0)
         assert source.items_emitted == pytest.approx(730, abs=1)
 
     def test_low_rate_statistical_run_completes(self):
@@ -287,20 +276,11 @@ class TestSource:
         the long run still tracks the schedule."""
         gen = GaussianSubstream("X", 1.0, 0.0)
         source = Source("s", gen, rate_per_second=0.6, rng=random.Random(8))
-        counts = [len(source.emit_interval(float(t), 1.0)) for t in range(10)]
+        counts = [
+            len(source.emit_interval_columns(float(t), 1.0)) for t in range(10)
+        ]
         assert counts[0] == 1
         assert sum(counts) == pytest.approx(6, abs=1)
-
-    def test_columnar_emission_matches_object_plane(self):
-        """Same seed -> the two planes emit identical records."""
-        gen = GaussianSubstream("X", 5.0, 2.0)
-        objects = Source("s", gen, 12.5, rng=random.Random(11))
-        columnar = Source("s", gen, 12.5, rng=random.Random(11))
-        for t in range(3):
-            expected = objects.emit_interval(float(t), 2.0)
-            batch = columnar.emit_interval_columns(float(t), 2.0)
-            assert batch.to_items() == expected
-        assert columnar.items_emitted == objects.items_emitted
 
     def test_columnar_emission_spreads_timestamps(self):
         gen = GaussianSubstream("X", 1.0, 0.0)
@@ -352,7 +332,7 @@ class TestSource:
             Source("s", gen, -1.0)
         source = Source("s", gen, 1.0)
         with pytest.raises(WorkloadError):
-            source.emit_interval(0.0, 0.0)
+            source.emit_interval_columns(0.0, 0.0)
 
 
 class TestGeneratorColumnParity:
