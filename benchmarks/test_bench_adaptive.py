@@ -29,11 +29,11 @@ FRACTIONS = (0.05, 0.1, 0.2)
 
 def run_scenario(name, scale, fraction, controller, workers=1,
                  backend=None):
-    scale = replace(
-        scale, budget_controller=controller, workers=workers,
+    config = replace(
+        base_config(fraction, scale),
+        budget_controller=controller, workers=workers,
         **({"backend": backend} if backend else {}),
     )
-    config = base_config(fraction, scale)
     with ScenarioRunner(
         config, uniform_schedule(scale.rate_scale), gaussian_generators(),
         get_scenario(name),

@@ -9,19 +9,20 @@ The gates, in two classes (see ``conftest.py``):
 
 * **deterministic, always live** — mean loss sits within the reported
   §III-D error bound (which Eq. 8's exact count recovery keeps tight)
-  at every worker count and shard transport; the shm transport cuts
-  bytes through the Pipe per window by >= 10x (descriptors only).
+  at every worker count.
 * **wall-clock, report-only unless** ``REPRO_BENCH_GATES=1`` — numpy
   >= 0.9x python; 2 shards >= 0.9x single-process from 2 cores, >=
-  2.5x at 4 shards from 4 cores; shm >= 0.9x pipe at every width. The
-  ratios are always printed and published.
+  2.5x at 4 shards from 4 cores. The ratios are always printed and
+  published.
 
 The module also publishes the worker-scaling table for sharded
-multi-process execution (1/2/4/8 shards on the same workload), with
-one row per shard transport where the host supports both: the classic
-pipe codec and the zero-copy shared-memory rings of
-:mod:`repro.engine.shm`, plus the measured bytes through the Pipe per
-window for each. Since generation and the SRS coin flips
+multi-process execution (1/2/4/8 shards on the same workload), each
+width on the shard transport the engine picks for this host (the
+zero-copy shared-memory rings of :mod:`repro.engine.shm` where shards
+fork and shared memory is usable, the pipe codec otherwise), with the
+measured bytes through the Pipe per window. The pipe-vs-shm byte
+claim is held by ``tests/engine/test_shm_transport.py``. Since
+generation and the SRS coin flips
 vectorised, a Fig. 6-scale window is a few milliseconds of work —
 shorter than a lock-step IPC round trip — so at this operating point
 sharding no longer pays (the old 1.8x at 2 shards was two processes
@@ -34,10 +35,7 @@ import os
 import time
 from dataclasses import dataclass
 
-import multiprocessing
-
 from repro.core.fastpath import numpy_available
-from repro.engine import shm as engine_shm
 from repro.experiments.base import ExperimentScale, uniform_schedule
 from repro.metrics.report import Table, format_bytes, format_rate
 from repro.system.config import PipelineConfig
@@ -72,7 +70,7 @@ def _measure(backend: str, scale: ExperimentScale) -> BackendPoint:
     for _ in range(REPEATS):
         config = PipelineConfig(
             sampling_fraction=FRACTION,
-            seed=scale.seed,
+            seed=scale.config.seed,
             backend=backend,
             transport="inprocess",
         )
@@ -120,9 +118,10 @@ def main(scale: ExperimentScale | None = None) -> str:
 
 @dataclass(frozen=True, slots=True)
 class ScalingPoint:
-    """Measured behaviour of one (worker-shard width, transport) pair.
+    """Measured behaviour of one worker-shard width.
 
-    ``transport`` is ``"-"`` on the single-process row (no shard IPC);
+    ``transport`` is the shard transport the engine picked, ``"-"`` on
+    the single-process row (no shard IPC);
     the byte counters are the per-window means from
     :class:`~repro.engine.sharding.ShardIpcStats` (zero when there is
     no shard IPC to account).
@@ -138,18 +137,15 @@ class ScalingPoint:
     restarts: int = 0
 
 
-def _measure_workers(
-    workers: int, scale: ExperimentScale, transport: str = "pipe"
-) -> ScalingPoint:
+def _measure_workers(workers: int, scale: ExperimentScale) -> ScalingPoint:
     generators = {g.name: g for g in paper_gaussian_substreams()}
     schedule = uniform_schedule(scale.rate_scale)
     config = PipelineConfig(
         sampling_fraction=FRACTION,
-        seed=scale.seed,
+        seed=scale.config.seed,
         backend="auto",
         transport="inprocess",
         workers=workers,
-        shard_transport=transport,
     )
     best = 0.0
     loss = bound = 0.0
@@ -198,30 +194,9 @@ def _measure_workers(
     )
 
 
-def _shard_transports() -> list[str]:
-    """The shard transports this host can actually run (pipe always)."""
-    methods = multiprocessing.get_all_start_methods()
-    start_method = "fork" if "fork" in methods else "spawn"
-    transports = ["pipe"]
-    if engine_shm.resolve_shard_transport("auto", start_method) == "shm":
-        transports.append("shm")
-    return transports
-
-
 def run_worker_scaling(scale: ExperimentScale) -> list[ScalingPoint]:
-    """Throughput, accuracy and IPC volume per (width, transport) pair.
-
-    The single-process baseline is measured once; every sharded width
-    is measured on each transport the host supports, so the published
-    table is the pipe-vs-shm comparison at every shard count.
-    """
-    points = [_measure_workers(1, scale)]
-    for workers in WORKER_COUNTS:
-        if workers == 1:
-            continue
-        for transport in _shard_transports():
-            points.append(_measure_workers(workers, scale, transport))
-    return points
+    """Throughput, accuracy and IPC volume per shard width."""
+    return [_measure_workers(workers, scale) for workers in WORKER_COUNTS]
 
 
 def render_scaling_table(points: list[ScalingPoint]) -> str:
@@ -279,18 +254,13 @@ def test_bench_worker_scaling(
 
     One measured sweep feeds the published table and the gates:
 
-    * accuracy, every width and transport (always live): Eq. 8 holds
-      per shard, so the merged estimate's mean loss must sit within
-      the run's own reported §III-D error bound — a sharding bug that
-      broke weight or count propagation would blow straight through it;
-    * IPC volume (always live): where the host runs shm, each width's
-      shm row must move >= 10x fewer bytes through the Pipe per window
-      than its pipe row — the descriptors-only claim, measured not
-      asserted from design;
+    * accuracy, every width (always live): Eq. 8 holds per shard, so
+      the merged estimate's mean loss must sit within the run's own
+      reported §III-D error bound — a sharding bug that broke weight
+      or count propagation would blow straight through it;
     * throughput (``REPRO_BENCH_GATES=1`` only), host-aware: with >= 2
-      cores the 2-shard run holds >= 0.9x the single-process rate, a
-      bench-scale run on >= 4 cores reaches >= 2.5x at 4 shards, and
-      shm holds >= 0.9x the pipe transport's throughput at every width.
+      cores the 2-shard run holds >= 0.9x the single-process rate, and
+      a bench-scale run on >= 4 cores reaches >= 2.5x at 4 shards.
     """
     points = benchmark.pedantic(
         run_worker_scaling, args=(bench_scale,), rounds=1, iterations=1
@@ -299,40 +269,19 @@ def test_bench_worker_scaling(
     print(text)
     results_sink(text)
 
-    by_key = {(point.workers, point.transport): point for point in points}
+    by_width = {point.workers: point for point in points}
     for point in points:
         assert point.mean_loss_percent <= point.mean_bound_percent
-    transports = _shard_transports()
-    sharded_widths = [width for width in WORKER_COUNTS if width > 1]
-    if "shm" in transports:
-        for width in sharded_widths:
-            # The zero-copy claim: descriptors only through the Pipe.
-            assert (
-                by_key[(width, "pipe")].pipe_bytes_per_window
-                >= 10.0 * by_key[(width, "shm")].pipe_bytes_per_window
-            )
     if not wall_clock_gates:
         return
     cores = os.cpu_count() or 1
     at_bench = os.environ.get("REPRO_BENCH_SCALE", "bench") == "bench"
-    baseline = by_key[(1, "-")]
+    baseline = by_width[1]
     if cores >= 2:
-        for transport in transports:
-            assert (
-                by_key[(2, transport)].items_per_second
-                >= 0.9 * baseline.items_per_second
-            )
+        assert (
+            by_width[2].items_per_second >= 0.9 * baseline.items_per_second
+        )
     if at_bench and cores >= 4:
-        for transport in transports:
-            assert (
-                by_key[(4, transport)].items_per_second
-                >= 2.5 * baseline.items_per_second
-            )
-    if "shm" in transports:
-        for width in sharded_widths:
-            # shm must never regress the pipe transport, even on a
-            # single core where neither scales.
-            assert (
-                by_key[(width, "shm")].items_per_second
-                >= 0.9 * by_key[(width, "pipe")].items_per_second
-            )
+        assert (
+            by_width[4].items_per_second >= 2.5 * baseline.items_per_second
+        )

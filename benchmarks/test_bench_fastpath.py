@@ -34,7 +34,7 @@ def fig5_interval(scale: ExperimentScale) -> list:
     """One interval of the Fig. 5 Gaussian workload, arrival-shuffled."""
     generators = gaussian_generators()
     schedule = uniform_schedule(scale.rate_scale)
-    rng = random.Random(scale.seed)
+    rng = random.Random(scale.config.seed)
     items = []
     for substream, rate in sorted(schedule.rates.items()):
         count = int(rate * INTERVAL_SECONDS)
@@ -61,7 +61,7 @@ def run_fastpath_comparison(scale: ExperimentScale) -> tuple[str, dict[str, floa
     def reservoir_run(backend: str):
         def run() -> None:
             sampler = make_reservoir_sampler(
-                capacity, random.Random(scale.seed), backend=backend
+                capacity, random.Random(scale.config.seed), backend=backend
             )
             sampler.extend(items)
 
@@ -70,7 +70,8 @@ def run_fastpath_comparison(scale: ExperimentScale) -> tuple[str, dict[str, floa
     def whsamp_run(backend: str):
         def run() -> None:
             whsamp(
-                items, capacity, rng=random.Random(scale.seed), backend=backend
+                items, capacity, rng=random.Random(scale.config.seed),
+                backend=backend,
             )
 
         return run

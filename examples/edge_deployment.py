@@ -20,7 +20,7 @@ from repro.system import DeploymentSimulator, ExecutionMode, PipelineConfig
 
 
 def main() -> None:
-    scale = ExperimentScale(rate_scale=0.1, seed=99)
+    scale = ExperimentScale(rate_scale=0.1, config=PipelineConfig(seed=99))
     schedule = uniform_schedule(scale.rate_scale)
     placement = saturating_placement(schedule)
     generators = gaussian_generators()
@@ -38,7 +38,7 @@ def main() -> None:
             window_seconds=1.0,
             mode=mode,
             placement=placement,
-            seed=scale.seed,
+            seed=scale.config.seed,
             # Batches ride broker topics fed over the simulated WAN
             # links; "broker" instead would model an ideal (free)
             # network for ablations.

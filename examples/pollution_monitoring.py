@@ -22,14 +22,14 @@ from repro.system import FeedbackDriver, PipelineConfig, StatisticalRunner
 def grouped_query_demo(scale: ExperimentScale) -> None:
     """One window, reported per pollutant with individual bounds."""
     schedule, generators = pollution_workload(scale)
-    config = PipelineConfig(sampling_fraction=0.2, seed=scale.seed)
+    config = PipelineConfig(sampling_fraction=0.2, seed=scale.config.seed)
     runner = StatisticalRunner(config, schedule, generators)
     outcome = runner.run_window()
 
     # Rebuild a Theta store from a second sampled window to show the
     # grouped query API (the runner reports the overall SUM itself).
     import random
-    rng = random.Random(scale.seed)
+    rng = random.Random(scale.config.seed)
     theta = ThetaStore()
     for substream, generator in generators.items():
         items = generator.generate(400, rng)
@@ -53,7 +53,7 @@ def grouped_query_demo(scale: ExperimentScale) -> None:
 def adaptive_demo(scale: ExperimentScale) -> None:
     """Error-budget feedback: tighten sampling until the bound fits."""
     schedule, generators = pollution_workload(scale)
-    config = PipelineConfig(sampling_fraction=0.02, seed=scale.seed)
+    config = PipelineConfig(sampling_fraction=0.02, seed=scale.config.seed)
     controller = AdaptiveErrorBudget(
         target_relative_error=0.002, initial_fraction=0.02
     )
@@ -71,7 +71,9 @@ def adaptive_demo(scale: ExperimentScale) -> None:
 
 
 def main() -> None:
-    scale = ExperimentScale(rate_scale=0.05, windows=5, seed=2014)
+    scale = ExperimentScale(
+        rate_scale=0.05, windows=5, config=PipelineConfig(seed=2014)
+    )
     grouped_query_demo(scale)
     adaptive_demo(scale)
 

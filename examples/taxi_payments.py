@@ -16,12 +16,14 @@ from repro.system import PipelineConfig, StatisticalRunner
 
 
 def main() -> None:
-    scale = ExperimentScale(rate_scale=0.1, windows=8, seed=2013)
+    scale = ExperimentScale(
+        rate_scale=0.1, windows=8, config=PipelineConfig(seed=2013)
+    )
     schedule, generators = taxi_workload(scale)
     config = PipelineConfig(
         sampling_fraction=0.10,
         window_seconds=1.0,
-        seed=scale.seed,
+        seed=scale.config.seed,
         # Move every inter-node batch over pub/sub topics instead of
         # in-process callbacks; a seeded run is transport-invariant,
         # so the table below is identical either way.

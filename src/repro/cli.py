@@ -3,17 +3,18 @@
 Commands:
 
 * ``figures [ids...] [--scale quick|bench] [--backend ...]
-  [--transport ...] [--workers N]
-  [--budget-controller ...] [--shard-transport ...]
+  [--transport ...] [--workers N] [--budget-controller ...]
   [--shard-timeout S] [--on-shard-loss ...] [--inject-fault SPEC]`` —
   regenerate the paper's evaluation figures as text tables (all of
   them by default) on the selected sampling backend, inter-node
-  transport, worker-shard count, per-window budget
-  controller, shard IPC plane and shard-supervision knobs (watchdog
-  deadline, loss policy, injected faults).
+  transport, worker-shard count, per-window budget controller and
+  shard-supervision knobs (watchdog deadline, loss policy, injected
+  faults). How a shard's Theta crosses the process boundary is not a
+  flag: the engine picks shared memory where it can and the pipe
+  otherwise.
 * ``scenarios run <name> [--windows N] [--fraction F] [--scale ...]
   [--backend ...] [--transport ...] [--workers N]
-  [--budget-controller ...] [--shard-transport ...]
+  [--budget-controller ...]
   [--shard-timeout S] [--on-shard-loss ...] [--inject-fault SPEC]`` —
   run a built-in dynamic-workload scenario (bursts, skew drift, node
   churn, degraded links) and print its per-window quality-over-time
@@ -21,17 +22,23 @@ Commands:
 * ``scenarios list`` — list the built-in scenario catalog.
 * ``list`` — list the available figures with descriptions.
 * ``info`` — print the library version and subsystem inventory.
+
+Every engine flag whose destination names a
+:class:`~repro.system.config.PipelineConfig` field is passed straight
+into one config, built and validated once before anything runs; its
+default is that field's default.
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import replace
+from dataclasses import fields, replace
 from typing import Sequence
 
 from repro import __version__
 from repro.core.fastpath import BACKENDS
+from repro.engine.faults import FaultPlan
 from repro.errors import ReproError
 from repro.experiments.base import (
     ExperimentScale,
@@ -44,8 +51,8 @@ from repro.scenarios.catalog import BUILTIN_SCENARIOS, get_scenario
 from repro.system.config import (
     BUDGET_CONTROLLERS,
     SHARD_LOSS_POLICIES,
-    SHARD_TRANSPORTS,
     TRANSPORTS,
+    PipelineConfig,
 )
 from repro.system.scenarios import ScenarioRunner
 
@@ -73,7 +80,13 @@ _SUBSYSTEMS = [
 
 def _add_engine_knobs(parser: argparse.ArgumentParser, *, transport_help: str,
                       workers_help: str) -> None:
-    """The engine knobs shared by ``figures`` and ``scenarios run``."""
+    """The engine knobs shared by ``figures`` and ``scenarios run``.
+
+    Each knob's ``dest`` is its :class:`PipelineConfig` field name and
+    its default that field's default, so :func:`_scale_from_args` needs
+    no line per knob.
+    """
+    defaults = PipelineConfig()
     parser.add_argument(
         "--scale",
         choices=sorted(_SCALES),
@@ -83,44 +96,35 @@ def _add_engine_knobs(parser: argparse.ArgumentParser, *, transport_help: str,
     parser.add_argument(
         "--backend",
         choices=sorted(BACKENDS),
-        default="auto",
+        default=defaults.backend,
         help="sampling kernel (default: auto — numpy when installed)",
     )
     parser.add_argument(
         "--transport",
         choices=sorted(TRANSPORTS),
-        default="auto",
+        default=defaults.transport,
         help=transport_help,
     )
     parser.add_argument(
         "--workers",
         type=int,
-        default=1,
+        default=defaults.workers,
         metavar="N",
         help=workers_help,
     )
     parser.add_argument(
         "--budget-controller",
         choices=sorted(BUDGET_CONTROLLERS),
-        default="static",
+        default=defaults.budget_controller,
         help="per-window budget feedback for statistical runs (default: "
              "static = no feedback; adaptive_fraction steers the global "
              "fraction on the reported bound; variance_aware re-splits a "
              "fixed budget toward high-variance sub-streams)",
     )
     parser.add_argument(
-        "--shard-transport",
-        choices=sorted(SHARD_TRANSPORTS),
-        default="auto",
-        help="shard IPC plane for --workers > 1 (default: auto — "
-             "per-shard shared-memory rings where fork + shared memory "
-             "are available, the pipe codec otherwise; results are "
-             "bit-identical on every transport)",
-    )
-    parser.add_argument(
         "--shard-timeout",
         type=float,
-        default=None,
+        default=defaults.shard_timeout,
         metavar="S",
         help="watchdog deadline in seconds per window slot for "
              "--workers > 1 (default: none — wait forever); a hung "
@@ -130,7 +134,7 @@ def _add_engine_knobs(parser: argparse.ArgumentParser, *, transport_help: str,
     parser.add_argument(
         "--on-shard-loss",
         choices=sorted(SHARD_LOSS_POLICIES),
-        default="abort",
+        default=defaults.on_shard_loss,
         help="policy once a worker shard exhausts its restart budget "
              "(default: abort — fail the run loudly; degrade continues "
              "on the surviving shards with per-window loss accounting)",
@@ -224,18 +228,19 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _scale_from_args(args: argparse.Namespace) -> ExperimentScale:
-    """The experiment sizing an engine-knob namespace selects."""
-    return replace(
-        _SCALES[args.scale](),
-        backend=args.backend,
-        transport=args.transport,
-        workers=args.workers,
-        budget_controller=args.budget_controller,
-        shard_transport=args.shard_transport,
-        shard_timeout=args.shard_timeout,
-        on_shard_loss=args.on_shard_loss,
-        inject_faults=tuple(args.inject_fault or ()),
-    )
+    """The experiment sizing and config template a namespace selects.
+
+    Builds the one :class:`PipelineConfig` every figure or scenario
+    derives from, so a bad knob fails here, before anything runs.
+    """
+    knobs = {
+        knob.name: getattr(args, knob.name)
+        for knob in fields(PipelineConfig)
+        if hasattr(args, knob.name)
+    }
+    if args.inject_fault:
+        knobs["fault_plan"] = FaultPlan.parse(args.inject_fault)
+    return replace(_SCALES[args.scale](), config=PipelineConfig(**knobs))
 
 
 def _cmd_figures(args: argparse.Namespace) -> int:

@@ -16,8 +16,8 @@ The engine separates *what a run is* from *how it executes*:
 * :mod:`repro.engine.shm` is the sharded loop's zero-copy IPC plane:
   per-shard shared-memory segments carry the Theta payload bytes while
   only ``(sequence, offset, length)`` descriptors cross the Pipe
-  (``config.shard_transport``; falls back to the pipe codec wherever
-  shared memory or fork is unavailable).
+  (picked by the code, not configured: the pipe codec wherever shared
+  memory or fork is unavailable, and per slot for an oversized frame).
 
 The public runners in :mod:`repro.system` are thin facades over this
 package: the :class:`~repro.system.statistical.StatisticalRunner`

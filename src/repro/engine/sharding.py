@@ -28,16 +28,17 @@ How a sharded run decomposes:
   (:func:`~repro.broker.records.encode_weighted_batches`) — whole
   column buffers cross the process boundary, never a pickle graph of
   per-record objects. *How* the codec frame crosses is the shard
-  transport (``config.shard_transport``): on the ``"shm"`` plane
-  (:mod:`repro.engine.shm`; the default where fork + shared memory
-  are available) the shard writes the frame into its own
-  shared-memory segment and only a ``(sequence, offset, length)``
-  descriptor rides the Pipe — payload bytes never transit the pipe —
-  while the ``"pipe"`` plane sends the joined frame bytes themselves.
-  Both planes decode to identical batches, so a run is bit-for-bit
-  the same on either; :attr:`ShardedEngineRunner.ipc_stats` accounts
-  encoded bytes, pipe bytes and serde wall time so the difference is
-  measurable, not vibes.
+  transport, which the code picks from what it can observe — no user
+  setting: on the ``"shm"`` plane (:mod:`repro.engine.shm`; wherever
+  shards fork and shared memory is usable) the shard writes the frame
+  into its own shared-memory segment and only a ``(sequence, offset,
+  length)`` descriptor rides the Pipe — payload bytes never transit
+  the pipe — while the ``"pipe"`` plane (everywhere else, and per
+  slot for a frame that outgrows the ring) sends the joined frame
+  bytes themselves. Both planes decode to identical batches, so a run
+  is bit-for-bit the same on either; :attr:`ShardedEngineRunner.ipc_stats`
+  accounts encoded bytes, pipe bytes and serde wall time so the
+  difference is measurable, not vibes.
 * The parent merges positionally: exact sums, SRS Horvitz-Thompson
   estimates and item counts add across shards; Theta batches
   concatenate in shard order into one
@@ -692,9 +693,7 @@ class ShardedEngineRunner:
             self._shard_transport = "pipe"
         else:
             self._context, start_method = _mp_context()
-            self._shard_transport = shm.resolve_shard_transport(
-                config.shard_transport, start_method
-            )
+            self._shard_transport = shm.resolve_shard_transport(start_method)
         self._ipc = ShardIpcStats(transport=self._shard_transport)
         self._schedule = schedule
         self._generators = generators
@@ -881,11 +880,18 @@ class ShardedEngineRunner:
 
         ``config.shard_timeout`` is *per window slot*; a static round
         batches many slots into one request, so the round deadline
-        scales with the request size.
+        scales with the request size, up to
+        :data:`~repro.system.config.MAX_SHARD_TIMEOUT` (the longest
+        wait ``Connection.poll`` accepts).
         """
         if self._config.shard_timeout is None:
             return None
-        return self._config.shard_timeout * max(1, windows)
+        # Imported here: repro.system's package import loads this module.
+        from repro.system.config import MAX_SHARD_TIMEOUT
+
+        return min(
+            self._config.shard_timeout * max(1, windows), MAX_SHARD_TIMEOUT
+        )
 
     def _run_round(
         self, windows: int, observations: "list | None"

@@ -108,18 +108,16 @@ def shm_available() -> bool:
     return _probed
 
 
-def resolve_shard_transport(requested: str, start_method: str) -> str:
+def resolve_shard_transport(start_method: str) -> str:
     """The concrete shard transport a run will use.
 
-    ``"pipe"`` is always honored. ``"shm"`` and ``"auto"`` resolve to
-    shared memory only when the host can map segments *and* shards
-    fork (a forked shard inherits the parent's resource tracker, so
-    create/attach/unlink accounting stays balanced); ``spawn`` hosts
-    and shm-unavailable hosts degrade to the pipe codec — results are
-    bit-identical either way, only the IPC cost differs.
+    The code picks, not the user: shared memory only when the host can
+    map segments *and* shards fork (a forked shard inherits the
+    parent's resource tracker, so create/attach/unlink accounting
+    stays balanced); ``spawn`` hosts and shm-unavailable hosts use the
+    pipe codec — results are bit-identical either way, only the IPC
+    cost differs.
     """
-    if requested == "pipe":
-        return "pipe"
     if start_method != "fork" or not shm_available():
         return "pipe"
     return "shm"

@@ -9,7 +9,7 @@ serves fast CI tests (scale ~ 0.01) and the full benchmark harness
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field, replace
 
 from repro.errors import ConfigurationError
 from repro.system.config import PipelineConfig
@@ -36,51 +36,20 @@ PAPER_FRACTIONS: list[float] = [0.1, 0.2, 0.4, 0.6, 0.8, 0.9]
 
 @dataclass(frozen=True, slots=True)
 class ExperimentScale:
-    """Sizing for one experiment run.
+    """Sizing for one experiment run, plus the engine config it runs on.
 
     Attributes:
         rate_scale: Multiplier over the baseline per-sub-stream rates.
         windows: Number of query windows to run and average over.
-        seed: Base seed for the run.
-        backend: Sampling kernel every runner uses (``"python"`` /
-            ``"numpy"`` / ``"auto"``).
-        transport: Inter-node transport every runner uses (``"auto"``
-            resolves per engine; see
-            :attr:`repro.system.config.PipelineConfig.transport`).
-        workers: Process-parallel worker shards for statistical runs
-            (see :attr:`repro.system.config.PipelineConfig.workers`;
-            deployment figures model distribution via simnet and
-            ignore it).
-        budget_controller: Per-window budget feedback loop every
-            statistical runner uses (``"static"`` /
-            ``"adaptive_fraction"`` / ``"variance_aware"``; see
-            :attr:`repro.system.config.PipelineConfig.budget_controller`).
-        shard_transport: Shard IPC plane for sharded statistical runs
-            (``"auto"`` / ``"pipe"`` / ``"shm"``; see
-            :attr:`repro.system.config.PipelineConfig.shard_transport`).
-        shard_timeout: Watchdog deadline in seconds per window slot
-            for sharded statistical runs (``None`` disables; see
-            :attr:`repro.system.config.PipelineConfig.shard_timeout`).
-        on_shard_loss: Policy once a shard exhausts its restart budget
-            (``"abort"`` / ``"degrade"``; see
-            :attr:`repro.system.config.PipelineConfig.on_shard_loss`).
-        inject_faults: ``kind@shard:window`` fault specs for the
-            supervision harness (parsed into a
-            :class:`~repro.engine.faults.FaultPlan`; empty injects
-            nothing). Requires ``workers > 1``.
+        config: The template every runner's config is derived from
+            (:func:`base_config`): seed, sampling backend, transport,
+            worker shards, budget controller and shard supervision are
+            read from it, never re-declared here.
     """
 
     rate_scale: float = 1.0
     windows: int = 5
-    seed: int = 42
-    backend: str = "auto"
-    transport: str = "auto"
-    workers: int = 1
-    budget_controller: str = "static"
-    shard_transport: str = "auto"
-    shard_timeout: float | None = None
-    on_shard_loss: str = "abort"
-    inject_faults: tuple[str, ...] = ()
+    config: PipelineConfig = field(default_factory=PipelineConfig)
 
     def __post_init__(self) -> None:
         if self.rate_scale <= 0:
@@ -90,10 +59,6 @@ class ExperimentScale:
         if self.windows <= 0:
             raise ConfigurationError(
                 f"windows must be >= 1, got {self.windows}"
-            )
-        if self.workers < 1:
-            raise ConfigurationError(
-                f"workers must be >= 1, got {self.workers}"
             )
 
     @classmethod
@@ -150,34 +115,21 @@ def saturating_placement(
 def base_config(fraction: float, scale: ExperimentScale,
                 window_seconds: float = 1.0, mode: str = "approxiot",
                 placement: PlacementSpec | None = None) -> PipelineConfig:
-    """A pipeline config with experiment-standard defaults.
+    """The scale's config template at one experiment point.
 
-    Threads the scale's seed, sampling backend, transport,
-    worker-shard count, budget controller, shard transport and shard
-    supervision knobs (watchdog timeout, loss policy, injected faults)
-    into the config, so ``python -m repro figures --backend/
-    --transport/--workers/--budget-controller/
-    --shard-transport/--shard-timeout/--on-shard-loss/--inject-fault``
-    reach every figure runner through one seam.
+    Overrides only what a figure varies — sampling fraction, window,
+    mode and (when given) placement — and carries every other field of
+    ``scale.config`` through, so a knob set on the template (for
+    instance by a ``python -m repro figures`` flag) reaches every
+    figure runner without being named here.
     """
-    kwargs: dict[str, object] = {}
+    point: dict[str, object] = {}
     if placement is not None:
-        kwargs["placement"] = placement
-    if scale.inject_faults:
-        from repro.engine.faults import FaultPlan
-
-        kwargs["fault_plan"] = FaultPlan.parse(scale.inject_faults)
-    return PipelineConfig(
+        point["placement"] = placement
+    return replace(
+        scale.config,
         sampling_fraction=fraction,
         window_seconds=window_seconds,
         mode=mode,
-        seed=scale.seed,
-        backend=scale.backend,
-        transport=scale.transport,
-        workers=scale.workers,
-        budget_controller=scale.budget_controller,
-        shard_transport=scale.shard_transport,
-        shard_timeout=scale.shard_timeout,
-        on_shard_loss=scale.on_shard_loss,
-        **kwargs,
+        **point,
     )

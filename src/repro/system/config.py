@@ -2,7 +2,8 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+import math
+from dataclasses import dataclass, field
 
 from repro.core.fastpath import BACKENDS, resolve_backend
 from repro.core.stratified import AllocationPolicy, allocate_fair_fill
@@ -14,8 +15,8 @@ __all__ = [
     "PipelineConfig",
     "ExecutionMode",
     "BUDGET_CONTROLLERS",
+    "MAX_SHARD_TIMEOUT",
     "SHARD_LOSS_POLICIES",
-    "SHARD_TRANSPORTS",
     "TRANSPORTS",
     "TRANSPORT_AUTO",
 ]
@@ -40,15 +41,13 @@ TRANSPORT_AUTO = "auto"
 #: :mod:`repro.engine.transport` for the implementations).
 TRANSPORTS = (TRANSPORT_AUTO, "inprocess", "broker", "simnet")
 
-#: Valid values of :attr:`PipelineConfig.shard_transport` — how a
-#: worker shard's per-window Theta payload crosses the process
-#: boundary (see :mod:`repro.engine.shm`): ``"pipe"`` (codec frames
-#: through the multiprocessing Pipe), ``"shm"`` (frames written into a
-#: per-shard shared-memory ring; only descriptors cross the Pipe) or
-#: ``"auto"`` (the default; shm wherever fork + shared memory are
-#: available, pipe otherwise). Results are bit-identical on every
-#: transport — only the IPC cost differs.
-SHARD_TRANSPORTS = ("auto", "pipe", "shm")
+#: The longest watchdog deadline, in seconds (about 24.8 days): the
+#: watchdog waits in ``Connection.poll``, which counts whole
+#: milliseconds in a C ``int``. A longer
+#: :attr:`PipelineConfig.shard_timeout` is rejected, and a round
+#: deadline (timeout × window slots) is clamped to this — a deadline
+#: that far out already means "forever".
+MAX_SHARD_TIMEOUT = (2**31 - 1) // 1000
 
 #: Valid values of :attr:`PipelineConfig.budget_controller` — the
 #: per-window feedback loop of §IV-B (see :mod:`repro.system.adaptive`
@@ -73,8 +72,11 @@ SHARD_LOSS_POLICIES = ("abort", "degrade")
 class PipelineConfig:
     """Shared knobs for both the statistical and deployment runners.
 
-    Instances are immutable; derive variants with the ``with_*``
-    helpers (or :func:`dataclasses.replace`).
+    Instances are immutable; derive variants with
+    :func:`dataclasses.replace`. This class is the one place an engine
+    knob is declared: the CLI passes each flag named after a field
+    straight through, and the experiment harness carries a whole
+    config as its template.
 
     Attributes:
         sampling_fraction: End-to-end fraction of the stream that
@@ -116,21 +118,13 @@ class PipelineConfig:
             from the previous window's root Theta. Sharded runs
             broadcast the merged root observation so every shard
             replays the identical controller decision.
-        shard_transport: How a worker shard's per-window Theta payload
-            crosses the process boundary — one of
-            :data:`SHARD_TRANSPORTS`. ``"auto"`` (the default) uses
-            per-shard shared-memory rings (:mod:`repro.engine.shm`)
-            wherever fork and shared memory are available and the pipe
-            codec otherwise; ``"shm"`` requests the rings explicitly
-            (same fallback); ``"pipe"`` forces the codec frames through
-            the Pipe. Bit-identical results on every transport;
-            irrelevant at ``workers == 1``.
         shard_timeout: Watchdog deadline, in seconds per window slot,
             for collecting a worker shard's round (``None``, the
-            default, blocks forever — the seed behaviour). With a
-            deadline set, a hung or silently-dead shard raises a
-            diagnosable :class:`~repro.errors.ShardTimeoutError`
-            within ``shard_timeout * slots_in_round`` seconds and the
+            default, blocks forever — the seed behaviour; at most
+            :data:`MAX_SHARD_TIMEOUT`). With a deadline set, a hung or
+            silently-dead shard raises a diagnosable
+            :class:`~repro.errors.ShardTimeoutError` within
+            ``shard_timeout * slots_in_round`` seconds and the
             supervisor treats it like a crash (respawn-and-replay).
         max_shard_restarts: How many times the supervisor may respawn
             any one worker shard before declaring it lost (``0``
@@ -165,7 +159,6 @@ class PipelineConfig:
     transport: str = TRANSPORT_AUTO
     workers: int = 1
     budget_controller: str = "static"
-    shard_transport: str = "auto"
     shard_timeout: float | None = None
     max_shard_restarts: int = 2
     on_shard_loss: str = "abort"
@@ -177,9 +170,10 @@ class PipelineConfig:
                 f"sampling fraction must be in (0, 1], got "
                 f"{self.sampling_fraction}"
             )
-        if self.window_seconds <= 0:
+        if not 0 < self.window_seconds < math.inf:
             raise ConfigurationError(
-                f"window must be positive, got {self.window_seconds}"
+                f"window must be positive and finite, got "
+                f"{self.window_seconds}"
             )
         if self.mode not in ExecutionMode.ALL:
             raise ConfigurationError(
@@ -207,15 +201,13 @@ class PipelineConfig:
                 f"budget_controller must be one of {BUDGET_CONTROLLERS}, "
                 f"got {self.budget_controller!r}"
             )
-        if self.shard_transport not in SHARD_TRANSPORTS:
+        if self.shard_timeout is not None and not (
+            0 < self.shard_timeout <= MAX_SHARD_TIMEOUT
+        ):
             raise ConfigurationError(
-                f"shard_transport must be one of {SHARD_TRANSPORTS}, "
-                f"got {self.shard_transport!r}"
-            )
-        if self.shard_timeout is not None and not self.shard_timeout > 0:
-            raise ConfigurationError(
-                f"shard_timeout must be positive (or None to disable "
-                f"the watchdog), got {self.shard_timeout!r}"
+                f"shard_timeout must be positive and at most "
+                f"{MAX_SHARD_TIMEOUT} s (or None to disable the "
+                f"watchdog), got {self.shard_timeout!r}"
             )
         if (
             not isinstance(self.max_shard_restarts, int)
@@ -253,51 +245,3 @@ class PipelineConfig:
         assembly) and threads the result through every sampling call.
         """
         return resolve_backend(self.backend)
-
-    def with_mode(self, mode: str) -> "PipelineConfig":
-        """A copy of this config running a different system."""
-        return replace(self, mode=mode)
-
-    def with_fraction(self, fraction: float) -> "PipelineConfig":
-        """A copy of this config at a different sampling fraction."""
-        return replace(self, sampling_fraction=fraction)
-
-    def with_backend(self, backend: str) -> "PipelineConfig":
-        """A copy of this config on a different sampling backend."""
-        return replace(self, backend=backend)
-
-    def with_transport(self, transport: str) -> "PipelineConfig":
-        """A copy of this config on a different inter-node transport."""
-        return replace(self, transport=transport)
-
-    def with_seed(self, seed: int) -> "PipelineConfig":
-        """A copy of this config with a different random seed."""
-        return replace(self, seed=seed)
-
-    def with_workers(self, workers: int) -> "PipelineConfig":
-        """A copy of this config with a different worker-shard count."""
-        return replace(self, workers=workers)
-
-    def with_budget_controller(self, controller: str) -> "PipelineConfig":
-        """A copy of this config under a different budget controller."""
-        return replace(self, budget_controller=controller)
-
-    def with_shard_transport(self, shard_transport: str) -> "PipelineConfig":
-        """A copy of this config on a different shard transport."""
-        return replace(self, shard_transport=shard_transport)
-
-    def with_shard_timeout(self, shard_timeout: float | None) -> "PipelineConfig":
-        """A copy of this config with a different watchdog deadline."""
-        return replace(self, shard_timeout=shard_timeout)
-
-    def with_max_shard_restarts(self, restarts: int) -> "PipelineConfig":
-        """A copy of this config with a different respawn budget."""
-        return replace(self, max_shard_restarts=restarts)
-
-    def with_on_shard_loss(self, policy: str) -> "PipelineConfig":
-        """A copy of this config under a different shard-loss policy."""
-        return replace(self, on_shard_loss=policy)
-
-    def with_fault_plan(self, fault_plan) -> "PipelineConfig":
-        """A copy of this config with injected faults (test harness)."""
-        return replace(self, fault_plan=fault_plan)

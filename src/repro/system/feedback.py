@@ -26,7 +26,7 @@ persisting across windows), set
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 from repro.core.cost import AdaptiveErrorBudget
 from repro.errors import PipelineError
@@ -98,8 +98,10 @@ class FeedbackDriver:
             fraction = self._budget.fraction
             # Vary the seed per window so the adaptive trace is not a
             # single replayed sample path.
-            config = self._base_config.with_fraction(fraction).with_seed(
-                self._base_config.seed + index
+            config = replace(
+                self._base_config,
+                sampling_fraction=fraction,
+                seed=self._base_config.seed + index,
             )
             with StatisticalRunner(
                 config, self._schedule, self._generators

@@ -197,11 +197,10 @@ class TestNumpyDeterminism:
         scalar = CoinFlipSampler(0.3, random.Random(5)).decisions(500)
         assert bytes(scalar) != masks[0]
 
-    @pytest.mark.parametrize("shard_transport", ["pipe", "shm"])
-    def test_two_processes_equal_their_inline_twin(self, shard_transport):
+    @pytest.mark.usefixtures("shard_path")
+    def test_two_processes_equal_their_inline_twin(self):
         config = PipelineConfig(
-            sampling_fraction=0.2, seed=13, backend="numpy",
-            workers=2, shard_transport=shard_transport,
+            sampling_fraction=0.2, seed=13, backend="numpy", workers=2,
         )
         inline = ShardedEngineRunner(
             config, SCHEDULE, GENS, inline=True

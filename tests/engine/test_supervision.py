@@ -5,7 +5,7 @@ The supervisor's contract (:mod:`repro.engine.sharding`, §"Supervision"):
 * a faulted run — a shard SIGKILLed mid-round, raising, hanging, or
   handing back a corrupted frame — recovers within the restart budget
   and produces **bit-identical** results to the unfaulted run, on both
-  shard transports, static and adaptive;
+  shard paths (the ``shard_path`` fixture), static and adaptive;
 * recovery is deterministic respawn-and-replay: the replacement shard
   is rebuilt from the same :class:`ShardPlan` and fast-forwarded
   through every completed window (adaptive runs rebroadcast the
@@ -21,26 +21,19 @@ The supervisor's contract (:mod:`repro.engine.sharding`, §"Supervision"):
   scenario trace.
 """
 
-import multiprocessing
 import time
+from dataclasses import replace
 
 import pytest
 
-from repro.engine import shm
 from repro.engine.faults import FaultPlan
 from repro.engine.sharding import ShardedEngineRunner
 from repro.errors import PipelineError
 from repro.scenarios import get_scenario
-from repro.system.config import PipelineConfig
+from repro.system.config import MAX_SHARD_TIMEOUT, PipelineConfig
 from repro.system.scenarios import ScenarioRunner
 from repro.workloads.rates import RateSchedule
 from repro.workloads.synthetic import paper_gaussian_substreams
-
-shm_capable = pytest.mark.skipif(
-    "fork" not in multiprocessing.get_all_start_methods()
-    or not shm.shm_available(),
-    reason="host lacks fork or usable shared memory",
-)
 
 GENS = {g.name: g for g in paper_gaussian_substreams()}
 SCHEDULE = RateSchedule(
@@ -50,21 +43,15 @@ SCHEDULE = RateSchedule(
 #: 960 items/s split evenly, 1 s windows.
 SHARD_WINDOW_ITEMS = 480
 
-#: Transport axis for the parity matrix; shm rides only where the host
-#: can map segments.
-TRANSPORTS = ["pipe", pytest.param("shm", marks=shm_capable)]
 
-
-def config_for(workers=2, transport="pipe", seed=13,
-               fraction=0.2, controller="static", faults=(), timeout=None,
-               restarts=2, on_loss="abort"):
+def config_for(workers=2, seed=13, fraction=0.2, controller="static",
+               faults=(), timeout=None, restarts=2, on_loss="abort"):
     return PipelineConfig(
         sampling_fraction=fraction,
         window_seconds=1.0,
         seed=seed,
         backend="python",
         workers=workers,
-        shard_transport=transport,
         budget_controller=controller,
         shard_timeout=timeout,
         max_shard_restarts=restarts,
@@ -98,28 +85,25 @@ def run_outcomes(config, windows=3):
 class TestRecoveryBitParity:
     """The SIGKILL satellite: a crash fault is ``os.kill(getpid(),
     SIGKILL)`` fired mid-round inside the shard — recovery must be
-    invisible in the results on every (transport, controller)."""
+    invisible in the results on every (shard path, controller)."""
 
-    @pytest.mark.parametrize("transport", TRANSPORTS)
     @pytest.mark.parametrize("controller", ["static", "variance_aware"])
-    def test_sigkill_recovery_is_bit_identical(self, transport, controller):
-        base = dict(transport=transport, controller=controller)
-        expected, _ = run_outcomes(config_for(**base))
+    def test_sigkill_recovery_is_bit_identical(self, shard_path, controller):
+        expected, _ = run_outcomes(config_for(controller=controller))
         faulted, stats = run_outcomes(
-            config_for(**base, faults=["crash@0:1"])
+            config_for(controller=controller, faults=["crash@0:1"])
         )
         assert faulted == expected
         assert stats.restarts == 1
+        assert stats.transport == shard_path
 
-    @pytest.mark.parametrize("transport", TRANSPORTS)
     @pytest.mark.parametrize("kind", ["raise", "corrupt-descriptor"])
-    def test_soft_faults_recover_bit_identically(self, transport, kind):
-        expected, _ = run_outcomes(config_for(transport=transport))
-        faulted, stats = run_outcomes(
-            config_for(transport=transport, faults=[f"{kind}@1:1"])
-        )
+    def test_soft_faults_recover_bit_identically(self, shard_path, kind):
+        expected, _ = run_outcomes(config_for())
+        faulted, stats = run_outcomes(config_for(faults=[f"{kind}@1:1"]))
         assert faulted == expected
         assert stats.restarts == 1
+        assert stats.transport == shard_path
 
     @pytest.mark.parametrize("target", ["crash@0:0", "crash@1:2",
                                         "crash@2:3"])
@@ -137,7 +121,7 @@ class TestRecoveryBitParity:
             99, shards=2, windows=4, count=2, kinds=("crash", "raise")
         )
         faulted, stats = run_outcomes(
-            config_for().with_fault_plan(plan), windows=4
+            replace(config_for(), fault_plan=plan), windows=4
         )
         assert faulted == expected
         assert stats.restarts == 2
@@ -190,6 +174,17 @@ class TestWatchdog:
         assert stats.timeouts == 1
         assert stats.restarts == 1
         assert elapsed < 30.0, f"watchdog recovery took {elapsed:.1f}s"
+
+    def test_round_deadline_is_clamped_to_what_poll_accepts(self):
+        """A per-slot deadline times a many-slot round can pass the
+        ~24.8 days ``Connection.poll`` accepts; that means "forever",
+        so the round waits the longest it can instead of overflowing."""
+        config = config_for(timeout=1e6)
+        with ShardedEngineRunner(config, SCHEDULE, GENS) as runner:
+            assert runner._round_timeout(3) == MAX_SHARD_TIMEOUT
+            long_deadline = [outcome_tuple(w) for w in runner.run(3).windows]
+        expected, _ = run_outcomes(config_for())
+        assert long_deadline == expected
 
     def test_timeout_error_is_diagnosable(self):
         """With no restart budget the watchdog's verdict surfaces as-is."""

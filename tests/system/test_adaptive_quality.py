@@ -46,6 +46,7 @@ from repro.experiments.base import (
     uniform_schedule,
 )
 from repro.scenarios import get_scenario, scenario_names
+from repro.system.config import PipelineConfig
 from repro.system.scenarios import ScenarioRunner
 
 BACKENDS = ["python"] + (["numpy"] if numpy_available() else [])
@@ -66,16 +67,21 @@ VISIBLE_STRESS_SCENARIOS = ["flash-crowd", "drift"]
 
 
 #: The seeds a gate averages over, per backend (see the module docstring).
-STANDARD_SEED = ExperimentScale.quick().seed
+STANDARD_SEED = ExperimentScale.quick().config.seed
 NUMPY_SEEDS = tuple(range(STANDARD_SEED, STANDARD_SEED + 8))
 GATE_SEEDS = {"python": (STANDARD_SEED,), "numpy": NUMPY_SEEDS}
 
 
+def quick_scale(**knobs):
+    """Quick sizing on a config template with ``knobs`` set."""
+    return replace(ExperimentScale.quick(), config=PipelineConfig(**knobs))
+
+
 def seeded_quality(scenario, controller, fraction, backend, workers, seed):
     """(mean loss %, mean bound %) of one seeded quick-scale run."""
-    scale = replace(
-        ExperimentScale.quick(), backend=backend, seed=seed,
-        budget_controller=controller, workers=workers,
+    scale = quick_scale(
+        backend=backend, seed=seed, budget_controller=controller,
+        workers=workers,
     )
     config = base_config(fraction, scale)
     with ScenarioRunner(
@@ -101,10 +107,7 @@ def quality(scenario, controller, fraction, backend, workers=1):
 
 def budget_trace(scenario, controller, fraction, backend="python"):
     """The per-window root-budget trace of one seeded run."""
-    scale = replace(
-        ExperimentScale.quick(), backend=backend,
-        budget_controller=controller,
-    )
+    scale = quick_scale(backend=backend, budget_controller=controller)
     config = base_config(fraction, scale)
     with ScenarioRunner(
         config, uniform_schedule(scale.rate_scale), gaussian_generators(),
@@ -202,9 +205,8 @@ class TestFractionController:
 
     def test_shed_budget_still_within_reported_bound(self):
         """Shrinking to the target must not break bound coverage."""
-        scale = replace(
-            ExperimentScale.quick(), backend="python",
-            budget_controller="adaptive_fraction",
+        scale = quick_scale(
+            backend="python", budget_controller="adaptive_fraction"
         )
         config = base_config(0.2, scale)
         with ScenarioRunner(

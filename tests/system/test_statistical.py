@@ -1,5 +1,7 @@
 """Integration tests for the statistical pipeline runner."""
 
+from dataclasses import replace
+
 import pytest
 
 from repro.errors import ConfigurationError, PipelineError
@@ -123,10 +125,10 @@ class TestValidation:
 
     def test_config_copies(self):
         config = PipelineConfig(sampling_fraction=0.3)
-        srs = config.with_mode(ExecutionMode.SRS)
+        srs = replace(config, mode=ExecutionMode.SRS)
         assert srs.mode == ExecutionMode.SRS
         assert srs.sampling_fraction == 0.3
-        half = config.with_fraction(0.5)
+        half = replace(config, sampling_fraction=0.5)
         assert half.sampling_fraction == 0.5
         assert half.mode == config.mode
 

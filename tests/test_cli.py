@@ -142,42 +142,24 @@ class TestBudgetController:
 
 
 class TestShardTransport:
-    def test_default_is_auto(self):
-        for argv in (["figures"], ["scenarios", "run", "drift"]):
-            assert build_parser().parse_args(argv).shard_transport == "auto"
-
-    def test_selection(self):
-        args = build_parser().parse_args(
-            ["figures", "fig5", "--shard-transport", "shm"]
-        )
-        assert args.shard_transport == "shm"
-
-    def test_rejects_unknown_transport(self):
-        with pytest.raises(SystemExit):
-            build_parser().parse_args(
-                ["figures", "--shard-transport", "carrier-pigeon"]
-            )
-
-    def test_sharded_figure_run_on_each_transport(self, capsys):
+    def test_sharded_figure_run_on_each_transport(self, capsys, request):
         """fig5 regenerates identically on both shard IPC planes."""
         assert main(
-            ["figures", "fig5", "--scale", "quick", "--workers", "2",
-             "--shard-transport", "pipe"]
+            ["figures", "fig5", "--scale", "quick", "--workers", "2"]
+        ) == 0
+        default_out = capsys.readouterr().out
+        request.getfixturevalue("pipe_only")
+        assert main(
+            ["figures", "fig5", "--scale", "quick", "--workers", "2"]
         ) == 0
         pipe_out = capsys.readouterr().out
-        assert main(
-            ["figures", "fig5", "--scale", "quick", "--workers", "2",
-             "--shard-transport", "shm"]
-        ) == 0
-        shm_out = capsys.readouterr().out
-        assert "Fig. 5" in shm_out
-        assert shm_out == pipe_out
+        assert "Fig. 5" in default_out
+        assert default_out == pipe_out
 
     def test_sharded_scenario_run_on_shm(self, capsys):
         assert main(
             ["scenarios", "run", "flash-crowd", "--scale", "quick",
-             "--windows", "3", "--workers", "2",
-             "--shard-transport", "shm"]
+             "--windows", "3", "--workers", "2"]
         ) == 0
         assert "quality over time" in capsys.readouterr().out
 
@@ -243,6 +225,24 @@ class TestShardSupervision:
             ["figures", "fig5", "--inject-fault", "crash@0:1"]
         ) == 2
         assert "workers" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("timeout", ["inf", "nan", "3e6", "0"])
+    def test_unusable_timeout_reports_error(self, capsys, timeout):
+        """The watchdog polls in int milliseconds; a deadline it cannot
+        wait for is a configuration error, not a traceback."""
+        assert main(
+            ["scenarios", "run", "steady", "--workers", "2",
+             "--shard-timeout", timeout]
+        ) == 2
+        assert capsys.readouterr().err.startswith("error: shard_timeout")
+
+    def test_bad_knob_fails_before_any_figure_runs(self, capsys):
+        assert main(
+            ["figures", "fig5", "fig6", "--shard-timeout", "inf"]
+        ) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "shard_timeout" in captured.err
 
     def test_hang_fault_without_timeout_reports_error(self, capsys):
         assert main(
