@@ -4,7 +4,7 @@
 2. Weight propagation (Eq. 2) vs naive 1/fraction rescaling at the root.
 3. Budget allocation policies (fair-fill vs equal vs proportional).
 4. Per-item reservoir vs skip-ahead sampling CPU cost.
-5. Worker-parallel sampling (§III-E): estimate invariant across pool sizes.
+5. Worker-parallel sampling (§III-E): estimate unbiased at every shard count.
 """
 
 import random
@@ -20,7 +20,8 @@ from repro.core.stratified import (
     allocate_proportional,
 )
 from repro.core.whs import whsamp
-from repro.core.worker import WorkerPool
+from repro.engine.sharding import ShardedEngineRunner
+from repro.experiments.base import gaussian_generators, uniform_schedule
 from repro.metrics.report import Table
 from repro.system.config import PipelineConfig
 from repro.system.statistical import StatisticalRunner
@@ -199,24 +200,30 @@ def test_ablation_reservoir_cpu(benchmark, results_sink):
 
 
 def test_ablation_worker_parallelism(benchmark, results_sink):
-    """Ablation 5: §III-E worker pools leave the estimate unchanged."""
+    """Ablation 5: §III-E worker shards leave the estimate unbiased.
+
+    The engine's in-process shard model (``inline=True``) splits every
+    sub-stream of the Fig. 5 workload across ``w`` coordination-free
+    shards and merges their Theta at the root, exactly as the process
+    path does.
+    """
+    schedule = uniform_schedule(0.2)
 
     def run():
-        rng = random.Random(4)
-        values = [rng.gauss(100, 10) for _ in range(20_000)]
-        true_sum = sum(values)
         rows = {}
         for workers in (1, 2, 4, 8):
-            estimates = []
-            for trial in range(10):
-                pool = WorkerPool(
-                    "s", 2000, workers, rng=random.Random(trial)
+            approx = exact = 0.0
+            for seed in range(10):
+                config = PipelineConfig(
+                    sampling_fraction=0.1, seed=seed, workers=workers
                 )
-                pool.extend([StreamItem("s", v) for v in values])
-                batches = pool.flush(1.0)
-                estimates.append(sum(b.estimated_sum for b in batches))
-            mean = sum(estimates) / len(estimates)
-            rows[workers] = abs(mean - true_sum) / true_sum
+                with ShardedEngineRunner(
+                    config, schedule, gaussian_generators(), inline=True
+                ) as runner:
+                    for window in runner.run(2).windows:
+                        approx += window.approx_sum.value
+                        exact += window.exact_sum
+            rows[workers] = abs(approx - exact) / exact
         return rows
 
     rows = benchmark.pedantic(run, rounds=1, iterations=1)

@@ -3,25 +3,22 @@
 Builds the paper's basic scenario by hand: two edge nodes sampling
 sub-streams and forwarding to a root node that answers a SUM query
 with rigorous error bounds, then checks the estimate against the
-ground truth.
+ground truth. Each node's interval close is one Algorithm 1 call —
+``whsamp`` over raw arrivals at an edge, ``whsamp_batches`` over the
+received ``(W_out, items)`` pairs at the root — and the root's answer
+comes from its Theta store, exactly as the engine runs every node.
 
 Run:  python examples/quickstart.py
 """
 
 import random
 
-from repro.core import RootNode, SamplingNode, StreamItem
+from repro.core import StreamItem, ThetaStore, estimate_sum_with_error, whsamp
+from repro.core.whs import whsamp_batches
 
 
 def main() -> None:
     rng = random.Random(7)
-
-    # A root (datacenter) node with a budget of 400 items per interval.
-    root = RootNode("datacenter", sample_size=400, rng=rng)
-
-    # Two edge nodes, each forwarding its sampled sub-streams to the root.
-    edge_west = SamplingNode("edge-west", 800, root.receive, rng=rng)
-    edge_east = SamplingNode("edge-east", 800, root.receive, rng=rng)
 
     # Sensors produce two sub-streams with very different magnitudes:
     # a chatty low-value one and a quiet high-value one. Stratified
@@ -29,27 +26,31 @@ def main() -> None:
     chatty = [StreamItem("temperature", rng.gauss(21.0, 2.0)) for _ in range(9_000)]
     quiet = [StreamItem("power-grid", rng.gauss(50_000.0, 1_500.0)) for _ in range(120)]
 
-    edge_west.receive_raw(chatty[:4500] + quiet[:60])
-    edge_east.receive_raw(chatty[4500:] + quiet[60:])
+    # One time interval passes: each edge node samples its arrivals
+    # with a budget of 800 items and forwards the weighted batches...
+    west = whsamp(chatty[:4500] + quiet[:60], 800, rng=rng, backend="auto")
+    east = whsamp(chatty[4500:] + quiet[60:], 800, rng=rng, backend="auto")
 
-    # One time interval passes: every node samples and forwards.
-    edge_west.close_interval()
-    edge_east.close_interval()
-    root.close_interval()
+    # ...and the root (datacenter) samples what arrived to 400 items
+    # and stashes the result in Theta for the window's query.
+    root = whsamp_batches(west.batches + east.batches, 400, rng=rng, backend="auto")
+    theta = ThetaStore()
+    theta.extend(root.batches)
 
-    result = root.run_query()
+    result = estimate_sum_with_error(theta)
+    recovered = sum(est.estimated_count for est in theta.per_substream().values())
     exact = sum(i.value for i in chatty) + sum(i.value for i in quiet)
 
     print("ApproxIoT quickstart")
     print("--------------------")
     print(f"items emitted        : {len(chatty) + len(quiet)}")
     print(f"items at the root    : {result.sampled_items}")
-    print(f"recovered item count : {result.estimated_items:.1f}  (exact by Eq. 8)")
-    print(f"approximate SUM      : {result.sum}")
+    print(f"recovered item count : {recovered:.1f}  (exact by Eq. 8)")
+    print(f"approximate SUM      : {result}")
     print(f"exact SUM            : {exact:,.1f}")
-    loss = abs(result.sum.value - exact) / exact
+    loss = abs(result.value - exact) / exact
     print(f"accuracy loss        : {100 * loss:.4f}%")
-    print(f"bound covers exact   : {result.sum.contains(exact)}")
+    print(f"bound covers exact   : {result.contains(exact)}")
 
 
 if __name__ == "__main__":

@@ -9,20 +9,25 @@ topology, workload generators, and the full experiment harness.
 
 Quickstart::
 
-    from repro.system import ApproxIoTPipeline, PipelineConfig
-    from repro.workloads import GaussianSubstream
+    from repro.system import PipelineConfig, StatisticalRunner
+    from repro.workloads import RateSchedule, paper_gaussian_substreams
 
-See ``examples/quickstart.py`` for a runnable version.
+    schedule = RateSchedule("uniform", dict.fromkeys("ABCD", 500.0))
+    generators = {g.name: g for g in paper_gaussian_substreams()}
+    config = PipelineConfig(sampling_fraction=0.1)
+    with StatisticalRunner(config, schedule, generators) as runner:
+        window = runner.run_window()
+    print(window.approx_sum, window.exact_sum)
+
+See ``examples/quickstart.py`` for the same tree built by hand from
+Algorithm 1 calls.
 """
 
 from repro.core import (
     ApproximateResult,
     CoinFlipSampler,
     FractionBudget,
-    QueryResult,
     ReservoirSampler,
-    RootNode,
-    SamplingNode,
     StreamItem,
     ThetaStore,
     WeightMap,
@@ -37,10 +42,7 @@ __all__ = [
     "ApproximateResult",
     "CoinFlipSampler",
     "FractionBudget",
-    "QueryResult",
     "ReservoirSampler",
-    "RootNode",
-    "SamplingNode",
     "StreamItem",
     "ThetaStore",
     "WeightMap",

@@ -1,11 +1,12 @@
 """Core algorithms of the ApproxIoT reproduction.
 
 This subpackage contains the paper's primary contribution: weighted
-hierarchical sampling (Algorithm 1), the per-node driver (Algorithm 2),
-the SUM/MEAN estimators of §III-C, the error bounds of §III-D, and the
-distributed-execution extension of §III-E, together with the sampling
-primitives they build on (reservoir sampling, coin-flip SRS, stratum
-budget allocation) and the budget cost functions.
+hierarchical sampling (Algorithm 1), the SUM/MEAN estimators of §III-C
+and the error bounds of §III-D, together with the sampling primitives
+they build on (reservoir sampling, coin-flip SRS, stratum budget
+allocation) and the budget cost functions. Algorithm 2's per-node loop
+and §III-E's worker shards are run by :mod:`repro.engine` on these
+primitives.
 """
 
 from repro.core.columns import (
@@ -36,13 +37,10 @@ from repro.core.estimator import (
 )
 from repro.core.fastpath import (
     BACKENDS,
-    NumpyReservoirSampler,
-    make_reservoir_sampler,
     numpy_available,
     resolve_backend,
 )
 from repro.core.items import StreamItem, WeightedBatch, group_by_substream
-from repro.core.node import QueryResult, RootNode, SamplingNode
 from repro.core.reservoir import (
     ReservoirSampler,
     SkipAheadReservoirSampler,
@@ -58,7 +56,6 @@ from repro.core.stratified import (
 )
 from repro.core.weights import WeightMap, local_weight, output_weight
 from repro.core.whs import WeightedHierarchicalSampler, WHSampResult, whsamp
-from repro.core.worker import ParallelSamplingNode, SubstreamWorker, WorkerPool
 
 __all__ = [
     "AdaptiveErrorBudget",
@@ -67,23 +64,16 @@ __all__ = [
     "CoinFlipSampler",
     "ColumnarBatch",
     "FractionBudget",
-    "NumpyReservoirSampler",
-    "ParallelSamplingNode",
-    "QueryResult",
     "ReservoirSampler",
-    "RootNode",
-    "SamplingNode",
     "SkipAheadReservoirSampler",
     "StreamItem",
     "SubstreamEstimate",
-    "SubstreamWorker",
     "ThetaStore",
     "ThroughputBudget",
     "WHSampResult",
     "WeightMap",
     "WeightedBatch",
     "WeightedHierarchicalSampler",
-    "WorkerPool",
     "allocate_equal",
     "allocate_fair_fill",
     "allocate_proportional",
@@ -98,7 +88,6 @@ __all__ = [
     "masked_sum",
     "horvitz_thompson_sum",
     "local_weight",
-    "make_reservoir_sampler",
     "mean_variance",
     "neyman_factors",
     "numpy_available",

@@ -1,11 +1,17 @@
-"""Reservoir sampling primitives.
+"""Streaming reservoir sampling primitives.
 
-Implements the classic Algorithm R (Vitter 1985) used by the paper's
+Implements the classic Algorithm R (Vitter 1985) behind the paper's
 ``RS(S_i, N_i)`` call in Algorithm 1, plus Vitter's skip-ahead
 optimisation (Algorithm X style geometric skipping) that avoids drawing
 one random number per item once the stream is much longer than the
 reservoir. Both produce a uniform random sample without replacement of
 at most ``capacity`` items from a stream of unknown length.
+
+These are the per-item reference forms. The engine samples whole
+materialised intervals, so it draws survivor index sets instead:
+:func:`~repro.core.fastpath.reservoir_sample_indices` replays
+:class:`ReservoirSampler`'s entropy stream exactly, and
+:func:`~repro.core.fastpath.batch_sample_indices` is its numpy twin.
 """
 
 from __future__ import annotations
@@ -205,23 +211,13 @@ def reservoir_sample(
     items: Sequence[T],
     capacity: int,
     rng: random.Random | None = None,
-    *,
-    backend: str = "python",
 ) -> list[T]:
-    """One-shot reservoir sample of ``capacity`` items from a sequence.
+    """One-shot Algorithm R sample of ``capacity`` items from a sequence.
 
-    Convenience wrapper used by Algorithm 1's ``RS(S_i, N_i)`` call when
-    the per-interval sub-stream is already materialised. ``backend``
-    selects the sampling implementation (see
-    :mod:`repro.core.fastpath`); the default stays pure Python so seeded
-    callers keep bit-for-bit reproducibility with older revisions.
+    The engine never materialises sampled items this way: it draws
+    survivor *indices* (:mod:`repro.core.fastpath`) and gathers columns.
     """
-    # Imported lazily: fastpath imports ReservoirSampler from this module.
-    from repro.core.fastpath import make_reservoir_sampler
-
-    sampler: ReservoirSampler[T] = make_reservoir_sampler(
-        capacity, rng, backend=backend
-    )
+    sampler: ReservoirSampler[T] = ReservoirSampler(capacity, rng)
     sampler.extend(items)
     return sampler.sample()
 

@@ -4,11 +4,12 @@ The paper argues a sub-stream can be handled by ``w`` coordination-free
 workers: each samples an equal portion of the items with a
 proportionally smaller reservoir, and the per-worker ``(W_out, I)``
 pairs are simply concatenated upstream — Eq. 8 holds per worker, hence
-for the union. :mod:`repro.core.worker` models that statistically
-inside one process; this module makes it *physical*: the windowed
-engine loop runs in ``N`` OS processes at once, each over an equal
-share of every sub-stream, and the root merges per-shard Theta state
-before estimating.
+for the union. This module is the library's one model of that: the
+windowed engine loop runs in ``N`` OS processes at once, each over an
+equal share of every sub-stream, and the root merges per-shard Theta
+state before estimating. ``ShardedEngineRunner(..., inline=True)``
+runs the same shards one after another in the calling process, which
+is the in-process form of §III-E (bit-identical to the process form).
 
 How a sharded run decomposes:
 

@@ -5,18 +5,13 @@ The paper's three metrics (§V-A): throughput (items/s), accuracy loss
 bandwidth-saving rate of Fig. 7. Accuracy lives in
 :func:`repro.system.accuracy_loss`; latency and bandwidth helpers in
 :mod:`repro.simnet.stats`; this package adds report tables shared by
-the experiment harness.
+the experiment harness and imports nothing else from the library.
 """
 
 from repro.metrics.report import Table, format_bytes, format_percent, format_rate
-from repro.simnet.stats import LatencyRecorder, bandwidth_saving
-from repro.system.statistical import accuracy_loss
 
 __all__ = [
-    "LatencyRecorder",
     "Table",
-    "accuracy_loss",
-    "bandwidth_saving",
     "format_bytes",
     "format_percent",
     "format_rate",

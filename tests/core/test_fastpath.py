@@ -16,12 +16,13 @@ from repro.core.fastpath import (
     BACKEND_NUMPY,
     BACKEND_PYTHON,
     BACKENDS,
-    make_reservoir_sampler,
+    batch_sample_indices,
+    make_generator,
     numpy_available,
+    reservoir_sample_indices,
     resolve_backend,
 )
 from repro.core.items import StreamItem, WeightedBatch
-from repro.core.reservoir import ReservoirSampler, reservoir_sample
 from repro.core.whs import whsamp, whsamp_batches
 from repro.errors import SamplingError
 
@@ -48,7 +49,7 @@ def items_for(substream: str, count: int) -> list[StreamItem]:
 
 
 # ----------------------------------------------------------------------
-# Backend resolution and the factory seam
+# Backend resolution
 # ----------------------------------------------------------------------
 class TestBackendResolution:
     def test_python_always_resolves(self):
@@ -70,85 +71,40 @@ class TestBackendResolution:
         with pytest.raises(SamplingError):
             fastpath.resolve_backend(BACKEND_NUMPY)
 
-    def test_factory_returns_python_sampler(self):
-        sampler = make_reservoir_sampler(5, backend=BACKEND_PYTHON)
-        assert type(sampler) is ReservoirSampler
-
-    @requires_numpy
-    def test_factory_returns_numpy_sampler(self):
-        from repro.core.fastpath import NumpyReservoirSampler
-
-        sampler = make_reservoir_sampler(5, backend=BACKEND_NUMPY)
-        assert isinstance(sampler, NumpyReservoirSampler)
-
     def test_backends_constant_is_exhaustive(self):
         assert set(BACKENDS) == {BACKEND_AUTO, BACKEND_PYTHON, BACKEND_NUMPY}
 
 
 # ----------------------------------------------------------------------
-# Reservoir semantics parity
+# Survivor-index kernel parity
 # ----------------------------------------------------------------------
+def survivors(backend: str, population: int, capacity: int,
+              rng: random.Random) -> list[int]:
+    """Algorithm 1's ``RS(S_i, N_i)`` index set on ``backend``, sorted."""
+    if backend == BACKEND_NUMPY:
+        gen = make_generator(rng)
+        return batch_sample_indices(population, capacity, gen).tolist()
+    return sorted(reservoir_sample_indices(population, capacity, rng))
+
+
 @pytest.mark.parametrize("backend", AVAILABLE)
 class TestReservoirParity:
     def test_under_capacity_keeps_everything(self, backend):
-        sampler = make_reservoir_sampler(50, random.Random(1), backend=backend)
-        sampler.extend(items_for("a", 20))
-        assert len(sampler) == 20
-        assert sampler.seen == 20
-        assert not sampler.is_saturated
-        assert sampler.sample() == items_for("a", 20)
+        assert survivors(backend, 20, 50, random.Random(1)) == list(range(20))
 
     def test_over_capacity_caps_and_counts(self, backend):
-        sampler = make_reservoir_sampler(10, random.Random(2), backend=backend)
-        sampler.extend(items_for("a", 500))
-        assert len(sampler) == 10
-        assert sampler.seen == 500
-        assert sampler.is_saturated
+        assert len(survivors(backend, 500, 10, random.Random(2))) == 10
 
     def test_sample_is_subset_without_duplicates(self, backend):
-        universe = items_for("a", 300)
-        sampler = make_reservoir_sampler(25, random.Random(3), backend=backend)
-        sampler.extend(universe)
-        sample = sampler.sample()
-        values = [item.value for item in sample]
-        assert len(set(values)) == len(values) == 25
-        assert set(sample) <= set(universe)
-
-    def test_reset_clears_state(self, backend):
-        sampler = make_reservoir_sampler(4, random.Random(4), backend=backend)
-        sampler.extend(items_for("a", 100))
-        sampler.reset()
-        assert len(sampler) == 0
-        assert sampler.seen == 0
-        sampler.extend(items_for("a", 3))
-        assert len(sampler) == 3
-
-    def test_chunked_feeding_equals_streaming(self, backend):
-        """Seen/size bookkeeping is chunking-invariant."""
-        sampler = make_reservoir_sampler(16, random.Random(5), backend=backend)
-        stream = items_for("a", 1000)
-        for start in (0, 7, 16, 100, 999):
-            sampler.extend(stream[start : start + 1])
-        sampler.extend(stream[:500])
-        sampler.offer(stream[0])
-        assert sampler.seen == 506
-        assert len(sampler) == 16
+        sample = survivors(backend, 300, 25, random.Random(3))
+        assert len(set(sample)) == len(sample) == 25
+        assert all(0 <= index < 300 for index in sample)
 
     def test_seeded_runs_are_deterministic(self, backend):
         def run():
-            sampler = make_reservoir_sampler(
-                8, random.Random(99), backend=backend
-            )
-            sampler.extend(items_for("a", 400))
-            return sampler.sample()
+            return survivors(backend, 400, 8, random.Random(99))
 
         assert run() == run()
-
-    def test_one_shot_convenience(self, backend):
-        sample = reservoir_sample(
-            items_for("a", 200), 11, random.Random(6), backend=backend
-        )
-        assert len(sample) == 11
 
 
 # ----------------------------------------------------------------------
@@ -159,14 +115,9 @@ def inclusion_histogram(backend: str, *, runs: int, n: int, capacity: int,
     """How often each position-bucket of the stream gets sampled."""
     per_bucket = n // buckets
     counts = [0] * buckets
-    stream = items_for("a", n)
     for seed in range(runs):
-        sampler = make_reservoir_sampler(
-            capacity, random.Random(10_000 + seed), backend=backend
-        )
-        sampler.extend(stream)
-        for item in sampler.sample():
-            counts[int(item.value) // per_bucket] += 1
+        for index in survivors(backend, n, capacity, random.Random(10_000 + seed)):
+            counts[index // per_bucket] += 1
     return counts
 
 

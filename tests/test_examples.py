@@ -1,0 +1,55 @@
+"""The user-facing snippets run: every example script, README's
+Quickstart block and the package docstring's quickstart.
+
+Each example runs in a fresh interpreter with ``src`` on the path, the
+way README tells users to run it. Every snippet uses
+``backend="auto"`` (or a default that resolves through it), so all of
+them also run on the dependency-free install.
+"""
+
+from __future__ import annotations
+
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
+
+import pytest
+
+import repro
+
+ROOT = Path(__file__).resolve().parents[1]
+EXAMPLES = sorted((ROOT / "examples").glob("*.py"))
+
+
+@pytest.mark.parametrize("script", EXAMPLES, ids=lambda path: path.name)
+def test_example_runs(script):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")])
+    )
+    completed = subprocess.run(
+        [sys.executable, str(script)],
+        cwd=ROOT, env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert completed.returncode == 0, completed.stderr
+    assert completed.stdout.strip()
+
+
+def test_examples_exist():
+    assert len(EXAMPLES) >= 7, [path.name for path in EXAMPLES]
+
+
+def test_readme_quickstart_block_runs(capsys):
+    readme = (ROOT / "README.md").read_text()
+    section = readme.split("\n## Quickstart\n", 1)[1]
+    block = section.split("```python\n", 1)[1].split("```", 1)[0]
+    exec(compile(block, "README.md#quickstart", "exec"), {})
+    assert "9120.0" in capsys.readouterr().out
+
+
+def test_package_docstring_quickstart_runs(capsys):
+    snippet = repro.__doc__.split("Quickstart::\n", 1)[1].split("\nSee ", 1)[0]
+    exec(compile(textwrap.dedent(snippet), "repro.__doc__", "exec"), {})
+    assert "±" in capsys.readouterr().out
