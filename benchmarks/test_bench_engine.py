@@ -72,7 +72,6 @@ def _measure(backend: str, scale: ExperimentScale) -> BackendPoint:
             sampling_fraction=FRACTION,
             seed=scale.config.seed,
             backend=backend,
-            transport="inprocess",
         )
         runner = StatisticalRunner(config, schedule, generators)
         start = time.perf_counter()
@@ -144,7 +143,6 @@ def _measure_workers(workers: int, scale: ExperimentScale) -> ScalingPoint:
         sampling_fraction=FRACTION,
         seed=scale.config.seed,
         backend="auto",
-        transport="inprocess",
         workers=workers,
     )
     best = 0.0

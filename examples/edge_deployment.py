@@ -39,10 +39,6 @@ def main() -> None:
             mode=mode,
             placement=placement,
             seed=scale.config.seed,
-            # Batches ride broker topics fed over the simulated WAN
-            # links; "broker" instead would model an ideal (free)
-            # network for ablations.
-            transport="simnet",
         )
         simulator = DeploymentSimulator(
             config, schedule, generators, n_windows=10

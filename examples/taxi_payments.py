@@ -24,10 +24,6 @@ def main() -> None:
         sampling_fraction=0.10,
         window_seconds=1.0,
         seed=scale.config.seed,
-        # Move every inter-node batch over pub/sub topics instead of
-        # in-process callbacks; a seeded run is transport-invariant,
-        # so the table below is identical either way.
-        transport="broker",
     )
     runner = StatisticalRunner(config, schedule, generators)
 

@@ -3,17 +3,17 @@
 Commands:
 
 * ``figures [ids...] [--scale quick|bench] [--backend ...]
-  [--transport ...] [--workers N] [--budget-controller ...]
+  [--workers N] [--budget-controller ...]
   [--shard-timeout S] [--on-shard-loss ...] [--inject-fault SPEC]`` —
   regenerate the paper's evaluation figures as text tables (all of
-  them by default) on the selected sampling backend, inter-node
-  transport, worker-shard count, per-window budget controller and
+  them by default) on the selected sampling backend,
+  worker-shard count, per-window budget controller and
   shard-supervision knobs (watchdog deadline, loss policy, injected
   faults). How a shard's Theta crosses the process boundary is not a
   flag: the engine picks shared memory where it can and the pipe
   otherwise.
 * ``scenarios run <name> [--windows N] [--fraction F] [--scale ...]
-  [--backend ...] [--transport ...] [--workers N]
+  [--backend ...] [--workers N]
   [--budget-controller ...]
   [--shard-timeout S] [--on-shard-loss ...] [--inject-fault SPEC]`` —
   run a built-in dynamic-workload scenario (bursts, skew drift, node
@@ -51,7 +51,6 @@ from repro.scenarios.catalog import BUILTIN_SCENARIOS, get_scenario
 from repro.system.config import (
     BUDGET_CONTROLLERS,
     SHARD_LOSS_POLICIES,
-    TRANSPORTS,
     PipelineConfig,
 )
 from repro.system.scenarios import ScenarioRunner
@@ -78,7 +77,7 @@ _SUBSYSTEMS = [
 ]
 
 
-def _add_engine_knobs(parser: argparse.ArgumentParser, *, transport_help: str,
+def _add_engine_knobs(parser: argparse.ArgumentParser, *,
                       workers_help: str) -> None:
     """The engine knobs shared by ``figures`` and ``scenarios run``.
 
@@ -98,12 +97,6 @@ def _add_engine_knobs(parser: argparse.ArgumentParser, *, transport_help: str,
         choices=sorted(BACKENDS),
         default=defaults.backend,
         help="sampling kernel (default: auto — numpy when installed)",
-    )
-    parser.add_argument(
-        "--transport",
-        choices=sorted(TRANSPORTS),
-        default=defaults.transport,
-        help=transport_help,
     )
     parser.add_argument(
         "--workers",
@@ -170,9 +163,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     _add_engine_knobs(
         figures,
-        transport_help="inter-node transport (default: auto — in-process "
-                       "for accuracy figures, simnet for deployment "
-                       "figures)",
         workers_help="process-parallel worker shards for the statistical "
                      "(accuracy) figures; deployment figures model "
                      "distribution via simnet and ignore it (default: 1)",
@@ -211,10 +201,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     _add_engine_knobs(
         scenario_run,
-        transport_help="inter-node transport (default: auto = in-process; "
-                       "'simnet' is rejected — churn re-parents the tree "
-                       "mid-run, which would desync a static WAN "
-                       "placement)",
         workers_help="process-parallel worker shards; every shard replays "
                      "the identical scenario timeline (default: 1)",
     )

@@ -6,7 +6,8 @@ The engine separates *what a run is* from *how it executes*:
   sources, per-node budgets, resolved sampling backend — from a
   :class:`~repro.system.config.PipelineConfig` and a rate schedule.
 * :mod:`repro.engine.transport` moves weighted batches between nodes:
-  in-process callbacks, broker topics, or simnet-backed broker links.
+  in-process callbacks (statistical runs) or simnet-backed broker
+  links (deployment runs).
 * :mod:`repro.engine.runner` is the single windowed run loop with the
   paper's three strategies (approxiot / srs / native).
 * :mod:`repro.engine.sharding` scales that loop across cores: a shard
@@ -46,7 +47,6 @@ from repro.engine.transport import (
     InProcessTransport,
     SimnetBrokerTransport,
     Transport,
-    make_statistical_transport,
     topic_for,
 )
 
@@ -65,7 +65,6 @@ __all__ = [
     "WindowOutcome",
     "accuracy_loss",
     "build_pipeline",
-    "make_statistical_transport",
     "plan_shards",
     "sample_interval",
     "topic_for",

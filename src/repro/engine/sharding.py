@@ -111,7 +111,7 @@ from repro.engine.runner import (
     WindowOutcome,
     _estimate_window,
 )
-from repro.engine.transport import make_statistical_transport
+from repro.engine.transport import InProcessTransport
 from repro.errors import ConfigurationError, PipelineError, ShardTimeoutError
 from repro.workloads.rates import RateSchedule
 
@@ -237,7 +237,7 @@ class _ShardState:
         # all shards replay the identical controller decision.
         self._runner = EngineRunner(
             pipeline,
-            make_statistical_transport(config.transport),
+            InProcessTransport(),
             scenario=engine,
             observe_locally=False,
         )
@@ -657,11 +657,6 @@ class ShardedEngineRunner:
         ring_bytes: int | None = None,
         backoff_seconds: float = 0.05,
     ) -> None:
-        if config.transport == "simnet":
-            raise ConfigurationError(
-                "sharded execution drives the statistical engine; the "
-                "'simnet' transport requires the deployment simulator"
-            )
         self._config = config
         self._plans = plan_shards(config, schedule)
         self._inline = inline or config.workers == 1

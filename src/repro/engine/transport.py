@@ -6,7 +6,7 @@ whatever :meth:`Transport.collect` returns. Three implementations
 cover the paper's spectrum of realism:
 
 * :class:`InProcessTransport` — plain per-node inboxes; batches move
-  by direct callback. The statistical (accuracy) engine's default.
+  by direct callback. The statistical (accuracy) engine's transport.
 * :class:`BrokerTransport` — every node ingests from its own pub/sub
   topic (one consumer group per node, as the paper's Kafka layer
   does); delivery is immediate but observable and replayable through
@@ -14,7 +14,7 @@ cover the paper's spectrum of realism:
 * :class:`SimnetBrokerTransport` — broker topics fed over simulated
   WAN links: a send crosses the src→dst link (propagation +
   serialization + FIFO queueing) before the record lands in the
-  destination topic. The deployment engine's default.
+  destination topic. The deployment engine's transport.
 
 All three deliver batches in send order per destination, so a seeded
 run produces identical samples on every transport (the cross-transport
@@ -44,7 +44,6 @@ __all__ = [
     "BrokerTransport",
     "SimnetBrokerTransport",
     "topic_for",
-    "make_statistical_transport",
 ]
 
 
@@ -231,20 +230,3 @@ class SimnetBrokerTransport(BrokerTransport):
             lambda delivered: self.deliver(dst, delivered),
         )
 
-
-def make_statistical_transport(name: str) -> Transport:
-    """The transport behind a statistical (algorithmic) run.
-
-    ``"auto"`` resolves to in-process delivery; ``"simnet"`` is
-    rejected because the algorithmic engine has no simulation clock to
-    drive link events (use the deployment simulator for that).
-    """
-    if name in ("auto", "inprocess"):
-        return InProcessTransport()
-    if name == "broker":
-        return BrokerTransport()
-    raise ConfigurationError(
-        f"the statistical runner supports transports "
-        f"('inprocess', 'broker'), got {name!r}; the 'simnet' transport "
-        f"requires the deployment simulator"
-    )

@@ -57,10 +57,6 @@ class TopologyError(StreamsError):
     """The processing topology is malformed (cycle, dangling node...)."""
 
 
-class StateStoreError(StreamsError):
-    """Invalid state-store access."""
-
-
 class SimulationError(ReproError):
     """Base class for discrete-event simulator errors."""
 

@@ -42,8 +42,8 @@ class ExperimentScale:
         rate_scale: Multiplier over the baseline per-sub-stream rates.
         windows: Number of query windows to run and average over.
         config: The template every runner's config is derived from
-            (:func:`base_config`): seed, sampling backend, transport,
-            worker shards, budget controller and shard supervision are
+            (:func:`base_config`): seed, sampling backend, worker
+            shards, budget controller and shard supervision are
             read from it, never re-declared here.
     """
 

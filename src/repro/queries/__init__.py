@@ -12,7 +12,6 @@ from repro.queries.query import (
     PerSubstreamSumQuery,
     SumQuery,
 )
-from repro.queries.runner import partition_theta, run_job
 from repro.queries.topk import (
     QuantileEstimate,
     QuantileQuery,
@@ -30,6 +29,4 @@ __all__ = [
     "RankedSubstream",
     "SumQuery",
     "TopKQuery",
-    "partition_theta",
-    "run_job",
 ]

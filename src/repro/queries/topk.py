@@ -48,8 +48,8 @@ class TopKQuery:
     """``SELECT substream, SUM(value) ... ORDER BY 2 DESC LIMIT k``."""
 
     def __init__(self, k: int, confidence: float = 0.95) -> None:
-        if k <= 0:
-            raise EstimationError(f"k must be >= 1, got {k}")
+        if isinstance(k, bool) or not isinstance(k, int) or k <= 0:
+            raise EstimationError(f"k must be an integer >= 1, got {k!r}")
         self.name = "top-k"
         self.k = k
         self.confidence = confidence

@@ -3,7 +3,7 @@
 A :class:`~repro.scenarios.scenario.Scenario` is a seeded timeline of
 typed events — rate bursts/ramps/waves, skew drift, node churn and
 link degradation — that any engine configuration (strategy, backend,
-transport, worker shards) can run.
+worker shards) can run.
 :class:`~repro.scenarios.engine.ScenarioEngine` binds a scenario to a
 concrete tree + rate schedule and compiles per-window state; the
 built-in catalog behind ``repro scenarios run|list`` lives in

@@ -1,24 +1,19 @@
 """Kafka-Streams-model processing engine.
 
-Provides the two API levels the paper's prototype uses: the low-level
-Processor API (the integration point for the user-defined sampling
-processor) and a high-level DSL (map/filter/windowed aggregation) that
-compiles onto it, plus state stores, window definitions and a runtime
-that drives a topology from broker topics.
+The slice of Kafka Streams the paper's prototype (§IV) runs on: the
+low-level Processor API (the integration point for the user-defined
+sampling processor), a fluent builder that wires a processor between
+a source topic and a sink topic, and a runtime that drives the
+topology from broker topics.
 """
 
 from repro.streams.dsl import KStream, StreamBuilder
-from repro.streams.processor import FunctionProcessor, Processor, ProcessorContext
+from repro.streams.processor import Processor, ProcessorContext
 from repro.streams.runtime import StreamsRuntime
-from repro.streams.state import KeyValueStore, WindowStore
 from repro.streams.topology import SinkNode, SourceNode, Topology
-from repro.streams.windowing import HoppingWindow, TumblingWindow, window_start
 
 __all__ = [
-    "FunctionProcessor",
-    "HoppingWindow",
     "KStream",
-    "KeyValueStore",
     "Processor",
     "ProcessorContext",
     "SinkNode",
@@ -26,7 +21,4 @@ __all__ = [
     "StreamBuilder",
     "StreamsRuntime",
     "Topology",
-    "TumblingWindow",
-    "WindowStore",
-    "window_start",
 ]

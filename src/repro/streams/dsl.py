@@ -1,21 +1,17 @@
-"""High-level Streams DSL on top of the Processor API.
+"""Fluent topology builder on top of the Processor API.
 
-Mirrors the shape of the Kafka Streams DSL the paper's computation
-engine uses: a fluent :class:`StreamBuilder` producing ``map``,
-``filter``, ``flat_map``, ``group_by_key`` and windowed aggregations,
-all compiled down to the low-level topology of
-:mod:`repro.streams.topology`.
+The slice of the Kafka Streams DSL the paper's prototype (§IV) needs:
+open a stream over input topics, plug a user-defined processor into
+it, and terminate the branch into an output topic. Each call adds one
+node to the low-level topology of :mod:`repro.streams.topology`.
 """
 
 from __future__ import annotations
 
 import itertools
-from typing import Any, Callable
 
-from repro.streams.processor import Processor, ProcessorContext
-from repro.streams.state import WindowStore
+from repro.streams.processor import Processor
 from repro.streams.topology import Topology
-from repro.streams.windowing import TumblingWindow
 
 __all__ = ["StreamBuilder", "KStream"]
 
@@ -26,127 +22,12 @@ def _fresh(name: str) -> str:
     return f"{name}-{next(_node_ids)}"
 
 
-class _WindowedAggregateProcessor(Processor):
-    """Aggregates values per key per tumbling window.
-
-    Emits ``(key, (window_start, aggregate))`` downstream whenever
-    stream time passes a window boundary (punctuation-driven, so late
-    records within the same run still land in their window).
-    """
-
-    def __init__(
-        self,
-        name: str,
-        window: TumblingWindow,
-        initializer: Callable[[], Any],
-        aggregator: Callable[[Any, Any, Any], Any],
-        retention: float | None = None,
-    ) -> None:
-        super().__init__(name)
-        self._window = window
-        self._initializer = initializer
-        self._aggregator = aggregator
-        self._store = WindowStore(
-            f"{name}-store", retention or window.size * 100
-        )
-        self._emitted: set[tuple[Any, float]] = set()
-
-    def process(self, key: Any, value: Any) -> None:
-        timestamp = self.context.stream_time
-        start, _end = self._window.window_for(timestamp)
-        current = self._store.get(key, start)
-        if current is None:
-            current = self._initializer()
-        self._store.put(key, start, self._aggregator(key, value, current))
-
-    def punctuate(self, stream_time: float) -> None:
-        """Emit every closed window not yet emitted."""
-        for key, start, value in self._closed_windows(stream_time):
-            self._emitted.add((key, start))
-            self.context.forward(key, (start, value))
-        self._store.expire_before(stream_time)
-
-    def _closed_windows(self, stream_time: float):
-        closed: list[tuple[Any, float, Any]] = []
-        keys = {k for (k, _s) in self._store._data}
-        for key in keys:
-            for start, value in self._store.windows_for(key):
-                is_closed = start + self._window.size <= stream_time
-                if is_closed and (key, start) not in self._emitted:
-                    closed.append((key, start, value))
-        return sorted(closed, key=lambda row: (row[1], str(row[0])))
-
-
 class KStream:
     """A fluent handle over a branch of the topology under construction."""
 
     def __init__(self, builder: "StreamBuilder", parent: str) -> None:
         self._builder = builder
         self._parent = parent
-
-    def map_values(self, fn: Callable[[Any], Any]) -> "KStream":
-        """Transform each value, keeping the key."""
-        name = _fresh("map-values")
-
-        def apply(key: Any, value: Any, ctx: ProcessorContext) -> None:
-            ctx.forward(key, fn(value))
-
-        self._builder.topology.add_processor(name, apply, [self._parent])
-        return KStream(self._builder, name)
-
-    def map(self, fn: Callable[[Any, Any], tuple[Any, Any]]) -> "KStream":
-        """Transform key and value together."""
-        name = _fresh("map")
-
-        def apply(key: Any, value: Any, ctx: ProcessorContext) -> None:
-            new_key, new_value = fn(key, value)
-            ctx.forward(new_key, new_value)
-
-        self._builder.topology.add_processor(name, apply, [self._parent])
-        return KStream(self._builder, name)
-
-    def filter(self, predicate: Callable[[Any, Any], bool]) -> "KStream":
-        """Keep only records satisfying the predicate."""
-        name = _fresh("filter")
-
-        def apply(key: Any, value: Any, ctx: ProcessorContext) -> None:
-            if predicate(key, value):
-                ctx.forward(key, value)
-
-        self._builder.topology.add_processor(name, apply, [self._parent])
-        return KStream(self._builder, name)
-
-    def flat_map_values(self, fn: Callable[[Any], list[Any]]) -> "KStream":
-        """Expand each value into zero or more values."""
-        name = _fresh("flat-map-values")
-
-        def apply(key: Any, value: Any, ctx: ProcessorContext) -> None:
-            for out in fn(value):
-                ctx.forward(key, out)
-
-        self._builder.topology.add_processor(name, apply, [self._parent])
-        return KStream(self._builder, name)
-
-    def select_key(self, fn: Callable[[Any, Any], Any]) -> "KStream":
-        """Re-key the stream."""
-        name = _fresh("select-key")
-
-        def apply(key: Any, value: Any, ctx: ProcessorContext) -> None:
-            ctx.forward(fn(key, value), value)
-
-        self._builder.topology.add_processor(name, apply, [self._parent])
-        return KStream(self._builder, name)
-
-    def peek(self, fn: Callable[[Any, Any], None]) -> "KStream":
-        """Observe records without modifying them."""
-        name = _fresh("peek")
-
-        def apply(key: Any, value: Any, ctx: ProcessorContext) -> None:
-            fn(key, value)
-            ctx.forward(key, value)
-
-        self._builder.topology.add_processor(name, apply, [self._parent])
-        return KStream(self._builder, name)
 
     def process_with(self, processor: Processor) -> "KStream":
         """Plug a low-level processor into the fluent chain.
@@ -158,49 +39,10 @@ class KStream:
         self._builder.topology.add_processor(name, processor, [self._parent])
         return KStream(self._builder, name)
 
-    def windowed_aggregate(
-        self,
-        window: TumblingWindow,
-        initializer: Callable[[], Any],
-        aggregator: Callable[[Any, Any, Any], Any],
-    ) -> "KStream":
-        """Aggregate values per key per tumbling window."""
-        name = _fresh("windowed-aggregate")
-        node = _WindowedAggregateProcessor(name, window, initializer, aggregator)
-        self._builder.topology.add_processor(name, node, [self._parent])
-        return KStream(self._builder, name)
-
-    def windowed_sum(
-        self, window: TumblingWindow, value_of: Callable[[Any], float] = float
-    ) -> "KStream":
-        """Sum values per key per tumbling window."""
-        return self.windowed_aggregate(
-            window,
-            initializer=lambda: 0.0,
-            aggregator=lambda _key, value, acc: acc + value_of(value),
-        )
-
-    def windowed_count(self, window: TumblingWindow) -> "KStream":
-        """Count records per key per tumbling window."""
-        return self.windowed_aggregate(
-            window,
-            initializer=lambda: 0,
-            aggregator=lambda _key, _value, acc: acc + 1,
-        )
-
     def to(self, topic: str) -> None:
         """Terminate the branch into an output topic."""
         name = _fresh("sink")
         self._builder.topology.add_sink(name, topic, [self._parent])
-
-    def for_each(self, fn: Callable[[Any, Any], None]) -> None:
-        """Terminate the branch into a side-effecting consumer."""
-        name = _fresh("for-each")
-
-        def apply(key: Any, value: Any, _ctx: ProcessorContext) -> None:
-            fn(key, value)
-
-        self._builder.topology.add_processor(name, apply, [self._parent])
 
 
 class StreamBuilder:

@@ -3,26 +3,23 @@
 A *processor* receives keyed records one at a time, may keep state, and
 forwards zero or more records to its downstream children through a
 :class:`ProcessorContext`. The paper implements its sampling module as
-exactly such a user-defined processor; `repro.system` plugs the
-weighted-hierarchical-sampling processor into this API.
+exactly such a user-defined processor; ``examples/streaming_sampler.py``
+plugs a weighted-hierarchical-sampling processor into this API.
 """
 
 from __future__ import annotations
 
-from typing import Any, Callable
+from typing import Any
 
-from repro.errors import TopologyError
-
-__all__ = ["Processor", "ProcessorContext", "FunctionProcessor"]
+__all__ = ["Processor", "ProcessorContext"]
 
 
 class ProcessorContext:
-    """Runtime services handed to a processor: forwarding, time, state."""
+    """Runtime services handed to a processor: forwarding and time."""
 
     def __init__(self, node_name: str) -> None:
         self.node_name = node_name
         self._children: list[Processor] = []
-        self._stores: dict[str, Any] = {}
         self.stream_time = 0.0
         #: Resolved sampling backend ("python" / "numpy") for sampling
         #: processors plugged into the DSL; set by the runtime before
@@ -42,21 +39,6 @@ class ProcessorContext:
         for child in self._children:
             child.context.stream_time = self.stream_time
             child.process(key, value)
-
-    def register_store(self, name: str, store: Any) -> None:
-        """Attach a state store to this node."""
-        if name in self._stores:
-            raise TopologyError(f"store {name!r} already registered")
-        self._stores[name] = store
-
-    def store(self, name: str) -> Any:
-        """Access a registered state store."""
-        try:
-            return self._stores[name]
-        except KeyError:
-            raise TopologyError(
-                f"processor {self.node_name!r} has no store {name!r}"
-            ) from None
 
 
 class Processor:
@@ -84,23 +66,3 @@ class Processor:
     def close(self) -> None:
         """Tear-down after the last record."""
 
-
-class FunctionProcessor(Processor):
-    """Adapter turning a plain callable into a processor.
-
-    The callable receives ``(key, value, context)`` and uses
-    ``context.forward`` to emit records, which covers map/filter/flatMap
-    patterns without dedicated subclasses.
-    """
-
-    def __init__(
-        self,
-        name: str,
-        fn: Callable[[Any, Any, ProcessorContext], None],
-    ) -> None:
-        super().__init__(name)
-        self._fn = fn
-
-    def process(self, key: Any, value: Any) -> None:
-        """Invoke the wrapped callable with the processor's context."""
-        self._fn(key, value, self.context)

@@ -3,7 +3,7 @@
 The runtime owns a consumer per source node and a producer for sinks.
 Each :meth:`poll_once` round fetches records, injects them into the
 sources (advancing stream time from record timestamps), and punctuates
-the topology so windowed processors can emit closed windows. This is
+the topology so interval-closing processors can emit what they hold. This is
 the single-threaded analogue of a Kafka Streams application instance.
 """
 
@@ -15,9 +15,8 @@ from typing import Any
 from repro.broker.broker import Broker
 from repro.broker.consumer import Consumer
 from repro.broker.producer import Producer
-from repro.broker.records import Record
 from repro.core.fastpath import resolve_backend
-from repro.errors import ConfigurationError
+from repro.errors import PipelineError
 from repro.streams.topology import Topology
 
 __all__ = ["StreamsRuntime"]
@@ -63,33 +62,6 @@ class StreamsRuntime:
         self._stream_time = 0.0
         self._closed = False
 
-    @classmethod
-    def from_transport(
-        cls, transport, topology: Topology, **kwargs
-    ) -> "StreamsRuntime":
-        """Run a topology against an engine transport's broker.
-
-        Accepts any broker-backed transport from
-        :mod:`repro.engine.transport` (``BrokerTransport`` or
-        ``SimnetBrokerTransport``): topics populated through
-        ``transport.send`` / ``transport.deliver`` are readable as
-        topology sources (node ``X``'s ingest topic is
-        ``repro.engine.transport.topic_for(X)``), so a streams app can
-        tap the same record flow the execution engine runs on.
-        """
-        broker = getattr(transport, "broker", None)
-        if not isinstance(broker, Broker):
-            raise ConfigurationError(
-                f"{type(transport).__name__} is not broker-backed; "
-                f"use BrokerTransport or SimnetBrokerTransport"
-            )
-        return cls(broker, topology, **kwargs)
-
-    @property
-    def application_id(self) -> str:
-        """Identifier shared by this app's consumer group."""
-        return self._app_id
-
     @property
     def sampling_backend(self) -> str:
         """Resolved sampling backend propagated to all processors."""
@@ -120,14 +92,35 @@ class StreamsRuntime:
         return processed
 
     def run_to_completion(self, max_rounds: int = 10_000) -> int:
-        """Poll until no source has new records; returns total processed."""
+        """Poll until no source has new records; returns total processed.
+
+        Raises :class:`~repro.errors.PipelineError` if ``max_rounds``
+        polls leave records unread, instead of returning a truncated
+        count.
+        """
         total = 0
         for _ in range(max_rounds):
             processed = self.poll_once()
             total += processed
             if processed == 0:
-                break
+                return total
+        lag = self._lag()
+        if lag:
+            raise PipelineError(
+                f"{self._app_id}: {lag} records still unread after "
+                f"{max_rounds} poll rounds (raise max_rounds or "
+                f"max_poll_records)"
+            )
         return total
+
+    def _lag(self) -> int:
+        """Records in the source topics that no poll has returned yet."""
+        return sum(
+            self._broker.end_offsets(topic)[partition]
+            - consumer.position(topic, partition)
+            for consumer, _source in self._consumers
+            for topic, partition in consumer.assignment
+        )
 
     def advance_stream_time(self, stream_time: float) -> None:
         """Manually advance time (flushes windows with no new data)."""
@@ -143,9 +136,3 @@ class StreamsRuntime:
         self._topology.close_all()
         self._closed = True
 
-    @staticmethod
-    def inject(broker: Broker, topic: str, key: Any, value: Any,
-               timestamp: float = 0.0) -> None:
-        """Test/workload helper: produce one record to a topic."""
-        broker.ensure_topic(topic)
-        broker.produce(topic, Record(key=key, value=value, timestamp=timestamp))

@@ -12,7 +12,7 @@ from __future__ import annotations
 from typing import Any, Callable
 
 from repro.errors import TopologyError
-from repro.streams.processor import FunctionProcessor, Processor, ProcessorContext
+from repro.streams.processor import Processor
 
 __all__ = ["Topology", "SinkNode", "SourceNode"]
 
@@ -48,9 +48,7 @@ class Topology:
 
     def __init__(self) -> None:
         self._nodes: dict[str, Processor] = {}
-        self._parents: dict[str, list[str]] = {}
         self._sources: list[SourceNode] = []
-        self._sinks: list[SinkNode] = []
         self._emit_hook: Callable[[str, Any, Any], None] | None = None
 
     # ------------------------------------------------------------------
@@ -68,19 +66,14 @@ class Topology:
     def add_processor(
         self,
         name: str,
-        processor: Processor | Callable[[Any, Any, ProcessorContext], None],
+        processor: Processor,
         parents: list[str],
     ) -> "Topology":
         """Add a processor beneath one or more parents."""
         if not parents:
             raise TopologyError(f"processor {name!r} needs at least one parent")
-        node = (
-            processor
-            if isinstance(processor, Processor)
-            else FunctionProcessor(name, processor)
-        )
-        node.name = name
-        self._register(name, node, parents)
+        processor.name = name
+        self._register(name, processor, parents)
         return self
 
     def add_sink(self, name: str, topic: str, parents: list[str]) -> "Topology":
@@ -97,7 +90,6 @@ class Topology:
 
         node = SinkNode(name, topic, emit)
         self._register(name, node, parents)
-        self._sinks.append(node)
         return self
 
     def _register(self, name: str, node: Processor, parents: list[str]) -> None:
@@ -109,7 +101,6 @@ class Topology:
                     f"parent {parent!r} of {name!r} is not defined yet"
                 )
         self._nodes[name] = node
-        self._parents[name] = list(parents)
         for parent in parents:
             self._nodes[parent].context.add_child(node)
 
@@ -120,11 +111,6 @@ class Topology:
     def sources(self) -> list[SourceNode]:
         """All source nodes."""
         return list(self._sources)
-
-    @property
-    def sinks(self) -> list[SinkNode]:
-        """All sink nodes."""
-        return list(self._sinks)
 
     def node(self, name: str) -> Processor:
         """Look up a node by name."""

@@ -2,7 +2,7 @@
 
 Two runner facades share one configuration surface and one execution
 engine (:mod:`repro.engine` — pipeline assembly, the windowed run loop
-and the pluggable transports):
+and the transports):
 
 * :class:`~repro.system.statistical.StatisticalRunner` runs the
   sampling tree algorithmically for the accuracy experiments;
@@ -47,7 +47,6 @@ from repro.system.statistical import (
     WindowOutcome,
     accuracy_loss,
 )
-from repro.system.windowed import WindowedRoot, WindowResult
 
 __all__ = [
     "AdaptiveFractionController",
@@ -68,8 +67,6 @@ __all__ = [
     "VarianceAwareController",
     "WindowObservation",
     "WindowOutcome",
-    "WindowResult",
-    "WindowedRoot",
     "accuracy_loss",
     "make_budget_controller",
     "observe_window",

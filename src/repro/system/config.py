@@ -17,8 +17,6 @@ __all__ = [
     "BUDGET_CONTROLLERS",
     "MAX_SHARD_TIMEOUT",
     "SHARD_LOSS_POLICIES",
-    "TRANSPORTS",
-    "TRANSPORT_AUTO",
 ]
 
 
@@ -31,15 +29,6 @@ class ExecutionMode:
 
     ALL = (APPROXIOT, SRS, NATIVE)
 
-
-#: ``"auto"`` resolves to the engine's native transport: in-process
-#: callbacks for the statistical runner, simnet-backed broker links for
-#: the deployment simulator.
-TRANSPORT_AUTO = "auto"
-
-#: Valid values of :attr:`PipelineConfig.transport` (see
-#: :mod:`repro.engine.transport` for the implementations).
-TRANSPORTS = (TRANSPORT_AUTO, "inprocess", "broker", "simnet")
 
 #: The longest watchdog deadline, in seconds (about 24.8 days): the
 #: watchdog waits in ``Connection.poll``, which counts whole
@@ -91,13 +80,6 @@ class PipelineConfig:
         backend: Sampling kernel — ``"python"``, ``"numpy"`` or
             ``"auto"`` (default; uses numpy when installed, e.g. via
             the ``[fast]`` extra, and pure Python otherwise).
-        transport: How weighted batches move between tree nodes —
-            ``"inprocess"`` (direct callbacks), ``"broker"`` (pub/sub
-            topics), ``"simnet"`` (broker topics fed over simulated WAN
-            links) or ``"auto"`` (default; each engine's native
-            transport). The statistical runner supports inprocess and
-            broker; the deployment simulator supports simnet and
-            broker.
         workers: Process-parallel worker shards for the statistical
             engine (§III-E). ``1`` (the default) runs the whole tree
             in-process; ``N > 1`` splits every sub-stream's rate into
@@ -156,7 +138,6 @@ class PipelineConfig:
     confidence: float = 0.95
     seed: int = 42
     backend: str = "auto"
-    transport: str = TRANSPORT_AUTO
     workers: int = 1
     budget_controller: str = "static"
     shard_timeout: float | None = None
@@ -186,11 +167,6 @@ class PipelineConfig:
         if self.backend not in BACKENDS:
             raise ConfigurationError(
                 f"backend must be one of {BACKENDS}, got {self.backend!r}"
-            )
-        if self.transport not in TRANSPORTS:
-            raise ConfigurationError(
-                f"transport must be one of {TRANSPORTS}, got "
-                f"{self.transport!r}"
             )
         if not isinstance(self.workers, int) or self.workers < 1:
             raise ConfigurationError(

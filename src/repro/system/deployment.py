@@ -20,10 +20,9 @@ Since the engine refactor this module is a facade over
 :mod:`repro.engine`: tree assembly and budget sizing come from
 :func:`~repro.engine.pipeline.build_pipeline`, the per-interval WHSamp
 step is :func:`~repro.engine.runner.sample_interval`, and approxiot
-batches move through a :class:`~repro.engine.transport.Transport` —
-``"simnet"`` (default: broker topics fed over WAN links) or
-``"broker"`` (topics only; an idealized zero-latency network for
-ablations). What remains here is deployment-specific: the emission
+batches move through a
+:class:`~repro.engine.transport.SimnetBrokerTransport` (broker topics
+fed over WAN links). What remains here is deployment-specific: the emission
 chunking, the interval-close clockwork, host CPU accounting and the
 latency/bandwidth measurements.
 
@@ -49,8 +48,8 @@ from repro.core.columns import ColumnarBatch
 from repro.core.items import WeightedBatch
 from repro.engine.pipeline import Pipeline, build_pipeline
 from repro.engine.runner import sample_interval
-from repro.engine.transport import BrokerTransport, SimnetBrokerTransport
-from repro.errors import ConfigurationError, PipelineError
+from repro.engine.transport import SimnetBrokerTransport
+from repro.errors import PipelineError
 from repro.simnet.stats import LatencyRecorder
 from repro.system.config import ExecutionMode, PipelineConfig
 from repro.topology.placement import place_tree
@@ -134,7 +133,9 @@ class DeploymentSimulator:
         self._tree = self._pipeline.tree
         self._network = place_tree(self._tree, config.placement)
         self._clock = self._network.clock
-        self._transport = self._make_transport(config.transport)
+        self._transport = SimnetBrokerTransport(
+            self._network, Broker("deployment")
+        )
         self._latency = LatencyRecorder()
         self._items_emitted = 0
         self._items_at_root = 0
@@ -146,21 +147,6 @@ class DeploymentSimulator:
                 self._states[node.name] = _ApproxIoTNodeState(
                     node, self._pipeline.budget(node.name)
                 )
-
-    # ------------------------------------------------------------------
-    # Setup
-    # ------------------------------------------------------------------
-    def _make_transport(self, name: str) -> BrokerTransport:
-        broker = Broker("deployment")
-        if name in ("auto", "simnet"):
-            return SimnetBrokerTransport(self._network, broker)
-        if name == "broker":
-            return BrokerTransport(broker, now=lambda: self._clock.now)
-        raise ConfigurationError(
-            f"the deployment simulator supports transports "
-            f"('simnet', 'broker'), got {name!r}; the 'inprocess' transport "
-            f"requires the statistical runner"
-        )
 
     # ------------------------------------------------------------------
     # Run

@@ -9,16 +9,12 @@ offline nodes and link drops. The per-window rows render as a
 paper-style table through :mod:`repro.metrics.report`, which is what
 ``python -m repro scenarios run <name>`` prints.
 
-Any engine configuration runs any scenario: sampling backend, inter-node
-transport (in-process or broker) and worker shards all
-compose — a fixed ``(seed, scenario, workers)`` triple is
-bit-reproducible. The ``simnet`` transport is rejected loudly: churn
-re-parents tree traffic mid-run, and the simulated-WAN transport builds
-its host/link placement once at startup, so running it here would
-silently desync placement from the live topology (the deployment
-simulator owns that world; see
-:meth:`repro.scenarios.engine.ScenarioEngine.netem_overrides` for the
-netem bridge).
+Any engine configuration runs any scenario: sampling backend and worker
+shards compose — a fixed ``(seed, scenario, workers)`` triple is
+bit-reproducible. Link degradation acts on the statistical engine's
+in-process tree; the deployment simulator owns the simulated-WAN world
+(see :meth:`repro.scenarios.engine.ScenarioEngine.netem_overrides` for
+the netem bridge).
 """
 
 from __future__ import annotations
@@ -27,7 +23,7 @@ from dataclasses import dataclass, field
 
 from repro.core.cost import FractionBudget
 from repro.engine.runner import WindowOutcome
-from repro.errors import ConfigurationError, PipelineError
+from repro.errors import PipelineError
 from repro.metrics.report import Table, format_percent, format_ratio
 from repro.scenarios.engine import ScenarioEngine
 from repro.scenarios.scenario import Scenario
@@ -189,10 +185,8 @@ class ScenarioOutcome:
 class ScenarioRunner:
     """Drives one scenario over the statistical engine, any config.
 
-    Construction validates everything loudly: the scenario's events
-    against the run's tree and schedule, and the config's knobs
-    against scenario execution (``simnet`` is rejected — see the
-    module docstring). With ``config.workers > 1`` the run shards
+    Construction validates the scenario's events against the run's
+    tree and schedule loudly. With ``config.workers > 1`` the run shards
     across OS processes exactly like a static run; every shard
     recomputes the identical scenario timeline, and :meth:`close` (or
     the context-manager form) reaps the shard processes even when
@@ -206,16 +200,6 @@ class ScenarioRunner:
         generators: dict[str, ItemGenerator],
         scenario: Scenario,
     ) -> None:
-        if config.transport == "simnet":
-            raise ConfigurationError(
-                "scenarios drive the statistical engine, whose topology "
-                "can change mid-run (churn); the 'simnet' transport "
-                "derives its host/link placement once at startup and "
-                "would silently desync from the re-parented tree. Use "
-                "transport='inprocess' or 'broker' here, or model the "
-                "degradation on the deployment simulator via "
-                "ScenarioEngine.netem_overrides()"
-            )
         self._config = config
         self._scenario = scenario
         # The parent-side timeline view: validates the scenario against
@@ -233,7 +217,7 @@ class ScenarioRunner:
         #: Supervisor restarts seen so far (sharded runs): the delta
         #: per window becomes the trace's "restarts" column.
         self._restarts_seen = 0
-        # All engine wiring (worker-shard dispatch, transport choice,
+        # All engine wiring (worker-shard dispatch, transport,
         # scenario binding) lives in StatisticalRunner; this facade
         # only adds the timeline annotation and quality metrics.
         self._runner = StatisticalRunner(

@@ -11,10 +11,9 @@ emitted items, so accuracy-loss comparisons are apples-to-apples.
 Since the engine refactor this module is a thin facade: assembly lives
 in :mod:`repro.engine.pipeline`, the windowed loop and its three
 strategies in :mod:`repro.engine.runner`, and batch movement behind the
-:class:`~repro.engine.transport.Transport` protocol —
-``config.transport`` selects in-process callbacks (default) or broker
-topics, with identical results on either (seeded runs are
-transport-invariant).
+:class:`~repro.engine.transport.Transport` protocol, here always
+in-process callbacks (seeded runs are transport-invariant, so a broker
+hop would change nothing but cost).
 
 With ``config.workers > 1`` the same loop runs sharded across OS
 processes (:mod:`repro.engine.sharding`): each worker shard samples an
@@ -35,7 +34,7 @@ from repro.engine.runner import (
     accuracy_loss,
 )
 from repro.engine.sharding import ShardedEngineRunner
-from repro.engine.transport import make_statistical_transport
+from repro.engine.transport import InProcessTransport
 from repro.errors import ConfigurationError
 from repro.scenarios.engine import ScenarioEngine
 from repro.scenarios.scenario import Scenario
@@ -52,9 +51,8 @@ class StatisticalRunner:
     ``scenario`` (a :class:`~repro.scenarios.scenario.Scenario`) makes
     the run dynamic: the engine applies the scenario's per-window
     state — rate bursts, skew drift, node churn, degraded links —
-    before each window, on any transport/backend/worker
-    combination. ``None`` (the default) is the classic static run,
-    bit-for-bit unchanged.
+    before each window, on any backend/worker combination. ``None``
+    (the default) is the classic static run, bit-for-bit unchanged.
     """
 
     def __init__(
@@ -85,7 +83,7 @@ class StatisticalRunner:
                 )
             self._engine = EngineRunner(
                 build_pipeline(config, schedule, generators),
-                make_statistical_transport(config.transport),
+                InProcessTransport(),
                 scenario=engine_scenario,
             )
 

@@ -231,7 +231,6 @@ class TestBrokerTransportSerde:
                 sampling_fraction=0.2,
                 seed=13,
                 backend="python",
-                transport="broker",
             )
             pipeline = build_pipeline(config, self.SCHEDULE, self.GENS)
             runner = EngineRunner(pipeline, BrokerTransport(serde=serde))

@@ -20,7 +20,7 @@ from repro.core.items import StreamItem, WeightedBatch
 from repro.core.whs import whsamp, whsamp_batches
 from repro.engine.pipeline import build_pipeline
 from repro.engine.runner import EngineRunner
-from repro.engine.transport import make_statistical_transport
+from repro.engine.transport import InProcessTransport
 from repro.errors import EstimationError, SamplingError
 from repro.system.config import PipelineConfig
 from repro.workloads.rates import RateSchedule
@@ -138,7 +138,7 @@ class TestRootClose:
         gens = {g.name: g for g in paper_gaussian_substreams()}
         runner = EngineRunner(
             build_pipeline(config, schedule, gens),
-            make_statistical_transport("auto"),
+            InProcessTransport(),
         )
         run = runner.run(3)
         assert [window.window_index for window in run.windows] == [1, 2, 3]

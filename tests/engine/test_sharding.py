@@ -20,7 +20,7 @@ from repro.core.estimator import ThetaStore
 from repro.engine.pipeline import build_pipeline
 from repro.engine.runner import EngineRunner
 from repro.engine.sharding import ShardedEngineRunner, plan_shards
-from repro.engine.transport import make_statistical_transport
+from repro.engine.transport import InProcessTransport
 from repro.errors import ConfigurationError, PipelineError
 from repro.system.config import PipelineConfig
 from repro.system.statistical import StatisticalRunner
@@ -88,7 +88,7 @@ class TestSingleWorkerParity:
         config = config_for(workers=1)
         direct = EngineRunner(
             build_pipeline(config, SCHEDULE, GENS),
-            make_statistical_transport("auto"),
+            InProcessTransport(),
         ).run(4)
         with ShardedEngineRunner(config, SCHEDULE, GENS) as sharded:
             merged = sharded.run(4)
@@ -143,7 +143,7 @@ class TestMergeCorrectness:
                 plan.schedule,
                 GENS,
             )
-            runner = EngineRunner(pipeline, make_statistical_transport("auto"))
+            runner = EngineRunner(pipeline, InProcessTransport())
             outcome, theta = runner.run_window_with_theta()
             assert outcome is not None
             emitted_total += outcome.items_emitted
@@ -195,11 +195,6 @@ class TestFacadeAndValidation:
     def test_workers_must_be_positive(self):
         with pytest.raises(ConfigurationError):
             config_for(workers=0)
-
-    def test_simnet_transport_is_rejected(self):
-        config = PipelineConfig(transport="simnet", workers=2)
-        with pytest.raises(ConfigurationError):
-            ShardedEngineRunner(config, SCHEDULE, GENS)
 
     def test_empty_run_raises(self):
         silent = RateSchedule("silent", {"A": 0.0, "B": 0.0})

@@ -12,7 +12,7 @@ import pytest
 
 from repro.engine.pipeline import build_pipeline
 from repro.engine.runner import EngineRunner
-from repro.engine.transport import make_statistical_transport
+from repro.engine.transport import BrokerTransport, InProcessTransport
 from repro.system.config import PipelineConfig
 from repro.system.statistical import StatisticalRunner
 from repro.workloads.rates import RateSchedule
@@ -32,14 +32,22 @@ except ImportError:
     pass
 
 
-def config_for(backend, transport, fraction=0.2, seed=13):
+TRANSPORTS = {"inprocess": InProcessTransport, "broker": BrokerTransport}
+
+
+def config_for(backend, fraction=0.2, seed=13):
     return PipelineConfig(
         sampling_fraction=fraction,
         window_seconds=1.0,
         seed=seed,
         backend=backend,
-        transport=transport,
     )
+
+
+def runner_on(transport, config):
+    """An engine over a fresh pipeline, moving batches on ``transport``."""
+    pipeline = build_pipeline(config, SCHEDULE, GENS)
+    return EngineRunner(pipeline, TRANSPORTS[transport]())
 
 
 @pytest.mark.parametrize("backend", BACKENDS)
@@ -47,10 +55,8 @@ class TestCrossTransportParity:
     def test_identical_per_window_root_estimates(self, backend):
         """In-process and broker runs agree bit-for-bit, window by window."""
         runs = {
-            transport: StatisticalRunner(
-                config_for(backend, transport), SCHEDULE, GENS
-            ).run(4)
-            for transport in ("inprocess", "broker")
+            transport: runner_on(transport, config_for(backend)).run(4)
+            for transport in TRANSPORTS
         }
         inproc, broker = runs["inprocess"].windows, runs["broker"].windows
         assert len(inproc) == len(broker) == 4
@@ -64,12 +70,9 @@ class TestCrossTransportParity:
     def test_eq8_count_invariant_end_to_end(self, backend):
         """``sum(|I| * W_out)`` over Theta recovers the emitted count
         exactly on every transport."""
-        for transport in ("inprocess", "broker"):
-            config = config_for(backend, transport, fraction=0.1)
-            pipeline = build_pipeline(config, SCHEDULE, GENS)
-            runner = EngineRunner(
-                pipeline, make_statistical_transport(transport)
-            )
+        for transport in TRANSPORTS:
+            runner = runner_on(transport, config_for(backend, fraction=0.1))
+            pipeline = runner.pipeline
             for start in range(3):
                 emitted = pipeline.emit_window(float(start))
                 emitted_count = sum(len(b) for b in emitted.values())
@@ -84,12 +87,9 @@ class TestCrossTransportParity:
     def test_native_strategy_recovers_exact_sum(self, backend):
         """The pass-through strategy reaches the ground truth on every
         transport (it consumes no randomness on the way)."""
-        for transport in ("inprocess", "broker"):
-            config = config_for(backend, transport)
-            pipeline = build_pipeline(config, SCHEDULE, GENS)
-            runner = EngineRunner(
-                pipeline, make_statistical_transport(transport)
-            )
+        for transport in TRANSPORTS:
+            runner = runner_on(transport, config_for(backend))
+            pipeline = runner.pipeline
             emitted = pipeline.emit_window(0.0)
             direct = sum(
                 item.value for batch in emitted.values() for item in batch
@@ -106,10 +106,10 @@ class TestBackendSeparation:
         both remain unbiased — transport parity must not be confused
         with backend parity."""
         python_run = StatisticalRunner(
-            config_for("python", "inprocess"), SCHEDULE, GENS
+            config_for("python"), SCHEDULE, GENS
         ).run(3)
         numpy_run = StatisticalRunner(
-            config_for("numpy", "inprocess"), SCHEDULE, GENS
+            config_for("numpy"), SCHEDULE, GENS
         ).run(3)
         assert (
             python_run.windows[0].approx_sum.value

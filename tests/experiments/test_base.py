@@ -50,7 +50,6 @@ class TestBaseConfig:
         confidence=0.9,
         seed=7,
         backend="python",
-        transport="broker",
         workers=3,
         budget_controller="variance_aware",
         shard_timeout=2.5,

@@ -1,4 +1,4 @@
-"""Unit tests for the query layer and the data-parallel runner."""
+"""Unit tests for the query layer."""
 
 import random
 
@@ -14,7 +14,6 @@ from repro.queries.query import (
     PerSubstreamSumQuery,
     SumQuery,
 )
-from repro.queries.runner import partition_theta, run_job
 
 
 def batch(substream, weight, values):
@@ -69,55 +68,50 @@ class TestQueries:
             PerSubstreamSumQuery().execute_grouped(ThetaStore())
 
 
-class TestPartitioning:
-    def test_partitions_preserve_batches(self):
-        theta = sample_theta()
-        shards = partition_theta(theta, 4)
-        total = sum(len(shard) for shard in shards)
-        assert total == len(theta)
-
-    def test_substream_locality(self):
-        """All batches of one sub-stream land in one partition."""
+class TestQueryProperties:
+    def test_unsampled_window_has_zero_error(self):
+        """Weight 1 everywhere means nothing was sampled away."""
         theta = ThetaStore()
-        for i in range(10):
-            theta.add(batch("a", 1.0 + i, [float(i)]))
-        shards = partition_theta(theta, 4)
-        non_empty = [s for s in shards if len(s) > 0]
-        assert len(non_empty) == 1
-        assert len(non_empty[0]) == 10
+        theta.add(batch("a", 1.0, [1.0, 2.0, 3.0]))
+        result = SumQuery().execute(theta)
+        assert result.value == pytest.approx(6.0)
+        assert result.error == 0.0
 
-    def test_partition_count_validated(self):
-        with pytest.raises(EstimationError):
-            partition_theta(sample_theta(), 0)
-
-
-class TestRunJob:
-    def test_parallel_sum_matches_direct(self):
+    def test_higher_confidence_widens_the_bound(self):
         theta = sample_theta()
-        direct = SumQuery().execute(theta)
-        parallel = run_job(SumQuery(), theta, partitions=3)
-        assert parallel.value == pytest.approx(direct.value)
-        assert parallel.variance == pytest.approx(direct.variance)
-        assert parallel.error == pytest.approx(direct.error)
+        narrow = SumQuery(confidence=0.95).execute(theta)
+        wide = SumQuery(confidence=0.99).execute(theta)
+        assert wide.value == narrow.value
+        assert wide.error > narrow.error > 0.0
+        assert wide.confidence == 0.99
 
-    def test_parallel_count_matches_direct(self):
+    def test_mean_is_sum_over_count(self):
         theta = sample_theta()
-        direct = CountQuery().execute(theta)
-        parallel = run_job(CountQuery(), theta, partitions=2)
-        assert parallel.value == pytest.approx(direct.value)
+        mean = MeanQuery().execute(theta).value
+        total = SumQuery().execute(theta).value
+        count = CountQuery().execute(theta).value
+        assert mean == pytest.approx(total / count)
 
-    def test_mean_falls_back_to_direct(self):
+    def test_grouped_strata_add_up_to_the_overall_sum(self):
         theta = sample_theta()
-        direct = MeanQuery().execute(theta)
-        parallel = run_job(MeanQuery(), theta, partitions=3)
-        assert parallel.value == pytest.approx(direct.value)
-
-    def test_empty_store_raises(self):
-        with pytest.raises(EstimationError):
-            run_job(SumQuery(), ThetaStore())
-
-    def test_single_partition_equivalence(self):
-        theta = sample_theta()
-        assert run_job(SumQuery(), theta, partitions=1).value == pytest.approx(
-            SumQuery().execute(theta).value
+        query = PerSubstreamSumQuery()
+        grouped = query.execute_grouped(theta)
+        overall = query.execute(theta)
+        assert overall.value == pytest.approx(SumQuery().execute(theta).value)
+        assert sum(r.value for r in grouped.values()) == pytest.approx(
+            overall.value
         )
+        assert sum(r.variance for r in grouped.values()) == pytest.approx(
+            overall.variance
+        )
+
+    def test_grouped_reports_sampled_items_per_stratum(self):
+        grouped = PerSubstreamSumQuery().execute_grouped(sample_theta())
+        assert {s: r.sampled_items for s, r in grouped.items()} == {
+            "a": 3, "b": 2, "c": 1,
+        }
+
+    @pytest.mark.parametrize("query", [SumQuery(), MeanQuery()])
+    def test_sum_and_mean_reject_an_empty_store(self, query):
+        with pytest.raises(EstimationError):
+            query.execute(ThetaStore())

@@ -57,6 +57,13 @@ class TestTopK:
         with pytest.raises(EstimationError):
             TopKQuery(k=1).execute(ThetaStore())
 
+    @pytest.mark.parametrize("k", [2.5, 2.0, "2", True, False, None])
+    def test_rejects_non_integer_k(self, k):
+        """``k`` is a count: floats, strings and bools fail up front
+        instead of dying in the slice or silently ranking ``True == 1``."""
+        with pytest.raises(EstimationError, match="integer"):
+            TopKQuery(k)
+
     def test_ranking_matches_truth_after_sampling(self):
         rng = random.Random(2)
         items = []

@@ -1,14 +1,18 @@
 """Unit tests for the frozen pipeline configuration."""
 
 import dataclasses
+import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 from repro.errors import ConfigurationError
 from repro.system.config import (
     MAX_SHARD_TIMEOUT,
-    TRANSPORTS,
     ExecutionMode,
     PipelineConfig,
 )
@@ -28,13 +32,6 @@ class TestImmutability:
         assert derived.seed == 2
         assert config.seed == 1
         assert derived.sampling_fraction == config.sampling_fraction
-
-    def test_with_transport(self):
-        config = PipelineConfig()
-        assert config.transport == "auto"
-        derived = dataclasses.replace(config, transport="broker")
-        assert derived.transport == "broker"
-        assert config.transport == "auto"
 
     def test_with_mode_chainable(self):
         config = dataclasses.replace(
@@ -86,11 +83,51 @@ class TestFiniteValues:
         )
 
 
-class TestTransportValidation:
-    def test_all_declared_transports_accepted(self):
-        for transport in TRANSPORTS:
-            assert PipelineConfig(transport=transport).transport == transport
+class TestOneTransportPerEngine:
+    """The statistical engine runs in-process and the deployment
+    simulator over simnet; no config field picks between them."""
 
-    def test_unknown_transport_rejected(self):
-        with pytest.raises(ConfigurationError):
-            PipelineConfig(transport="carrier-pigeon")
+    def test_config_has_no_transport_field(self):
+        names = {knob.name for knob in dataclasses.fields(PipelineConfig)}
+        assert "transport" not in names
+        with pytest.raises(TypeError):
+            PipelineConfig(transport="broker")
+
+    def test_system_loads_no_streams_module(self):
+        src = Path(__file__).resolve().parents[2] / "src"
+        env = dict(os.environ, PYTHONPATH=str(src))
+        probe = (
+            "import json, sys; import repro.system; "
+            "print(json.dumps(sorted(m for m in sys.modules "
+            "if m.startswith('repro.streams'))))"
+        )
+        done = subprocess.run(
+            [sys.executable, "-c", probe],
+            env=env, capture_output=True, text=True, timeout=120,
+        )
+        assert done.returncode == 0, done.stderr
+        assert json.loads(done.stdout) == []
+
+    def test_statistical_engine_moves_batches_in_process(self):
+        from repro.engine.transport import InProcessTransport
+        from repro.system.statistical import StatisticalRunner
+        from repro.workloads.rates import RateSchedule
+        from repro.workloads.synthetic import paper_gaussian_substreams
+
+        gens = {g.name: g for g in paper_gaussian_substreams()}
+        schedule = RateSchedule("one", {name: 50.0 for name in gens})
+        runner = StatisticalRunner(PipelineConfig(seed=3), schedule, gens)
+        assert type(runner.engine.transport) is InProcessTransport
+
+    def test_deployment_moves_batches_over_simnet(self):
+        from repro.engine.transport import SimnetBrokerTransport
+        from repro.system.deployment import DeploymentSimulator
+        from repro.workloads.rates import RateSchedule
+        from repro.workloads.synthetic import paper_gaussian_substreams
+
+        gens = {g.name: g for g in paper_gaussian_substreams()}
+        schedule = RateSchedule("one", {name: 50.0 for name in gens})
+        simulator = DeploymentSimulator(
+            PipelineConfig(seed=3), schedule, gens, n_windows=1
+        )
+        assert type(simulator._transport) is SimnetBrokerTransport

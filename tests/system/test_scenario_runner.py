@@ -51,14 +51,13 @@ def generators():
     return {g.name: g for g in paper_gaussian_substreams()}
 
 
-def config_for(workers=1, seed=13, fraction=0.2, transport="auto"):
+def config_for(workers=1, seed=13, fraction=0.2):
     return PipelineConfig(
         sampling_fraction=fraction,
         window_seconds=1.0,
         seed=seed,
         backend="python",
         workers=workers,
-        transport=transport,
     )
 
 
@@ -209,20 +208,6 @@ class TestChurnMechanics:
 
 
 class TestValidationAndLifecycle:
-    def test_simnet_transport_is_rejected_loudly(self):
-        with pytest.raises(ConfigurationError, match="placement"):
-            ScenarioRunner(
-                config_for(transport="simnet"), SCHEDULE, generators(),
-                get_scenario("churn"),
-            )
-
-    def test_simnet_with_workers_is_rejected_loudly(self):
-        with pytest.raises(ConfigurationError):
-            ScenarioRunner(
-                config_for(transport="simnet", workers=2), SCHEDULE,
-                generators(), get_scenario("churn"),
-            )
-
     def test_bad_event_targets_fail_before_any_shard_spawns(self):
         scenario = Scenario(
             "x", "d", windows=4, events=(NodeChurn(0, 2, ("l9-9",)),)
@@ -245,10 +230,6 @@ class TestValidationAndLifecycle:
             assert not child.name.startswith("repro-shard-"), (
                 "worker shard outlived its scenario run"
             )
-
-    def test_broker_transport_runs_scenarios(self):
-        outcome = run_scenario("churn", transport="broker", seed=13)
-        assert len(outcome.windows) == 12
 
     def test_rejects_nonpositive_window_count(self):
         runner = ScenarioRunner(

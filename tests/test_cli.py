@@ -26,26 +26,34 @@ class TestParser:
         with pytest.raises(SystemExit):
             build_parser().parse_args(["figures", "--scale", "huge"])
 
-    def test_backend_and_transport_defaults(self):
+    def test_backend_default(self):
         args = build_parser().parse_args(["figures"])
         assert args.backend == "auto"
-        assert args.transport == "auto"
 
-    def test_backend_and_transport_selection(self):
+    def test_backend_selection(self):
         args = build_parser().parse_args(
-            ["figures", "fig5", "--backend", "python",
-             "--transport", "broker"]
+            ["figures", "fig5", "--backend", "python"]
         )
         assert args.backend == "python"
-        assert args.transport == "broker"
 
-    def test_rejects_bad_backend_and_transport(self):
+    def test_rejects_bad_backend(self):
         with pytest.raises(SystemExit):
             build_parser().parse_args(["figures", "--backend", "fortran"])
-        with pytest.raises(SystemExit):
-            build_parser().parse_args(
-                ["figures", "--transport", "carrier-pigeon"]
-            )
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["figures", "--transport", "broker"],
+            ["scenarios", "run", "steady", "--transport", "broker"],
+        ],
+        ids=["figures", "scenarios-run"],
+    )
+    def test_there_is_no_transport_flag(self, argv, capsys):
+        """Each engine has one transport; the flag is an unknown option."""
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert "--transport" in capsys.readouterr().err
 
 
 class TestCommands:
@@ -67,21 +75,6 @@ class TestCommands:
     def test_figures_unknown_id(self, capsys):
         assert main(["figures", "fig99"]) == 2
         assert "error" in capsys.readouterr().err
-
-    def test_figures_on_broker_transport(self, capsys):
-        assert main(
-            ["figures", "fig5", "--scale", "quick",
-             "--backend", "python", "--transport", "broker"]
-        ) == 0
-        assert "Fig. 5(a)" in capsys.readouterr().out
-
-    def test_transport_engine_mismatch_reports_error(self, capsys):
-        # fig6 runs the deployment simulator, which has no in-process
-        # transport; the CLI surfaces the configuration error cleanly.
-        assert main(
-            ["figures", "fig6", "--transport", "inprocess"]
-        ) == 2
-        assert "transport" in capsys.readouterr().err
 
 
 class TestWorkers:
@@ -270,10 +263,10 @@ class TestScenarios:
         args = build_parser().parse_args(
             ["scenarios", "run", "churn", "--windows", "5",
              "--fraction", "0.4", "--backend", "python",
-             "--transport", "broker", "--workers", "2"]
+             "--workers", "2"]
         )
         assert (args.windows, args.fraction) == (5, 0.4)
-        assert (args.backend, args.transport) == ("python", "broker")
+        assert args.backend == "python"
         assert args.workers == 2
 
     def test_list_prints_the_catalog(self, capsys):
@@ -302,9 +295,3 @@ class TestScenarios:
     def test_unknown_scenario_reports_error(self, capsys):
         assert main(["scenarios", "run", "heat-death"]) == 2
         assert "unknown scenario" in capsys.readouterr().err
-
-    def test_simnet_transport_reports_error(self, capsys):
-        assert main(
-            ["scenarios", "run", "churn", "--transport", "simnet"]
-        ) == 2
-        assert "placement" in capsys.readouterr().err

@@ -33,7 +33,6 @@ class TestHierarchy:
 
     def test_streams_family(self):
         assert issubclass(errors.TopologyError, errors.StreamsError)
-        assert issubclass(errors.StateStoreError, errors.StreamsError)
 
     def test_one_catch_all(self):
         with pytest.raises(errors.ReproError):

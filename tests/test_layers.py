@@ -41,7 +41,6 @@ ALLOWED: dict[str, set[str]] = {
     "system": {
         "broker", "core", "engine", "errors", "metrics", "scenarios",
         "simnet", "topology", "workloads",
-        "streams.windowing",  # system/windowed.py's window shapes
     },
     "experiments": {
         "errors", "metrics", "simnet", "system", "topology", "workloads",
