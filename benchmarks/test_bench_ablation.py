@@ -130,7 +130,7 @@ def test_ablation_allocation_policies(benchmark, results_sink):
             # Average across seeds: the fair-fill edge over proportional
             # is modest at this scale (the 1-slot floor keeps the rare
             # stratum alive even under proportional), so a single seeded
-            # run can order the policies either way on any backend.
+            # run can order the policies either way.
             per_seed = []
             for seed in range(5):
                 gens = {

@@ -6,13 +6,12 @@ reallocation beats the static ``getSampleSize`` split at every probed
 fraction on at least 3 built-in scenarios, and the ``adaptive_fraction``
 controller visibly sheds budget down to its error target without
 breaking the Eq. 9 result-plus-error contract. A third table shows the
-quality guarantees surviving both sampling backends and worker-sharded
-execution (controller decisions replayed from broadcast observations).
+quality guarantees surviving worker-sharded execution (controller
+decisions replayed from broadcast observations).
 """
 
 from dataclasses import replace
 
-from repro.core.fastpath import numpy_available
 from repro.experiments.base import (
     base_config,
     gaussian_generators,
@@ -27,12 +26,10 @@ from repro.system.scenarios import ScenarioRunner
 FRACTIONS = (0.05, 0.1, 0.2)
 
 
-def run_scenario(name, scale, fraction, controller, workers=1,
-                 backend=None):
+def run_scenario(name, scale, fraction, controller, workers=1):
     config = replace(
         base_config(fraction, scale),
         budget_controller=controller, workers=workers,
-        **({"backend": backend} if backend else {}),
     )
     with ScenarioRunner(
         config, uniform_schedule(scale.rate_scale), gaussian_generators(),
@@ -117,38 +114,32 @@ def test_bench_adaptive_fraction_trace(benchmark, bench_scale, results_sink):
     assert adaptive.mean_approxiot_loss <= adaptive.mean_bound_pct
 
 
-def test_bench_adaptive_backends_and_sharding(
-    benchmark, bench_scale, results_sink
-):
-    """The quality contract survives backends and worker sharding."""
-    backends = ["python"] + (["numpy"] if numpy_available() else [])
+def test_bench_adaptive_sharding(benchmark, bench_scale, results_sink):
+    """The quality contract survives worker sharding."""
 
     def run():
         rows = {}
-        for backend in backends:
-            for workers in (1, 2):
-                outcome = run_scenario(
-                    "drift", bench_scale, 0.1, "variance_aware",
-                    workers=workers, backend=backend,
-                )
-                rows[backend, workers] = (
-                    outcome.mean_approxiot_loss, outcome.mean_bound_pct
-                )
+        for workers in (1, 2):
+            outcome = run_scenario(
+                "drift", bench_scale, 0.1, "variance_aware", workers=workers
+            )
+            rows[workers] = (
+                outcome.mean_approxiot_loss, outcome.mean_bound_pct
+            )
         return rows
 
     rows = benchmark.pedantic(run, rounds=1, iterations=1)
     table = Table(
-        "Variance-aware controller across backends and shards "
-        "(drift, f=0.1)",
-        ["backend", "workers", "mean loss", "mean bound", "in bound"],
+        "Variance-aware controller across shards (drift, f=0.1)",
+        ["workers", "mean loss", "mean bound", "in bound"],
     )
-    for (backend, workers), (loss, bound) in rows.items():
+    for workers, (loss, bound) in rows.items():
         table.add_row(
-            backend, workers, f"{loss:.4f}%", f"{bound:.4f}%",
+            workers, f"{loss:.4f}%", f"{bound:.4f}%",
             "yes" if loss <= bound else "NO",
         )
         assert loss <= bound, (
-            f"{backend} workers={workers}: adaptive loss {loss:.4f}% "
+            f"workers={workers}: adaptive loss {loss:.4f}% "
             f"exceeds the reported bound {bound:.4f}%"
         )
     results_sink(table.render())

@@ -1,19 +1,17 @@
-"""Benchmark: end-to-end engine throughput by sampling backend.
+"""Benchmark: end-to-end engine throughput.
 
 Runs the statistical engine (all three strategies per window) at the
 Fig. 6 workload — four equal-rate Gaussian sub-streams at the scale's
-rate — on every available sampling backend and reports sustained
-items/s.
+rate — and reports sustained items/s.
 
 The gates, in two classes (see ``conftest.py``):
 
 * **deterministic, always live** — mean loss sits within the reported
   §III-D error bound (which Eq. 8's exact count recovery keeps tight)
   at every worker count.
-* **wall-clock, report-only unless** ``REPRO_BENCH_GATES=1`` — numpy
-  >= 0.9x python; 2 shards >= 0.9x single-process from 2 cores, >=
-  2.5x at 4 shards from 4 cores. The ratios are always printed and
-  published.
+* **wall-clock, report-only unless** ``REPRO_BENCH_GATES=1`` — 2
+  shards >= 0.9x single-process from 2 cores, >= 2.5x at 4 shards from
+  4 cores. The ratios are always printed and published.
 
 The module also publishes the worker-scaling table for sharded
 multi-process execution (1/2/4/8 shards on the same workload), each
@@ -35,7 +33,6 @@ import os
 import time
 from dataclasses import dataclass
 
-from repro.core.fastpath import numpy_available
 from repro.experiments.base import ExperimentScale, uniform_schedule
 from repro.metrics.report import Table, format_bytes, format_rate
 from repro.system.config import PipelineConfig
@@ -54,24 +51,22 @@ WORKER_COUNTS = (1, 2, 4, 8)
 
 
 @dataclass(frozen=True, slots=True)
-class BackendPoint:
-    """Measured throughput of one sampling backend."""
+class EnginePoint:
+    """Measured throughput of the single-process engine."""
 
-    backend: str
     items_per_second: float
     mean_loss_percent: float
 
 
-def _measure(backend: str, scale: ExperimentScale) -> BackendPoint:
+def run_engine_bench(scale: ExperimentScale) -> EnginePoint:
+    """Best-of-``REPEATS`` throughput of one seeded run."""
     generators = {g.name: g for g in paper_gaussian_substreams()}
     schedule = uniform_schedule(scale.rate_scale)
     best = 0.0
     loss = 0.0
     for _ in range(REPEATS):
         config = PipelineConfig(
-            sampling_fraction=FRACTION,
-            seed=scale.config.seed,
-            backend=backend,
+            sampling_fraction=FRACTION, seed=scale.config.seed
         )
         runner = StatisticalRunner(config, schedule, generators)
         start = time.perf_counter()
@@ -80,29 +75,19 @@ def _measure(backend: str, scale: ExperimentScale) -> BackendPoint:
         items = sum(window.items_emitted for window in run.windows)
         best = max(best, items / elapsed)
         loss = run.mean_approxiot_loss
-    return BackendPoint(backend, best, loss)
+    return EnginePoint(best, loss)
 
 
-def run_engine_bench(scale: ExperimentScale) -> list[BackendPoint]:
-    """Throughput on every available backend, ``python`` first."""
-    backends = ["python"] + (["numpy"] if numpy_available() else [])
-    return [_measure(backend, scale) for backend in backends]
-
-
-def render_table(points: list[BackendPoint]) -> str:
-    """The paper-style table for one measured sweep."""
+def render_table(point: EnginePoint) -> str:
+    """The paper-style table for one measurement."""
     table = Table(
-        "Engine throughput by backend (Fig. 6 workload, 10% fraction)",
-        ["backend", "items/s", "speedup", "mean loss"],
+        "Engine throughput (Fig. 6 workload, 10% fraction)",
+        ["items/s", "mean loss"],
     )
-    baseline = points[0].items_per_second
-    for point in points:
-        table.add_row(
-            point.backend,
-            format_rate(point.items_per_second),
-            f"{point.items_per_second / baseline:.1f}x",
-            f"{point.mean_loss_percent:.3f}%",
-        )
+    table.add_row(
+        format_rate(point.items_per_second),
+        f"{point.mean_loss_percent:.3f}%",
+    )
     return table.render()
 
 
@@ -142,7 +127,6 @@ def _measure_workers(workers: int, scale: ExperimentScale) -> ScalingPoint:
     config = PipelineConfig(
         sampling_fraction=FRACTION,
         seed=scale.config.seed,
-        backend="auto",
         workers=workers,
     )
     best = 0.0
@@ -222,27 +206,14 @@ def render_scaling_table(points: list[ScalingPoint]) -> str:
     return table.render()
 
 
-def test_bench_engine(benchmark, bench_scale, results_sink, wall_clock_gates):
-    """Every backend's throughput is reported; numpy never trails python.
-
-    One measured sweep feeds both the published table and the gating
-    assertions, so the numbers in ``results.txt`` are exactly the
-    numbers CI passed (or failed) on.
-    """
-    points = benchmark.pedantic(
+def test_bench_engine(benchmark, bench_scale, results_sink):
+    """The engine's throughput is reported (no gate: one timing sample)."""
+    point = benchmark.pedantic(
         run_engine_bench, args=(bench_scale,), rounds=1, iterations=1
     )
-    text = render_table(points)
+    text = render_table(point)
     print(text)
     results_sink(text)
-
-    by_backend = {point.backend: point for point in points}
-    if not wall_clock_gates or "numpy" not in by_backend:
-        return
-    python, numpy = by_backend["python"], by_backend["numpy"]
-    # The vectorised backend must never fall behind the scalar one;
-    # 0.9x tolerance absorbs timer noise.
-    assert numpy.items_per_second >= 0.9 * python.items_per_second
 
 
 def test_bench_worker_scaling(

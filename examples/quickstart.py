@@ -28,12 +28,12 @@ def main() -> None:
 
     # One time interval passes: each edge node samples its arrivals
     # with a budget of 800 items and forwards the weighted batches...
-    west = whsamp(chatty[:4500] + quiet[:60], 800, rng=rng, backend="auto")
-    east = whsamp(chatty[4500:] + quiet[60:], 800, rng=rng, backend="auto")
+    west = whsamp(chatty[:4500] + quiet[:60], 800, rng=rng)
+    east = whsamp(chatty[4500:] + quiet[60:], 800, rng=rng)
 
     # ...and the root (datacenter) samples what arrived to 400 items
     # and stashes the result in Theta for the window's query.
-    root = whsamp_batches(west.batches + east.batches, 400, rng=rng, backend="auto")
+    root = whsamp_batches(west.batches + east.batches, 400, rng=rng)
     theta = ThetaStore()
     theta.extend(root.batches)
 

@@ -17,8 +17,8 @@ table. Watch three things in the output:
 * ``srs loss`` — the coin-flip baseline wobbles an order of magnitude
   harder through the whole storm.
 
-The same scenario runs unchanged on either sampling backend, the
-broker transport and any ``workers`` count — state is
+The same scenario runs unchanged on the broker transport and any
+``workers`` count — state is
 a pure function of the window index, so every worker shard replays
 the identical timeline.
 

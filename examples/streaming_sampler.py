@@ -38,19 +38,14 @@ class WHSampProcessor(Processor):
         self._next_boundary = interval
 
     def init(self) -> None:
-        # The runtime resolves the sampling backend once and publishes
-        # it on every processor context before init() runs; building
-        # the sampler here picks it up (vectorized when numpy is in).
         self._ensure_sampler()
 
     def _ensure_sampler(self) -> WeightedHierarchicalSampler:
         # Lazy so the processor also works standalone (no runtime, no
-        # init() call) on the context's default backend.
+        # init() call).
         if self._sampler is None:
             self._sampler = WeightedHierarchicalSampler(
-                self._sample_size,
-                rng=random.Random(self._seed),
-                backend=self.context.sampling_backend,
+                self._sample_size, rng=random.Random(self._seed)
             )
         return self._sampler
 

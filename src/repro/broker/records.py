@@ -10,8 +10,8 @@ accounting used by the network simulator.
 The module also hosts the engine's compact binary codec for weighted
 batches (:func:`encode_weighted_batch` / :data:`COLUMNAR_SERDE`): a
 batch's records travel as raw little-endian column buffers (numpy
-buffer views/``frombuffer``, stdlib ``array('d')`` fallback) instead of
-a per-record pickle graph. This is what the sharded execution engine
+buffer views out, ``frombuffer`` in) instead of a per-record pickle
+graph. This is what the sharded execution engine
 ships between worker processes and what :class:`BrokerTransport` uses
 when given a serde, so cross-process transport cost scales with bytes,
 not with record count.
@@ -31,19 +31,14 @@ from __future__ import annotations
 import json
 import pickle
 import struct
-import sys
-from array import array
 from dataclasses import dataclass, field
 from typing import Any, Callable, Mapping
+
+import numpy as _np
 
 from repro.core.columns import ColumnarBatch
 from repro.core.items import WeightedBatch
 from repro.errors import ConfigurationError
-
-try:  # pragma: no cover - trivially environment-dependent
-    import numpy as _np
-except ImportError:  # pragma: no cover
-    _np = None
 
 __all__ = [
     "Record",
@@ -166,13 +161,7 @@ def _float_column_bytes(column) -> bytes | memoryview:
     """
     if not len(column):
         return b""
-    if _np is not None and isinstance(column, _np.ndarray):
-        return memoryview(_np.ascontiguousarray(column, dtype="<f8")).cast("B")
-    buf = column if isinstance(column, array) else array("d", column)
-    if sys.byteorder == "big":  # pragma: no cover - exotic hosts only
-        buf = array("d", buf)
-        buf.byteswap()
-    return memoryview(buf).cast("B")
+    return memoryview(_np.ascontiguousarray(column, dtype="<f8")).cast("B")
 
 
 def _float_column_from(data: bytes):
@@ -181,13 +170,7 @@ def _float_column_from(data: bytes):
     The result owns its buffer (numpy copies out of the message bytes),
     so decoded batches never alias transport buffers.
     """
-    if _np is not None:
-        return _np.frombuffer(data, dtype="<f8").astype(_np.float64)
-    buf = array("d")
-    buf.frombytes(data)
-    if sys.byteorder == "big":  # pragma: no cover - exotic hosts only
-        buf.byteswap()
-    return buf
+    return _np.frombuffer(data, dtype="<f8").astype(_np.float64)
 
 
 def encode_weighted_batch_chunks(batch: WeightedBatch) -> list[bytes | memoryview]:
@@ -220,11 +203,8 @@ def encode_weighted_batch_chunks(batch: WeightedBatch) -> list[bytes | memoryvie
         out.append(b"\x00")
         out.append(struct.pack("<q", columns.sizes))
     else:
-        sizes = array("q", columns.sizes)
-        if sys.byteorder == "big":  # pragma: no cover - exotic hosts only
-            sizes.byteswap()
         out.append(b"\x01")
-        out.append(sizes.tobytes())
+        out.append(_np.asarray(columns.sizes, dtype="<i8").tobytes())
     out.append(_float_column_bytes(columns.values))
     out.append(_float_column_bytes(columns.timestamps))
     return out
@@ -272,27 +252,25 @@ def _decode_weighted_batch(data, offset: int) -> tuple[WeightedBatch, int]:
             offset += 9
         else:
             offset += 1
-            size_column = array("q")
-            size_column.frombytes(data[offset : offset + 8 * n])
-            if sys.byteorder == "big":  # pragma: no cover - exotic hosts only
-                size_column.byteswap()
-            sizes = size_column.tolist()
+            sizes = _np.frombuffer(
+                data, dtype="<i8", count=n, offset=offset
+            ).tolist()
             offset += 8 * n
-    except (IndexError, struct.error) as exc:
+    except (IndexError, ValueError, struct.error) as exc:
         raise ConfigurationError(
             f"truncated weighted batch: the frame ends inside the header "
             f"({exc})"
         ) from exc
+    if len(data) < offset + 16 * n:
+        raise ConfigurationError(
+            f"truncated weighted batch: header declares {n} records, "
+            f"frame holds {max(0, len(data) - offset)} of their {16 * n} "
+            f"column bytes"
+        )
     values = _float_column_from(data[offset : offset + 8 * n])
     offset += 8 * n
     timestamps = _float_column_from(data[offset : offset + 8 * n])
     offset += 8 * n
-    if len(values) != n or len(timestamps) != n:
-        raise ConfigurationError(
-            f"truncated weighted batch: header declares {n} records, "
-            f"frame holds {len(values)} values and {len(timestamps)} "
-            f"timestamps"
-        )
     columns = ColumnarBatch(tags, values, timestamps, sizes)
     return WeightedBatch(substream, weight, columns), offset
 
@@ -337,7 +315,12 @@ def decode_weighted_batches(data) -> list[WeightedBatch]:
     with one ``frombuffer`` view over the shared pages — and the
     decoded batches copy out, never aliasing the buffer.
     """
-    (count,) = struct.unpack_from("<I", data, 0)
+    try:
+        (count,) = struct.unpack_from("<I", data, 0)
+    except struct.error as exc:
+        raise ConfigurationError(
+            f"truncated weighted-batch frame: no batch count ({exc})"
+        ) from exc
     offset = 4
     batches: list[WeightedBatch] = []
     for _ in range(count):

@@ -2,19 +2,17 @@
 
 Commands:
 
-* ``figures [ids...] [--scale quick|bench] [--backend ...]
-  [--workers N] [--budget-controller ...]
+* ``figures [ids...] [--scale quick|bench] [--workers N]
+  [--budget-controller ...]
   [--shard-timeout S] [--on-shard-loss ...] [--inject-fault SPEC]`` —
   regenerate the paper's evaluation figures as text tables (all of
-  them by default) on the selected sampling backend,
-  worker-shard count, per-window budget controller and
-  shard-supervision knobs (watchdog deadline, loss policy, injected
-  faults). How a shard's Theta crosses the process boundary is not a
-  flag: the engine picks shared memory where it can and the pipe
-  otherwise.
+  them by default) on the selected worker-shard count, per-window
+  budget controller and shard-supervision knobs (watchdog deadline,
+  loss policy, injected faults). How a shard's Theta crosses the
+  process boundary is not a flag: the engine picks shared memory where
+  it can and the pipe otherwise.
 * ``scenarios run <name> [--windows N] [--fraction F] [--scale ...]
-  [--backend ...] [--workers N]
-  [--budget-controller ...]
+  [--workers N] [--budget-controller ...]
   [--shard-timeout S] [--on-shard-loss ...] [--inject-fault SPEC]`` —
   run a built-in dynamic-workload scenario (bursts, skew drift, node
   churn, degraded links) and print its per-window quality-over-time
@@ -37,7 +35,6 @@ from dataclasses import fields, replace
 from typing import Sequence
 
 from repro import __version__
-from repro.core.fastpath import BACKENDS
 from repro.engine.faults import FaultPlan
 from repro.errors import ReproError
 from repro.experiments.base import (
@@ -91,12 +88,6 @@ def _add_engine_knobs(parser: argparse.ArgumentParser, *,
         choices=sorted(_SCALES),
         default="quick",
         help="experiment sizing (default: quick)",
-    )
-    parser.add_argument(
-        "--backend",
-        choices=sorted(BACKENDS),
-        default=defaults.backend,
-        help="sampling kernel (default: auto — numpy when installed)",
     )
     parser.add_argument(
         "--workers",

@@ -35,11 +35,6 @@ from repro.core.estimator import (
     estimate_mean,
     estimate_sum,
 )
-from repro.core.fastpath import (
-    BACKENDS,
-    numpy_available,
-    resolve_backend,
-)
 from repro.core.items import StreamItem, WeightedBatch, group_by_substream
 from repro.core.reservoir import (
     ReservoirSampler,
@@ -60,7 +55,6 @@ from repro.core.whs import WeightedHierarchicalSampler, WHSampResult, whsamp
 __all__ = [
     "AdaptiveErrorBudget",
     "ApproximateResult",
-    "BACKENDS",
     "CoinFlipSampler",
     "ColumnarBatch",
     "FractionBudget",
@@ -90,10 +84,8 @@ __all__ = [
     "local_weight",
     "mean_variance",
     "neyman_factors",
-    "numpy_available",
     "output_weight",
     "reservoir_sample",
-    "resolve_backend",
     "sample_variance",
     "srs_sample",
     "substream_sum_variance",

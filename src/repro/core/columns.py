@@ -7,20 +7,17 @@ selection, weighted sums, coin flips — is array indexing instead of
 per-item attribute access. It is the only payload the engine, the
 transports, the codec, the shards and the deployment simulator move.
 
-Columns are numpy ``float64`` arrays when numpy is importable and
-stdlib ``array('d')`` buffers otherwise: the base install declares no
-dependencies, so the ``array('d')`` storage is the only one that runs
-there (slower, identical results).
+Columns are numpy ``float64`` arrays. They become arrays once, where
+records enter — :func:`value_column`, :meth:`ColumnarBatch.single`,
+:meth:`ColumnarBatch.from_items` and the codec's decoder — so every
+gather, sum and filter below is one array op with no type check.
 
 * **Seeded determinism.** Every per-record random decision is made
-  once, on columns: the sampling kernels select survivor *indices* and
-  one coin-flip mask is applied to a column. A seeded run is therefore
-  deterministic per ``(seed, backend)`` on every transport and every
-  shard count. The ``python`` backend draws one ``random.Random`` call
-  per record and is bit-stable across releases; the ``numpy`` backend
-  draws whole columns from per-source ``numpy.random.Generator``
-  streams (same distributions, different identities — the rule
-  :mod:`repro.core.fastpath` set for reservoirs).
+  once, on columns: the sampling kernel selects survivor *indices* and
+  one coin-flip mask is applied to a column, and generators draw whole
+  columns from per-source ``numpy.random.Generator`` streams. A seeded
+  run is therefore deterministic per seed on every transport and every
+  shard count.
 * **The edge adapter.** :class:`~repro.core.items.StreamItem` lists are
   accepted and returned at the public API edge only:
   :meth:`ColumnarBatch.from_items` converts one in (and returns a
@@ -32,16 +29,12 @@ there (slower, identical results).
 
 from __future__ import annotations
 
-from array import array
 from typing import Iterable, Iterator, Sequence
 
 from repro.core.items import StreamItem
 from repro.errors import SamplingError
 
-try:  # pragma: no cover - trivially environment-dependent
-    import numpy as _np
-except ImportError:  # pragma: no cover
-    _np = None
+import numpy as _np
 
 __all__ = [
     "ColumnarBatch",
@@ -55,42 +48,20 @@ DEFAULT_ITEM_BYTES = 100
 
 
 def value_column(values: Iterable[float]):
-    """Materialize an iterable of floats as a contiguous column."""
-    if _np is not None:
-        if not isinstance(values, (list, tuple, array, _np.ndarray)):
-            values = list(values)  # asarray rejects lazy iterables
-        return _np.asarray(values, dtype=_np.float64)
-    return values if isinstance(values, array) else array("d", values)
+    """Materialize an iterable of floats as a contiguous float64 column."""
+    if not isinstance(values, (list, tuple, _np.ndarray)):
+        values = list(values)  # asarray rejects lazy iterables
+    return _np.asarray(values, dtype=_np.float64)
 
 
 def _empty_column():
-    if _np is not None:
-        return _np.empty(0, dtype=_np.float64)
-    return array("d")
-
-
-def _take(column, indices):
-    """Gather ``column[i]`` per index (an ``intp`` array as is, or a list)."""
-    if _np is not None and isinstance(column, _np.ndarray):
-        return column[indices]
-    return array("d", (column[i] for i in indices))
+    return _np.empty(0, dtype=_np.float64)
 
 
 def _concat(columns: list):
     if len(columns) == 1:
         return columns[0]
-    if _np is not None and all(isinstance(c, _np.ndarray) for c in columns):
-        return _np.concatenate(columns)
-    merged = array("d")
-    for column in columns:
-        merged.extend(column)
-    return merged
-
-
-def _column_sum(column) -> float:
-    if _np is not None and isinstance(column, _np.ndarray):
-        return float(column.sum())
-    return float(sum(column))
+    return _np.concatenate(columns)
 
 
 class ColumnarBatch:
@@ -102,8 +73,8 @@ class ColumnarBatch:
             sources are per-stratum, and sampled batches are grouped),
             or a ``list[str]`` for mixed batches (e.g. the skewed
             mixture workload before stratification).
-        values: Contiguous float64 column of record payloads.
-        timestamps: Contiguous float64 column of emission times.
+        values: float64 array of record payloads.
+        timestamps: float64 array of emission times.
         sizes: Serialized record sizes for bandwidth accounting — a
             single ``int`` when uniform, or a ``list[int]`` per record.
     """
@@ -144,11 +115,7 @@ class ColumnarBatch:
     ) -> "ColumnarBatch":
         """A uniform-stratum batch with a constant emission time."""
         column = value_column(values)
-        n = len(column)
-        if _np is not None and isinstance(column, _np.ndarray):
-            timestamps = _np.full(n, float(emitted_at))
-        else:
-            timestamps = array("d", [float(emitted_at)]) * n
+        timestamps = _np.full(len(column), float(emitted_at))
         return cls(substream, column, timestamps, size_bytes)
 
     @classmethod
@@ -247,8 +214,8 @@ class ColumnarBatch:
         return int(sum(self.sizes))
 
     def value_sum(self) -> float:
-        """Sum of the value column (one vector op on numpy columns)."""
-        return _column_sum(self.values)
+        """Sum of the value column (one vector op)."""
+        return float(self.values.sum())
 
     # ------------------------------------------------------------------
     # Transformation
@@ -267,8 +234,8 @@ class ColumnarBatch:
         )
         return ColumnarBatch(
             substreams,
-            _take(self.values, indices),
-            _take(self.timestamps, indices),
+            self.values[indices],
+            self.timestamps[indices],
             sizes,
         )
 
@@ -278,10 +245,7 @@ class ColumnarBatch:
             raise SamplingError(
                 f"mask length {len(mask)} does not match batch of {len(self)}"
             )
-        if _np is not None and isinstance(self.values, _np.ndarray):
-            indices = _np.nonzero(_np.asarray(mask, dtype=bool))[0]
-        else:
-            indices = [i for i, keep in enumerate(mask) if keep]
+        indices = _np.nonzero(_np.asarray(mask, dtype=bool))[0]
         return self.select(indices)
 
     def spread_offsets(self, interval_seconds: float):
@@ -293,18 +257,14 @@ class ColumnarBatch:
         source computes it once and reuses it.
         """
         n = len(self)
-        if _np is not None and isinstance(self.values, _np.ndarray):
-            offsets = interval_seconds * _np.arange(1, n + 1, dtype=_np.float64)
-            return offsets / (n + 1)
-        return array("d", (interval_seconds * (i + 1) / (n + 1) for i in range(n)))
+        offsets = interval_seconds * _np.arange(1, n + 1, dtype=_np.float64)
+        return offsets / (n + 1)
 
     def with_timestamps_from(self, interval_start: float, offsets) -> "ColumnarBatch":
         """The same records re-stamped at ``interval_start + offsets``."""
-        if _np is not None and isinstance(self.values, _np.ndarray):
-            timestamps = interval_start + offsets
-        else:
-            timestamps = array("d", (interval_start + o for o in offsets))
-        return ColumnarBatch(self.substreams, self.values, timestamps, self.sizes)
+        return ColumnarBatch(
+            self.substreams, self.values, interval_start + offsets, self.sizes
+        )
 
     def group_by_substream(self) -> dict[str, "ColumnarBatch"]:
         """Stratify by sub-stream id, preserving first-occurrence order.
@@ -325,8 +285,8 @@ class ColumnarBatch:
         return {
             substream: ColumnarBatch(
                 substream,
-                _take(self.values, indices),
-                _take(self.timestamps, indices),
+                self.values[indices],
+                self.timestamps[indices],
                 self.sizes
                 if isinstance(self.sizes, int)
                 else [self.sizes[i] for i in indices],
@@ -366,19 +326,17 @@ class ColumnarBatch:
 def masked_sum(column, mask: Sequence[bool]) -> float:
     """Sum of the column entries whose mask entry is true.
 
-    One select-and-reduce vector op on numpy columns; the SRS
-    baseline's Horvitz-Thompson numerator.
+    One select-and-reduce vector op; the SRS baseline's
+    Horvitz-Thompson numerator.
     """
-    if _np is not None and isinstance(column, _np.ndarray):
-        return float(column[_np.asarray(mask, dtype=bool)].sum())
-    return float(sum(value for value, keep in zip(column, mask) if keep))
+    return float(column[_np.asarray(mask, dtype=bool)].sum())
 
 
 def concat_value_chunks(chunks: list) -> Sequence[float]:
     """Flatten per-batch value columns into one contiguous column.
 
     The root estimator accumulates one value column per stored batch;
-    merging them keeps the variance estimator one vector op on numpy
-    columns. A single chunk passes through untouched.
+    merging them keeps the variance estimator one vector op. A single
+    chunk passes through untouched.
     """
     return _concat(chunks)

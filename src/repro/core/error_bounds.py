@@ -27,13 +27,10 @@ from dataclasses import dataclass
 from statistics import NormalDist
 from typing import Mapping, Sequence
 
+import numpy as _np
+
 from repro.core.estimator import SubstreamEstimate, ThetaStore
 from repro.errors import EstimationError
-
-try:  # pragma: no cover - trivially environment-dependent
-    import numpy as _np
-except ImportError:  # pragma: no cover
-    _np = None
 
 __all__ = [
     "ApproximateResult",
@@ -96,17 +93,12 @@ class ApproximateResult:
 def sample_variance(values: Sequence[float]) -> float:
     """Unbiased sample variance ``s^2`` (Eq. 12); 0.0 for n < 2.
 
-    A numpy value column is reduced with one vector op; any other
-    sequence (the no-numpy install's ``array('d')`` columns, plain
-    lists from callers) is summed in Python.
+    One vector op over the value column (a plain sequence from a
+    caller is converted first).
     """
-    n = len(values)
-    if n < 2:
+    if len(values) < 2:
         return 0.0
-    if _np is not None and isinstance(values, _np.ndarray):
-        return float(values.var(ddof=1))
-    mean = sum(values) / n
-    return sum((v - mean) ** 2 for v in values) / (n - 1)
+    return float(_np.asarray(values, dtype=_np.float64).var(ddof=1))
 
 
 def substream_sum_variance(estimate: SubstreamEstimate) -> float:
@@ -169,7 +161,7 @@ def confidence_multiplier(confidence: float) -> float:
             f"confidence must be in (0, 1), got {confidence}"
         )
     # Wichura's AS241 via the stdlib — identical to scipy's norm.ppf
-    # to ~1e-15, and keeps the base install dependency-free.
+    # to ~1e-15, without a scipy dependency.
     return float(NormalDist().inv_cdf(0.5 + confidence / 2.0))
 
 

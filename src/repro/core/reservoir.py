@@ -8,10 +8,9 @@ reservoir. Both produce a uniform random sample without replacement of
 at most ``capacity`` items from a stream of unknown length.
 
 These are the per-item reference forms. The engine samples whole
-materialised intervals, so it draws survivor index sets instead:
-:func:`~repro.core.fastpath.reservoir_sample_indices` replays
-:class:`ReservoirSampler`'s entropy stream exactly, and
-:func:`~repro.core.fastpath.batch_sample_indices` is its numpy twin.
+materialised intervals, so it draws survivor index sets instead with
+:func:`~repro.core.fastpath.batch_sample_indices`, which the tests
+hold to :class:`ReservoirSampler`'s inclusion distribution.
 """
 
 from __future__ import annotations

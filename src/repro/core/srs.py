@@ -13,7 +13,7 @@ from __future__ import annotations
 import random
 from typing import Generic, Iterable, Sequence, TypeVar
 
-from repro.core.fastpath import BACKEND_NUMPY, make_generator, resolve_backend
+from repro.core.fastpath import make_generator
 from repro.errors import SamplingError
 
 __all__ = ["CoinFlipSampler", "srs_sample"]
@@ -29,11 +29,10 @@ class CoinFlipSampler(Generic[T]):
     paper's Figure 9, the SRS system's latency does not grow with the
     window size while ApproxIoT's does.
 
-    ``backend`` picks the entropy source under the contract in
-    :mod:`repro.core.fastpath`: ``"python"`` spends one ``rng.random()``
-    per record (bit-stable across releases); ``"numpy"`` decides whole
-    batches in one vector draw from ``gen`` — the engine passes its
-    pipeline's Generator — or from one seeded once from ``rng``.
+    Whole batches are decided in one vector draw from ``gen`` — the
+    engine passes its pipeline's Generator — or, standalone, from one
+    seeded once from ``rng`` (the contract in
+    :mod:`repro.core.fastpath`).
     """
 
     def __init__(
@@ -41,7 +40,6 @@ class CoinFlipSampler(Generic[T]):
         fraction: float,
         rng: random.Random | None = None,
         *,
-        backend: str = "python",
         gen=None,
     ) -> None:
         if not 0.0 < fraction <= 1.0:
@@ -49,9 +47,8 @@ class CoinFlipSampler(Generic[T]):
                 f"sampling fraction must be in (0, 1], got {fraction}"
             )
         self._fraction = float(fraction)
-        self._rng = rng if rng is not None else random.Random()
-        if gen is None and resolve_backend(backend) == BACKEND_NUMPY:
-            gen = make_generator(self._rng)
+        if gen is None:
+            gen = make_generator(rng or random.Random())
         self._gen = gen
         self._seen = 0
         self._kept = 0
@@ -91,21 +88,13 @@ class CoinFlipSampler(Generic[T]):
 
         The one place a coin is flipped: :meth:`offer` and
         :meth:`filter` are this mask applied to items, and the engines
-        apply it to a column. The ``numpy`` backend returns a boolean
-        array from a single draw.
+        apply it to a column. One draw returns a boolean array.
         """
         if count < 0:
             raise SamplingError(f"count must be >= 0, got {count}")
-        fraction = self._fraction
-        if self._gen is not None:
-            mask = self._gen.random(count) < fraction
-            kept = int(mask.sum())
-        else:
-            rng = self._rng
-            mask = [rng.random() < fraction for _ in range(count)]
-            kept = sum(mask)
+        mask = self._gen.random(count) < self._fraction
         self._seen += count
-        self._kept += kept
+        self._kept += int(mask.sum())
         return mask
 
     def merge_counters(self, other: "CoinFlipSampler") -> None:

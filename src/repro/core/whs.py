@@ -23,15 +23,7 @@ from dataclasses import dataclass, field
 from typing import Iterable, Mapping
 
 from repro.core.columns import ColumnarBatch
-from repro.core.fastpath import (
-    BACKEND_AUTO,
-    BACKEND_NUMPY,
-    BACKEND_PYTHON,
-    batch_sample_indices,
-    make_generator,
-    reservoir_sample_indices,
-    resolve_backend,
-)
+from repro.core.fastpath import batch_sample_indices, make_generator
 from repro.core.items import StreamItem, WeightedBatch
 from repro.core.stratified import AllocationPolicy, allocate_fair_fill
 from repro.core.weights import WeightMap, output_weight
@@ -80,7 +72,6 @@ def whsamp_batches(
     *,
     policy: AllocationPolicy = allocate_fair_fill,
     rng: random.Random | None = None,
-    backend: str = BACKEND_PYTHON,
     gen=None,
 ) -> WHSampResult:
     """Run Algorithm 1 over the interval's ``(W_in, items)`` pairs.
@@ -103,21 +94,16 @@ def whsamp_batches(
     by the stale-weight rule of Figure 3 when later items arrive
     without metadata.
 
-    ``backend`` selects the per-group sampling kernel (see
-    :mod:`repro.core.fastpath`): the pure-Python reservoir loop (the
-    bit-for-bit default) or the vectorized numpy survivor-set draw.
-    Both satisfy the Eq. 8 invariant exactly. The numpy kernel draws
-    from ``gen`` (the engine passes its pipeline's one Generator) or,
-    standalone, from one seeded from ``rng`` when the first group
-    overflows its allocation: a pass-through interval costs no entropy.
-
-    Either kernel draws survivor *indices* and gathers them with one
-    column op; no record is touched individually.
+    Each overflowing group's survivors are drawn by
+    :func:`~repro.core.fastpath.batch_sample_indices` from ``gen`` (the
+    engine passes its pipeline's one Generator) or, standalone, from
+    one seeded from ``rng`` when the first group overflows its
+    allocation: a pass-through interval costs no entropy. The kernel
+    draws survivor *indices* and gathers them with one column op; no
+    record is touched individually.
     """
     if sample_size <= 0:
         raise SamplingError(f"sample size must be positive, got {sample_size}")
-    rng = rng if rng is not None else random.Random()
-    numpy_kernel = resolve_backend(backend) == BACKEND_NUMPY
 
     # One scan of the inbox: group payloads by (sub-stream, W_in) and
     # count arrivals; silent payloads are dropped here.
@@ -145,15 +131,11 @@ def whsamp_batches(
         # line 10: RS(S_i, N_i) — survivor indices, then one gather.
         if count <= capacity:
             sampled = group_items
-        elif numpy_kernel:
+        else:
             if gen is None:
-                gen = make_generator(rng)
+                gen = make_generator(rng or random.Random())
             sampled = group_items.select(
                 batch_sample_indices(count, capacity, gen)
-            )
-        else:
-            sampled = group_items.select(
-                reservoir_sample_indices(count, capacity, rng)
             )
         w_out = output_weight(w_in, count, capacity)  # Eq. 1-2
         result.batches.append(WeightedBatch(substream, w_out, sampled))
@@ -212,7 +194,6 @@ def whsamp(
     *,
     policy: AllocationPolicy = allocate_fair_fill,
     rng: random.Random | None = None,
-    backend: str = BACKEND_PYTHON,
 ) -> WHSampResult:
     """Run Algorithm 1 over one interval's arrivals.
 
@@ -230,8 +211,6 @@ def whsamp(
             different intervals, which this map encodes naturally.
         policy: The ``getSampleSize`` budget-split policy.
         rng: Random source (pass a seeded instance for reproducibility).
-        backend: Sampling kernel selection (``"python"`` / ``"numpy"``
-            / ``"auto"``, see :mod:`repro.core.fastpath`).
 
     Returns:
         A :class:`WHSampResult` with the sampled batches and ``W_out``.
@@ -249,9 +228,7 @@ def whsamp(
         WeightedBatch(substream, weights_in.get(substream), sub_items)
         for substream, sub_items in substreams.items()
     ]
-    result = whsamp_batches(
-        pairs, sample_size, policy=policy, rng=rng, backend=backend
-    )
+    result = whsamp_batches(pairs, sample_size, policy=policy, rng=rng)
     # The caller's full weight map rolls forward: sub-streams absent
     # from this interval keep their stale weights (Figure 3's rule).
     merged = weights_in.copy()
@@ -280,14 +257,12 @@ class WeightedHierarchicalSampler:
         *,
         policy: AllocationPolicy = allocate_fair_fill,
         rng: random.Random | None = None,
-        backend: str = BACKEND_AUTO,
     ) -> None:
         if sample_size <= 0:
             raise SamplingError(f"sample size must be positive, got {sample_size}")
         self._sample_size = int(sample_size)
         self._policy = policy
         self._rng = rng if rng is not None else random.Random()
-        self._backend = resolve_backend(backend)
         self._weights = WeightMap()
 
     @property
@@ -300,11 +275,6 @@ class WeightedHierarchicalSampler:
         if value <= 0:
             raise SamplingError(f"sample size must be positive, got {value}")
         self._sample_size = int(value)
-
-    @property
-    def backend(self) -> str:
-        """The resolved sampling backend (``"python"`` or ``"numpy"``)."""
-        return self._backend
 
     @property
     def weights(self) -> WeightMap:
@@ -323,5 +293,4 @@ class WeightedHierarchicalSampler:
             self._weights,
             policy=self._policy,
             rng=self._rng,
-            backend=self._backend,
         )

@@ -3,7 +3,7 @@
 The engine separates *what a run is* from *how it executes*:
 
 * :mod:`repro.engine.pipeline` assembles the node graph once —
-  sources, per-node budgets, resolved sampling backend — from a
+  sources, per-node budgets, seeded random streams — from a
   :class:`~repro.system.config.PipelineConfig` and a rate schedule.
 * :mod:`repro.engine.transport` moves weighted batches between nodes:
   in-process callbacks (statistical runs) or simnet-backed broker

@@ -6,7 +6,7 @@ object: a tree of sampling nodes fed by rate-scheduled sources, each
 node holding a per-interval sample budget derived from the cost
 function. :func:`build_pipeline` materialises that object exactly once
 per run — sources wired to sub-streams, per-node budgets sized from
-subtree rates, the sampling backend resolved — so the facades never
+subtree rates, the run's random streams seeded — so the facades never
 re-derive any of it.
 """
 
@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
 from repro.core.cost import FractionBudget
-from repro.core.fastpath import BACKEND_NUMPY, make_generator
+from repro.core.fastpath import make_generator
 from repro.core.srs import CoinFlipSampler
 from repro.core.stratified import AllocationPolicy
 from repro.errors import PipelineError
@@ -34,21 +34,16 @@ __all__ = ["Pipeline", "build_pipeline"]
 
 @dataclass(slots=True)
 class Pipeline:
-    """One assembled run: tree + sources + budgets + resolved backend.
+    """One assembled run: tree + sources + budgets + random streams.
 
     Attributes:
         config: The run's configuration (immutable).
         tree: The logical tree the run executes on.
-        backend: The sampling backend, resolved once at assembly
-            (``config.resolved_backend`` cached for the whole run).
-        rng: The run's random source. Sources received derived seeds
-            from it during assembly (on ``numpy`` each seeds its own
-            ``numpy.random.Generator`` from that, once); on ``python``
-            every later sampling decision draws from it in order.
-        gen: The run's one ``numpy.random.Generator``, seeded from
-            ``rng`` after the sources' seeds and consumed in execution
-            order by every reservoir draw and coin flip — no node or
-            window builds another. ``None`` on ``python``.
+        gen: The run's one ``numpy.random.Generator``, seeded from the
+            run seed's ``random.Random`` after each source drew its own
+            seed from it, and consumed in execution order by every
+            reservoir draw and coin flip — no node or window builds
+            another.
         sources: One :class:`~repro.workloads.source.Source` per source
             node, keyed by node name.
         source_rates: Per-source emission rate (items/second).
@@ -68,9 +63,7 @@ class Pipeline:
 
     config: PipelineConfig
     tree: LogicalTree
-    backend: str
-    rng: random.Random
-    gen: object = None
+    gen: object
     sources: dict[str, Source] = field(default_factory=dict)
     source_rates: dict[str, float] = field(default_factory=dict)
     budgets: dict[str, int] = field(default_factory=dict)
@@ -128,10 +121,8 @@ class Pipeline:
         return count
 
     def coin_flipper(self, fraction: float) -> CoinFlipSampler:
-        """An SRS sampler on the run's entropy: ``gen``, or a seeded ``Random``."""
-        if self.gen is not None:
-            return CoinFlipSampler(fraction, self.rng, gen=self.gen)
-        return CoinFlipSampler(fraction, random.Random(self.rng.getrandbits(64)))
+        """An SRS sampler drawing from the run's ``gen``."""
+        return CoinFlipSampler(fraction, gen=self.gen)
 
     def emit_source(
         self, node_name: str, interval_start: float, interval_seconds: float
@@ -160,7 +151,6 @@ def _build_sources(
     schedule: RateSchedule,
     generators: dict[str, ItemGenerator],
     rng: random.Random,
-    backend: str,
 ) -> tuple[dict[str, Source], dict[str, str]]:
     """Assign sub-streams round-robin across the tree's sources.
 
@@ -192,7 +182,6 @@ def _build_sources(
                 generators[substream],
                 per_source_rate,
                 rng=random.Random(rng.getrandbits(64)),
-                backend=backend,
             )
             source_substreams[node.name] = substream
     return sources, source_substreams
@@ -213,16 +202,13 @@ def build_pipeline(
     """
     tree = config.tree
     rng = random.Random(config.seed)
-    backend = config.resolved_backend
     sources, source_substreams = _build_sources(
-        tree, schedule, generators, rng, backend
+        tree, schedule, generators, rng
     )
     pipeline = Pipeline(
         config=config,
         tree=tree,
-        backend=backend,
-        rng=rng,
-        gen=make_generator(rng) if backend == BACKEND_NUMPY else None,
+        gen=make_generator(rng),
         sources=sources,
         source_substreams=source_substreams,
     )

@@ -201,7 +201,7 @@ def sample_interval(
     The single WHSamp step shared by every execution mode — the
     algorithmic window loop below and the deployment simulator's
     event-driven interval closes both call it, so budget, allocation
-    policy, rng and backend are applied identically everywhere.
+    policy and random streams are applied identically everywhere.
     """
     policy = (
         pipeline.allocation_override
@@ -212,8 +212,6 @@ def sample_interval(
         batches,
         pipeline.budget(node_name),
         policy=policy,
-        rng=pipeline.rng,
-        backend=pipeline.backend,
         gen=pipeline.gen,
     )
 

@@ -10,11 +10,11 @@ one ``multiprocessing.shared_memory`` segment into which it writes its
 codec frames directly (whole column buffers, one ``memcpy``-class write
 per column), and only a tiny ``(sequence, offset, length)`` descriptor
 crosses the Pipe. The parent decodes straight off the segment — numpy
-``frombuffer`` views over the shared pages, ``array('d')`` fallback —
-so payload bytes never transit a pipe and are copied exactly once
-(decode's copy-out into owned columns, which is what makes ring reuse
-safe). This is the SimBricks-style design: fixed-size shared-memory
-message queues, descriptors on the control channel, payloads in place.
+``frombuffer`` views over the shared pages — so payload bytes never
+transit a pipe and are copied exactly once (decode's copy-out into
+owned columns, which is what makes ring reuse safe). This is the
+SimBricks-style design: fixed-size shared-memory message queues,
+descriptors on the control channel, payloads in place.
 
 A :class:`ShardSegment` is split into two regions:
 

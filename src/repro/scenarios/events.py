@@ -76,9 +76,9 @@ class RateBurst:
 
     def __post_init__(self) -> None:
         _check_interval(self.start_window, self.end_window)
-        if self.factor <= 0:
+        if not 0 < self.factor < math.inf:
             raise ConfigurationError(
-                f"burst factor must be positive, got {self.factor}"
+                f"burst factor must be positive and finite, got {self.factor}"
             )
 
     def multiplier(self, window: int) -> float:
@@ -115,9 +115,10 @@ class RateRamp:
 
     def __post_init__(self) -> None:
         _check_interval(self.start_window, self.end_window)
-        if self.start_factor <= 0 or self.end_factor <= 0:
+        if not (0 < self.start_factor < math.inf
+                and 0 < self.end_factor < math.inf):
             raise ConfigurationError(
-                f"ramp factors must be positive, got "
+                f"ramp factors must be positive and finite, got "
                 f"{self.start_factor} -> {self.end_factor}"
             )
 
@@ -160,9 +161,9 @@ class RateWave:
             raise ConfigurationError(
                 f"wave period must be positive, got {self.period_windows}"
             )
-        if self.low <= 0 or self.high < self.low:
+        if not 0 < self.low <= self.high < math.inf:
             raise ConfigurationError(
-                f"wave needs 0 < low <= high, got "
+                f"wave needs 0 < low <= high < inf, got "
                 f"low={self.low}, high={self.high}"
             )
 

@@ -8,16 +8,11 @@ percentiles over recorded end-to-end samples.
 from __future__ import annotations
 
 import math
-from array import array
-from itertools import chain
+
+import numpy as _np
 
 from repro.errors import SimulationError
 from repro.simnet.network import Network
-
-try:  # pragma: no cover - trivially environment-dependent
-    import numpy as _np
-except ImportError:  # pragma: no cover
-    _np = None
 
 __all__ = ["LatencyRecorder", "bandwidth_saving", "network_snapshot"]
 
@@ -25,8 +20,8 @@ __all__ = ["LatencyRecorder", "bandwidth_saving", "network_snapshot"]
 class LatencyRecorder:
     """Accumulates end-to-end latency samples (seconds).
 
-    Stored as float64 chunks, one per recorded delivery (numpy arrays,
-    or ``array('d')`` without numpy); readers consolidate them once.
+    Stored as float64 arrays, one per recorded delivery; readers
+    consolidate them once.
     """
 
     __slots__ = ("_chunks", "_ordered")
@@ -43,13 +38,9 @@ class LatencyRecorder:
         """Record one delivery: a column of emissions that arrived together."""
         if not len(emitted_at):
             return
-        if _np is not None:
-            emitted_at = _np.asarray(emitted_at, dtype=_np.float64)
-            latest = float(emitted_at.max())
-            chunk = delivered_at - emitted_at
-        else:
-            latest = max(emitted_at)
-            chunk = array("d", (delivered_at - at for at in emitted_at))
+        emitted_at = _np.asarray(emitted_at, dtype=_np.float64)
+        latest = float(emitted_at.max())
+        chunk = delivered_at - emitted_at
         if delivered_at < latest:
             raise SimulationError(
                 f"delivery at {delivered_at} precedes emission at {latest}"
@@ -62,10 +53,7 @@ class LatencyRecorder:
         if not self._chunks:
             raise SimulationError("no latency samples recorded")
         if len(self._chunks) > 1:
-            self._chunks = [
-                _np.concatenate(self._chunks) if _np is not None
-                else array("d", chain.from_iterable(self._chunks))
-            ]
+            self._chunks = [_np.concatenate(self._chunks)]
         return self._chunks[0]
 
     @property
@@ -76,8 +64,7 @@ class LatencyRecorder:
     def mean(self) -> float:
         """Mean latency; raises if empty."""
         column = self._column()
-        total = column.sum() if _np is not None else sum(column)
-        return float(total) / len(column)
+        return float(column.sum()) / len(column)
 
     def percentile(self, q: float) -> float:
         """Latency percentile ``q`` in [0, 100] (nearest-rank, one sort)."""
@@ -85,15 +72,14 @@ class LatencyRecorder:
         if not 0.0 <= q <= 100.0:
             raise SimulationError(f"percentile must be in [0, 100], got {q}")
         if self._ordered is None:
-            sort = _np.sort if _np is not None else sorted
-            self._ordered = sort(column)
+            self._ordered = _np.sort(column)
         rank = max(1, math.ceil(q / 100.0 * len(column)))
         return float(self._ordered[rank - 1])
 
     def max(self) -> float:
         """Largest latency observed."""
         column = self._column()
-        return float(column.max() if _np is not None else max(column))
+        return float(column.max())
 
 
 def bandwidth_saving(sampled_bytes: int, native_bytes: int) -> float:

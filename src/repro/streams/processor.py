@@ -21,10 +21,6 @@ class ProcessorContext:
         self.node_name = node_name
         self._children: list[Processor] = []
         self.stream_time = 0.0
-        #: Resolved sampling backend ("python" / "numpy") for sampling
-        #: processors plugged into the DSL; set by the runtime before
-        #: ``init()`` runs (see ``StreamsRuntime(sampling_backend=...)``).
-        self.sampling_backend = "python"
 
     def add_child(self, child: "Processor") -> None:
         """Wire a downstream processor (topology construction only)."""

@@ -15,7 +15,6 @@ from typing import Any
 from repro.broker.broker import Broker
 from repro.broker.consumer import Consumer
 from repro.broker.producer import Producer
-from repro.core.fastpath import resolve_backend
 from repro.errors import PipelineError
 from repro.streams.topology import Topology
 
@@ -34,18 +33,10 @@ class StreamsRuntime:
         *,
         application_id: str | None = None,
         max_poll_records: int = 500,
-        sampling_backend: str = "auto",
     ) -> None:
         self._broker = broker
         self._topology = topology
         self._app_id = application_id or f"streams-app-{next(_app_ids)}"
-        self._sampling_backend = resolve_backend(sampling_backend)
-        # Sampling processors plugged into the topology read the seam
-        # off their context; set it before init() hooks run.
-        for node_name in topology.node_names:
-            topology.node(node_name).context.sampling_backend = (
-                self._sampling_backend
-            )
         self._producer = Producer(broker)
         self._consumers: list[tuple[Consumer, Any]] = []
         for index, source in enumerate(topology.sources):
@@ -61,11 +52,6 @@ class StreamsRuntime:
         topology.init_all()
         self._stream_time = 0.0
         self._closed = False
-
-    @property
-    def sampling_backend(self) -> str:
-        """Resolved sampling backend propagated to all processors."""
-        return self._sampling_backend
 
     @property
     def stream_time(self) -> float:

@@ -5,7 +5,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-from repro.core.fastpath import BACKENDS, resolve_backend
 from repro.core.stratified import AllocationPolicy, allocate_fair_fill
 from repro.errors import ConfigurationError
 from repro.topology.placement import PlacementSpec
@@ -77,9 +76,9 @@ class PipelineConfig:
         allocation_policy: ``getSampleSize`` policy for WHSamp.
         confidence: Confidence level for reported error bounds.
         seed: Seed for all randomness in a run.
-        backend: Sampling kernel — ``"python"``, ``"numpy"`` or
-            ``"auto"`` (default; uses numpy when installed, e.g. via
-            the ``[fast]`` extra, and pure Python otherwise).
+        backend: Kept for callers that still name it; ``"numpy"``,
+            the default, is the only accepted value and nothing reads
+            it (there is one sampling implementation).
         workers: Process-parallel worker shards for the statistical
             engine (§III-E). ``1`` (the default) runs the whole tree
             in-process; ``N > 1`` splits every sub-stream's rate into
@@ -137,7 +136,7 @@ class PipelineConfig:
     allocation_policy: AllocationPolicy = allocate_fair_fill
     confidence: float = 0.95
     seed: int = 42
-    backend: str = "auto"
+    backend: str = "numpy"
     workers: int = 1
     budget_controller: str = "static"
     shard_timeout: float | None = None
@@ -164,9 +163,9 @@ class PipelineConfig:
             raise ConfigurationError(
                 f"confidence must be in (0, 1), got {self.confidence}"
             )
-        if self.backend not in BACKENDS:
+        if self.backend != "numpy":
             raise ConfigurationError(
-                f"backend must be one of {BACKENDS}, got {self.backend!r}"
+                f"backend must be 'numpy', got {self.backend!r}"
             )
         if not isinstance(self.workers, int) or self.workers < 1:
             raise ConfigurationError(
@@ -210,14 +209,3 @@ class PipelineConfig:
                     f"fault_plan must be a repro.engine.faults.FaultPlan "
                     f"(or None), got {type(self.fault_plan).__name__}"
                 )
-
-    @property
-    def resolved_backend(self) -> str:
-        """The concrete sampling backend this config runs on.
-
-        Resolves ``"auto"`` against the current environment; raises
-        if ``"numpy"`` was requested explicitly but is unavailable.
-        The engine resolves this exactly once per run (at pipeline
-        assembly) and threads the result through every sampling call.
-        """
-        return resolve_backend(self.backend)

@@ -9,8 +9,8 @@ offline nodes and link drops. The per-window rows render as a
 paper-style table through :mod:`repro.metrics.report`, which is what
 ``python -m repro scenarios run <name>`` prints.
 
-Any engine configuration runs any scenario: sampling backend and worker
-shards compose — a fixed ``(seed, scenario, workers)`` triple is
+Any engine configuration runs any scenario: budget controller and
+worker shards compose — a fixed ``(seed, scenario, workers)`` triple is
 bit-reproducible. Link degradation acts on the statistical engine's
 in-process tree; the deployment simulator owns the simulated-WAN world
 (see :meth:`repro.scenarios.engine.ScenarioEngine.netem_overrides` for

@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Iterable
 
 from repro.core.items import StreamItem
 from repro.errors import WorkloadError
@@ -148,26 +147,20 @@ class PollutantSubstream(SubstreamGenerator):
         self._baseline, self._scale = POLLUTANTS[pollutant]
         self._level = self._baseline
 
-    def _advance(self, innovations: Iterable[float]) -> list[float]:
-        """The one clamped AR(1) recurrence, fed by either backend's noise.
+    def _values(self, count: int, gen) -> list[float]:
+        """The clamped AR(1) recurrence over one column of innovations.
 
-        Clamping at zero makes the level inherently sequential, so the
-        vector path vectorises only the innovations.
+        Clamping at zero makes the level inherently sequential, so only
+        the innovations are drawn as a vector.
         """
         baseline = self._baseline
         level = self._level
         readings = []
-        for innovation in innovations:
+        for innovation in gen.normal(0.0, self._scale, count).tolist():
             level = max(0.0, baseline + 0.95 * (level - baseline) + innovation)
             readings.append(round(level, 2))
         self._level = level
         return readings
-
-    def _scalar_values(self, count: int, rng: random.Random) -> list[float]:
-        return self._advance(rng.gauss(0, self._scale) for _ in range(count))
-
-    def _vector_values(self, count: int, gen) -> list[float]:
-        return self._advance(gen.normal(0.0, self._scale, count).tolist())
 
 
 def pollutant_generators() -> dict[str, PollutantSubstream]:

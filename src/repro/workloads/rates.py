@@ -11,6 +11,7 @@ A, B, C, D:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Mapping
 
@@ -35,9 +36,10 @@ class RateSchedule:
         if not self.rates:
             raise WorkloadError("rate schedule needs at least one sub-stream")
         for substream, rate in self.rates.items():
-            if rate < 0:
+            if not 0 <= rate < math.inf:
                 raise WorkloadError(
-                    f"rate for {substream!r} must be >= 0, got {rate}"
+                    f"rate for {substream!r} must be finite and >= 0, "
+                    f"got {rate}"
                 )
 
     @property
@@ -58,8 +60,10 @@ class RateSchedule:
 
     def scaled(self, factor: float) -> "RateSchedule":
         """A copy with every rate multiplied by ``factor``."""
-        if factor <= 0:
-            raise WorkloadError(f"scale factor must be positive, got {factor}")
+        if not 0 < factor < math.inf:
+            raise WorkloadError(
+                f"scale factor must be positive and finite, got {factor}"
+            )
         return RateSchedule(
             f"{self.name}x{factor:g}",
             {substream: rate * factor for substream, rate in self.rates.items()},

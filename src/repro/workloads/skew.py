@@ -14,6 +14,7 @@ import random
 from dataclasses import dataclass, field
 
 from repro.core.columns import ColumnarBatch
+from repro.core.fastpath import make_generator
 from repro.core.items import StreamItem
 from repro.errors import WorkloadError
 from repro.workloads.synthetic import PoissonSubstream
@@ -70,46 +71,28 @@ class SkewedMixture:
             sub.name: count for sub, count in zip(self.substreams, counts)
         }
 
-    def _stacked(self, draw: str, total_items: int, entropy, emitted_at: float):
-        """Every sub-stream's ``draw`` batch for its exact share, stacked."""
-        counts = self.counts_for(total_items)
-        return ColumnarBatch.concat(
-            [
-                getattr(substream, draw)(
-                    counts[substream.name], entropy, emitted_at
-                )
-                for substream in self.substreams
-            ]
-        )
-
-    def generate_columns(
-        self, total_items: int, rng: random.Random, emitted_at: float = 0.0
-    ) -> ColumnarBatch:
-        """A shuffled mixed-stratum batch following the proportions.
-
-        ``random.shuffle`` spends one draw per position regardless of
-        element type, so shuffling an index permutation and gathering
-        the columns lands every record in the slot a shuffled item
-        list would occupy.
-        """
-        merged = self._stacked("generate_columns", total_items, rng, emitted_at)
-        order = list(range(len(merged)))
-        rng.shuffle(order)
-        return merged.select(order)
-
     def draw_columns(
         self, total_items: int, gen, emitted_at: float = 0.0
     ) -> ColumnarBatch:
-        """:meth:`generate_columns` from a numpy ``Generator``: vector
-        per-stratum draws and one ``permutation``."""
-        merged = self._stacked("draw_columns", total_items, gen, emitted_at)
+        """A shuffled mixed-stratum batch following the proportions:
+        vector per-stratum draws for each exact share, stacked, and one
+        ``permutation``."""
+        counts = self.counts_for(total_items)
+        merged = ColumnarBatch.concat(
+            [
+                substream.draw_columns(counts[substream.name], gen, emitted_at)
+                for substream in self.substreams
+            ]
+        )
         return merged.select(gen.permutation(len(merged)))
 
     def generate(
         self, total_items: int, rng: random.Random, emitted_at: float = 0.0
     ) -> list[StreamItem]:
-        """:meth:`generate_columns`, transposed into items."""
-        return self.generate_columns(total_items, rng, emitted_at).to_items()
+        """:meth:`draw_columns` on a Generator seeded from ``rng``."""
+        return self.draw_columns(
+            total_items, make_generator(rng), emitted_at
+        ).to_items()
 
 
 def paper_skewed_mixture() -> SkewedMixture:

@@ -9,11 +9,12 @@ and the fluctuating-rate settings.
 
 from __future__ import annotations
 
+import math
 import random
 from typing import Callable, Protocol
 
 from repro.core.columns import ColumnarBatch
-from repro.core.fastpath import BACKEND_NUMPY, make_generator, resolve_backend
+from repro.core.fastpath import make_generator
 from repro.core.items import StreamItem
 from repro.errors import WorkloadError
 from repro.workloads.rates import RateSchedule
@@ -32,13 +33,12 @@ class ItemGenerator(Protocol):
 
     Generators may additionally implement two optional hooks, each
     returning a :class:`~repro.core.columns.ColumnarBatch`:
-    ``generate_columns(count, rng, emitted_at)`` — the same scalar
-    ``random.Random`` entropy, emitted as columns (see
-    :func:`generate_columns`) — and ``draw_columns(count, gen,
-    emitted_at)`` — whole-column draws from a
-    ``numpy.random.Generator``, which a ``backend="numpy"``
-    :class:`Source` prefers. A generator with neither keeps receiving
-    the source's ``random.Random`` on every backend.
+    ``draw_columns(count, gen, emitted_at)`` — whole-column draws from
+    a ``numpy.random.Generator``, which a :class:`Source` prefers (every
+    built-in generator has it) — and ``generate_columns(count, rng,
+    emitted_at)`` — the source's ``random.Random`` entropy, emitted as
+    columns (see :func:`generate_columns`). A generator without
+    ``draw_columns`` keeps receiving the source's ``random.Random``.
     """
 
     def generate(
@@ -68,53 +68,42 @@ def generate_columns(
 
 
 class SubstreamGenerator:
-    """Base of the single-stratum generators: one value draw per backend.
+    """Base of the single-stratum generators: one value draw each.
 
     A subclass carries its stratum tag as ``name`` and its
-    ``item_bytes``, and supplies ``_scalar_values(count, rng)`` — one
-    ``random.Random`` call sequence per record, the ``python``
-    backend's bit-stable entropy — and
-    ``_vector_values(count, gen)`` — whole-column
-    ``numpy.random.Generator`` draws with the same distribution. Every
-    batch shape is derived here, so ``generate`` is the columnar draw
-    transposed rather than a second loop kept in step with it.
+    ``item_bytes``, and supplies ``_values(count, gen)`` — whole-column
+    ``numpy.random.Generator`` draws. Every batch shape is derived
+    here, so ``generate`` is the columnar draw transposed rather than a
+    second loop kept in step with it.
     """
 
     name: str
     item_bytes: int
 
-    def _batch(self, draw, count: int, entropy, emitted_at: float) -> ColumnarBatch:
+    def draw_columns(
+        self, count: int, gen, emitted_at: float = 0.0
+    ) -> ColumnarBatch:
+        """Draw ``count`` values from a numpy ``Generator`` in vector ops."""
         if count < 0:
             raise WorkloadError(f"count must be >= 0, got {count}")
         return ColumnarBatch.single(
-            self.name, draw(count, entropy), emitted_at, self.item_bytes
+            self.name, self._values(count, gen), emitted_at, self.item_bytes
         )
-
-    def generate_columns(
-        self, count: int, rng: random.Random, emitted_at: float = 0.0
-    ) -> ColumnarBatch:
-        """Draw ``count`` values from ``rng``, one scalar call sequence each."""
-        return self._batch(self._scalar_values, count, rng, emitted_at)
-
-    def draw_columns(self, count: int, gen, emitted_at: float = 0.0) -> ColumnarBatch:
-        """Draw ``count`` values from a numpy ``Generator`` in vector ops."""
-        return self._batch(self._vector_values, count, gen, emitted_at)
 
     def generate(
         self, count: int, rng: random.Random, emitted_at: float = 0.0
     ) -> list[StreamItem]:
-        """:meth:`generate_columns`, transposed into items."""
-        return self.generate_columns(count, rng, emitted_at).to_items()
+        """:meth:`draw_columns` on a Generator seeded from ``rng``."""
+        gen = make_generator(rng)
+        return self.draw_columns(count, gen, emitted_at).to_items()
 
 
 class Source:
     """One logical data source with a fixed arrival rate.
 
-    ``backend`` picks the entropy the source hands its generator:
-    ``"python"`` (the default of the low-level primitives) passes the
-    source's ``random.Random``; ``"numpy"`` seeds one
-    ``numpy.random.Generator`` from it, once, and uses the generator's
-    ``draw_columns`` hook where it has one.
+    A generator with a ``draw_columns`` hook draws from one
+    ``numpy.random.Generator`` the source seeds from its ``random.Random``,
+    once; any other generator receives the ``random.Random`` itself.
     """
 
     def __init__(
@@ -124,21 +113,16 @@ class Source:
         rate_per_second: float,
         *,
         rng: random.Random | None = None,
-        backend: str = "python",
     ) -> None:
-        if rate_per_second < 0:
+        if not 0 <= rate_per_second < math.inf:
             raise WorkloadError(
-                f"rate must be >= 0, got {rate_per_second}"
+                f"rate must be finite and >= 0, got {rate_per_second}"
             )
         self.name = name
         self._generator = generator
         self.rate_per_second = float(rate_per_second)
         self._rng = rng if rng is not None else random.Random()
-        self._draw_columns = (
-            getattr(generator, "draw_columns", None)
-            if resolve_backend(backend) == BACKEND_NUMPY
-            else None
-        )
+        self._draw_columns = getattr(generator, "draw_columns", None)
         self._gen = (
             make_generator(self._rng)
             if self._draw_columns is not None

@@ -168,18 +168,9 @@ class BoroughSubstream(SubstreamGenerator):
         self.name = f"taxi/{borough}"
         self.item_bytes = item_bytes
 
-    def _total_amount(self, rng: random.Random) -> float:
-        distance = min(50.0, rng.lognormvariate(0.55, 0.85))
-        fare = self.FLAGFALL + self.PER_MILE * distance
-        surcharges = rng.choice([0.0, 0.5, 1.0])
-        tip = 0.0 if rng.random() < 0.45 else fare * rng.uniform(0.05, 0.30)
-        return round(fare + surcharges + tip, 2)
-
-    def _scalar_values(self, count: int, rng: random.Random) -> list[float]:
-        return [self._total_amount(rng) for _ in range(count)]
-
-    def _vector_values(self, count: int, gen):
-        """:meth:`_total_amount`'s marginals, one column per term."""
+    def _values(self, count: int, gen):
+        """:meth:`TaxiTraceSynthesizer.ride`'s ``total_amount``
+        marginals, one column per term."""
         distance = gen.lognormal(0.55, 0.85, count).clip(max=50.0)
         fare = self.FLAGFALL + self.PER_MILE * distance
         surcharges = gen.choice([0.0, 0.5, 1.0], count)

@@ -9,7 +9,6 @@ records than its header declares.
 """
 
 import struct
-from itertools import accumulate
 
 import pytest
 
@@ -22,7 +21,7 @@ from repro.broker.records import (
     encode_weighted_batches,
     encode_weighted_batches_chunks,
 )
-from repro.core.columns import ColumnarBatch
+from repro.core.columns import ColumnarBatch, value_column
 from repro.core.items import StreamItem, WeightedBatch
 from repro.engine.pipeline import build_pipeline
 from repro.engine.runner import EngineRunner
@@ -53,7 +52,8 @@ class TestColumnarRoundtrip:
 
     def test_mixed_strata_and_per_record_sizes(self):
         payload = ColumnarBatch(
-            ["A", "B", "A"], [1.0, 2.0, 3.0], [0.1, 0.2, 0.3], [10, 20, 30]
+            ["A", "B", "A"], value_column([1.0, 2.0, 3.0]),
+            value_column([0.1, 0.2, 0.3]), [10, 20, 30],
         )
         decoded = roundtrip(WeightedBatch("A", 1.0, payload))
         assert decoded.items.substream_ids() == ["A", "B", "A"]
@@ -166,24 +166,28 @@ class TestMalformedFrames:
         WeightedBatch(
             "A", 2.0,
             ColumnarBatch(
-                ["A", "B", "A"], [1.0, 2.0, 3.0], [0.1, 0.2, 0.3], [10, 20, 30]
+                ["A", "B", "A"], value_column([1.0, 2.0, 3.0]),
+                value_column([0.1, 0.2, 0.3]), [10, 20, 30],
             ),
         ),
         WeightedBatch("C", 1.5, ColumnarBatch.single("C", [4.0, 5.0], 1.0, 64)),
     ]
-    CHUNKS = encode_weighted_batches_chunks(BATCHES)
-    FRAME = b"".join(CHUNKS)
-    #: Every offset at which one field ends and the next begins.
-    BOUNDARIES = list(accumulate(len(chunk) for chunk in CHUNKS))[:-1]
+    FRAME = encode_weighted_batches(BATCHES)
+    SINGLE = encode_weighted_batch(BATCHES[0])
 
     def test_the_whole_frame_decodes(self):
         decoded = decode_weighted_batches(self.FRAME)
         assert [len(batch) for batch in decoded] == [3, 2]
 
-    @pytest.mark.parametrize("cut", BOUNDARIES)
-    def test_a_frame_cut_at_a_field_boundary_is_rejected(self, cut):
+    @pytest.mark.parametrize("cut", range(len(FRAME)))
+    def test_a_frame_cut_anywhere_is_rejected(self, cut):
         with pytest.raises(ConfigurationError):
             decode_weighted_batches(self.FRAME[:cut])
+
+    @pytest.mark.parametrize("cut", range(len(SINGLE)))
+    def test_a_batch_cut_anywhere_is_rejected(self, cut):
+        with pytest.raises(ConfigurationError):
+            decode_weighted_batch(self.SINGLE[:cut])
 
     def test_a_missing_column_is_named_in_the_error(self):
         frame = encode_weighted_batches(self.BATCHES[1:])
@@ -230,7 +234,6 @@ class TestBrokerTransportSerde:
             config = PipelineConfig(
                 sampling_fraction=0.2,
                 seed=13,
-                backend="python",
             )
             pipeline = build_pipeline(config, self.SCHEDULE, self.GENS)
             runner = EngineRunner(pipeline, BrokerTransport(serde=serde))

@@ -10,9 +10,8 @@ from repro.core.columns import (
     masked_sum,
     value_column,
 )
-from repro.core.fastpath import reservoir_sample_indices
+from repro.core.fastpath import batch_sample_indices, make_generator
 from repro.core.items import StreamItem, WeightedBatch, group_by_substream
-from repro.core.reservoir import ReservoirSampler
 from repro.errors import SamplingError
 
 
@@ -170,23 +169,9 @@ class TestStreamItemEdge:
 
 
 class TestReservoirIndexKernel:
-    def test_matches_object_reservoir_entropy(self):
-        """Index-space Algorithm R keeps exactly the records (in slot
-        order) that ``ReservoirSampler`` would, for the same seed."""
-        items = [StreamItem("A", float(i)) for i in range(100)]
-        sampler = ReservoirSampler(10, random.Random(7))
-        sampler.extend(items)
-        indices = reservoir_sample_indices(100, 10, random.Random(7))
-        assert [items[i] for i in indices] == sampler.sample()
-
-    def test_small_population_passthrough(self):
-        rng = random.Random(1)
-        assert reservoir_sample_indices(3, 10, rng) == [0, 1, 2]
-        # No entropy consumed below capacity.
-        assert rng.random() == random.Random(1).random()
-
     def test_validation(self):
+        gen = make_generator(random.Random(0))
         with pytest.raises(SamplingError):
-            reservoir_sample_indices(10, 0, random.Random(0))
+            batch_sample_indices(10, 0, gen)
         with pytest.raises(SamplingError):
-            reservoir_sample_indices(-1, 5, random.Random(0))
+            batch_sample_indices(-1, 5, gen)

@@ -8,6 +8,7 @@ into a list. The gates here count calls and check types — never clocks.
 import random
 import sys
 
+import numpy
 import pytest
 
 from repro.core.columns import ColumnarBatch
@@ -15,7 +16,6 @@ from repro.core.fastpath import batch_sample_indices, make_generator
 from repro.core.items import WeightedBatch
 from repro.core.whs import whsamp_batches
 
-numpy = pytest.importorskip("numpy", reason="numpy backend not installed")
 
 
 def columnar_batches(count=5000):
@@ -82,9 +82,7 @@ class TestSelectTakesTheArrayAsIs:
             return original(self, indices)
 
         monkeypatch.setattr(ColumnarBatch, "select", recording_select)
-        whsamp_batches(
-            columnar_batches(), 400, rng=random.Random(3), backend="numpy"
-        )
+        whsamp_batches(columnar_batches(), 400, rng=random.Random(3))
         assert len(seen) == 4
         assert all(
             isinstance(indices, numpy.ndarray) and indices.dtype == numpy.intp
@@ -93,12 +91,10 @@ class TestSelectTakesTheArrayAsIs:
 
 
 class TestNoListRoundTrip:
-    def test_columnar_numpy_whsamp_never_calls_tolist(self):
+    def test_columnar_whsamp_never_calls_tolist(self):
         batches = columnar_batches()
         calls = count_tolist_calls(
-            lambda: whsamp_batches(
-                batches, 400, rng=random.Random(3), backend="numpy"
-            )
+            lambda: whsamp_batches(batches, 400, rng=random.Random(3))
         )
         assert calls == 0
 

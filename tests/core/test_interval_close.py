@@ -15,7 +15,6 @@ import pytest
 
 from repro.core.error_bounds import estimate_mean_with_error, estimate_sum_with_error
 from repro.core.estimator import ThetaStore
-from repro.core.fastpath import numpy_available
 from repro.core.items import StreamItem, WeightedBatch
 from repro.core.whs import whsamp, whsamp_batches
 from repro.engine.pipeline import build_pipeline
@@ -25,8 +24,6 @@ from repro.errors import EstimationError, SamplingError
 from repro.system.config import PipelineConfig
 from repro.workloads.rates import RateSchedule
 from repro.workloads.synthetic import paper_gaussian_substreams
-
-BACKENDS = ["python"] + (["numpy"] if numpy_available() else [])
 
 
 def make_items(substream, values):
@@ -131,9 +128,7 @@ class TestRootClose:
         assert recovered_count(theta) == pytest.approx(5000.0)
 
     def test_engine_window_index_increments(self):
-        config = PipelineConfig(
-            sampling_fraction=0.2, window_seconds=1.0, seed=8, backend="python"
-        )
+        config = PipelineConfig(sampling_fraction=0.2, window_seconds=1.0, seed=8)
         schedule = RateSchedule("close-test", {"A": 100.0, "B": 100.0})
         gens = {g.name: g for g in paper_gaussian_substreams()}
         runner = EngineRunner(
@@ -165,17 +160,14 @@ class TestChains:
         assert theta.sampled_items == 20
         assert recovered_count(theta) == pytest.approx(640.0)
 
-    @pytest.mark.parametrize("backend", BACKENDS)
-    def test_two_edges_into_one_root(self, backend):
+    def test_two_edges_into_one_root(self):
         """The quickstart topology: the bound covers the exact SUM."""
         rng = random.Random(7)
         chatty = make_items("t", [rng.gauss(21.0, 2.0) for _ in range(3000)])
         quiet = make_items("p", [rng.gauss(500.0, 15.0) for _ in range(40)])
-        west = whsamp(chatty[:1500] + quiet[:20], 300, rng=rng, backend=backend)
-        east = whsamp(chatty[1500:] + quiet[20:], 300, rng=rng, backend=backend)
-        root = whsamp_batches(
-            west.batches + east.batches, 150, rng=rng, backend=backend
-        )
+        west = whsamp(chatty[:1500] + quiet[:20], 300, rng=rng)
+        east = whsamp(chatty[1500:] + quiet[20:], 300, rng=rng)
+        root = whsamp_batches(west.batches + east.batches, 150, rng=rng)
         theta = ThetaStore()
         theta.extend(root.batches)
         exact = sum(item.value for item in chatty + quiet)

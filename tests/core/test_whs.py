@@ -5,7 +5,6 @@ import random
 import pytest
 
 from repro.core.columns import ColumnarBatch
-from repro.core.fastpath import numpy_available
 from repro.core.items import StreamItem
 from repro.core.stratified import allocate_proportional
 from repro.core.weights import WeightMap
@@ -93,31 +92,17 @@ class TestListInputIsTheColumnarInput:
     """``whsamp`` normalises a ``StreamItem`` list to columns once, so a
     list and its ``from_items`` transpose are the same call."""
 
-    @pytest.mark.parametrize(
-        "backend",
-        [
-            "python",
-            pytest.param(
-                "numpy",
-                marks=pytest.mark.skipif(
-                    not numpy_available(), reason="numpy not installed"
-                ),
-            ),
-        ],
-    )
-    def test_same_batches_for_a_seeded_rng(self, backend):
+    def test_same_batches_for_a_seeded_rng(self):
         items = [
             StreamItem("abc"[i % 3], float(i), i / 100, 50 + i % 7)
             for i in range(300)
         ]
         items += make_items("d", range(5))  # passes through unsampled
         weights = {"a": 2.0, "c": 1.5}
-        from_list = whsamp(
-            items, 40, weights, rng=random.Random(11), backend=backend
-        )
+        from_list = whsamp(items, 40, weights, rng=random.Random(11))
         from_columns = whsamp(
             ColumnarBatch.from_items(items), 40, weights,
-            rng=random.Random(11), backend=backend,
+            rng=random.Random(11),
         )
         assert from_list.sampled_count == 40
         assert [

@@ -39,7 +39,6 @@ def config_for(controller, workers=1, fraction=0.2, seed=13):
         sampling_fraction=fraction,
         window_seconds=1.0,
         seed=seed,
-        backend="python",
         workers=workers,
         budget_controller=controller,
     )
@@ -134,7 +133,6 @@ class TestStaticIsTheLegacyEngine:
         with StatisticalRunner(
             PipelineConfig(
                 sampling_fraction=0.2, window_seconds=1.0, seed=13,
-                backend="python",
             ),
             SCHEDULE, generators(), scenario=get_scenario("drift"),
         ) as runner:

@@ -1,18 +1,17 @@
-"""The entropy contract: deterministic per ``(seed, backend)``.
+"""The entropy contract: deterministic per seed.
 
-* ``python`` — one ``random.Random`` call sequence per record, pinned
-  here against the values the release *before* the vectorised entropy
-  path emitted. This half needs no numpy and never skips: it is the
-  dependency-free install's proof that its seeded outputs did not move.
-* ``numpy`` — whole-column draws from per-source generators; seeded
-  runs repeat byte for byte, process shards equal their inline twin,
-  and a generator that only knows ``random.Random`` still runs.
-* the perf gates are *counters*: a numpy-backend window makes
-  O(sources) scalar rng calls, never O(items), and a whole run builds
-  O(sources) ``numpy.random.Generator`` objects, never O(windows).
-* the numpy draws all come from the pipeline's one Generator through
-  the fraction-aware ``batch_sample_indices`` kernel, whose two
-  branches are held to the same uniform-subset contract.
+* whole-column draws from per-source generators, pinned here against
+  the values the release before the pure-Python backend's deletion
+  emitted; seeded runs repeat byte for byte, process shards equal their
+  inline twin, and a generator that only knows ``random.Random`` still
+  runs.
+* the perf gates are *counters*: a window makes O(sources) scalar rng
+  calls, never O(items), and a whole run builds O(sources)
+  ``numpy.random.Generator`` objects, never O(windows).
+* the reservoir draws all come from the pipeline's one Generator
+  through the fraction-aware ``batch_sample_indices`` kernel, whose two
+  branches are held to Algorithm R's inclusion distribution
+  (:class:`~repro.core.reservoir.ReservoirSampler`).
 """
 
 import hashlib
@@ -22,12 +21,9 @@ import struct
 import pytest
 
 from repro.core.columns import ColumnarBatch
-from repro.core.fastpath import (
-    batch_sample_indices,
-    make_generator,
-    numpy_available,
-)
+from repro.core.fastpath import batch_sample_indices, make_generator
 from repro.core.items import StreamItem, WeightedBatch
+from repro.core.reservoir import ReservoirSampler
 from repro.core.srs import CoinFlipSampler
 from repro.core.whs import whsamp_batches
 from repro.engine.pipeline import build_pipeline
@@ -51,22 +47,14 @@ SCHEDULE = RateSchedule(
     "golden", {"A": 300.0, "B": 300.0, "C": 300.0, "D": 300.0}
 )
 
-needs_numpy = pytest.mark.skipif(
-    not numpy_available(), reason="numpy backend not installed"
-)
-
-
 def digest(floats) -> str:
     floats = [float(value) for value in floats]
     packed = struct.pack(f"<{len(floats)}d", *floats)
     return hashlib.sha256(packed).hexdigest()[:16]
 
 
-def engine_for(backend, seed=42, fraction=0.1, schedule=SCHEDULE,
-               generators=GENS):
-    config = PipelineConfig(
-        sampling_fraction=fraction, seed=seed, backend=backend,
-    )
+def engine_for(seed=42, fraction=0.1, schedule=SCHEDULE, generators=GENS):
+    config = PipelineConfig(sampling_fraction=fraction, seed=seed)
     pipeline = build_pipeline(config, schedule, generators)
     return pipeline, EngineRunner(pipeline, InProcessTransport())
 
@@ -84,95 +72,84 @@ def outcome_tuple(window):
 
 
 # ----------------------------------------------------------------------
-# (a) python backend: pinned from the parent commit
+# (a) seeded outputs: pinned from the release before the python backend
+#     was deleted (its numpy path, unchanged since)
 # ----------------------------------------------------------------------
 #: First emitted window, seed 42: per-source sha256 of the value column.
 GOLDEN_VALUE_DIGESTS = {
-    "source-0": "f23d21731eab9f32",
-    "source-1": "7ba19381a1d48abf",
-    "source-2": "4f22bd25d9c763e9",
-    "source-3": "90fcc281b1541a2a",
-    "source-4": "d87a423da43834ce",
-    "source-5": "6953d7503fbabec2",
-    "source-6": "81fe94a242043696",
-    "source-7": "22429bf7f339a937",
+    "source-0": "77b8be47913e0e15",
+    "source-1": "4448276b0951b104",
+    "source-2": "93524bc8fea4d33a",
+    "source-3": "44d59b980eda606c",
+    "source-4": "9cb7448977cd1757",
+    "source-5": "0eba9836fa70807e",
+    "source-6": "3c2c2aac7c3d158a",
+    "source-7": "835134c917dd1692",
 }
 GOLDEN_TIMESTAMP_DIGEST = "5365dcd2bf60ef3d"
-GOLDEN_SRS_FIRST_WINDOW = 29838836.287919275
+GOLDEN_SRS_FIRST_WINDOW = 29419894.842481434
 #: The window after it through ``run_window``: exact, approx, srs, at root.
 GOLDEN_SECOND_WINDOW = (
-    33289992.767869264, 32811331.49023527, 45459333.54783678, 120,
+    33305358.093237594, 33121322.59403029, 28587044.034845073, 120,
 )
-#: 200 values from ``random.Random(42)`` per generator.
+#: 200 values per generator from ``make_generator(random.Random(42))``.
 GOLDEN_GENERATOR_DIGESTS = {
-    "gaussian": (lambda: GaussianSubstream("A", 10.0, 5.0), "c7bb079aa27447e5"),
-    "poisson-knuth": (lambda: PoissonSubstream("B", 100.0), "646f657701e19d7a"),
-    "poisson-normal": (lambda: PoissonSubstream("D", 1e7), "de4950f1875edbc3"),
-    "taxi": (lambda: BoroughSubstream("brooklyn"), "fa297610bbe4ea10"),
-    "pollution": (lambda: PollutantSubstream("pm"), "8a83d4041ca95316"),
-    "skewed-mixture": (paper_skewed_mixture, "8cb90e0779d4e72e"),
+    "gaussian": (lambda: GaussianSubstream("A", 10.0, 5.0), "82b68635cff3a03e"),
+    "poisson": (lambda: PoissonSubstream("B", 100.0), "6378d9e59128495e"),
+    "poisson-large": (lambda: PoissonSubstream("D", 1e7), "9fa1a267cb3609fb"),
+    "taxi": (lambda: BoroughSubstream("brooklyn"), "1cf8bb4d43f44bf7"),
+    "pollution": (lambda: PollutantSubstream("pm"), "1c60b6ab91e190ac"),
+    "skewed-mixture": (paper_skewed_mixture, "1ac6b8a8461348d5"),
 }
 
-#: Sums are compared to 1e-12: the draws and the kept records are pinned
-#: bit for bit, but summation order is not part of the contract (it
-#: differs between Python versions and between numpy and ``array('d')``
-#: column storage).
-SUM_TOLERANCE = 1e-12
 
-
-class TestPythonBackendGolden:
+class TestSeededGolden:
     def test_first_window_values_and_srs_are_unchanged(self):
-        pipeline, runner = engine_for("python")
+        pipeline, runner = engine_for()
         emitted = pipeline.emit_window(0.0)
         for name, payload in emitted.items():
-            items = list(payload)
-            assert digest(i.value for i in items) == GOLDEN_VALUE_DIGESTS[name]
-            assert digest(i.emitted_at for i in items) == GOLDEN_TIMESTAMP_DIGEST
-        assert runner.run_srs(emitted) == pytest.approx(
-            GOLDEN_SRS_FIRST_WINDOW, rel=SUM_TOLERANCE
-        )
+            assert digest(payload.values) == GOLDEN_VALUE_DIGESTS[name]
+            assert digest(payload.timestamps) == GOLDEN_TIMESTAMP_DIGEST
+        assert runner.run_srs(emitted) == GOLDEN_SRS_FIRST_WINDOW
 
     def test_second_window_outcome_is_unchanged(self):
-        pipeline, runner = engine_for("python")
+        pipeline, runner = engine_for()
         runner.run_srs(pipeline.emit_window(0.0))
         outcome = runner.run_window()
         exact, approx, srs, at_root = GOLDEN_SECOND_WINDOW
         assert outcome.items_sampled == at_root
-        assert outcome.exact_sum == pytest.approx(exact, rel=SUM_TOLERANCE)
-        assert outcome.approx_sum.value == pytest.approx(
-            approx, rel=SUM_TOLERANCE
-        )
-        assert outcome.srs_sum == pytest.approx(srs, rel=SUM_TOLERANCE)
+        assert outcome.exact_sum == exact
+        assert outcome.approx_sum.value == approx
+        assert outcome.srs_sum == srs
 
-
-class TestPythonBackendGoldenPrimitives:
     @pytest.mark.parametrize("label", sorted(GOLDEN_GENERATOR_DIGESTS))
-    def test_generator_scalar_draws_are_unchanged(self, label):
+    def test_generator_draws_are_unchanged(self, label):
         factory, expected = GOLDEN_GENERATOR_DIGESTS[label]
-        items = factory().generate(200, random.Random(42), 3.0)
-        columns = factory().generate_columns(200, random.Random(42), 3.0)
-        assert digest(item.value for item in items) == expected
+        columns = factory().draw_columns(
+            200, make_generator(random.Random(42)), 3.0
+        )
         assert digest(columns.values) == expected
+        items = factory().generate(200, random.Random(42), 3.0)
+        assert digest(item.value for item in items) == expected
 
     def test_coin_flip_mask_is_unchanged(self):
         sampler = CoinFlipSampler(0.1, random.Random(42))
         mask = sampler.decisions(1000)
-        assert hashlib.sha256(bytes(mask)).hexdigest()[:16] == "027327dc55e36795"
-        assert (sampler.seen, sampler.kept) == (1000, 90)
+        assert hashlib.sha256(bytes(mask)).hexdigest()[:16] == "3f93341fd08acd7e"
+        assert (sampler.seen, sampler.kept) == (1000, 110)
         twin = CoinFlipSampler(0.1, random.Random(42))
         kept = twin.filter(range(1000))
         assert kept == [i for i, keep in enumerate(mask) if keep]
 
 
 # ----------------------------------------------------------------------
-# (b) numpy backend: bit-reproducible per seed, everywhere
+# (b) bit-reproducible per seed, everywhere
 # ----------------------------------------------------------------------
-@needs_numpy
-class TestNumpyDeterminism:
+class TestDeterminism:
     def test_same_seed_repeats_byte_for_byte(self):
         runs = []
         for _ in range(2):
-            pipeline, runner = engine_for("numpy", seed=7)
+            pipeline, runner = engine_for(seed=7)
             emitted = pipeline.emit_window(0.0)
             columns = {
                 name: (
@@ -186,21 +163,17 @@ class TestNumpyDeterminism:
             runs.append((columns, srs, outcomes))
         assert runs[0] == runs[1]
 
-    def test_srs_masks_repeat_and_differ_from_python(self):
+    def test_srs_masks_repeat(self):
         masks = [
-            CoinFlipSampler(
-                0.3, random.Random(5), backend="numpy"
-            ).decisions(500).tobytes()
+            CoinFlipSampler(0.3, random.Random(5)).decisions(500).tobytes()
             for _ in range(2)
         ]
         assert masks[0] == masks[1]
-        scalar = CoinFlipSampler(0.3, random.Random(5)).decisions(500)
-        assert bytes(scalar) != masks[0]
 
     @pytest.mark.usefixtures("shard_path")
     def test_two_processes_equal_their_inline_twin(self):
         config = PipelineConfig(
-            sampling_fraction=0.2, seed=13, backend="numpy", workers=2,
+            sampling_fraction=0.2, seed=13, workers=2,
         )
         inline = ShardedEngineRunner(
             config, SCHEDULE, GENS, inline=True
@@ -213,7 +186,7 @@ class TestNumpyDeterminism:
 
 
 # ----------------------------------------------------------------------
-# (d) a random.Random-only generator still runs under numpy
+# (c) a random.Random-only generator still runs
 # ----------------------------------------------------------------------
 class ScalarOnlyGenerator:
     """Implements the protocol's ``generate`` and nothing else."""
@@ -230,13 +203,10 @@ class ScalarOnlyGenerator:
         ]
 
 
-@needs_numpy
-class TestScalarOnlyGeneratorUnderNumpy:
+class TestScalarOnlyGenerator:
     def test_statistical_run(self):
         generators = {name: ScalarOnlyGenerator(name) for name in "ABCD"}
-        _pipeline, runner = engine_for(
-            "numpy", fraction=0.2, generators=generators
-        )
+        _pipeline, runner = engine_for(fraction=0.2, generators=generators)
         outcome = runner.run(2)
         assert all(w.items_emitted == 1200 for w in outcome.windows)
         assert outcome.mean_approxiot_loss < 5.0
@@ -246,7 +216,7 @@ class TestScalarOnlyGeneratorUnderNumpy:
     def test_deployment_run(self):
         generators = {name: ScalarOnlyGenerator(name) for name in "ABCD"}
         config = PipelineConfig(
-            sampling_fraction=0.2, seed=3, mode="srs", backend="numpy",
+            sampling_fraction=0.2, seed=3, mode="srs",
         )
         report = DeploymentSimulator(
             config, SCHEDULE, generators, n_windows=2
@@ -256,15 +226,14 @@ class TestScalarOnlyGeneratorUnderNumpy:
 
 
 # ----------------------------------------------------------------------
-# (e) deterministic perf gate: counters, never clocks
+# (d) deterministic perf gate: counters, never clocks
 # ----------------------------------------------------------------------
-@needs_numpy
-def test_numpy_window_makes_o_sources_scalar_rng_calls(monkeypatch):
+def test_window_makes_o_sources_scalar_rng_calls(monkeypatch):
     """One 100 k-item window costs O(sources) ``random.Random`` calls.
 
-    ``gauss`` and ``random`` are the two per-record calls the scalar
-    path makes (value draw, coin flip); on the numpy backend neither
-    may scale with the item count.
+    ``gauss`` and ``random`` are the per-record calls a scalar value
+    draw or coin flip would make; neither may scale with the item
+    count.
     """
     calls = {"gauss": 0, "random": 0}
 
@@ -280,19 +249,22 @@ def test_numpy_window_makes_o_sources_scalar_rng_calls(monkeypatch):
     count_calls("gauss")
     count_calls("random")
     schedule = RateSchedule("fig6", {name: 25_000.0 for name in "ABCD"})
-    pipeline, runner = engine_for("numpy", schedule=schedule)
+    pipeline, runner = engine_for(schedule=schedule)
     outcome, _theta = runner.run_window_with_theta()
     assert outcome.items_emitted == 100_000
     sources = len(pipeline.tree.sources)
     assert calls["gauss"] + calls["random"] <= 4 * sources, calls
-    # The counter does see the scalar path: same window, python backend.
-    _pipeline, scalar = engine_for("python", schedule=schedule)
+    # The counter does see a scalar path: same window, random.Random-only
+    # generators.
+    scalar_generators = {name: ScalarOnlyGenerator(name) for name in "ABCD"}
+    _pipeline, scalar = engine_for(
+        schedule=schedule, generators=scalar_generators
+    )
     scalar.run_window_with_theta()
-    assert calls["gauss"] >= 100_000 and calls["random"] >= 100_000
+    assert calls["gauss"] >= 100_000
 
 
-@needs_numpy
-def test_numpy_run_builds_o_sources_generators(monkeypatch):
+def test_run_builds_o_sources_generators(monkeypatch):
     """A run seeds one Generator per source plus the pipeline's one.
 
     No node, window, source batch or SRS delivery builds another, so the
@@ -310,12 +282,12 @@ def test_numpy_run_builds_o_sources_generators(monkeypatch):
     monkeypatch.setattr(numpy.random, "default_rng", counted)
 
     def engine_run(windows):
-        _pipeline, runner = engine_for("numpy")
+        _pipeline, runner = engine_for()
         runner.run(windows)
 
     def srs_deployment_run(windows):
         config = PipelineConfig(
-            sampling_fraction=0.1, seed=42, mode="srs", backend="numpy",
+            sampling_fraction=0.1, seed=42, mode="srs",
         )
         DeploymentSimulator(config, SCHEDULE, GENS, n_windows=windows).run()
 
@@ -330,9 +302,8 @@ def test_numpy_run_builds_o_sources_generators(monkeypatch):
 
 
 # ----------------------------------------------------------------------
-# (f) the one-shot kernel: a uniform subset on either side of n / 2
+# (e) the one-shot kernel: Algorithm R's subset on either side of n / 2
 # ----------------------------------------------------------------------
-@needs_numpy
 class TestBatchSampleIndices:
     POPULATION = 1000
 
@@ -369,7 +340,7 @@ class TestBatchSampleIndices:
         "fraction", [0.05, 0.2, 0.35, 0.5, 0.65, 0.8, 0.95]
     )
     def test_eq8_count_recovery_through_three_layers(self, fraction):
-        _pipeline, runner = engine_for("numpy", fraction=fraction)
+        _pipeline, runner = engine_for(fraction=fraction)
         for _ in range(2):
             outcome, theta = runner.run_window_with_theta()
             recovered = sum(
@@ -386,8 +357,51 @@ class TestBatchSampleIndices:
             WeightedBatch(name, 2.0, ColumnarBatch.single(name, range(50)))
             for name in "ABCD"
         ]
-        result = whsamp_batches(batches, 200, backend="numpy", gen=gen)
+        result = whsamp_batches(batches, 200, gen=gen)
         assert result.sampled_count == 200
         assert gen.bit_generator.state == before
-        whsamp_batches(batches, 199, backend="numpy", gen=gen)
+        whsamp_batches(batches, 199, gen=gen)
         assert gen.bit_generator.state != before
+
+    @pytest.mark.parametrize("capacity", [10, 30])  # choice / complement
+    def test_inclusion_frequencies_match_reservoir_sampler(self, capacity):
+        """Per index, the kernel and Algorithm R over ``range(n)`` keep it
+        at the same rate: both within a binomial band of ``k / n`` and
+        within the two-sample band of each other."""
+        import numpy
+
+        n, draws = 40, 4000
+        gen = make_generator(random.Random(23))
+        rng = random.Random(23)
+        kernel = numpy.zeros(n)
+        reference = numpy.zeros(n)
+        for _ in range(draws):
+            kernel[batch_sample_indices(n, capacity, gen)] += 1
+            sampler = ReservoirSampler(capacity, rng=rng)
+            sampler.extend(range(n))
+            reference[sampler.sample()] += 1
+        p = capacity / n
+        sigma = (draws * p * (1 - p)) ** 0.5
+        assert numpy.abs(kernel - draws * p).max() <= 5 * sigma
+        assert numpy.abs(reference - draws * p).max() <= 5 * sigma
+        assert numpy.abs(kernel - reference).max() <= 5 * sigma * 2 ** 0.5
+
+    @pytest.mark.parametrize(
+        "population, capacity", [(40, 10), (40, 30), (7, 9)]
+    )
+    def test_sample_sizes_and_eq8_match_reservoir_sampler(
+        self, population, capacity
+    ):
+        """Both keep exactly ``min(k, n)`` records, so Eq. 8's
+        ``W_out * c~`` recovers ``W_in * n`` (to float rounding of the
+        weight) through either."""
+        from repro.core.weights import output_weight
+
+        kernel = batch_sample_indices(
+            population, capacity, make_generator(random.Random(5))
+        )
+        sampler = ReservoirSampler(capacity, rng=random.Random(5))
+        sampler.extend(range(population))
+        assert len(kernel) == len(sampler.sample()) == min(population, capacity)
+        w_out = output_weight(2.5, population, capacity)
+        assert w_out * len(kernel) == pytest.approx(2.5 * population, rel=1e-12)

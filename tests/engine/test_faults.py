@@ -146,7 +146,7 @@ class TestPlanValidation:
 
     def test_single_worker_facade_rejects_plans(self):
         config = PipelineConfig(
-            workers=1, backend="python",
+            workers=1,
             fault_plan=FaultPlan.parse(["crash@0:1"]),
         )
         with pytest.raises(ConfigurationError, match="workers"):
@@ -154,7 +154,7 @@ class TestPlanValidation:
 
     def test_inline_execution_rejects_plans(self):
         config = PipelineConfig(
-            workers=2, backend="python",
+            workers=2,
             fault_plan=FaultPlan.parse(["crash@0:1"]),
         )
         with pytest.raises(ConfigurationError, match="inline"):
@@ -162,7 +162,7 @@ class TestPlanValidation:
 
     def test_out_of_range_shard_target_rejected(self):
         config = PipelineConfig(
-            workers=2, backend="python",
+            workers=2,
             fault_plan=FaultPlan.parse(["crash@5:0"]),
         )
         with pytest.raises(ConfigurationError, match="shard 5"):
@@ -170,7 +170,7 @@ class TestPlanValidation:
 
     def test_hang_without_watchdog_rejected(self):
         config = PipelineConfig(
-            workers=2, backend="python",
+            workers=2,
             fault_plan=FaultPlan.parse(["hang@0:0"]),
         )
         with pytest.raises(ConfigurationError, match="shard_timeout"):

@@ -51,10 +51,11 @@ class TestAssembly:
         wide = make_pipeline(window_seconds=2.0).budget("root")
         assert wide == pytest.approx(2 * narrow, rel=0.05)
 
-    def test_backend_resolved_once(self):
+    def test_one_generator_per_run(self):
+        import numpy
+
         pipeline = make_pipeline()
-        assert pipeline.backend in ("python", "numpy")
-        assert pipeline.backend == pipeline.config.resolved_backend
+        assert isinstance(pipeline.gen, numpy.random.Generator)
 
     def test_unknown_budget_rejected(self):
         pipeline = make_pipeline()

@@ -17,7 +17,6 @@ import os
 
 import pytest
 
-from repro.core.fastpath import numpy_available
 from repro.engine import runner as runner_module
 from repro.engine.sharding import ShardedEngineRunner
 from repro.scenarios.events import LinkDegrade
@@ -48,62 +47,34 @@ CASES = {
 
 #: Per merged window: items at root, root budget, SRS sum, estimate,
 #: error bound — taken on the parent commit (shards still estimating).
-#: The numpy rows assume numpy 2.x ``Generator`` streams.
+#: The rows assume numpy 2.x ``Generator`` streams.
 GOLDEN = {
-    ("static", "python"): [
-        (240, 240, 36716501.21505581, 33064638.540956173, 329097.2479312817),
-        (240, 240, 33913853.88088333, 33118848.610570602, 325609.4550707165),
-        (240, 240, 39029594.314093284, 33481182.873982064, 322195.11838502315),
-        (240, 240, 36270853.81033697, 33305124.468075223, 355640.07657814067),
-    ],
-    ("adaptive", "python"): [
-        (240, 240, 36716501.21505581, 33064638.540956173, 329097.2479312817),
-        (240, 240, 35160482.51425733, 33359978.173876256, 252685.60885553333),
-        (240, 240, 28438689.65377701, 33297758.476997737, 218442.94587903816),
-        (240, 240, 37331109.63762052, 33325315.400647737, 281874.51884149935),
-    ],
-    ("blackout", "python"): [
-        (240, 240, 36716501.21505581, 33064638.540956173, 329097.2479312817),
-        (0, 240, 33913853.88088333, 0.0, 0.0),
-        (240, 240, 34876340.42333223, 66854917.93605349, 673172.7805867991),
-        (240, 240, 38993116.77687773, 33411321.07754337, 360043.9599733089),
-    ],
-    ("static", "numpy"): [
+    "static": [
         (240, 240, 35266425.02221469, 33059061.12416918, 371689.0095740705),
         (240, 240, 33599199.17665999, 33180296.9888433, 358003.55320463725),
         (240, 240, 35372224.51969132, 33635844.21440915, 324943.7673621847),
         (240, 240, 33329224.372547835, 33259321.968284763, 401686.7497549097),
     ],
-    ("adaptive", "numpy"): [
+    "adaptive": [
         (240, 240, 35266425.02221469, 33059061.12416918, 371689.0095740705),
         (240, 240, 33599199.17665999, 33204980.380567595, 274217.7483461416),
         (240, 240, 35372224.51969132, 33297044.284876257, 271380.7598993029),
         (240, 240, 33329224.372547835, 33285015.782367498, 291352.7725933),
     ],
-    ("blackout", "numpy"): [
+    "blackout": [
         (240, 240, 35266425.02221469, 33059061.12416918, 371689.0095740705),
         (0, 240, 33599199.17665999, 0.0, 0.0),
         (240, 240, 35666478.44362259, 66638281.49583414, 747508.7353198818),
         (240, 240, 29285113.637254827, 33294539.883995805, 386560.17846165353),
     ],
 }
-#: The draws are pinned bit for bit; summation order is not part of the
-#: contract (it differs between numpy and ``array('d')`` column storage).
-SUM_TOLERANCE = 1e-12
-
-BACKENDS = [
-    "python",
-    pytest.param("numpy", marks=pytest.mark.skipif(
-        not numpy_available(), reason="numpy backend not installed"
-    )),
-]
 
 
-def sharded(case, backend, *, inline):
+def sharded(case, *, inline):
     controller, scenario = CASES[case]
     config = PipelineConfig(
-        sampling_fraction=0.2, seed=13, backend=backend,
-        workers=2, budget_controller=controller,
+        sampling_fraction=0.2, seed=13, workers=2,
+        budget_controller=controller,
     )
     return ShardedEngineRunner(
         config, SCHEDULE, GENS, inline=inline, scenario=scenario
@@ -143,20 +114,20 @@ def estimate_calls(monkeypatch):
 
 class TestOneEstimatePerWindow:
     def test_inline_run_estimates_once_per_window(self, estimate_calls):
-        outcome = sharded("static", "python", inline=True).run(WINDOWS)
+        outcome = sharded("static", inline=True).run(WINDOWS)
         assert len(outcome.windows) == WINDOWS
         assert len(estimate_calls) == WINDOWS
         # Each call saw the merged store: both shards' root batches.
         assert all(pairs == 8 for pairs in estimate_calls)
 
     def test_process_run_estimates_in_the_parent_only(self, estimate_calls):
-        with sharded("static", "python", inline=False) as runner:
+        with sharded("static", inline=False) as runner:
             outcome = runner.run(WINDOWS)
         assert len(outcome.windows) == WINDOWS
         assert len(estimate_calls) == WINDOWS
 
     def test_blackout_window_reaches_no_estimator(self, estimate_calls):
-        outcome = sharded("blackout", "python", inline=True).run(WINDOWS)
+        outcome = sharded("blackout", inline=True).run(WINDOWS)
         assert len(estimate_calls) == WINDOWS - 1
         dark = outcome.windows[1]
         assert (dark.items_sampled, dark.approx_sum.value) == (0, 0.0)
@@ -164,19 +135,18 @@ class TestOneEstimatePerWindow:
         assert dark.items_emitted > 0
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
 @pytest.mark.parametrize("case", sorted(CASES))
-def test_processes_equal_inline_twin_equal_pinned_values(case, backend):
-    inline = sharded(case, backend, inline=True).run(WINDOWS)
-    with sharded(case, backend, inline=False) as runner:
+def test_processes_equal_inline_twin_equal_pinned_values(case):
+    inline = sharded(case, inline=True).run(WINDOWS)
+    with sharded(case, inline=False) as runner:
         processes = runner.run(WINDOWS)
     assert [window_key(w) for w in processes.windows] == [
         window_key(w) for w in inline.windows
     ]
     for window, (at_root, budget, *sums) in zip(
-        inline.windows, GOLDEN[case, backend], strict=True
+        inline.windows, GOLDEN[case], strict=True
     ):
         assert (window.items_sampled, window.sample_budget) == (at_root, budget)
         assert (
             window.srs_sum, window.approx_sum.value, window.approx_sum.error
-        ) == pytest.approx(tuple(sums), rel=SUM_TOLERANCE)
+        ) == tuple(sums)

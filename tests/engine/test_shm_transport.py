@@ -44,7 +44,6 @@ def config_for(workers=2, seed=13, fraction=0.2, controller="static"):
         sampling_fraction=fraction,
         window_seconds=1.0,
         seed=seed,
-        backend="python",
         workers=workers,
         budget_controller=controller,
     )

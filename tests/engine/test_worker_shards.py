@@ -133,7 +133,6 @@ class TestInlineShardedEngine:
     def run(workers, seed=13, windows=2):
         config = PipelineConfig(
             sampling_fraction=0.2, window_seconds=1.0, seed=seed,
-            backend="python",
         )
         return ShardedEngineRunner(
             replace(config, workers=workers), SCHEDULE, GENS, inline=True

@@ -49,7 +49,6 @@ class TestBaseConfig:
         tree=LogicalTree([4, 2, 1]),
         confidence=0.9,
         seed=7,
-        backend="python",
         workers=3,
         budget_controller="variance_aware",
         shard_timeout=2.5,

@@ -38,6 +38,11 @@ class TestRateBurst:
         with pytest.raises(ConfigurationError):
             RateBurst(0, 1, 0.0)
 
+    @pytest.mark.parametrize("factor", [float("nan"), float("inf")])
+    def test_rejects_nonfinite_factor(self, factor):
+        with pytest.raises(ConfigurationError):
+            RateBurst(0, 1, factor)
+
 
 class TestRateRamp:
     def test_linear_interpolation(self):
@@ -56,6 +61,13 @@ class TestRateRamp:
         with pytest.raises(ConfigurationError):
             RateRamp(0, 2, 0.0, 1.0)
 
+    @pytest.mark.parametrize("factor", [float("nan"), float("inf")])
+    def test_rejects_nonfinite_factors(self, factor):
+        with pytest.raises(ConfigurationError):
+            RateRamp(0, 2, factor, 1.0)
+        with pytest.raises(ConfigurationError):
+            RateRamp(0, 2, 1.0, factor)
+
 
 class TestRateWave:
     def test_trough_peak_trough(self):
@@ -68,6 +80,13 @@ class TestRateWave:
         wave = RateWave(2, 6, period_windows=4.0, low=0.5, high=1.5)
         assert wave.multiplier(1) == 1.0
         assert wave.multiplier(6) == 1.0
+
+    @pytest.mark.parametrize("bound", [float("nan"), float("inf")])
+    def test_rejects_nonfinite_bounds(self, bound):
+        with pytest.raises(ConfigurationError):
+            RateWave(0, 4, period_windows=4.0, low=bound, high=1.5)
+        with pytest.raises(ConfigurationError):
+            RateWave(0, 4, period_windows=4.0, low=0.5, high=bound)
 
     def test_rejects_bad_shape(self):
         with pytest.raises(ConfigurationError):

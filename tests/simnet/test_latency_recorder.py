@@ -4,10 +4,6 @@ The reference below is the recorder this repo shipped before samples
 moved into float64 chunks — one boxed float per record, re-sorted on
 every percentile. Everything but the mean must agree with it exactly;
 the mean may differ by summation order only.
-
-Nothing here needs numpy and nothing skips: with numpy installed the
-chunks are arrays, without it ``array('d')``, and the forced
-``no_numpy`` fixture runs the stdlib storage on either CI leg.
 """
 
 import math
@@ -37,14 +33,6 @@ class PerRecordReference:
         return ordered[max(1, math.ceil(q / 100.0 * len(ordered))) - 1]
 
 
-@pytest.fixture(params=["installed", "no_numpy"])
-def storage(request, monkeypatch):
-    """Run a test on the installed storage and on the stdlib one."""
-    if request.param == "no_numpy":
-        monkeypatch.setattr(stats, "_np", None)
-    return request.param
-
-
 def deliveries(seed=5, count=40):
     """Seeded ``(emission column, delivery time)`` pairs of mixed sizes."""
     rng = random.Random(seed)
@@ -58,7 +46,7 @@ def deliveries(seed=5, count=40):
 
 
 class TestColumnEqualsPerRecord:
-    def test_count_max_percentiles_exact_mean_close(self, storage):
+    def test_count_max_percentiles_exact_mean_close(self):
         recorder, reference = LatencyRecorder(), PerRecordReference()
         for column, delivered_at in deliveries():
             recorder.record_column(column, delivered_at)
@@ -71,7 +59,7 @@ class TestColumnEqualsPerRecord:
         mean = sum(reference.samples) / len(reference.samples)
         assert recorder.mean() == pytest.approx(mean, rel=1e-12)
 
-    def test_record_is_the_length_one_column(self, storage):
+    def test_record_is_the_length_one_column(self):
         by_record, by_column = LatencyRecorder(), LatencyRecorder()
         for column, delivered_at in deliveries(seed=9, count=10):
             by_column.record_column(column, delivered_at)
@@ -83,13 +71,13 @@ class TestColumnEqualsPerRecord:
             by_column.percentile(q) for q in QUANTILES
         ]
 
-    def test_results_are_plain_floats(self, storage):
+    def test_results_are_plain_floats(self):
         recorder = LatencyRecorder()
         recorder.record_column([0.0, 0.5], 1.0)
         for value in (recorder.mean(), recorder.max(), recorder.percentile(50)):
             assert type(value) is float
 
-    def test_empty_column_records_nothing(self, storage):
+    def test_empty_column_records_nothing(self):
         recorder = LatencyRecorder()
         recorder.record_column([], 1.0)
         assert recorder.count == 0
@@ -98,17 +86,17 @@ class TestColumnEqualsPerRecord:
 
 
 class TestValidation:
-    def test_one_late_timestamp_rejects_the_column(self, storage):
+    def test_one_late_timestamp_rejects_the_column(self):
         recorder = LatencyRecorder()
         with pytest.raises(SimulationError, match="precedes emission at 2.5"):
             recorder.record_column([0.1, 2.5, 0.3], 2.0)
         assert recorder.count == 0
 
-    def test_per_record_call_raises_the_same_error(self, storage):
+    def test_per_record_call_raises_the_same_error(self):
         with pytest.raises(SimulationError, match="precedes emission at 5.0"):
             LatencyRecorder().record(5.0, 1.0)
 
-    def test_empty_recorder_and_bad_quantile(self, storage):
+    def test_empty_recorder_and_bad_quantile(self):
         recorder = LatencyRecorder()
         for read in (recorder.mean, recorder.max, lambda: recorder.percentile(50)):
             with pytest.raises(SimulationError, match="no latency samples"):
@@ -122,15 +110,15 @@ class TestValidation:
 class TestPercentileSortsOnce:
     @pytest.fixture
     def sorts(self, monkeypatch):
-        """Count the sorts the stdlib storage performs."""
-        monkeypatch.setattr(stats, "_np", None)
+        """Count the sorts the recorder performs."""
         calls = []
+        real_sort = stats._np.sort
 
-        def counting_sorted(values):
+        def counting_sort(values):
             calls.append(len(values))
-            return sorted(values)
+            return real_sort(values)
 
-        monkeypatch.setattr(stats, "sorted", counting_sorted, raising=False)
+        monkeypatch.setattr(stats._np, "sort", counting_sort)
         return calls
 
     def test_a_p50_p95_p99_report_sorts_once(self, sorts):

@@ -344,54 +344,3 @@ class TestRuntime:
         with pytest.raises(PipelineError, match="7 records still unread"):
             runtime.run_to_completion(max_rounds=3)
         runtime.close()
-
-
-class TestSamplingBackendSeam:
-    """The runtime publishes the resolved backend on every context."""
-
-    def _runtime(self, **kwargs):
-        broker = Broker()
-        broker.create_topic("in")
-        builder = StreamBuilder()
-        builder.stream("in").process_with(Collect())
-        return StreamsRuntime(broker, builder.build(), **kwargs)
-
-    def test_backend_resolved_and_propagated(self):
-        from repro.core.fastpath import resolve_backend
-
-        runtime = self._runtime(sampling_backend="python")
-        assert runtime.sampling_backend == "python"
-        runtime.close()
-
-        runtime = self._runtime()  # default: auto
-        assert runtime.sampling_backend == resolve_backend("auto")
-        runtime.close()
-
-    def test_processor_sees_backend_at_init(self):
-        from repro.core.fastpath import numpy_available
-
-        # With numpy installed, propagate a value distinct from the
-        # context default ("python") so a broken propagation (or wrong
-        # ordering against init_all) cannot pass by accident.
-        backend = "numpy" if numpy_available() else "python"
-        seen = {}
-
-        class Probe(Processor):
-            def init(self) -> None:
-                seen["backend"] = self.context.sampling_backend
-
-        broker = Broker()
-        broker.create_topic("in")
-        builder = StreamBuilder()
-        builder.stream("in").process_with(Probe("probe"))
-        runtime = StreamsRuntime(
-            broker, builder.build(), sampling_backend=backend
-        )
-        assert seen["backend"] == backend
-        runtime.close()
-
-    def test_unknown_backend_rejected(self):
-        from repro.errors import SamplingError
-
-        with pytest.raises(SamplingError):
-            self._runtime(sampling_backend="cython")

@@ -2,21 +2,17 @@
 
 Every gate below is a deterministic threshold on seeded quick-scale
 runs (the experiment-standard sizing) — no flaky percentile asserts.
-The ``python`` backend's entropy stream is frozen (golden-pinned), so
-its gates read the one standard seed, 42. The ``numpy`` backend's
-stream is re-baselined whenever its kernels change how they consume
-entropy, and one draw decides a head-to-head of two controllers by
-luck (``variance_aware`` beats ``static`` on 2 of 8 seeds at
-steady@0.1 yet wins on the 8-seed mean); its gates therefore read the
-*mean over the fixed seeds* ``NUMPY_SEEDS`` — still deterministic, and
-a claim about the controllers rather than about one draw. The
-contracts:
+One draw decides a head-to-head of two controllers by luck
+(``variance_aware`` beats ``static`` on 2 of 8 seeds at steady@0.1 yet
+wins on the 8-seed mean); the gates therefore read the *mean over the
+fixed seeds* ``GATE_SEEDS`` — still deterministic, and a claim about
+the controllers rather than about one draw. The contracts:
 
 * **Catalog gate** — at equal total budget, ``variance_aware`` beats
   the static split at *every* probed fraction on at least 3 of the
-  built-in scenarios, on either sampling backend (the PR's headline
-  claim; ``benchmarks/test_bench_adaptive.py`` publishes the same
-  matrix at bench scale).
+  built-in scenarios (the headline claim;
+  ``benchmarks/test_bench_adaptive.py`` publishes the same matrix at
+  bench scale).
 * **Worst-static gate** — on the stress scenarios (flash-crowd, skew
   drift, brownout) the adaptive mean loss never exceeds the *worst*
   static fraction's mean loss.
@@ -38,7 +34,6 @@ from dataclasses import replace
 
 import pytest
 
-from repro.core.fastpath import numpy_available
 from repro.experiments.base import (
     ExperimentScale,
     base_config,
@@ -48,8 +43,6 @@ from repro.experiments.base import (
 from repro.scenarios import get_scenario, scenario_names
 from repro.system.config import PipelineConfig
 from repro.system.scenarios import ScenarioRunner
-
-BACKENDS = ["python"] + (["numpy"] if numpy_available() else [])
 
 #: Equal-total-budget comparison points (the paper's low fractions,
 #: where allocation quality matters most).
@@ -66,10 +59,9 @@ STRESS_SCENARIOS = ["flash-crowd", "drift", "brownout"]
 VISIBLE_STRESS_SCENARIOS = ["flash-crowd", "drift"]
 
 
-#: The seeds a gate averages over, per backend (see the module docstring).
+#: The seeds a gate averages over (see the module docstring).
 STANDARD_SEED = ExperimentScale.quick().config.seed
-NUMPY_SEEDS = tuple(range(STANDARD_SEED, STANDARD_SEED + 8))
-GATE_SEEDS = {"python": (STANDARD_SEED,), "numpy": NUMPY_SEEDS}
+GATE_SEEDS = tuple(range(STANDARD_SEED, STANDARD_SEED + 8))
 
 
 def quick_scale(**knobs):
@@ -77,11 +69,10 @@ def quick_scale(**knobs):
     return replace(ExperimentScale.quick(), config=PipelineConfig(**knobs))
 
 
-def seeded_quality(scenario, controller, fraction, backend, workers, seed):
+def seeded_quality(scenario, controller, fraction, workers, seed):
     """(mean loss %, mean bound %) of one seeded quick-scale run."""
     scale = quick_scale(
-        backend=backend, seed=seed, budget_controller=controller,
-        workers=workers,
+        seed=seed, budget_controller=controller, workers=workers
     )
     config = base_config(fraction, scale)
     with ScenarioRunner(
@@ -93,11 +84,11 @@ def seeded_quality(scenario, controller, fraction, backend, workers, seed):
 
 
 @functools.lru_cache(maxsize=None)
-def quality(scenario, controller, fraction, backend, workers=1):
-    """(mean loss %, mean bound %) over the backend's gate seeds."""
+def quality(scenario, controller, fraction, workers=1):
+    """(mean loss %, mean bound %) over the gate seeds."""
     runs = [
-        seeded_quality(scenario, controller, fraction, backend, workers, seed)
-        for seed in GATE_SEEDS[backend]
+        seeded_quality(scenario, controller, fraction, workers, seed)
+        for seed in GATE_SEEDS
     ]
     return (
         sum(loss for loss, _ in runs) / len(runs),
@@ -105,9 +96,9 @@ def quality(scenario, controller, fraction, backend, workers=1):
     )
 
 
-def budget_trace(scenario, controller, fraction, backend="python"):
+def budget_trace(scenario, controller, fraction):
     """The per-window root-budget trace of one seeded run."""
-    scale = quick_scale(backend=backend, budget_controller=controller)
+    scale = quick_scale(budget_controller=controller)
     config = base_config(fraction, scale)
     with ScenarioRunner(
         config, uniform_schedule(scale.rate_scale), gaussian_generators(),
@@ -118,78 +109,64 @@ def budget_trace(scenario, controller, fraction, backend="python"):
 
 
 class TestCatalogGate:
-    @pytest.mark.parametrize("backend", BACKENDS)
-    def test_adaptive_beats_every_static_fraction_on_three_scenarios(
-        self, backend
-    ):
-        """The headline claim, at quick scale, per backend."""
+    def test_adaptive_beats_every_static_fraction_on_three_scenarios(self):
+        """The headline claim, at quick scale."""
         winners = []
         for name in scenario_names():
             if all(
-                quality(name, "variance_aware", f, backend)[0]
-                < quality(name, "static", f, backend)[0]
+                quality(name, "variance_aware", f)[0]
+                < quality(name, "static", f)[0]
                 for f in FRACTIONS
             ):
                 winners.append(name)
         assert len(winners) >= 3, (
-            f"variance_aware swept every fraction only on {winners} "
-            f"({backend} backend); the gate needs >= 3 scenarios"
+            f"variance_aware swept every fraction only on {winners}; "
+            f"the gate needs >= 3 scenarios"
         )
 
 
 class TestStressScenarios:
-    @pytest.mark.parametrize("backend", BACKENDS)
     @pytest.mark.parametrize("scenario", STRESS_SCENARIOS)
-    def test_adaptive_never_worse_than_worst_static(self, scenario, backend):
+    def test_adaptive_never_worse_than_worst_static(self, scenario):
         """Reallocating a fixed budget must not lose to misallocating it."""
-        adaptive, _ = quality(
-            scenario, "variance_aware", OPERATING_FRACTION, backend
-        )
+        adaptive, _ = quality(scenario, "variance_aware", OPERATING_FRACTION)
         worst_static = max(
-            quality(scenario, "static", f, backend)[0] for f in FRACTIONS
+            quality(scenario, "static", f)[0] for f in FRACTIONS
         )
         assert adaptive <= worst_static, (
-            f"{scenario} ({backend}): adaptive loss {adaptive:.3f}% exceeds "
+            f"{scenario}: adaptive loss {adaptive:.3f}% exceeds "
             f"the worst static fraction's {worst_static:.3f}%"
         )
 
-    @pytest.mark.parametrize("backend", BACKENDS)
     @pytest.mark.parametrize("scenario", VISIBLE_STRESS_SCENARIOS)
-    def test_adaptive_loss_within_reported_bound(self, scenario, backend):
+    def test_adaptive_loss_within_reported_bound(self, scenario):
         """Adaptation must not break the Eq. 9 result-plus-error contract."""
-        loss, bound = quality(
-            scenario, "variance_aware", OPERATING_FRACTION, backend
-        )
+        loss, bound = quality(scenario, "variance_aware", OPERATING_FRACTION)
         assert loss <= bound, (
-            f"{scenario} ({backend}): adaptive mean loss {loss:.3f}% "
+            f"{scenario}: adaptive mean loss {loss:.3f}% "
             f"exceeds the mean reported bound {bound:.3f}%"
         )
 
 
 class TestShardedQuality:
-    @pytest.mark.parametrize("backend", BACKENDS)
-    def test_sharded_adaptive_within_bound_and_worst_static(self, backend):
+    def test_sharded_adaptive_within_bound_and_worst_static(self):
         """Broadcast-replayed decisions keep the quality guarantees."""
         for scenario in VISIBLE_STRESS_SCENARIOS:
             loss, bound = quality(
-                scenario, "variance_aware", OPERATING_FRACTION, backend,
-                workers=2,
+                scenario, "variance_aware", OPERATING_FRACTION, workers=2
             )
             worst_static = max(
-                quality(scenario, "static", f, backend)[0] for f in FRACTIONS
+                quality(scenario, "static", f)[0] for f in FRACTIONS
             )
             assert loss <= bound
             assert loss <= worst_static
 
-    @pytest.mark.parametrize("backend", BACKENDS)
-    def test_sharded_adaptive_beats_sharded_static_under_drift(self, backend):
+    def test_sharded_adaptive_beats_sharded_static_under_drift(self):
         """Same seeds, same shards, same budget — the tilt alone wins."""
         adaptive, _ = quality(
-            "drift", "variance_aware", OPERATING_FRACTION, backend, workers=2
+            "drift", "variance_aware", OPERATING_FRACTION, workers=2
         )
-        static, _ = quality(
-            "drift", "static", OPERATING_FRACTION, backend, workers=2
-        )
+        static, _ = quality("drift", "static", OPERATING_FRACTION, workers=2)
         assert adaptive < static
 
 
@@ -205,9 +182,7 @@ class TestFractionController:
 
     def test_shed_budget_still_within_reported_bound(self):
         """Shrinking to the target must not break bound coverage."""
-        scale = quick_scale(
-            backend="python", budget_controller="adaptive_fraction"
-        )
+        scale = quick_scale(budget_controller="adaptive_fraction")
         config = base_config(0.2, scale)
         with ScenarioRunner(
             config, uniform_schedule(scale.rate_scale),

@@ -38,12 +38,10 @@ class TestImmutability:
             PipelineConfig(),
             mode=ExecutionMode.SRS,
             sampling_fraction=0.5,
-            backend="python",
             seed=9,
         )
         assert config.mode == ExecutionMode.SRS
         assert config.sampling_fraction == 0.5
-        assert config.backend == "python"
         assert config.seed == 9
 
     def test_no_wrapper_methods_remain(self):
@@ -81,6 +79,20 @@ class TestFiniteValues:
             PipelineConfig(shard_timeout=MAX_SHARD_TIMEOUT).shard_timeout
             == MAX_SHARD_TIMEOUT
         )
+
+
+class TestOneSamplingImplementation:
+    """``backend`` stays declared for callers that name it, with one
+    legal value; nothing reads it."""
+
+    def test_numpy_is_the_default_and_only_value(self):
+        assert PipelineConfig().backend == "numpy"
+        assert PipelineConfig(backend="numpy").backend == "numpy"
+
+    @pytest.mark.parametrize("value", ["python", "auto", "cython"])
+    def test_any_other_value_rejected(self, value):
+        with pytest.raises(ConfigurationError, match="backend"):
+            PipelineConfig(backend=value)
 
 
 class TestOneTransportPerEngine:

@@ -6,7 +6,6 @@ counter gate — counts, never clocks).
 
 import pytest
 
-from repro.core.fastpath import numpy_available
 from repro.experiments.base import (
     gaussian_generators,
     saturating_placement,
@@ -20,10 +19,10 @@ from repro.system.deployment import DeploymentSimulator
 MODES = {"approxiot": 0.1, "srs": 0.1, "native": 1.0}
 
 
-def simulator(mode, *, scale, backend="auto", seed=42):
+def simulator(mode, *, scale, seed=42):
     schedule = uniform_schedule(scale)
     config = PipelineConfig(
-        sampling_fraction=MODES[mode], seed=seed, mode=mode, backend=backend,
+        sampling_fraction=MODES[mode], seed=seed, mode=mode,
         placement=saturating_placement(schedule),
     )
     return DeploymentSimulator(
@@ -31,7 +30,6 @@ def simulator(mode, *, scale, backend="auto", seed=42):
     )
 
 
-@pytest.mark.skipif(not numpy_available(), reason="numpy backend not installed")
 @pytest.mark.parametrize("mode", MODES)
 def test_one_recorder_call_per_batch_delivered_at_root(mode, monkeypatch):
     """100 k items/s for 8 windows: hundreds of calls, not 10^5 of them."""
@@ -45,7 +43,7 @@ def test_one_recorder_call_per_batch_delivered_at_root(mode, monkeypatch):
 
         monkeypatch.setattr(LatencyRecorder, name, counted)
 
-    sim = simulator(mode, scale=1.0, backend="numpy")
+    sim = simulator(mode, scale=1.0)
     delivered = 0
     finish_streaming, finish_windowed = (
         sim._finish_streaming, sim._finish_windowed

@@ -56,7 +56,6 @@ def config_for(workers=1, seed=13, fraction=0.2):
         sampling_fraction=fraction,
         window_seconds=1.0,
         seed=seed,
-        backend="python",
         workers=workers,
     )
 

@@ -1,5 +1,7 @@
 """Unit tests for the command-line interface."""
 
+import argparse
+
 import pytest
 
 from repro.cli import build_parser, main
@@ -26,20 +28,6 @@ class TestParser:
         with pytest.raises(SystemExit):
             build_parser().parse_args(["figures", "--scale", "huge"])
 
-    def test_backend_default(self):
-        args = build_parser().parse_args(["figures"])
-        assert args.backend == "auto"
-
-    def test_backend_selection(self):
-        args = build_parser().parse_args(
-            ["figures", "fig5", "--backend", "python"]
-        )
-        assert args.backend == "python"
-
-    def test_rejects_bad_backend(self):
-        with pytest.raises(SystemExit):
-            build_parser().parse_args(["figures", "--backend", "fortran"])
-
     @pytest.mark.parametrize(
         "argv",
         [
@@ -54,6 +42,35 @@ class TestParser:
             main(argv)
         assert exc.value.code == 2
         assert "--transport" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "path, own",
+        [
+            (["figures"], set()),
+            (["scenarios", "run"], {"--windows", "--fraction"}),
+        ],
+        ids=["figures", "scenarios-run"],
+    )
+    def test_flags_are_exactly_the_engine_knobs(self, path, own):
+        """``--scale`` plus one flag per engine knob (and a command's
+        own flags): there is no sampling-implementation flag."""
+        parser = build_parser()
+        for name in path:
+            subparsers = next(
+                action for action in parser._actions
+                if isinstance(action, argparse._SubParsersAction)
+            )
+            parser = subparsers.choices[name]
+        flags = {
+            option
+            for action in parser._actions
+            for option in action.option_strings
+            if option.startswith("--") and option != "--help"
+        }
+        assert flags == own | {
+            "--scale", "--workers", "--budget-controller",
+            "--shard-timeout", "--on-shard-loss", "--inject-fault",
+        }
 
 
 class TestCommands:
@@ -119,8 +136,7 @@ class TestBudgetController:
     def test_adaptive_scenario_run(self, capsys):
         assert main(
             ["scenarios", "run", "drift", "--scale", "quick",
-             "--windows", "4", "--backend", "python",
-             "--budget-controller", "variance_aware"]
+             "--windows", "4", "--budget-controller", "variance_aware"]
         ) == 0
         out = capsys.readouterr().out
         assert "quality over time" in out
@@ -185,13 +201,12 @@ class TestShardSupervision:
         """The fault fires, the supervisor respawns, and the figure
         comes out exactly as without the fault."""
         assert main(
-            ["figures", "fig5", "--scale", "quick", "--workers", "2",
-             "--backend", "python"]
+            ["figures", "fig5", "--scale", "quick", "--workers", "2"]
         ) == 0
         healthy_out = capsys.readouterr().out
         assert main(
             ["figures", "fig5", "--scale", "quick", "--workers", "2",
-             "--backend", "python", "--inject-fault", "crash@0:1"]
+             "--inject-fault", "crash@0:1"]
         ) == 0
         faulted_out = capsys.readouterr().out
         assert "Fig. 5" in faulted_out
@@ -200,7 +215,7 @@ class TestShardSupervision:
     def test_scenario_run_shows_the_restart(self, capsys):
         assert main(
             ["scenarios", "run", "flash-crowd", "--scale", "quick",
-             "--windows", "3", "--workers", "2", "--backend", "python",
+             "--windows", "3", "--workers", "2",
              "--inject-fault", "raise@1:1"]
         ) == 0
         out = capsys.readouterr().out
@@ -262,11 +277,9 @@ class TestScenarios:
     def test_run_knobs(self):
         args = build_parser().parse_args(
             ["scenarios", "run", "churn", "--windows", "5",
-             "--fraction", "0.4", "--backend", "python",
-             "--workers", "2"]
+             "--fraction", "0.4", "--workers", "2"]
         )
         assert (args.windows, args.fraction) == (5, 0.4)
-        assert args.backend == "python"
         assert args.workers == 2
 
     def test_list_prints_the_catalog(self, capsys):
@@ -279,7 +292,7 @@ class TestScenarios:
     def test_run_prints_quality_over_time(self, capsys):
         assert main(
             ["scenarios", "run", "flash-crowd", "--scale", "quick",
-             "--windows", "4", "--backend", "python"]
+             "--windows", "4"]
         ) == 0
         out = capsys.readouterr().out
         assert "quality over time" in out

@@ -2,9 +2,7 @@
 Quickstart block and the package docstring's quickstart.
 
 Each example runs in a fresh interpreter with ``src`` on the path, the
-way README tells users to run it. Every snippet uses
-``backend="auto"`` (or a default that resolves through it), so all of
-them also run on the dependency-free install.
+way README tells users to run it.
 """
 
 from __future__ import annotations

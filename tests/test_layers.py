@@ -28,7 +28,7 @@ ALLOWED: dict[str, set[str]] = {
     "topology": {"errors", "simnet"},
     "workloads": {"core", "errors"},
     "broker": {"core", "errors"},
-    "streams": {"broker", "core", "errors"},
+    "streams": {"broker", "errors"},
     "queries": {"core", "errors"},
     "scenarios": {"errors", "simnet", "topology", "workloads"},
     # The one back-edge: the engine reads PipelineConfig (type-only) and
@@ -46,8 +46,7 @@ ALLOWED: dict[str, set[str]] = {
         "errors", "metrics", "simnet", "system", "topology", "workloads",
     },
     "cli": {
-        "core", "engine", "errors", "experiments", "repro", "scenarios",
-        "system",
+        "engine", "errors", "experiments", "repro", "scenarios", "system",
     },
     "repro": {"core"},
     "__main__": {"cli"},

@@ -1,13 +1,12 @@
-"""The packaging promise: ``repro`` runs on the standard library alone.
+"""The packaging promise: ``repro`` runs on the stdlib plus numpy.
 
-``pyproject.toml`` declares ``dependencies = []`` and the README says
-"dependency-free", with numpy the one optional extra. A developer
-machine hides a broken promise — it tends to have networkx, scipy,
-hypothesis and pytest installed — so this test blocks those in a fresh
-interpreter, imports every module of the package, runs ``approxiot
-info``, and then reads ``sys.modules``: nothing may have been loaded
-beyond the stdlib, ``repro`` itself and (where installed) ``numpy``.
-Runs on both CI legs and never skips.
+``pyproject.toml`` declares ``dependencies = ["numpy>=1.24"]`` and
+nothing else. A developer machine hides a broken promise — it tends to
+have networkx, scipy, hypothesis and pytest installed — so this test
+blocks those in a fresh interpreter, imports every module of the
+package, runs ``approxiot info``, and then reads ``sys.modules``:
+nothing may have been loaded beyond the stdlib, ``repro`` itself and
+``numpy``. It never skips.
 """
 
 import json
@@ -17,7 +16,6 @@ import sys
 from pathlib import Path
 
 import repro
-from repro.core.fastpath import numpy_available
 
 BLOCKED = ("networkx", "scipy", "hypothesis", "pytest")
 
@@ -66,5 +64,4 @@ def test_every_module_imports_on_the_declared_dependencies_alone():
     # The walk really covered the package, engine and simulator included.
     assert {"repro.engine.sharding", "repro.simnet.network",
             "repro.system.deployment", "repro.cli"} <= set(report["modules"])
-    allowed = ["numpy"] if numpy_available() else []
-    assert report["foreign"] == allowed
+    assert report["foreign"] == ["numpy"]

@@ -1,24 +1,22 @@
-"""Distribution checks: each vector draw hook against its scalar twin.
+"""Distribution checks: each draw hook against its analytic moments.
 
-The ``numpy`` backend draws different *identities* than the ``python``
-backend, so the two are compared by fixed-seed moments: every hook must
-land where its scalar twin lands, within sampling error.
+Fixed seeds, so every check is deterministic; the bands are a few
+standard errors wide around the distribution's closed-form mean,
+standard deviation or rate.
 """
 
+import math
 import random
+from statistics import NormalDist
 
+import numpy as np
 import pytest
 
-np = pytest.importorskip("numpy", reason="vector hooks need numpy")
-
-from repro.core.srs import CoinFlipSampler  # noqa: E402
-from repro.workloads.pollution import POLLUTANTS, PollutantSubstream  # noqa: E402
-from repro.workloads.skew import paper_skewed_mixture  # noqa: E402
-from repro.workloads.synthetic import (  # noqa: E402
-    GaussianSubstream,
-    PoissonSubstream,
-)
-from repro.workloads.taxi import BoroughSubstream  # noqa: E402
+from repro.core.srs import CoinFlipSampler
+from repro.workloads.pollution import POLLUTANTS, PollutantSubstream
+from repro.workloads.skew import paper_skewed_mixture
+from repro.workloads.synthetic import GaussianSubstream, PoissonSubstream
+from repro.workloads.taxi import BoroughSubstream
 
 N = 40_000
 
@@ -27,18 +25,12 @@ def vector(generator, count=N, seed=1):
     return generator.draw_columns(count, np.random.default_rng(seed), 2.0)
 
 
-def scalar(generator, count=N, seed=1):
-    return np.asarray(
-        generator.generate_columns(count, random.Random(seed), 2.0).values
-    )
-
-
 class TestGaussian:
-    def test_mean_and_sigma_match_the_scalar_twin(self):
-        generator = GaussianSubstream("C", 10_000.0, 500.0)
-        for values in (vector(generator).values, scalar(generator)):
-            assert values.mean() == pytest.approx(10_000.0, abs=5 * 500 / N**0.5)
-            assert values.std() == pytest.approx(500.0, rel=0.02)
+    def test_mean_and_sigma_are_mu_and_sigma(self):
+        values = vector(GaussianSubstream("C", 10_000.0, 500.0)).values
+        assert values.mean() == pytest.approx(10_000.0, abs=5 * 500 / N**0.5)
+        # sd(s) ~ sigma / sqrt(2N): 5 standard errors is under 2 %.
+        assert values.std() == pytest.approx(500.0, rel=0.02)
 
     def test_batch_shape(self):
         batch = vector(GaussianSubstream("C", 1.0, 0.0, item_bytes=7), 5)
@@ -56,21 +48,28 @@ class TestPoisson:
         assert values.mean() == pytest.approx(lam, abs=5 * (lam / N) ** 0.5)
         assert values.var() == pytest.approx(lam, rel=0.05)
 
-    def test_scalar_twin_agrees(self):
-        generator = PoissonSubstream("X", 100.0)
-        assert scalar(generator, 8000).mean() == pytest.approx(
-            vector(generator, 8000).values.mean(), rel=0.01
-        )
+
+def capped_lognormal_mean(mu, sigma, cap):
+    """``E[min(X, cap)]`` for ``X ~ lognormal(mu, sigma)``, closed form."""
+    phi = NormalDist().cdf
+    log_cap = math.log(cap)
+    below = math.exp(mu + sigma**2 / 2) * phi((log_cap - mu - sigma**2) / sigma)
+    return below + cap * (1 - phi((log_cap - mu) / sigma))
 
 
 class TestTaxi:
-    def test_fare_quantiles_match_the_scalar_twin(self):
+    def test_total_amount_mean_follows_the_marginals(self):
+        """distance ~ min(50, lognormal(0.55, 0.85)); fare = 2.50 + 2.50
+        per mile; surcharge uniform on {0, 0.5, 1}; a tip of
+        U(5 %, 30 %) of the fare on 55 % of rides."""
         generator = BoroughSubstream("queens")
         batch = vector(generator)
         assert batch.uniform_substream == "taxi/queens" and batch.sizes == 180
-        quantiles = [0.1, 0.25, 0.5, 0.75, 0.9, 0.99]
-        assert np.quantile(batch.values, quantiles) == pytest.approx(
-            np.quantile(scalar(generator), quantiles), rel=0.04
+        fare = 2.5 + 2.5 * capped_lognormal_mean(0.55, 0.85, 50.0)
+        expected = fare * (1 + 0.55 * 0.175) + 0.5
+        standard_error = batch.values.std() / N**0.5
+        assert batch.values.mean() == pytest.approx(
+            expected, abs=5 * standard_error
         )
         # Flagfall floor, the 50-mile cap, and cents resolution.
         assert batch.values.min() >= 2.5
@@ -115,7 +114,7 @@ class TestPollution:
 class TestCoinFlip:
     def test_kept_count_within_five_sigma_and_counters_exact(self):
         fraction, count = 0.1, 100_000
-        sampler = CoinFlipSampler(fraction, random.Random(9), backend="numpy")
+        sampler = CoinFlipSampler(fraction, random.Random(9))
         mask = sampler.decisions(count)
         sigma = (count * fraction * (1 - fraction)) ** 0.5
         assert abs(int(mask.sum()) - count * fraction) <= 5 * sigma
@@ -124,7 +123,7 @@ class TestCoinFlip:
         assert sampler.seen == count + 1000
         assert sampler.kept == int(mask.sum()) + len(kept)
         assert kept == sorted(kept)  # arrival order preserved
-        other = CoinFlipSampler(fraction, random.Random(10), backend="numpy")
+        other = CoinFlipSampler(fraction, random.Random(10))
         other.decisions(500)
         seen, kept_total = sampler.seen, sampler.kept
         sampler.merge_counters(other)
@@ -132,7 +131,7 @@ class TestCoinFlip:
         assert sampler.kept == kept_total + other.kept
 
     def test_offer_uses_the_same_generator(self):
-        sampler = CoinFlipSampler(0.5, random.Random(1), backend="numpy")
+        sampler = CoinFlipSampler(0.5, random.Random(1))
         kept = [sampler.offer(i) for i in range(2000)]
         assert sampler.seen == 2000
         assert sampler.kept == sum(item is not None for item in kept)

@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+from repro.core.fastpath import make_generator
 from repro.core.items import StreamItem
 from repro.errors import WorkloadError
 from repro.workloads.pollution import (
@@ -55,7 +56,7 @@ class TestSynthetic:
         mean = sum(i.value for i in items) / len(items)
         assert mean == pytest.approx(10.0, rel=0.05)
 
-    def test_poisson_large_lambda_uses_normal_approx(self):
+    def test_poisson_large_lambda_mean(self):
         gen = PoissonSubstream("X", 10_000_000.0)
         items = gen.generate(100, random.Random(3))
         mean = sum(i.value for i in items) / len(items)
@@ -104,6 +105,15 @@ class TestRates:
             schedule.counts_for_interval(0.0)
         with pytest.raises(WorkloadError):
             schedule.scaled(0.0)
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    def test_nonfinite_rates_rejected(self, value):
+        with pytest.raises(WorkloadError):
+            RateSchedule("s", {"A": value})
+        with pytest.raises(WorkloadError):
+            RateSchedule("s", {"A": 1.0}).scaled(value)
+        with pytest.raises(WorkloadError):
+            Source("s", GaussianSubstream("X", 1.0, 0.0), value)
 
 
 class TestSkew:
@@ -336,7 +346,8 @@ class TestSource:
 
 
 class TestGeneratorColumnParity:
-    """Every generator's columnar path emits the object path's records."""
+    """``generate`` is ``draw_columns`` from a Generator seeded off the
+    caller's ``random.Random``, transposed into items."""
 
     @pytest.mark.parametrize(
         "generator",
@@ -350,7 +361,9 @@ class TestGeneratorColumnParity:
     )
     def test_columns_match_objects(self, generator):
         expected = generator.generate(40, random.Random(21), 3.0)
-        batch = generator.generate_columns(40, random.Random(21), 3.0)
+        batch = generator.draw_columns(
+            40, make_generator(random.Random(21)), 3.0
+        )
         assert batch.to_items() == expected
 
     def test_pollution_columns_match_objects(self):
@@ -358,13 +371,15 @@ class TestGeneratorColumnParity:
         objects_gen = PollutantSubstream("pm")
         columns_gen = PollutantSubstream("pm")
         expected = objects_gen.generate(25, random.Random(5), 1.0)
-        batch = columns_gen.generate_columns(25, random.Random(5), 1.0)
+        batch = columns_gen.draw_columns(
+            25, make_generator(random.Random(5)), 1.0
+        )
         assert batch.to_items() == expected
 
     def test_negative_count_rejected(self):
         with pytest.raises(WorkloadError):
-            GaussianSubstream("A", 1.0, 0.0).generate_columns(
-                -1, random.Random(0)
+            GaussianSubstream("A", 1.0, 0.0).draw_columns(
+                -1, make_generator(random.Random(0))
             )
 
 
@@ -374,10 +389,10 @@ class TestColumnStaging:
 
     def test_successive_windows_do_not_alias(self):
         gen = GaussianSubstream("g", 100.0, 5.0)
-        rng = random.Random(11)
-        first = gen.generate_columns(50, rng, 0.0)
+        rng = make_generator(random.Random(11))
+        first = gen.draw_columns(50, rng, 0.0)
         snapshot = list(first.values)
-        gen.generate_columns(50, rng, 1.0)
+        gen.draw_columns(50, rng, 1.0)
         assert list(first.values) == snapshot
 
     def test_reuse_preserves_cross_plane_parity(self):
@@ -395,8 +410,8 @@ class TestColumnStaging:
                 else:
                     drawn.extend(
                         float(v)
-                        for v in gen.generate_columns(
-                            20, rng, float(window)
+                        for v in gen.draw_columns(
+                            20, make_generator(rng), float(window)
                         ).values
                     )
             values[plane] = drawn
