@@ -122,22 +122,26 @@ PICKLE_SERDE = Serde(pickle.dumps, pickle.loads)
 # Wire layout (all integers/floats little-endian):
 #
 #   batch   := MAGIC format:u8 substream:str weight:f64 n:u64
-#              tags sizes values:(n x f64) timestamps:(n x f64)
+#              tags sizes stamps values:(n x f64)
 #   tags    := 0x00 str            (every record in one sub-stream)
 #            | 0x01 str * n        (per-record stratum ids)
 #   sizes   := 0x00 i64            (uniform serialized size)
 #            | 0x01 i64 * n        (per-record sizes)
+#   stamps  := 0x00 f64            (one emission time for the batch)
+#            | 0x01 f64 * n        (per-record emission times)
 #   str     := len:u32 utf8-bytes
 #
-# ``format`` is a tag with one legal value, 1 (column buffers); the
-# decoder rejects any other. The record data crosses the wire as
-# whole column buffers — the encoder never walks a Python object per
-# record, and the decoder rebuilds columns with one ``frombuffer`` per
-# column.
+# ``format`` is a tag with one legal value, 2 (column buffers, and one
+# emission time per batch where the records share it); the decoder
+# rejects any other, so a format-1 frame, which always carried a
+# per-record timestamp column, fails loudly. The record data crosses
+# the wire as whole column buffers — the encoder never walks a Python
+# object per record, and the decoder rebuilds columns with one
+# ``frombuffer`` per column.
 
 _BATCH_MAGIC = b"RWB1"
 _PICKLE_MAGIC = b"RPK1"
-_FORMAT_TAG = 1
+_FORMAT_TAG = 2
 
 
 def _pack_str(out: list[bytes], text: str) -> None:
@@ -182,7 +186,7 @@ def encode_weighted_batch_chunks(batch: WeightedBatch) -> list[bytes | memoryvie
     the chunks yields exactly :func:`encode_weighted_batch`'s output,
     so the two paths are bit-identical on the wire.
 
-    Float values and timestamps round-trip bit-for-bit through
+    Float values and emission times round-trip bit-for-bit through
     float64, and per-record sizes are preserved, so byte accounting
     (``WeightedBatch.total_bytes``) is unchanged by a round trip.
     """
@@ -205,8 +209,13 @@ def encode_weighted_batch_chunks(batch: WeightedBatch) -> list[bytes | memoryvie
     else:
         out.append(b"\x01")
         out.append(_np.asarray(columns.sizes, dtype="<i8").tobytes())
+    if isinstance(columns.timestamps, float):
+        out.append(b"\x00")
+        out.append(struct.pack("<d", columns.timestamps))
+    else:
+        out.append(b"\x01")
+        out.append(_float_column_bytes(columns.timestamps))
     out.append(_float_column_bytes(columns.values))
-    out.append(_float_column_bytes(columns.timestamps))
     return out
 
 
@@ -256,20 +265,28 @@ def _decode_weighted_batch(data, offset: int) -> tuple[WeightedBatch, int]:
                 data, dtype="<i8", count=n, offset=offset
             ).tolist()
             offset += 8 * n
+        per_record_stamps = data[offset] != 0
+        if per_record_stamps:
+            offset += 1
+        else:
+            (timestamps,) = struct.unpack_from("<d", data, offset + 1)
+            offset += 9
     except (IndexError, ValueError, struct.error) as exc:
         raise ConfigurationError(
             f"truncated weighted batch: the frame ends inside the header "
             f"({exc})"
         ) from exc
-    if len(data) < offset + 16 * n:
+    column_bytes = (16 if per_record_stamps else 8) * n
+    if len(data) < offset + column_bytes:
         raise ConfigurationError(
             f"truncated weighted batch: header declares {n} records, "
-            f"frame holds {max(0, len(data) - offset)} of their {16 * n} "
-            f"column bytes"
+            f"frame holds {max(0, len(data) - offset)} of their "
+            f"{column_bytes} column bytes"
         )
+    if per_record_stamps:
+        timestamps = _float_column_from(data[offset : offset + 8 * n])
+        offset += 8 * n
     values = _float_column_from(data[offset : offset + 8 * n])
-    offset += 8 * n
-    timestamps = _float_column_from(data[offset : offset + 8 * n])
     offset += 8 * n
     columns = ColumnarBatch(tags, values, timestamps, sizes)
     return WeightedBatch(substream, weight, columns), offset

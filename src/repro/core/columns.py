@@ -1,16 +1,21 @@
 """Columnar (structure-of-arrays) batches — the one record representation.
 
-A :class:`ColumnarBatch` holds a set of stream records as four parallel
-columns (sub-stream ids, values, emission timestamps, serialized
-sizes), so the hot path — rate spreading, grouping, reservoir
+A :class:`ColumnarBatch` holds a set of stream records as three parallel
+columns (sub-stream ids, values, serialized sizes) plus their emission
+time, so the hot path — rate spreading, grouping, reservoir
 selection, weighted sums, coin flips — is array indexing instead of
 per-item attribute access. It is the only payload the engine, the
 transports, the codec, the shards and the deployment simulator move.
 
-Columns are numpy ``float64`` arrays. They become arrays once, where
-records enter — :func:`value_column`, :meth:`ColumnarBatch.single`,
-:meth:`ColumnarBatch.from_items` and the codec's decoder — so every
-gather, sum and filter below is one array op with no type check.
+Values are a numpy ``float64`` array. Ids, sizes and emission times
+collapse to one scalar when every record shares it — the common case:
+a source emits one stratum at one size at one instant, and only the
+deployment simulator, which measures latency, stamps per-record times
+(:meth:`ColumnarBatch.with_timestamps_from`). Columns become arrays
+once, where records enter — :func:`value_column`,
+:meth:`ColumnarBatch.single`, :meth:`ColumnarBatch.from_items` and the
+codec's decoder — so every gather, sum and filter below is one array
+op.
 
 * **Seeded determinism.** Every per-record random decision is made
   once, on columns: the sampling kernel selects survivor *indices* and
@@ -58,6 +63,20 @@ def _empty_column():
     return _np.empty(0, dtype=_np.float64)
 
 
+def _collapse(column: list):
+    """The one entry every record shares, else the per-record list."""
+    first = column[0]
+    return first if all(entry == first for entry in column) else column
+
+
+def _shared(fields: list, kind: type):
+    """The one scalar ``kind`` field every batch carries, else ``None``."""
+    first = fields[0]
+    if all(isinstance(f, kind) and f == first for f in fields):
+        return first
+    return None
+
+
 def _concat(columns: list):
     if len(columns) == 1:
         return columns[0]
@@ -74,7 +93,10 @@ class ColumnarBatch:
             or a ``list[str]`` for mixed batches (e.g. the skewed
             mixture workload before stratification).
         values: float64 array of record payloads.
-        timestamps: float64 array of emission times.
+        timestamps: Emission times — a single ``float`` when every
+            record was emitted at one instant (what sources emit), or a
+            float64 array per record (what the deployment simulator
+            stamps for latency accounting).
         sizes: Serialized record sizes for bandwidth accounting — a
             single ``int`` when uniform, or a ``list[int]`` per record.
     """
@@ -86,7 +108,8 @@ class ColumnarBatch:
         self.values = values
         self.timestamps = timestamps
         self.sizes = sizes
-        if len(values) != len(timestamps):
+        per_record = not isinstance(timestamps, float)
+        if per_record and len(values) != len(timestamps):
             raise SamplingError(
                 f"column length mismatch: {len(values)} values vs "
                 f"{len(timestamps)} timestamps"
@@ -114,9 +137,9 @@ class ColumnarBatch:
         size_bytes: int = DEFAULT_ITEM_BYTES,
     ) -> "ColumnarBatch":
         """A uniform-stratum batch with a constant emission time."""
-        column = value_column(values)
-        timestamps = _np.full(len(column), float(emitted_at))
-        return cls(substream, column, timestamps, size_bytes)
+        return cls(
+            substream, value_column(values), float(emitted_at), size_bytes
+        )
 
     @classmethod
     def empty(cls) -> "ColumnarBatch":
@@ -137,21 +160,14 @@ class ColumnarBatch:
         items = list(items)
         if not items:
             return cls.empty()
-        ids = [item.substream for item in items]
-        first_id = ids[0]
-        substreams = first_id if all(s == first_id for s in ids) else ids
-        sizes_list = [item.size_bytes for item in items]
-        first_size = sizes_list[0]
-        sizes = (
-            first_size
-            if all(s == first_size for s in sizes_list)
-            else sizes_list
-        )
+        timestamps = _collapse([float(item.emitted_at) for item in items])
+        if not isinstance(timestamps, float):
+            timestamps = value_column(timestamps)
         return cls(
-            substreams,
+            _collapse([item.substream for item in items]),
             value_column([item.value for item in items]),
-            value_column([item.emitted_at for item in items]),
-            sizes,
+            timestamps,
+            _collapse([item.size_bytes for item in items]),
         )
 
     @classmethod
@@ -162,25 +178,21 @@ class ColumnarBatch:
             return cls.empty()
         if len(batches) == 1:
             return batches[0]
-        tags = [b.substreams for b in batches if isinstance(b.substreams, str)]
-        if len(tags) == len(batches) and len(set(tags)) == 1:
-            substreams: str | list[str] = tags[0]
-        else:
+        substreams = _shared([b.substreams for b in batches], str)
+        if substreams is None:
             substreams = []
             for batch in batches:
                 substreams.extend(batch.substream_ids())
-        uniform = [b.sizes for b in batches if isinstance(b.sizes, int)]
-        if len(uniform) == len(batches) and len(set(uniform)) == 1:
-            sizes: int | list[int] = uniform[0]
-        else:
+        sizes = _shared([b.sizes for b in batches], int)
+        if sizes is None:
             sizes = []
             for batch in batches:
                 sizes.extend(batch.size_list())
+        timestamps = _shared([b.timestamps for b in batches], float)
+        if timestamps is None:
+            timestamps = _concat([b.timestamp_column() for b in batches])
         return cls(
-            substreams,
-            _concat([b.values for b in batches]),
-            _concat([b.timestamps for b in batches]),
-            sizes,
+            substreams, _concat([b.values for b in batches]), timestamps, sizes
         )
 
     # ------------------------------------------------------------------
@@ -199,6 +211,12 @@ class ColumnarBatch:
         if isinstance(self.substreams, str):
             return [self.substreams] * len(self)
         return list(self.substreams)
+
+    def timestamp_column(self):
+        """Per-record emission times (materializes the uniform stamp)."""
+        if isinstance(self.timestamps, float):
+            return _np.full(len(self), self.timestamps)
+        return self.timestamps
 
     def size_list(self) -> list[int]:
         """Per-record serialized sizes (materializes the uniform size)."""
@@ -235,9 +253,14 @@ class ColumnarBatch:
         return ColumnarBatch(
             substreams,
             self.values[indices],
-            self.timestamps[indices],
+            self._stamps_at(indices),
             sizes,
         )
+
+    def _stamps_at(self, indices):
+        if isinstance(self.timestamps, float):
+            return self.timestamps
+        return self.timestamps[indices]
 
     def compress(self, mask: Sequence[bool]) -> "ColumnarBatch":
         """Keep the records whose mask entry is true (vectorized filter)."""
@@ -286,7 +309,7 @@ class ColumnarBatch:
             substream: ColumnarBatch(
                 substream,
                 self.values[indices],
-                self.timestamps[indices],
+                self._stamps_at(indices),
                 self.sizes
                 if isinstance(self.sizes, int)
                 else [self.sizes[i] for i in indices],
@@ -313,7 +336,7 @@ class ColumnarBatch:
             else self.sizes
         )
         for substream, value, timestamp, size in zip(
-            ids, self.values, self.timestamps, sizes
+            ids, self.values, self.timestamp_column(), sizes
         ):
             yield StreamItem(substream, float(value), float(timestamp), int(size))
 

@@ -123,7 +123,7 @@ class BrokerTransport:
     value into real bytes on produce and back on poll, the shape a
     multi-process broker deployment runs. The columnar serde moves
     whole column buffers instead of pickling per record, and a decoded
-    batch preserves values, timestamps, sizes and therefore
+    batch preserves values, emission times, sizes and therefore
     ``total_bytes`` exactly, so byte accounting is serde-invariant.
     """
 

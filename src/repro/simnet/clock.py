@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import heapq
 import itertools
+import math
 from typing import Callable
 
 from repro.errors import ClockError
@@ -65,6 +66,8 @@ class Clock:
 
     def schedule_at(self, time: float, callback: Callable[[], None]) -> Event:
         """Schedule a callback at an absolute virtual time."""
+        if not math.isfinite(time):
+            raise ClockError(f"cannot schedule at non-finite time {time}")
         if time < self._now:
             raise ClockError(
                 f"cannot schedule at {time} before current time {self._now}"
@@ -99,6 +102,8 @@ class Clock:
         The clock ends exactly at ``time`` even if the queue drained
         earlier, so subsequent relative scheduling is anchored there.
         """
+        if not math.isfinite(time):
+            raise ClockError(f"cannot run until non-finite time {time}")
         if time < self._now:
             raise ClockError(f"cannot run backwards to {time} from {self._now}")
         while self._queue:

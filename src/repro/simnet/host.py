@@ -10,6 +10,7 @@ source rate (Fig. 6) at lower end-to-end latency (Fig. 8).
 
 from __future__ import annotations
 
+import math
 from typing import Any, Callable
 
 from repro.simnet.clock import Clock
@@ -22,9 +23,9 @@ class Host:
     """A host that serves work items at a fixed rate via the clock."""
 
     def __init__(self, name: str, clock: Clock, service_rate: float) -> None:
-        if service_rate <= 0:
+        if not 0 < service_rate < math.inf:
             raise ConfigurationError(
-                f"service rate must be positive, got {service_rate}"
+                f"service rate must be finite and positive, got {service_rate}"
             )
         self.name = name
         self._clock = clock

@@ -31,7 +31,8 @@ class Link:
         self.name = name
         self._clock = clock
         self._config = config
-        self._rng = rng if rng is not None else random.Random(hash(name) & 0xFFFF)
+        # Seeded from the name itself: str hashes are salted per process.
+        self._rng = rng if rng is not None else random.Random(f"link:{name}")
         self._wire_free_at = 0.0
         self.bytes_sent = 0
         self.messages_sent = 0

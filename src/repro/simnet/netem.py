@@ -9,6 +9,7 @@ one-way delays our links apply.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from repro.errors import ConfigurationError
@@ -33,10 +34,14 @@ class NetemConfig:
     loss: float = 0.0
 
     def __post_init__(self) -> None:
-        if self.delay_ms < 0:
-            raise ConfigurationError(f"delay must be >= 0, got {self.delay_ms}")
-        if self.rate_bps <= 0:
-            raise ConfigurationError(f"rate must be positive, got {self.rate_bps}")
+        if not 0 <= self.delay_ms < math.inf:
+            raise ConfigurationError(
+                f"delay must be finite and >= 0, got {self.delay_ms}"
+            )
+        if not 0 < self.rate_bps < math.inf:
+            raise ConfigurationError(
+                f"rate must be finite and positive, got {self.rate_bps}"
+            )
         if not 0.0 <= self.loss < 1.0:
             raise ConfigurationError(f"loss must be in [0, 1), got {self.loss}")
 

@@ -138,6 +138,9 @@ class DeploymentSimulator:
         )
         self._latency = LatencyRecorder()
         self._items_emitted = 0
+        # source -> ((count, seconds), offsets): a steady source reuses
+        # its spread.
+        self._spreads: dict[str, tuple] = {}
         self._items_at_root = 0
         self._root_last_completion = 0.0
         self._states: dict[str, _ApproxIoTNodeState] = {}
@@ -223,12 +226,20 @@ class DeploymentSimulator:
     def _emitter(
         self, source_node: TreeNode, chunk_start: float, chunk_seconds: float
     ):
+        """One source's chunk, its records spread uniformly over the
+        chunk so latency accounting sees in-chunk arrival spread."""
         def emit() -> None:
             batch = self._pipeline.emit_source(
                 source_node.name, chunk_start, chunk_seconds
             )
             if not len(batch):
                 return
+            key = (len(batch), chunk_seconds)
+            cached = self._spreads.get(source_node.name)
+            if cached is None or cached[0] != key:
+                cached = (key, batch.spread_offsets(chunk_seconds))
+                self._spreads[source_node.name] = cached
+            batch = batch.with_timestamps_from(chunk_start, cached[1])
             self._items_emitted += len(batch)
             assert source_node.parent is not None
             self._send_items(source_node.name, source_node.parent, batch, 1.0)
@@ -298,7 +309,8 @@ class DeploymentSimulator:
             self._items_at_root += ingested
             self._root_last_completion = max(self._root_last_completion, now)
             for batch in result.batches:
-                self._latency.record_column(batch.items.timestamps, now)
+                stamps = batch.items.timestamp_column()
+                self._latency.record_column(stamps, now)
         else:
             assert state.node.parent is not None
             for batch in result.batches:
@@ -311,7 +323,7 @@ class DeploymentSimulator:
         if node.name == "root":
             self._items_at_root += len(batch)
             self._root_last_completion = max(self._root_last_completion, now)
-            self._latency.record_column(batch.items.timestamps, now)
+            self._latency.record_column(batch.items.timestamp_column(), now)
             return
         payload = batch.items
         weight = batch.weight

@@ -129,8 +129,6 @@ class Source:
             else None
         )
         self.items_emitted = 0
-        # ((count, interval), offsets): a steady source reuses its spread.
-        self._spread: tuple = (None, None)
         # Centered at 0.5 so a lone interval rounds to nearest rather
         # than truncating; see _interval_count.
         self._carry = 0.5
@@ -164,9 +162,9 @@ class Source:
     ) -> ColumnarBatch:
         """Produce this source's batch for one interval.
 
-        Records get emission timestamps spread uniformly over the
-        interval (one vector op) so latency accounting sees realistic
-        in-interval arrival spread.
+        Every record carries the one emission time ``interval_start``;
+        the deployment simulator, which measures latency, spreads the
+        records over the interval itself.
         """
         count = self._interval_count(interval_seconds)
         if count == 0:
@@ -177,10 +175,6 @@ class Source:
             batch = generate_columns(
                 self._generator, count, self._rng, interval_start
             )
-        key = (len(batch), interval_seconds)
-        if key != self._spread[0]:
-            self._spread = (key, batch.spread_offsets(interval_seconds))
-        batch = batch.with_timestamps_from(interval_start, self._spread[1])
         self.items_emitted += len(batch)
         return batch
 

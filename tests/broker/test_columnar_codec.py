@@ -1,9 +1,10 @@
 """Roundtrip parity for the compact binary weighted-batch codec.
 
-The codec must be a faithful bijection: values, timestamps, sizes and
-weights survive bit-for-bit (float64 end to end), and byte accounting
-(``total_bytes``) is unchanged — the properties the sharded engine and
-the serde-backed broker transport rely on. A frame that is cut short or
+The codec must be a faithful bijection: values, emission times (one
+per batch, or one per record), sizes and weights survive bit-for-bit
+(float64 end to end), and byte accounting (``total_bytes``) is
+unchanged — the properties the sharded engine and the serde-backed
+broker transport rely on. A frame that is cut short or
 carries an unknown format tag is rejected, never decoded to fewer
 records than its header declares.
 """
@@ -46,7 +47,8 @@ class TestColumnarRoundtrip:
         assert decoded.substream == "A"
         assert decoded.weight == 2.5
         assert list(decoded.items.values) == list(payload.values)
-        assert list(decoded.items.timestamps) == list(payload.timestamps)
+        assert decoded.items.timestamps == payload.timestamps == 7.125
+        assert isinstance(decoded.items.timestamps, float)
         assert decoded.items.uniform_substream == "A"
         assert decoded.items.sizes == 64
 
@@ -56,6 +58,7 @@ class TestColumnarRoundtrip:
             value_column([0.1, 0.2, 0.3]), [10, 20, 30],
         )
         decoded = roundtrip(WeightedBatch("A", 1.0, payload))
+        assert list(decoded.items.timestamps) == [0.1, 0.2, 0.3]
         assert decoded.items.substream_ids() == ["A", "B", "A"]
         assert decoded.items.size_list() == [10, 20, 30]
         assert decoded.total_bytes == 60
@@ -100,45 +103,69 @@ class TestColumnarRoundtrip:
 class TestWireBytes:
     """The frame layout, byte for byte, and how the chunks carry it."""
 
-    PAYLOAD = ([1.5, -2.25, 1e300], 7.125, 64)
-    WIRE = (
-        b"RWB1" + b"\x01"                          # magic, format tag
+    VALUES = [1.5, -2.25, 1e300]
+    HEADER = (
+        b"RWB1" + b"\x02"                          # magic, format tag
         + b"\x01\x00\x00\x00A"                     # batch sub-stream
         + struct.pack("<dQ", 2.5, 3)               # weight, n
         + b"\x00" + b"\x01\x00\x00\x00A"           # uniform tag
         + b"\x00" + struct.pack("<q", 64)          # uniform size
-        + struct.pack("<3d", 1.5, -2.25, 1e300)    # values
-        + struct.pack("<3d", 7.125, 7.125, 7.125)  # timestamps
     )
+    #: stamp form -> (emission times, their wire bytes)
+    STAMPS = {
+        "uniform": (7.125, b"\x00" + struct.pack("<d", 7.125)),
+        "per-record": (
+            [7.0, 7.25, 7.5], b"\x01" + struct.pack("<3d", 7.0, 7.25, 7.5)
+        ),
+    }
 
-    def batch(self):
-        values, emitted_at, size = self.PAYLOAD
-        return WeightedBatch(
-            "A", 2.5, ColumnarBatch.single("A", values, emitted_at, size)
+    def batch(self, form="uniform"):
+        stamps, _wire = self.STAMPS[form]
+        if isinstance(stamps, list):
+            stamps = value_column(stamps)
+        payload = ColumnarBatch("A", value_column(self.VALUES), stamps, 64)
+        return WeightedBatch("A", 2.5, payload)
+
+    def wire(self, form="uniform"):
+        return (
+            self.HEADER + self.STAMPS[form][1]
+            + struct.pack("<3d", *self.VALUES)     # values
         )
 
     def test_frame_bytes_are_pinned(self):
-        batch = self.batch()
-        assert encode_weighted_batch(batch) == self.WIRE
-        assert b"".join(encode_weighted_batch_chunks(batch)) == self.WIRE
-        assert encode_weighted_batches([batch, batch]) == (
-            struct.pack("<I", 2) + self.WIRE + self.WIRE
-        )
+        for form in self.STAMPS:
+            batch, wire = self.batch(form), self.wire(form)
+            assert encode_weighted_batch(batch) == wire
+            assert b"".join(encode_weighted_batch_chunks(batch)) == wire
+            assert encode_weighted_batches([batch, batch]) == (
+                struct.pack("<I", 2) + wire + wire
+            )
+        # One emission time costs 9 bytes, whatever the record count.
+        assert len(self.wire("uniform")) == len(self.HEADER) + 9 + 24
 
     def test_float_columns_travel_as_views_of_their_own_buffers(self):
-        batch = self.batch()
-        *_framing, values, timestamps = encode_weighted_batch_chunks(batch)
-        for chunk, column in (
-            (values, batch.items.values), (timestamps, batch.items.timestamps)
-        ):
+        uniform = self.batch("uniform")
+        *_framing, tag, stamp, values = encode_weighted_batch_chunks(uniform)
+        assert tag + stamp == self.STAMPS["uniform"][1]
+        columns = [(values, uniform.items.values)]
+        per_record = self.batch("per-record")
+        *_framing, tag, stamps, values = encode_weighted_batch_chunks(
+            per_record
+        )
+        assert tag == b"\x01"
+        columns += [
+            (stamps, per_record.items.timestamps),
+            (values, per_record.items.values),
+        ]
+        for chunk, column in columns:
             assert isinstance(chunk, memoryview)
             assert chunk.obj is column  # no tobytes() copy in between
             assert (chunk.format, chunk.nbytes, len(chunk)) == ("B", 24, 24)
 
     def test_empty_columns_encode_as_empty_chunks(self):
         empty = WeightedBatch("A", 1.0, ColumnarBatch.empty())
-        *_framing, values, timestamps = encode_weighted_batch_chunks(empty)
-        assert (bytes(values), bytes(timestamps)) == (b"", b"")
+        *_framing, stamps, values = encode_weighted_batch_chunks(empty)
+        assert (bytes(stamps), bytes(values)) == (b"", b"")
 
     def test_ring_write_of_the_chunks_lands_the_same_bytes(self):
         from repro.engine import shm
@@ -160,7 +187,11 @@ class TestWireBytes:
 
 
 class TestMalformedFrames:
-    """Outside bytes: a bad frame raises, it never shrinks a batch."""
+    """Outside bytes: a bad frame raises, it never shrinks a batch.
+
+    The frame carries both stamp forms: per-record emission times
+    (batch 0) and one emission time per batch (batches 1 and 2).
+    """
 
     BATCHES = [
         WeightedBatch(
@@ -171,13 +202,18 @@ class TestMalformedFrames:
             ),
         ),
         WeightedBatch("C", 1.5, ColumnarBatch.single("C", [4.0, 5.0], 1.0, 64)),
+        WeightedBatch(
+            "D", 3.0,
+            ColumnarBatch(["D", "E"], value_column([6.0, 7.0]), 2.0, [8, 9]),
+        ),
     ]
     FRAME = encode_weighted_batches(BATCHES)
     SINGLE = encode_weighted_batch(BATCHES[0])
+    SINGLE_UNIFORM = encode_weighted_batch(BATCHES[2])
 
     def test_the_whole_frame_decodes(self):
         decoded = decode_weighted_batches(self.FRAME)
-        assert [len(batch) for batch in decoded] == [3, 2]
+        assert [len(batch) for batch in decoded] == [3, 2, 2]
 
     @pytest.mark.parametrize("cut", range(len(FRAME)))
     def test_a_frame_cut_anywhere_is_rejected(self, cut):
@@ -189,12 +225,22 @@ class TestMalformedFrames:
         with pytest.raises(ConfigurationError):
             decode_weighted_batch(self.SINGLE[:cut])
 
-    def test_a_missing_column_is_named_in_the_error(self):
-        frame = encode_weighted_batches(self.BATCHES[1:])
-        with pytest.raises(ConfigurationError, match="declares 2 records"):
-            decode_weighted_batches(frame[:-32])  # both columns gone
+    @pytest.mark.parametrize("cut", range(len(SINGLE_UNIFORM)))
+    def test_a_uniform_stamp_batch_cut_anywhere_is_rejected(self, cut):
+        with pytest.raises(ConfigurationError):
+            decode_weighted_batch(self.SINGLE_UNIFORM[:cut])
 
-    @pytest.mark.parametrize("tag", [0, 2, 255])
+    def test_a_missing_column_is_named_in_the_error(self):
+        uniform = encode_weighted_batches(self.BATCHES[1:2])
+        with pytest.raises(ConfigurationError, match="declares 2 records"):
+            decode_weighted_batches(uniform[:-16])  # the value column gone
+        per_record = encode_weighted_batches(self.BATCHES[:1])
+        with pytest.raises(ConfigurationError, match="declares 3 records"):
+            decode_weighted_batches(per_record[:-24])  # the value column gone
+        with pytest.raises(ConfigurationError, match="declares 3 records"):
+            decode_weighted_batches(per_record[:-48])  # both columns gone
+
+    @pytest.mark.parametrize("tag", [0, 1, 255])
     def test_an_unknown_format_tag_is_rejected(self, tag):
         frame = bytearray(encode_weighted_batch(self.BATCHES[1]))
         frame[4] = tag

@@ -43,7 +43,8 @@ class TestConstruction:
     def test_single(self):
         batch = ColumnarBatch.single("X", [1.0, 2.0, 3.0], 5.0, 42)
         assert batch.uniform_substream == "X"
-        assert list(batch.timestamps) == [5.0, 5.0, 5.0]
+        assert batch.timestamps == 5.0 and isinstance(batch.timestamps, float)
+        assert list(batch.timestamp_column()) == [5.0, 5.0, 5.0]
         assert batch.total_bytes == 3 * 42
 
     def test_empty(self):

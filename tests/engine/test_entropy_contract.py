@@ -109,7 +109,14 @@ class TestSeededGolden:
         emitted = pipeline.emit_window(0.0)
         for name, payload in emitted.items():
             assert digest(payload.values) == GOLDEN_VALUE_DIGESTS[name]
-            assert digest(payload.timestamps) == GOLDEN_TIMESTAMP_DIGEST
+            # Sources emit one time per batch; the deployment emitter's
+            # spread of it is the column the digest was pinned on.
+            assert payload.timestamps == 0.0
+            assert isinstance(payload.timestamps, float)
+            stamped = payload.with_timestamps_from(
+                0.0, payload.spread_offsets(1.0)
+            )
+            assert digest(stamped.timestamps) == GOLDEN_TIMESTAMP_DIGEST
         assert runner.run_srs(emitted) == GOLDEN_SRS_FIRST_WINDOW
 
     def test_second_window_outcome_is_unchanged(self):

@@ -248,3 +248,49 @@ class TestShardFailure:
             assert runner.ipc_stats.restarts == 2
         finally:
             runner.close()
+
+
+class TestOneEmissionTimePerBatch:
+    """Sources stamp one emission time per batch and nothing on the
+    statistical path spreads it, so no root Theta batch carries a
+    per-record column and the shard codec ships 9 bytes of emission
+    time per batch instead of 8 per record."""
+
+    @pytest.fixture
+    def theta_batches(self, monkeypatch):
+        seen = []
+        add = ThetaStore.add
+
+        def counting_add(store, batch):
+            seen.append(batch)
+            add(store, batch)
+
+        monkeypatch.setattr(ThetaStore, "add", counting_add)
+        return seen
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_no_root_theta_batch_holds_a_per_record_stamp(
+        self, theta_batches, workers
+    ):
+        config = config_for(workers=workers)
+        if workers == 1:
+            pipeline = build_pipeline(config, SCHEDULE, GENS)
+            EngineRunner(pipeline, InProcessTransport()).run(3)
+        else:
+            with ShardedEngineRunner(config, SCHEDULE, GENS) as runner:
+                runner.run(3)
+        per_record = [
+            batch for batch in theta_batches
+            if not isinstance(batch.items.timestamps, float)
+        ]
+        assert theta_batches and per_record == []
+
+    def test_theta_bytes_per_window_are_pinned(self):
+        config = config_for(workers=2)
+        with ShardedEngineRunner(config, SCHEDULE, GENS) as runner:
+            outcome = runner.run(3)
+            stats = runner.ipc_stats
+        assert [w.items_sampled for w in outcome.windows] == [192] * 3
+        # 8 batches (4 strata x 2 shards) of 192 sampled records; a
+        # per-record stamp column would add 8 * 192 - 9 * 8 = 1464 B.
+        assert stats.theta_bytes_per_window == 1944.0

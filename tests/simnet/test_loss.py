@@ -1,9 +1,14 @@
 """Unit tests for netem-style packet loss on links."""
 
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import repro
 from repro.errors import ConfigurationError
 from repro.simnet.clock import Clock
 from repro.simnet.link import Link
@@ -82,3 +87,38 @@ class TestLossyLink:
             link.transfer(10, i, lambda m: None)
         link.reset_counters()
         assert link.messages_dropped == 0
+
+
+#: Twelve transfers over a ``loss=0.5`` link built without an rng.
+DROPS_PROBE = """
+from repro.simnet.netem import NetemConfig
+from repro.simnet.network import Network
+network = Network()
+network.add_host("edge-0", 1e6)
+network.add_host("root", 1e6)
+link = network.add_link("edge-0", "root", NetemConfig(1.0, 1e9, loss=0.5))
+print([link.transfer(10, i, lambda m: None) is None for i in range(12)])
+"""
+
+
+class TestDefaultLinkRng:
+    def test_drops_do_not_depend_on_the_hash_seed(self):
+        """A network's links seed their loss from the link name, so a
+        lossy run drops the same messages in every process."""
+        src = str(Path(repro.__file__).resolve().parents[1])
+        path = [src] + os.environ.get("PYTHONPATH", "").split(os.pathsep)
+        drops = set()
+        for hash_seed in ("1", "2", "3"):
+            env = dict(
+                os.environ,
+                PYTHONHASHSEED=hash_seed,
+                PYTHONPATH=os.pathsep.join(p for p in path if p),
+            )
+            done = subprocess.run(
+                [sys.executable, "-c", DROPS_PROBE],
+                env=env, capture_output=True, text=True, timeout=60,
+            )
+            assert done.returncode == 0, done.stderr
+            drops.add(done.stdout.strip())
+        assert len(drops) == 1
+        assert "True" in drops.pop()  # the link does drop

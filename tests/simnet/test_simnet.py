@@ -68,6 +68,18 @@ class TestClock:
         with pytest.raises(ClockError):
             clock.run_until(5.0)
 
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    def test_non_finite_times_rejected(self, bad):
+        clock = Clock()
+        clock.schedule_at(1.0, lambda: None)
+        with pytest.raises(ClockError):
+            clock.schedule(bad, lambda: None)
+        with pytest.raises(ClockError):
+            clock.schedule_at(bad, lambda: None)
+        with pytest.raises(ClockError):
+            clock.run_until(bad)
+        assert (clock.pending, clock.now) == (1, 0.0)
+
     def test_max_events_cap(self):
         clock = Clock()
         def reschedule():
@@ -98,6 +110,13 @@ class TestNetem:
             NetemConfig(delay_ms=-1.0, rate_bps=1.0)
         with pytest.raises(ConfigurationError):
             NetemConfig(delay_ms=0.0, rate_bps=0.0)
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    def test_non_finite_delay_and_rate_rejected(self, bad):
+        with pytest.raises(ConfigurationError):
+            NetemConfig(delay_ms=bad, rate_bps=1.0)
+        with pytest.raises(ConfigurationError):
+            NetemConfig(delay_ms=0.0, rate_bps=bad)
 
 
 class TestLink:
@@ -178,6 +197,11 @@ class TestHost:
         host = Host("h", clock, service_rate=1.0)
         with pytest.raises(ConfigurationError):
             host.process(-1, None, lambda j: None)
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    def test_non_finite_service_rate_rejected(self, bad):
+        with pytest.raises(ConfigurationError):
+            Host("h", Clock(), service_rate=bad)
 
 
 class TestNetwork:

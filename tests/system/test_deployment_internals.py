@@ -52,6 +52,21 @@ class TestEmissionChunking:
         chunks = max(1, math.ceil(duration / sim.EMISSION_GRANULARITY))
         assert chunks * (duration / chunks) == pytest.approx(duration)
 
+    def test_emitter_spreads_each_chunk_strictly_inside_it(self):
+        """Sources emit one time per chunk; the emitter stamps each
+        record strictly inside its chunk, in emission order."""
+        sim = simulator()
+        sent = []
+        sim._send_items = lambda _src, _dst, items, _w: sent.append(items)
+        source = sim._tree.sources[0]
+        chunk = sim.EMISSION_GRANULARITY
+        for start in (5.0, 5.0 + chunk):
+            sim._emitter(source, start, chunk)()
+            times = list(sent[-1].timestamps)
+            assert len(times) > 1
+            assert all(start < t < start + chunk for t in times)
+            assert times == sorted(times)
+
     def test_emitted_volume_independent_of_window(self):
         small = simulator(window=0.5, n_windows=8).run()
         large = simulator(window=2.0, n_windows=2).run()

@@ -292,14 +292,6 @@ class TestSource:
         assert counts[0] == 1
         assert sum(counts) == pytest.approx(6, abs=1)
 
-    def test_columnar_emission_spreads_timestamps(self):
-        gen = GaussianSubstream("X", 1.0, 0.0)
-        source = Source("s", gen, 10.0, rng=random.Random(10))
-        batch = source.emit_interval_columns(5.0, 1.0)
-        times = list(batch.timestamps)
-        assert all(5.0 < t < 6.0 for t in times)
-        assert times == sorted(times)
-
     def test_columnar_zero_rate_emits_empty_batch(self):
         gen = GaussianSubstream("X", 1.0, 0.0)
         source = Source("s", gen, 0.0)
