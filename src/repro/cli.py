@@ -128,9 +128,10 @@ def _add_engine_knobs(parser: argparse.ArgumentParser, *,
         action="append",
         default=None,
         metavar="KIND@SHARD:WINDOW",
-        help="inject a deterministic fault into a worker shard for the "
-             "supervision harness, e.g. crash@0:1 (kinds: crash, hang, "
-             "raise, corrupt-descriptor; repeatable; requires "
+        help="inject a deterministic fault into a worker shard process "
+             "for the supervision harness, e.g. crash@0:1 (kinds: crash, "
+             "hang, raise, corrupt-descriptor; repeatable; SHARD in "
+             "0..N-2, as shard N-1 runs in this process; requires "
              "--workers > 1, and hang also needs --shard-timeout)",
     )
 

@@ -31,8 +31,10 @@ Fault kinds, chosen to cover every distinct supervisor path:
 Every fault fires at most once: after the supervisor recovers a failed
 round it re-arms only the faults targeting later windows, so a
 deterministic plan cannot re-kill its own replacement forever.
-Faults target worker shard *processes*; plans are rejected for inline
-and single-worker execution, where there is no process to kill.
+Faults target worker shard *processes*: shards ``0..N-2`` of an
+``N``-worker run (the coordinator runs shard ``N-1`` itself). Plans
+naming shard ``N-1`` are rejected, as are plans for inline and
+single-worker execution, where there is no process to kill.
 """
 
 from __future__ import annotations

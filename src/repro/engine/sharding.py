@@ -5,11 +5,14 @@ workers: each samples an equal portion of the items with a
 proportionally smaller reservoir, and the per-worker ``(W_out, I)``
 pairs are simply concatenated upstream — Eq. 8 holds per worker, hence
 for the union. This module is the library's one model of that: the
-windowed engine loop runs in ``N`` OS processes at once, each over an
-equal share of every sub-stream, and the root merges per-shard Theta
-state before estimating. ``ShardedEngineRunner(..., inline=True)``
-runs the same shards one after another in the calling process, which
-is the in-process form of §III-E (bit-identical to the process form).
+windowed engine loop runs as ``N`` shards at once, each over an equal
+share of every sub-stream, and the root merges per-shard Theta state
+before estimating. ``N`` shards are ``N - 1`` forked processes plus the
+coordinator, which runs the last shard itself while the others compute
+(so ``workers=1`` forks nothing). ``ShardedEngineRunner(...,
+inline=True)`` runs every shard one after another in the calling
+process, which is the in-process form of §III-E (bit-identical to the
+process form).
 
 How a sharded run decomposes:
 
@@ -24,8 +27,9 @@ How a sharded run decomposes:
   and drives an :class:`~repro.engine.runner.EngineRunner` over the
   same window schedule. Shards never communicate: the §III-E
   assumption is exactly that workers need no coordination.
-* Per window, a shard ships back its window outcome fields plus its
-  root Theta contribution encoded with the compact binary batch codec
+* Per window, a process shard ships back its window outcome fields
+  plus its root Theta contribution encoded with the compact binary
+  batch codec
   (:func:`~repro.broker.records.encode_weighted_batches`) — whole
   column buffers cross the process boundary, never a pickle graph of
   per-record objects. *How* the codec frame crosses is the shard
@@ -39,7 +43,8 @@ How a sharded run decomposes:
   bytes themselves. Both planes decode to identical batches, so a run
   is bit-for-bit the same on either; :attr:`ShardedEngineRunner.ipc_stats`
   accounts encoded bytes, pipe bytes and serde wall time so the
-  difference is measurable, not vibes.
+  difference is measurable, not vibes. The coordinator's own shard
+  hands its Theta batches to the merge by reference (no codec).
 * The parent merges positionally: exact sums, SRS Horvitz-Thompson
   estimates and item counts add across shards; Theta batches
   concatenate in shard order into one
@@ -83,7 +88,10 @@ identical to an unfaulted one. When a shard exhausts its
 surviving shards with honest accounting (see
 :meth:`ShardedEngineRunner` and ``WindowOutcome.shards_lost``). The
 deterministic fault-injection harness in :mod:`repro.engine.faults`
-exercises every one of these paths.
+exercises every one of these paths. Faults target process shards
+``0..N-2`` only: the coordinator's shard cannot fail apart from the
+run, so an exception there poisons the runner like any other error in
+the caller.
 """
 
 from __future__ import annotations
@@ -167,19 +175,21 @@ def plan_shards(
 #: One window slot's result as it crosses the process boundary:
 #: ``(items_emitted, exact_sum, srs_sum, items_sampled, items_dropped,
 #: theta_frame, sample_budget, theta_bytes, encode_seconds)``.
-#: ``theta_frame`` carries the codec-encoded Theta batches — ``None``
-#: for an empty window, the joined frame ``bytes`` on the pipe
-#: transport (and as the ring-overflow fallback), or a
+#: ``theta_frame`` carries a process shard's codec-encoded Theta
+#: batches — ``None`` for an empty window, the joined frame ``bytes``
+#: on the pipe transport (and as the ring-overflow fallback), or a
 #: ``(sequence, offset, length)`` shared-memory descriptor on the shm
 #: transport, where the frame bytes live in the shard's segment and
-#: never transit the pipe. ``theta_bytes``/``encode_seconds`` are the
-#: shard-side serde accounting (frame size and encode wall time);
-#: ``sample_budget`` is the shard root's budget in effect for the slot
-#: (the shard's budget controller decision). Plain tuple of primitives
-#: + bytes on purpose — the pipe never pickles a record object.
+#: never transit the pipe; a shard the coordinator runs itself puts
+#: the batch list there as it is. ``theta_bytes``/``encode_seconds``
+#: are the shard-side serde accounting (frame size and encode wall
+#: time; zero unencoded); ``sample_budget`` is the shard root's budget
+#: in effect for the slot (the shard's budget controller decision).
+#: Plain tuple of primitives + bytes on purpose — the pipe never
+#: pickles a record object.
 _SlotResult = tuple[
     int, float, float, int, int,
-    "bytes | tuple[int, int, int] | None", int, int, float,
+    "bytes | tuple[int, int, int] | list | None", int, int, float,
 ]
 
 
@@ -272,19 +282,9 @@ class _ShardState:
                 budget = pipeline.budget(pipeline.tree.root.name)
                 results.append((0, 0.0, 0.0, 0, 0, None, budget, 0, 0.0))
             else:
-                started = time.perf_counter()
-                chunks = encode_weighted_batches_chunks(window.theta.batches)
-                theta_bytes = sum(len(chunk) for chunk in chunks)
-                frame: "bytes | tuple[int, int, int] | None" = None
-                if self._segment is not None:
-                    # The zero-copy path: column buffers land in the
-                    # shared segment, the pipe carries a descriptor.
-                    frame = self._segment.write_frame(chunks, theta_bytes)
-                if frame is None:  # pipe transport, or ring overflow
-                    frame = b"".join(chunks)
-                if fault is not None:  # corrupt-descriptor fault
-                    frame = fault_injection.corrupt_frame(frame)
-                encode_seconds = time.perf_counter() - started
+                frame, theta_bytes, encode_seconds = self._frame(
+                    window.theta.batches, fault
+                )
                 results.append(
                     (
                         window.items_emitted,
@@ -299,6 +299,27 @@ class _ShardState:
                     )
                 )
         return results
+
+    def _frame(self, batches, fault):
+        """Encode one slot's Theta for the trip to the coordinator.
+
+        Returns ``(frame, theta_bytes, encode_seconds)``: a shared
+        segment descriptor when the frame fits the ring, else the
+        joined codec bytes (pipe transport, or ring overflow).
+        """
+        started = time.perf_counter()
+        chunks = encode_weighted_batches_chunks(batches)
+        theta_bytes = sum(len(chunk) for chunk in chunks)
+        frame: "bytes | tuple[int, int, int] | None" = None
+        if self._segment is not None:
+            # The zero-copy path: column buffers land in the
+            # shared segment, the pipe carries a descriptor.
+            frame = self._segment.write_frame(chunks, theta_bytes)
+        if frame is None:  # pipe transport, or ring overflow
+            frame = b"".join(chunks)
+        if fault is not None:  # corrupt-descriptor fault
+            frame = fault_injection.corrupt_frame(frame)
+        return frame, theta_bytes, time.perf_counter() - started
 
 
 def _report_error(conn) -> None:
@@ -502,46 +523,32 @@ class _ProcessShard:
         self._reap_process(handshake=False)
 
 
-class _InlineShard:
-    """Same protocol as :class:`_ProcessShard`, run in the caller.
+class _InlineShard(_ShardState):
+    """A shard the coordinator runs itself, in the calling process.
 
-    Inline shards never cross a process boundary, so they carry no
-    shared-memory segment; Theta frames stay on the bytes path (the
-    codec round trip is kept for parity with process execution).
+    §III-E needs no process per shard, so a process-mode run forks
+    ``N - 1`` shards and the coordinator computes the last one between
+    dispatching the others' requests and collecting their replies;
+    ``inline=True`` runs every shard this way, one after another. An
+    inline shard's Theta batches go to the merge by reference — no
+    codec, no segment, no pipe bytes — which is bit-exact because the
+    codec round trip is. It cannot crash apart from the coordinator,
+    so it takes no injected faults and is never respawned.
     """
 
     #: Inline shards have no shared-memory segment.
     segment = None
 
     def __init__(self, plan, config, generators, scenario=None) -> None:
+        super().__init__(plan, config, generators, scenario)
         self.index = plan.index
-        self._state = _ShardState(plan, config, generators, scenario)
-        self._pending: list[_SlotResult] | None = None
 
-    def request(
-        self, windows: int, observations: "list | None" = None
-    ) -> int:
-        """Run the round eagerly in-process (no broadcasts ride a ring)."""
-        self._pending = self._state.run_slots(windows, observations)
-        return 0
-
-    def collect(self, timeout: float | None = None) -> list[_SlotResult]:
-        """Hand back the eagerly computed round.
-
-        ``timeout`` is accepted for protocol parity and ignored: the
-        round already ran to completion inside :meth:`request`, so an
-        inline shard can never be caught hung.
-        """
-        assert self._pending is not None
-        pending, self._pending = self._pending, None
-        return pending
+    def _frame(self, batches, fault):
+        """Hand the batches over as they are (nothing is encoded)."""
+        return batches, 0, 0.0
 
     def close(self) -> None:
-        """Drop any uncollected round."""
-        self._pending = None
-
-    #: Inline shards have no process to escalate on; reap == close.
-    reap = close
+        """Nothing to stop: the shard lives in the coordinator."""
 
 
 def _mp_context():
@@ -563,13 +570,15 @@ class ShardIpcStats:
     Counters cover the Theta payload direction (shard → parent) plus
     the adaptive broadcast direction (parent → shard), accumulated
     across every window slot the runner has merged — so transport wins
-    are attributable numbers, not vibes. Inline execution counts its
-    codec frames as pipe bytes (what a process run would have sent).
+    are attributable numbers, not vibes. Only process shards are
+    counted: a shard the coordinator runs itself (the last one in
+    process mode, every one inline) encodes nothing and sends nothing.
 
     Attributes:
         transport: The resolved shard transport (``"pipe"``/``"shm"``).
         windows: Window slots merged so far.
-        theta_bytes_encoded: Codec frame bytes produced by the shards
+        theta_bytes_encoded: Codec frame bytes produced by the process
+            shards
             (the payload volume, wherever it physically travelled).
         bytes_through_pipe: Bytes that actually crossed the Pipe for
             Theta payloads — whole frames on the pipe transport,
@@ -622,18 +631,23 @@ class ShardedEngineRunner:
     """Drives ``config.workers`` engine shards and merges at the root.
 
     A drop-in for :class:`~repro.engine.runner.EngineRunner`'s
-    ``run``/``run_window`` surface. Shard processes start lazily on
-    the first window and persist across calls; call :meth:`close`
-    (or use the runner as a context manager) to reap them — they are
-    daemons, so an unclosed runner still cannot outlive the parent.
+    ``run``/``run_window`` surface. ``N`` shards are ``N - 1`` shard
+    processes plus the coordinator: shards ``0..N-2`` fork, and the
+    calling process runs shard ``N-1`` itself between dispatching the
+    others' requests and collecting their replies. Shard processes
+    start lazily on the first window and persist across calls; call
+    :meth:`close` (or use the runner as a context manager) to reap
+    them — they are daemons, so an unclosed runner still cannot
+    outlive the parent.
 
-    ``inline=True`` executes the same shard states sequentially in
-    the calling process: identical results (the plan alone determines
-    each shard's entropy), no parallelism — the debugging and
-    parity-testing mode.
+    ``inline=True`` executes every shard sequentially in the calling
+    process: identical results (the plan alone determines each shard's
+    entropy), no parallelism — the debugging and parity-testing mode.
 
-    The runner is also the shard *supervisor* (process mode only;
-    inline shards cannot crash apart from the caller). Per round it
+    The runner is also the shard *supervisor* (process shards only;
+    a shard the coordinator runs cannot crash apart from it, so a fault
+    plan may target shards ``0..N-2`` only, and an exception in the
+    coordinator's shard poisons the runner). Per round it
     classifies failures — watchdog timeout, process death, corrupt
     frame — and recovers by respawn-and-replay within
     ``config.max_shard_restarts`` per shard; a shard whose frames
@@ -659,19 +673,24 @@ class ShardedEngineRunner:
     ) -> None:
         self._config = config
         self._plans = plan_shards(config, schedule)
-        self._inline = inline or config.workers == 1
+        #: Shards ``0..processes-1`` run as child processes; the rest
+        #: (the last one, or all of them inline) run in the coordinator.
+        self._processes = 0 if inline else config.workers - 1
         fault_plan: "fault_injection.FaultPlan | None" = config.fault_plan
         if fault_plan is not None and fault_plan:
-            if self._inline:
+            if self._processes == 0:
                 raise ConfigurationError(
                     "fault injection targets worker shard processes; "
                     "inline and single-worker execution have no process "
                     "to kill — use workers > 1 without inline=True"
                 )
-            if fault_plan.max_shard() >= config.workers:
+            if fault_plan.max_shard() >= self._processes:
                 raise ConfigurationError(
-                    f"fault plan targets shard {fault_plan.max_shard()} "
-                    f"but the run only has {config.workers} workers"
+                    f"fault plan targets shard {fault_plan.max_shard()}; "
+                    f"valid targets are 0..{self._processes - 1}, the "
+                    f"shard processes of a {config.workers}-worker run "
+                    f"(the coordinator runs shard {config.workers - 1} "
+                    f"itself)"
                 )
             if fault_plan.needs_watchdog and config.shard_timeout is None:
                 raise ConfigurationError(
@@ -682,9 +701,8 @@ class ShardedEngineRunner:
         self._ring_bytes = (
             ring_bytes if ring_bytes is not None else shm.DEFAULT_RING_BYTES
         )
-        if self._inline:
-            # Inline shards share the caller's address space: there is
-            # no pipe to bypass, so the codec stays on the bytes path.
+        if self._processes == 0:
+            # No shard leaves the coordinator: no pipe, no segment.
             self._context = None
             self._shard_transport = "pipe"
         else:
@@ -772,41 +790,39 @@ class ShardedEngineRunner:
                 "shard clocks are desynchronized; create a fresh runner"
             )
         if self._shards is None:
-            if self._inline:
-                self._shards = [
-                    _InlineShard(
-                        plan, self._config, self._generators, self._scenario
-                    )
-                    for plan in self._plans
-                ]
-            else:
-                segments: "list[shm.ShardSegment | None]"
-                if self._shard_transport == "shm":
-                    # One segment per shard, created before the fork so
-                    # the child inherits the mapping's name; released
-                    # on close() (or, worst case, by their finalizers).
-                    segments = []
-                    try:
-                        for _ in self._plans:
-                            segments.append(
-                                shm.ShardSegment.create(
-                                    ring_bytes=self._ring_bytes
-                                )
+            forked = self._plans[: self._processes]
+            segments: "list[shm.ShardSegment | None]"
+            if self._shard_transport == "shm":
+                # One segment per process shard, created before the fork
+                # so the child inherits the mapping's name; released on
+                # close() (or, worst case, by their finalizers).
+                segments = []
+                try:
+                    for _ in forked:
+                        segments.append(
+                            shm.ShardSegment.create(
+                                ring_bytes=self._ring_bytes
                             )
-                    except BaseException:
-                        for segment in segments:
-                            segment.release()
-                        raise
-                else:
-                    segments = [None] * len(self._plans)
-                self._shards = [
-                    _ProcessShard(
-                        self._context, plan, self._config, self._generators,
-                        self._scenario, segment=segment,
-                        armed_faults=self._armed_faults(plan.index),
-                    )
-                    for plan, segment in zip(self._plans, segments)
-                ]
+                        )
+                except BaseException:
+                    for segment in segments:
+                        segment.release()
+                    raise
+            else:
+                segments = [None] * len(forked)
+            self._shards = [
+                _ProcessShard(
+                    self._context, plan, self._config, self._generators,
+                    self._scenario, segment=segment,
+                    armed_faults=self._armed_faults(plan.index),
+                )
+                for plan, segment in zip(forked, segments)
+            ] + [  # built after the fork: no child inherits its pages
+                _InlineShard(
+                    plan, self._config, self._generators, self._scenario
+                )
+                for plan in self._plans[self._processes :]
+            ]
         return self._shards
 
     def _armed_faults(
@@ -894,79 +910,71 @@ class ShardedEngineRunner:
     ) -> "list[list | None]":
         """One supervised request/collect round across all live shards.
 
-        Returns one decoded slot-result list per shard, positionally;
-        ``None`` marks a shard lost (this round or earlier) under the
-        degrade policy. Failures are classified per shard — watchdog
-        ``"timeout"``, process ``"crash"`` (EOF, shard-reported error,
-        failed dispatch), ``"corrupt"`` frame (decode failure) — and
-        recovered by :meth:`_recover_shard`; surviving shards' results
-        are kept, so one bad shard never discards its peers' round.
+        Every process shard gets its request first; the coordinator
+        then runs its own shard while they compute, and collects the
+        process shards in plan order. Returns one decoded slot-result
+        list per shard, positionally; ``None`` marks a shard lost (this
+        round or earlier) under the degrade policy. Process-shard
+        failures are classified per shard — watchdog ``"timeout"``,
+        process ``"crash"`` (EOF, shard-reported error, failed
+        dispatch), ``"corrupt"`` frame (decode failure) — and recovered
+        by :meth:`_recover_shard`; surviving shards' results are kept,
+        so one bad shard never discards its peers' round. Anything that
+        escapes the round (an exception in the coordinator's own shard,
+        an aborted shard loss) poisons the runner: every shard is
+        reaped and reuse is refused, so a retry fails loudly instead of
+        merging skewed state.
         """
         shards = self._ensure_shards()
-        if self._inline:
-            # Inline shards run in the caller's process: there is no
-            # process to watch, kill or respawn, so failure keeps the
-            # fail-stop contract — reap everything and refuse reuse,
-            # so a retry fails loudly instead of merging skewed state.
-            try:
-                for shard in shards:
-                    self._ipc.ring_broadcasts += shard.request(
-                        windows, observations
-                    )
-                return [
-                    [
-                        self._decode_slot_payload(shard, result)
-                        for result in shard.collect()
-                    ]
-                    for shard in shards
-                ]
-            except PipelineError:
-                self._failed = True
-                self.close()
-                raise
         timeout = self._round_timeout(windows)
         per_shard: "list[list | None]" = [None] * len(shards)
         failed: dict[int, str] = {}
-        for index, shard in enumerate(shards):  # dispatch to all live...
-            if index in self._lost:
-                continue
-            try:
-                self._ipc.ring_broadcasts += shard.request(
-                    windows, observations
-                )
-            except PipelineError:
-                failed[index] = "crash"
-        for index, shard in enumerate(shards):  # ...then sync each.
-            if index in self._lost or index in failed:
-                continue
-            try:
-                raw = shard.collect(timeout)
-            except ShardTimeoutError:
-                self._ipc.timeouts += 1
-                failed[index] = "timeout"
-                continue
-            except PipelineError:
-                failed[index] = "crash"
-                continue
-            try:
-                # Frames are decoded (copied out of the shared rings)
-                # here, before any next round could reset the ring
-                # cursors underneath the descriptors.
-                per_shard[index] = [
-                    self._decode_slot_payload(shard, result)
-                    for result in raw
+        processes = shards[: self._processes]
+        try:
+            for index, shard in enumerate(processes):  # dispatch to all live,
+                if index in self._lost:
+                    continue
+                try:
+                    self._ipc.ring_broadcasts += shard.request(
+                        windows, observations
+                    )
+                except PipelineError:
+                    failed[index] = "crash"
+            for shard in shards[self._processes :]:  # run our own meanwhile,
+                per_shard[shard.index] = [
+                    (result, result[5])  # Theta batches by reference
+                    for result in shard.run_slots(windows, observations)
                 ]
-            except Exception:  # noqa: BLE001 - any decode failure
-                failed[index] = "corrupt"
-        for index in sorted(failed):
-            per_shard[index] = self._recover_shard(
-                index, failed[index], windows, observations, timeout
-            )
-        if all(results is None for results in per_shard):
-            # Unreachable through _handle_shard_loss (it raises on the
-            # last survivor), kept as a loud guard against merging
-            # nothing at all.
-            self._fail_round("every worker shard was lost in one round")
+            for index, shard in enumerate(processes):  # then sync each.
+                if index in self._lost or index in failed:
+                    continue
+                try:
+                    raw = shard.collect(timeout)
+                except ShardTimeoutError:
+                    self._ipc.timeouts += 1
+                    failed[index] = "timeout"
+                    continue
+                except PipelineError:
+                    failed[index] = "crash"
+                    continue
+                try:
+                    # Frames are decoded (copied out of the shared rings)
+                    # here, before any next round could reset the ring
+                    # cursors underneath the descriptors.
+                    per_shard[index] = [
+                        self._decode_slot_payload(shard, result)
+                        for result in raw
+                    ]
+                except Exception:  # noqa: BLE001 - any decode failure
+                    failed[index] = "corrupt"
+            for index in sorted(failed):
+                per_shard[index] = self._recover_shard(
+                    index, failed[index], windows, observations, timeout
+                )
+        except BaseException:
+            self._failed = True
+            self.close()
+            raise
         return per_shard
 
     def _recover_shard(
@@ -1071,31 +1079,20 @@ class ShardedEngineRunner:
         assert shards is not None
         shards[index].reap()
         if self._config.on_shard_loss != "degrade":
-            self._fail_round(
+            raise PipelineError(  # _run_round poisons the runner
                 f"worker shard {index} lost ({reason}) after {budget} "
                 f"restart(s); aborting under on_shard_loss='abort' — set "
                 f"on_shard_loss='degrade' to continue on the surviving "
                 f"shards with loss accounting"
             )
+        # The coordinator's own shard always survives to degrade onto.
         self._lost.add(index)
-        if len(self._lost) == len(self._plans):
-            self._fail_round(
-                f"worker shard {index} lost ({reason}) after {budget} "
-                f"restart(s) and no shards survive; nothing to degrade "
-                f"onto"
-            )
         return None
 
-    def _fail_round(self, message: str) -> None:
-        """Poison the runner and raise: reap shards, refuse reuse."""
-        self._failed = True
-        self.close()
-        raise PipelineError(message)
-
     def _decode_slot_payload(
-        self, shard: "_ProcessShard | _InlineShard", result: _SlotResult
+        self, shard: _ProcessShard, result: _SlotResult
     ) -> "tuple[_SlotResult, list | None]":
-        """Decode one slot's Theta frame, accounting the IPC cost.
+        """Decode one process shard's Theta frame, accounting the IPC cost.
 
         Shared-memory descriptors resolve to a zero-copy view over the
         shard's segment (the codec copies the columns out, so nothing

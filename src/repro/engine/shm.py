@@ -61,12 +61,13 @@ __all__ = [
     "shm_available",
 ]
 
-#: Default payload-ring capacity per shard. One round must hold every
-#: requested window's Theta frames for one shard; at the benchmark's
-#: Fig. 6 operating point a window frame is tens of kilobytes, so 4 MiB
-#: covers hundreds of windows per round. Oversized rounds fall back to
-#: the pipe codec per slot — the segment is virtual memory, and only
-#: touched pages ever materialize.
+#: Default payload-ring capacity per shard process. One round must hold
+#: every requested window's Theta frames for one shard; a frame grows
+#: with the shard's sample, from tens of kilobytes per window at Fig. 6's
+#: 10 % fraction to ~320 KB for the ``sharded-2w`` benchmark (fraction
+#: 0.8), so 4 MiB holds a dozen such windows per round. Frames that do
+#: not fit fall back to the pipe codec per slot — the segment is
+#: virtual memory, and only touched pages ever materialize.
 DEFAULT_RING_BYTES = 4 * 1024 * 1024
 
 #: Control-region capacity (parent → shard broadcasts). A pickled

@@ -168,6 +168,17 @@ class TestPlanValidation:
         with pytest.raises(ConfigurationError, match="shard 5"):
             ShardedEngineRunner(config, SCHEDULE, GENS)
 
+    @pytest.mark.parametrize("workers", [2, 3])
+    def test_the_coordinators_shard_is_not_a_target(self, workers):
+        config = PipelineConfig(
+            workers=workers,
+            fault_plan=FaultPlan.parse([f"crash@{workers - 1}:0"]),
+        )
+        with pytest.raises(
+            ConfigurationError, match=rf"valid targets are 0\.\.{workers - 2}"
+        ):
+            ShardedEngineRunner(config, SCHEDULE, GENS)
+
     def test_hang_without_watchdog_rejected(self):
         config = PipelineConfig(
             workers=2,

@@ -220,7 +220,7 @@ class TestShardFailure:
         )
         try:
             runner.run(1)
-            for shard in runner._ensure_shards():
+            for shard in runner._ensure_shards()[:-1]:  # process shards
                 shard._process.terminate()
                 shard._process.join(timeout=5.0)
             with pytest.raises(PipelineError):
@@ -234,13 +234,13 @@ class TestShardFailure:
         """Under the default restart budget the same external kill is
         recovered transparently — and bit-identically."""
         with ShardedEngineRunner(
-            config_for(workers=2), SCHEDULE, GENS
+            config_for(workers=3), SCHEDULE, GENS
         ) as healthy:
             expected = [outcome_tuple(w) for w in healthy.run(2).windows]
-        runner = ShardedEngineRunner(config_for(workers=2), SCHEDULE, GENS)
+        runner = ShardedEngineRunner(config_for(workers=3), SCHEDULE, GENS)
         try:
             first = [outcome_tuple(w) for w in runner.run(1).windows]
-            for shard in runner._ensure_shards():
+            for shard in runner._ensure_shards()[:-1]:  # process shards
                 shard._process.terminate()
                 shard._process.join(timeout=5.0)
             second = [outcome_tuple(w) for w in runner.run(1).windows]
@@ -291,6 +291,8 @@ class TestOneEmissionTimePerBatch:
             outcome = runner.run(3)
             stats = runner.ipc_stats
         assert [w.items_sampled for w in outcome.windows] == [192] * 3
-        # 8 batches (4 strata x 2 shards) of 192 sampled records; a
-        # per-record stamp column would add 8 * 192 - 9 * 8 = 1464 B.
-        assert stats.theta_bytes_per_window == 1944.0
+        # Only shard 0 is a process: 4 batches (4 strata) of its 96
+        # sampled records cross the codec, while the coordinator's own
+        # shard hands its half over unencoded; a per-record stamp
+        # column would add 8 * 96 - 9 * 4 = 732 B.
+        assert stats.theta_bytes_per_window == 972.0

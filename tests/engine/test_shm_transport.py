@@ -191,10 +191,34 @@ class TestLifecycle:
         try:
             runner.run(1)
             names = runner.shm_segment_names
-            assert len(names) == 4
+            assert len(names) == 3  # one per process shard
         finally:
             runner.close()
         self.assert_unlinked(names)
+
+    @pytest.mark.parametrize("workers", [2, 3])
+    def test_the_coordinator_runs_the_last_shard(self, workers):
+        """N shards are N - 1 shard processes plus the coordinator: only
+        the processes get a segment, and only their Theta is encoded."""
+        with ShardedEngineRunner(
+            config_for(workers=workers), SCHEDULE, GENS
+        ) as runner:
+            runner.run(2)
+            children = sorted(
+                child.name
+                for child in multiprocessing.active_children()
+                if child.name.startswith("repro-shard-")
+            )
+            assert children == [
+                f"repro-shard-{index}" for index in range(workers - 1)
+            ]
+            assert len(runner.shm_segment_names) == workers - 1
+        _, inline_stats, _ = run_outcomes(
+            config_for(workers=workers), windows=2, inline=True
+        )
+        assert inline_stats.windows == 2
+        assert inline_stats.theta_bytes_encoded == 0
+        assert inline_stats.bytes_through_pipe == 0
 
     def test_mid_run_shard_failure_unlinks_every_segment(self):
         runner = ShardedEngineRunner(
@@ -204,7 +228,7 @@ class TestLifecycle:
         try:
             runner.run(1)
             names = runner.shm_segment_names
-            for shard in runner._ensure_shards():
+            for shard in runner._ensure_shards()[:-1]:  # process shards
                 shard._process.terminate()
                 shard._process.join(timeout=5.0)
             with pytest.raises(PipelineError):
@@ -216,11 +240,11 @@ class TestLifecycle:
     def test_recovery_unlinks_the_dead_shards_segments_too(self):
         """Respawn replaces segments; neither the dead shard's old
         segment nor the replacement's survives close()."""
-        runner = ShardedEngineRunner(config_for(), SCHEDULE, GENS)
+        runner = ShardedEngineRunner(config_for(workers=3), SCHEDULE, GENS)
         try:
             runner.run(1)
             before = runner.shm_segment_names
-            for shard in runner._ensure_shards():
+            for shard in runner._ensure_shards()[:-1]:  # process shards
                 shard._process.terminate()
                 shard._process.join(timeout=5.0)
             runner.run(1)

@@ -21,8 +21,11 @@ The supervisor's contract (:mod:`repro.engine.sharding`, §"Supervision"):
   scenario trace.
 """
 
+import multiprocessing
+import os
 import time
-from dataclasses import replace
+from dataclasses import dataclass, replace
+from multiprocessing import shared_memory
 
 import pytest
 
@@ -33,7 +36,10 @@ from repro.scenarios import get_scenario
 from repro.system.config import MAX_SHARD_TIMEOUT, PipelineConfig
 from repro.system.scenarios import ScenarioRunner
 from repro.workloads.rates import RateSchedule
-from repro.workloads.synthetic import paper_gaussian_substreams
+from repro.workloads.synthetic import (
+    GaussianSubstream,
+    paper_gaussian_substreams,
+)
 
 GENS = {g.name: g for g in paper_gaussian_substreams()}
 SCHEDULE = RateSchedule(
@@ -42,6 +48,18 @@ SCHEDULE = RateSchedule(
 #: Per-shard expected window volume at this schedule with two workers:
 #: 960 items/s split evenly, 1 s windows.
 SHARD_WINDOW_ITEMS = 480
+
+
+@dataclass
+class FailsInTheCoordinator(GaussianSubstream):
+    """Raises while drawing, but only in the process that built it."""
+
+    owner: int = 0
+
+    def _values(self, count, gen):
+        if os.getpid() == self.owner:
+            raise RuntimeError("generator failed in the coordinator")
+        return super()._values(count, gen)
 
 
 def config_for(workers=2, seed=13, fraction=0.2, controller="static",
@@ -96,16 +114,21 @@ class TestRecoveryBitParity:
         assert stats.restarts == 1
         assert stats.transport == shard_path
 
+    @pytest.mark.parametrize("controller", ["static", "variance_aware"])
     @pytest.mark.parametrize("kind", ["raise", "corrupt-descriptor"])
-    def test_soft_faults_recover_bit_identically(self, shard_path, kind):
-        expected, _ = run_outcomes(config_for())
-        faulted, stats = run_outcomes(config_for(faults=[f"{kind}@1:1"]))
+    def test_soft_faults_recover_bit_identically(
+        self, shard_path, kind, controller
+    ):
+        expected, _ = run_outcomes(config_for(controller=controller))
+        faulted, stats = run_outcomes(
+            config_for(controller=controller, faults=[f"{kind}@0:1"])
+        )
         assert faulted == expected
         assert stats.restarts == 1
         assert stats.transport == shard_path
 
     @pytest.mark.parametrize("target", ["crash@0:0", "crash@1:2",
-                                        "crash@2:3"])
+                                        "crash@1:3"])
     def test_any_shard_any_window_recovers(self, target):
         expected, _ = run_outcomes(config_for(workers=3), windows=4)
         faulted, stats = run_outcomes(
@@ -115,12 +138,12 @@ class TestRecoveryBitParity:
         assert stats.restarts == 1
 
     def test_seeded_chaos_plan_recovers(self):
-        expected, _ = run_outcomes(config_for(), windows=4)
-        plan = FaultPlan.seeded(
+        expected, _ = run_outcomes(config_for(workers=3), windows=4)
+        plan = FaultPlan.seeded(  # the workers - 1 process shards
             99, shards=2, windows=4, count=2, kinds=("crash", "raise")
         )
         faulted, stats = run_outcomes(
-            replace(config_for(), fault_plan=plan), windows=4
+            replace(config_for(workers=3), fault_plan=plan), windows=4
         )
         assert faulted == expected
         assert stats.restarts == 2
@@ -159,17 +182,20 @@ class TestReplay:
 
 
 class TestWatchdog:
-    def test_hung_shard_is_detected_and_replaced(self):
+    @pytest.mark.parametrize("controller", ["static", "variance_aware"])
+    def test_hung_shard_is_detected_and_replaced(self, shard_path, controller):
         """A hang fault sleeps forever inside the shard; the watchdog
         must cut it loose within the deadline and the run must both
         terminate promptly and stay bit-identical."""
-        expected, _ = run_outcomes(config_for(timeout=0.75), windows=2)
+        base = dict(timeout=0.75, controller=controller)
+        expected, _ = run_outcomes(config_for(**base), windows=2)
         start = time.monotonic()
         faulted, stats = run_outcomes(
-            config_for(timeout=0.75, faults=["hang@0:0"]), windows=2
+            config_for(**base, faults=["hang@0:0"]), windows=2
         )
         elapsed = time.monotonic() - start
         assert faulted == expected
+        assert stats.transport == shard_path
         assert stats.timeouts == 1
         assert stats.restarts == 1
         assert elapsed < 30.0, f"watchdog recovery took {elapsed:.1f}s"
@@ -187,7 +213,7 @@ class TestWatchdog:
 
     def test_timeout_error_is_diagnosable(self):
         """With no restart budget the watchdog's verdict surfaces as-is."""
-        config = config_for(timeout=0.5, restarts=0, faults=["hang@1:0"])
+        config = config_for(timeout=0.5, restarts=0, faults=["hang@0:0"])
         with ShardedEngineRunner(
             config, SCHEDULE, GENS, backoff_seconds=0.01
         ) as runner:
@@ -230,21 +256,55 @@ class TestShardLossPolicies:
             assert window.approx_sum.error > 0
             assert window.items_sampled > 0
 
-    def test_degrade_with_every_shard_lost_raises(self):
+    def test_degrade_onto_the_coordinator(self):
+        """Losing every process shard leaves the coordinator's own
+        shard, so a degraded run still completes — on shard 1 alone,
+        with shard 0's volume accounted as dropped."""
         config = config_for(restarts=0, on_loss="degrade",
-                            faults=["crash@0:0", "crash@1:0"])
+                            faults=["crash@0:0"])
         with ShardedEngineRunner(
             config, SCHEDULE, GENS, backoff_seconds=0.01
         ) as runner:
-            with pytest.raises(PipelineError, match="no shards survive"):
+            windows = runner.run(2).windows
+        assert len(windows) == 2
+        for window in windows:
+            assert window.shards_lost == 1
+            assert window.items_dropped == SHARD_WINDOW_ITEMS
+            assert window.items_emitted > 0
+            assert window.items_sampled > 0
+
+    def test_exception_in_the_coordinators_shard_poisons_the_runner(self):
+        """The coordinator's shard has no process to respawn: an error
+        there reaps every shard process and segment and refuses reuse."""
+        broken = dict(
+            GENS, A=FailsInTheCoordinator("A", 10.0, 5.0, owner=os.getpid())
+        )
+        runner = ShardedEngineRunner(config_for(), SCHEDULE, broken)
+        try:
+            runner._ensure_shards()
+            names = runner.shm_segment_names
+            with pytest.raises(RuntimeError, match="coordinator"):
                 runner.run(1)
+            assert not [
+                child for child in multiprocessing.active_children()
+                if child.name.startswith("repro-shard-")
+            ]
+            assert runner.shm_segment_names == []
+            for name in names:
+                with pytest.raises(FileNotFoundError):
+                    shared_memory.SharedMemory(name=name)
+            with pytest.raises(PipelineError, match="fresh runner"):
+                runner.run(1)
+        finally:
+            runner.close()
 
     def test_restart_budget_is_per_shard_not_global(self):
         """Two different shards each get the full budget: two faults on
         two shards recover even with max_shard_restarts=1."""
-        expected, _ = run_outcomes(config_for(), windows=3)
+        expected, _ = run_outcomes(config_for(workers=3), windows=3)
         faulted, stats = run_outcomes(
-            config_for(restarts=1, faults=["crash@0:1", "raise@1:2"]),
+            config_for(workers=3, restarts=1,
+                       faults=["crash@0:1", "raise@1:2"]),
             windows=3,
         )
         assert faulted == expected
@@ -272,7 +332,7 @@ class TestShardLifecycle:
         runner = ShardedEngineRunner(config_for(), SCHEDULE, GENS)
         try:
             runner.run(1)
-            shard = runner._ensure_shards()[1]
+            shard = runner._ensure_shards()[0]
             process = shard._process
             shard.reap()
             assert not process.is_alive()

@@ -216,7 +216,7 @@ class TestShardSupervision:
         assert main(
             ["scenarios", "run", "flash-crowd", "--scale", "quick",
              "--windows", "3", "--workers", "2",
-             "--inject-fault", "raise@1:1"]
+             "--inject-fault", "raise@0:1"]
         ) == 0
         out = capsys.readouterr().out
         assert "restarts" in out and "lost" in out
@@ -227,6 +227,14 @@ class TestShardSupervision:
              "--inject-fault", "crash-at-zero"]
         ) == 2
         assert "error" in capsys.readouterr().err
+
+    def test_fault_on_the_coordinators_shard_reports_error(self, capsys):
+        """Shard N-1 runs in the coordinator: no process to fault."""
+        assert main(
+            ["figures", "fig5", "--workers", "2",
+             "--inject-fault", "crash@1:1"]
+        ) == 2
+        assert "0..0" in capsys.readouterr().err
 
     def test_fault_without_workers_reports_error(self, capsys):
         assert main(
