@@ -3,8 +3,16 @@
 import pytest
 
 from repro.errors import PipelineError
+from repro.experiments.base import (
+    ExperimentScale,
+    base_config,
+    gaussian_generators,
+    saturating_placement,
+    uniform_schedule,
+)
+from repro.simnet.netem import NetemConfig
 from repro.system.config import ExecutionMode, PipelineConfig
-from repro.system.deployment import DeploymentSimulator
+from repro.system.deployment import DeploymentReport, DeploymentSimulator
 from repro.topology.placement import PlacementSpec
 from repro.workloads.rates import RateSchedule
 from repro.workloads.synthetic import paper_gaussian_substreams
@@ -126,3 +134,94 @@ class TestReportValidation:
         assert report.window_seconds == 1.0
         assert report.makespan_seconds > 0
         assert len(report.boundary_bytes) == 3
+
+
+class TestPinnedReports:
+    """Exact reports for seeded runs: any change to delivery order,
+    link timing or host accounting moves at least one field.
+
+    The values were recorded from the simulator and are compared with
+    ``==``, float fields included.
+    """
+
+    @staticmethod
+    def fig6_point(mode, fraction):
+        """One point of ``run_fig6`` at quick scale (12 windows)."""
+        scale = ExperimentScale.quick()
+        schedule = uniform_schedule(scale.rate_scale)
+        config = base_config(
+            fraction, scale, mode=mode,
+            placement=saturating_placement(schedule),
+        )
+        simulator = DeploymentSimulator(
+            config, schedule, gaussian_generators(), n_windows=12
+        )
+        return simulator.run()
+
+    def test_fig6_approxiot(self):
+        assert self.fig6_point(ExecutionMode.APPROXIOT, 0.1) == DeploymentReport(
+            mode="approxiot",
+            sampling_fraction=0.1,
+            window_seconds=1.0,
+            items_emitted=24000,
+            items_at_root=2600,
+            makespan_seconds=16.0,
+            throughput_items_per_second=1500.0,
+            mean_latency_seconds=3.7618176940247254,
+            boundary_bytes=[2400000, 260000, 260000],
+        )
+
+    def test_fig6_srs(self):
+        assert self.fig6_point(ExecutionMode.SRS, 0.1) == DeploymentReport(
+            mode="srs",
+            sampling_fraction=0.1,
+            window_seconds=1.0,
+            items_emitted=24000,
+            items_at_root=2367,
+            makespan_seconds=12.437056799999995,
+            throughput_items_per_second=1929.71700507149,
+            mean_latency_seconds=0.4840304005029477,
+            boundary_bytes=[2400000, 236700, 236700],
+        )
+
+    def test_fig6_native(self):
+        assert self.fig6_point(ExecutionMode.NATIVE, 1.0) == DeploymentReport(
+            mode="native",
+            sampling_fraction=1.0,
+            window_seconds=1.0,
+            items_emitted=24000,
+            items_at_root=24000,
+            makespan_seconds=120.44615120000002,
+            throughput_items_per_second=199.25916902191554,
+            mean_latency_seconds=54.60341120000001,
+            boundary_bytes=[2400000, 2400000, 2400000],
+        )
+
+    def test_lossy_approxiot(self):
+        """10 % loss on every uplink: drops are part of the pinned run."""
+        config = PipelineConfig(
+            sampling_fraction=0.2,
+            window_seconds=1.0,
+            mode=ExecutionMode.APPROXIOT,
+            placement=PlacementSpec(
+                layer_service_rates=[1e12, 5000.0, 5000.0, 5000.0],
+                uplink_configs=[
+                    NetemConfig.from_rtt(20.0, 1e9, loss=0.1),
+                    NetemConfig.from_rtt(40.0, 1e9, loss=0.1),
+                    NetemConfig.from_rtt(80.0, 1e9, loss=0.1),
+                ],
+            ),
+            seed=3,
+        )
+        report = DeploymentSimulator(config, SCHEDULE, GENS, n_windows=6).run()
+        assert report == DeploymentReport(
+            mode="approxiot",
+            sampling_fraction=0.2,
+            window_seconds=1.0,
+            items_emitted=7200,
+            items_at_root=1507,
+            makespan_seconds=9.0374,
+            throughput_items_per_second=796.6893132980724,
+            mean_latency_seconds=2.811634030663919,
+            boundary_bytes=[720000, 165700, 156700],
+        )
