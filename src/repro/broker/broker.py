@@ -1,12 +1,10 @@
 """The broker: topic management plus consumer-group coordination.
 
 One :class:`Broker` models a Kafka cluster's logical surface: create
-and delete topics, produce, fetch, and coordinate consumer groups
+topics, produce, fetch, and coordinate consumer groups
 (member registration, partition assignment, committed offsets). The
 paper uses one Kafka cluster to carry the inter-layer topics of the
-edge topology; :class:`~repro.broker.cluster.BrokerCluster` extends
-this to several brokers with partition leadership for fault-injection
-tests.
+edge topology.
 """
 
 from __future__ import annotations
@@ -16,7 +14,6 @@ from typing import Iterable
 from repro.broker.records import ConsumedRecord, Record
 from repro.broker.topic import Topic
 from repro.errors import (
-    ConfigurationError,
     ConsumerGroupError,
     TopicExistsError,
     UnknownTopicError,
@@ -75,11 +72,6 @@ class Broker:
             return self.create_topic(name, partitions)
         return self._topics[name]
 
-    def delete_topic(self, name: str) -> None:
-        """Drop a topic and its data."""
-        self.topic(name)  # raise UnknownTopicError if absent
-        del self._topics[name]
-
     def topic(self, name: str) -> Topic:
         """Look up a topic by name."""
         try:
@@ -87,19 +79,9 @@ class Broker:
         except KeyError:
             raise UnknownTopicError(f"no such topic: {name!r}") from None
 
-    def topics(self) -> list[str]:
-        """All topic names, sorted."""
-        return sorted(self._topics)
-
     # ------------------------------------------------------------------
     # Produce / fetch
     # ------------------------------------------------------------------
-    def produce(
-        self, topic: str, record: Record, partition: int | None = None
-    ) -> tuple[int, int]:
-        """Append one record; return ``(partition, offset)``."""
-        return self.topic(topic).append(record, partition)
-
     def produce_batch(
         self, topic: str, records: Iterable[Record]
     ) -> list[tuple[int, int]]:
@@ -119,42 +101,6 @@ class Broker:
     def end_offsets(self, topic: str) -> dict[int, int]:
         """High watermarks of a topic's partitions."""
         return self.topic(topic).end_offsets()
-
-    def enforce_retention(self, topic: str, max_records_per_partition: int) -> int:
-        """Trim every partition to the newest ``max_records`` records.
-
-        Returns the total number of records dropped. Consumers whose
-        positions fall below the new start offset will raise
-        :class:`~repro.errors.OffsetOutOfRangeError` on their next
-        fetch, exactly as a lagging Kafka consumer does when retention
-        deletes segments under it.
-        """
-        if max_records_per_partition < 0:
-            raise ConfigurationError(
-                "max_records_per_partition must be >= 0, got "
-                f"{max_records_per_partition}"
-            )
-        dropped = 0
-        target = self.topic(topic)
-        for partition in range(target.partition_count):
-            log = target.log(partition)
-            dropped += log.truncate_before(
-                log.end_offset - max_records_per_partition
-            )
-        return dropped
-
-    def consumer_lag(self, group_id: str, topic: str) -> dict[int, int]:
-        """Records each partition holds beyond the group's commits.
-
-        Partitions with no committed offset count their full length as
-        lag — the group has consumed nothing of them yet.
-        """
-        group = self._group(group_id)
-        lags: dict[int, int] = {}
-        for partition, end in self.end_offsets(topic).items():
-            committed = group.committed.get((topic, partition), 0)
-            lags[partition] = max(0, end - committed)
-        return lags
 
     # ------------------------------------------------------------------
     # Consumer groups

@@ -47,11 +47,6 @@ class Consumer:
         broker.join_group(group_id, self._member_id, self._topics)
 
     @property
-    def member_id(self) -> str:
-        """This consumer's member identity within its group."""
-        return self._member_id
-
-    @property
     def assignment(self) -> list[tuple[str, int]]:
         """The (topic, partition) pairs currently assigned."""
         group = self._broker.group(self._group_id)
@@ -87,10 +82,6 @@ class Consumer:
         for (topic, partition), offset in self._positions.items():
             self._broker.commit(self._group_id, topic, partition, offset)
 
-    def seek(self, topic: str, partition: int, offset: int) -> None:
-        """Override the next read position for one partition."""
-        self._positions[(topic, partition)] = offset
-
     def close(self) -> None:
         """Commit, leave the group, and release the assignment."""
         if self._closed:
@@ -98,9 +89,3 @@ class Consumer:
         self.commit()
         self._broker.leave_group(self._group_id, self._member_id)
         self._closed = True
-
-    def __enter__(self) -> "Consumer":
-        return self
-
-    def __exit__(self, *exc_info: object) -> None:
-        self.close()

@@ -2,14 +2,11 @@
 
 Kafka's unit of storage is a partition: an ordered, immutable sequence
 of records addressed by a monotonically-increasing offset. Consumers
-pull ranges by offset; retention trims the head. This module implements
-that contract in memory, including segment-style truncation and
-high-watermark bookkeeping.
+pull ranges by offset. This module implements that contract in memory,
+with high-watermark bookkeeping.
 """
 
 from __future__ import annotations
-
-from typing import Iterable
 
 from repro.broker.records import ConsumedRecord, Record
 from repro.errors import OffsetOutOfRangeError
@@ -18,31 +15,16 @@ __all__ = ["PartitionLog"]
 
 
 class PartitionLog:
-    """An in-memory, offset-addressed append-only log.
-
-    Offsets survive head-truncation: after ``truncate_before(n)`` the
-    log still serves offsets ``>= n`` and raises
-    :class:`~repro.errors.OffsetOutOfRangeError` below that, exactly
-    like a Kafka partition whose old segments were deleted.
-    """
+    """An in-memory, offset-addressed append-only log."""
 
     def __init__(self, topic: str, partition: int) -> None:
         self.topic = topic
         self.partition = partition
         self._records: list[Record] = []
-        self._base_offset = 0
-
-    @property
-    def start_offset(self) -> int:
-        """Oldest offset still retained."""
-        return self._base_offset
 
     @property
     def end_offset(self) -> int:
         """The next offset to be assigned (the high watermark)."""
-        return self._base_offset + len(self._records)
-
-    def __len__(self) -> int:
         return len(self._records)
 
     def append(self, record: Record) -> int:
@@ -50,26 +32,21 @@ class PartitionLog:
         self._records.append(record)
         return self.end_offset - 1
 
-    def append_batch(self, records: Iterable[Record]) -> list[int]:
-        """Append several records; return their offsets in order."""
-        return [self.append(record) for record in records]
-
     def read(self, offset: int, max_records: int | None = None) -> list[ConsumedRecord]:
         """Read records starting at ``offset`` (up to ``max_records``).
 
         Reading exactly at the end offset returns an empty list (a poll
-        with no new data); reading beyond it, or before the retained
-        start, raises :class:`OffsetOutOfRangeError`.
+        with no new data); reading beyond it, or below offset 0, raises
+        :class:`OffsetOutOfRangeError`.
         """
-        if offset < self._base_offset or offset > self.end_offset:
+        if offset < 0 or offset > self.end_offset:
             raise OffsetOutOfRangeError(
-                f"offset {offset} outside [{self._base_offset}, {self.end_offset}] "
+                f"offset {offset} outside [0, {self.end_offset}] "
                 f"for {self.topic}-{self.partition}"
             )
-        begin = offset - self._base_offset
-        end = len(self._records) if max_records is None else begin + max_records
+        end = len(self._records) if max_records is None else offset + max_records
         out: list[ConsumedRecord] = []
-        for index, record in enumerate(self._records[begin:end], start=offset):
+        for index, record in enumerate(self._records[offset:end], start=offset):
             out.append(
                 ConsumedRecord(
                     topic=self.topic,
@@ -82,17 +59,3 @@ class PartitionLog:
                 )
             )
         return out
-
-    def truncate_before(self, offset: int) -> int:
-        """Drop records below ``offset`` (retention); return count dropped.
-
-        Truncating beyond the end clamps to the end (the log becomes
-        empty but offsets keep counting from where they were).
-        """
-        offset = min(offset, self.end_offset)
-        if offset <= self._base_offset:
-            return 0
-        dropped = offset - self._base_offset
-        del self._records[:dropped]
-        self._base_offset = offset
-        return dropped

@@ -1,16 +1,15 @@
 """Producer client for the broker substrate.
 
 Mirrors the shape of a Kafka producer: buffered sends with linger-style
-batching, flush, and per-topic byte accounting (the hook the network
-simulator uses to charge link bandwidth for inter-layer traffic).
+batching and flush.
 """
 
 from __future__ import annotations
 
-from typing import Any, Callable
+from typing import Any
 
 from repro.broker.broker import Broker
-from repro.broker.records import PICKLE_SERDE, Record, Serde
+from repro.broker.records import Record
 from repro.errors import ConfigurationError
 
 __all__ = ["Producer"]
@@ -21,27 +20,14 @@ class Producer:
 
     Records accumulate in a per-topic buffer and are appended to the
     broker when the buffer reaches ``batch_size`` or on :meth:`flush`.
-    An optional ``on_send`` hook observes every delivered batch — the
-    edge pipeline uses it to charge simulated WAN links.
     """
 
-    def __init__(
-        self,
-        broker: Broker,
-        *,
-        batch_size: int = 1,
-        serde: Serde = PICKLE_SERDE,
-        on_send: Callable[[str, list[Record], int], None] | None = None,
-    ) -> None:
+    def __init__(self, broker: Broker, *, batch_size: int = 1) -> None:
         if batch_size <= 0:
             raise ConfigurationError(f"batch_size must be >= 1, got {batch_size}")
         self._broker = broker
         self._batch_size = batch_size
-        self._serde = serde
-        self._on_send = on_send
         self._buffers: dict[str, list[Record]] = {}
-        self.records_sent = 0
-        self.bytes_sent = 0
 
     def send(
         self,
@@ -62,19 +48,9 @@ class Producer:
         for topic in list(self._buffers):
             self._deliver(topic)
 
-    @property
-    def pending(self) -> int:
-        """Records buffered but not yet delivered."""
-        return sum(len(buf) for buf in self._buffers.values())
-
     def _deliver(self, topic: str) -> None:
         buffer = self._buffers.get(topic)
         if not buffer:
             return
         batch, self._buffers[topic] = buffer, []
         self._broker.produce_batch(topic, batch)
-        batch_bytes = sum(self._serde.size_of(r.value) for r in batch)
-        self.records_sent += len(batch)
-        self.bytes_sent += batch_bytes
-        if self._on_send is not None:
-            self._on_send(topic, batch, batch_bytes)

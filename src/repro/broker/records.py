@@ -1,20 +1,16 @@
-"""Record types and serialization for the pub/sub substrate.
+"""Record types for the pub/sub substrate, and the shard codec.
 
 Mirrors Kafka's data model: a :class:`Record` is a key/value pair with
 a timestamp and optional headers; a :class:`ConsumedRecord` is the same
 plus its position (topic, partition, offset) once read back from a log.
-Values are arbitrary Python objects by default; a pluggable
-:class:`Serde` pair exists so tests can exercise the byte-size
-accounting used by the network simulator.
+Values are arbitrary Python objects.
 
-The module also hosts the engine's compact binary codec for weighted
-batches (:func:`encode_weighted_batch` / :data:`COLUMNAR_SERDE`): a
-batch's records travel as raw little-endian column buffers (numpy
-buffer views out, ``frombuffer`` in) instead of a per-record pickle
-graph. This is what the sharded execution engine
-ships between worker processes and what :class:`BrokerTransport` uses
-when given a serde, so cross-process transport cost scales with bytes,
-not with record count.
+The module also hosts the engine's compact binary codec for sequences
+of weighted batches (:func:`encode_weighted_batches`): a batch's
+records travel as raw little-endian column buffers (numpy buffer views
+out, ``frombuffer`` in) instead of a per-record pickle graph. This is
+what the sharded execution engine ships between worker processes, so
+cross-process transport cost scales with bytes, not with record count.
 
 The codec has a zero-copy-friendly surface for the shared-memory shard
 transport (:mod:`repro.engine.shm`): the ``*_chunks`` encoders return
@@ -28,11 +24,9 @@ owned columns.
 
 from __future__ import annotations
 
-import json
-import pickle
 import struct
 from dataclasses import dataclass, field
-from typing import Any, Callable, Mapping
+from typing import Any, Mapping
 
 import numpy as _np
 
@@ -43,13 +37,7 @@ from repro.errors import ConfigurationError
 __all__ = [
     "Record",
     "ConsumedRecord",
-    "Serde",
-    "JSON_SERDE",
-    "PICKLE_SERDE",
-    "COLUMNAR_SERDE",
-    "encode_weighted_batch",
     "encode_weighted_batch_chunks",
-    "decode_weighted_batch",
     "encode_weighted_batches",
     "encode_weighted_batches_chunks",
     "decode_weighted_batches",
@@ -85,35 +73,6 @@ class ConsumedRecord:
     timestamp: float
     headers: Mapping[str, str] = field(default_factory=dict)
 
-    @property
-    def position(self) -> tuple[str, int, int]:
-        """The (topic, partition, offset) coordinate of this record."""
-        return (self.topic, self.partition, self.offset)
-
-
-@dataclass(frozen=True, slots=True)
-class Serde:
-    """A serializer/deserializer pair for payload byte accounting."""
-
-    serialize: Callable[[Any], bytes]
-    deserialize: Callable[[bytes], Any]
-
-    def size_of(self, value: Any) -> int:
-        """Serialized size of a value in bytes."""
-        return len(self.serialize(value))
-
-
-def _json_ser(value: Any) -> bytes:
-    return json.dumps(value, separators=(",", ":"), default=str).encode()
-
-
-def _json_de(data: bytes) -> Any:
-    return json.loads(data.decode())
-
-
-JSON_SERDE = Serde(_json_ser, _json_de)
-PICKLE_SERDE = Serde(pickle.dumps, pickle.loads)
-
 
 # ----------------------------------------------------------------------
 # Compact binary codec for weighted batches
@@ -121,6 +80,7 @@ PICKLE_SERDE = Serde(pickle.dumps, pickle.loads)
 #
 # Wire layout (all integers/floats little-endian):
 #
+#   frame   := count:u32 batch * count
 #   batch   := MAGIC format:u8 substream:str weight:f64 n:u64
 #              tags sizes stamps values:(n x f64)
 #   tags    := 0x00 str            (every record in one sub-stream)
@@ -140,7 +100,6 @@ PICKLE_SERDE = Serde(pickle.dumps, pickle.loads)
 # ``frombuffer`` per column.
 
 _BATCH_MAGIC = b"RWB1"
-_PICKLE_MAGIC = b"RPK1"
 _FORMAT_TAG = 2
 
 
@@ -182,9 +141,7 @@ def encode_weighted_batch_chunks(batch: WeightedBatch) -> list[bytes | memoryvie
 
     The shared-memory shard transport writes each chunk straight into
     its segment — one copy per column buffer (views, valid while the
-    batch is unmodified), no intermediate joined bytes object. Joining
-    the chunks yields exactly :func:`encode_weighted_batch`'s output,
-    so the two paths are bit-identical on the wire.
+    batch is unmodified), no intermediate joined bytes object.
 
     Float values and emission times round-trip bit-for-bit through
     float64, and per-record sizes are preserved, so byte accounting
@@ -219,20 +176,10 @@ def encode_weighted_batch_chunks(batch: WeightedBatch) -> list[bytes | memoryvie
     return out
 
 
-def encode_weighted_batch(batch: WeightedBatch) -> bytes:
-    """Serialize one ``(W_out, I)`` pair without per-record pickling.
-
-    The joined form of :func:`encode_weighted_batch_chunks` — what the
-    pipe codec sends and what :data:`COLUMNAR_SERDE` produces.
-    """
-    return b"".join(encode_weighted_batch_chunks(batch))
-
-
 def _decode_weighted_batch(data, offset: int) -> tuple[WeightedBatch, int]:
     if bytes(data[offset : offset + 4]) != _BATCH_MAGIC:
         raise ConfigurationError(
-            "not a binary weighted batch (bad magic); was this record "
-            "produced without the columnar serde?"
+            "not a binary weighted batch (bad magic)"
         )
     offset += 4
     try:
@@ -292,12 +239,6 @@ def _decode_weighted_batch(data, offset: int) -> tuple[WeightedBatch, int]:
     return WeightedBatch(substream, weight, columns), offset
 
 
-def decode_weighted_batch(data) -> WeightedBatch:
-    """Inverse of :func:`encode_weighted_batch` (any bytes-like buffer)."""
-    batch, _offset = _decode_weighted_batch(data, 0)
-    return batch
-
-
 def encode_weighted_batches_chunks(
     batches: list[WeightedBatch],
 ) -> list[bytes | memoryview]:
@@ -345,23 +286,3 @@ def decode_weighted_batches(data) -> list[WeightedBatch]:
         batches.append(batch)
     return batches
 
-
-def _columnar_ser(value: Any) -> bytes:
-    if isinstance(value, WeightedBatch):
-        return encode_weighted_batch(value)
-    return _PICKLE_MAGIC + pickle.dumps(value)
-
-
-def _columnar_de(data: bytes) -> Any:
-    if data[:4] == _PICKLE_MAGIC:
-        return pickle.loads(data[4:])
-    return decode_weighted_batch(data)
-
-
-#: Serde moving :class:`~repro.core.items.WeightedBatch` values as
-#: compact column buffers (non-batch values fall back to pickle with a
-#: distinguishing prefix). Hand it to
-#: :class:`~repro.engine.transport.BrokerTransport` to make every
-#: produced record a real byte payload instead of an object reference —
-#: the configuration a multi-process broker deployment would run.
-COLUMNAR_SERDE = Serde(_columnar_ser, _columnar_de)

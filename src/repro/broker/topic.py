@@ -40,11 +40,6 @@ class Topic:
         """Number of partitions in this topic."""
         return len(self._logs)
 
-    @property
-    def total_records(self) -> int:
-        """Records currently retained across all partitions."""
-        return sum(len(log) for log in self._logs)
-
     def partition_for(self, key: str | None) -> int:
         """Partition a record with this key would go to.
 

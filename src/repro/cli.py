@@ -61,7 +61,7 @@ _SCALES = {
 
 _SUBSYSTEMS = [
     ("repro.core", "weighted hierarchical sampling, estimators, bounds"),
-    ("repro.broker", "Kafka-model pub/sub substrate"),
+    ("repro.broker", "Kafka-model topics and clients for repro.streams"),
     ("repro.streams", "Kafka-Streams-model processing engine"),
     ("repro.simnet", "discrete-event WAN/host simulator"),
     ("repro.topology", "logical tree + placement"),

@@ -1,4 +1,4 @@
-"""Unified execution engine: one pipeline, many transports and modes.
+"""Unified execution engine: one pipeline, two transports, three modes.
 
 The engine separates *what a run is* from *how it executes*:
 
@@ -6,8 +6,8 @@ The engine separates *what a run is* from *how it executes*:
   sources, per-node budgets, seeded random streams — from a
   :class:`~repro.system.config.PipelineConfig` and a rate schedule.
 * :mod:`repro.engine.transport` moves weighted batches between nodes:
-  in-process callbacks (statistical runs) or simnet-backed broker
-  links (deployment runs).
+  in-process inboxes (statistical runs) or the same inboxes fed over
+  simulated WAN links (deployment runs).
 * :mod:`repro.engine.runner` is the single windowed run loop with the
   paper's three strategies (approxiot / srs / native).
 * :mod:`repro.engine.sharding` scales that loop across cores: a shard
@@ -43,16 +43,13 @@ from repro.engine.sharding import (
     plan_shards,
 )
 from repro.engine.transport import (
-    BrokerTransport,
     InProcessTransport,
-    SimnetBrokerTransport,
+    SimnetTransport,
     Transport,
-    topic_for,
 )
 
 __all__ = [
     "ApproxIoTWindow",
-    "BrokerTransport",
     "EngineRunner",
     "InProcessTransport",
     "Pipeline",
@@ -60,12 +57,11 @@ __all__ = [
     "ShardIpcStats",
     "ShardPlan",
     "ShardedEngineRunner",
-    "SimnetBrokerTransport",
+    "SimnetTransport",
     "Transport",
     "WindowOutcome",
     "accuracy_loss",
     "build_pipeline",
     "plan_shards",
     "sample_interval",
-    "topic_for",
 ]

@@ -7,7 +7,7 @@ and the transports):
 * :class:`~repro.system.statistical.StatisticalRunner` runs the
   sampling tree algorithmically for the accuracy experiments;
 * :class:`~repro.system.deployment.DeploymentSimulator` runs the whole
-  deployment (broker + WAN + finite hosts) for the throughput, latency
+  deployment (WAN links + finite hosts) for the throughput, latency
   and bandwidth experiments.
 
 A third facade, :class:`~repro.system.scenarios.ScenarioRunner`,

@@ -2,15 +2,15 @@
 
 Runs the assembled system on the discrete-event substrate: sources emit
 per-window batches, batches cross simulated WAN links (propagation +
-serialization + FIFO queueing) into per-node broker topics, sampling
-nodes poll their topics on their own interval clocks, spend simulated
+serialization + FIFO queueing) into per-node inboxes, sampling
+nodes drain their inboxes on their own interval clocks, spend simulated
 CPU proportional to the items they ingest, and forward sampled
 sub-streams upward until the root processes them.
 
 Three modes (§V-A Methodology):
 
 * ``approxiot`` — windowed weighted hierarchical sampling at every
-  sampling node; batches move through the broker substrate.
+  sampling node; batches land in per-node inboxes.
 * ``srs`` — coin-flip sampling at the first edge layer, processed
   per-delivery (no windows: this is why SRS latency is flat in Fig. 9).
 * ``native`` — everything forwarded unsampled; the datacenter node
@@ -21,8 +21,8 @@ Since the engine refactor this module is a facade over
 :func:`~repro.engine.pipeline.build_pipeline`, the per-interval WHSamp
 step is :func:`~repro.engine.runner.sample_interval`, and approxiot
 batches move through a
-:class:`~repro.engine.transport.SimnetBrokerTransport` (broker topics
-fed over WAN links). What remains here is deployment-specific: the emission
+:class:`~repro.engine.transport.SimnetTransport` (inboxes fed over
+WAN links). What remains here is deployment-specific: the emission
 chunking, the interval-close clockwork, host CPU accounting and the
 latency/bandwidth measurements.
 
@@ -43,12 +43,11 @@ import math
 from dataclasses import dataclass
 from typing import Callable
 
-from repro.broker.broker import Broker
 from repro.core.columns import ColumnarBatch
 from repro.core.items import WeightedBatch
 from repro.engine.pipeline import Pipeline, build_pipeline
 from repro.engine.runner import sample_interval
-from repro.engine.transport import SimnetBrokerTransport
+from repro.engine.transport import SimnetTransport
 from repro.errors import PipelineError
 from repro.simnet.stats import LatencyRecorder
 from repro.system.config import ExecutionMode, PipelineConfig
@@ -133,9 +132,7 @@ class DeploymentSimulator:
         self._tree = self._pipeline.tree
         self._network = place_tree(self._tree, config.placement)
         self._clock = self._network.clock
-        self._transport = SimnetBrokerTransport(
-            self._network, Broker("deployment")
-        )
+        self._transport = SimnetTransport(self._network)
         self._latency = LatencyRecorder()
         self._items_emitted = 0
         # source -> ((count, seconds), offsets): a steady source reuses
@@ -207,18 +204,15 @@ class DeploymentSimulator:
                     k * window, self._closer(node.name)
                 )
         self._clock.run()
-        # Saturated runs may still have unpolled records: keep closing.
+        # Saturated runs may still have undrained batches: keep closing.
         guard = 0
-        while self._has_lag():
+        while self._transport.has_pending():
             guard += 1
             if guard > 10_000:
                 raise PipelineError("drain loop did not converge")
             for node in self._tree.sampling_nodes:
                 self._clock.schedule(window, self._closer(node.name))
             self._clock.run()
-
-    def _has_lag(self) -> bool:
-        return self._transport.has_pending()
 
     # ------------------------------------------------------------------
     # Emission

@@ -12,8 +12,8 @@ Since the engine refactor this module is a thin facade: assembly lives
 in :mod:`repro.engine.pipeline`, the windowed loop and its three
 strategies in :mod:`repro.engine.runner`, and batch movement behind the
 :class:`~repro.engine.transport.Transport` protocol, here always
-in-process callbacks (seeded runs are transport-invariant, so a broker
-hop would change nothing but cost).
+in-process callbacks (seeded runs are transport-invariant, so a
+simulated link would change nothing but cost).
 
 With ``config.workers > 1`` the same loop runs sharded across OS
 processes (:mod:`repro.engine.sharding`): each worker shard samples an

@@ -3,8 +3,9 @@
 The codec must be a faithful bijection: values, emission times (one
 per batch, or one per record), sizes and weights survive bit-for-bit
 (float64 end to end), and byte accounting (``total_bytes``) is
-unchanged — the properties the sharded engine and the serde-backed
-broker transport rely on. A frame that is cut short or
+unchanged — the properties the sharded engine relies on. Every case
+goes through the multi-batch frame the shards ship. A frame that is
+cut short or
 carries an unknown format tag is rejected, never decoded to fewer
 records than its header declares.
 """
@@ -14,27 +15,19 @@ import struct
 import pytest
 
 from repro.broker.records import (
-    COLUMNAR_SERDE,
-    decode_weighted_batch,
     decode_weighted_batches,
-    encode_weighted_batch,
     encode_weighted_batch_chunks,
     encode_weighted_batches,
     encode_weighted_batches_chunks,
 )
 from repro.core.columns import ColumnarBatch, value_column
 from repro.core.items import StreamItem, WeightedBatch
-from repro.engine.pipeline import build_pipeline
-from repro.engine.runner import EngineRunner
-from repro.engine.transport import BrokerTransport
 from repro.errors import ConfigurationError
-from repro.system.config import PipelineConfig
-from repro.workloads.rates import RateSchedule
-from repro.workloads.synthetic import paper_gaussian_substreams
 
 
 def roundtrip(batch):
-    return decode_weighted_batch(encode_weighted_batch(batch))
+    [decoded] = decode_weighted_batches(encode_weighted_batches([batch]))
+    return decoded
 
 
 class TestColumnarRoundtrip:
@@ -97,7 +90,7 @@ class TestColumnarRoundtrip:
 
     def test_bad_magic_is_rejected(self):
         with pytest.raises(ConfigurationError):
-            decode_weighted_batch(b"not-a-batch")
+            decode_weighted_batches(struct.pack("<I", 1) + b"not-a-batch")
 
 
 class TestWireBytes:
@@ -135,7 +128,6 @@ class TestWireBytes:
     def test_frame_bytes_are_pinned(self):
         for form in self.STAMPS:
             batch, wire = self.batch(form), self.wire(form)
-            assert encode_weighted_batch(batch) == wire
             assert b"".join(encode_weighted_batch_chunks(batch)) == wire
             assert encode_weighted_batches([batch, batch]) == (
                 struct.pack("<I", 2) + wire + wire
@@ -208,8 +200,6 @@ class TestMalformedFrames:
         ),
     ]
     FRAME = encode_weighted_batches(BATCHES)
-    SINGLE = encode_weighted_batch(BATCHES[0])
-    SINGLE_UNIFORM = encode_weighted_batch(BATCHES[2])
 
     def test_the_whole_frame_decodes(self):
         decoded = decode_weighted_batches(self.FRAME)
@@ -219,16 +209,6 @@ class TestMalformedFrames:
     def test_a_frame_cut_anywhere_is_rejected(self, cut):
         with pytest.raises(ConfigurationError):
             decode_weighted_batches(self.FRAME[:cut])
-
-    @pytest.mark.parametrize("cut", range(len(SINGLE)))
-    def test_a_batch_cut_anywhere_is_rejected(self, cut):
-        with pytest.raises(ConfigurationError):
-            decode_weighted_batch(self.SINGLE[:cut])
-
-    @pytest.mark.parametrize("cut", range(len(SINGLE_UNIFORM)))
-    def test_a_uniform_stamp_batch_cut_anywhere_is_rejected(self, cut):
-        with pytest.raises(ConfigurationError):
-            decode_weighted_batch(self.SINGLE_UNIFORM[:cut])
 
     def test_a_missing_column_is_named_in_the_error(self):
         uniform = encode_weighted_batches(self.BATCHES[1:2])
@@ -242,51 +222,8 @@ class TestMalformedFrames:
 
     @pytest.mark.parametrize("tag", [0, 1, 255])
     def test_an_unknown_format_tag_is_rejected(self, tag):
-        frame = bytearray(encode_weighted_batch(self.BATCHES[1]))
-        frame[4] = tag
+        frame = bytearray(encode_weighted_batches(self.BATCHES[1:2]))
+        frame[4 + 4] = tag  # past the batch count and the magic
         with pytest.raises(ConfigurationError, match="format tag"):
-            decode_weighted_batch(bytes(frame))
+            decode_weighted_batches(bytes(frame))
 
-
-class TestSerde:
-    def test_weighted_batches_use_the_binary_format(self):
-        batch = WeightedBatch(
-            "A", 2.0, ColumnarBatch.single("A", [1.0, 2.0], 0.0)
-        )
-        blob = COLUMNAR_SERDE.serialize(batch)
-        assert blob[:4] == b"RWB1"
-        assert COLUMNAR_SERDE.deserialize(blob).estimated_sum == pytest.approx(
-            batch.estimated_sum
-        )
-
-    def test_non_batch_values_fall_back_to_pickle(self):
-        value = {"offsets": [1, 2, 3]}
-        blob = COLUMNAR_SERDE.serialize(value)
-        assert blob[:4] == b"RPK1"
-        assert COLUMNAR_SERDE.deserialize(blob) == value
-
-
-class TestBrokerTransportSerde:
-    GENS = {g.name: g for g in paper_gaussian_substreams()}
-    SCHEDULE = RateSchedule(
-        "serde", {"A": 200.0, "B": 200.0, "C": 200.0, "D": 200.0}
-    )
-
-    def test_serde_backed_broker_run_is_bit_identical(self):
-        """Producing real bytes instead of object references changes
-        nothing about a seeded run — the codec is exact."""
-        outcomes = {}
-        for serde in (None, COLUMNAR_SERDE):
-            config = PipelineConfig(
-                sampling_fraction=0.2,
-                seed=13,
-            )
-            pipeline = build_pipeline(config, self.SCHEDULE, self.GENS)
-            runner = EngineRunner(pipeline, BrokerTransport(serde=serde))
-            outcomes[serde is None] = runner.run(3)
-        direct, encoded = outcomes[True], outcomes[False]
-        for a, b in zip(direct.windows, encoded.windows):
-            assert a.approx_sum.value == b.approx_sum.value
-            assert a.approx_sum.error == b.approx_sum.error
-            assert a.srs_sum == b.srs_sum
-            assert a.items_sampled == b.items_sampled

@@ -22,23 +22,21 @@ class TestAppend:
         log.append(rec("a"))
         assert log.end_offset == 1
 
-    def test_append_batch(self):
-        log = PartitionLog("t", 0)
-        assert log.append_batch([rec(1), rec(2), rec(3)]) == [0, 1, 2]
-
 
 class TestRead:
     def test_read_returns_positions(self):
         log = PartitionLog("topic", 3)
-        log.append_batch([rec("a"), rec("b")])
+        log.append(rec("a"))
+        log.append(rec("b"))
         out = log.read(0)
         assert [r.value for r in out] == ["a", "b"]
-        assert out[0].position == ("topic", 3, 0)
+        assert (out[0].topic, out[0].partition, out[0].offset) == ("topic", 3, 0)
         assert out[1].offset == 1
 
     def test_read_from_middle(self):
         log = PartitionLog("t", 0)
-        log.append_batch([rec(i) for i in range(10)])
+        for i in range(10):
+            log.append(rec(i))
         assert [r.value for r in log.read(7)] == [7, 8, 9]
 
     def test_read_at_end_is_empty(self):
@@ -51,44 +49,14 @@ class TestRead:
         with pytest.raises(OffsetOutOfRangeError):
             log.read(1)
 
+    def test_read_below_zero_raises(self):
+        log = PartitionLog("t", 0)
+        log.append(rec("a"))
+        with pytest.raises(OffsetOutOfRangeError):
+            log.read(-1)
+
     def test_max_records_limits(self):
         log = PartitionLog("t", 0)
-        log.append_batch([rec(i) for i in range(10)])
+        for i in range(10):
+            log.append(rec(i))
         assert len(log.read(0, max_records=4)) == 4
-
-
-class TestTruncation:
-    def test_truncate_preserves_offsets(self):
-        log = PartitionLog("t", 0)
-        log.append_batch([rec(i) for i in range(10)])
-        dropped = log.truncate_before(6)
-        assert dropped == 6
-        assert log.start_offset == 6
-        assert [r.value for r in log.read(6)] == [6, 7, 8, 9]
-
-    def test_read_below_start_raises(self):
-        log = PartitionLog("t", 0)
-        log.append_batch([rec(i) for i in range(10)])
-        log.truncate_before(5)
-        with pytest.raises(OffsetOutOfRangeError):
-            log.read(3)
-
-    def test_truncate_beyond_end_clamps(self):
-        log = PartitionLog("t", 0)
-        log.append_batch([rec(i) for i in range(3)])
-        assert log.truncate_before(100) == 3
-        assert log.end_offset == 3
-        assert len(log) == 0
-
-    def test_truncate_noop_below_start(self):
-        log = PartitionLog("t", 0)
-        log.append_batch([rec(i) for i in range(3)])
-        log.truncate_before(2)
-        assert log.truncate_before(1) == 0
-
-    def test_appends_continue_after_truncation(self):
-        log = PartitionLog("t", 0)
-        log.append_batch([rec(i) for i in range(3)])
-        log.truncate_before(3)
-        assert log.append(rec("x")) == 3
-        assert [r.value for r in log.read(3)] == ["x"]

@@ -132,7 +132,7 @@ class TestOneTransportPerEngine:
         assert type(runner.engine.transport) is InProcessTransport
 
     def test_deployment_moves_batches_over_simnet(self):
-        from repro.engine.transport import SimnetBrokerTransport
+        from repro.engine.transport import SimnetTransport
         from repro.system.deployment import DeploymentSimulator
         from repro.workloads.rates import RateSchedule
         from repro.workloads.synthetic import paper_gaussian_substreams
@@ -142,4 +142,4 @@ class TestOneTransportPerEngine:
         simulator = DeploymentSimulator(
             PipelineConfig(seed=3), schedule, gens, n_windows=1
         )
-        assert type(simulator._transport) is SimnetBrokerTransport
+        assert type(simulator._transport) is SimnetTransport

@@ -4,6 +4,7 @@ import math
 
 import pytest
 
+from repro.errors import ConfigurationError
 from repro.system.config import ExecutionMode, PipelineConfig
 from repro.system.deployment import DeploymentSimulator
 from repro.topology.placement import PlacementSpec
@@ -77,10 +78,10 @@ class TestEmissionChunking:
 
 
 class TestDrainCompleteness:
-    def test_no_consumer_lag_after_run(self):
+    def test_no_batch_left_in_an_inbox_after_run(self):
         sim = simulator()
         sim.run()
-        assert not sim._has_lag()
+        assert not sim._transport.has_pending()
 
     def test_all_sampled_items_accounted(self):
         sim = simulator(fraction=0.5)
@@ -102,10 +103,12 @@ class TestDrainCompleteness:
 
 
 class TestModeIsolation:
-    def test_srs_and_native_skip_broker_setup(self):
+    def test_srs_and_native_register_no_inboxes(self):
         for mode in (ExecutionMode.SRS, ExecutionMode.NATIVE):
             sim = simulator(mode=mode)
             assert sim._states == {}
+            with pytest.raises(ConfigurationError):
+                sim._transport.collect("root")
 
     def test_native_ignores_fraction(self):
         report = simulator(

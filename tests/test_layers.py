@@ -35,12 +35,12 @@ ALLOWED: dict[str, set[str]] = {
     # the shard timeout cap, and builds the budget controller, from two
     # system modules that themselves import only core and topology.
     "engine": {
-        "broker", "core", "errors", "scenarios", "topology", "workloads",
-        "system.config", "system.adaptive",
+        "broker.records", "core", "errors", "scenarios", "topology",
+        "workloads", "system.config", "system.adaptive",
     },
     "system": {
-        "broker", "core", "engine", "errors", "metrics", "scenarios",
-        "simnet", "topology", "workloads",
+        "core", "engine", "errors", "metrics", "scenarios", "simnet",
+        "topology", "workloads",
     },
     "experiments": {
         "errors", "metrics", "simnet", "system", "topology", "workloads",
