@@ -178,9 +178,7 @@ def encode_weighted_batch_chunks(batch: WeightedBatch) -> list[bytes | memoryvie
 
 def _decode_weighted_batch(data, offset: int) -> tuple[WeightedBatch, int]:
     if bytes(data[offset : offset + 4]) != _BATCH_MAGIC:
-        raise ConfigurationError(
-            "not a binary weighted batch (bad magic)"
-        )
+        raise ConfigurationError("not a binary weighted batch (bad magic)")
     offset += 4
     try:
         if data[offset] != _FORMAT_TAG:
@@ -285,4 +283,3 @@ def decode_weighted_batches(data) -> list[WeightedBatch]:
         batch, offset = _decode_weighted_batch(data, offset)
         batches.append(batch)
     return batches
-

@@ -226,4 +226,3 @@ class TestMalformedFrames:
         frame[4 + 4] = tag  # past the batch count and the magic
         with pytest.raises(ConfigurationError, match="format tag"):
             decode_weighted_batches(bytes(frame))
-
