@@ -5,13 +5,13 @@ per batch, or one per record), sizes and weights survive bit-for-bit
 (float64 end to end), and byte accounting (``total_bytes``) is
 unchanged — the properties the sharded engine relies on. Every case
 goes through the multi-batch frame the shards ship. A frame that is
-cut short or
-carries an unknown format tag is rejected, never decoded to fewer
-records than its header declares.
+cut short or carries an unknown format tag is rejected, never decoded
+to fewer records than its header declares.
 """
 
 import struct
 
+import numpy as np
 import pytest
 
 from repro.broker.records import (
@@ -87,6 +87,48 @@ class TestColumnarRoundtrip:
         assert [b.substream for b in decoded] == ["A", "B", "C"]
         assert [b.weight for b in decoded] == [1.0, 2.0, 3.0]
         assert decode_weighted_batches(encode_weighted_batches([])) == []
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_random_frames_roundtrip_bitwise(self, seed):
+        """Seeded batches mixing every column form survive a round trip
+        bit for bit, and re-encoding the decoded frame gives the same
+        bytes."""
+        rng = np.random.default_rng(seed)
+        specials = [0.0, -0.0, 5e-324, -1e300, 1e300, 0.1 + 0.2]
+        batches = []
+        for index in range(int(rng.integers(1, 5))):
+            n = int(rng.integers(0, 12))
+            values = rng.normal(size=n)
+            values[rng.random(n) < 0.3] = rng.choice(specials)
+            tags = (
+                "s%d" % index if rng.random() < 0.5
+                else [str(tag) for tag in rng.choice(["A", "B", "é"], n)]
+            )
+            stamps = (
+                float(rng.uniform(0, 1e6)) if rng.random() < 0.5
+                else value_column(rng.uniform(0, 1e6, n))
+            )
+            sizes = (
+                int(rng.integers(0, 2**40)) if rng.random() < 0.5
+                else rng.integers(0, 2**40, n).tolist()
+            )
+            batches.append(WeightedBatch(
+                "s%d" % index, float(rng.uniform(1, 1e3)),
+                ColumnarBatch(tags, values, stamps, sizes),
+            ))
+        frame = encode_weighted_batches(batches)
+        decoded = decode_weighted_batches(frame)
+        assert encode_weighted_batches(decoded) == frame
+        for original, copy in zip(batches, decoded, strict=True):
+            assert copy.substream == original.substream
+            assert copy.weight == original.weight
+            assert copy.items.values.tobytes() == original.items.values.tobytes()
+            assert np.asarray(copy.items.timestamps).tobytes() == (
+                np.asarray(original.items.timestamps).tobytes()
+            )
+            assert copy.items.substreams == original.items.substreams
+            assert copy.items.sizes == original.items.sizes
+            assert copy.total_bytes == original.total_bytes
 
     def test_bad_magic_is_rejected(self):
         with pytest.raises(ConfigurationError):
@@ -200,6 +242,8 @@ class TestMalformedFrames:
         ),
     ]
     FRAME = encode_weighted_batches(BATCHES)
+    SINGLE = encode_weighted_batches(BATCHES[:1])
+    SINGLE_UNIFORM = encode_weighted_batches(BATCHES[2:])
 
     def test_the_whole_frame_decodes(self):
         decoded = decode_weighted_batches(self.FRAME)
@@ -209,6 +253,18 @@ class TestMalformedFrames:
     def test_a_frame_cut_anywhere_is_rejected(self, cut):
         with pytest.raises(ConfigurationError):
             decode_weighted_batches(self.FRAME[:cut])
+
+    @pytest.mark.parametrize("cut", range(len(SINGLE)))
+    def test_a_batch_cut_anywhere_is_rejected(self, cut):
+        """A one-batch frame with per-record emission times."""
+        with pytest.raises(ConfigurationError):
+            decode_weighted_batches(self.SINGLE[:cut])
+
+    @pytest.mark.parametrize("cut", range(len(SINGLE_UNIFORM)))
+    def test_a_uniform_stamp_batch_cut_anywhere_is_rejected(self, cut):
+        """A one-batch frame with one emission time for the batch."""
+        with pytest.raises(ConfigurationError):
+            decode_weighted_batches(self.SINGLE_UNIFORM[:cut])
 
     def test_a_missing_column_is_named_in_the_error(self):
         uniform = encode_weighted_batches(self.BATCHES[1:2])

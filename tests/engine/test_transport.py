@@ -15,11 +15,13 @@ def batch(substream="a", weight=1.0, n=3):
     )
 
 
-def two_host_network():
+def two_host_network(config=None):
     network = Network()
     network.add_host("edge", 1e9)
     network.add_host("root", 1e9)
-    network.add_link("edge", "root", NetemConfig.from_rtt(20.0, 1e9))
+    network.add_link(
+        "edge", "root", config or NetemConfig.from_rtt(20.0, 1e9)
+    )
     return network
 
 
@@ -183,3 +185,49 @@ class TestSimnetTransport:
         assert [b.substream for b in transport.collect("root")] == ["early"]
         network.clock.run()
         assert [b.substream for b in transport.collect("root")] == ["late"]
+
+
+class TestSimnetLinkConditions:
+    """Each batch lands after queueing, serialization and propagation,
+    on every link the deployment experiments shape."""
+
+    @pytest.mark.parametrize("rate_bps", [1e6, 1e8, 1e9])
+    @pytest.mark.parametrize("rtt_ms", [0.0, 40.0, 160.0])
+    def test_back_to_back_batches_land_at_their_link_times(
+        self, rtt_ms, rate_bps
+    ):
+        config = NetemConfig.from_rtt(rtt_ms, rate_bps)
+        network = two_host_network(config)
+        transport = SimnetTransport(network)
+        transport.register("root")
+        sent = [batch("a", n=4), batch("b", n=9)]
+        for each in sent:
+            transport.send("edge", "root", each)
+        wire = 0.0
+        for each in sent:
+            # The second batch queues behind the first on the wire.
+            wire += config.serialization_delay(each.total_bytes)
+            arrival = wire + config.delay_seconds
+            network.clock.run_until(arrival - 1e-12)
+            assert transport.collect("root") == []
+            network.clock.run_until(arrival)
+            assert transport.collect("root") == [each]
+
+    @pytest.mark.parametrize("loss", [0.1, 0.5, 0.9])
+    def test_a_lossy_link_delivers_the_survivors_in_order(self, loss):
+        network = two_host_network(NetemConfig.from_rtt(20.0, 1e9, loss))
+        transport = SimnetTransport(network)
+        transport.register("root")
+        sent = [batch(str(i)) for i in range(200)]
+        for each in sent:
+            transport.send("edge", "root", each)
+        network.clock.run()
+        landed = transport.collect("root")
+        link = network.link("edge", "root")
+        # Dropped batches still burned their wire bytes.
+        assert link.bytes_sent == sum(b.total_bytes for b in sent)
+        assert link.messages_dropped == len(sent) - len(landed)
+        assert 0 < len(landed) < len(sent)
+        assert [b.substream for b in landed] == sorted(
+            (b.substream for b in landed), key=int
+        )
