@@ -12,6 +12,7 @@ re-derive any of it.
 
 from __future__ import annotations
 
+import copy
 import random
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
@@ -199,12 +200,18 @@ def build_pipeline(
     the first receive roughly their budget and pass items through
     (weight 1); under rate fluctuation they re-sample, which is where
     the hierarchy earns its keep.
+
+    The run draws from its own shallow copy of each generator. A
+    generator keeps its per-run state (an AR(1) level, a replay cursor)
+    in attributes it rebinds, so that state evolves on the copy: the
+    caller's objects are never mutated and a run does not depend on the
+    runs before it. Read-only attributes, such as a replay pool, are
+    shared rather than duplicated.
     """
     tree = config.tree
     rng = random.Random(config.seed)
-    sources, source_substreams = _build_sources(
-        tree, schedule, generators, rng
-    )
+    own = {name: copy.copy(generator) for name, generator in generators.items()}
+    sources, source_substreams = _build_sources(tree, schedule, own, rng)
     pipeline = Pipeline(
         config=config,
         tree=tree,

@@ -69,8 +69,8 @@ calls (so ``run(2); run(3)`` equals ``run(5)``), and exit on
 (cheap, Linux default) and falls back to ``spawn``; results are
 identical under either — and under ``inline=True``, which runs the
 shards sequentially in-process for debugging and for parity tests —
-because every shard rebuilds its state from the plan alone (the
-caller's generators are deep-copied per shard, never mutated).
+because every shard rebuilds its state from the plan alone (each
+shard's pipeline runs on its own copy of the caller's generators).
 
 Shard processes are also *supervised*. Each request/collect round runs
 under a watchdog (``config.shard_timeout``; a hung shard raises
@@ -96,7 +96,6 @@ the caller.
 
 from __future__ import annotations
 
-import copy
 import multiprocessing
 import pickle
 import random
@@ -230,12 +229,7 @@ class _ShardState:
         shard_config = replace(
             config, seed=plan.seed, workers=1, fault_plan=None
         )
-        # Deep-copied so stateful generators (AR(1) levels, staging
-        # buffers) evolve per shard and the caller's objects are never
-        # mutated — inline and multi-process execution then agree.
-        pipeline = build_pipeline(
-            shard_config, plan.schedule, copy.deepcopy(generators)
-        )
+        pipeline = build_pipeline(shard_config, plan.schedule, generators)
         engine = None
         if scenario is not None:
             from repro.scenarios.engine import ScenarioEngine

@@ -213,12 +213,13 @@ class ScalarOnlyGenerator:
 class TestScalarOnlyGenerator:
     def test_statistical_run(self):
         generators = {name: ScalarOnlyGenerator(name) for name in "ABCD"}
-        _pipeline, runner = engine_for(fraction=0.2, generators=generators)
+        pipeline, runner = engine_for(fraction=0.2, generators=generators)
         outcome = runner.run(2)
         assert all(w.items_emitted == 1200 for w in outcome.windows)
         assert outcome.mean_approxiot_loss < 5.0
-        for generator in generators.values():
-            assert generator.rng_types == {random.Random}
+        # The run draws from the pipeline's copies of the generators.
+        for source in pipeline.sources.values():
+            assert source._generator.rng_types == {random.Random}
 
     def test_deployment_run(self):
         generators = {name: ScalarOnlyGenerator(name) for name in "ABCD"}

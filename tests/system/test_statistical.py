@@ -7,6 +7,7 @@ import pytest
 from repro.errors import ConfigurationError, PipelineError
 from repro.system.config import ExecutionMode, PipelineConfig
 from repro.system.statistical import StatisticalRunner, accuracy_loss
+from repro.workloads.pollution import pollutant_generators
 from repro.workloads.rates import RateSchedule
 from repro.workloads.synthetic import paper_gaussian_substreams
 
@@ -100,6 +101,21 @@ class TestAccuracyProperties:
             est.estimated_count for est in theta.per_substream().values()
         )
         assert recovered == pytest.approx(1600.0, rel=1e-9)
+
+
+class TestCallerGenerators:
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_runs_over_one_generator_dict_agree(self, workers):
+        """A run leaves the caller's stateful generators (AR(1) levels)
+        as it found them, so the next run over the same dict repeats it."""
+        generators = pollutant_generators()
+        schedule = RateSchedule("pollution", dict.fromkeys(generators, 400.0))
+        config = PipelineConfig(sampling_fraction=0.4, seed=5, workers=workers)
+        outcomes = []
+        for _ in range(2):
+            with StatisticalRunner(config, schedule, generators) as runner:
+                outcomes.append(runner.run(2))
+        assert outcomes[0] == outcomes[1]
 
 
 class TestValidation:
