@@ -30,6 +30,7 @@ import pathlib
 import pytest
 
 from repro.experiments.base import ExperimentScale
+from repro.experiments.figures import AXES, figure, render_panel, run_panel
 
 BENCH_DIR = pathlib.Path(__file__).parent
 RESULTS_PATH = BENCH_DIR / "results.txt"
@@ -74,6 +75,33 @@ def bench_scale() -> ExperimentScale:
 def wall_clock_gates() -> bool:
     """Whether wall-clock ratio assertions are live this session."""
     return os.environ.get("REPRO_BENCH_GATES") == "1"
+
+
+@pytest.fixture
+def figure_rows(benchmark, bench_scale, results_sink):
+    """Run one figure's spec once, publish its tables, return its rows.
+
+    The figure runs under the benchmark clock; its rendered tables go to
+    ``results_sink``. Each panel comes back as ``{axis value: row}``,
+    a row keyed by column header, so a benchmark asserts on the very
+    run that produced the published table.
+    """
+
+    def run(figure_id: str) -> list[dict]:
+        panels = figure(figure_id).panels
+        tables = benchmark.pedantic(
+            lambda: [run_panel(panel, bench_scale) for panel in panels],
+            rounds=1, iterations=1,
+        )
+        results_sink("\n\n".join(
+            render_panel(panel, rows) for panel, rows in zip(panels, tables)
+        ))
+        return [
+            {row[AXES[panel.axis][0]]: row for row in rows}
+            for panel, rows in zip(panels, tables)
+        ]
+
+    return run
 
 
 def _split_tables(text: str) -> list[str]:

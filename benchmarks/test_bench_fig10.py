@@ -1,20 +1,14 @@
 """Benchmark: regenerate Fig. 10 (fluctuating rates and extreme skew)."""
 
-from repro.experiments import fig10
 
-
-def test_bench_fig10(benchmark, bench_scale, results_sink):
+def test_bench_fig10(figure_rows):
     """Asserts ApproxIoT's win in every setting and under extreme skew."""
-    text = benchmark.pedantic(
-        fig10.main, args=(bench_scale,), rounds=1, iterations=1
-    )
-    results_sink(text)
+    gaussian, poisson, skew = figure_rows("fig10")
+    for settings in (gaussian, poisson):
+        for setting, point in settings.items():
+            assert point["ApproxIoT loss"] < point["SRS loss"], setting
 
-    for distribution in ("gaussian", "poisson"):
-        for point in fig10.run_fig10_settings(distribution, bench_scale):
-            assert point.approxiot_loss < point.srs_loss, point.setting
-
-    skew = fig10.run_fig10_skew([0.1], bench_scale)[0]
+    low = skew[0.1]
     # Paper: up to 2600x at the 10% fraction; require >= two orders.
-    assert skew.srs_loss > 100 * skew.approxiot_loss
-    assert skew.approxiot_loss < 0.5
+    assert low["SRS loss"] > 100 * low["ApproxIoT loss"]
+    assert low["ApproxIoT loss"] < 0.5

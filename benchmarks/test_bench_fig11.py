@@ -1,22 +1,14 @@
 """Benchmark: regenerate Fig. 11 (real-world case studies)."""
 
-from repro.experiments import fig11
 
-
-def test_bench_fig11(benchmark, bench_scale, results_sink):
+def test_bench_fig11(figure_rows):
     """Asserts the two-dataset accuracy ordering and throughput gain."""
-    text = benchmark.pedantic(
-        fig11.main, args=(bench_scale,), rounds=1, iterations=1
-    )
-    results_sink(text)
-
-    taxi = fig11.run_fig11_accuracy("taxi", [0.1, 0.4], bench_scale)
-    pollution = fig11.run_fig11_accuracy("pollution", [0.1, 0.4], bench_scale)
+    accuracy, throughput = figure_rows("fig11")
     # Pollution values are more stable -> lower loss curve (paper §VI-B).
-    assert pollution[0].approxiot_loss < taxi[0].approxiot_loss
+    low = accuracy[0.1]
+    assert low["Brasov pollution loss"] < low["NYC taxi loss"]
     # Loss shrinks with the fraction on both datasets.
-    assert taxi[1].approxiot_loss < taxi[0].approxiot_loss * 2.0
+    assert accuracy[0.4]["NYC taxi loss"] < low["NYC taxi loss"] * 2.0
 
-    throughput = fig11.run_fig11_throughput("taxi", [0.1], bench_scale)[0]
     # Paper: ~9-10x over native at the 10% fraction.
-    assert throughput.throughput > 3.0 * throughput.native_throughput
+    assert throughput[0.1]["NYC taxi"] > 3.0 * throughput[0.1]["native"]

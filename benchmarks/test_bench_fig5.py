@@ -1,21 +1,13 @@
 """Benchmark: regenerate Fig. 5 (accuracy loss vs sampling fraction)."""
 
-from repro.experiments import fig5
 
-
-def test_bench_fig5(benchmark, bench_scale, results_sink):
+def test_bench_fig5(figure_rows):
     """Both panels; asserts ApproxIoT's order-of-magnitude accuracy edge."""
-    text = benchmark.pedantic(
-        fig5.main, args=(bench_scale,), rounds=1, iterations=1
-    )
-    results_sink(text)
-
-    gaussian = fig5.run_fig5("gaussian", [0.1], bench_scale)[0]
-    poisson = fig5.run_fig5("poisson", [0.1], bench_scale)[0]
+    gaussian, poisson = (panel[0.1] for panel in figure_rows("fig5"))
     # Paper: 10x (Gaussian) and 30x (Poisson) at the 10% fraction.
-    assert gaussian.srs_to_approxiot_ratio > 3.0
-    assert poisson.srs_to_approxiot_ratio > 3.0
+    assert gaussian["SRS/ApproxIoT"] > 3.0
+    assert poisson["SRS/ApproxIoT"] > 3.0
     # Paper: ApproxIoT loss bounded by ~0.035% / ~0.013%; allow the
     # smaller bench-scale sample sizes an order of magnitude of slack.
-    assert gaussian.approxiot_loss < 1.0
-    assert poisson.approxiot_loss < 1.0
+    assert gaussian["ApproxIoT loss"] < 1.0
+    assert poisson["ApproxIoT loss"] < 1.0

@@ -1,24 +1,15 @@
 """Benchmark: regenerate Fig. 6 (throughput vs sampling fraction)."""
 
-from repro.experiments import fig6
 
-
-def test_bench_fig6(benchmark, bench_scale, results_sink):
+def test_bench_fig6(figure_rows):
     """Asserts the 1/fraction throughput scaling and low overhead."""
-    text = benchmark.pedantic(
-        fig6.main, args=(bench_scale,), rounds=1, iterations=1
-    )
-    results_sink(text)
-
-    points = {
-        p.fraction: p for p in fig6.run_fig6([0.1, 0.8, 1.0], bench_scale)
-    }
+    (points,) = figure_rows("fig6")
     # Paper: 9.9x at 10%, 1.3x at 80%; shape, not absolute numbers.
-    assert points[0.1].speedup_over_native > 4.0
-    assert 1.0 < points[0.8].speedup_over_native < 4.0
+    assert points[0.1]["speedup"] > 4.0
+    assert 1.0 < points[0.8]["speedup"] < 4.0
     # At 100% both sampled systems match native (low sampling overhead).
-    assert abs(points[1.0].approxiot - points[1.0].native) < (
-        0.5 * points[1.0].native
-    )
+    full = points[1.0]
+    assert abs(full["ApproxIoT"] - full["Native"]) < 0.5 * full["Native"]
     # ApproxIoT ~ SRS across the sweep.
-    assert abs(points[0.1].approxiot - points[0.1].srs) < 0.5 * points[0.1].srs
+    low = points[0.1]
+    assert abs(low["ApproxIoT"] - low["SRS"]) < 0.5 * low["SRS"]

@@ -1,16 +1,11 @@
 """Benchmark: regenerate Fig. 7 (bandwidth saving vs sampling fraction)."""
 
-from repro.experiments import fig7
 
-
-def test_bench_fig7(benchmark, bench_scale, results_sink):
+def test_bench_fig7(figure_rows):
     """Asserts saving ~= 1 - fraction on the inter-layer links."""
-    text = benchmark.pedantic(
-        fig7.main, args=(bench_scale,), rounds=1, iterations=1
-    )
-    results_sink(text)
-
-    for point in fig7.run_fig7([0.1, 0.4, 0.8], bench_scale):
-        expected = 100.0 * (1.0 - point.fraction)
-        assert abs(point.approxiot_saving - expected) < 10.0
-        assert abs(point.srs_saving - expected) < 10.0
+    (points,) = figure_rows("fig7")
+    for fraction in (0.1, 0.4, 0.8):
+        point = points[fraction]
+        expected = 100.0 * (1.0 - fraction)
+        assert abs(point["ApproxIoT saving"] - expected) < 10.0
+        assert abs(point["SRS saving"] - expected) < 10.0

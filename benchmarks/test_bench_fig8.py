@@ -1,16 +1,10 @@
 """Benchmark: regenerate Fig. 8 (latency vs sampling fraction)."""
 
-from repro.experiments import fig8
 
-
-def test_bench_fig8(benchmark, bench_scale, results_sink):
+def test_bench_fig8(figure_rows):
     """Asserts native saturation latency vs sampled low latency."""
-    text = benchmark.pedantic(
-        fig8.main, args=(bench_scale,), rounds=1, iterations=1
-    )
-    results_sink(text)
-
-    point = fig8.run_fig8([0.1], bench_scale)[0]
+    (points,) = figure_rows("fig8")
+    point = points[0.1]
     # Paper: ~6x latency speedup over native at the 10% fraction.
-    assert point.speedup_over_native > 2.0
-    assert point.native > point.srs
+    assert point["speedup"] > 2.0
+    assert point["Native (s)"] > point["SRS (s)"]

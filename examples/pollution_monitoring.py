@@ -12,8 +12,7 @@ Run:  python examples/pollution_monitoring.py
 from repro.core.cost import AdaptiveErrorBudget
 from repro.core.estimator import ThetaStore
 from repro.core.items import StreamItem, WeightedBatch
-from repro.experiments.base import ExperimentScale
-from repro.experiments.fig11 import pollution_workload
+from repro.experiments.base import ExperimentScale, pollution_workload
 from repro.metrics.report import Table
 from repro.queries import PerSubstreamSumQuery
 from repro.system import FeedbackDriver, PipelineConfig, StatisticalRunner

@@ -9,8 +9,7 @@ answer computed over the full stream.
 Run:  python examples/taxi_payments.py
 """
 
-from repro.experiments.base import ExperimentScale
-from repro.experiments.fig11 import taxi_workload
+from repro.experiments.base import ExperimentScale, taxi_workload
 from repro.metrics.report import Table
 from repro.system import PipelineConfig, StatisticalRunner
 

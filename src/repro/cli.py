@@ -43,7 +43,7 @@ from repro.experiments.base import (
     gaussian_generators,
     uniform_schedule,
 )
-from repro.experiments.figures import FIGURES, run_figure
+from repro.experiments.figures import FIGURES, figure, run_figure
 from repro.scenarios.catalog import BUILTIN_SCENARIOS, get_scenario
 from repro.system.config import (
     BUDGET_CONTROLLERS,
@@ -53,6 +53,9 @@ from repro.system.config import (
 from repro.system.scenarios import ScenarioRunner
 
 __all__ = ["build_parser", "main"]
+
+#: Figure ids in the order ``figures`` runs and ``list`` prints them.
+_FIGURE_IDS = sorted(spec.id for spec in FIGURES)
 
 _SCALES = {
     "quick": ExperimentScale.quick,
@@ -70,7 +73,7 @@ _SUBSYSTEMS = [
     ("repro.system", "runner facades (statistical / deployment / scenario)"),
     ("repro.workloads", "synthetic + real-world trace generators"),
     ("repro.queries", "linear, grouped, top-k and quantile queries"),
-    ("repro.experiments", "per-figure evaluation harness"),
+    ("repro.experiments", "figure specs and their one executor"),
 ]
 
 
@@ -151,7 +154,7 @@ def build_parser() -> argparse.ArgumentParser:
         "ids",
         nargs="*",
         metavar="FIG",
-        help=f"figure ids to run (default: all of {sorted(FIGURES)})",
+        help=f"figure ids to run (default: all of {_FIGURE_IDS})",
     )
     _add_engine_knobs(
         figures,
@@ -224,10 +227,12 @@ def _scale_from_args(args: argparse.Namespace) -> ExperimentScale:
 def _cmd_figures(args: argparse.Namespace) -> int:
     try:
         scale = _scale_from_args(args)
+        targets = args.ids or _FIGURE_IDS
+        for figure_id in targets:
+            figure(figure_id)  # every id is checked before any runs
     except ReproError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    targets = args.ids or sorted(FIGURES)
     for figure_id in targets:
         try:
             run_figure(figure_id, scale)
@@ -268,10 +273,9 @@ def _cmd_scenarios_list() -> int:
 
 
 def _cmd_list() -> int:
-    width = max(len(figure_id) for figure_id in FIGURES)
-    for figure_id in sorted(FIGURES):
-        description, _entry = FIGURES[figure_id]
-        print(f"{figure_id.ljust(width)}  {description}")
+    width = max(len(figure_id) for figure_id in _FIGURE_IDS)
+    for figure_id in _FIGURE_IDS:
+        print(f"{figure_id.ljust(width)}  {figure(figure_id).description}")
     return 0
 
 

@@ -1,8 +1,8 @@
-"""Experiment harness: one module per figure of the paper's evaluation.
+"""Experiment harness for the paper's evaluation (§V, Figs. 5–11).
 
-Each ``figN`` module exposes ``run_*`` functions returning structured
-points and a ``main(scale)`` printing the paper-style table;
-:mod:`repro.experiments.figures` is the registry over all of them.
+:mod:`repro.experiments.figures` declares every figure as a spec in
+``FIGURES`` and runs them all through one executor; :mod:`.base` holds
+the sizing, the config template and the workloads the specs name.
 """
 
 from repro.experiments.base import ExperimentScale, PAPER_FRACTIONS

@@ -1,31 +1,40 @@
-"""Shared scaffolding for the per-figure experiments.
+"""Shared scaffolding for the figure specs in :mod:`repro.experiments.figures`.
 
-Each experiment exposes a ``run_*`` function returning structured
-results plus a ``main(scale)`` that prints the paper-style table. The
-``scale`` knob shrinks arrival rates and window counts so the same code
-serves fast CI tests (scale ~ 0.01) and the full benchmark harness
-(scale 1.0 approaches the paper's absolute rates).
+The sizing (:class:`ExperimentScale`), the config every run derives
+from (:func:`base_config`), the saturating placement of the deployment
+figures, and :data:`WORKLOADS`, the schedule and generators each
+figure's workload name stands for. The ``scale`` knob shrinks arrival
+rates and window counts so the same code serves fast CI tests (scale
+~ 0.01) and the full benchmark harness (scale 1.0 approaches the
+paper's absolute rates).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from typing import Callable
 
 from repro.errors import ConfigurationError
 from repro.system.config import PipelineConfig
 from repro.topology.placement import PlacementSpec
+from repro.workloads.pollution import POLLUTANTS, pollutant_generators
 from repro.workloads.rates import RateSchedule
+from repro.workloads.skew import paper_skewed_mixture
 from repro.workloads.synthetic import (
     paper_gaussian_substreams,
     paper_poisson_substreams,
 )
+from repro.workloads.taxi import BOROUGHS, borough_generators
 
 __all__ = [
     "ExperimentScale",
     "PAPER_FRACTIONS",
+    "WORKLOADS",
     "base_config",
     "gaussian_generators",
     "poisson_generators",
+    "pollution_workload",
+    "taxi_workload",
     "uniform_schedule",
     "saturating_placement",
 ]
@@ -88,6 +97,70 @@ def uniform_schedule(scale: float, per_stream_rate: float = 25_000.0) -> RateSch
     return RateSchedule(
         "uniform", {"A": rate, "B": rate, "C": rate, "D": rate}
     )
+
+
+def taxi_workload(scale: ExperimentScale) -> tuple[RateSchedule, dict]:
+    """Schedule + generators for the taxi case study (Fig. 11).
+
+    Borough rates follow the 2013 ride-volume shares, scaled to an
+    aggregate comparable to the synthetic experiments.
+    """
+    aggregate = 100_000.0 * scale.rate_scale
+    schedule = RateSchedule(
+        "nyc-taxi",
+        {
+            f"taxi/{borough}": max(2.0, aggregate * share)
+            for borough, share in BOROUGHS.items()
+        },
+    )
+    return schedule, borough_generators()
+
+
+def pollution_workload(scale: ExperimentScale) -> tuple[RateSchedule, dict]:
+    """Schedule + generators for the pollution case study (Fig. 11).
+
+    Pollutant feeds report at equal rates (every sensor reports each
+    period in the real dataset).
+    """
+    aggregate = 100_000.0 * scale.rate_scale
+    per_pollutant = aggregate / len(POLLUTANTS)
+    schedule = RateSchedule(
+        "brasov-pollution",
+        {
+            f"pollution/{pollutant}": max(2.0, per_pollutant)
+            for pollutant in POLLUTANTS
+        },
+    )
+    return schedule, pollutant_generators()
+
+
+def _skew_workload(scale: ExperimentScale) -> tuple[RateSchedule, dict]:
+    """The §V-E extreme-skew mixture at 100 k items/s (Fig. 10(c))."""
+    mixture = paper_skewed_mixture()
+    rate = 100_000.0 * scale.rate_scale
+    schedule = RateSchedule(
+        "skewed",
+        {
+            sub.name: max(2.0, rate * proportion)
+            for sub, proportion in zip(mixture.substreams, mixture.proportions)
+        },
+    )
+    return schedule, {sub.name: sub for sub in mixture.substreams}
+
+
+#: Workload name -> ``f(scale) -> (schedule, generators)``: every input
+#: a figure spec names.
+WORKLOADS: dict[str, Callable[[ExperimentScale], tuple[RateSchedule, dict]]] = {
+    "gaussian": lambda scale: (
+        uniform_schedule(scale.rate_scale), gaussian_generators()
+    ),
+    "poisson": lambda scale: (
+        uniform_schedule(scale.rate_scale), poisson_generators()
+    ),
+    "skew": _skew_workload,
+    "taxi": taxi_workload,
+    "pollution": pollution_workload,
+}
 
 
 def saturating_placement(

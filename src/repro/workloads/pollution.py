@@ -16,20 +16,10 @@ preserved by the low innovation variance.
 
 from __future__ import annotations
 
-import random
-from dataclasses import dataclass
-
-from repro.core.items import StreamItem
 from repro.errors import WorkloadError
 from repro.workloads.source import SubstreamGenerator
 
-__all__ = [
-    "POLLUTANTS",
-    "PollutantSubstream",
-    "PollutionReading",
-    "PollutionTraceSynthesizer",
-    "pollutant_generators",
-]
+__all__ = ["POLLUTANTS", "PollutantSubstream", "pollutant_generators"]
 
 #: Pollutant baselines (index-style units) and AR(1) innovation scales.
 POLLUTANTS: dict[str, tuple[float, float]] = {
@@ -38,91 +28,6 @@ POLLUTANTS: dict[str, tuple[float, float]] = {
     "so2": (25.0, 1.0),
     "no2": (35.0, 1.2),
 }
-
-#: Sensor reporting period in the real dataset (seconds).
-REPORT_PERIOD = 300.0
-
-
-@dataclass(frozen=True, slots=True)
-class PollutionReading:
-    """One sensor measurement."""
-
-    sensor_id: str
-    pollutant: str
-    value: float
-    timestamp: float
-
-
-class PollutionTraceSynthesizer:
-    """Generates per-pollutant sub-streams from a bank of sensors."""
-
-    def __init__(self, seed: int = 2014, sensors_per_pollutant: int = 25) -> None:
-        if sensors_per_pollutant <= 0:
-            raise WorkloadError(
-                f"need >= 1 sensor per pollutant, got {sensors_per_pollutant}"
-            )
-        self._rng = random.Random(seed)
-        self._sensors: dict[str, list[str]] = {}
-        self._levels: dict[str, float] = {}
-        for pollutant, (baseline, _scale) in POLLUTANTS.items():
-            ids = [
-                f"{pollutant}-sensor-{i:03d}"
-                for i in range(sensors_per_pollutant)
-            ]
-            self._sensors[pollutant] = ids
-            for sensor_id in ids:
-                self._levels[sensor_id] = baseline * self._rng.uniform(0.9, 1.1)
-
-    def _step(self, sensor_id: str, pollutant: str) -> float:
-        """Advance one sensor's AR(1) level and return the reading."""
-        baseline, scale = POLLUTANTS[pollutant]
-        level = self._levels[sensor_id]
-        level = baseline + 0.95 * (level - baseline) + self._rng.gauss(0, scale)
-        level = max(0.0, level)
-        self._levels[sensor_id] = level
-        return round(level, 2)
-
-    def readings_at(self, timestamp: float) -> list[PollutionReading]:
-        """One reporting round: every sensor reports once."""
-        out: list[PollutionReading] = []
-        for pollutant, sensor_ids in self._sensors.items():
-            for sensor_id in sensor_ids:
-                out.append(
-                    PollutionReading(
-                        sensor_id=sensor_id,
-                        pollutant=pollutant,
-                        value=self._step(sensor_id, pollutant),
-                        timestamp=timestamp,
-                    )
-                )
-        return out
-
-    def generate_items(
-        self, count: int, emitted_at: float = 0.0
-    ) -> list[StreamItem]:
-        """``count`` measurements as stream items.
-
-        Sub-streams are the pollutants (the query sums each pollutant
-        per window); values come from the per-sensor AR(1) processes,
-        cycling through the sensor bank.
-        """
-        if count < 0:
-            raise WorkloadError(f"count must be >= 0, got {count}")
-        items: list[StreamItem] = []
-        pollutants = list(POLLUTANTS)
-        for index in range(count):
-            pollutant = pollutants[index % len(pollutants)]
-            sensors = self._sensors[pollutant]
-            sensor_id = sensors[(index // len(pollutants)) % len(sensors)]
-            items.append(
-                StreamItem(
-                    substream=f"pollution/{pollutant}",
-                    value=self._step(sensor_id, pollutant),
-                    emitted_at=emitted_at,
-                    size_bytes=64,
-                )
-            )
-        return items
 
 
 class PollutantSubstream(SubstreamGenerator):

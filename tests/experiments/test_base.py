@@ -9,10 +9,12 @@ from repro.errors import ConfigurationError
 from repro.experiments.base import (
     ExperimentScale,
     PAPER_FRACTIONS,
+    WORKLOADS,
     base_config,
     gaussian_generators,
     poisson_generators,
     saturating_placement,
+    taxi_workload,
     uniform_schedule,
 )
 from repro.system.config import PipelineConfig
@@ -114,3 +116,16 @@ class TestFactories:
     def test_headroom_validated(self):
         with pytest.raises(ConfigurationError):
             saturating_placement(uniform_schedule(0.1), headroom=1.0)
+
+
+class TestWorkloads:
+    @pytest.mark.parametrize("name", sorted(WORKLOADS))
+    def test_every_scheduled_substream_has_a_generator(self, name):
+        schedule, generators = WORKLOADS[name](ExperimentScale.quick())
+        assert set(schedule.rates) == set(generators)
+
+    def test_taxi_rates_follow_borough_shares(self):
+        """Manhattan dominates the 2013 ride volume."""
+        schedule, _generators = taxi_workload(ExperimentScale.bench())
+        manhattan = schedule.rates["taxi/manhattan"]
+        assert manhattan > schedule.total_rate - manhattan

@@ -1,70 +1,74 @@
-"""Integration tests: every figure experiment runs and has the right shape.
+"""Integration tests: every figure spec runs and has the right shape.
 
-These use :meth:`ExperimentScale.quick` so the whole module stays fast;
-the benchmarks run the same code at full scale.
+These use :meth:`ExperimentScale.quick` and shortened sweeps
+(``dataclasses.replace`` on a spec's panel) so the whole module stays
+fast; the benchmarks run the same specs at full scale.
 """
+
+from dataclasses import replace
 
 import pytest
 
 from repro.errors import ReproError
-from repro.experiments import fig5, fig6, fig7, fig8, fig9, fig10, fig11
 from repro.experiments.base import ExperimentScale
-from repro.experiments.figures import FIGURES, run_figure
+from repro.experiments.figures import FIGURES, figure, run_figure, run_panel
 
 QUICK = ExperimentScale.quick()
-TWO_FRACTIONS = [0.1, 0.8]
+TWO_FRACTIONS = (0.1, 0.8)
+
+
+def rows(figure_id, panel=0, **changes):
+    """A figure panel's rows at quick scale, over a shortened sweep."""
+    spec = figure(figure_id).panels[panel]
+    return run_panel(replace(spec, **changes), QUICK)
 
 
 class TestFig5:
     def test_approxiot_beats_srs_at_low_fraction(self):
-        points = fig5.run_fig5("gaussian", TWO_FRACTIONS, QUICK)
-        low = points[0]
-        assert low.fraction == 0.1
-        assert low.approxiot_loss < low.srs_loss
-        assert low.srs_to_approxiot_ratio > 2.0
+        low = rows("fig5", values=TWO_FRACTIONS)[0]
+        assert low["fraction"] == 0.1
+        assert low["ApproxIoT loss"] < low["SRS loss"]
+        assert low["SRS/ApproxIoT"] > 2.0
 
     def test_poisson_panel_runs(self):
-        points = fig5.run_fig5("poisson", TWO_FRACTIONS, QUICK)
-        assert all(p.distribution == "poisson" for p in points)
-        assert all(p.approxiot_loss < p.srs_loss for p in points)
+        panel = figure("fig5").panels[1]
+        assert panel.workload == "poisson"
+        points = rows("fig5", panel=1, values=TWO_FRACTIONS)
+        assert all(p["ApproxIoT loss"] < p["SRS loss"] for p in points)
 
 
 class TestFig6:
     def test_sampling_raises_throughput(self):
-        points = fig6.run_fig6([0.1, 1.0], QUICK, n_windows=8)
-        low, full = points
-        assert low.speedup_over_native > 2.0
+        low, full = rows("fig6", values=(0.1, 1.0), n_windows=8)
+        assert low["speedup"] > 2.0
         # At 100% fraction all three systems are comparable.
-        assert full.approxiot == pytest.approx(full.native, rel=0.5)
+        assert full["ApproxIoT"] == pytest.approx(full["Native"], rel=0.5)
 
     def test_srs_and_approxiot_similar(self):
-        point = fig6.run_fig6([0.2], QUICK, n_windows=8)[0]
-        assert point.approxiot == pytest.approx(point.srs, rel=0.5)
+        point = rows("fig6", values=(0.2,), n_windows=8)[0]
+        assert point["ApproxIoT"] == pytest.approx(point["SRS"], rel=0.5)
 
 
 class TestFig7:
     def test_saving_tracks_dropped_fraction(self):
-        points = fig7.run_fig7([0.1, 0.8], QUICK, n_windows=5)
-        low, high = points
-        assert low.approxiot_saving == pytest.approx(90.0, abs=8.0)
-        assert high.approxiot_saving == pytest.approx(20.0, abs=8.0)
-        assert low.srs_saving == pytest.approx(90.0, abs=8.0)
+        low, high = rows("fig7", values=(0.1, 0.8), n_windows=5)
+        assert low["ApproxIoT saving"] == pytest.approx(90.0, abs=8.0)
+        assert high["ApproxIoT saving"] == pytest.approx(20.0, abs=8.0)
+        assert low["SRS saving"] == pytest.approx(90.0, abs=8.0)
 
 
 class TestFig8:
     def test_native_latency_worst(self):
-        points = fig8.run_fig8([0.1], QUICK, n_windows=8)
-        point = points[0]
-        assert point.native > point.approxiot
-        assert point.speedup_over_native > 1.5
+        point = rows("fig8", values=(0.1,), n_windows=8)[0]
+        assert point["Native (s)"] > point["ApproxIoT (s)"]
+        assert point["speedup"] > 1.5
 
 
 class TestFig9:
     def test_approxiot_grows_srs_flat(self):
-        points = fig9.run_fig9([0.5, 3.0], QUICK, n_windows=6)
-        small, large = points
-        approxiot_growth = large.approxiot / small.approxiot
-        srs_growth = large.srs / small.srs
+        small, large = rows("fig9", values=(0.5, 3.0), n_windows=6)
+        approxiot_growth = large["ApproxIoT (s)"] / small["ApproxIoT (s)"]
+        srs_growth = large["SRS (s)"] / small["SRS (s)"]
         assert approxiot_growth > 2.0
         assert srs_growth < 1.6  # flat up to queueing noise
         assert approxiot_growth > 2 * srs_growth
@@ -72,37 +76,35 @@ class TestFig9:
 
 class TestFig10:
     def test_settings_panels(self):
-        points = fig10.run_fig10_settings("gaussian", QUICK)
-        assert [p.setting for p in points] == [
+        points = rows("fig10")
+        assert [p["setting"] for p in points] == [
             "Setting1", "Setting2", "Setting3"
         ]
-        assert all(p.approxiot_loss < p.srs_loss for p in points)
+        assert all(p["ApproxIoT loss"] < p["SRS loss"] for p in points)
 
     def test_skew_panel_srs_explodes(self):
-        points = fig10.run_fig10_skew([0.1], QUICK)
-        point = points[0]
-        assert point.srs_loss > 100 * point.approxiot_loss
+        point = rows("fig10", panel=2, values=(0.1,))[0]
+        assert point["SRS loss"] > 100 * point["ApproxIoT loss"]
 
 
 class TestFig11:
     def test_accuracy_panels(self):
-        taxi = fig11.run_fig11_accuracy("taxi", TWO_FRACTIONS, QUICK)
-        pollution = fig11.run_fig11_accuracy("pollution", TWO_FRACTIONS, QUICK)
+        low = rows("fig11", values=TWO_FRACTIONS)[0]
         # Pollution values are stabler: lower loss at matched fractions.
-        assert pollution[0].approxiot_loss < taxi[0].approxiot_loss
+        assert low["Brasov pollution loss"] < low["NYC taxi loss"]
 
     def test_throughput_panel(self):
-        points = fig11.run_fig11_throughput(
-            "pollution", [0.1], QUICK, n_windows=6
-        )
-        assert points[0].throughput > points[0].native_throughput
+        point = rows(
+            "fig11", panel=1, workload="pollution", values=(0.1,), n_windows=6
+        )[0]
+        assert point["Brasov pollution"] > point["native"]
 
 
-class TestRegistry:
+class TestExecutor:
     def test_all_figures_registered(self):
-        assert set(FIGURES) == {
+        assert [spec.id for spec in FIGURES] == [
             "fig5", "fig6", "fig7", "fig8", "fig9", "fig10", "fig11"
-        }
+        ]
 
     def test_unknown_figure(self):
         with pytest.raises(ReproError):
@@ -112,3 +114,36 @@ class TestRegistry:
         text = run_figure("fig5", QUICK)
         assert "Fig. 5(a)" in text
         assert "ApproxIoT" in text
+
+    def test_each_configuration_runs_once(self, monkeypatch):
+        """Columns that read the same run share it: native at 100 %
+        runs once per panel, and one statistical run feeds all three
+        of Fig. 5's columns."""
+        from repro.experiments import figures
+
+        calls = []
+        real = figures._run_once
+
+        def counted(panel, scale, mode, workload, value):
+            calls.append((mode, workload, value))
+            return real(panel, scale, mode, workload, value)
+
+        monkeypatch.setattr(figures, "_run_once", counted)
+        rows("fig6", values=(0.1, 1.0), n_windows=2)
+        assert sorted(calls) == sorted([
+            ("approxiot", "gaussian", 0.1), ("srs", "gaussian", 0.1),
+            ("native", "gaussian", 1.0),
+            ("approxiot", "gaussian", 1.0), ("srs", "gaussian", 1.0),
+        ])
+        calls.clear()
+        rows("fig5", values=(0.1,))
+        assert calls == [("approxiot", "gaussian", 0.1)]
+
+    @pytest.mark.parametrize("field, value", [
+        ("axis", "temperature"),
+        ("engine", "quantum"),
+        ("workload", "weather"),
+    ])
+    def test_panel_validated_once(self, field, value):
+        with pytest.raises(ReproError):
+            replace(figure("fig5").panels[0], **{field: value})

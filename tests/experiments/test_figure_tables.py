@@ -13,11 +13,11 @@ from pathlib import Path
 import pytest
 
 from repro.experiments.base import ExperimentScale
-from repro.experiments.figures import run_figure
+from repro.experiments.figures import FIGURES, run_figure
 
 GOLDEN = Path(__file__).with_name("figures_quick.txt").read_text()
 
-FIGURE_IDS = ["fig5", "fig6", "fig7", "fig8", "fig9", "fig10", "fig11"]
+FIGURE_IDS = [spec.id for spec in FIGURES]
 
 
 def blocks(text: str) -> list[str]:

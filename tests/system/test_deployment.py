@@ -146,7 +146,7 @@ class TestPinnedReports:
 
     @staticmethod
     def fig6_point(mode, fraction):
-        """One point of ``run_fig6`` at quick scale (12 windows)."""
+        """One Fig. 6 point at quick scale (12 windows)."""
         scale = ExperimentScale.quick()
         schedule = uniform_schedule(scale.rate_scale)
         config = base_config(

@@ -93,6 +93,12 @@ class TestCommands:
         assert main(["figures", "fig99"]) == 2
         assert "error" in capsys.readouterr().err
 
+    def test_figures_checks_every_id_before_running(self, capsys):
+        assert main(["figures", "fig5", "fig99"]) == 2
+        captured = capsys.readouterr()
+        assert "fig99" in captured.err
+        assert captured.out == ""
+
 
 class TestWorkers:
     def test_workers_default_is_one(self):

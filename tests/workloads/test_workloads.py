@@ -10,7 +10,6 @@ from repro.errors import WorkloadError
 from repro.workloads.pollution import (
     POLLUTANTS,
     PollutantSubstream,
-    PollutionTraceSynthesizer,
     pollutant_generators,
 )
 from repro.workloads.rates import RateSchedule, paper_rate_settings
@@ -26,11 +25,7 @@ from repro.workloads.synthetic import (
     paper_gaussian_substreams,
     paper_poisson_substreams,
 )
-from repro.workloads.taxi import (
-    BOROUGHS,
-    BoroughSubstream,
-    TaxiTraceSynthesizer,
-)
+from repro.workloads.taxi import BOROUGHS, BoroughSubstream, borough_generators
 
 
 class TestSynthetic:
@@ -150,31 +145,6 @@ class TestSkew:
 
 
 class TestTaxi:
-    def test_ride_schema(self):
-        synth = TaxiTraceSynthesizer(seed=1)
-        ride = synth.ride(100.0)
-        assert ride.dropoff_datetime > ride.pickup_datetime
-        assert ride.total_amount >= ride.fare_amount
-        assert ride.borough in BOROUGHS
-        assert ride.fare_amount == pytest.approx(
-            2.50 + 2.50 * ride.trip_distance, abs=0.01
-        )
-
-    def test_generate_items_tags_boroughs(self):
-        synth = TaxiTraceSynthesizer(seed=2)
-        items = synth.generate_items(500)
-        assert all(i.substream.startswith("taxi/") for i in items)
-        manhattan = sum(
-            1 for i in items if i.substream == "taxi/manhattan"
-        )
-        assert manhattan > 250  # dominant borough
-
-    def test_rides_are_time_ordered(self):
-        synth = TaxiTraceSynthesizer(seed=3)
-        rides = synth.generate_rides(50, rate_per_second=10.0)
-        pickups = [r.pickup_datetime for r in rides]
-        assert pickups == sorted(pickups)
-
     def test_borough_generator_protocol(self):
         gen = BoroughSubstream("queens")
         items = gen.generate(100, random.Random(6), emitted_at=1.0)
@@ -183,23 +153,15 @@ class TestTaxi:
         assert all(i.value > 2.5 for i in items)  # flagfall floor
 
     def test_borough_generators_cover_all(self):
-        gens = TaxiTraceSynthesizer.borough_generators()
+        gens = borough_generators()
         assert set(gens) == {f"taxi/{b}" for b in BOROUGHS}
 
     def test_validation(self):
-        with pytest.raises(WorkloadError):
-            TaxiTraceSynthesizer(medallions=0)
         with pytest.raises(WorkloadError):
             BoroughSubstream("atlantis")
 
 
 class TestPollution:
-    def test_readings_cover_all_pollutants(self):
-        synth = PollutionTraceSynthesizer(seed=1, sensors_per_pollutant=3)
-        readings = synth.readings_at(0.0)
-        assert len(readings) == 3 * len(POLLUTANTS)
-        assert {r.pollutant for r in readings} == set(POLLUTANTS)
-
     def test_values_stay_near_baseline(self):
         """The stability property the paper notes for this dataset."""
         gen = PollutantSubstream("pm")
@@ -233,8 +195,6 @@ class TestPollution:
         assert set(gens) == {f"pollution/{p}" for p in POLLUTANTS}
 
     def test_validation(self):
-        with pytest.raises(WorkloadError):
-            PollutionTraceSynthesizer(sensors_per_pollutant=0)
         with pytest.raises(WorkloadError):
             PollutantSubstream("plutonium")
 
