@@ -73,7 +73,7 @@ _SUBSYSTEMS = [
     ("repro.system", "runner facades (statistical / deployment / scenario)"),
     ("repro.workloads", "synthetic + real-world trace generators"),
     ("repro.queries", "linear, grouped, top-k and quantile queries"),
-    ("repro.experiments", "figure specs and their one executor"),
+    ("repro.experiments", "per-figure evaluation harness"),
 ]
 
 

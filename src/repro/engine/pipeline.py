@@ -210,7 +210,7 @@ def build_pipeline(
     """
     tree = config.tree
     rng = random.Random(config.seed)
-    own = {name: copy.copy(generator) for name, generator in generators.items()}
+    own = {name: copy.copy(gen) for name, gen in generators.items()}
     sources, source_substreams = _build_sources(tree, schedule, own, rng)
     pipeline = Pipeline(
         config=config,

@@ -1,7 +1,8 @@
-"""Shared scaffolding for the figure specs in :mod:`repro.experiments.figures`.
+"""Shared scaffolding for the figure specs.
 
-The sizing (:class:`ExperimentScale`), the config every run derives
-from (:func:`base_config`), the saturating placement of the deployment
+The specs in :mod:`repro.experiments.figures` read from here: the
+sizing (:class:`ExperimentScale`), the config every run derives from
+(:func:`base_config`), the saturating placement of the deployment
 figures, and :data:`WORKLOADS`, the schedule and generators each
 figure's workload name stands for. The ``scale`` knob shrinks arrival
 rates and window counts so the same code serves fast CI tests (scale
@@ -148,9 +149,11 @@ def _skew_workload(scale: ExperimentScale) -> tuple[RateSchedule, dict]:
     return schedule, {sub.name: sub for sub in mixture.substreams}
 
 
+Workload = Callable[[ExperimentScale], tuple[RateSchedule, dict]]
+
 #: Workload name -> ``f(scale) -> (schedule, generators)``: every input
 #: a figure spec names.
-WORKLOADS: dict[str, Callable[[ExperimentScale], tuple[RateSchedule, dict]]] = {
+WORKLOADS: dict[str, Workload] = {
     "gaussian": lambda scale: (
         uniform_schedule(scale.rate_scale), gaussian_generators()
     ),
