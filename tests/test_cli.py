@@ -89,14 +89,12 @@ class TestCommands:
         out = capsys.readouterr().out
         assert "Fig. 5(a)" in out
 
-    def test_figures_unknown_id(self, capsys):
-        assert main(["figures", "fig99"]) == 2
-        assert "error" in capsys.readouterr().err
-
-    def test_figures_checks_every_id_before_running(self, capsys):
-        assert main(["figures", "fig5", "fig99"]) == 2
+    @pytest.mark.parametrize("ids", [["fig99"], ["fig5", "fig99"]])
+    def test_figures_unknown_id(self, capsys, ids):
+        """Every id is checked before any figure runs."""
+        assert main(["figures", *ids]) == 2
         captured = capsys.readouterr()
-        assert "fig99" in captured.err
+        assert "error" in captured.err and "fig99" in captured.err
         assert captured.out == ""
 
 
