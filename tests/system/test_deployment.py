@@ -1,5 +1,8 @@
 """Integration tests for the deployment simulator."""
 
+import gc
+import weakref
+
 import pytest
 
 from repro.errors import PipelineError
@@ -136,6 +139,35 @@ class TestReportValidation:
         assert len(report.boundary_bytes) == 3
 
 
+class TestNoReferenceCycle:
+    """A finished simulator is freed by reference counting alone.
+
+    A callback that references the simulator and is stored on it (a
+    cached per-node closure, say) makes a cycle: finished simulators
+    and their latency columns would then live until the cycle collector
+    runs, which shows as peak memory in long sweeps.
+    """
+
+    @pytest.mark.parametrize("mode", ExecutionMode.ALL)
+    def test_simulator_freed_without_gc(self, mode):
+        fraction = 1.0 if mode == ExecutionMode.NATIVE else 0.1
+        gc.disable()
+        try:
+            simulator = DeploymentSimulator(
+                PipelineConfig(
+                    sampling_fraction=fraction, mode=mode,
+                    placement=PLACEMENT, seed=2,
+                ),
+                SCHEDULE, GENS, n_windows=2,
+            )
+            simulator.run()
+            ref = weakref.ref(simulator)
+            del simulator
+            assert ref() is None
+        finally:
+            gc.enable()
+
+
 class TestPinnedReports:
     """Exact reports for seeded runs: any change to delivery order,
     link timing or host accounting moves at least one field.
@@ -145,21 +177,21 @@ class TestPinnedReports:
     """
 
     @staticmethod
-    def fig6_point(mode, fraction):
-        """One Fig. 6 point at quick scale (12 windows)."""
+    def quick_point(mode, fraction, window_seconds=1.0, n_windows=12):
+        """One deployment point at quick scale (Fig. 6 by default)."""
         scale = ExperimentScale.quick()
         schedule = uniform_schedule(scale.rate_scale)
         config = base_config(
-            fraction, scale, mode=mode,
+            fraction, scale, window_seconds=window_seconds, mode=mode,
             placement=saturating_placement(schedule),
         )
         simulator = DeploymentSimulator(
-            config, schedule, gaussian_generators(), n_windows=12
+            config, schedule, gaussian_generators(), n_windows=n_windows
         )
         return simulator.run()
 
     def test_fig6_approxiot(self):
-        assert self.fig6_point(ExecutionMode.APPROXIOT, 0.1) == DeploymentReport(
+        assert self.quick_point(ExecutionMode.APPROXIOT, 0.1) == DeploymentReport(
             mode="approxiot",
             sampling_fraction=0.1,
             window_seconds=1.0,
@@ -172,7 +204,7 @@ class TestPinnedReports:
         )
 
     def test_fig6_srs(self):
-        assert self.fig6_point(ExecutionMode.SRS, 0.1) == DeploymentReport(
+        assert self.quick_point(ExecutionMode.SRS, 0.1) == DeploymentReport(
             mode="srs",
             sampling_fraction=0.1,
             window_seconds=1.0,
@@ -185,7 +217,7 @@ class TestPinnedReports:
         )
 
     def test_fig6_native(self):
-        assert self.fig6_point(ExecutionMode.NATIVE, 1.0) == DeploymentReport(
+        assert self.quick_point(ExecutionMode.NATIVE, 1.0) == DeploymentReport(
             mode="native",
             sampling_fraction=1.0,
             window_seconds=1.0,
@@ -225,3 +257,137 @@ class TestPinnedReports:
             mean_latency_seconds=2.811634030663919,
             boundary_bytes=[720000, 165700, 156700],
         )
+
+    def test_lossy_srs(self):
+        """10 % loss on every uplink: SRS draws the link RNG per transfer."""
+        config = PipelineConfig(
+            sampling_fraction=0.2,
+            window_seconds=1.0,
+            mode=ExecutionMode.SRS,
+            placement=PlacementSpec(
+                layer_service_rates=[1e12, 5000.0, 5000.0, 5000.0],
+                uplink_configs=[
+                    NetemConfig.from_rtt(20.0, 1e9, loss=0.1),
+                    NetemConfig.from_rtt(40.0, 1e9, loss=0.1),
+                    NetemConfig.from_rtt(80.0, 1e9, loss=0.1),
+                ],
+            ),
+            seed=3,
+        )
+        report = DeploymentSimulator(config, SCHEDULE, GENS, n_windows=6).run()
+        assert report == DeploymentReport(
+            mode="srs",
+            sampling_fraction=0.2,
+            window_seconds=1.0,
+            items_emitted=7200,
+            items_at_root=1007,
+            makespan_seconds=6.090042399999999,
+            throughput_items_per_second=1182.2577786978957,
+            mean_latency_seconds=0.2126341748403548,
+            boundary_bytes=[720000, 123100, 110200],
+        )
+
+    #: Fig. 9's window axis at its ends (10 windows, 10 % fraction): at
+    #: 0.5 s every other emission instant is a window close, at 4.0 s
+    #: every sixteenth.
+    FIG9 = {
+        ("approxiot", 0.5): DeploymentReport(
+            mode="approxiot",
+            sampling_fraction=0.1,
+            window_seconds=0.5,
+            items_emitted=10000,
+            items_at_root=1100,
+            makespan_seconds=7.0,
+            throughput_items_per_second=1428.5714285714287,
+            mean_latency_seconds=1.994160579004329,
+            boundary_bytes=[1000000, 110000, 110000],
+        ),
+        ("approxiot", 4.0): DeploymentReport(
+            mode="approxiot",
+            sampling_fraction=0.1,
+            window_seconds=4.0,
+            items_emitted=80000,
+            items_at_root=8496,
+            makespan_seconds=54.48,
+            throughput_items_per_second=1468.4287812041116,
+            mean_latency_seconds=14.242085949819057,
+            boundary_bytes=[8000000, 849600, 849600],
+        ),
+        ("srs", 0.5): DeploymentReport(
+            mode="srs",
+            sampling_fraction=0.1,
+            window_seconds=0.5,
+            items_emitted=10000,
+            items_at_root=959,
+            makespan_seconds=5.3970568000000005,
+            throughput_items_per_second=1852.861730119275,
+            mean_latency_seconds=0.4021291973484281,
+            boundary_bytes=[1000000, 95900, 95900],
+        ),
+        ("srs", 4.0): DeploymentReport(
+            mode="srs",
+            sampling_fraction=0.1,
+            window_seconds=4.0,
+            items_emitted=80000,
+            items_at_root=7939,
+            makespan_seconds=40.813058399999974,
+            throughput_items_per_second=1960.156948198718,
+            mean_latency_seconds=0.5667596319365742,
+            boundary_bytes=[8000000, 793900, 793900],
+        ),
+    }
+
+    @pytest.mark.parametrize("mode,window", sorted(FIG9))
+    def test_fig9_window(self, mode, window):
+        report = self.quick_point(mode, 0.1, window, n_windows=10)
+        assert report == self.FIG9[mode, window]
+
+    #: The point the ``deploy-replay`` benchmark runs (there fed by
+    #: replayed inputs): 100 k items/s for 8 windows, seed 42.
+    DEPLOY_REPLAY = {
+        "approxiot": DeploymentReport(
+            mode="approxiot",
+            sampling_fraction=0.1,
+            window_seconds=1.0,
+            items_emitted=800000,
+            items_at_root=90000,
+            makespan_seconds=12.0,
+            throughput_items_per_second=66666.66666666667,
+            mean_latency_seconds=3.776637991398308,
+            boundary_bytes=[80000000, 9000000, 9000000],
+        ),
+        "srs": DeploymentReport(
+            mode="srs",
+            sampling_fraction=0.1,
+            window_seconds=1.0,
+            items_emitted=800000,
+            items_at_root=79421,
+            makespan_seconds=8.396471999999997,
+            throughput_items_per_second=95278.11204515424,
+            mean_latency_seconds=0.4098168168729501,
+            boundary_bytes=[80000000, 7942100, 7942100],
+        ),
+        "native": DeploymentReport(
+            mode="native",
+            sampling_fraction=1.0,
+            window_seconds=1.0,
+            items_emitted=800000,
+            items_at_root=800000,
+            makespan_seconds=80.4525,
+            throughput_items_per_second=9943.755632205339,
+            mean_latency_seconds=36.60875,
+            boundary_bytes=[80000000, 80000000, 80000000],
+        ),
+    }
+
+    @pytest.mark.parametrize("mode", sorted(DEPLOY_REPLAY))
+    def test_deploy_replay_point(self, mode):
+        schedule = uniform_schedule(1.0)
+        config = PipelineConfig(
+            sampling_fraction=self.DEPLOY_REPLAY[mode].sampling_fraction,
+            seed=42, mode=mode, placement=saturating_placement(schedule),
+        )
+        simulator = DeploymentSimulator(
+            config, schedule, gaussian_generators(), n_windows=8
+        )
+        assert simulator.run() == self.DEPLOY_REPLAY[mode]
