@@ -13,6 +13,8 @@ from __future__ import annotations
 import random
 from typing import Generic, Iterable, Sequence, TypeVar
 
+import numpy as _np
+
 from repro.core.fastpath import make_generator
 from repro.errors import SamplingError
 
@@ -94,7 +96,7 @@ class CoinFlipSampler(Generic[T]):
             raise SamplingError(f"count must be >= 0, got {count}")
         mask = self._gen.random(count) < self._fraction
         self._seen += count
-        self._kept += int(mask.sum())
+        self._kept += int(_np.count_nonzero(mask))
         return mask
 
     def merge_counters(self, other: "CoinFlipSampler") -> None:

@@ -109,9 +109,11 @@ class SimnetTransport(InProcessTransport):
         """Cross the src→dst WAN link, then land in ``dst``'s inbox."""
         if dst not in self._inboxes:
             raise ConfigurationError(f"send to unregistered node {dst!r}")
+        self._network.send(src, dst, batch.total_bytes, (dst, batch), self._land)
+
+    def _land(self, delivery: tuple[str, WeightedBatch]) -> None:
+        """A batch comes off its link into the destination's inbox."""
+        dst, batch = delivery
         # The inbox is looked up on delivery: ``collect`` swaps in a
         # fresh list, and a batch still on the link belongs in that one.
-        self._network.send(
-            src, dst, batch.total_bytes, batch,
-            lambda delivered: self._inboxes[dst].append(delivered),
-        )
+        self._inboxes[dst].append(batch)

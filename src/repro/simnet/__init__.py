@@ -7,7 +7,7 @@ node does), and links with propagation delay, serialization delay and
 FIFO queueing at the paper's WAN settings (20/40/80 ms RTT, 1 Gbps).
 """
 
-from repro.simnet.clock import Clock, Event
+from repro.simnet.clock import Clock
 from repro.simnet.host import Host
 from repro.simnet.link import Link
 from repro.simnet.netem import PAPER_WAN, NetemConfig
@@ -16,7 +16,6 @@ from repro.simnet.stats import LatencyRecorder, bandwidth_saving, network_snapsh
 
 __all__ = [
     "Clock",
-    "Event",
     "Host",
     "LatencyRecorder",
     "Link",

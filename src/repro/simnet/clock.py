@@ -4,6 +4,10 @@ A single priority queue of timestamped callbacks. Everything in the
 simulated system — item arrivals, interval boundaries, link deliveries,
 host service completions — is an event on this clock, which makes runs
 bit-for-bit reproducible for a given seed.
+
+A queue entry is the tuple ``(time, seq, fn, arg)`` and firing it calls
+``fn(arg)``: a link delivery or host completion schedules its callback
+with the payload as ``arg``, so an event costs one tuple and no closure.
 """
 
 from __future__ import annotations
@@ -11,27 +15,11 @@ from __future__ import annotations
 import heapq
 import itertools
 import math
-from typing import Callable
+from typing import Any, Callable
 
 from repro.errors import ClockError
 
-__all__ = ["Clock", "Event"]
-
-
-class Event:
-    """Handle to a scheduled callback; supports cancellation."""
-
-    __slots__ = ("time", "callback", "cancelled", "seq")
-
-    def __init__(self, time: float, seq: int, callback: Callable[[], None]) -> None:
-        self.time = time
-        self.seq = seq
-        self.callback = callback
-        self.cancelled = False
-
-    def cancel(self) -> None:
-        """Mark the event so the clock skips it when its time comes."""
-        self.cancelled = True
+__all__ = ["Clock"]
 
 
 class Clock:
@@ -44,7 +32,7 @@ class Clock:
 
     def __init__(self, start: float = 0.0) -> None:
         self._now = float(start)
-        self._queue: list[tuple[float, int, Event]] = []
+        self._queue: list[tuple[float, int, Callable[[Any], object], Any]] = []
         self._seq = itertools.count()
         self.events_fired = 0
 
@@ -55,45 +43,50 @@ class Clock:
 
     @property
     def pending(self) -> int:
-        """Number of events still queued (including cancelled ones)."""
+        """Number of events still queued."""
         return len(self._queue)
 
-    def schedule(self, delay: float, callback: Callable[[], None]) -> Event:
-        """Schedule a callback ``delay`` seconds from now."""
+    def schedule(
+        self, delay: float, fn: Callable[[Any], object], arg: Any
+    ) -> None:
+        """Schedule ``fn(arg)`` ``delay`` seconds from now."""
         if delay < 0:
             raise ClockError(f"cannot schedule in the past (delay={delay})")
-        return self.schedule_at(self._now + delay, callback)
+        self.schedule_at(self._now + delay, fn, arg)
 
-    def schedule_at(self, time: float, callback: Callable[[], None]) -> Event:
-        """Schedule a callback at an absolute virtual time."""
-        if not math.isfinite(time):
-            raise ClockError(f"cannot schedule at non-finite time {time}")
-        if time < self._now:
+    def schedule_at(
+        self, time: float, fn: Callable[[Any], object], arg: Any
+    ) -> None:
+        """Schedule ``fn(arg)`` at an absolute virtual time."""
+        # One chained comparison on the hot path: NaN fails both sides.
+        if not self._now <= time < math.inf:
+            if not math.isfinite(time):
+                raise ClockError(f"cannot schedule at non-finite time {time}")
             raise ClockError(
                 f"cannot schedule at {time} before current time {self._now}"
             )
-        event = Event(time, next(self._seq), callback)
-        heapq.heappush(self._queue, (event.time, event.seq, event))
-        return event
+        heapq.heappush(self._queue, (time, next(self._seq), fn, arg))
 
     def step(self) -> bool:
         """Fire the next event; return False if the queue is empty."""
-        while self._queue:
-            time, _seq, event = heapq.heappop(self._queue)
-            if event.cancelled:
-                continue
-            self._now = time
-            self.events_fired += 1
-            event.callback()
-            return True
-        return False
+        if not self._queue:
+            return False
+        self._now, _seq, fn, arg = heapq.heappop(self._queue)
+        self.events_fired += 1
+        fn(arg)
+        return True
 
     def run(self, max_events: int | None = None) -> None:
         """Drain the event queue (optionally capped)."""
+        queue = self._queue
+        pop = heapq.heappop
         fired = 0
-        while self.step():
+        while queue:
+            self._now, _seq, fn, arg = pop(queue)
+            self.events_fired += 1
+            fn(arg)
             fired += 1
-            if max_events is not None and fired >= max_events:
+            if fired == max_events:
                 return
 
     def run_until(self, time: float) -> None:

@@ -70,7 +70,7 @@ class Host:
         self._busy_until = completion
         self.items_processed += item_count
         self.busy_time += service_time
-        self._clock.schedule_at(completion, lambda: done(payload))
+        self._clock.schedule_at(completion, done, payload)
         return completion
 
     def utilization(self, elapsed: float) -> float:

@@ -30,7 +30,7 @@ class Link:
     ) -> None:
         self.name = name
         self._clock = clock
-        self._config = config
+        self.reconfigure(config)
         # Seeded from the name itself: str hashes are salted per process.
         self._rng = rng if rng is not None else random.Random(f"link:{name}")
         self._wire_free_at = 0.0
@@ -47,6 +47,10 @@ class Link:
     def reconfigure(self, config: NetemConfig) -> None:
         """Apply new shaping parameters (takes effect for new transfers)."""
         self._config = config
+        # Read once per transfer: kept as plain floats, not re-derived.
+        self._rate_bps = config.rate_bps
+        self._delay_seconds = config.delay_seconds
+        self._loss = config.loss
 
     def transfer(
         self,
@@ -68,15 +72,15 @@ class Link:
         now = self._clock.now
         start = max(now, self._wire_free_at)
         self.total_queueing_delay += start - now
-        serialization = self._config.serialization_delay(size_bytes)
-        self._wire_free_at = start + serialization
-        arrival = self._wire_free_at + self._config.delay_seconds
+        # NetemConfig.serialization_delay, inlined (size checked above).
+        self._wire_free_at = start + size_bytes * 8.0 / self._rate_bps
+        arrival = self._wire_free_at + self._delay_seconds
         self.bytes_sent += size_bytes
-        if self._config.loss > 0.0 and self._rng.random() < self._config.loss:
+        if self._loss > 0.0 and self._rng.random() < self._loss:
             self.messages_dropped += 1
             return None
         self.messages_sent += 1
-        self._clock.schedule_at(arrival, lambda: deliver(payload))
+        self._clock.schedule_at(arrival, deliver, payload)
         return arrival
 
     def utilization(self, elapsed: float) -> float:

@@ -134,7 +134,7 @@ class Network:
         """
         path = self.route(src, dst)
         if len(path) == 1:
-            self.clock.schedule(0.0, lambda: deliver(payload))
+            self.clock.schedule(0.0, deliver, payload)
             return
 
         def forward(hop_index: int) -> Callable[[Any], None]:

@@ -41,7 +41,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable
 
 from repro.core.columns import ColumnarBatch
 from repro.core.items import WeightedBatch
@@ -164,11 +163,9 @@ class DeploymentSimulator:
         chunks = max(1, math.ceil(duration / self.EMISSION_GRANULARITY))
         chunk = duration / chunks
         for index in range(chunks):
-            for source_node in self._tree.sources:
-                self._clock.schedule_at(
-                    (index + 1) * chunk,
-                    self._emitter(source_node, index * chunk, chunk),
-                )
+            self._clock.schedule_at(
+                (index + 1) * chunk, self._emit_chunk, (index * chunk, chunk)
+            )
         if self._config.mode == ExecutionMode.APPROXIOT:
             self._run_windowed()
         else:
@@ -200,9 +197,7 @@ class DeploymentSimulator:
         rounds = self._n_windows + self._tree.depth + 2
         for k in range(1, rounds + 1):
             for node in self._tree.sampling_nodes:
-                self._clock.schedule_at(
-                    k * window, self._closer(node.name)
-                )
+                self._clock.schedule_at(k * window, self._close, node.name)
         self._clock.run()
         # Saturated runs may still have undrained batches: keep closing.
         guard = 0
@@ -211,33 +206,42 @@ class DeploymentSimulator:
             if guard > 10_000:
                 raise PipelineError("drain loop did not converge")
             for node in self._tree.sampling_nodes:
-                self._clock.schedule(window, self._closer(node.name))
+                self._clock.schedule(window, self._close, node.name)
             self._clock.run()
 
     # ------------------------------------------------------------------
     # Emission
     # ------------------------------------------------------------------
-    def _emitter(
+    def _emit_chunk(self, chunk: tuple[float, float]) -> None:
+        """Every source's records for one chunk, in tree order.
+
+        One clock event per chunk instant: the per-source events it
+        replaces had consecutive sequence numbers, so nothing could
+        fire between them and the order is the same.
+        """
+        chunk_start, chunk_seconds = chunk
+        for source_node in self._tree.sources:
+            self._emit_source(source_node, chunk_start, chunk_seconds)
+
+    def _emit_source(
         self, source_node: TreeNode, chunk_start: float, chunk_seconds: float
-    ):
+    ) -> None:
         """One source's chunk, its records spread uniformly over the
         chunk so latency accounting sees in-chunk arrival spread."""
-        def emit() -> None:
-            batch = self._pipeline.emit_source(
-                source_node.name, chunk_start, chunk_seconds
-            )
-            if not len(batch):
-                return
-            key = (len(batch), chunk_seconds)
-            cached = self._spreads.get(source_node.name)
-            if cached is None or cached[0] != key:
-                cached = (key, batch.spread_offsets(chunk_seconds))
-                self._spreads[source_node.name] = cached
-            batch = batch.with_timestamps_from(chunk_start, cached[1])
-            self._items_emitted += len(batch)
-            assert source_node.parent is not None
-            self._send_items(source_node.name, source_node.parent, batch, 1.0)
-        return emit
+        batch = self._pipeline.emit_source(
+            source_node.name, chunk_start, chunk_seconds
+        )
+        if not len(batch):
+            return
+        key = (len(batch), chunk_seconds)
+        cached = self._spreads.get(source_node.name)
+        if cached is None or cached[0] != key:
+            cached = (key, batch.spread_offsets(chunk_seconds))
+            self._spreads[source_node.name] = cached
+        batch = batch.with_timestamps_from(chunk_start, cached[1])
+        self._items_emitted += len(batch)
+        assert source_node.parent is not None
+        self._send_items(source_node.name, source_node.parent, batch, 1.0)
 
     def _send_items(
         self,
@@ -247,52 +251,49 @@ class DeploymentSimulator:
         weight: float,
     ) -> None:
         """Ship records toward ``dst``, splitting per sub-stream."""
-        for substream, chunk in payload.group_by_substream().items():
-            self._send_batch(src, dst, WeightedBatch(substream, weight, chunk))
-
-    def _send_batch(self, src: str, dst: str, batch: WeightedBatch) -> None:
-        """One upward hop: transport for approxiot, direct otherwise."""
         if self._config.mode == ExecutionMode.APPROXIOT:
-            self._transport.send(src, dst, batch)
+            send = self._transport.send
         else:
-            self._network.send(
-                src, dst, batch.total_bytes, batch, self._streaming_receiver(dst)
-            )
+            send = self._send_direct
+        for substream, chunk in payload.group_by_substream().items():
+            send(src, dst, WeightedBatch(substream, weight, chunk))
+
+    def _send_direct(self, src: str, dst: str, batch: WeightedBatch) -> None:
+        """One SRS/native hop: over the link into ``dst``'s host queue."""
+        self._network.send(
+            src, dst, batch.total_bytes, (dst, batch), self._deliver_streaming
+        )
 
     # ------------------------------------------------------------------
     # Reception and processing
     # ------------------------------------------------------------------
-    def _streaming_receiver(
-        self, node_name: str
-    ) -> Callable[[WeightedBatch], None]:
+    # Callbacks are bound methods handed to the clock with their
+    # ``(node name, payload)`` argument, never stored on ``self``: a
+    # stored callback that references the simulator is a reference
+    # cycle, and finished simulators would outlive their run.
+    def _deliver_streaming(self, delivery: tuple[str, WeightedBatch]) -> None:
         """SRS/native delivery: straight into the host's service queue."""
-        def deliver_direct(batch: WeightedBatch) -> None:
-            host = self._network.host(node_name)
-            host.process(
-                len(batch), batch,
-                lambda b: self._finish_streaming(node_name, b),
-            )
-        return deliver_direct
+        node_name, batch = delivery
+        self._network.host(node_name).process(
+            len(batch), delivery, self._finish_streaming
+        )
 
-    def _closer(self, node_name: str) -> Callable[[], None]:
-        def close() -> None:
-            state = self._states[node_name]
-            batches = self._transport.collect(node_name)
-            if not batches:
-                return
-            count = sum(len(batch) for batch in batches)
-            state.items_ingested += count
-            host = self._network.host(node_name)
-            host.process(
-                count, batches,
-                lambda bs: self._finish_windowed(node_name, bs),
-            )
-        return close
+    def _close(self, node_name: str) -> None:
+        """Interval close: the host takes the node's inbox as one job."""
+        batches = self._transport.collect(node_name)
+        if not batches:
+            return
+        count = sum(len(batch) for batch in batches)
+        self._states[node_name].items_ingested += count
+        self._network.host(node_name).process(
+            count, (node_name, batches), self._finish_windowed
+        )
 
     def _finish_windowed(
-        self, node_name: str, batches: list[WeightedBatch]
+        self, interval: tuple[str, list[WeightedBatch]]
     ) -> None:
         """Service completed for one ApproxIoT interval: sample, forward."""
+        node_name, batches = interval
         state = self._states[node_name]
         ingested = sum(len(batch) for batch in batches)
         if ingested == 0:
@@ -308,10 +309,11 @@ class DeploymentSimulator:
         else:
             assert state.node.parent is not None
             for batch in result.batches:
-                self._send_batch(state.node.name, state.node.parent, batch)
+                self._transport.send(state.node.name, state.node.parent, batch)
 
-    def _finish_streaming(self, node_name: str, batch: WeightedBatch) -> None:
+    def _finish_streaming(self, delivery: tuple[str, WeightedBatch]) -> None:
         """Service completed for one SRS/native delivery."""
+        node_name, batch = delivery
         node = self._tree.node(node_name)
         now = self._clock.now
         if node.name == "root":
@@ -319,20 +321,17 @@ class DeploymentSimulator:
             self._root_last_completion = max(self._root_last_completion, now)
             self._latency.record_column(batch.items.timestamp_column(), now)
             return
-        payload = batch.items
-        weight = batch.weight
         if self._config.mode == ExecutionMode.SRS and node.layer == 1:
             fraction = self._config.sampling_fraction
             sampler = self._pipeline.coin_flipper(fraction)
-            payload = payload.compress(sampler.decisions(len(payload)))
-            weight = batch.weight / fraction
-        if not len(payload):
-            return
+            payload = batch.items.compress(sampler.decisions(len(batch)))
+            if not len(payload):
+                return
+            batch = WeightedBatch(
+                batch.substream, batch.weight / fraction, payload
+            )
         assert node.parent is not None
-        self._send_batch(
-            node.name, node.parent,
-            WeightedBatch(batch.substream, weight, payload),
-        )
+        self._send_direct(node.name, node.parent, batch)
 
     # ------------------------------------------------------------------
     # Accounting

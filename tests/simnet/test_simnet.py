@@ -15,9 +15,9 @@ class TestClock:
     def test_events_fire_in_time_order(self):
         clock = Clock()
         fired = []
-        clock.schedule(3.0, lambda: fired.append("c"))
-        clock.schedule(1.0, lambda: fired.append("a"))
-        clock.schedule(2.0, lambda: fired.append("b"))
+        clock.schedule(3.0, fired.append, "c")
+        clock.schedule(1.0, fired.append, "a")
+        clock.schedule(2.0, fired.append, "b")
         clock.run()
         assert fired == ["a", "b", "c"]
         assert clock.now == 3.0
@@ -25,24 +25,27 @@ class TestClock:
     def test_fifo_tiebreak_at_same_time(self):
         clock = Clock()
         fired = []
-        clock.schedule(1.0, lambda: fired.append(1))
-        clock.schedule(1.0, lambda: fired.append(2))
+        clock.schedule(1.0, fired.append, 1)
+        clock.schedule(1.0, fired.append, 2)
         clock.run()
         assert fired == [1, 2]
 
-    def test_cancelled_events_skipped(self):
+    def test_entry_carries_its_argument(self):
+        """An event is ``(time, seq, fn, arg)``; firing calls ``fn(arg)``."""
         clock = Clock()
-        fired = []
-        event = clock.schedule(1.0, lambda: fired.append("x"))
-        event.cancel()
-        clock.run()
-        assert fired == []
+        payload = object()
+        got = []
+        clock.schedule_at(1.0, got.append, payload)
+        assert clock._queue == [(1.0, 0, got.append, payload)]
+        assert clock.step() is True
+        assert got == [payload] and got[0] is payload
+        assert clock.step() is False
 
     def test_run_until_stops_and_anchors(self):
         clock = Clock()
         fired = []
-        clock.schedule(1.0, lambda: fired.append("a"))
-        clock.schedule(5.0, lambda: fired.append("b"))
+        clock.schedule(1.0, fired.append, "a")
+        clock.schedule(5.0, fired.append, "b")
         clock.run_until(2.0)
         assert fired == ["a"]
         assert clock.now == 2.0
@@ -51,40 +54,40 @@ class TestClock:
         clock = Clock()
         fired = []
 
-        def first():
+        def first(_):
             fired.append(clock.now)
-            clock.schedule(2.0, lambda: fired.append(clock.now))
+            clock.schedule(2.0, lambda _: fired.append(clock.now), None)
 
-        clock.schedule(1.0, first)
+        clock.schedule(1.0, first, None)
         clock.run()
         assert fired == [1.0, 3.0]
 
     def test_scheduling_in_past_rejected(self):
         clock = Clock(start=10.0)
         with pytest.raises(ClockError):
-            clock.schedule(-1.0, lambda: None)
+            clock.schedule(-1.0, print, None)
         with pytest.raises(ClockError):
-            clock.schedule_at(5.0, lambda: None)
+            clock.schedule_at(5.0, print, None)
         with pytest.raises(ClockError):
             clock.run_until(5.0)
 
     @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
     def test_non_finite_times_rejected(self, bad):
         clock = Clock()
-        clock.schedule_at(1.0, lambda: None)
+        clock.schedule_at(1.0, print, None)
         with pytest.raises(ClockError):
-            clock.schedule(bad, lambda: None)
+            clock.schedule(bad, print, None)
         with pytest.raises(ClockError):
-            clock.schedule_at(bad, lambda: None)
+            clock.schedule_at(bad, print, None)
         with pytest.raises(ClockError):
             clock.run_until(bad)
         assert (clock.pending, clock.now) == (1, 0.0)
 
     def test_max_events_cap(self):
         clock = Clock()
-        def reschedule():
-            clock.schedule(1.0, reschedule)
-        clock.schedule(1.0, reschedule)
+        def reschedule(_):
+            clock.schedule(1.0, reschedule, None)
+        clock.schedule(1.0, reschedule, None)
         clock.run(max_events=5)
         assert clock.events_fired == 5
 

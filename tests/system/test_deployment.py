@@ -139,6 +139,44 @@ class TestReportValidation:
         assert len(report.boundary_bytes) == 3
 
 
+def quick_simulator(mode, fraction, window_seconds=1.0, n_windows=12):
+    """A deployment point at quick scale (Fig. 6 by default)."""
+    scale = ExperimentScale.quick()
+    schedule = uniform_schedule(scale.rate_scale)
+    config = base_config(
+        fraction, scale, window_seconds=window_seconds, mode=mode,
+        placement=saturating_placement(schedule),
+    )
+    return DeploymentSimulator(
+        config, schedule, gaussian_generators(), n_windows=n_windows
+    )
+
+
+class TestEventCounts:
+    """Clock events per run: counters, never clocks.
+
+    The simulator pays per event, so an added event per send or per
+    source shows here before it shows in a timing. A quick-scale Fig. 6
+    point emits 48 chunks from 8 sources; each chunk instant is one
+    event, not one per source.
+    """
+
+    EVENTS = {"approxiot": 857, "srs": 2348, "native": 2352}
+
+    @pytest.mark.parametrize("mode", sorted(EVENTS))
+    def test_events_fired(self, mode):
+        fraction = 1.0 if mode == ExecutionMode.NATIVE else 0.1
+        simulator = quick_simulator(mode, fraction)
+        chunks = []
+        emit_chunk = simulator._emit_chunk
+        simulator._emit_chunk = lambda chunk: (
+            chunks.append(chunk), emit_chunk(chunk)
+        )
+        simulator.run()
+        assert len(chunks) == 48
+        assert simulator._clock.events_fired == self.EVENTS[mode]
+
+
 class TestNoReferenceCycle:
     """A finished simulator is freed by reference counting alone.
 
@@ -179,16 +217,7 @@ class TestPinnedReports:
     @staticmethod
     def quick_point(mode, fraction, window_seconds=1.0, n_windows=12):
         """One deployment point at quick scale (Fig. 6 by default)."""
-        scale = ExperimentScale.quick()
-        schedule = uniform_schedule(scale.rate_scale)
-        config = base_config(
-            fraction, scale, window_seconds=window_seconds, mode=mode,
-            placement=saturating_placement(schedule),
-        )
-        simulator = DeploymentSimulator(
-            config, schedule, gaussian_generators(), n_windows=n_windows
-        )
-        return simulator.run()
+        return quick_simulator(mode, fraction, window_seconds, n_windows).run()
 
     def test_fig6_approxiot(self):
         assert self.quick_point(ExecutionMode.APPROXIOT, 0.1) == DeploymentReport(

@@ -62,7 +62,7 @@ class TestEmissionChunking:
         source = sim._tree.sources[0]
         chunk = sim.EMISSION_GRANULARITY
         for start in (5.0, 5.0 + chunk):
-            sim._emitter(source, start, chunk)()
+            sim._emit_source(source, start, chunk)
             times = list(sent[-1].timestamps)
             assert len(times) > 1
             assert all(start < t < start + chunk for t in times)

@@ -49,15 +49,17 @@ def test_one_recorder_call_per_batch_delivered_at_root(mode, monkeypatch):
         sim._finish_streaming, sim._finish_windowed
     )
 
-    def streaming(node_name, batch):
+    def streaming(delivery):
         nonlocal delivered
+        node_name, _batch = delivery
         delivered += node_name == "root"
-        finish_streaming(node_name, batch)
+        finish_streaming(delivery)
 
-    def windowed(node_name, batches):
+    def windowed(interval):
         nonlocal delivered
+        node_name, batches = interval
         delivered += len(batches) if node_name == "root" else 0
-        finish_windowed(node_name, batches)
+        finish_windowed(interval)
 
     sim._finish_streaming, sim._finish_windowed = streaming, windowed
     report = sim.run()
