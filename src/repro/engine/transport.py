@@ -109,7 +109,9 @@ class SimnetTransport(InProcessTransport):
         """Cross the src→dst WAN link, then land in ``dst``'s inbox."""
         if dst not in self._inboxes:
             raise ConfigurationError(f"send to unregistered node {dst!r}")
-        self._network.send(src, dst, batch.total_bytes, (dst, batch), self._land)
+        self._network.send(
+            src, dst, batch.total_bytes, (dst, batch), self._land
+        )
 
     def _land(self, delivery: tuple[str, WeightedBatch]) -> None:
         """A batch comes off its link into the destination's inbox."""

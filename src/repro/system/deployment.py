@@ -132,6 +132,16 @@ class DeploymentSimulator:
         self._network = place_tree(self._tree, config.placement)
         self._clock = self._network.clock
         self._transport = SimnetTransport(self._network)
+        # Looked up per event. Hosts and links hold no reference back to
+        # the simulator, so keeping them here makes no cycle.
+        self._hosts = {
+            name: self._network.host(name) for name in self._tree.nodes
+        }
+        self._uplinks = {
+            node.name: self._network.link(node.name, node.parent)
+            for node in self._tree.nodes.values()
+            if node.parent is not None
+        }
         self._latency = LatencyRecorder()
         self._items_emitted = 0
         # source -> ((count, seconds), offsets): a steady source reuses
@@ -259,9 +269,9 @@ class DeploymentSimulator:
             send(src, dst, WeightedBatch(substream, weight, chunk))
 
     def _send_direct(self, src: str, dst: str, batch: WeightedBatch) -> None:
-        """One SRS/native hop: over the link into ``dst``'s host queue."""
-        self._network.send(
-            src, dst, batch.total_bytes, (dst, batch), self._deliver_streaming
+        """One SRS/native hop: over the uplink into ``dst``'s host queue."""
+        self._uplinks[src].transfer(
+            batch.total_bytes, (dst, batch), self._deliver_streaming
         )
 
     # ------------------------------------------------------------------
@@ -274,7 +284,7 @@ class DeploymentSimulator:
     def _deliver_streaming(self, delivery: tuple[str, WeightedBatch]) -> None:
         """SRS/native delivery: straight into the host's service queue."""
         node_name, batch = delivery
-        self._network.host(node_name).process(
+        self._hosts[node_name].process(
             len(batch), delivery, self._finish_streaming
         )
 
@@ -285,7 +295,7 @@ class DeploymentSimulator:
             return
         count = sum(len(batch) for batch in batches)
         self._states[node_name].items_ingested += count
-        self._network.host(node_name).process(
+        self._hosts[node_name].process(
             count, (node_name, batches), self._finish_windowed
         )
 
@@ -314,7 +324,7 @@ class DeploymentSimulator:
     def _finish_streaming(self, delivery: tuple[str, WeightedBatch]) -> None:
         """Service completed for one SRS/native delivery."""
         node_name, batch = delivery
-        node = self._tree.node(node_name)
+        node = self._tree.nodes[node_name]
         now = self._clock.now
         if node.name == "root":
             self._items_at_root += len(batch)
@@ -342,8 +352,7 @@ class DeploymentSimulator:
         for layer in range(self._tree.depth - 1):
             total = 0
             for node in self._tree.layer(layer):
-                assert node.parent is not None
-                total += self._network.link(node.name, node.parent).bytes_sent
+                total += self._uplinks[node.name].bytes_sent
             totals.append(total)
         return totals
 
