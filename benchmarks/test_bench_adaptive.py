@@ -3,7 +3,10 @@
 Publishes the adaptive-vs-static quality matrix to ``results.txt``:
 at *equal total budget*, the ``variance_aware`` controller's Neyman
 reallocation beats the static ``getSampleSize`` split at every probed
-fraction on at least 3 built-in scenarios, and the ``adaptive_fraction``
+fraction on at least 3 built-in scenarios — on the mean over
+``GATE_SEEDS``, since one seed decides a head-to-head by luck (the
+same reading as ``tests/system/test_adaptive_quality.py``) — and the
+``adaptive_fraction``
 controller visibly sheds budget down to its error target without
 breaking the Eq. 9 result-plus-error contract. A third table shows the
 quality guarantees surviving worker-sharded execution (controller
@@ -11,6 +14,7 @@ decisions replayed from broadcast observations).
 """
 
 from dataclasses import replace
+from statistics import mean
 
 from repro.experiments.base import (
     base_config,
@@ -25,12 +29,17 @@ from repro.system.scenarios import ScenarioRunner
 #: points, where allocation quality dominates).
 FRACTIONS = (0.05, 0.1, 0.2)
 
+#: How many seeds, from the scale's own, the quality matrix averages.
+GATE_SEEDS = 8
 
-def run_scenario(name, scale, fraction, controller, workers=1):
+
+def run_scenario(name, scale, fraction, controller, workers=1, seed=None):
     config = replace(
         base_config(fraction, scale),
         budget_controller=controller, workers=workers,
     )
+    if seed is not None:
+        config = replace(config, seed=seed)
     with ScenarioRunner(
         config, uniform_schedule(scale.rate_scale), gaussian_generators(),
         get_scenario(name),
@@ -40,45 +49,61 @@ def run_scenario(name, scale, fraction, controller, workers=1):
 
 def test_bench_adaptive_vs_static(benchmark, bench_scale, results_sink):
     """Quality-over-time matrix: Neyman reallocation vs static split."""
+    first = bench_scale.config.seed
+    seeds = range(first, first + GATE_SEEDS)
 
     def run():
         cells = {}
         for name in scenario_names():
             for fraction in FRACTIONS:
-                static = run_scenario(name, bench_scale, fraction, "static")
-                adaptive = run_scenario(
-                    name, bench_scale, fraction, "variance_aware"
-                )
-                cells[name, fraction] = (
-                    static.mean_approxiot_loss,
-                    adaptive.mean_approxiot_loss,
-                    adaptive.mean_bound_pct,
-                )
+                cells[name, fraction] = [
+                    (
+                        run_scenario(
+                            name, bench_scale, fraction, "static", seed=seed
+                        ).mean_approxiot_loss,
+                        run_scenario(
+                            name, bench_scale, fraction, "variance_aware",
+                            seed=seed,
+                        ),
+                    )
+                    for seed in seeds
+                ]
         return cells
 
     cells = benchmark.pedantic(run, rounds=1, iterations=1)
     table = Table(
         "Adaptive budget controller vs static split (equal total budget)",
-        ["scenario", "fraction", "static loss", "variance-aware loss",
-         "adaptive bound", "winner"],
+        ["scenario", "fraction", "mean static loss",
+         "mean variance-aware loss", "mean adaptive bound", "winner",
+         "seeds won", "gain range"],
     )
     winners = []
     for name in scenario_names():
         swept = True
         for fraction in FRACTIONS:
-            static, adaptive, bound = cells[name, fraction]
+            runs = cells[name, fraction]
+            gains = [
+                static - adaptive.mean_approxiot_loss
+                for static, adaptive in runs
+            ]
+            static = mean(static for static, _ in runs)
+            adaptive = mean(a.mean_approxiot_loss for _, a in runs)
+            bound = mean(a.mean_bound_pct for _, a in runs)
             if adaptive >= static:
                 swept = False
             table.add_row(
                 name, f"{fraction:.2f}", f"{static:.4f}%",
                 f"{adaptive:.4f}%", f"{bound:.4f}%",
                 "variance_aware" if adaptive < static else "static",
+                f"{sum(gain > 0 for gain in gains)}/{len(gains)}",
+                f"{min(gains):+.4f}..{max(gains):+.4f} pp",
             )
         if swept:
             winners.append(name)
     results_sink(table.render())
-    # The PR's headline gate: the adaptive controller sweeps every
-    # probed fraction on at least 3 of the built-in scenarios.
+    # The PR's headline gate: on the seed-averaged matrix, the adaptive
+    # controller sweeps every probed fraction on at least 3 of the
+    # built-in scenarios. The per-seed spread is printed, not gated.
     assert len(winners) >= 3, (
         f"variance_aware swept every fraction only on {winners}"
     )
