@@ -206,6 +206,25 @@ class TestNoReferenceCycle:
             gc.enable()
 
 
+def lossy_run(mode):
+    """A seeded run with 10 % loss on every uplink."""
+    config = PipelineConfig(
+        sampling_fraction=0.2,
+        window_seconds=1.0,
+        mode=mode,
+        placement=PlacementSpec(
+            layer_service_rates=[1e12, 5000.0, 5000.0, 5000.0],
+            uplink_configs=[
+                NetemConfig.from_rtt(20.0, 1e9, loss=0.1),
+                NetemConfig.from_rtt(40.0, 1e9, loss=0.1),
+                NetemConfig.from_rtt(80.0, 1e9, loss=0.1),
+            ],
+        ),
+        seed=3,
+    )
+    return DeploymentSimulator(config, SCHEDULE, GENS, n_windows=6).run()
+
+
 class TestPinnedReports:
     """Exact reports for seeded runs: any change to delivery order,
     link timing or host accounting moves at least one field.
@@ -260,21 +279,7 @@ class TestPinnedReports:
 
     def test_lossy_approxiot(self):
         """10 % loss on every uplink: drops are part of the pinned run."""
-        config = PipelineConfig(
-            sampling_fraction=0.2,
-            window_seconds=1.0,
-            mode=ExecutionMode.APPROXIOT,
-            placement=PlacementSpec(
-                layer_service_rates=[1e12, 5000.0, 5000.0, 5000.0],
-                uplink_configs=[
-                    NetemConfig.from_rtt(20.0, 1e9, loss=0.1),
-                    NetemConfig.from_rtt(40.0, 1e9, loss=0.1),
-                    NetemConfig.from_rtt(80.0, 1e9, loss=0.1),
-                ],
-            ),
-            seed=3,
-        )
-        report = DeploymentSimulator(config, SCHEDULE, GENS, n_windows=6).run()
+        report = lossy_run(ExecutionMode.APPROXIOT)
         assert report == DeploymentReport(
             mode="approxiot",
             sampling_fraction=0.2,
@@ -289,21 +294,7 @@ class TestPinnedReports:
 
     def test_lossy_srs(self):
         """10 % loss on every uplink: SRS draws the link RNG per transfer."""
-        config = PipelineConfig(
-            sampling_fraction=0.2,
-            window_seconds=1.0,
-            mode=ExecutionMode.SRS,
-            placement=PlacementSpec(
-                layer_service_rates=[1e12, 5000.0, 5000.0, 5000.0],
-                uplink_configs=[
-                    NetemConfig.from_rtt(20.0, 1e9, loss=0.1),
-                    NetemConfig.from_rtt(40.0, 1e9, loss=0.1),
-                    NetemConfig.from_rtt(80.0, 1e9, loss=0.1),
-                ],
-            ),
-            seed=3,
-        )
-        report = DeploymentSimulator(config, SCHEDULE, GENS, n_windows=6).run()
+        report = lossy_run(ExecutionMode.SRS)
         assert report == DeploymentReport(
             mode="srs",
             sampling_fraction=0.2,
