@@ -3,9 +3,9 @@
 A from-scratch Python implementation of the system described in
 *ApproxIoT: Approximate Analytics for Edge Computing* (Wen et al.,
 ICDCS 2018), including the weighted hierarchical sampling algorithm,
-a Kafka-model pub/sub substrate, a Kafka-Streams-model processing
-engine, a discrete-event WAN simulator, the paper's logical tree
-topology, workload generators, and the full experiment harness.
+a discrete-event WAN simulator that models the §IV deployment, the
+paper's logical tree topology, workload generators, and the full
+experiment harness.
 
 Quickstart::
 
@@ -32,7 +32,6 @@ from repro.core import (
     ThetaStore,
     WeightMap,
     WeightedBatch,
-    WeightedHierarchicalSampler,
     whsamp,
 )
 
@@ -47,7 +46,6 @@ __all__ = [
     "ThetaStore",
     "WeightMap",
     "WeightedBatch",
-    "WeightedHierarchicalSampler",
     "__version__",
     "whsamp",
 ]

@@ -1,16 +1,11 @@
-"""Record types for the pub/sub substrate, and the shard codec.
+"""The engine's compact binary codec for weighted batches.
 
-Mirrors Kafka's data model: a :class:`Record` is a key/value pair with
-a timestamp and optional headers; a :class:`ConsumedRecord` is the same
-plus its position (topic, partition, offset) once read back from a log.
-Values are arbitrary Python objects.
-
-The module also hosts the engine's compact binary codec for sequences
-of weighted batches (:func:`encode_weighted_batches`): a batch's
-records travel as raw little-endian column buffers (numpy buffer views
-out, ``frombuffer`` in) instead of a per-record pickle graph. This is
-what the sharded execution engine ships between worker processes, so
-cross-process transport cost scales with bytes, not with record count.
+A sequence of weighted batches (:func:`encode_weighted_batches`)
+travels as one message, each batch's records as raw little-endian
+column buffers (numpy buffer views out, ``frombuffer`` in) instead of
+a per-record pickle graph. This is what the sharded execution engine
+ships between worker processes, so cross-process transport cost
+scales with bytes, not with record count.
 
 The codec has a zero-copy-friendly surface for the shared-memory shard
 transport (:mod:`repro.engine.shm`): the ``*_chunks`` encoders return
@@ -24,9 +19,8 @@ owned columns.
 
 from __future__ import annotations
 
+import math
 import struct
-from dataclasses import dataclass, field
-from typing import Any, Mapping
 
 import numpy as _np
 
@@ -35,43 +29,11 @@ from repro.core.items import WeightedBatch
 from repro.errors import ConfigurationError
 
 __all__ = [
-    "Record",
-    "ConsumedRecord",
     "encode_weighted_batch_chunks",
     "encode_weighted_batches",
     "encode_weighted_batches_chunks",
     "decode_weighted_batches",
 ]
-
-
-@dataclass(frozen=True, slots=True)
-class Record:
-    """A produced record, before it is assigned an offset.
-
-    Attributes:
-        key: Partitioning key (``None`` lets the producer round-robin).
-        value: The payload.
-        timestamp: Producer-assigned event time (seconds).
-        headers: Optional string metadata, like Kafka record headers.
-    """
-
-    key: str | None
-    value: Any
-    timestamp: float = 0.0
-    headers: Mapping[str, str] = field(default_factory=dict)
-
-
-@dataclass(frozen=True, slots=True)
-class ConsumedRecord:
-    """A record read from a partition log, with its position attached."""
-
-    topic: str
-    partition: int
-    offset: int
-    key: str | None
-    value: Any
-    timestamp: float
-    headers: Mapping[str, str] = field(default_factory=dict)
 
 
 # ----------------------------------------------------------------------
@@ -189,6 +151,11 @@ def _decode_weighted_batch(data, offset: int) -> tuple[WeightedBatch, int]:
         offset += 1
         substream, offset = _unpack_str(data, offset)
         weight, n = struct.unpack_from("<dQ", data, offset)
+        if not 0 < weight < math.inf:
+            raise ConfigurationError(
+                f"weighted batch {substream!r} carries weight {weight}; "
+                f"expected a positive finite weight"
+            )
         offset += 16
         tags: str | list[str]
         if data[offset] == 0:

@@ -64,8 +64,7 @@ _SCALES = {
 
 _SUBSYSTEMS = [
     ("repro.core", "weighted hierarchical sampling, estimators, bounds"),
-    ("repro.broker", "Kafka-model topics and clients for repro.streams"),
-    ("repro.streams", "Kafka-Streams-model processing engine"),
+    ("repro.broker", "weighted-batch codec for shard frames"),
     ("repro.simnet", "discrete-event WAN/host simulator"),
     ("repro.topology", "logical tree + placement"),
     ("repro.engine", "unified execution engine (pipeline, transports)"),

@@ -50,7 +50,7 @@ from repro.core.stratified import (
     get_allocation_policy,
 )
 from repro.core.weights import WeightMap, local_weight, output_weight
-from repro.core.whs import WeightedHierarchicalSampler, WHSampResult, whsamp
+from repro.core.whs import WHSampResult, whsamp
 
 __all__ = [
     "AdaptiveErrorBudget",
@@ -67,7 +67,6 @@ __all__ = [
     "WHSampResult",
     "WeightMap",
     "WeightedBatch",
-    "WeightedHierarchicalSampler",
     "allocate_equal",
     "allocate_fair_fill",
     "allocate_proportional",

@@ -28,8 +28,7 @@ op.
   :meth:`ColumnarBatch.from_items` converts one in (and returns a
   ``ColumnarBatch`` argument unchanged), :meth:`ColumnarBatch.to_items`
   and iteration hand ``StreamItem`` objects back out, so per-item
-  consumers (streams processors, queries, examples) keep their
-  contracts.
+  consumers (queries, examples) keep their contracts.
 """
 
 from __future__ import annotations

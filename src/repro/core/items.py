@@ -16,6 +16,7 @@ hands ``StreamItem`` objects back out.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Sequence
 
@@ -70,8 +71,10 @@ class WeightedBatch:
     items: _columns.ColumnarBatch = field(default_factory=list)
 
     def __post_init__(self) -> None:
-        if self.weight <= 0:
-            raise ValueError(f"batch weight must be positive, got {self.weight}")
+        if not 0 < self.weight < math.inf:  # NaN fails both sides
+            raise ValueError(
+                f"batch weight must be positive and finite, got {self.weight}"
+            )
         # The tree builds a batch per group per node: columns cost one
         # isinstance here, only the StreamItem edge pays a conversion.
         if not isinstance(self.items, _columns.ColumnarBatch):

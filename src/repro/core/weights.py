@@ -12,6 +12,7 @@ sub-stream, the most recent prior weight for that sub-stream applies.
 
 from __future__ import annotations
 
+import math
 from typing import Iterator, Mapping
 
 __all__ = ["WeightMap", "local_weight", "output_weight"]
@@ -37,8 +38,10 @@ def output_weight(input_weight: float, seen: int, reservoir_size: int) -> float:
 
     ``W_out = W_in * c_i / N_i`` on overflow, ``W_out = W_in`` otherwise.
     """
-    if input_weight <= 0:
-        raise ValueError(f"input weight must be positive, got {input_weight}")
+    if not 0 < input_weight < math.inf:
+        raise ValueError(
+            f"input weight must be positive and finite, got {input_weight}"
+        )
     return input_weight * local_weight(seen, reservoir_size)
 
 
@@ -63,8 +66,8 @@ class WeightMap:
 
     def update(self, substream: str, weight: float) -> None:
         """Record the latest weight received for a sub-stream."""
-        if weight <= 0:
-            raise ValueError(f"weight must be positive, got {weight}")
+        if not 0 < weight < math.inf:
+            raise ValueError(f"weight must be positive and finite, got {weight}")
         self._weights[substream] = float(weight)
 
     def merge(self, other: Mapping[str, float] | "WeightMap") -> None:

@@ -34,7 +34,6 @@ __all__ = [
     "merge_results",
     "whsamp",
     "whsamp_batches",
-    "WeightedHierarchicalSampler",
 ]
 
 
@@ -208,7 +207,12 @@ def whsamp(
             downstream nodes. Sub-streams with no recorded weight
             default to 1 (items fresh from a source). Per Figure 3,
             stale weights apply when items and weights arrive in
-            different intervals, which this map encodes naturally.
+            different intervals: a node keeps the map it *received*
+            across intervals and passes it to every call. The map is
+            copied, never updated, so the node's own output weights
+            do not feed back (node B reuses the received ``w = 1.5``
+            in interval ``v+1``, not its output ``w = 3``; feeding
+            outputs back would compound the weight every interval).
         policy: The ``getSampleSize`` budget-split policy.
         rng: Random source (pass a seeded instance for reproducibility).
 
@@ -236,61 +240,3 @@ def whsamp(
     result.weights = merged
     return result
 
-
-class WeightedHierarchicalSampler:
-    """Stateful per-node wrapper around :func:`whsamp`.
-
-    A node keeps the weights it has *received* across intervals so the
-    stale-weight rule of Figure 3 applies automatically: if items of
-    sub-stream ``i`` arrive in an interval with no accompanying weight
-    update, the last weight received for ``i`` (via
-    :meth:`observe_weights`) is used as ``W_in_i``. The node's own
-    *output* weights never feed back — node B in Figure 3 reuses the
-    received ``w = 1.5`` in interval ``v+1``, not its previous output
-    ``w = 3`` (feeding outputs back would compound the weight every
-    interval and blow up the estimate exponentially).
-    """
-
-    def __init__(
-        self,
-        sample_size: int,
-        *,
-        policy: AllocationPolicy = allocate_fair_fill,
-        rng: random.Random | None = None,
-    ) -> None:
-        if sample_size <= 0:
-            raise SamplingError(f"sample size must be positive, got {sample_size}")
-        self._sample_size = int(sample_size)
-        self._policy = policy
-        self._rng = rng if rng is not None else random.Random()
-        self._weights = WeightMap()
-
-    @property
-    def sample_size(self) -> int:
-        """Current per-interval sample budget."""
-        return self._sample_size
-
-    @sample_size.setter
-    def sample_size(self, value: int) -> None:
-        if value <= 0:
-            raise SamplingError(f"sample size must be positive, got {value}")
-        self._sample_size = int(value)
-
-    @property
-    def weights(self) -> WeightMap:
-        """The node's current (stale-weight) map, shared across intervals."""
-        return self._weights
-
-    def observe_weights(self, weights: Mapping[str, float] | WeightMap) -> None:
-        """Fold in weight metadata received from a downstream node."""
-        self._weights.merge(weights)
-
-    def process_interval(self, items: Iterable[StreamItem]) -> WHSampResult:
-        """Sample one interval's arrivals under the received weights."""
-        return whsamp(
-            items,
-            self._sample_size,
-            self._weights,
-            policy=self._policy,
-            rng=self._rng,
-        )

@@ -25,38 +25,6 @@ class EstimationError(ReproError):
     """An estimator could not produce a result (e.g. empty sample)."""
 
 
-class BrokerError(ReproError):
-    """Base class for pub/sub substrate errors."""
-
-
-class TopicExistsError(BrokerError):
-    """A topic with the requested name already exists."""
-
-
-class UnknownTopicError(BrokerError):
-    """A produce/fetch referenced a topic that does not exist."""
-
-
-class UnknownPartitionError(BrokerError):
-    """A produce/fetch referenced a partition that does not exist."""
-
-
-class OffsetOutOfRangeError(BrokerError):
-    """A fetch requested an offset outside the log's range."""
-
-
-class ConsumerGroupError(BrokerError):
-    """Invalid consumer-group operation (e.g. unknown member)."""
-
-
-class StreamsError(ReproError):
-    """Base class for stream-engine errors."""
-
-
-class TopologyError(StreamsError):
-    """The processing topology is malformed (cycle, dangling node...)."""
-
-
 class SimulationError(ReproError):
     """Base class for discrete-event simulator errors."""
 

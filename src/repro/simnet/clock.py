@@ -76,18 +76,14 @@ class Clock:
         fn(arg)
         return True
 
-    def run(self, max_events: int | None = None) -> None:
-        """Drain the event queue (optionally capped)."""
+    def run(self) -> None:
+        """Drain the event queue; :meth:`run_until` is the bounded form."""
         queue = self._queue
         pop = heapq.heappop
-        fired = 0
         while queue:
             self._now, _seq, fn, arg = pop(queue)
             self.events_fired += 1
             fn(arg)
-            fired += 1
-            if fired == max_events:
-                return
 
     def run_until(self, time: float) -> None:
         """Fire all events up to and including virtual time ``time``.

@@ -1,13 +1,12 @@
 """The simulated network: hosts wired by links over a shared clock.
 
-A thin graph layer (an adjacency map beside the link table) that owns
-hosts and links, routes messages over single hops or shortest multi-hop
-paths, and aggregates transfer statistics for the bandwidth experiments.
+A thin layer that owns hosts and the links between them, sends
+messages over direct links, and aggregates transfer statistics for the
+bandwidth experiments.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from typing import Any, Callable
 
 from repro.errors import NetworkError
@@ -20,14 +19,12 @@ __all__ = ["Network"]
 
 
 class Network:
-    """Hosts + links + routing over one simulation clock."""
+    """Hosts + links over one simulation clock."""
 
     def __init__(self, clock: Clock | None = None) -> None:
         self.clock = clock if clock is not None else Clock()
         self._hosts: dict[str, Host] = {}
         self._links: dict[tuple[str, str], Link] = {}
-        #: host -> direct successors, in the order their links were added.
-        self._successors: dict[str, list[str]] = {}
 
     # ------------------------------------------------------------------
     # Construction
@@ -38,7 +35,6 @@ class Network:
             raise NetworkError(f"host {name!r} already exists")
         host = Host(name, self.clock, service_rate)
         self._hosts[name] = host
-        self._successors[name] = []
         return host
 
     def add_link(self, src: str, dst: str, config: NetemConfig) -> Link:
@@ -50,14 +46,7 @@ class Network:
             raise NetworkError(f"link {src}->{dst} already exists")
         link = Link(f"{src}->{dst}", self.clock, config)
         self._links[key] = link
-        self._successors[src].append(dst)
         return link
-
-    def add_duplex_link(
-        self, a: str, b: str, config: NetemConfig
-    ) -> tuple[Link, Link]:
-        """Create links in both directions with the same shaping."""
-        return self.add_link(a, b, config), self.add_link(b, a, config)
 
     # ------------------------------------------------------------------
     # Lookup
@@ -99,55 +88,6 @@ class Network:
     ) -> float:
         """Send a message over the direct link ``src -> dst``."""
         return self.link(src, dst).transfer(size_bytes, payload, deliver)
-
-    def route(self, src: str, dst: str) -> list[str]:
-        """Shortest path (hop count) from src to dst.
-
-        Breadth-first, so among equally short paths the one through
-        the earliest-added links wins.
-        """
-        paths = {src: [src]} if src in self._hosts else {}
-        queue = deque(paths)
-        while queue and dst not in paths:
-            here = queue.popleft()
-            for successor in self._successors[here]:
-                if successor not in paths:
-                    paths[successor] = paths[here] + [successor]
-                    queue.append(successor)
-        if dst not in paths:
-            raise NetworkError(f"no route {src} -> {dst}")
-        return paths[dst]
-
-    def send_routed(
-        self,
-        src: str,
-        dst: str,
-        size_bytes: int,
-        payload: Any,
-        deliver: Callable[[Any], None],
-    ) -> None:
-        """Send along the shortest path, hop by hop.
-
-        Each hop's transfer is scheduled when the previous hop
-        delivers, so queueing and serialization accumulate per hop as
-        they would in a store-and-forward overlay.
-        """
-        path = self.route(src, dst)
-        if len(path) == 1:
-            self.clock.schedule(0.0, deliver, payload)
-            return
-
-        def forward(hop_index: int) -> Callable[[Any], None]:
-            def _deliver(message: Any) -> None:
-                if hop_index == len(path) - 1:
-                    deliver(message)
-                else:
-                    self.link(path[hop_index], path[hop_index + 1]).transfer(
-                        size_bytes, message, forward(hop_index + 1)
-                    )
-            return _deliver
-
-        self.link(path[0], path[1]).transfer(size_bytes, payload, forward(1))
 
     # ------------------------------------------------------------------
     # Accounting

@@ -5,10 +5,12 @@ per batch, or one per record), sizes and weights survive bit-for-bit
 (float64 end to end), and byte accounting (``total_bytes``) is
 unchanged — the properties the sharded engine relies on. Every case
 goes through the multi-batch frame the shards ship. A frame that is
-cut short or carries an unknown format tag is rejected, never decoded
-to fewer records than its header declares.
+cut short, carries an unknown format tag or a weight that is not
+positive and finite is rejected, never decoded to fewer records than
+its header declares.
 """
 
+import math
 import struct
 
 import numpy as np
@@ -281,4 +283,12 @@ class TestMalformedFrames:
         frame = bytearray(encode_weighted_batches(self.BATCHES[1:2]))
         frame[4 + 4] = tag  # past the batch count and the magic
         with pytest.raises(ConfigurationError, match="format tag"):
+            decode_weighted_batches(bytes(frame))
+
+    @pytest.mark.parametrize("weight", [math.nan, math.inf, 0.0, -2.0])
+    def test_a_bad_weight_field_is_rejected(self, weight):
+        frame = bytearray(encode_weighted_batches(self.BATCHES[1:2]))
+        # Past the batch count, the magic, the format tag and "C".
+        struct.pack_into("<d", frame, 4 + 4 + 1 + 4 + 1, weight)
+        with pytest.raises(ConfigurationError, match="positive finite"):
             decode_weighted_batches(bytes(frame))

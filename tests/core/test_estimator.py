@@ -1,5 +1,7 @@
 """Unit tests for the root-node estimators (§III-C)."""
 
+import math
+
 import pytest
 
 from repro.core.estimator import ThetaStore, estimate_mean, estimate_sum
@@ -90,9 +92,12 @@ class TestEstimators:
         est = theta.per_substream()["a"]
         assert est.estimated_mean == pytest.approx(4.0)
 
-    def test_negative_weight_rejected_at_batch(self):
+    @pytest.mark.parametrize(
+        "bad", [-1.0, 0.0, math.nan, math.inf, -math.inf]
+    )
+    def test_non_positive_or_non_finite_weight_rejected_at_batch(self, bad):
         with pytest.raises(ValueError):
-            WeightedBatch("a", -1.0, [])
+            WeightedBatch("a", bad, [])
 
 
 class TestMerge:

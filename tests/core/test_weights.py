@@ -1,5 +1,7 @@
 """Unit tests for weight computation and the WeightMap."""
 
+import math
+
 import pytest
 
 from repro.core.weights import WeightMap, local_weight, output_weight
@@ -33,9 +35,10 @@ class TestOutputWeight:
         """Figure 3: w=1.5 then 2 items into reservoir of 1 -> w = 3."""
         assert output_weight(1.5, seen=2, reservoir_size=1) == pytest.approx(3.0)
 
-    def test_weight_must_be_positive(self):
+    @pytest.mark.parametrize("bad", [0.0, -1.0, math.nan, math.inf, -math.inf])
+    def test_weight_must_be_positive_and_finite(self, bad):
         with pytest.raises(ValueError):
-            output_weight(0.0, 5, 3)
+            output_weight(bad, 5, 3)
 
     def test_composition_across_layers(self):
         """Weights compose multiplicatively along the upstream path."""
@@ -60,12 +63,12 @@ class TestWeightMap:
         # ... an interval passes with no weight update for "s" ...
         assert wm.get("s") == 1.5
 
-    def test_rejects_non_positive_weights(self):
-        wm = WeightMap()
+    @pytest.mark.parametrize("bad", [0.0, -1.0, math.nan, math.inf, -math.inf])
+    def test_rejects_non_positive_and_non_finite_weights(self, bad):
+        wm = WeightMap({"a": 2.0})
         with pytest.raises(ValueError):
-            wm.update("a", 0.0)
-        with pytest.raises(ValueError):
-            wm.update("a", -1.0)
+            wm.update("a", bad)
+        assert wm.get("a") == 2.0
 
     def test_merge_overwrites(self):
         wm = WeightMap({"a": 2.0, "b": 3.0})
@@ -89,6 +92,7 @@ class TestWeightMap:
         assert "b" not in wm
         assert len(wm) == 1
 
-    def test_initial_mapping_validated(self):
+    @pytest.mark.parametrize("bad", [-2.0, math.nan, math.inf])
+    def test_initial_mapping_validated(self, bad):
         with pytest.raises(ValueError):
-            WeightMap({"a": -2.0})
+            WeightMap({"a": bad})

@@ -8,7 +8,7 @@ from repro.core.columns import ColumnarBatch
 from repro.core.items import StreamItem
 from repro.core.stratified import allocate_proportional
 from repro.core.weights import WeightMap
-from repro.core.whs import WeightedHierarchicalSampler, whsamp
+from repro.core.whs import whsamp
 from repro.errors import SamplingError
 
 
@@ -120,7 +120,14 @@ class TestListInputIsTheColumnarInput:
         assert all(isinstance(b.items, ColumnarBatch) for b in from_list.batches)
 
 
-class TestStatefulSampler:
+class TestCallerHeldWeights:
+    """Figure 3's stale-weight rule over ``whsamp``.
+
+    A node keeps the weights it *received* in a :class:`WeightMap` of
+    its own and passes it to every interval's ``whsamp``; ``whsamp``
+    copies it, so the node's output weights never feed back.
+    """
+
     def test_stale_received_weight_applies_next_interval(self):
         """Figure 3 at node B: the *received* w=1.5 applies again.
 
@@ -128,44 +135,35 @@ class TestStatefulSampler:
         feed back as the next interval's input weight — only weights
         received from downstream do.
         """
-        sampler = WeightedHierarchicalSampler(1, rng=random.Random(10))
-        sampler.observe_weights({"s": 1.5})
+        rng = random.Random(10)
+        received = WeightMap({"s": 1.5})
         # Interval v: items 5, 2 arrive; reservoir 1 -> w = 1.5 * 2 = 3.
-        r1 = sampler.process_interval(make_items("s", [5, 2]))
+        r1 = whsamp(make_items("s", [5, 2]), 1, received, rng=rng)
         assert r1.weights.get("s") == pytest.approx(3.0)
+        assert received.get("s") == 1.5
         # Interval v+1: items 3, 4 arrive with no weight metadata. The
         # stale *received* weight 1.5 applies: w = 1.5 * 2 = 3.0.
-        r2 = sampler.process_interval(make_items("s", [3, 4]))
+        r2 = whsamp(make_items("s", [3, 4]), 1, received, rng=rng)
         assert r2.weights.get("s") == pytest.approx(3.0)
 
     def test_outputs_do_not_compound_across_intervals(self):
         """Raw items at a bottom node keep weight ~1/fraction forever."""
-        sampler = WeightedHierarchicalSampler(10, rng=random.Random(12))
+        rng = random.Random(12)
+        received = WeightMap()
         for _ in range(20):
-            result = sampler.process_interval(make_items("s", range(100)))
+            result = whsamp(make_items("s", range(100)), 10, received, rng=rng)
             assert result.weights.get("s") == pytest.approx(10.0)
-
-    def test_sample_size_mutable(self):
-        sampler = WeightedHierarchicalSampler(5)
-        sampler.sample_size = 20
-        assert sampler.sample_size == 20
-        with pytest.raises(SamplingError):
-            sampler.sample_size = 0
-
-    def test_invalid_construction(self):
-        with pytest.raises(SamplingError):
-            WeightedHierarchicalSampler(0)
+        assert len(received) == 0
 
     def test_count_invariant_end_to_end_two_layers(self):
         """Chain two nodes; root estimate recovers the bottom count."""
         rng = random.Random(11)
-        bottom = WeightedHierarchicalSampler(10, rng=rng)
-        top = WeightedHierarchicalSampler(5, rng=rng)
         original = make_items("s", range(200))
-        r_bottom = bottom.process_interval(original)
-        top.observe_weights(r_bottom.weights.as_dict())
+        r_bottom = whsamp(original, 10, WeightMap(), rng=rng)
+        top_received = WeightMap()
+        top_received.merge(r_bottom.weights)
         forwarded = [i for b in r_bottom.batches for i in b.items]
-        r_top = top.process_interval(forwarded)
+        r_top = whsamp(forwarded, 5, top_received, rng=rng)
         assert r_top.batches[0].estimated_count == pytest.approx(200.0)
 
 

@@ -13,26 +13,13 @@ class TestHierarchy:
             for obj in vars(errors).values()
             if isinstance(obj, type) and issubclass(obj, Exception)
         ]
-        assert len(exception_types) >= 15
+        assert len(exception_types) >= 12
         for exc_type in exception_types:
             assert issubclass(exc_type, errors.ReproError)
-
-    def test_broker_family(self):
-        for exc in (
-            errors.TopicExistsError,
-            errors.UnknownTopicError,
-            errors.UnknownPartitionError,
-            errors.OffsetOutOfRangeError,
-            errors.ConsumerGroupError,
-        ):
-            assert issubclass(exc, errors.BrokerError)
 
     def test_simulation_family(self):
         assert issubclass(errors.ClockError, errors.SimulationError)
         assert issubclass(errors.NetworkError, errors.SimulationError)
-
-    def test_streams_family(self):
-        assert issubclass(errors.TopologyError, errors.StreamsError)
 
     def test_one_catch_all(self):
         with pytest.raises(errors.ReproError):

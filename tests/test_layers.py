@@ -28,7 +28,6 @@ ALLOWED: dict[str, set[str]] = {
     "topology": {"errors", "simnet"},
     "workloads": {"core", "errors"},
     "broker": {"core", "errors"},
-    "streams": {"broker", "errors"},
     "queries": {"core", "errors"},
     "scenarios": {"errors", "simnet", "topology", "workloads"},
     # The one back-edge: the engine reads PipelineConfig (type-only) and
