@@ -136,6 +136,61 @@ class TestColumnarRoundtrip:
         with pytest.raises(ConfigurationError):
             decode_weighted_batches(struct.pack("<I", 1) + b"not-a-batch")
 
+    @pytest.mark.parametrize("tags_form", ["uniform", "per-record"])
+    @pytest.mark.parametrize("sizes_form", ["uniform", "per-record"])
+    @pytest.mark.parametrize("stamps_form", ["uniform", "per-record"])
+    def test_every_column_form_roundtrips(
+        self, tags_form, sizes_form, stamps_form
+    ):
+        """Each of the three header columns takes its own branch on
+        both sides of the wire; every combination keeps its form."""
+        tags = "A" if tags_form == "uniform" else ["A", "B", "A"]
+        sizes = 48 if sizes_form == "uniform" else [8, 16, 24]
+        stamps = (
+            2.5 if stamps_form == "uniform"
+            else value_column([2.5, 2.75, 3.0])
+        )
+        payload = ColumnarBatch(tags, value_column([1.0, 2.0, 3.0]), stamps,
+                                sizes)
+        decoded = roundtrip(WeightedBatch("A", 4.0, payload)).items
+        assert decoded.substreams == tags
+        assert decoded.sizes == sizes
+        assert type(decoded.sizes) is type(sizes)
+        if stamps_form == "uniform":
+            assert decoded.timestamps == 2.5
+            assert isinstance(decoded.timestamps, float)
+        else:
+            assert list(decoded.timestamps) == [2.5, 2.75, 3.0]
+        assert list(decoded.values) == [1.0, 2.0, 3.0]
+
+    @pytest.mark.parametrize("special", [math.nan, math.inf, -math.inf])
+    def test_non_finite_values_roundtrip_bitwise(self, special):
+        """The weight must be finite; the carried values are data and
+        cross the wire as they are."""
+        payload = ColumnarBatch.single("A", [1.0, special, -0.0], 0.0)
+        decoded = roundtrip(WeightedBatch("A", 1.0, payload))
+        assert decoded.items.values.tobytes() == payload.values.tobytes()
+
+    @pytest.mark.parametrize("wrap", [bytes, bytearray, memoryview])
+    def test_any_bytes_like_frame_decodes(self, wrap):
+        batch = WeightedBatch(
+            "A", 2.0, ColumnarBatch.single("A", [1.0, 2.0], 1.0)
+        )
+        frame = encode_weighted_batches([batch])
+        [decoded] = decode_weighted_batches(wrap(frame))
+        assert list(decoded.items.values) == [1.0, 2.0]
+        assert decoded.weight == 2.0
+
+    def test_decoded_columns_do_not_alias_the_frame(self):
+        batch = WeightedBatch("A", 1.0, ColumnarBatch(
+            "A", value_column([1.0, 2.0]), value_column([0.5, 0.75]), 8,
+        ))
+        frame = bytearray(encode_weighted_batches([batch]))
+        [decoded] = decode_weighted_batches(memoryview(frame))
+        frame[:] = bytes(len(frame))
+        assert list(decoded.items.values) == [1.0, 2.0]
+        assert list(decoded.items.timestamps) == [0.5, 0.75]
+
 
 class TestWireBytes:
     """The frame layout, byte for byte, and how the chunks carry it."""

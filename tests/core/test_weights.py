@@ -21,6 +21,13 @@ class TestLocalWeight:
         with pytest.raises(ValueError):
             local_weight(5, 0)
 
+    @pytest.mark.parametrize("seen,size,expected", [
+        (0, 5, 1.0), (1, 1, 1.0), (2, 1, 2.0), (6, 5, 1.2),
+        (1000, 10, 100.0), (7, 3, 7 / 3),
+    ])
+    def test_equation_1_table(self, seen, size, expected):
+        assert local_weight(seen, size) == pytest.approx(expected)
+
 
 class TestOutputWeight:
     def test_paper_figure2_example(self):
@@ -47,9 +54,24 @@ class TestOutputWeight:
         assert w2 == pytest.approx(3.0)
 
 
+    @pytest.mark.parametrize("w_in,seen,size,expected", [
+        (1.0, 100, 10, 10.0), (2.5, 4, 4, 2.5), (2.5, 0, 4, 2.5),
+        (0.5, 30, 10, 1.5),
+    ])
+    def test_equation_2_scales_the_input_weight(self, w_in, seen, size,
+                                                expected):
+        assert output_weight(w_in, seen, size) == pytest.approx(expected)
+
+
 class TestWeightMap:
     def test_default_weight_is_one(self):
         assert WeightMap().get("never-seen") == 1.0
+
+    def test_get_never_inserts(self):
+        wm = WeightMap()
+        wm.get("never-seen")
+        assert "never-seen" not in wm
+        assert len(wm) == 0
 
     def test_update_and_get(self):
         wm = WeightMap()
@@ -96,3 +118,29 @@ class TestWeightMap:
     def test_initial_mapping_validated(self, bad):
         with pytest.raises(ValueError):
             WeightMap({"a": bad})
+
+    @pytest.mark.parametrize("bad", [0.0, math.nan, math.inf])
+    def test_merge_validates_incoming_weights(self, bad):
+        wm = WeightMap({"a": 2.0})
+        with pytest.raises(ValueError):
+            wm.merge({"a": bad})
+        assert wm.get("a") == 2.0
+
+    def test_update_stores_a_float(self):
+        wm = WeightMap()
+        wm.update("a", 3)
+        assert type(wm.get("a")) is float
+
+    def test_items_is_a_snapshot(self):
+        wm = WeightMap({"a": 2.0, "b": 3.0})
+        seen = []
+        for substream, weight in wm.items():
+            wm.update(substream + "-next", weight)
+            seen.append(substream)
+        assert seen == ["a", "b"]
+        assert len(wm) == 4
+
+    def test_as_dict_is_a_copy(self):
+        wm = WeightMap({"a": 2.0})
+        wm.as_dict()["a"] = 9.0
+        assert wm.get("a") == 2.0

@@ -166,6 +166,36 @@ class TestCallerHeldWeights:
         r_top = whsamp(forwarded, 5, top_received, rng=rng)
         assert r_top.batches[0].estimated_count == pytest.approx(200.0)
 
+    def test_a_substream_without_a_received_weight_starts_at_one(self):
+        received = WeightMap({"s": 4.0})
+        items = make_items("s", range(20)) + make_items("t", range(20))
+        result = whsamp(items, 20, received, rng=random.Random(3))
+        assert result.weights.get("s") == pytest.approx(4.0 * 2)
+        assert result.weights.get("t") == pytest.approx(2.0)
+
+    def test_a_fresh_received_weight_supersedes_the_stale_one(self):
+        """Figure 3, interval v+2: new metadata replaces w = 1.5."""
+        rng = random.Random(4)
+        received = WeightMap({"s": 1.5})
+        whsamp(make_items("s", [1, 2]), 1, received, rng=rng)
+        received.merge({"s": 6.0})
+        result = whsamp(make_items("s", [3, 4]), 1, received, rng=rng)
+        assert result.weights.get("s") == pytest.approx(12.0)
+
+    def test_a_plain_mapping_serves_as_received_weights(self):
+        received = {"s": 2.5}
+        result = whsamp(make_items("s", range(10)), 5, received,
+                        rng=random.Random(5))
+        assert result.weights.get("s") == pytest.approx(5.0)
+        assert received == {"s": 2.5}
+
+    def test_received_weight_scales_the_recovered_count(self):
+        """Eq. 8 with W_in = 3: 100 arrivals stand for 300 originals."""
+        result = whsamp(make_items("s", range(100)), 10, WeightMap({"s": 3.0}),
+                        rng=random.Random(6))
+        [batch] = result.batches
+        assert batch.estimated_count == pytest.approx(300.0)
+
 
 class TestMergeResults:
     """merge_results: the cross-shard union respects Eq. 8."""

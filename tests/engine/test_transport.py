@@ -4,7 +4,7 @@ import pytest
 
 from repro.core.items import StreamItem, WeightedBatch
 from repro.engine.transport import InProcessTransport, SimnetTransport
-from repro.errors import ConfigurationError
+from repro.errors import ConfigurationError, NetworkError
 from repro.simnet.netem import NetemConfig
 from repro.simnet.network import Network
 
@@ -185,6 +185,35 @@ class TestSimnetTransport:
         assert [b.substream for b in transport.collect("root")] == ["early"]
         network.clock.run()
         assert [b.substream for b in transport.collect("root")] == ["late"]
+
+    def test_a_registered_node_without_a_link_is_a_network_error(self):
+        """Links are one-way uplinks: the root cannot send down."""
+        network = two_host_network()
+        transport = SimnetTransport(network)
+        transport.register("edge")
+        with pytest.raises(NetworkError, match="no link root->edge"):
+            transport.send("root", "edge", batch())
+        assert network.total_bytes_sent() == 0
+        assert network.clock.pending == 0
+
+    def test_inbox_order_is_arrival_order_across_links(self):
+        """Two children on links of different delay: the batch sent
+        first over the slow link lands after the fast one's."""
+        network = Network()
+        for host in ("slow", "fast", "root"):
+            network.add_host(host, 1e9)
+        network.add_link("slow", "root", NetemConfig(delay_ms=50.0,
+                                                     rate_bps=1e9))
+        network.add_link("fast", "root", NetemConfig(delay_ms=5.0,
+                                                     rate_bps=1e9))
+        transport = SimnetTransport(network)
+        transport.register("root")
+        transport.send("slow", "root", batch("from-slow"))
+        transport.send("fast", "root", batch("from-fast"))
+        network.clock.run()
+        assert [b.substream for b in transport.collect("root")] == [
+            "from-fast", "from-slow",
+        ]
 
 
 class TestSimnetLinkConditions:

@@ -1,6 +1,8 @@
 """Unit tests for the discrete-event network simulator."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.errors import ClockError, ConfigurationError, NetworkError, SimulationError
 from repro.simnet.clock import Clock
@@ -82,6 +84,120 @@ class TestClock:
         with pytest.raises(ClockError):
             clock.run_until(bad)
         assert (clock.pending, clock.now) == (1, 0.0)
+
+    def test_negative_infinity_rejected(self):
+        clock = Clock()
+        with pytest.raises(ClockError):
+            clock.schedule_at(float("-inf"), print, None)
+        with pytest.raises(ClockError):
+            clock.run_until(float("-inf"))
+        assert (clock.pending, clock.now) == (0, 0.0)
+
+    def test_step_on_an_empty_queue_leaves_the_clock_alone(self):
+        clock = Clock(start=4.0)
+        assert clock.step() is False
+        assert (clock.now, clock.events_fired) == (4.0, 0)
+
+    def test_step_moves_now_to_the_event_time(self):
+        clock = Clock()
+        clock.schedule(2.5, print, None)
+        clock.schedule(7.0, print, None)
+        clock.step()
+        assert (clock.now, clock.pending, clock.events_fired) == (2.5, 1, 1)
+
+    def test_pending_and_fired_counts_track_the_queue(self):
+        clock = Clock()
+        for delay in (1.0, 2.0, 3.0):
+            clock.schedule(delay, print, None)
+        assert (clock.pending, clock.events_fired) == (3, 0)
+        clock.run_until(2.0)
+        assert (clock.pending, clock.events_fired) == (1, 2)
+        clock.run()
+        assert (clock.pending, clock.events_fired) == (0, 3)
+
+    def test_start_time_anchors_relative_scheduling(self):
+        clock = Clock(start=10.0)
+        fired = []
+        clock.schedule(1.5, lambda _: fired.append(clock.now), None)
+        clock.run()
+        assert fired == [11.5]
+
+    def test_scheduling_at_now_is_allowed(self):
+        clock = Clock(start=3.0)
+        fired = []
+        clock.schedule(0.0, fired.append, "zero-delay")
+        clock.schedule_at(3.0, fired.append, "at-now")
+        clock.run()
+        assert fired == ["zero-delay", "at-now"]
+        assert clock.now == 3.0
+
+    def test_run_until_fires_events_at_exactly_the_bound(self):
+        clock = Clock()
+        fired = []
+        clock.schedule(2.0, fired.append, "at-bound")
+        clock.schedule(2.0 + 1e-9, fired.append, "after")
+        clock.run_until(2.0)
+        assert fired == ["at-bound"]
+        assert clock.pending == 1
+
+    def test_run_until_anchors_an_empty_queue(self):
+        clock = Clock()
+        clock.run_until(5.0)
+        assert clock.now == 5.0
+        fired = []
+        clock.schedule(1.0, lambda _: fired.append(clock.now), None)
+        clock.run()
+        assert fired == [6.0]
+
+    def test_same_instant_events_scheduled_while_firing_queue_behind(self):
+        clock = Clock()
+        fired = []
+
+        def first(_):
+            fired.append("first")
+            clock.schedule(0.0, fired.append, "spawned")
+
+        clock.schedule(1.0, first, None)
+        clock.schedule(1.0, fired.append, "second")
+        clock.run()
+        assert fired == ["first", "second", "spawned"]
+
+    def test_run_resumes_after_run_until(self):
+        clock = Clock()
+        fired = []
+        for delay in (1.0, 2.0, 3.0):
+            clock.schedule(delay, fired.append, delay)
+        clock.run_until(1.5)
+        clock.run()
+        assert fired == [1.0, 2.0, 3.0]
+        assert clock.now == 3.0
+
+    def test_a_raising_event_leaves_later_events_queued(self):
+        clock = Clock()
+        fired = []
+
+        def boom(_):
+            raise RuntimeError("handler failed")
+
+        clock.schedule(1.0, boom, None)
+        clock.schedule(2.0, fired.append, "later")
+        with pytest.raises(RuntimeError):
+            clock.run()
+        assert (clock.now, clock.pending, fired) == (1.0, 1, [])
+        clock.run()
+        assert fired == ["later"]
+
+    @given(delays=st.lists(st.sampled_from([0.0, 0.5, 1.0, 2.0, 3.5]),
+                           max_size=30))
+    @settings(max_examples=100, deadline=None)
+    def test_firing_order_is_time_then_scheduling_order(self, delays):
+        clock = Clock()
+        fired = []
+        for index, delay in enumerate(delays):
+            clock.schedule(delay, fired.append, (delay, index))
+        clock.run()
+        assert fired == sorted(fired)
+        assert clock.events_fired == len(delays)
 
 
 class TestNetem:
@@ -229,6 +345,20 @@ class TestNetwork:
         assert network.total_bytes_sent() == 123
         network.reset_counters()
         assert network.total_bytes_sent() == 0
+
+    def test_reset_also_zeroes_host_counters(self):
+        network = self._simple_network()
+        host = network.host("b")
+        host.process(10, None, lambda _: None)
+        network.clock.run()
+        assert host.items_processed == 10 and host.busy_time > 0
+        network.reset_counters()
+        assert (host.items_processed, host.busy_time) == (0, 0.0)
+
+    def test_unknown_host_lookup_raises(self):
+        network = self._simple_network()
+        with pytest.raises(NetworkError, match="no such host: 'ghost'"):
+            network.host("ghost")
 
 
 class TestStats:

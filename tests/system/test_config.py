@@ -1,7 +1,12 @@
 """Unit tests for the frozen pipeline configuration."""
 
 import dataclasses
+import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -99,6 +104,25 @@ class TestOneTransportPerEngine:
         assert "transport" not in names
         with pytest.raises(TypeError):
             PipelineConfig(transport="broker")
+
+    def test_system_loads_only_the_codec_from_broker(self):
+        """``repro.broker`` is the shard codec and nothing else: the
+        system layer pulls in ``records`` and no other broker module."""
+        src = Path(__file__).resolve().parents[2] / "src"
+        env = dict(os.environ, PYTHONPATH=str(src))
+        probe = (
+            "import json, sys; import repro.system; "
+            "print(json.dumps(sorted(m for m in sys.modules "
+            "if m.startswith('repro.broker'))))"
+        )
+        done = subprocess.run(
+            [sys.executable, "-c", probe],
+            env=env, capture_output=True, text=True, timeout=120,
+        )
+        assert done.returncode == 0, done.stderr
+        assert set(json.loads(done.stdout)) <= {
+            "repro.broker", "repro.broker.records",
+        }
 
     def test_statistical_engine_moves_batches_in_process(self):
         from repro.engine.transport import InProcessTransport

@@ -1,173 +1,130 @@
 """End-to-end integration of the paper's prototype architecture (Fig. 4).
 
-Wires the actual substrates together the way §IV describes: input
-streams land in broker topics; each edge layer is a streams application
-whose user-defined sampling processor (low-level API) samples its
-interval and produces to the next layer's topic; the root consumes the
-final topic, samples once more, executes the query and attaches error
-bounds. No shortcuts through the system-level runners — this exercises
-broker + streams + core together.
+Wires the substrates together the way §IV describes, with the
+simulated network in place of the broker: input streams cross a WAN
+link into the first sampling layer's inbox; each layer closes its
+interval with one WHSamp step (``whsamp_batches``) and sends the
+weighted batches up its own link; the root collects the last layer's
+output, executes the query and attaches error bounds. No shortcuts
+through the system-level runners — this exercises simnet + engine
+transport + core together.
 """
 
-import random
-from typing import Any
-
+import numpy as np
 import pytest
 
-from repro.broker import Broker, Producer
-from repro.core import (
-    StreamItem,
-    ThetaStore,
-    WeightedBatch,
-    estimate_sum_with_error,
-)
-from repro.core.whs import WeightedHierarchicalSampler, whsamp_batches
-from repro.streams import Processor, StreamBuilder, StreamsRuntime
+from repro.core import ColumnarBatch, ThetaStore, WeightedBatch
+from repro.core import estimate_sum_with_error
+from repro.core.whs import whsamp_batches
+from repro.engine import SimnetTransport
+from repro.simnet import PAPER_WAN, Network
+
+LAYERS = ("source", "layer1", "layer2", "root")
+UPLINKS = ("source_to_l1", "l1_to_l2", "l2_to_root")
+STREAMS = (("sensors/a", 10.0), ("sensors/b", 5_000.0))
 
 
-class SamplingProcessor(Processor):
-    """§IV's sampling module: WHSamp as a user-defined processor."""
+class Prototype:
+    """source -> layer1 -> layer2 -> root, one WAN link per hop."""
 
-    def __init__(self, name: str, sample_size: int, interval: float,
-                 seed: int) -> None:
-        super().__init__(name)
-        self._sampler = WeightedHierarchicalSampler(
-            sample_size, rng=random.Random(seed)
-        )
-        self._interval = interval
-        self._raw: list[StreamItem] = []
-        self._weighted: list[WeightedBatch] = []
-        self._boundary = interval
+    def __init__(self, sample_sizes, seed):
+        self.network = Network()
+        for host in LAYERS:
+            self.network.add_host(host, service_rate=1e6)
+        for (src, dst), uplink in zip(zip(LAYERS, LAYERS[1:]), UPLINKS):
+            self.network.add_link(src, dst, PAPER_WAN[uplink])
+        self.transport = SimnetTransport(self.network)
+        for node in LAYERS[1:]:
+            self.transport.register(node)
+        self.sample_sizes = dict(zip(LAYERS[1:3], sample_sizes))
+        self.gen = np.random.default_rng(seed)
+        self.exact = 0.0
+        self.count = 0
+        self.theta = ThetaStore()
 
-    def process(self, key: Any, value: Any) -> None:
-        if isinstance(value, WeightedBatch):
-            self._weighted.append(value)
-        else:
-            self._raw.append(value)
-
-    def punctuate(self, stream_time: float) -> None:
-        while stream_time >= self._boundary:
-            self._flush()
-            self._boundary += self._interval
-
-    def close(self) -> None:
-        self._flush()
-
-    def _flush(self) -> None:
-        batches = list(self._weighted)
-        self._weighted.clear()
-        if self._raw:
-            raw, self._raw = self._raw, []
-            by_stream: dict[str, list[StreamItem]] = {}
-            for item in raw:
-                by_stream.setdefault(item.substream, []).append(item)
-            batches.extend(
-                WeightedBatch(substream, 1.0, items)
-                for substream, items in by_stream.items()
+    def ingest(self, interval, items_per_stream):
+        for substream, mu in STREAMS:
+            values = self.gen.normal(mu, mu * 0.1, items_per_stream)
+            self.exact += float(values.sum())
+            self.count += items_per_stream
+            columns = ColumnarBatch.single(substream, values, float(interval))
+            self.transport.send(
+                "source", "layer1", WeightedBatch(substream, 1.0, columns)
             )
-        if not batches:
-            return
-        result = whsamp_batches(
-            batches, self._sampler.sample_size, rng=random.Random(len(batches))
-        )
-        for weighted in result.batches:
-            self.context.forward(weighted.substream, weighted)
 
+    def close_interval(self, end):
+        """Every layer samples what its link delivered by ``end``."""
+        self.network.clock.run_until(end)
+        for node, parent in (("layer1", "layer2"), ("layer2", "root")):
+            inbox = self.transport.collect(node)
+            if not inbox:
+                continue
+            result = whsamp_batches(
+                inbox, self.sample_sizes[node], gen=self.gen
+            )
+            for weighted in result.batches:
+                self.transport.send(node, parent, weighted)
+        self.theta.extend(self.transport.collect("root"))
 
-def build_layer(broker: Broker, in_topic: str, out_topic: str,
-                sample_size: int, seed: int) -> StreamsRuntime:
-    """One edge layer: consume, sample per interval, produce upward."""
-    builder = StreamBuilder()
-    (builder.stream(in_topic)
-        .process_with(SamplingProcessor(f"samp-{in_topic}", sample_size,
-                                        interval=1.0, seed=seed))
-        .to(out_topic))
-    return StreamsRuntime(broker, builder.build(),
-                          application_id=f"layer-{in_topic}")
+    def run(self, intervals=4, items_per_stream=500):
+        for interval in range(intervals):
+            self.ingest(interval, items_per_stream)
+            self.close_interval(interval + 1.0)
+        # Drain: batches still on a link land in later closes.
+        for extra in range(1, 4):
+            self.close_interval(intervals + extra)
+        return self
+
+    def link_bytes(self, src, dst):
+        return self.network.link(src, dst).bytes_sent
 
 
 class TestPrototypeEndToEnd:
-    @pytest.fixture()
-    def broker(self):
-        broker = Broker()
-        for topic in ("layer0", "layer1", "layer2"):
-            broker.create_topic(topic, partitions=2)
-        return broker
+    def test_two_sampling_layers_estimate_the_sum(self):
+        proto = Prototype(sample_sizes=(400, 200), seed=13).run()
+        assert len(proto.theta) > 0
+        approx = estimate_sum_with_error(proto.theta, confidence=0.95)
+        assert approx.value == pytest.approx(proto.exact, rel=0.1)
 
-    def _ingest(self, broker, rng, items_per_stream=2_000):
-        producer = Producer(broker, batch_size=100)
-        exact = 0.0
-        count = 0
-        for substream, mu in (("sensors/a", 10.0), ("sensors/b", 5_000.0)):
-            for step in range(items_per_stream):
-                timestamp = 4.0 * step / items_per_stream
-                item = StreamItem(substream, rng.gauss(mu, mu * 0.1), timestamp)
-                exact += item.value
-                count += 1
-                producer.send("layer0", item, key=substream,
-                              timestamp=timestamp)
-        producer.flush()
-        return exact, count
-
-    def test_two_sampling_layers_estimate_the_sum(self, broker):
-        rng = random.Random(13)
-        exact, count = self._ingest(broker, rng)
-
-        layer1 = build_layer(broker, "layer0", "layer1",
-                             sample_size=400, seed=1)
-        layer2 = build_layer(broker, "layer1", "layer2",
-                             sample_size=200, seed=2)
-        for runtime in (layer1, layer2):
-            runtime.run_to_completion()
-            runtime.advance_stream_time(10.0)
-            runtime.close()
-        # Batches emitted at close() need one more drain into layer2.
-        # (close() flushes through the sink synchronously.)
-
-        theta = ThetaStore()
-        for partition in broker.end_offsets("layer2"):
-            for record in broker.fetch("layer2", partition, 0):
-                theta.add(record.value)
-        assert len(theta) > 0
-
-        approx = estimate_sum_with_error(theta, confidence=0.95)
-        assert approx.value == pytest.approx(exact, rel=0.1)
-        # Eq. 8: the recovered item count is (close to) exact even
-        # through two independent sampling layers and topic partitions.
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_count_is_recovered_through_two_layers(self, seed):
+        """Eq. 8: |I| * W_out sums to the source count at the root."""
+        proto = Prototype(sample_sizes=(300, 100), seed=seed).run()
         recovered = sum(
-            est.estimated_count for est in theta.per_substream().values()
+            est.estimated_count
+            for est in proto.theta.per_substream().values()
         )
-        assert recovered == pytest.approx(count, rel=1e-6)
+        assert recovered == pytest.approx(proto.count, rel=1e-9)
 
-    def test_sampling_reduces_topic_volume(self, broker):
-        rng = random.Random(14)
-        self._ingest(broker, rng)
-        layer1 = build_layer(broker, "layer0", "layer1",
-                             sample_size=400, seed=3)
-        layer1.run_to_completion()
-        layer1.advance_stream_time(10.0)
-        layer1.close()
-        layer0_records = sum(broker.end_offsets("layer0").values())
-        layer1_items = 0
-        for partition in broker.end_offsets("layer1"):
-            for record in broker.fetch("layer1", partition, 0):
-                layer1_items += len(record.value)
-        assert layer1_items < layer0_records / 2
+    def test_every_substream_reaches_the_root(self):
+        proto = Prototype(sample_sizes=(40, 10), seed=7).run()
+        assert proto.theta.substreams == sorted(s for s, _ in STREAMS)
 
-    def test_committed_offsets_survive_restart(self, broker):
-        """A restarted layer resumes where the group committed."""
-        rng = random.Random(15)
-        self._ingest(broker, rng, items_per_stream=200)
-        layer1 = build_layer(broker, "layer0", "layer1",
-                             sample_size=100, seed=4)
-        layer1.run_to_completion()
-        layer1.close()  # commits offsets
-        # New data arrives after the app stopped.
-        producer = Producer(broker)
-        producer.send("layer0", StreamItem("sensors/a", 1.0, 9.0),
-                      key="sensors/a", timestamp=9.0)
-        restarted = build_layer(broker, "layer0", "layer1",
-                                sample_size=100, seed=5)
-        processed = restarted.run_to_completion()
-        restarted.close()
-        assert processed == 1  # only the record produced after commit
+    def test_sampling_reduces_link_volume(self):
+        proto = Prototype(sample_sizes=(400, 200), seed=14).run()
+        source = proto.link_bytes("source", "layer1")
+        layer1 = proto.link_bytes("layer1", "layer2")
+        layer2 = proto.link_bytes("layer2", "root")
+        assert layer1 < source / 2
+        assert layer2 <= layer1
+
+    def test_unsaturated_layers_forward_everything(self):
+        """A budget above the arrivals passes every item at weight 1."""
+        proto = Prototype(sample_sizes=(10_000, 10_000), seed=15)
+        proto.run(items_per_stream=50)
+        assert proto.link_bytes("layer2", "root") == (
+            proto.link_bytes("source", "layer1")
+        )
+        assert all(batch.weight == 1.0 for batch in proto.theta.batches)
+        approx = estimate_sum_with_error(proto.theta)
+        assert approx.value == pytest.approx(proto.exact, rel=1e-12)
+
+    def test_a_batch_reaches_the_root_after_every_link_delay(self):
+        """10 + 20 + 40 ms one-way: a close at 0.05 s misses it."""
+        proto = Prototype(sample_sizes=(100, 100), seed=16)
+        proto.ingest(0, items_per_stream=10)
+        proto.close_interval(0.015)
+        proto.close_interval(0.05)
+        assert len(proto.theta) == 0
+        proto.close_interval(0.1)
+        assert len(proto.theta) == len(STREAMS)
