@@ -11,7 +11,7 @@ import random
 
 import pytest
 
-from repro.core.estimator import ThetaStore, estimate_sum
+from repro.core.estimator import ThetaStore
 from repro.core.items import StreamItem
 from repro.core.reservoir import ReservoirSampler, SkipAheadReservoirSampler
 from repro.core.stratified import (
@@ -51,7 +51,8 @@ def test_ablation_stratified_vs_single_reservoir(benchmark, results_sink):
             result = whsamp(items, budget, rng=trial_rng)
             theta = ThetaStore()
             theta.extend(result.batches)
-            strat_losses.append(abs(estimate_sum(theta) - exact) / exact)
+            estimate = sum(batch.estimated_sum for batch in theta.batches)
+            strat_losses.append(abs(estimate - exact) / exact)
             # Single shared reservoir: one stratum for everything.
             sampler = ReservoirSampler(budget, trial_rng)
             sampler.extend(items)
@@ -97,7 +98,7 @@ def test_ablation_weight_propagation(benchmark, results_sink):
             root = whsamp(forwarded, budget, l1.weights, rng=rng)
             theta = ThetaStore()
             theta.extend(root.batches)
-            weighted = estimate_sum(theta)
+            weighted = sum(batch.estimated_sum for batch in theta.batches)
             # Naive root: discard the weight metadata, blow every
             # sampled value up by the nominal 1/fraction.
             naive = sum(i.value for b in root.batches for i in b.items) / fraction

@@ -6,6 +6,8 @@ Runs, in this process and under one ``sys.settrace`` line tracer:
 * ``figures --scale quick`` — every evaluation figure;
 * every catalog scenario at quick scale, plus one sharded adaptive run
   (``churn --workers 2 --budget-controller variance_aware``);
+* the three injected-fault runs of CI's ``fault-smoke`` job (a crashed,
+  a raising and a hung shard), so the supervision code counts;
 * every ``examples/*.py`` script.
 
 Tests do not count: a line that only a test reaches has no user.
@@ -18,7 +20,13 @@ count. A line run only at import (``def``, ``class``, constants) counts
 as reached, so the table also gives each module's functions that no run
 ever entered; ``--uncalled`` lists them by name.
 
-Usage:  PYTHONPATH=src python scripts/reachability.py [--uncalled]
+``--check`` makes the audit a ratchet. ``scripts/reachability_allow.txt``
+lists every function no run enters, keyed ``module: qualname``, each
+with a one-line reason. The check fails on a never-entered function the
+list does not name, and on a stale entry: one that a run now enters or
+that no longer exists. The list therefore shrinks with the code.
+
+Usage:  PYTHONPATH=src python scripts/reachability.py [--uncalled] [--check]
 """
 
 from __future__ import annotations
@@ -40,6 +48,7 @@ from pathlib import Path
 REPO_ROOT = Path(__file__).resolve().parent.parent
 SRC = REPO_ROOT / "src"
 PACKAGE = str(SRC / "repro") + os.sep
+ALLOWLIST = REPO_ROOT / "scripts" / "reachability_allow.txt"
 
 
 class LineCounter:
@@ -118,6 +127,15 @@ def _cli_workloads(scenario_names: list[str]) -> list[list[str]]:
             "scenarios", "run", "churn", *quick,
             "--workers", "2", "--budget-controller", "variance_aware",
         ],
+        ["figures", "fig5", *quick, "--workers", "2",
+         "--inject-fault", "crash@0:1"],
+        ["figures", "fig5", *quick, "--workers", "3",
+         "--inject-fault", "raise@1:1"],
+        [
+            "scenarios", "run", "flash-crowd", *quick, "--windows", "4",
+            "--workers", "2", "--shard-timeout", "5",
+            "--inject-fault", "hang@0:1",
+        ],
     ]
 
 
@@ -158,6 +176,20 @@ def _is_function(code: types.CodeType) -> bool:
     )
 
 
+def modules() -> list[tuple[str, Path]]:
+    """``(label, path)`` per module, labelled relative to the package."""
+    return [
+        (path.relative_to(SRC / "repro").as_posix(), path)
+        for path in sorted((SRC / "repro").rglob("*.py"))
+    ]
+
+
+def functions(path: Path) -> list[types.CodeType]:
+    """The code object of every function one module defines."""
+    module = compile(path.read_text(), str(path), "exec")
+    return [code for code in _code_objects(module) if _is_function(code)]
+
+
 def module_report(
     counter: LineCounter, path: Path
 ) -> tuple[int, int, list[str]]:
@@ -184,9 +216,8 @@ def render(counter: LineCounter, show_uncalled: bool) -> str:
     ]
     details: list[str] = []
     totals: dict[str, list[int]] = defaultdict(lambda: [0, 0, 0])
-    for path in sorted((SRC / "repro").rglob("*.py")):
+    for label, path in modules():
         reached, total, uncalled = module_report(counter, path)
-        label = path.relative_to(SRC / "repro").as_posix()
         package = label.split("/")[0] if "/" in label else "(top level)"
         for index, value in enumerate((reached, total, len(uncalled))):
             totals[package][index] += value
@@ -212,19 +243,71 @@ def render(counter: LineCounter, show_uncalled: bool) -> str:
     return "\n".join(rows + ([""] + details if details else []))
 
 
+def read_allowlist(path: Path = ALLOWLIST) -> dict[str, str]:
+    """``module: qualname`` -> reason, one entry per non-comment line.
+
+    A line reads ``module: qualname :: reason``.
+    """
+    entries: dict[str, str] = {}
+    for line in path.read_text().splitlines():
+        if line.strip() and not line.startswith("#"):
+            key, _, reason = line.partition(" :: ")
+            entries[key.strip()] = reason.strip()
+    return entries
+
+
+def check(counter: LineCounter, allowed: dict[str, str]) -> list[str]:
+    """What the ratchet rejects, one line per unlisted or stale name."""
+    uncalled: set[str] = set()
+    defined: set[str] = set()
+    for label, path in modules():
+        entered = counter.entered[str(path)]
+        for code in functions(path):
+            key = f"{label}: {code.co_qualname}"
+            defined.add(key)
+            if code.co_firstlineno not in entered:
+                uncalled.add(key)
+    problems = [
+        f"never entered and not allowlisted: {key}"
+        for key in sorted(uncalled - allowed.keys())
+    ]
+    for key in sorted(allowed.keys() - uncalled):
+        why = "a run enters it" if key in defined else "no such function"
+        problems.append(f"stale allowlist entry ({why}): {key}")
+    return problems
+
+
+def run_check(counter: LineCounter, allowlist: Path = ALLOWLIST) -> int:
+    """Print the ratchet's verdict; 0 when the allowlist is exact."""
+    allowed = read_allowlist(allowlist)
+    problems = check(counter, allowed)
+    for problem in problems:
+        print(problem)
+    if problems:
+        print(f"\nreachability check failed: {len(problems)} problem(s)")
+        return 1
+    print(f"reachability check passed: {len(allowed)} allowlisted function(s)")
+    return 0
+
+
 def main(argv: list[str]) -> int:
-    """Trace the workloads and print the table."""
+    """Trace the workloads, print the table and, with ``--check``, gate."""
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument(
         "--uncalled", action="store_true",
         help="also list every function no run entered, per module",
+    )
+    parser.add_argument(
+        "--check", action="store_true",
+        help=f"fail unless {ALLOWLIST.name} lists exactly the functions "
+        "no run entered",
     )
     args = parser.parse_args(argv)
     counter = LineCounter()
     shards = run_workloads(counter)
     print(render(counter, args.uncalled))
     print(f"\n({shards} forked shard process(es) merged)")
-    return 0
+    return run_check(counter) if args.check else 0
 
 
 if __name__ == "__main__":

@@ -25,7 +25,6 @@ Algorithm 1 calls.
 
 from repro.core import (
     ApproximateResult,
-    CoinFlipSampler,
     FractionBudget,
     ReservoirSampler,
     StreamItem,
@@ -39,7 +38,6 @@ __version__ = "1.0.0"
 
 __all__ = [
     "ApproximateResult",
-    "CoinFlipSampler",
     "FractionBudget",
     "ReservoirSampler",
     "StreamItem",

@@ -71,7 +71,7 @@ _SUBSYSTEMS = [
     ("repro.scenarios", "declarative dynamic-workload scenarios"),
     ("repro.system", "runner facades (statistical / deployment / scenario)"),
     ("repro.workloads", "synthetic + real-world trace generators"),
-    ("repro.queries", "linear, grouped, top-k and quantile queries"),
+    ("repro.queries", "grouped SUM, top-k and quantile queries"),
     ("repro.experiments", "per-figure evaluation harness"),
 ]
 

@@ -10,8 +10,6 @@ automated controller:
 * :class:`FractionBudget` — the manual path: the analyst fixes a
   sampling fraction and the cost function turns an interval's expected
   arrival count into a reservoir budget.
-* :class:`ThroughputBudget` — caps the number of items per second a
-  node may forward (models limited uplink/CPU at an edge node).
 * :class:`AdaptiveErrorBudget` — the feedback mechanism of §IV-B: if
   the reported error bound exceeds the target, grow the sampling
   fraction for subsequent runs; if comfortably below, shrink it.
@@ -31,7 +29,6 @@ from repro.errors import ConfigurationError
 
 __all__ = [
     "FractionBudget",
-    "ThroughputBudget",
     "AdaptiveErrorBudget",
     "neyman_factors",
 ]
@@ -108,31 +105,6 @@ class FractionBudget:
                 f"expected arrivals must be >= 0, got {expected_arrivals}"
             )
         return max(self.floor, int(round(expected_arrivals * self.fraction)))
-
-
-@dataclass(slots=True)
-class ThroughputBudget:
-    """Cap on forwarded items per second (resource-constrained node).
-
-    Attributes:
-        items_per_second: Maximum sustained forwarding rate.
-    """
-
-    items_per_second: float
-
-    def __post_init__(self) -> None:
-        if self.items_per_second <= 0:
-            raise ConfigurationError(
-                f"items_per_second must be positive, got {self.items_per_second}"
-            )
-
-    def sample_size(self, interval_seconds: float) -> int:
-        """Reservoir budget for an interval of the given length."""
-        if interval_seconds <= 0:
-            raise ConfigurationError(
-                f"interval must be positive, got {interval_seconds}"
-            )
-        return max(1, int(self.items_per_second * interval_seconds))
 
 
 class AdaptiveErrorBudget:

@@ -13,8 +13,6 @@ central limit theorem):
   of physically sampled items at the root and ``s_i^2`` their sample
   variance (Eq. 12).
 * Eq. 10 — the variance of the overall SUM is the sum over strata.
-* Eq. 14 — variance of the overall MEAN via stratum proportions
-  ``phi_i = c_ib / sum c_ib``.
 * The error bound follows the "68-95-99.7" rule: the result lies within
   one/two/three standard deviations with 68 % / 95 % / 99.7 %
   probability. Arbitrary confidence levels use the normal quantile.
@@ -37,10 +35,8 @@ __all__ = [
     "sample_variance",
     "substream_sum_variance",
     "sum_variance",
-    "mean_variance",
     "confidence_multiplier",
     "estimate_sum_with_error",
-    "estimate_mean_with_error",
 ]
 
 #: The three canonical confidence levels of the 68-95-99.7 rule, mapped
@@ -53,7 +49,7 @@ class ApproximateResult:
     """An approximate query answer in the paper's ``result ± error`` form.
 
     Attributes:
-        value: The point estimate (SUM* or MEAN*).
+        value: The point estimate (SUM*, or one stratum's SUM_i).
         error: Half-width of the confidence interval at ``confidence``.
         confidence: The confidence level the half-width corresponds to.
         variance: The estimated variance behind the bound.
@@ -125,28 +121,6 @@ def sum_variance(estimates: Mapping[str, SubstreamEstimate]) -> float:
     return sum(substream_sum_variance(est) for est in estimates.values())
 
 
-def mean_variance(estimates: Mapping[str, SubstreamEstimate]) -> float:
-    """Eq. 14: variance of the stratified MEAN estimator."""
-    total_count = sum(est.estimated_count for est in estimates.values())
-    if total_count <= 0:
-        raise EstimationError("total estimated count must be positive")
-    variance = 0.0
-    for est in estimates.values():
-        zeta = est.sampled_count
-        if zeta == 0:
-            raise EstimationError(
-                f"sub-stream {est.substream!r} has no sampled items"
-            )
-        c_ib = est.estimated_count
-        if c_ib <= 0:
-            continue
-        phi = c_ib / total_count
-        s2 = sample_variance(est.sampled_values)
-        fpc = max(0.0, (c_ib - zeta) / c_ib)
-        variance += phi * phi * (s2 / zeta) * fpc
-    return variance
-
-
 def confidence_multiplier(confidence: float) -> float:
     """Standard-deviation multiplier for a two-sided confidence level.
 
@@ -174,23 +148,6 @@ def estimate_sum_with_error(
         raise EstimationError("cannot estimate from an empty Theta store")
     value = sum(est.estimated_sum for est in estimates.values())
     variance = sum_variance(estimates)
-    sampled = sum(est.sampled_count for est in estimates.values())
-    error = confidence_multiplier(confidence) * math.sqrt(variance)
-    return ApproximateResult(value, error, confidence, variance, sampled)
-
-
-def estimate_mean_with_error(
-    theta: ThetaStore, confidence: float = 0.95
-) -> ApproximateResult:
-    """Approximate MEAN* with its error bound."""
-    estimates = theta.per_substream()
-    if not estimates:
-        raise EstimationError("cannot estimate from an empty Theta store")
-    total_count = sum(est.estimated_count for est in estimates.values())
-    if total_count == 0:
-        raise EstimationError("all sub-streams have zero estimated count")
-    value = sum(est.estimated_sum for est in estimates.values()) / total_count
-    variance = mean_variance(estimates)
     sampled = sum(est.sampled_count for est in estimates.values())
     error = confidence_multiplier(confidence) * math.sqrt(variance)
     return ApproximateResult(value, error, confidence, variance, sampled)

@@ -8,8 +8,10 @@ original stream statistically:
 * overall SUM* (Eq. 4): sum over sub-streams;
 * per-sub-stream count ``c_i,b`` (Eq. 8): sum of ``|I| * W_out``, which
   is an exact (not just unbiased) recovery of the number of items the
-  bottom node saw — the invariant the paper proves;
-* MEAN* (Eq. 13): a count-weighted combination of per-stratum means.
+  bottom node saw — the invariant the paper proves.
+
+SUM* with its §III-D error bound is
+:func:`~repro.core.error_bounds.estimate_sum_with_error`.
 """
 
 from __future__ import annotations
@@ -19,9 +21,8 @@ from typing import Iterable, Sequence
 
 from repro.core.columns import concat_value_chunks
 from repro.core.items import WeightedBatch
-from repro.errors import EstimationError
 
-__all__ = ["ThetaStore", "SubstreamEstimate", "estimate_sum", "estimate_mean"]
+__all__ = ["ThetaStore", "SubstreamEstimate"]
 
 
 @dataclass(slots=True)
@@ -43,22 +44,17 @@ class SubstreamEstimate:
     sampled_count: int
     sampled_values: Sequence[float]
 
-    @property
-    def estimated_mean(self) -> float:
-        """``MEAN_i`` — the ratio estimator SUM_i / c_i,b."""
-        if self.estimated_count == 0:
-            raise EstimationError(
-                f"sub-stream {self.substream!r} has zero estimated count"
-            )
-        return self.estimated_sum / self.estimated_count
-
 
 class ThetaStore:
     """The root node's temporary store ``Theta`` of Algorithm 2.
 
     Collects ``(W_out, sample)`` pairs over one query window and exposes
-    the per-sub-stream and global estimators. The store is cleared when
-    the window closes (``runJob`` consumed it).
+    the per-sub-stream estimates. Each window builds a fresh store
+    (``runJob`` consumes it).
+
+    §III-E's merge is concatenation: each shard's pairs keep Eq. 8 on
+    their own, so the sharded root calls :meth:`extend` with every
+    shard's ``batches``.
     """
 
     def __init__(self) -> None:
@@ -74,20 +70,12 @@ class ThetaStore:
             self.add(batch)
 
     def merge(self, other: "ThetaStore") -> None:
-        """Fold another store's pairs into this one (sharded root merge).
+        """Append another store's pairs (``extend`` with its batches).
 
-        Theta is mergeable by construction: it is a bag of ``(W_out,
-        I)`` pairs and every estimator below is a sum over pairs, so
-        the root of a sharded run simply extends its store with each
-        worker shard's pairs — Eq. 8 holds per pair, hence for the
-        union, and the merged estimates are exactly what a single
-        process holding all pairs would compute.
+        Kept for the benchmark's codec probe (``bench/adapter.py``),
+        which times a decode-and-merge of shard frames.
         """
         self._batches.extend(other._batches)
-
-    def clear(self) -> None:
-        """Drop the stored pairs after the query consumed them."""
-        self._batches.clear()
 
     @property
     def batches(self) -> list[WeightedBatch]:
@@ -98,11 +86,6 @@ class ThetaStore:
     def sampled_items(self) -> int:
         """Physical items held across the stored pairs (no snapshot)."""
         return sum(len(batch) for batch in self._batches)
-
-    @property
-    def substreams(self) -> list[str]:
-        """Sorted list of sub-streams present in the store."""
-        return sorted({batch.substream for batch in self._batches})
 
     def __len__(self) -> int:
         return len(self._batches)
@@ -133,32 +116,3 @@ class ThetaStore:
             )
             for key in sums
         }
-
-
-def estimate_sum(theta: ThetaStore | Sequence[WeightedBatch]) -> float:
-    """``SUM*`` of Eq. 4 — the approximate total over all sub-streams."""
-    batches = theta.batches if isinstance(theta, ThetaStore) else list(theta)
-    return sum(batch.estimated_sum for batch in batches)
-
-
-def estimate_mean(theta: ThetaStore | Sequence[WeightedBatch]) -> float:
-    """``MEAN*`` of Eq. 13 — count-weighted combination of stratum means.
-
-    Algebraically equal to ``SUM* / sum_i c_i,b``; computed through the
-    per-stratum decomposition so the same code path feeds the variance
-    estimator.
-    """
-    store = theta if isinstance(theta, ThetaStore) else _as_store(theta)
-    estimates = store.per_substream()
-    if not estimates:
-        raise EstimationError("cannot estimate a mean from an empty store")
-    total_count = sum(est.estimated_count for est in estimates.values())
-    if total_count == 0:
-        raise EstimationError("all sub-streams have zero estimated count")
-    return sum(est.estimated_sum for est in estimates.values()) / total_count
-
-
-def _as_store(batches: Sequence[WeightedBatch]) -> ThetaStore:
-    store = ThetaStore()
-    store.extend(batches)
-    return store

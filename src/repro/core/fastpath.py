@@ -18,8 +18,10 @@ pipeline seeds **one** ``Generator`` from its run seed
 (:func:`make_generator`, ``Pipeline.gen``) and every reservoir draw and
 coin flip of the run consumes it in execution order — no node, window
 or batch builds another; a sharded run has one per shard. Standalone
-primitives (``whsamp_batches``, ``CoinFlipSampler``) seed their own
-from the caller's ``random.Random``.
+primitives take theirs from the caller: ``whsamp_batches`` seeds one
+from the caller's ``random.Random``, and
+:func:`~repro.core.srs.coin_flips` draws from the ``Generator`` it is
+handed.
 """
 
 from __future__ import annotations

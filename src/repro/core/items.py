@@ -18,9 +18,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator, Sequence
+from typing import Iterator
 
-__all__ = ["StreamItem", "WeightedBatch", "group_by_substream"]
+__all__ = ["StreamItem", "WeightedBatch"]
 
 
 @dataclass(frozen=True, slots=True)
@@ -41,10 +41,6 @@ class StreamItem:
     value: float
     emitted_at: float = 0.0
     size_bytes: int = 100
-
-    def with_value(self, value: float) -> "StreamItem":
-        """Return a copy of this item carrying a different value."""
-        return StreamItem(self.substream, value, self.emitted_at, self.size_bytes)
 
 
 @dataclass(slots=True)
@@ -104,24 +100,6 @@ class WeightedBatch:
     def total_bytes(self) -> int:
         """Serialized payload size of the batch for bandwidth accounting."""
         return self.items.total_bytes
-
-
-def group_by_substream(items: Iterable[StreamItem]) -> dict[str, list[StreamItem]]:
-    """Stratify a flat item sequence by sub-stream identifier.
-
-    This implements the ``Update`` step (line 5 of Algorithm 1): the node
-    stratifies the input stream into sub-streams according to their
-    sources.
-    """
-    grouped: dict[str, list[StreamItem]] = {}
-    for item in items:
-        grouped.setdefault(item.substream, []).append(item)
-    return grouped
-
-
-def total_value(batches: Sequence[WeightedBatch]) -> float:
-    """Sum the weighted values over a collection of batches."""
-    return sum(batch.estimated_sum for batch in batches)
 
 
 # At the bottom because the import is circular: repro.core.columns takes

@@ -15,13 +15,12 @@ hold to :class:`ReservoirSampler`'s inclusion distribution.
 
 from __future__ import annotations
 
-
 import random
-from typing import Generic, Iterable, Sequence, TypeVar
+from typing import Generic, Iterable, TypeVar
 
 from repro.errors import SamplingError
 
-__all__ = ["ReservoirSampler", "SkipAheadReservoirSampler", "reservoir_sample"]
+__all__ = ["ReservoirSampler", "SkipAheadReservoirSampler"]
 
 T = TypeVar("T")
 
@@ -79,55 +78,6 @@ class ReservoirSampler(Generic[T]):
     def sample(self) -> list[T]:
         """Return a copy of the current reservoir contents."""
         return list(self._reservoir)
-
-    def merge_from(self, other: "ReservoirSampler[T]") -> None:
-        """Absorb a reservoir sampled from a *disjoint* stream (§III-E).
-
-        After the merge this sampler holds a uniform random sample of
-        size ``min(capacity, seen_a + seen_b)`` of the union of the two
-        underlying streams, and ``seen`` counts both streams — exactly
-        the state a single reservoir fed the concatenated stream would
-        have (distribution-wise). This is the mergeable-state primitive
-        for sharded execution: worker shards sample independently and
-        the root folds their reservoirs together without replaying
-        items.
-
-        Correctness: a uniform ``k``-subset of the union is drawn by
-        first deciding, one slot at a time, *which* stream each of the
-        ``k`` union picks comes from (sampling without replacement over
-        stream identities — the sequential form of a hypergeometric
-        draw), then taking that many uniform picks from the
-        corresponding reservoir. A uniform subset of a uniform subset
-        is uniform, and the per-stream draw count can never exceed the
-        items that stream's reservoir actually holds.
-
-        Both samplers must share the same capacity; entropy comes from
-        *this* sampler's rng, so seeded merges are reproducible.
-        """
-        if other._capacity != self._capacity:
-            raise SamplingError(
-                f"cannot merge reservoirs of different capacities "
-                f"({self._capacity} vs {other._capacity})"
-            )
-        if other._seen == 0:
-            return
-        if self._seen == 0:
-            self._reservoir = list(other._reservoir)
-            self._seen = other._seen
-            return
-        remaining_a, remaining_b = self._seen, other._seen
-        take_a = 0
-        for _ in range(min(self._capacity, remaining_a + remaining_b)):
-            if self._rng.random() * (remaining_a + remaining_b) < remaining_a:
-                take_a += 1
-                remaining_a -= 1
-            else:
-                remaining_b -= 1
-        take_b = min(self._capacity, self._seen + other._seen) - take_a
-        merged = self._rng.sample(self._reservoir, take_a)
-        merged.extend(self._rng.sample(other._reservoir, take_b))
-        self._reservoir = merged
-        self._seen += other._seen
 
     def reset(self) -> None:
         """Clear the reservoir and the seen counter for a new interval."""
@@ -204,45 +154,3 @@ class SkipAheadReservoirSampler(ReservoirSampler[T]):
         """Clear the reservoir and the pending skip-ahead counter."""
         super().reset()
         self._skip = 0
-
-
-def reservoir_sample(
-    items: Sequence[T],
-    capacity: int,
-    rng: random.Random | None = None,
-) -> list[T]:
-    """One-shot Algorithm R sample of ``capacity`` items from a sequence.
-
-    The engine never materialises sampled items this way: it draws
-    survivor *indices* (:mod:`repro.core.fastpath`) and gathers columns.
-    """
-    sampler: ReservoirSampler[T] = ReservoirSampler(capacity, rng)
-    sampler.extend(items)
-    return sampler.sample()
-
-
-def expected_inclusion_probability(stream_length: int, capacity: int) -> float:
-    """Probability that any single item lands in the reservoir.
-
-    Useful in tests: for a uniform reservoir sample this is exactly
-    ``min(1, capacity / stream_length)``.
-    """
-    if stream_length <= 0:
-        raise SamplingError("stream_length must be positive")
-    if capacity <= 0:
-        raise SamplingError("capacity must be positive")
-    return min(1.0, capacity / stream_length)
-
-
-def gap_distribution_mean(seen: int, capacity: int) -> float:
-    """Expected number of items skipped between reservoir replacements.
-
-    After ``seen`` items with a full reservoir of size ``capacity``, the
-    expected gap before the next accepted item is approximately
-    ``seen / capacity`` (follows from the acceptance probability
-    ``capacity / i`` decreasing harmonically). Exposed for the
-    skip-ahead sampler's statistical tests.
-    """
-    if capacity <= 0:
-        raise SamplingError("capacity must be positive")
-    return max(1.0, seen / capacity)

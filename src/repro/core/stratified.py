@@ -30,7 +30,6 @@ __all__ = [
     "allocate_fair_fill",
     "allocate_proportional",
     "allocate_weighted",
-    "get_allocation_policy",
 ]
 
 AllocationPolicy = Callable[[int, Mapping[str, int]], dict[str, int]]
@@ -268,20 +267,3 @@ def allocate_weighted(
         allocation.update(base)
         break
     return allocation
-
-
-_POLICIES: dict[str, AllocationPolicy] = {
-    "equal": allocate_equal,
-    "fair_fill": allocate_fair_fill,
-    "proportional": allocate_proportional,
-}
-
-
-def get_allocation_policy(name: str) -> AllocationPolicy:
-    """Look up an allocation policy by name (``equal`` / ``proportional``)."""
-    try:
-        return _POLICIES[name]
-    except KeyError:
-        raise SamplingError(
-            f"unknown allocation policy {name!r}; choose from {sorted(_POLICIES)}"
-        ) from None

@@ -76,8 +76,7 @@ class WeightMap:
         Used when a node receives fresh metadata from a downstream node:
         newer weights supersede the stale ones kept locally.
         """
-        items = other.items() if isinstance(other, WeightMap) else other.items()
-        for substream, weight in items:
+        for substream, weight in other.items():
             self.update(substream, weight)
 
     def items(self) -> Iterator[tuple[str, float]]:

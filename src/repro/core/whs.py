@@ -31,7 +31,6 @@ from repro.errors import SamplingError
 
 __all__ = [
     "WHSampResult",
-    "merge_results",
     "whsamp",
     "whsamp_batches",
 ]
@@ -148,44 +147,6 @@ def whsamp_batches(
     return result
 
 
-def merge_results(results: Iterable[WHSampResult]) -> WHSampResult:
-    """The cross-shard union of several Algorithm 1 outputs (§III-E).
-
-    Worker shards run WHSamp over disjoint portions of the stream; the
-    union of their outputs is itself a valid WHSamp output for the
-    whole stream because the Eq. 8 count invariant holds *per batch*:
-    every ``(W_out, I)`` pair already recovers its own shard's arrival
-    count exactly, so concatenating the pairs recovers the union's
-    count exactly — no weight rescaling is needed or allowed (Eq. 2
-    was applied per shard against per-shard reservoir sizes).
-
-    Merge semantics, field by field:
-
-    * ``batches`` concatenate in shard order (deterministic for a
-      fixed shard enumeration);
-    * ``seen`` and ``allocation`` add per sub-stream;
-    * ``weights`` keeps, per sub-stream, the weight reported by the
-      shard that saw the most arrivals for it — the same dominant-
-      group rule :func:`whsamp_batches` applies within one node, so
-      the stale-weight metadata stays the best-informed value.
-    """
-    merged = WHSampResult()
-    dominant: dict[str, int] = {}
-    for result in results:
-        merged.batches.extend(result.batches)
-        for substream, count in result.seen.items():
-            merged.seen[substream] = merged.seen.get(substream, 0) + count
-        for substream, size in result.allocation.items():
-            merged.allocation[substream] = (
-                merged.allocation.get(substream, 0) + size
-            )
-        for substream, weight in result.weights.items():
-            if result.seen.get(substream, 0) >= dominant.get(substream, 0):
-                dominant[substream] = result.seen.get(substream, 0)
-                merged.weights.update(substream, weight)
-    return merged
-
-
 def whsamp(
     items: "Iterable[StreamItem] | ColumnarBatch",
     sample_size: int,
@@ -239,4 +200,3 @@ def whsamp(
     merged.merge(result.weights)
     result.weights = merged
     return result
-

@@ -19,7 +19,6 @@ from typing import TYPE_CHECKING
 
 from repro.core.cost import FractionBudget
 from repro.core.fastpath import make_generator
-from repro.core.srs import CoinFlipSampler
 from repro.core.stratified import AllocationPolicy
 from repro.errors import PipelineError
 from repro.topology.tree import LogicalTree, TreeNode
@@ -120,10 +119,6 @@ class Pipeline:
         if count == 0:
             raise PipelineError(f"no sources produce sub-stream {substream!r}")
         return count
-
-    def coin_flipper(self, fraction: float) -> CoinFlipSampler:
-        """An SRS sampler drawing from the run's ``gen``."""
-        return CoinFlipSampler(fraction, gen=self.gen)
 
     def emit_source(
         self, node_name: str, interval_start: float, interval_seconds: float

@@ -9,8 +9,8 @@ What each sampling node does with its interval inbox is the *strategy*:
   Theta and estimates SUM with error bounds.
 * ``srs`` — coin-flip sampling at the first edge layer, pass-through
   above, Horvitz-Thompson scaling at the root (the paper's baseline).
-* ``native`` — everything forwarded unsampled; the root's sum is the
-  ground truth.
+* ``native`` — nothing sampled: the ground truth, computed directly as
+  the sum of every emitted value.
 
 :class:`EngineRunner` runs all three strategies over the *same* emitted
 items each window, so accuracy-loss comparisons are apples-to-apples —
@@ -37,6 +37,7 @@ from repro.core.columns import masked_sum
 from repro.core.error_bounds import ApproximateResult, estimate_sum_with_error
 from repro.core.estimator import ThetaStore
 from repro.core.items import WeightedBatch
+from repro.core.srs import coin_flips
 from repro.core.whs import WHSampResult, whsamp_batches
 from repro.engine.pipeline import Pipeline
 from repro.engine.transport import Transport
@@ -569,32 +570,9 @@ class EngineRunner:
         fraction = self._pipeline.config.sampling_fraction
         kept_sum = 0.0
         for node in self._pipeline.tree.sources:
-            sampler = self._pipeline.coin_flipper(fraction)
             payload = emitted[node.name]
             kept_sum += masked_sum(
-                payload.values, sampler.decisions(len(payload))
+                payload.values,
+                coin_flips(self._pipeline.gen, fraction, len(payload)),
             )
         return kept_sum / fraction
-
-    def run_native(
-        self, emitted: "dict[str, ColumnarBatch]"
-    ) -> float:
-        """Everything forwarded unsampled; the root's sum is exact."""
-        self._inject(emitted)
-        offline = (
-            self._window_state.offline if self._window_state is not None
-            else frozenset()
-        )
-        total = 0.0
-        for node in self._pipeline.tree.sampling_nodes:
-            if node.name in offline:
-                continue
-            batches = self._transport.collect(node.name)
-            if not batches:
-                continue
-            if node.parent is None:
-                total += sum(batch.estimated_sum for batch in batches)
-            else:
-                for batch in batches:
-                    self._deliver(node.name, node.parent, batch)
-        return total

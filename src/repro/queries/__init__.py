@@ -1,17 +1,13 @@
 """Approximate queries executed at the root node.
 
-Linear queries (SUM/MEAN/COUNT and grouped variants) are what the
-paper supports; top-k and quantiles implement the "more complex
-queries" it lists as future work (§VIII).
+The paper supports linear queries: the overall SUM* is
+:func:`~repro.core.error_bounds.estimate_sum_with_error`, and
+:class:`PerSubstreamSumQuery` is its grouped form. Top-k and quantiles
+implement the "more complex queries" the paper lists as future work
+(§VIII).
 """
 
-from repro.queries.query import (
-    CountQuery,
-    LinearQuery,
-    MeanQuery,
-    PerSubstreamSumQuery,
-    SumQuery,
-)
+from repro.queries.query import PerSubstreamSumQuery
 from repro.queries.topk import (
     QuantileEstimate,
     QuantileQuery,
@@ -20,13 +16,9 @@ from repro.queries.topk import (
 )
 
 __all__ = [
-    "CountQuery",
-    "LinearQuery",
-    "MeanQuery",
     "PerSubstreamSumQuery",
     "QuantileEstimate",
     "QuantileQuery",
     "RankedSubstream",
-    "SumQuery",
     "TopKQuery",
 ]

@@ -1,100 +1,34 @@
-"""Linear streaming queries over the root's sampled window.
+"""The grouped SUM query over the root's sampled window.
 
-The paper's system supports *approximate linear queries* (SUM, MEAN,
-COUNT and their compositions); joins/top-k are future work. A query
-consumes the root's :class:`~repro.core.estimator.ThetaStore` for one
-window and returns an :class:`~repro.core.error_bounds.ApproximateResult`.
+The paper's system supports *approximate linear queries*; the overall
+SUM* with its §III-D bound is
+:func:`~repro.core.error_bounds.estimate_sum_with_error`. The grouped
+form below answers one SUM per sub-stream, each with its own bound,
+over the root's :class:`~repro.core.estimator.ThetaStore` for one
+window.
 """
 
 from __future__ import annotations
 
-from abc import ABC, abstractmethod
-
 from repro.core.error_bounds import (
     ApproximateResult,
     confidence_multiplier,
-    estimate_mean_with_error,
-    estimate_sum_with_error,
     sum_variance,
 )
 from repro.core.estimator import ThetaStore
 from repro.errors import EstimationError
 
-__all__ = ["LinearQuery", "SumQuery", "MeanQuery", "CountQuery", "PerSubstreamSumQuery"]
+__all__ = ["PerSubstreamSumQuery"]
 
 
-class LinearQuery(ABC):
-    """Base class for queries the root can answer approximately."""
-
-    def __init__(self, name: str, confidence: float = 0.95) -> None:
-        self.name = name
-        self.confidence = confidence
-
-    @abstractmethod
-    def execute(self, theta: ThetaStore) -> ApproximateResult:
-        """Answer the query over one window's Theta store."""
-
-
-class SumQuery(LinearQuery):
-    """``SELECT SUM(value)`` over the window (Eq. 3-4)."""
-
-    def __init__(self, confidence: float = 0.95) -> None:
-        super().__init__("sum", confidence)
-
-    def execute(self, theta: ThetaStore) -> ApproximateResult:
-        """SUM* with its §III-D error bound over the window's Theta."""
-        return estimate_sum_with_error(theta, self.confidence)
-
-
-class MeanQuery(LinearQuery):
-    """``SELECT AVG(value)`` over the window (Eq. 13-14)."""
-
-    def __init__(self, confidence: float = 0.95) -> None:
-        super().__init__("mean", confidence)
-
-    def execute(self, theta: ThetaStore) -> ApproximateResult:
-        """MEAN* with its §III-D error bound over the window's Theta."""
-        return estimate_mean_with_error(theta, self.confidence)
-
-
-class CountQuery(LinearQuery):
-    """``SELECT COUNT(*)`` over the window.
-
-    The recovered count is *exact* by the paper's invariant (Eq. 8):
-    weights are constructed so ``sum |I| * W_out`` equals the number of
-    items the bottom layer saw, so the error bound is zero.
-    """
-
-    def __init__(self, confidence: float = 0.95) -> None:
-        super().__init__("count", confidence)
-
-    def execute(self, theta: ThetaStore) -> ApproximateResult:
-        """The Eq. 8-recovered item count (exact, zero-width bound)."""
-        estimates = theta.per_substream()
-        if not estimates:
-            raise EstimationError("cannot count over an empty store")
-        total = sum(est.estimated_count for est in estimates.values())
-        sampled = sum(est.sampled_count for est in estimates.values())
-        return ApproximateResult(
-            value=total, error=0.0, confidence=self.confidence,
-            variance=0.0, sampled_items=sampled,
-        )
-
-
-class PerSubstreamSumQuery(LinearQuery):
+class PerSubstreamSumQuery:
     """``SELECT substream, SUM(value) GROUP BY substream``.
 
-    Returns the overall result through :meth:`execute` and exposes the
-    per-stratum breakdown via :meth:`execute_grouped` (used by e.g. the
-    pollution case study: total per pollutant per window).
+    The pollution case study reads it: total per pollutant per window.
     """
 
     def __init__(self, confidence: float = 0.95) -> None:
-        super().__init__("per-substream-sum", confidence)
-
-    def execute(self, theta: ThetaStore) -> ApproximateResult:
-        """The overall SUM* (see :meth:`execute_grouped` for strata)."""
-        return estimate_sum_with_error(theta, self.confidence)
+        self.confidence = confidence
 
     def execute_grouped(self, theta: ThetaStore) -> dict[str, ApproximateResult]:
         """Per-sub-stream SUM estimates with individual error bounds."""

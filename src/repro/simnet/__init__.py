@@ -12,7 +12,7 @@ from repro.simnet.host import Host
 from repro.simnet.link import Link
 from repro.simnet.netem import PAPER_WAN, NetemConfig
 from repro.simnet.network import Network
-from repro.simnet.stats import LatencyRecorder, bandwidth_saving, network_snapshot
+from repro.simnet.stats import LatencyRecorder, bandwidth_saving
 
 __all__ = [
     "Clock",
@@ -23,5 +23,4 @@ __all__ = [
     "Network",
     "PAPER_WAN",
     "bandwidth_saving",
-    "network_snapshot",
 ]

@@ -1,8 +1,8 @@
 """Measurement helpers over the simulated network.
 
-Collects the quantities the paper's evaluation reports: per-link and
-total bytes (bandwidth saving, Fig. 7), host utilization, and latency
-percentiles over recorded end-to-end samples.
+Collects the quantities the paper's evaluation reports: bandwidth
+saving (Fig. 7) and latency percentiles over recorded end-to-end
+samples.
 """
 
 from __future__ import annotations
@@ -12,9 +12,8 @@ import math
 import numpy as _np
 
 from repro.errors import SimulationError
-from repro.simnet.network import Network
 
-__all__ = ["LatencyRecorder", "bandwidth_saving", "network_snapshot"]
+__all__ = ["LatencyRecorder", "bandwidth_saving"]
 
 
 class LatencyRecorder:
@@ -96,21 +95,3 @@ def bandwidth_saving(sampled_bytes: int, native_bytes: int) -> float:
             f"sampled byte count must be >= 0, got {sampled_bytes}"
         )
     return max(0.0, 100.0 * (1.0 - sampled_bytes / native_bytes))
-
-
-def network_snapshot(network: Network) -> dict[str, dict[str, float]]:
-    """Summarise a network's counters per link and host."""
-    snapshot: dict[str, dict[str, float]] = {"links": {}, "hosts": {}}
-    for link in network.links:
-        snapshot["links"][link.name] = {
-            "bytes": float(link.bytes_sent),
-            "messages": float(link.messages_sent),
-            "queueing_delay": link.total_queueing_delay,
-        }
-    for name in network.hosts:
-        host = network.host(name)
-        snapshot["hosts"][name] = {
-            "items": float(host.items_processed),
-            "busy_time": host.busy_time,
-        }
-    return snapshot

@@ -44,6 +44,7 @@ from dataclasses import dataclass
 
 from repro.core.columns import ColumnarBatch
 from repro.core.items import WeightedBatch
+from repro.core.srs import coin_flips
 from repro.engine.pipeline import Pipeline, build_pipeline
 from repro.engine.runner import sample_interval
 from repro.engine.transport import SimnetTransport
@@ -333,8 +334,9 @@ class DeploymentSimulator:
             return
         if self._config.mode == ExecutionMode.SRS and node.layer == 1:
             fraction = self._config.sampling_fraction
-            sampler = self._pipeline.coin_flipper(fraction)
-            payload = batch.items.compress(sampler.decisions(len(batch)))
+            payload = batch.items.compress(
+                coin_flips(self._pipeline.gen, fraction, len(batch))
+            )
             if not len(payload):
                 return
             batch = WeightedBatch(

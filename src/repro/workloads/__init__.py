@@ -9,7 +9,7 @@ studies (NYC taxi payments per borough, Brasov pollution per pollutant).
 from repro.workloads.pollution import POLLUTANTS, pollutant_generators
 from repro.workloads.rates import RateSchedule, paper_rate_settings
 from repro.workloads.skew import SkewedMixture, paper_skewed_mixture
-from repro.workloads.source import Source, sources_from_schedule
+from repro.workloads.source import Source
 from repro.workloads.synthetic import (
     GaussianSubstream,
     PoissonSubstream,
@@ -32,5 +32,4 @@ __all__ = [
     "paper_rate_settings",
     "paper_skewed_mixture",
     "pollutant_generators",
-    "sources_from_schedule",
 ]

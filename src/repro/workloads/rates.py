@@ -47,17 +47,6 @@ class RateSchedule:
         """Aggregate items/second across sub-streams."""
         return sum(self.rates.values())
 
-    def counts_for_interval(self, interval_seconds: float) -> dict[str, int]:
-        """Expected item counts per sub-stream over one interval."""
-        if interval_seconds <= 0:
-            raise WorkloadError(
-                f"interval must be positive, got {interval_seconds}"
-            )
-        return {
-            substream: int(round(rate * interval_seconds))
-            for substream, rate in self.rates.items()
-        }
-
     def scaled(self, factor: float) -> "RateSchedule":
         """A copy with every rate multiplied by ``factor``."""
         if not 0 < factor < math.inf:

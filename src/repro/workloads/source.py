@@ -11,20 +11,18 @@ from __future__ import annotations
 
 import math
 import random
-from typing import Callable, Protocol
+from typing import Protocol
 
 from repro.core.columns import ColumnarBatch
 from repro.core.fastpath import make_generator
 from repro.core.items import StreamItem
 from repro.errors import WorkloadError
-from repro.workloads.rates import RateSchedule
 
 __all__ = [
     "Source",
     "ItemGenerator",
     "SubstreamGenerator",
     "generate_columns",
-    "sources_from_schedule",
 ]
 
 
@@ -177,47 +175,3 @@ class Source:
             )
         self.items_emitted += len(batch)
         return batch
-
-
-class _CallableGenerator:
-    """Adapter from a plain callable to the ItemGenerator protocol."""
-
-    def __init__(
-        self,
-        fn: Callable[[int, random.Random, float], list[StreamItem]],
-    ) -> None:
-        self._fn = fn
-
-    def generate(
-        self, count: int, rng: random.Random, emitted_at: float = 0.0
-    ) -> list[StreamItem]:
-        return self._fn(count, rng, emitted_at)
-
-
-def sources_from_schedule(
-    schedule: RateSchedule,
-    generators: dict[str, ItemGenerator],
-    *,
-    seed: int = 0,
-) -> list[Source]:
-    """One source per sub-stream of a rate schedule.
-
-    Raises :class:`WorkloadError` when the schedule references a
-    sub-stream with no generator.
-    """
-    sources: list[Source] = []
-    seed_rng = random.Random(seed)
-    for substream, rate in schedule.rates.items():
-        if substream not in generators:
-            raise WorkloadError(
-                f"no generator supplied for sub-stream {substream!r}"
-            )
-        sources.append(
-            Source(
-                f"source-{substream}",
-                generators[substream],
-                rate,
-                rng=random.Random(seed_rng.getrandbits(64)),
-            )
-        )
-    return sources

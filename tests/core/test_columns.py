@@ -11,7 +11,7 @@ from repro.core.columns import (
     value_column,
 )
 from repro.core.fastpath import batch_sample_indices, make_generator
-from repro.core.items import StreamItem, WeightedBatch, group_by_substream
+from repro.core.items import StreamItem, WeightedBatch
 from repro.errors import SamplingError
 
 
@@ -126,7 +126,9 @@ class TestTransformation:
     def test_group_by_substream_matches_object_grouping(self):
         items = items_fixture()
         columnar = ColumnarBatch.from_items(items).group_by_substream()
-        objects = group_by_substream(items)
+        objects = {}
+        for item in items:
+            objects.setdefault(item.substream, []).append(item)
         assert list(columnar) == list(objects)  # first-occurrence order
         for key in objects:
             assert columnar[key].to_items() == objects[key]

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.core.cost import AdaptiveErrorBudget, FractionBudget, ThroughputBudget
+from repro.core.cost import AdaptiveErrorBudget, FractionBudget
 from repro.errors import ConfigurationError
 
 
@@ -28,22 +28,6 @@ class TestFractionBudget:
             FractionBudget(0.5, floor=0)
         with pytest.raises(ConfigurationError):
             FractionBudget(0.5).sample_size(-1)
-
-
-class TestThroughputBudget:
-    def test_scales_with_interval(self):
-        budget = ThroughputBudget(1000.0)
-        assert budget.sample_size(1.0) == 1000
-        assert budget.sample_size(2.5) == 2500
-
-    def test_minimum_one(self):
-        assert ThroughputBudget(0.5).sample_size(1.0) == 1
-
-    def test_validation(self):
-        with pytest.raises(ConfigurationError):
-            ThroughputBudget(0.0)
-        with pytest.raises(ConfigurationError):
-            ThroughputBudget(10.0).sample_size(0.0)
 
 
 class TestAdaptiveErrorBudget:

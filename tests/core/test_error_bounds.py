@@ -7,9 +7,9 @@ import pytest
 
 from repro.core.error_bounds import (
     confidence_multiplier,
-    estimate_mean_with_error,
     estimate_sum_with_error,
     sample_variance,
+    substream_sum_variance,
 )
 from repro.core.estimator import ThetaStore
 from repro.core.items import StreamItem, WeightedBatch
@@ -90,6 +90,19 @@ class TestSumErrorBound:
         assert e95 == pytest.approx(2 * e68)
         assert e997 == pytest.approx(3 * e68)
 
+    def test_variance_is_the_sum_over_strata(self):
+        """Eq. 10: strata are sampled independently, variances add."""
+        theta = ThetaStore()
+        theta.add(batch("a", 4.0, [1.0, 9.0, 5.0]))
+        theta.add(batch("b", 3.0, [2.0, 8.0]))
+        theta.add(batch("a", 2.0, [7.0]))
+        result = estimate_sum_with_error(theta)
+        per = theta.per_substream()
+        assert result.variance == pytest.approx(
+            sum(substream_sum_variance(est) for est in per.values())
+        )
+        assert result.sampled_items == theta.sampled_items == 6
+
     def test_empty_store_raises(self):
         with pytest.raises(EstimationError):
             estimate_sum_with_error(ThetaStore())
@@ -131,40 +144,3 @@ class TestSumErrorBound:
         theta.add(batch("a", 2.0, [1.0, 3.0]))
         text = str(estimate_sum_with_error(theta, 0.95))
         assert "±" in text and "95" in text
-
-
-class TestMeanErrorBound:
-    def test_mean_value_matches_estimator(self):
-        theta = ThetaStore()
-        theta.add(batch("a", 2.0, [2.0, 4.0]))
-        result = estimate_mean_with_error(theta)
-        assert result.value == pytest.approx(3.0)
-
-    def test_unsampled_mean_zero_error(self):
-        theta = ThetaStore()
-        theta.add(batch("a", 1.0, [1.0, 2.0, 3.0]))
-        result = estimate_mean_with_error(theta)
-        assert result.error == pytest.approx(0.0)
-
-    def test_mean_variance_shrinks_with_sample_size(self):
-        rng = random.Random(7)
-        values_small = [rng.gauss(10, 3) for _ in range(10)]
-        values_large = [rng.gauss(10, 3) for _ in range(500)]
-        theta_small = ThetaStore()
-        theta_small.add(batch("a", 100.0, values_small))
-        theta_large = ThetaStore()
-        theta_large.add(batch("a", 2.0, values_large))
-        small = estimate_mean_with_error(theta_small)
-        large = estimate_mean_with_error(theta_large)
-        assert large.variance < small.variance
-
-    def test_empty_store_raises(self):
-        with pytest.raises(EstimationError):
-            estimate_mean_with_error(ThetaStore())
-
-    def test_sampled_items_counted(self):
-        theta = ThetaStore()
-        theta.add(batch("a", 2.0, [1.0, 2.0]))
-        theta.add(batch("b", 3.0, [5.0]))
-        result = estimate_mean_with_error(theta)
-        assert result.sampled_items == 3

@@ -6,7 +6,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.error_bounds import (
-    estimate_mean_with_error,
     estimate_sum_with_error,
     sample_variance,
 )
@@ -58,9 +57,8 @@ def test_error_monotone_in_confidence(raw):
 @settings(max_examples=100, deadline=None)
 def test_interval_always_contains_point_estimate(raw):
     theta = build_theta(raw)
-    for estimator in (estimate_sum_with_error, estimate_mean_with_error):
-        result = estimator(theta)
-        assert result.lower <= result.value <= result.upper
+    result = estimate_sum_with_error(theta)
+    assert result.lower <= result.value <= result.upper
 
 
 @given(raw=st.lists(batch_strategy, min_size=1, max_size=8))

@@ -4,7 +4,8 @@ import math
 
 import pytest
 
-from repro.core.estimator import ThetaStore, estimate_mean, estimate_sum
+from repro.core.error_bounds import estimate_sum_with_error
+from repro.core.estimator import ThetaStore
 from repro.core.items import StreamItem, WeightedBatch
 from repro.errors import EstimationError
 
@@ -15,13 +16,18 @@ def batch(substream, weight, values):
     )
 
 
+def sum_star(theta):
+    """SUM* (Eq. 4) as the engine reads it: the bounded estimate's value."""
+    return estimate_sum_with_error(theta).value
+
+
 class TestThetaStore:
     def test_paper_figure3_example(self):
         """Theta = {(3, {5}), (3, {3})} -> SUM = 3*5 + 3*3 = 24."""
         theta = ThetaStore()
         theta.add(batch("s", 3.0, [5]))
         theta.add(batch("s", 3.0, [3]))
-        assert estimate_sum(theta) == pytest.approx(24.0)
+        assert sum_star(theta) == pytest.approx(24.0)
 
     def test_per_substream_aggregation(self):
         theta = ThetaStore()
@@ -34,17 +40,40 @@ class TestThetaStore:
         assert per["a"].sampled_count == 3
         assert per["b"].estimated_sum == pytest.approx(10.0)
 
-    def test_substreams_sorted(self):
+    def test_per_substream_keys_are_the_stored_strata(self):
         theta = ThetaStore()
         theta.add(batch("z", 1.0, [1]))
         theta.add(batch("a", 1.0, [1]))
-        assert theta.substreams == ["a", "z"]
+        assert sorted(theta.per_substream()) == ["a", "z"]
 
-    def test_clear(self):
+    def test_batches_is_a_snapshot(self):
         theta = ThetaStore()
         theta.add(batch("a", 1.0, [1]))
-        theta.clear()
-        assert len(theta) == 0
+        theta.batches.clear()
+        assert len(theta) == 1
+        assert theta.sampled_items == 1
+
+    def test_sampled_items_counts_physical_items_across_pairs(self):
+        theta = ThetaStore()
+        theta.extend([batch("a", 5.0, [1, 2]), batch("a", 1.0, [3])])
+        theta.add(batch("b", 2.0, [4, 5, 6]))
+        assert len(theta) == 3
+        assert theta.sampled_items == 6
+
+    def test_sampled_values_concatenate_in_arrival_order(self):
+        theta = ThetaStore()
+        theta.add(batch("a", 2.0, [1, 2]))
+        theta.add(batch("b", 1.0, [9]))
+        theta.add(batch("a", 4.0, [3]))
+        per = theta.per_substream()
+        assert list(per["a"].sampled_values) == [1.0, 2.0, 3.0]
+        assert list(per["b"].sampled_values) == [9.0]
+
+    def test_extend_takes_any_iterable(self):
+        theta = ThetaStore()
+        theta.extend(batch("a", 1.0, [v]) for v in range(4))
+        assert len(theta) == 4
+        assert [b.items.values[0] for b in theta.batches] == [0, 1, 2, 3]
 
     def test_extend(self):
         theta = ThetaStore()
@@ -56,41 +85,19 @@ class TestEstimators:
     def test_sum_without_sampling_is_exact(self):
         theta = ThetaStore()
         theta.add(batch("a", 1.0, [1, 2, 3]))
-        assert estimate_sum(theta) == pytest.approx(6.0)
+        assert sum_star(theta) == pytest.approx(6.0)
 
-    def test_sum_accepts_sequence(self):
-        assert estimate_sum([batch("a", 2.0, [5])]) == pytest.approx(10.0)
-
-    def test_mean_single_stratum(self):
+    def test_sum_carries_its_bound_and_sample_size(self):
         theta = ThetaStore()
-        theta.add(batch("a", 2.0, [1, 3]))  # sum=8, count=4 -> mean=2
-        assert estimate_mean(theta) == pytest.approx(2.0)
+        theta.add(batch("a", 2.0, [1, 3]))
+        result = estimate_sum_with_error(theta)
+        assert result.value == pytest.approx(8.0)
+        assert result.sampled_items == 2
+        assert result.error > 0
 
-    def test_mean_weighted_across_strata(self):
-        theta = ThetaStore()
-        theta.add(batch("a", 1.0, [0, 0]))       # count 2, sum 0
-        theta.add(batch("b", 1.0, [10, 10]))     # count 2, sum 20
-        assert estimate_mean(theta) == pytest.approx(5.0)
-
-    def test_mean_equals_sum_over_count(self):
-        theta = ThetaStore()
-        theta.add(batch("a", 3.0, [2, 4, 6]))
-        theta.add(batch("b", 2.0, [1, 1]))
-        per = theta.per_substream()
-        total_count = sum(e.estimated_count for e in per.values())
-        assert estimate_mean(theta) == pytest.approx(
-            estimate_sum(theta) / total_count
-        )
-
-    def test_mean_empty_store_raises(self):
+    def test_sum_empty_store_raises(self):
         with pytest.raises(EstimationError):
-            estimate_mean(ThetaStore())
-
-    def test_substream_mean_property(self):
-        theta = ThetaStore()
-        theta.add(batch("a", 2.0, [3, 5]))
-        est = theta.per_substream()["a"]
-        assert est.estimated_mean == pytest.approx(4.0)
+            estimate_sum_with_error(ThetaStore())
 
     @pytest.mark.parametrize(
         "bad", [-1.0, 0.0, math.nan, math.inf, -math.inf]
@@ -101,6 +108,21 @@ class TestEstimators:
 
 
 class TestMerge:
+    def test_merging_an_empty_store_changes_nothing(self):
+        theta = ThetaStore()
+        theta.add(batch("a", 2.0, [1.0]))
+        theta.merge(ThetaStore())
+        assert len(theta) == 1
+        assert sum_star(theta) == pytest.approx(2.0)
+
+    def test_merge_leaves_the_other_store_as_it_was(self):
+        left, right = ThetaStore(), ThetaStore()
+        right.add(batch("b", 1.0, [7.0]))
+        left.merge(right)
+        left.add(batch("c", 1.0, [1.0]))
+        assert len(right) == 1
+        assert [b.substream for b in left.batches] == ["b", "c"]
+
     def test_merged_store_equals_union_estimates(self):
         left = ThetaStore()
         left.add(batch("a", 2.0, [1.0, 2.0]))
@@ -111,6 +133,6 @@ class TestMerge:
         for source in (left, right):
             union.extend(source.batches)
         left.merge(right)
-        assert estimate_sum(left) == estimate_sum(union)
+        assert sum_star(left) == sum_star(union)
         assert len(left) == 3
-        assert left.substreams == ["a", "b"]
+        assert left.batches == union.batches

@@ -13,7 +13,7 @@ import random
 
 import pytest
 
-from repro.core.error_bounds import estimate_mean_with_error, estimate_sum_with_error
+from repro.core.error_bounds import estimate_sum_with_error
 from repro.core.estimator import ThetaStore
 from repro.core.items import StreamItem, WeightedBatch
 from repro.core.whs import whsamp, whsamp_batches
@@ -105,14 +105,12 @@ class TestRootClose:
         total = estimate_sum_with_error(theta)
         assert total.value == pytest.approx(10.0)
         assert total.sampled_items == 4
-        assert estimate_mean_with_error(theta).value == pytest.approx(2.5)
         assert recovered_count(theta) == pytest.approx(4.0)
 
-    def test_cleared_theta_refuses_an_estimate(self):
+    def test_empty_theta_refuses_an_estimate(self):
         raw = [WeightedBatch("a", 1.0, make_items("a", range(20)))]
-        theta = root_theta(raw, 10, random.Random(7))
-        estimate_sum_with_error(theta)
-        theta.clear()
+        estimate_sum_with_error(root_theta(raw, 10, random.Random(7)))
+        theta = ThetaStore()
         assert len(theta) == 0
         with pytest.raises(EstimationError):
             estimate_sum_with_error(theta)

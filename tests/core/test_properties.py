@@ -5,7 +5,7 @@ import random
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.estimator import ThetaStore, estimate_sum
+from repro.core.estimator import ThetaStore
 from repro.core.items import StreamItem, WeightedBatch
 from repro.core.reservoir import ReservoirSampler, SkipAheadReservoirSampler
 from repro.core.stratified import allocate_equal, allocate_proportional
@@ -147,4 +147,5 @@ def test_theta_sum_is_linear(batches):
         )
         theta.add(batch)
         expected += weight * sum(values)
-    assert abs(estimate_sum(theta) - expected) <= 1e-6 * max(1.0, abs(expected))
+    estimate = sum(batch.estimated_sum for batch in theta.batches)
+    assert abs(estimate - expected) <= 1e-6 * max(1.0, abs(expected))

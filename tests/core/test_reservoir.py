@@ -5,13 +5,7 @@ from collections import Counter
 
 import pytest
 
-from repro.core.reservoir import (
-    ReservoirSampler,
-    SkipAheadReservoirSampler,
-    expected_inclusion_probability,
-    gap_distribution_mean,
-    reservoir_sample,
-)
+from repro.core.reservoir import ReservoirSampler, SkipAheadReservoirSampler
 from repro.errors import SamplingError
 
 
@@ -46,6 +40,13 @@ class TestReservoirSampler:
         assert sampler.seen == 0
         assert len(sampler) == 0
 
+    def test_saturation_starts_past_capacity(self):
+        sampler = ReservoirSampler(4, random.Random(8))
+        sampler.extend(range(4))
+        assert sampler.capacity == 4 and not sampler.is_saturated
+        sampler.offer(4)
+        assert sampler.is_saturated and len(sampler) == 4
+
     def test_capacity_must_be_positive(self):
         with pytest.raises(SamplingError):
             ReservoirSampler(0)
@@ -58,7 +59,9 @@ class TestReservoirSampler:
         counts = Counter()
         rng = random.Random(6)
         for _ in range(trials):
-            counts.update(reservoir_sample(list(range(stream_len)), capacity, rng))
+            sampler = ReservoirSampler(capacity, rng)
+            sampler.extend(range(stream_len))
+            counts.update(sampler.sample())
         expected = trials * capacity / stream_len
         for item in range(stream_len):
             assert counts[item] == pytest.approx(expected, rel=0.15)
@@ -113,81 +116,3 @@ class TestSkipAheadReservoirSampler:
             tail_hits += sum(1 for x in sampler.sample() if x >= 900)
         # Expected hits: 500 trials * 10 slots * 100/1000 = 500.
         assert 300 < tail_hits < 700
-
-
-class TestHelpers:
-    def test_inclusion_probability_saturated(self):
-        assert expected_inclusion_probability(100, 10) == pytest.approx(0.1)
-
-    def test_inclusion_probability_unsaturated(self):
-        assert expected_inclusion_probability(5, 10) == 1.0
-
-    def test_inclusion_probability_validation(self):
-        with pytest.raises(SamplingError):
-            expected_inclusion_probability(0, 10)
-        with pytest.raises(SamplingError):
-            expected_inclusion_probability(10, 0)
-
-    def test_gap_mean_grows_with_seen(self):
-        assert gap_distribution_mean(1000, 10) > gap_distribution_mean(100, 10)
-
-    def test_gap_mean_validation(self):
-        with pytest.raises(SamplingError):
-            gap_distribution_mean(10, 0)
-
-    def test_one_shot_reservoir_sample(self):
-        out = reservoir_sample(list(range(50)), 5, random.Random(13))
-        assert len(out) == 5
-        assert set(out) <= set(range(50))
-
-
-class TestMergeFrom:
-    def test_merged_state_counts_both_streams(self):
-        left = ReservoirSampler(8, random.Random(1))
-        right = ReservoirSampler(8, random.Random(2))
-        left.extend(range(0, 30))
-        right.extend(range(100, 150))
-        left.merge_from(right)
-        assert left.seen == 80
-        assert len(left) == 8
-        assert all(0 <= v < 30 or 100 <= v < 150 for v in left.sample())
-
-    def test_partial_reservoirs_merge_without_loss(self):
-        left = ReservoirSampler(10, random.Random(3))
-        right = ReservoirSampler(10, random.Random(4))
-        left.extend(range(3))
-        right.extend(range(10, 14))
-        left.merge_from(right)
-        assert left.seen == 7
-        assert sorted(left.sample()) == [0, 1, 2, 10, 11, 12, 13]
-
-    def test_empty_sides_are_noops_or_adoption(self):
-        left = ReservoirSampler(5, random.Random(5))
-        right = ReservoirSampler(5, random.Random(6))
-        left.merge_from(right)
-        assert left.seen == 0 and len(left) == 0
-        right.extend(range(20))
-        left.merge_from(right)
-        assert left.seen == 20
-        assert sorted(left.sample()) == sorted(right.sample())
-
-    def test_capacity_mismatch_is_rejected(self):
-        with pytest.raises(SamplingError):
-            ReservoirSampler(5).merge_from(ReservoirSampler(6))
-
-    def test_merge_is_uniform_over_the_union(self):
-        """Every item of either stream should survive a merge with
-        probability ~ k / (n_a + n_b)."""
-        counts = Counter()
-        trials = 3000
-        rng = random.Random(7)
-        for _ in range(trials):
-            left = ReservoirSampler(4, random.Random(rng.getrandbits(32)))
-            right = ReservoirSampler(4, random.Random(rng.getrandbits(32)))
-            left.extend(range(8))        # stream A: 0..7
-            right.extend(range(8, 20))   # stream B: 8..19
-            left.merge_from(right)
-            counts.update(left.sample())
-        expected = trials * 4 / 20.0
-        for value in range(20):
-            assert counts[value] == pytest.approx(expected, rel=0.25)

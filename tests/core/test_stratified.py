@@ -2,11 +2,7 @@
 
 import pytest
 
-from repro.core.stratified import (
-    allocate_equal,
-    allocate_proportional,
-    get_allocation_policy,
-)
+from repro.core.stratified import allocate_equal, allocate_proportional
 from repro.errors import SamplingError
 
 
@@ -55,13 +51,3 @@ class TestProportionalAllocation:
     def test_total_not_below_budget_when_feasible(self):
         alloc = allocate_proportional(100, {"a": 10, "b": 20, "c": 70})
         assert sum(alloc.values()) >= 100
-
-
-class TestPolicyRegistry:
-    def test_lookup(self):
-        assert get_allocation_policy("equal") is allocate_equal
-        assert get_allocation_policy("proportional") is allocate_proportional
-
-    def test_unknown_policy(self):
-        with pytest.raises(SamplingError, match="unknown allocation policy"):
-            get_allocation_policy("nope")

@@ -102,6 +102,15 @@ class TestWeightMap:
         wm.merge(WeightMap({"a": 7.0}))
         assert wm.get("a") == 7.0
 
+    def test_merge_keeps_weights_the_other_map_lacks(self):
+        """Figure 3's stale rule: a stratum absent from the fresh
+        metadata keeps its last weight; the source map is untouched."""
+        wm = WeightMap({"a": 2.0, "b": 3.0})
+        fresh = WeightMap({"b": 6.0})
+        wm.merge(fresh)
+        assert wm.as_dict() == {"a": 2.0, "b": 6.0}
+        assert fresh.as_dict() == {"b": 6.0}
+
     def test_copy_is_independent(self):
         wm = WeightMap({"a": 2.0})
         clone = wm.copy()

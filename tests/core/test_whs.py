@@ -195,56 +195,3 @@ class TestCallerHeldWeights:
                         rng=random.Random(6))
         [batch] = result.batches
         assert batch.estimated_count == pytest.approx(300.0)
-
-
-class TestMergeResults:
-    """merge_results: the cross-shard union respects Eq. 8."""
-
-    @staticmethod
-    def run_shard(substream, values, budget, seed, weight=1.0):
-        from repro.core.items import WeightedBatch
-        from repro.core.whs import whsamp_batches
-
-        return whsamp_batches(
-            [WeightedBatch(substream, weight, make_items(substream, values))],
-            budget,
-            rng=random.Random(seed),
-        )
-
-    def test_union_preserves_count_recovery(self):
-        from repro.core.whs import merge_results
-
-        shards = [
-            self.run_shard("s", range(40), 4, seed=1),
-            self.run_shard("s", range(100, 160), 4, seed=2),
-        ]
-        merged = merge_results(shards)
-        assert merged.seen == {"s": 100}
-        assert merged.allocation == {"s": 8}
-        recovered = sum(b.estimated_count for b in merged.batches)
-        assert recovered == pytest.approx(100.0)
-
-    def test_batches_concatenate_in_shard_order(self):
-        from repro.core.whs import merge_results
-
-        first = self.run_shard("s", range(10), 3, seed=3)
-        second = self.run_shard("t", range(10), 3, seed=4)
-        merged = merge_results([first, second])
-        assert [b.substream for b in merged.batches] == ["s", "t"]
-        assert merged.sampled_count == first.sampled_count + second.sampled_count
-
-    def test_dominant_shard_wins_the_weight_map(self):
-        from repro.core.whs import merge_results
-
-        small = self.run_shard("s", range(8), 4, seed=5)    # weight 2.0
-        large = self.run_shard("s", range(40), 4, seed=6)   # weight 10.0
-        merged = merge_results([small, large])
-        assert merged.weights.get("s") == large.weights.get("s")
-        flipped = merge_results([large, small])
-        assert flipped.weights.get("s") == large.weights.get("s")
-
-    def test_empty_merge_is_empty(self):
-        from repro.core.whs import merge_results
-
-        merged = merge_results([])
-        assert merged.batches == [] and merged.seen == {}

@@ -2,10 +2,10 @@
 
 A sub-stream handled by ``w`` workers is split into ``w`` equal
 portions; each worker samples its portion with ``1/w`` of the budget
-and the per-worker ``(W_out, I)`` pairs are concatenated upstream
-(:func:`~repro.core.whs.merge_results`). Eq. 8 holds per pair, hence
-for the union, so the worker count must change neither the recovered
-count nor the expectation of the estimate. The engine's form of the
+and the per-worker ``(W_out, I)`` pairs are concatenated upstream (the
+union is every worker's ``result.batches``, end to end). Eq. 8 holds
+per pair, hence for the union, so the worker count must change neither
+the recovered count nor the expectation of the estimate. The engine's form of the
 same model is :func:`plan_shards` + ``ShardedEngineRunner(...,
 inline=True)``; both are checked here across worker counts.
 """
@@ -15,9 +15,10 @@ from dataclasses import replace
 
 import pytest
 
-from repro.core.estimator import ThetaStore, estimate_sum
+from repro.core.error_bounds import estimate_sum_with_error
+from repro.core.estimator import ThetaStore
 from repro.core.items import StreamItem
-from repro.core.whs import merge_results, whsamp
+from repro.core.whs import whsamp
 from repro.engine.sharding import ShardedEngineRunner, plan_shards
 from repro.errors import SamplingError
 from repro.system.config import PipelineConfig
@@ -36,17 +37,25 @@ def make_items(substream, values):
 
 
 def worker_close(items, capacity, workers, rng, input_weight=1.0):
-    """One node's interval close run by ``workers`` round-robin workers."""
+    """One node's interval close run by ``workers`` round-robin workers.
+
+    Returns each worker's Algorithm 1 output, in worker order.
+    """
     portions = [items[index::workers] for index in range(workers)]
     weights = {item.substream: input_weight for item in items}
-    return merge_results(
+    return [
         whsamp(portion, capacity // workers, weights, rng=rng)
         for portion in portions
-    )
+    ]
 
 
-def recovered_count(result):
-    return sum(batch.estimated_count for batch in result.batches)
+def union(results):
+    """§III-E's merge: the workers' pairs, concatenated."""
+    return [batch for result in results for batch in result.batches]
+
+
+def recovered_count(results):
+    return sum(batch.estimated_count for batch in union(results))
 
 
 class TestPlanShards:
@@ -65,44 +74,72 @@ class TestPlanShards:
 class TestWorkerUnion:
     @pytest.mark.parametrize("workers", WIDTHS)
     def test_union_recovers_the_count_exactly(self, workers):
-        result = worker_close(
+        results = worker_close(
             make_items("s", range(1000)), 40, workers, random.Random(4)
         )
-        assert result.seen == {"s": 1000}
-        assert recovered_count(result) == pytest.approx(1000.0)
+        assert sum(result.arrival_count for result in results) == 1000
+        assert recovered_count(results) == pytest.approx(1000.0)
 
     def test_input_weight_composes_over_the_union(self):
-        result = worker_close(
+        results = worker_close(
             make_items("s", range(100)), 20, 2, random.Random(5),
             input_weight=2.5,
         )
-        assert recovered_count(result) == pytest.approx(250.0)
+        assert recovered_count(results) == pytest.approx(250.0)
 
     def test_one_pair_per_worker(self):
-        result = worker_close(
+        results = worker_close(
             make_items("s", range(400)), 40, 4, random.Random(1)
         )
-        assert len(result.batches) == 4
-        assert all(len(batch) == 10 for batch in result.batches)
-        assert result.allocation == {"s": 40}
+        assert len(union(results)) == 4
+        assert all(len(batch) == 10 for batch in union(results))
+        assert [result.allocation for result in results] == [{"s": 10}] * 4
 
     def test_substreams_keep_separate_worker_pairs(self):
         items = make_items("a", range(50)) + make_items("b", range(50))
-        result = worker_close(items, 10, 2, random.Random(4))
-        substreams = [batch.substream for batch in result.batches]
+        results = worker_close(items, 10, 2, random.Random(4))
+        substreams = [batch.substream for batch in union(results)]
         assert sorted(substreams) == ["a", "a", "b", "b"]
 
     def test_underfull_workers_keep_everything(self):
-        result = worker_close(
+        results = worker_close(
             make_items("s", range(8)), 100, 4, random.Random(7)
         )
-        assert result.sampled_count == 8
-        assert all(batch.weight == 1.0 for batch in result.batches)
+        assert sum(result.sampled_count for result in results) == 8
+        assert all(batch.weight == 1.0 for batch in union(results))
 
     def test_idle_workers_forward_nothing(self):
-        result = worker_close([], 10, 2, random.Random(8))
-        assert result.batches == []
-        assert result.arrival_count == 0
+        results = worker_close([], 10, 2, random.Random(8))
+        assert union(results) == []
+        assert sum(result.arrival_count for result in results) == 0
+
+    def test_weights_are_per_worker_and_never_rescaled(self):
+        """Eq. 1 runs against each worker's own portion and reservoir;
+        concatenation keeps every worker's W_out as it was."""
+        results = worker_close(
+            make_items("s", range(300)), 30, 3, random.Random(2)
+        )
+        assert [batch.weight for batch in union(results)] == [10.0] * 3
+        assert union(results) == [
+            batch for result in results for batch in result.batches
+        ]
+
+    def test_union_estimate_is_the_sum_of_worker_estimates(self):
+        rng = random.Random(11)
+        items = make_items("s", [rng.gauss(50, 5) for _ in range(900)])
+        results = worker_close(items, 90, 3, random.Random(12))
+        theta = ThetaStore()
+        theta.extend(union(results))
+        per_worker = []
+        for result in results:
+            own = ThetaStore()
+            own.extend(result.batches)
+            per_worker.append(estimate_sum_with_error(own))
+        merged = estimate_sum_with_error(theta)
+        assert merged.value == pytest.approx(
+            sum(w.value for w in per_worker), rel=1e-12
+        )
+        assert merged.sampled_items == sum(w.sampled_items for w in per_worker)
 
     def test_less_than_one_slot_per_worker_is_rejected(self):
         with pytest.raises(SamplingError):
@@ -117,11 +154,10 @@ class TestWorkerUnion:
         estimates = []
         for trial in range(30):
             theta = ThetaStore()
-            theta.extend(
+            theta.extend(union(
                 worker_close(items, 200, workers, random.Random(100 + trial))
-                .batches
-            )
-            estimates.append(estimate_sum(theta))
+            ))
+            estimates.append(estimate_sum_with_error(theta).value)
         mean = sum(estimates) / len(estimates)
         assert mean == pytest.approx(sum(values), rel=0.02)
 

@@ -1,19 +1,15 @@
-"""Unit tests for the query layer."""
+"""Unit tests for the query layer: SUM* and its grouped form."""
 
 import random
 
 import pytest
 
+from repro.core.error_bounds import estimate_sum_with_error
 from repro.core.estimator import ThetaStore
 from repro.core.items import StreamItem, WeightedBatch
 from repro.core.whs import whsamp
 from repro.errors import EstimationError
-from repro.queries.query import (
-    CountQuery,
-    MeanQuery,
-    PerSubstreamSumQuery,
-    SumQuery,
-)
+from repro.queries.query import PerSubstreamSumQuery
 
 
 def batch(substream, weight, values):
@@ -30,30 +26,28 @@ def sample_theta():
     return theta
 
 
+def recovered_count(theta):
+    """Eq. 8's count: the sum of ``|I| * W_out`` over every stratum."""
+    return sum(
+        estimate.estimated_count for estimate in theta.per_substream().values()
+    )
+
+
 class TestQueries:
     def test_sum_query(self):
-        result = SumQuery().execute(sample_theta())
+        result = estimate_sum_with_error(sample_theta())
         assert result.value == pytest.approx(2 * 6 + 3 * 30 + 5)
 
-    def test_mean_query(self):
-        theta = ThetaStore()
-        theta.add(batch("a", 2.0, [4.0, 6.0]))
-        result = MeanQuery().execute(theta)
-        assert result.value == pytest.approx(5.0)
+    def test_count_recovery_exact(self):
+        assert recovered_count(sample_theta()) == pytest.approx(3 * 2 + 2 * 3 + 1)
 
-    def test_count_query_exact(self):
-        result = CountQuery().execute(sample_theta())
-        assert result.value == pytest.approx(3 * 2 + 2 * 3 + 1)
-        assert result.error == 0.0
-
-    def test_count_query_matches_true_count_after_sampling(self):
+    def test_count_matches_true_count_after_sampling(self):
         rng = random.Random(1)
         items = [StreamItem("s", rng.random()) for _ in range(500)]
         result = whsamp(items, 50, rng=rng)
         theta = ThetaStore()
         theta.extend(result.batches)
-        count = CountQuery().execute(theta)
-        assert count.value == pytest.approx(500.0)
+        assert recovered_count(theta) == pytest.approx(500.0)
 
     def test_per_substream_grouped(self):
         query = PerSubstreamSumQuery()
@@ -63,7 +57,7 @@ class TestQueries:
 
     def test_empty_store_raises(self):
         with pytest.raises(EstimationError):
-            CountQuery().execute(ThetaStore())
+            estimate_sum_with_error(ThetaStore())
         with pytest.raises(EstimationError):
             PerSubstreamSumQuery().execute_grouped(ThetaStore())
 
@@ -73,31 +67,31 @@ class TestQueryProperties:
         """Weight 1 everywhere means nothing was sampled away."""
         theta = ThetaStore()
         theta.add(batch("a", 1.0, [1.0, 2.0, 3.0]))
-        result = SumQuery().execute(theta)
+        result = estimate_sum_with_error(theta)
         assert result.value == pytest.approx(6.0)
         assert result.error == 0.0
 
     def test_higher_confidence_widens_the_bound(self):
         theta = sample_theta()
-        narrow = SumQuery(confidence=0.95).execute(theta)
-        wide = SumQuery(confidence=0.99).execute(theta)
+        narrow = estimate_sum_with_error(theta, 0.95)
+        wide = estimate_sum_with_error(theta, 0.99)
         assert wide.value == narrow.value
         assert wide.error > narrow.error > 0.0
         assert wide.confidence == 0.99
 
-    def test_mean_is_sum_over_count(self):
+    def test_grouped_confidence_widens_each_stratum(self):
         theta = sample_theta()
-        mean = MeanQuery().execute(theta).value
-        total = SumQuery().execute(theta).value
-        count = CountQuery().execute(theta).value
-        assert mean == pytest.approx(total / count)
+        narrow = PerSubstreamSumQuery(confidence=0.95).execute_grouped(theta)
+        wide = PerSubstreamSumQuery(confidence=0.99).execute_grouped(theta)
+        for substream in ("a", "b"):
+            assert wide[substream].value == narrow[substream].value
+            assert wide[substream].error > narrow[substream].error > 0.0
+            assert wide[substream].confidence == 0.99
 
     def test_grouped_strata_add_up_to_the_overall_sum(self):
         theta = sample_theta()
-        query = PerSubstreamSumQuery()
-        grouped = query.execute_grouped(theta)
-        overall = query.execute(theta)
-        assert overall.value == pytest.approx(SumQuery().execute(theta).value)
+        grouped = PerSubstreamSumQuery().execute_grouped(theta)
+        overall = estimate_sum_with_error(theta)
         assert sum(r.value for r in grouped.values()) == pytest.approx(
             overall.value
         )
@@ -111,7 +105,32 @@ class TestQueryProperties:
             "a": 3, "b": 2, "c": 1,
         }
 
-    @pytest.mark.parametrize("query", [SumQuery(), MeanQuery()])
-    def test_sum_and_mean_reject_an_empty_store(self, query):
-        with pytest.raises(EstimationError):
-            query.execute(ThetaStore())
+    def test_one_sigma_level_reports_the_standard_deviation(self):
+        grouped = PerSubstreamSumQuery(confidence=0.68).execute_grouped(
+            sample_theta()
+        )
+        for result in grouped.values():
+            assert result.error == pytest.approx(result.variance ** 0.5)
+
+    def test_grouped_bounds_cover_the_true_stratum_sums(self):
+        """Over repeated WHSamp draws each stratum's 95 % interval
+        covers its exact sum about 95 % of the time."""
+        rng = random.Random(3)
+        truth = {"a": [rng.gauss(10, 2) for _ in range(400)],
+                 "b": [rng.gauss(100, 30) for _ in range(200)]}
+        items = [StreamItem(s, v) for s, values in truth.items() for v in values]
+        covered = {"a": 0, "b": 0}
+        trials = 200
+        for trial in range(trials):
+            theta = ThetaStore()
+            theta.extend(whsamp(items, 60, rng=random.Random(trial)).batches)
+            grouped = PerSubstreamSumQuery().execute_grouped(theta)
+            for substream, values in truth.items():
+                covered[substream] += grouped[substream].contains(sum(values))
+        for substream in truth:
+            assert 0.85 <= covered[substream] / trials <= 1.0
+
+    def test_unsampled_stratum_has_a_zero_width_bound(self):
+        grouped = PerSubstreamSumQuery().execute_grouped(sample_theta())
+        assert grouped["c"].value == pytest.approx(5.0)
+        assert grouped["c"].error == 0.0

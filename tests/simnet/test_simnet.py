@@ -10,7 +10,7 @@ from repro.simnet.host import Host
 from repro.simnet.link import Link
 from repro.simnet.netem import PAPER_WAN, NetemConfig
 from repro.simnet.network import Network
-from repro.simnet.stats import LatencyRecorder, bandwidth_saving, network_snapshot
+from repro.simnet.stats import LatencyRecorder, bandwidth_saving
 
 
 class TestClock:
@@ -383,13 +383,3 @@ class TestStats:
         assert bandwidth_saving(1000, 1000) == pytest.approx(0.0)
         with pytest.raises(SimulationError):
             bandwidth_saving(10, 0)
-
-    def test_network_snapshot(self):
-        network = Network()
-        network.add_host("a", 10.0)
-        network.add_host("b", 10.0)
-        network.add_link("a", "b", NetemConfig(1.0, 1e9))
-        network.send("a", "b", 100, None, lambda m: None)
-        snapshot = network_snapshot(network)
-        assert snapshot["links"]["a->b"]["bytes"] == 100.0
-        assert "a" in snapshot["hosts"]

@@ -12,7 +12,8 @@ from statistics import NormalDist
 import numpy as np
 import pytest
 
-from repro.core.srs import CoinFlipSampler
+from repro.core.fastpath import make_generator
+from repro.core.srs import coin_flips
 from repro.workloads.pollution import POLLUTANTS, PollutantSubstream
 from repro.workloads.skew import paper_skewed_mixture
 from repro.workloads.synthetic import GaussianSubstream, PoissonSubstream
@@ -112,27 +113,12 @@ class TestPollution:
 
 
 class TestCoinFlip:
-    def test_kept_count_within_five_sigma_and_counters_exact(self):
+    def test_kept_count_within_five_sigma(self):
         fraction, count = 0.1, 100_000
-        sampler = CoinFlipSampler(fraction, random.Random(9))
-        mask = sampler.decisions(count)
+        mask = coin_flips(make_generator(random.Random(9)), fraction, count)
         sigma = (count * fraction * (1 - fraction)) ** 0.5
         assert abs(int(mask.sum()) - count * fraction) <= 5 * sigma
-        assert (sampler.seen, sampler.kept) == (count, int(mask.sum()))
-        kept = sampler.filter(list(range(1000)))
-        assert sampler.seen == count + 1000
-        assert sampler.kept == int(mask.sum()) + len(kept)
-        assert kept == sorted(kept)  # arrival order preserved
-        other = CoinFlipSampler(fraction, random.Random(10))
-        other.decisions(500)
-        seen, kept_total = sampler.seen, sampler.kept
-        sampler.merge_counters(other)
-        assert sampler.seen == seen + 500
-        assert sampler.kept == kept_total + other.kept
 
-    def test_offer_uses_the_same_generator(self):
-        sampler = CoinFlipSampler(0.5, random.Random(1))
-        kept = [sampler.offer(i) for i in range(2000)]
-        assert sampler.seen == 2000
-        assert sampler.kept == sum(item is not None for item in kept)
-        assert 850 < sampler.kept < 1150
+    def test_half_fraction_keeps_about_half(self):
+        mask = coin_flips(make_generator(random.Random(1)), 0.5, 2000)
+        assert 850 < int(mask.sum()) < 1150

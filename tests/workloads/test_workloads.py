@@ -14,11 +14,7 @@ from repro.workloads.pollution import (
 )
 from repro.workloads.rates import RateSchedule, paper_rate_settings
 from repro.workloads.skew import SkewedMixture, paper_skewed_mixture
-from repro.workloads.source import (
-    Source,
-    generate_columns,
-    sources_from_schedule,
-)
+from repro.workloads.source import Source, generate_columns
 from repro.workloads.synthetic import (
     GaussianSubstream,
     PoissonSubstream,
@@ -86,18 +82,12 @@ class TestRates:
         assert scaled.rates["A"] == 500.0
         assert scaled.rates["A"] / scaled.rates["D"] == pytest.approx(80.0)
 
-    def test_counts_for_interval(self):
-        schedule = RateSchedule("s", {"a": 100.0, "b": 50.0})
-        assert schedule.counts_for_interval(2.0) == {"a": 200, "b": 100}
-
     def test_validation(self):
         with pytest.raises(WorkloadError):
             RateSchedule("s", {})
         with pytest.raises(WorkloadError):
             RateSchedule("s", {"a": -1.0})
         schedule = RateSchedule("s", {"a": 1.0})
-        with pytest.raises(WorkloadError):
-            schedule.counts_for_interval(0.0)
         with pytest.raises(WorkloadError):
             schedule.scaled(0.0)
 
@@ -273,20 +263,6 @@ class TestSource:
             StreamItem("P", 1.0, 1.0),
             StreamItem("P", 2.0, 1.0),
         ]
-
-    def test_sources_from_schedule(self):
-        schedule = RateSchedule("s", {"A": 10.0, "B": 20.0})
-        gens = {"A": GaussianSubstream("A", 1.0, 0.0),
-                "B": GaussianSubstream("B", 1.0, 0.0)}
-        sources = sources_from_schedule(schedule, gens, seed=1)
-        assert len(sources) == 2
-        rates = sorted(s.rate_per_second for s in sources)
-        assert rates == [10.0, 20.0]
-
-    def test_missing_generator_rejected(self):
-        schedule = RateSchedule("s", {"A": 10.0})
-        with pytest.raises(WorkloadError):
-            sources_from_schedule(schedule, {}, seed=1)
 
     def test_validation(self):
         gen = GaussianSubstream("X", 1.0, 0.0)
