@@ -9,13 +9,20 @@ the sampling fraction window by window.
 Run:  python examples/pollution_monitoring.py
 """
 
-from repro.core.cost import AdaptiveErrorBudget
 from repro.core.estimator import ThetaStore
-from repro.core.items import StreamItem, WeightedBatch
+from repro.core.items import WeightedBatch
+from repro.engine.pipeline import build_pipeline
+from repro.engine.runner import EngineRunner
+from repro.engine.transport import InProcessTransport
 from repro.experiments.base import ExperimentScale, pollution_workload
 from repro.metrics.report import Table
 from repro.queries import PerSubstreamSumQuery
-from repro.system import FeedbackDriver, PipelineConfig, StatisticalRunner
+from repro.system import (
+    AdaptiveFractionController,
+    PipelineConfig,
+    StatisticalRunner,
+    observe_window,
+)
 
 
 def grouped_query_demo(scale: ExperimentScale) -> None:
@@ -49,32 +56,47 @@ def grouped_query_demo(scale: ExperimentScale) -> None:
           f"{outcome.approxiot_loss:.4f}%\n")
 
 
-def adaptive_demo(scale: ExperimentScale) -> None:
-    """Error-budget feedback: tighten sampling until the bound fits."""
+def adaptive_demo(scale: ExperimentScale) -> list[float]:
+    """Error-budget feedback: tighten sampling until the bound fits.
+
+    One engine runs all eight windows; before each, the controller
+    re-derives every node's budget from its fraction, and after each it
+    reads the window's reported bound. Returns the fractions used.
+    """
     schedule, generators = pollution_workload(scale)
     config = PipelineConfig(sampling_fraction=0.02, seed=scale.config.seed)
-    controller = AdaptiveErrorBudget(
+    runner = EngineRunner(
+        build_pipeline(config, schedule, generators), InProcessTransport()
+    )
+    controller = AdaptiveFractionController(
         target_relative_error=0.002, initial_fraction=0.02
     )
-    driver = FeedbackDriver(config, schedule, generators, controller)
-    outcome = driver.run(8)
 
     table = Table("Adaptive feedback (target relative error 0.2%)",
                   ["window", "fraction used", "realized rel. error"])
-    for index, (fraction, error) in enumerate(
-        zip(outcome.fractions, outcome.relative_errors), start=1
-    ):
-        table.add_row(index, f"{fraction:.1%}", f"{100 * error:.4f}%")
+    fractions = []
+    for index in range(8):
+        fraction = controller.fraction
+        controller.begin_window(runner.pipeline)
+        outcome, theta = runner.run_window_with_theta()
+        observation = observe_window(index, theta, outcome.approx_sum)
+        controller.observe(observation)
+        fractions.append(fraction)
+        table.add_row(index + 1, f"{fraction:.1%}",
+                      f"{100 * observation.relative_bound:.4f}%")
     print(table.render())
-    print(f"\nfinal fraction: {outcome.final_fraction:.1%}")
+    print(f"\nfinal fraction: {fractions[-1]:.1%}")
+    return fractions
+
+
+SCALE = ExperimentScale(
+    rate_scale=0.05, windows=5, config=PipelineConfig(seed=2014)
+)
 
 
 def main() -> None:
-    scale = ExperimentScale(
-        rate_scale=0.05, windows=5, config=PipelineConfig(seed=2014)
-    )
-    grouped_query_demo(scale)
-    adaptive_demo(scale)
+    grouped_query_demo(SCALE)
+    adaptive_demo(SCALE)
 
 
 if __name__ == "__main__":

@@ -127,6 +127,8 @@ def _cli_workloads(scenario_names: list[str]) -> list[list[str]]:
             "scenarios", "run", "churn", *quick,
             "--workers", "2", "--budget-controller", "variance_aware",
         ],
+        ["figures", "fig5", *quick,
+         "--budget-controller", "adaptive_fraction"],
         ["figures", "fig5", *quick, "--workers", "2",
          "--inject-fault", "crash@0:1"],
         ["figures", "fig5", *quick, "--workers", "3",

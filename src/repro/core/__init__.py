@@ -13,11 +13,7 @@ from repro.core.columns import (
     ColumnarBatch,
     masked_sum,
 )
-from repro.core.cost import (
-    AdaptiveErrorBudget,
-    FractionBudget,
-    neyman_factors,
-)
+from repro.core.cost import FractionBudget, neyman_factors
 from repro.core.error_bounds import (
     ApproximateResult,
     confidence_multiplier,
@@ -40,7 +36,6 @@ from repro.core.weights import WeightMap, local_weight, output_weight
 from repro.core.whs import WHSampResult, whsamp
 
 __all__ = [
-    "AdaptiveErrorBudget",
     "ApproximateResult",
     "ColumnarBatch",
     "FractionBudget",

@@ -4,15 +4,13 @@ Algorithm 2 line 3 assumes "a cost function which translates a given
 query budget (such as the user-specified latency/throughput/accuracy
 guarantees) into the appropriate sample size for a node". The paper's
 prototype adjusts these parameters manually and lists an automated cost
-function as future work; we implement both the manual path and a simple
-automated controller:
+function as future work. This module holds the manual path and the
+allocation tilt; §IV-B's automated feedback on the fraction is
+:class:`repro.system.adaptive.AdaptiveFractionController`.
 
 * :class:`FractionBudget` — the manual path: the analyst fixes a
   sampling fraction and the cost function turns an interval's expected
   arrival count into a reservoir budget.
-* :class:`AdaptiveErrorBudget` — the feedback mechanism of §IV-B: if
-  the reported error bound exceeds the target, grow the sampling
-  fraction for subsequent runs; if comfortably below, shrink it.
 * :func:`neyman_factors` — the per-stratum tilt of Neyman allocation:
   normalized standard-deviation factors that, multiplied by arrival
   counts, weight ``getSampleSize`` toward the strata dominating the
@@ -29,7 +27,6 @@ from repro.errors import ConfigurationError
 
 __all__ = [
     "FractionBudget",
-    "AdaptiveErrorBudget",
     "neyman_factors",
 ]
 
@@ -105,75 +102,3 @@ class FractionBudget:
                 f"expected arrivals must be >= 0, got {expected_arrivals}"
             )
         return max(self.floor, int(round(expected_arrivals * self.fraction)))
-
-
-class AdaptiveErrorBudget:
-    """Multiplicative-increase feedback on the sampling fraction.
-
-    After each query window the root compares the *relative* error bound
-    against the analyst's target. When the bound is too loose the
-    fraction is scaled up by ``grow``; when it is much tighter than
-    needed (below ``target * slack``), the fraction is scaled down by
-    ``shrink`` to save resources. The fraction stays within
-    ``[min_fraction, 1.0]``.
-    """
-
-    def __init__(
-        self,
-        target_relative_error: float,
-        initial_fraction: float = 0.1,
-        *,
-        grow: float = 1.5,
-        shrink: float = 0.9,
-        slack: float = 0.5,
-        min_fraction: float = 0.01,
-    ) -> None:
-        if target_relative_error <= 0:
-            raise ConfigurationError(
-                f"target error must be positive, got {target_relative_error}"
-            )
-        if grow <= 1.0:
-            raise ConfigurationError(f"grow factor must exceed 1, got {grow}")
-        if not 0.0 < shrink < 1.0:
-            raise ConfigurationError(f"shrink must be in (0, 1), got {shrink}")
-        if not 0.0 < slack < 1.0:
-            raise ConfigurationError(f"slack must be in (0, 1), got {slack}")
-        self._target = float(target_relative_error)
-        self._fraction = _require_fraction(initial_fraction)
-        self._min_fraction = _require_fraction(min_fraction)
-        self._grow = float(grow)
-        self._shrink = float(shrink)
-        self._slack = float(slack)
-        self._history: list[float] = [self._fraction]
-
-    @property
-    def fraction(self) -> float:
-        """The current sampling fraction recommended for all layers."""
-        return self._fraction
-
-    @property
-    def target(self) -> float:
-        """The analyst's relative-error target."""
-        return self._target
-
-    @property
-    def history(self) -> list[float]:
-        """All fractions the controller has recommended so far."""
-        return list(self._history)
-
-    def observe(self, relative_error: float) -> float:
-        """Feed back one window's relative error; return the new fraction."""
-        if relative_error < 0:
-            raise ConfigurationError(
-                f"relative error must be >= 0, got {relative_error}"
-            )
-        if relative_error > self._target:
-            self._fraction = min(1.0, self._fraction * self._grow)
-        elif relative_error < self._target * self._slack:
-            self._fraction = max(self._min_fraction, self._fraction * self._shrink)
-        self._history.append(self._fraction)
-        return self._fraction
-
-    def sample_size(self, expected_arrivals: int) -> int:
-        """Reservoir budget under the current fraction."""
-        return FractionBudget(self._fraction).sample_size(expected_arrivals)

@@ -437,7 +437,13 @@ class EngineRunner:
         )
 
     def _route(self, dst: str) -> str:
-        """The live node a destination resolves to under churn."""
+        """The live node a destination resolves to under churn.
+
+        Walks up past offline nodes to the nearest live ancestor (the
+        root never churns). Batches carry their own ``(W_in, items)``
+        pairs, so re-parenting changes where resampling happens, never
+        the weight bookkeeping.
+        """
         state = self._window_state
         if state is None or not state.offline:
             return dst

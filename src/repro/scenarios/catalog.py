@@ -84,10 +84,7 @@ BUILTIN_SCENARIOS: dict[str, Scenario] = _builtin(
         windows=12,
         events=(
             RateBurst(4, 7, 1.5),
-            LinkDegrade(
-                3, 7, ("source-6",),
-                loss=0.2, rtt_factor=4.0, rate_factor=0.25,
-            ),
+            LinkDegrade(3, 7, ("source-6",), loss=0.2),
             LinkDegrade(5, 7, ("source-7",), delay_windows=1),
         ),
     ),

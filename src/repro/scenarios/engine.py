@@ -13,11 +13,8 @@ compiles the timeline into a :class:`WindowState` per window:
 * the set of offline nodes (churn), from which the engine derives
   WeightMap-correct re-parenting (children route to the nearest live
   ancestor);
-* per-uplink degradation (:class:`LinkState`): seeded batch loss,
-  straggler delay in windows, and the netem-view factors that
-  :meth:`ScenarioEngine.netem_overrides` folds into
-  :class:`~repro.simnet.netem.NetemConfig` objects for simnet-backed
-  placements.
+* per-uplink degradation (:class:`LinkState`): seeded batch loss and
+  straggler delay in windows.
 
 ``state_for`` is a pure function of the window index, so every worker
 shard recomputes the identical timeline from the scenario alone — no
@@ -40,8 +37,6 @@ from repro.scenarios.events import (
     SkewDrift,
 )
 from repro.scenarios.scenario import Scenario
-from repro.simnet.netem import NetemConfig
-from repro.topology.placement import PlacementSpec
 from repro.topology.tree import LogicalTree
 from repro.workloads.rates import RateSchedule
 
@@ -56,28 +51,21 @@ class LinkState:
 
     Overlapping :class:`~repro.scenarios.events.LinkDegrade` events
     compose: losses combine as independent drops
-    (``1 - (1-a)(1-b)``), straggler delays add, netem factors
-    multiply.
+    (``1 - (1-a)(1-b)``) and straggler delays add.
 
     Attributes:
         loss: Per-batch drop probability in ``[0, 1)``.
         delay_windows: Whole windows of straggler delay.
-        rtt_factor: RTT multiplier for the netem view.
-        rate_factor: Capacity multiplier for the netem view.
     """
 
     loss: float = 0.0
     delay_windows: int = 0
-    rtt_factor: float = 1.0
-    rate_factor: float = 1.0
 
     def compose(self, event: LinkDegrade) -> "LinkState":
         """This state with one more degradation event folded in."""
         return LinkState(
             loss=1.0 - (1.0 - self.loss) * (1.0 - event.loss),
             delay_windows=self.delay_windows + event.delay_windows,
-            rtt_factor=self.rtt_factor * event.rtt_factor,
-            rate_factor=self.rate_factor * event.rate_factor,
         )
 
 
@@ -251,55 +239,3 @@ class ScenarioEngine:
     def schedule(self) -> RateSchedule:
         """The base (pre-scenario) rate schedule."""
         return self._schedule
-
-    def live_parent(self, node_name: str, offline: frozenset[str]) -> str:
-        """The nearest live ancestor a node's output re-parents to.
-
-        Walks up the tree past offline nodes; terminates at the root,
-        which can never churn. This is the WeightMap-correct
-        re-parenting rule: batches carry their own ``(W_in, items)``
-        pairs, so attaching them to a higher ancestor changes where
-        resampling happens but never the weight bookkeeping.
-        """
-        parent = self._tree.node(node_name).parent
-        while parent is not None and parent in offline:
-            parent = self._tree.node(parent).parent
-        if parent is None:
-            raise ConfigurationError(
-                f"node {node_name!r} has no live ancestor (is it the root?)"
-            )
-        return parent
-
-    def netem_overrides(
-        self, window: int, spec: PlacementSpec | None = None
-    ) -> dict[str, NetemConfig]:
-        """Per-uplink netem shaping for one window's degradations.
-
-        Maps every degraded node to the :class:`NetemConfig` its uplink
-        should run under: the placement's base config for the node's
-        layer boundary with the window's composed ``rtt_factor`` /
-        ``rate_factor`` / ``loss`` applied. Healthy uplinks are absent
-        from the result. This is the bridge into
-        :mod:`repro.simnet.netem`-backed placements: rebuild the
-        affected links from the returned configs before running the
-        window on a simulated WAN.
-        """
-        spec = spec if spec is not None else PlacementSpec.paper_defaults()
-        if len(spec.uplink_configs) != self._tree.depth - 1:
-            raise ConfigurationError(
-                f"placement has {len(spec.uplink_configs)} uplink configs "
-                f"but the tree has {self._tree.depth - 1} layer boundaries"
-            )
-        overrides: dict[str, NetemConfig] = {}
-        for node_name, link in self.state_for(window).degraded.items():
-            layer = self._tree.node(node_name).layer
-            base = spec.uplink_configs[layer]
-            overrides[node_name] = NetemConfig(
-                delay_ms=base.delay_ms * link.rtt_factor,
-                rate_bps=base.rate_bps * link.rate_factor,
-                loss=min(
-                    0.999999,
-                    1.0 - (1.0 - base.loss) * (1.0 - link.loss),
-                ),
-            )
-        return overrides

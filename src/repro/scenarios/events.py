@@ -14,9 +14,8 @@ the event's *shape*:
 * :class:`NodeChurn` — edge nodes (sources or sampling nodes) leave
   the tree for the interval and rejoin after it; live traffic
   re-parents around the hole.
-* :class:`LinkDegrade` — a node's uplink loses batches, straggles
-  (delivers a window late) or degrades in netem terms (RTT / rate
-  factors for :mod:`repro.simnet.netem`-backed runs).
+* :class:`LinkDegrade` — a node's uplink loses batches or straggles
+  (delivers a window late).
 
 Events are pure data: all interpretation — composition, validation
 against a concrete tree/schedule, per-window state — lives in
@@ -276,7 +275,7 @@ class NodeChurn:
 class LinkDegrade:
     """Degrade the uplink of named nodes for an interval.
 
-    Three degradation axes, freely combined:
+    Two degradation axes, freely combined:
 
     * ``loss`` — each batch crossing the uplink is dropped with this
       probability (``tc netem loss``-style; seeded, so runs stay
@@ -288,11 +287,6 @@ class LinkDegrade:
       windows (paired under/over-shoot spikes). Batches whose delay
       outlives the run are neither sampled nor counted as dropped —
       they are still in flight when the run ends.
-    * ``rtt_factor`` / ``rate_factor`` — netem-view knobs: multiply the
-      link's round-trip time and capacity for simnet-backed runs (see
-      :meth:`repro.scenarios.engine.ScenarioEngine.netem_overrides`).
-      The algorithmic engine has no wire clock, so these two only
-      shape the derived :class:`~repro.simnet.netem.NetemConfig`.
 
     Attributes:
         start_window: First window (inclusive) of the degradation.
@@ -300,8 +294,6 @@ class LinkDegrade:
         nodes: Nodes whose uplink degrades (``None`` = every uplink).
         loss: Per-batch drop probability in ``[0, 1)``.
         delay_windows: Whole windows of straggler delay (>= 0).
-        rtt_factor: RTT multiplier for the netem view (> 0).
-        rate_factor: Capacity multiplier for the netem view (> 0).
     """
 
     start_window: int
@@ -309,8 +301,6 @@ class LinkDegrade:
     nodes: tuple[str, ...] | None = None
     loss: float = 0.0
     delay_windows: int = 0
-    rtt_factor: float = 1.0
-    rate_factor: float = 1.0
 
     def __post_init__(self) -> None:
         _check_interval(self.start_window, self.end_window)
@@ -322,15 +312,9 @@ class LinkDegrade:
             raise ConfigurationError(
                 f"delay_windows must be >= 0, got {self.delay_windows}"
             )
-        if self.rtt_factor <= 0 or self.rate_factor <= 0:
+        if self.loss == 0.0 and self.delay_windows == 0:
             raise ConfigurationError(
-                f"netem factors must be positive, got "
-                f"rtt_factor={self.rtt_factor}, rate_factor={self.rate_factor}"
-            )
-        if self.loss == 0.0 and self.delay_windows == 0 \
-                and self.rtt_factor == 1.0 and self.rate_factor == 1.0:
-            raise ConfigurationError(
-                "LinkDegrade with no loss, delay or netem factor is a no-op"
+                "LinkDegrade with no loss or delay is a no-op"
             )
         if self.nodes is not None:
             if not self.nodes:

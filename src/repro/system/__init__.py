@@ -18,9 +18,7 @@ quality-over-time metrics.
 
 The §IV-B feedback loop lives in :mod:`repro.system.adaptive`: the
 per-window :class:`~repro.system.adaptive.BudgetController` the engine
-runs in-loop (``config.budget_controller``), with
-:class:`~repro.system.feedback.FeedbackDriver` as the paper-literal
-between-runs facade over the same machinery.
+runs in-loop, named by ``config.budget_controller``.
 """
 
 from repro.system.adaptive import (
@@ -35,7 +33,6 @@ from repro.system.adaptive import (
 )
 from repro.system.config import ExecutionMode, PipelineConfig
 from repro.system.deployment import DeploymentReport, DeploymentSimulator
-from repro.system.feedback import FeedbackDriver, FeedbackOutcome
 from repro.system.scenarios import (
     ScenarioOutcome,
     ScenarioRunner,
@@ -54,8 +51,6 @@ __all__ = [
     "DeploymentReport",
     "DeploymentSimulator",
     "ExecutionMode",
-    "FeedbackDriver",
-    "FeedbackOutcome",
     "PipelineConfig",
     "RunOutcome",
     "ScenarioOutcome",

@@ -2,18 +2,15 @@
 
 The paper sketches a feedback mechanism: the root observes each
 window's reported error bound and refines the sampling parameters for
-subsequent windows. :mod:`repro.system.feedback` reproduces the
-paper's *between-runs* form (a fresh pipeline per window at a new
-global fraction); this module closes the loop **inside** one running
-engine, where sampler and Theta state persist across windows:
+subsequent windows. This module closes that loop **inside** one
+running engine, where sampler and Theta state persist across windows:
 
 * ``static`` — no feedback. The engine's classic behaviour, bit for
   bit: the controller only reports the assembly-time root budget.
-* ``adaptive_fraction`` — the
-  :class:`~repro.core.cost.AdaptiveErrorBudget` multiplicative
-  controller driving the *global* sampling fraction window to window.
-  Every sampling node's budget is re-derived from the live fraction
-  before each window opens.
+* ``adaptive_fraction`` — :class:`AdaptiveFractionController`,
+  §IV-B's multiplicative rule driving the *global* sampling fraction
+  window to window. Every sampling node's budget is re-derived from
+  the live fraction before each window opens.
 * ``variance_aware`` — per-sub-stream Neyman reallocation at a fixed
   total budget. After each window the controller reads the realized
   per-sub-stream variance and estimated counts out of the root's
@@ -40,7 +37,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Protocol
 
-from repro.core.cost import AdaptiveErrorBudget, neyman_factors
+from repro.core.cost import neyman_factors
 from repro.core.error_bounds import ApproximateResult, sample_variance
 from repro.core.estimator import ThetaStore
 from repro.core.stratified import allocate_weighted
@@ -66,6 +63,13 @@ __all__ = [
 #: steers toward (the analyst knob of §IV-B; callers needing a custom
 #: target construct :class:`AdaptiveFractionController` directly).
 ADAPTIVE_TARGET_RELATIVE_ERROR = 0.05
+
+#: §IV-B's multiplicative steps: a window whose relative bound is over
+#: the target scales the fraction by ``_GROW``, one under
+#: ``target * _SLACK`` by ``_SHRINK``; in between the fraction holds.
+_GROW = 1.5
+_SHRINK = 0.9
+_SLACK = 0.5
 
 
 @dataclass(frozen=True, slots=True)
@@ -189,36 +193,49 @@ class StaticBudgetController:
 class AdaptiveFractionController:
     """§IV-B's global-fraction feedback, applied between windows.
 
-    Wraps an :class:`~repro.core.cost.AdaptiveErrorBudget`: after each
-    window the reported relative bound nudges the fraction up (bound
-    above target) or down (comfortably below), and before the next
+    After each window the reported relative bound moves the fraction:
+    up by ``_GROW`` (capped at 1) when the bound is over the target,
+    down by ``_SHRINK`` (floored at ``min_fraction``) when it is under
+    ``target * _SLACK``, and not at all in between. Before the next
     window every sampling node's budget is re-derived from the live
     fraction — same cost function as pipeline assembly, so a fraction
     equal to the config's reproduces the assembly budgets exactly.
-    Zero-estimate windows carry no relative bound and hold the
-    fraction.
+    Empty and zero-estimate windows carry no relative bound and hold
+    the fraction.
     """
 
     name = "adaptive_fraction"
     wants_observations = True
 
-    def __init__(self, budget: AdaptiveErrorBudget) -> None:
-        self._budget = budget
+    def __init__(
+        self,
+        target_relative_error: float,
+        initial_fraction: float,
+        *,
+        min_fraction: float = 0.01,
+    ) -> None:
+        if target_relative_error <= 0:
+            raise ConfigurationError(
+                f"target error must be positive, got {target_relative_error}"
+            )
+        for fraction in (initial_fraction, min_fraction):
+            if not 0.0 < fraction <= 1.0:
+                raise ConfigurationError(
+                    f"sampling fraction must be in (0, 1], got {fraction}"
+                )
+        self._target = float(target_relative_error)
+        self._fraction = float(initial_fraction)
+        self._min_fraction = float(min_fraction)
         self._applied_fraction: float | None = None
-
-    @property
-    def budget(self) -> AdaptiveErrorBudget:
-        """The wrapped multiplicative fraction controller."""
-        return self._budget
 
     @property
     def fraction(self) -> float:
         """The sampling fraction the next window will run at."""
-        return self._budget.fraction
+        return self._fraction
 
     def begin_window(self, pipeline: "Pipeline") -> int:
         """Re-derive every node budget from the live fraction."""
-        fraction = self._budget.fraction
+        fraction = self._fraction
         if fraction != self._applied_fraction:
             pipeline.budgets = pipeline.budgets_for_fraction(fraction)
             self._applied_fraction = fraction
@@ -228,7 +245,11 @@ class AdaptiveFractionController:
         """Steer the fraction on the reported relative bound (if any)."""
         if observation is None or observation.relative_bound is None:
             return
-        self._budget.observe(observation.relative_bound)
+        bound = observation.relative_bound
+        if bound > self._target:
+            self._fraction = min(1.0, self._fraction * _GROW)
+        elif bound < self._target * _SLACK:
+            self._fraction = max(self._min_fraction, self._fraction * _SHRINK)
 
 
 class VarianceAwareController:
@@ -334,11 +355,9 @@ def make_budget_controller(
         return StaticBudgetController()
     if name == "adaptive_fraction":
         return AdaptiveFractionController(
-            AdaptiveErrorBudget(
-                ADAPTIVE_TARGET_RELATIVE_ERROR,
-                initial_fraction=config.sampling_fraction,
-                min_fraction=min(0.01, config.sampling_fraction),
-            )
+            ADAPTIVE_TARGET_RELATIVE_ERROR,
+            config.sampling_fraction,
+            min_fraction=min(0.01, config.sampling_fraction),
         )
     if name == "variance_aware":
         return VarianceAwareController()

@@ -11,10 +11,9 @@ paper-style table through :mod:`repro.metrics.report`, which is what
 
 Any engine configuration runs any scenario: budget controller and
 worker shards compose — a fixed ``(seed, scenario, workers)`` triple is
-bit-reproducible. Link degradation acts on the statistical engine's
-in-process tree; the deployment simulator owns the simulated-WAN world
-(see :meth:`repro.scenarios.engine.ScenarioEngine.netem_overrides` for
-the netem bridge).
+bit-reproducible. Link degradation (batch loss, straggler delay) acts
+on the statistical engine's in-process tree; the deployment simulator
+does not run scenarios.
 """
 
 from __future__ import annotations

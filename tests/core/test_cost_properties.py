@@ -1,11 +1,8 @@
 """Property-based tests (hypothesis) for the cost/allocation layer.
 
-The invariants the adaptive budget controllers lean on:
+The invariants the adaptive budget controllers lean on (the fraction
+rule's own properties are in ``tests/system/test_adaptive_controller.py``):
 
-* :class:`AdaptiveErrorBudget` keeps its fraction inside
-  ``[min_fraction, 1]`` under any observation sequence, and responds
-  monotonically — an error above target never shrinks the fraction, an
-  error comfortably below never grows it;
 * every ``getSampleSize`` policy conserves the budget: totals add up
   to ``sample_size`` whenever the budget covers the stratum count
   (for the cap-aware fills, to ``min(sample_size, sum(max(1, c_i)))``),
@@ -18,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 import pytest
 
-from repro.core.cost import AdaptiveErrorBudget, neyman_factors
+from repro.core.cost import neyman_factors
 from repro.core.stratified import (
     allocate_equal,
     allocate_fair_fill,
@@ -31,64 +28,6 @@ substream_names = st.sampled_from(["a", "b", "c", "d", "e"])
 counts_strategy = st.dictionaries(
     substream_names, st.integers(0, 10_000), min_size=1, max_size=5
 )
-errors_strategy = st.lists(
-    st.floats(min_value=0.0, max_value=10.0,
-              allow_nan=False, allow_infinity=False),
-    min_size=0, max_size=30,
-)
-
-
-def make_budget(target, initial, min_fraction):
-    return AdaptiveErrorBudget(
-        target, initial_fraction=initial, min_fraction=min_fraction
-    )
-
-
-# ---------------------------------------------------------------- fraction
-
-
-@given(target=st.floats(min_value=1e-6, max_value=1.0),
-       initial=st.floats(min_value=0.01, max_value=1.0),
-       min_fraction=st.floats(min_value=0.001, max_value=0.01),
-       errors=errors_strategy)
-@settings(max_examples=200, deadline=None)
-def test_fraction_stays_clamped(target, initial, min_fraction, errors):
-    """The fraction never leaves [min_fraction, 1] under any feedback."""
-    budget = make_budget(target, initial, min_fraction)
-    for error in errors:
-        fraction = budget.observe(error)
-        assert min_fraction <= fraction <= 1.0
-    assert len(budget.history) == len(errors) + 1
-
-
-@given(target=st.floats(min_value=1e-6, max_value=1.0),
-       initial=st.floats(min_value=0.01, max_value=1.0),
-       errors=errors_strategy,
-       probe=st.floats(min_value=0.0, max_value=10.0))
-@settings(max_examples=200, deadline=None)
-def test_fraction_response_is_monotone(target, initial, errors, probe):
-    """Error above target never shrinks; comfortably below never grows.
-
-    Whatever state a feedback history left the controller in, the next
-    observation moves the fraction in the direction §IV-B prescribes.
-    """
-    budget = make_budget(target, initial, min_fraction=0.001)
-    for error in errors:
-        budget.observe(error)
-    before = budget.fraction
-    after = budget.observe(probe)
-    if probe > target:
-        assert after >= before
-    elif probe < target * 0.5:  # the controller's default slack
-        assert after <= before
-    else:
-        assert after == before
-
-
-def test_negative_error_rejected():
-    budget = make_budget(0.05, 0.1, 0.01)
-    with pytest.raises(ConfigurationError):
-        budget.observe(-0.01)
 
 
 # -------------------------------------------------------------- allocation

@@ -12,7 +12,6 @@ from repro.scenarios.events import (
     SkewDrift,
 )
 from repro.scenarios.scenario import Scenario
-from repro.topology.placement import PlacementSpec
 from repro.topology.tree import paper_tree
 from repro.workloads.rates import RateSchedule
 
@@ -122,16 +121,6 @@ class TestChurnState:
         assert engine.state_for(5).offline == {"l1-1", "source-5"}
         assert engine.state_for(11).offline == frozenset()
 
-    def test_live_parent_walks_past_offline_ancestors(self):
-        engine = bind(get_scenario("churn"))
-        # l1-1's children re-parent to l2-0 while l1-1 is down...
-        assert engine.live_parent("source-2", frozenset({"l1-1"})) == "l2-0"
-        # ...and to the root if l2-0 is down too.
-        assert (
-            engine.live_parent("source-2", frozenset({"l1-1", "l2-0"}))
-            == "root"
-        )
-
     def test_steady_windows_are_marked_steady(self):
         engine = bind(get_scenario("churn"))
         assert engine.state_for(0).is_steady
@@ -144,8 +133,7 @@ class TestLinkStateComposition:
             "x", "d", windows=6,
             events=(
                 LinkDegrade(0, 6, ("source-0",), loss=0.5),
-                LinkDegrade(2, 4, ("source-0",), loss=0.5, delay_windows=1,
-                            rtt_factor=2.0),
+                LinkDegrade(2, 4, ("source-0",), loss=0.5, delay_windows=1),
             ),
         )
         engine = bind(scenario)
@@ -154,7 +142,6 @@ class TestLinkStateComposition:
         both = engine.state_for(2).degraded["source-0"]
         assert both.loss == pytest.approx(0.75)  # 1 - 0.5 * 0.5
         assert both.delay_windows == 1
-        assert both.rtt_factor == pytest.approx(2.0)
 
     def test_none_targets_every_uplink(self):
         scenario = Scenario(
@@ -168,22 +155,7 @@ class TestLinkStateComposition:
         assert state.loss == 0.0 and state.delay_windows == 0
 
 
-class TestNetemOverrides:
-    def test_degraded_uplinks_map_to_shaped_configs(self):
-        engine = bind(get_scenario("brownout"))
-        spec = PlacementSpec.paper_defaults()
-        overrides = engine.netem_overrides(4, spec)
-        assert set(overrides) == {"source-6"}
-        base = spec.uplink_configs[0]  # source layer boundary
-        shaped = overrides["source-6"]
-        assert shaped.delay_ms == pytest.approx(base.delay_ms * 4.0)
-        assert shaped.rate_bps == pytest.approx(base.rate_bps * 0.25)
-        assert shaped.loss == pytest.approx(0.2)
-
-    def test_healthy_windows_have_no_overrides(self):
-        engine = bind(get_scenario("brownout"))
-        assert engine.netem_overrides(0) == {}
-
+class TestCatalog:
     def test_catalog_lookup_is_loud(self):
         with pytest.raises(ConfigurationError, match="unknown scenario"):
             get_scenario("apocalypse")

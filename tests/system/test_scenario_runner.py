@@ -20,12 +20,16 @@ import multiprocessing
 
 import pytest
 
+from repro.engine.pipeline import build_pipeline
+from repro.engine.runner import EngineRunner
 from repro.engine.sharding import ShardedEngineRunner
+from repro.engine.transport import InProcessTransport
 from repro.errors import ConfigurationError, PipelineError
 from repro.scenarios import (
     LinkDegrade,
     NodeChurn,
     Scenario,
+    ScenarioEngine,
     get_scenario,
     scenario_names,
 )
@@ -193,6 +197,37 @@ class TestChurnMechanics:
         assert runner.engine.transport.collect("l1-0") == []
         assert not runner.engine.transport.has_pending()
         assert all(w.items_sampled > 0 for w in outcome.windows)
+
+    def test_batches_route_past_two_offline_ancestors(self):
+        """With l1-0 and its parent l2-0 both down, source-0 and
+        source-1 deliver straight to the root, and l1-1 skips only its
+        offline parent."""
+
+        class RecordingTransport(InProcessTransport):
+            def __init__(self):
+                super().__init__()
+                self.hops = set()
+
+            def send(self, src, dst, batch):
+                self.hops.add((src, dst))
+                super().send(src, dst, batch)
+
+        scenario = Scenario(
+            "double-hole", "d", windows=2,
+            events=(NodeChurn(0, 2, ("l1-0", "l2-0")),),
+        )
+        config = config_for()
+        transport = RecordingTransport()
+        runner = EngineRunner(
+            build_pipeline(config, SCHEDULE, generators()),
+            transport,
+            scenario=ScenarioEngine(scenario, config.tree, SCHEDULE),
+        )
+        outcome = runner.run(2)
+        assert {("source-0", "root"), ("source-1", "root"),
+                ("l1-1", "root")} <= transport.hops
+        assert not any(dst in {"l1-0", "l2-0"} for _, dst in transport.hops)
+        assert len(outcome.windows) == 2
 
     def test_offline_source_volume_is_really_lost(self):
         healthy = run_scenario("steady", seed=13)

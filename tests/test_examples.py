@@ -8,6 +8,7 @@ way README tells users to run it.
 from __future__ import annotations
 
 import os
+import runpy
 import subprocess
 import sys
 import textwrap
@@ -51,3 +52,19 @@ def test_package_docstring_quickstart_runs(capsys):
     snippet = repro.__doc__.split("Quickstart::\n", 1)[1].split("\nSee ", 1)[0]
     exec(compile(textwrap.dedent(snippet), "repro.__doc__", "exec"), {})
     assert "±" in capsys.readouterr().out
+
+
+def test_pollution_adaptive_demo_pins_its_fractions(capsys):
+    """The in-run §IV-B loop grows 2 % by x1.5 per window to 34.2 %."""
+    example = runpy.run_path(str(ROOT / "examples" / "pollution_monitoring.py"))
+    fractions = example["adaptive_demo"](example["SCALE"])
+    expected = [0.02]
+    for _ in range(7):
+        expected.append(expected[-1] * 1.5)
+    assert fractions == expected
+    out = capsys.readouterr().out
+    used = [line.split()[1] for line in out.splitlines()
+            if line.split() and line.split()[0].isdigit()]
+    assert used == ["2.0%", "3.0%", "4.5%", "6.8%",
+                    "10.1%", "15.2%", "22.8%", "34.2%"]
+    assert "final fraction: 34.2%" in out

@@ -29,7 +29,7 @@ ALLOWED: dict[str, set[str]] = {
     "workloads": {"core", "errors"},
     "broker": {"core", "errors"},
     "queries": {"core", "errors"},
-    "scenarios": {"errors", "simnet", "topology", "workloads"},
+    "scenarios": {"errors", "topology", "workloads"},
     # The one back-edge: the engine reads PipelineConfig (type-only) and
     # the shard timeout cap, and builds the budget controller, from two
     # system modules that themselves import only core and topology.
