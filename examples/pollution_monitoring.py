@@ -79,11 +79,17 @@ def adaptive_demo(scale: ExperimentScale) -> list[float]:
         fraction = controller.fraction
         controller.begin_window(runner.pipeline)
         outcome, theta = runner.run_window_with_theta()
-        observation = observe_window(index, theta, outcome.approx_sum)
+        # An empty window (no theta) or a zero estimate (no relative
+        # bound) holds the fraction.
+        observation = (
+            None if theta is None
+            else observe_window(index, theta, outcome.approx_sum)
+        )
         controller.observe(observation)
         fractions.append(fraction)
+        bound = None if observation is None else observation.relative_bound
         table.add_row(index + 1, f"{fraction:.1%}",
-                      f"{100 * observation.relative_bound:.4f}%")
+                      "n/a" if bound is None else f"{100 * bound:.4f}%")
     print(table.render())
     print(f"\nfinal fraction: {fractions[-1]:.1%}")
     return fractions

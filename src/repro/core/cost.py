@@ -28,6 +28,7 @@ from repro.errors import ConfigurationError
 __all__ = [
     "FractionBudget",
     "neyman_factors",
+    "require_fraction",
 ]
 
 
@@ -70,7 +71,8 @@ def neyman_factors(variances: Mapping[str, float]) -> dict[str, float]:
     }
 
 
-def _require_fraction(fraction: float) -> float:
+def require_fraction(fraction: float) -> float:
+    """Return ``fraction`` as a float; reject one outside ``(0, 1]``."""
     if not 0.0 < fraction <= 1.0:
         raise ConfigurationError(
             f"sampling fraction must be in (0, 1], got {fraction}"
@@ -91,7 +93,7 @@ class FractionBudget:
     floor: int = 1
 
     def __post_init__(self) -> None:
-        self.fraction = _require_fraction(self.fraction)
+        self.fraction = require_fraction(self.fraction)
         if self.floor < 1:
             raise ConfigurationError(f"floor must be >= 1, got {self.floor}")
 

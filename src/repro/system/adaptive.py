@@ -37,7 +37,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Protocol
 
-from repro.core.cost import neyman_factors
+from repro.core.cost import neyman_factors, require_fraction
 from repro.core.error_bounds import ApproximateResult, sample_variance
 from repro.core.estimator import ThetaStore
 from repro.core.stratified import allocate_weighted
@@ -218,14 +218,9 @@ class AdaptiveFractionController:
             raise ConfigurationError(
                 f"target error must be positive, got {target_relative_error}"
             )
-        for fraction in (initial_fraction, min_fraction):
-            if not 0.0 < fraction <= 1.0:
-                raise ConfigurationError(
-                    f"sampling fraction must be in (0, 1], got {fraction}"
-                )
         self._target = float(target_relative_error)
-        self._fraction = float(initial_fraction)
-        self._min_fraction = float(min_fraction)
+        self._fraction = require_fraction(initial_fraction)
+        self._min_fraction = require_fraction(min_fraction)
         self._applied_fraction: float | None = None
 
     @property
@@ -246,6 +241,10 @@ class AdaptiveFractionController:
         if observation is None or observation.relative_bound is None:
             return
         bound = observation.relative_bound
+        if bound < 0:
+            raise ConfigurationError(
+                f"relative error must be >= 0, got {bound}"
+            )
         if bound > self._target:
             self._fraction = min(1.0, self._fraction * _GROW)
         elif bound < self._target * _SLACK:

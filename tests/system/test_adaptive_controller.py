@@ -117,6 +117,12 @@ class TestFractionRule:
                 target, initial, min_fraction=min_fraction
             )
 
+    def test_negative_error_rejected(self):
+        controller = AdaptiveFractionController(0.05, 0.1)
+        with pytest.raises(ConfigurationError):
+            controller.observe(seen(-0.1))
+        assert controller.fraction == 0.1
+
     def test_three_settable_values(self):
         parameters = inspect.signature(AdaptiveFractionController).parameters
         assert list(parameters) == [
@@ -205,11 +211,11 @@ def test_fraction_response_is_monotone(target, initial, errors, probe):
         assert after == before
 
 
-def drive(target, initial, windows, generators=GENS):
+def drive(target, initial, windows, generators=GENS, schedule=SCHEDULE):
     """The example's loop: fractions used and relative bounds seen."""
     config = PipelineConfig(sampling_fraction=initial, seed=11)
     runner = EngineRunner(
-        build_pipeline(config, SCHEDULE, generators), InProcessTransport()
+        build_pipeline(config, schedule, generators), InProcessTransport()
     )
     controller = AdaptiveFractionController(target, initial)
     fractions, bounds = [], []
@@ -217,9 +223,12 @@ def drive(target, initial, windows, generators=GENS):
         fractions.append(controller.fraction)
         controller.begin_window(runner.pipeline)
         outcome, theta = runner.run_window_with_theta()
-        observation = observe_window(index, theta, outcome.approx_sum)
+        observation = (
+            None if theta is None
+            else observe_window(index, theta, outcome.approx_sum)
+        )
         controller.observe(observation)
-        bounds.append(observation.relative_bound)
+        bounds.append(None if observation is None else observation.relative_bound)
     return fractions, bounds
 
 
@@ -248,6 +257,15 @@ class TestLoopOnTheEngine:
         )
         assert fractions == [0.1] * 5
         assert bounds == [None] * 5
+
+    def test_empty_windows_hold_the_fraction(self):
+        """No source emits: every window is (None, None) and holds."""
+        silent = RateSchedule("silent", {name: 0.0 for name in "ABCD"})
+        fractions, bounds = drive(
+            target=1e-6, initial=0.1, windows=4, schedule=silent
+        )
+        assert fractions == [0.1] * 4
+        assert bounds == [None] * 4
 
     def test_caller_held_loop_is_the_config_loop(self):
         """Driving the controller by hand replays ``budget_controller``."""
