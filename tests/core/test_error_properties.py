@@ -2,6 +2,7 @@
 
 import math
 
+import numpy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -81,6 +82,24 @@ def test_unsampled_batches_have_zero_error(raw):
                                  allow_nan=False), max_size=100))
 def test_sample_variance_never_negative(values):
     assert sample_variance(values) >= 0.0
+
+
+@given(values=st.lists(
+    st.one_of(
+        st.floats(min_value=-1e3, max_value=1e3, allow_nan=False),
+        st.floats(min_value=-1e150, max_value=1e150, allow_nan=False),
+        st.floats(min_value=-1e-150, max_value=1e-150, allow_nan=False),
+        st.integers(min_value=-10**6, max_value=10**6).map(float),
+    ),
+    min_size=2, max_size=300,
+))
+@settings(max_examples=300, deadline=None)
+def test_sample_variance_is_numpy_var_bit_for_bit(values):
+    """Eq. 12 is numpy's two-pass ``var(ddof=1)``, to the last bit."""
+    expected = float(numpy.var(numpy.asarray(values), ddof=1))
+    assert sample_variance(values).hex() == expected.hex()
+    column = numpy.asarray(values, dtype=numpy.float64)
+    assert sample_variance(column).hex() == expected.hex()
 
 
 @given(values=st.lists(st.floats(min_value=-1e3, max_value=1e3,

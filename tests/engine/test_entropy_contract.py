@@ -145,6 +145,126 @@ class TestSeededGolden:
         assert int(mask.sum()) == 110
 
 
+#: Uneven strata, so L1 nodes split their budget unevenly (fair fill)
+#: and fraction 0.8 takes the kernel's complement branch.
+UNEVEN = RateSchedule(
+    "bits", {"A": 3000.0, "B": 4500.0, "C": 2000.0, "D": 3500.0}
+)
+
+
+def approx_bits(approx):
+    return (
+        approx.value.hex(), approx.error.hex(), approx.variance.hex(),
+        approx.sampled_items,
+    )
+
+
+def theta_bits(theta):
+    """Per root batch: sub-stream, ``W_out``, size and value-sum bits."""
+    return [
+        (b.substream, b.weight.hex(), len(b), float(b.items.values.sum()).hex())
+        for b in theta.batches
+    ]
+
+
+#: Root Theta rows shared by both fraction-0.1 windows, values aside.
+_F01_ROOT = [
+    ("A", "0x1.00af3addc680bp+3", 374), ("B", "0x1.7efa8d9df51b4p+3", 376),
+    ("C", "0x1.d3273daa0b363p+2", 274), ("D", "0x1.95cc0ed7303b6p+3", 276),
+]
+_F08_ROOT = [
+    ("A", "0x1.0000000000000p+0", 3000), ("B", "0x1.8000000000000p+0", 3000),
+    ("C", "0x1.0000000000000p+0", 2000), ("D", "0x1.7555555555555p+0", 2400),
+]
+
+
+def _rows(shape, value_sums):
+    return [(*row, total) for row, total in zip(shape, value_sums)]
+
+
+#: fraction → per window (approx bits, root Theta bits); seed 42, UNEVEN.
+#: Pinned on the per-window path before its bookkeeping was slimmed:
+#: the hot path may get cheaper, never move a bit.
+GOLDEN_WINDOW_BITS = {
+    0.1: [
+        (
+            ("0x1.64ed578bf8796p+28", "0x1.f26c4203c46e6p+20",
+             "0x1.e534af4f36389p+39", 1300),
+            _rows(_F01_ROOT, ["0x1.d48fb82beae31p+11", "0x1.6fbb9c68dc744p+18",
+                              "0x1.4edfba1532f8ep+21", "0x1.a4c976c276a44p+24"]),
+        ),
+        (
+            ("0x1.64f1a6c480482p+28", "0x1.f0d1b38d05535p+20",
+             "0x1.e216a1c48f6a0p+39", 1300),
+            _rows(_F01_ROOT, ["0x1.d4dfbe82c279fp+11", "0x1.6d27ba0409422p+18",
+                              "0x1.4e71aefe381fcp+21", "0x1.a4e08b263574fp+24"]),
+        ),
+    ],
+    0.8: [
+        (
+            ("0x1.64e40fea4c6c2p+28", "0x1.85ef073de0facp+18",
+             "0x1.28f8259849bc4p+35", 10400),
+            _rows(_F08_ROOT, ["0x1.d29c94a53a1d2p+14", "0x1.6e6dc42efc27fp+21",
+                              "0x1.3090eb76e2a7ap+24", "0x1.c96aa4bc56040p+27"]),
+        ),
+        (
+            ("0x1.65782bda21a22p+28", "0x1.8718b54969596p+18",
+             "0x1.2abe3e145ef9dp+35", 10400),
+            _rows(_F08_ROOT, ["0x1.d70baee3e6232p+14", "0x1.6dfbcd74870b4p+21",
+                              "0x1.30993fdc1c8a4p+24", "0x1.ca36c983942b2p+27"]),
+        ),
+    ],
+}
+
+#: The first merged window of a 2-shard inline run (fraction 0.2, seed
+#: 13, UNEVEN): approx bits, then the merged Theta, shard 0's rows first.
+_SHARD_ROOT = [
+    ("A", "0x1.00af3addc680bp+2", 374), ("B", "0x1.7efa8d9df51b4p+2", 376),
+    ("C", "0x1.d3273daa0b363p+1", 274), ("D", "0x1.95cc0ed7303b6p+2", 276),
+]
+GOLDEN_SHARD_MERGE_BITS = (
+    ("0x1.64bfb37c67b01p+28", "0x1.511b4a8cb1da1p+20",
+     "0x1.bbe8dd2f3ba35p+38", 2600),
+    _rows(_SHARD_ROOT + _SHARD_ROOT, [
+        "0x1.d5862346f4574p+11", "0x1.6d794aacc0a42p+18",
+        "0x1.4caa36526af7bp+21", "0x1.a43f4f811436ap+24",
+        "0x1.d693b8e83ce39p+11", "0x1.6f14827319c3ap+18",
+        "0x1.4efaacea6c722p+21", "0x1.a512210566236p+24",
+    ]),
+)
+
+
+class TestWindowBitsGolden:
+    """Every bit of a seeded window's estimate and root Theta is pinned."""
+
+    @pytest.mark.parametrize("fraction", sorted(GOLDEN_WINDOW_BITS))
+    def test_paper_tree_windows(self, fraction):
+        _pipeline, runner = engine_for(fraction=fraction, schedule=UNEVEN)
+        for approx, root in GOLDEN_WINDOW_BITS[fraction]:
+            outcome, theta = runner.run_window_with_theta()
+            assert approx_bits(outcome.approx_sum) == approx
+            assert theta_bits(theta) == root
+
+    def test_two_shard_inline_merge(self, monkeypatch):
+        from repro.engine import sharding
+
+        merged = []
+        real = sharding._estimate_window
+
+        def spy(theta, confidence, scenario_run):
+            merged.append(theta)
+            return real(theta, confidence, scenario_run)
+
+        monkeypatch.setattr(sharding, "_estimate_window", spy)
+        config = PipelineConfig(sampling_fraction=0.2, seed=13, workers=2)
+        outcome = ShardedEngineRunner(
+            config, UNEVEN, GENS, inline=True
+        ).run_window()
+        approx, root = GOLDEN_SHARD_MERGE_BITS
+        assert approx_bits(outcome.approx_sum) == approx
+        assert theta_bits(merged[0]) == root
+
+
 # ----------------------------------------------------------------------
 # (b) bit-reproducible per seed, everywhere
 # ----------------------------------------------------------------------
