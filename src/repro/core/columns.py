@@ -231,14 +231,29 @@ class ColumnarBatch:
         return int(sum(self.sizes))
 
     def value_sum(self) -> float:
-        """Sum of the value column (one vector op)."""
-        return float(self.values.sum())
+        """Sum of the value column (one vector op).
+
+        ``add.reduce`` is what ``ndarray.sum`` runs, called directly:
+        the same pairwise sum, without the method's Python wrapper.
+        """
+        return float(_np.add.reduce(self.values))
 
     # ------------------------------------------------------------------
     # Transformation
     # ------------------------------------------------------------------
     def select(self, indices) -> "ColumnarBatch":
         """Gather the records at ``indices`` (an ``intp`` array or a list)."""
+        if (
+            isinstance(self.substreams, str)
+            and isinstance(self.sizes, int)
+            and isinstance(self.timestamps, float)
+        ):
+            # A uniform batch (what sources emit): the gather is the
+            # value column alone.
+            return ColumnarBatch(
+                self.substreams, self.values[indices], self.timestamps,
+                self.sizes,
+            )
         substreams = (
             self.substreams
             if isinstance(self.substreams, str)
@@ -348,10 +363,12 @@ class ColumnarBatch:
 def masked_sum(column, mask: Sequence[bool]) -> float:
     """Sum of the column entries whose mask entry is true.
 
-    One select-and-reduce vector op; the SRS baseline's
-    Horvitz-Thompson numerator.
+    One ``compress``-and-reduce vector op (the kept entries in column
+    order, so the same sum as a boolean-index gather); the SRS
+    baseline's Horvitz-Thompson numerator.
     """
-    return float(column[_np.asarray(mask, dtype=bool)].sum())
+    kept = _np.compress(_np.asarray(mask, dtype=bool), column)
+    return float(_np.add.reduce(kept))
 
 
 def concat_value_chunks(chunks: list) -> Sequence[float]:

@@ -89,12 +89,18 @@ class ApproximateResult:
 def sample_variance(values: Sequence[float]) -> float:
     """Unbiased sample variance ``s^2`` (Eq. 12); 0.0 for n < 2.
 
-    One vector op over the value column (a plain sequence from a
-    caller is converted first).
+    numpy's own two-pass arithmetic for ``var(ddof=1)`` — mean as
+    sum / n, deviations squared in place, their sum / (n - 1) — run
+    directly, so the result is that method's to the last bit without
+    its Python wrapper. A plain sequence is converted first.
     """
-    if len(values) < 2:
+    n = len(values)
+    if n < 2:
         return 0.0
-    return float(_np.asarray(values, dtype=_np.float64).var(ddof=1))
+    column = _np.asarray(values, dtype=_np.float64)
+    deviations = column - _np.add.reduce(column) / n
+    _np.multiply(deviations, deviations, out=deviations)
+    return float(_np.add.reduce(deviations) / (n - 1))
 
 
 def substream_sum_variance(estimate: SubstreamEstimate) -> float:

@@ -93,26 +93,27 @@ class ThetaStore:
     def per_substream(self) -> dict[str, SubstreamEstimate]:
         """Compute :class:`SubstreamEstimate` for every stored stratum.
 
-        Batches contribute their value columns directly: Eq. 3's
-        weighted sums are one vector op each, and a stratum's sampled
-        values are its batches' columns concatenated.
+        One pass over the stored pairs: each stratum's Eq. 3 sum and
+        Eq. 8 count accumulate left to right (one vector reduction per
+        batch), and its sampled values are its batches' columns,
+        concatenated once.
         """
-        sums: dict[str, float] = {}
-        counts: dict[str, float] = {}
-        chunks: dict[str, list] = {}
+        strata: dict[str, list] = {}
         for batch in self._batches:
-            key = batch.substream
-            sums[key] = sums.get(key, 0.0) + batch.estimated_sum
-            counts[key] = counts.get(key, 0.0) + batch.estimated_count
-            chunks.setdefault(key, []).append(batch.items.values)
-        sampled = {key: concat_value_chunks(chunks[key]) for key in chunks}
-        return {
-            key: SubstreamEstimate(
+            entry = strata.get(batch.substream)
+            if entry is None:
+                entry = strata[batch.substream] = [0.0, 0.0]
+            entry[0] += batch.estimated_sum
+            entry[1] += batch.estimated_count
+            entry.append(batch.items.values)
+        estimates = {}
+        for key, (total, count, *chunks) in strata.items():
+            sampled = concat_value_chunks(chunks)
+            estimates[key] = SubstreamEstimate(
                 substream=key,
-                estimated_sum=sums[key],
-                estimated_count=counts[key],
-                sampled_count=len(sampled[key]),
-                sampled_values=sampled[key],
+                estimated_sum=total,
+                estimated_count=count,
+                sampled_count=len(sampled),
+                sampled_values=sampled,
             )
-            for key in sums
-        }
+        return estimates

@@ -7,9 +7,11 @@ a reservoir sample of a materialised batch is exactly a uniform random
 subset of size ``min(capacity, n)``, so it reduces to one
 ``Generator.choice`` call — of the survivors, or of the dropped indices
 when more than half survive (the complement rule); the sorted ``intp``
-array it returns indexes columns as is. The count invariant of Eq. 8
-(``W_out * c~ == W_in * c``) is preserved bit-for-bit by the
-:func:`~repro.core.weights.output_weight` arithmetic.
+array it returns indexes columns as is (survivors are sorted as
+``int32`` when the population fits: the same set in the same order).
+The count invariant of Eq. 8 (``W_out * c~ == W_in * c``) is preserved
+bit-for-bit by the :func:`~repro.core.weights.output_weight`
+arithmetic.
 :class:`~repro.core.reservoir.ReservoirSampler` (Algorithm R) is the
 reference the tests hold this kernel to.
 
@@ -68,5 +70,9 @@ def batch_sample_indices(population: int, capacity: int, gen):
         keep[gen.choice(population, dropped, replace=False, shuffle=False)] = False
         return _np.flatnonzero(keep)
     indices = gen.choice(population, capacity, replace=False, shuffle=False)
+    if population < 2**31:
+        # The same set in the same order: a 4-byte sort moves half the
+        # bytes, and the gather takes ``intp`` either way.
+        indices = indices.astype(_np.int32)
     indices.sort()
     return indices.astype(_np.intp, copy=False)

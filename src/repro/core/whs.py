@@ -53,16 +53,6 @@ class WHSampResult:
     seen: dict[str, int] = field(default_factory=dict)
     allocation: dict[str, int] = field(default_factory=dict)
 
-    @property
-    def sampled_count(self) -> int:
-        """Total number of items kept across all sub-streams."""
-        return sum(len(batch) for batch in self.batches)
-
-    @property
-    def arrival_count(self) -> int:
-        """Total number of items offered across all sub-streams."""
-        return sum(self.seen.values())
-
 
 def whsamp_batches(
     batches: Iterable[WeightedBatch],
@@ -103,48 +93,57 @@ def whsamp_batches(
     if sample_size <= 0:
         raise SamplingError(f"sample size must be positive, got {sample_size}")
 
-    # One scan of the inbox: group payloads by (sub-stream, W_in) and
-    # count arrivals; silent payloads are dropped here.
+    # One scan of the inbox: each (sub-stream, W_in) group is one entry
+    # [arrival count, payload, ...]; silent payloads are dropped here.
     groups: dict[tuple[str, float], list] = {}
-    counts: dict[tuple[str, float], int] = {}
     for batch in batches:
-        if len(batch.items):
+        payload = batch.items
+        count = len(payload.values)
+        if count:
             key = (batch.substream, batch.weight)
-            groups.setdefault(key, []).append(batch.items)
-            counts[key] = counts.get(key, 0) + len(batch.items)
+            group = groups.get(key)
+            if group is None:
+                groups[key] = [count, payload]
+            else:
+                group[0] += count
+                group.append(payload)
 
-    result = WHSampResult()
     if not groups:
-        return result
-    allocation = policy(sample_size, counts)  # line 7: getSampleSize
+        return WHSampResult()
+    # line 7: getSampleSize
+    allocation = policy(
+        sample_size, {key: group[0] for key, group in groups.items()}
+    )
+    sampled_batches: list[WeightedBatch] = []
+    seen: dict[str, int] = {}
+    reservoirs: dict[str, int] = {}
+    weights: dict[str, float] = {}
     dominant: dict[str, int] = {}
-    for key, payloads in groups.items():
+    for key, group in groups.items():
         substream, w_in = key
-        count = counts[key]
+        count = group[0]
         capacity = allocation[key]
         group_items = (
-            payloads[0] if len(payloads) == 1
-            else ColumnarBatch.concat(payloads)
+            group[1] if len(group) == 2 else ColumnarBatch.concat(group[1:])
         )
-        # line 10: RS(S_i, N_i) — survivor indices, then one gather.
+        # line 10: RS(S_i, N_i) — survivor indices, then one gather; a
+        # group that fits its reservoir passes through at its W_in.
         if count <= capacity:
-            sampled = group_items
+            sampled, w_out = group_items, w_in
         else:
             if gen is None:
                 gen = make_generator(rng or random.Random())
             sampled = group_items.select(
                 batch_sample_indices(count, capacity, gen)
             )
-        w_out = output_weight(w_in, count, capacity)  # Eq. 1-2
-        result.batches.append(WeightedBatch(substream, w_out, sampled))
-        result.seen[substream] = result.seen.get(substream, 0) + count
-        result.allocation[substream] = (
-            result.allocation.get(substream, 0) + capacity
-        )
+            w_out = output_weight(w_in, count, capacity)  # Eq. 1-2
+        sampled_batches.append(WeightedBatch(substream, w_out, sampled))
+        seen[substream] = seen.get(substream, 0) + count
+        reservoirs[substream] = reservoirs.get(substream, 0) + capacity
         if count >= dominant.get(substream, 0):
             dominant[substream] = count
-            result.weights.update(substream, w_out)
-    return result
+            weights[substream] = w_out
+    return WHSampResult(sampled_batches, WeightMap(weights), seen, reservoirs)
 
 
 def whsamp(

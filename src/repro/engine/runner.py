@@ -461,8 +461,8 @@ class EngineRunner:
         (the batch is destroyed; the estimator never learns it
         existed) or straggler delay (the batch is queued and arrives
         whole windows later) — then routes around offline nodes to
-        the nearest live ancestor. Static runs fall straight through
-        to the transport.
+        the nearest live ancestor. Static windows never come here:
+        :meth:`sample_theta` hands their hops to the transport.
         """
         state = self._window_state
         if state is not None:
@@ -501,22 +501,27 @@ class EngineRunner:
     # ------------------------------------------------------------------
     # Strategies
     # ------------------------------------------------------------------
-    def _inject(self, emitted: "dict[str, ColumnarBatch]") -> None:
+    def _inject(self, emitted: "dict[str, ColumnarBatch]", hop) -> None:
         """Ship one window's emissions to the first sampling layer.
 
-        Batches group by column — zero-copy for single-stratum sources.
+        A single-stratum payload (what sources emit) ships as it is;
+        a mixed one groups by column first.
         """
-        tree = self._pipeline.tree
-        for source_node in tree.sources:
+        for source_node in self._pipeline.tree.sources:
             payload = emitted[source_node.name]
             if not len(payload):
                 continue
             parent = source_node.parent
             assert parent is not None
+            if isinstance(payload.substreams, str):
+                hop(
+                    source_node.name, parent,
+                    WeightedBatch(payload.substreams, 1.0, payload),
+                )
+                continue
             for substream, chunk in payload.group_by_substream().items():
-                self._deliver(
-                    source_node.name,
-                    parent,
+                hop(
+                    source_node.name, parent,
                     WeightedBatch(substream, 1.0, chunk),
                 )
 
@@ -541,10 +546,15 @@ class EngineRunner:
         Returns the root's Theta. Under a scenario, straggler batches
         due this window are released first, offline nodes are skipped
         (their traffic was routed around them at send time), and every
-        upward hop goes through the scenario-aware :meth:`_deliver`.
+        upward hop goes through the scenario-aware :meth:`_deliver`; a
+        static window hands every hop straight to the transport.
         """
         self._release_due_stragglers()
-        self._inject(emitted)
+        hop = (
+            self._transport.send if self._window_state is None
+            else self._deliver
+        )
+        self._inject(emitted, hop)
         offline = (
             self._window_state.offline if self._window_state is not None
             else frozenset()
@@ -561,7 +571,7 @@ class EngineRunner:
                 theta.extend(result.batches)
             else:
                 for batch in result.batches:
-                    self._deliver(node.name, node.parent, batch)
+                    hop(node.name, node.parent, batch)
         return theta
 
     def run_srs(

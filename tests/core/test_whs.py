@@ -20,19 +20,19 @@ class TestWhsamp:
     def test_empty_input_returns_empty_result(self):
         result = whsamp([], 10)
         assert result.batches == []
-        assert result.sampled_count == 0
+        assert sum(len(b) for b in result.batches) == 0
 
     def test_single_substream_overflow(self):
         items = make_items("a", range(100))
         result = whsamp(items, 10, rng=random.Random(1))
-        assert result.sampled_count == 10
+        assert sum(len(b) for b in result.batches) == 10
         assert result.weights.get("a") == pytest.approx(10.0)
         assert result.seen == {"a": 100}
 
     def test_single_substream_underflow_weight_one(self):
         items = make_items("a", range(5))
         result = whsamp(items, 10, rng=random.Random(2))
-        assert result.sampled_count == 5
+        assert sum(len(b) for b in result.batches) == 5
         assert result.weights.get("a") == 1.0
 
     def test_count_invariant_equation8(self):
@@ -104,7 +104,7 @@ class TestListInputIsTheColumnarInput:
             ColumnarBatch.from_items(items), 40, weights,
             rng=random.Random(11),
         )
-        assert from_list.sampled_count == 40
+        assert sum(len(b) for b in from_list.batches) == 40
         assert [
             (b.substream, b.weight, b.items.to_items())
             for b in from_list.batches

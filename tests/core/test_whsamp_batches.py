@@ -147,4 +147,4 @@ def test_property_budget_respected(pairs, sample_size, seed):
     }
     result = whsamp_batches(batches, sample_size, rng=random.Random(seed))
     limit = max(sample_size, len(groups))  # min 1 slot per group
-    assert result.sampled_count <= limit
+    assert sum(len(b) for b in result.batches) <= limit

@@ -425,6 +425,52 @@ def test_run_builds_o_sources_generators(monkeypatch):
         assert per_windows[4] == per_windows[1] <= sources + 1, per_windows
 
 
+def test_static_window_hot_path_counters(monkeypatch):
+    """A static paper-tree window pays for its numpy work and little else.
+
+    Counted, never timed: its hops go straight to the transport (no
+    scenario-aware ``_deliver``), each overflowing ``(sub-stream, W_in)``
+    group is gathered with exactly one ``select``, and the root
+    estimate concatenates each sub-stream's value columns at most once.
+    """
+    import numpy
+
+    from repro.core.error_bounds import estimate_sum_with_error
+    from repro.core.stratified import allocate_fair_fill
+
+    calls = {"_deliver": 0, "select": 0, "concatenate": 0}
+
+    def count_calls(owner, name):
+        original = getattr(owner, name)
+
+        def counted(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(owner, name, counted)
+
+    overflowing = []
+
+    def recording_policy(sample_size, counts):
+        allocation = allocate_fair_fill(sample_size, counts)
+        overflowing.extend(k for k in counts if counts[k] > allocation[k])
+        return allocation
+
+    pipeline, runner = engine_for(schedule=UNEVEN)
+    pipeline.allocation_override = recording_policy
+    count_calls(EngineRunner, "_deliver")
+    count_calls(ColumnarBatch, "select")
+    theta = runner.sample_theta(pipeline.emit_window(0.0))
+    assert calls["_deliver"] == 0
+    assert calls["select"] == len(overflowing) == 8  # the L1 groups
+    # Two windows' root pairs in one store: two batches per sub-stream.
+    theta.extend(runner.sample_theta(pipeline.emit_window(1.0)).batches)
+    strata = {batch.substream for batch in theta.batches}
+    assert len(theta) == 2 * len(strata)
+    count_calls(numpy, "concatenate")
+    estimate_sum_with_error(theta)
+    assert 0 < calls["concatenate"] <= len(strata)
+
 # ----------------------------------------------------------------------
 # (e) the one-shot kernel: Algorithm R's subset on either side of n / 2
 # ----------------------------------------------------------------------
@@ -482,7 +528,7 @@ class TestBatchSampleIndices:
             for name in "ABCD"
         ]
         result = whsamp_batches(batches, 200, gen=gen)
-        assert result.sampled_count == 200
+        assert sum(len(b) for b in result.batches) == 200
         assert gen.bit_generator.state == before
         whsamp_batches(batches, 199, gen=gen)
         assert gen.bit_generator.state != before

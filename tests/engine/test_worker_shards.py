@@ -77,7 +77,7 @@ class TestWorkerUnion:
         results = worker_close(
             make_items("s", range(1000)), 40, workers, random.Random(4)
         )
-        assert sum(result.arrival_count for result in results) == 1000
+        assert sum(sum(result.seen.values()) for result in results) == 1000
         assert recovered_count(results) == pytest.approx(1000.0)
 
     def test_input_weight_composes_over_the_union(self):
@@ -105,13 +105,13 @@ class TestWorkerUnion:
         results = worker_close(
             make_items("s", range(8)), 100, 4, random.Random(7)
         )
-        assert sum(result.sampled_count for result in results) == 8
+        assert sum(len(batch) for batch in union(results)) == 8
         assert all(batch.weight == 1.0 for batch in union(results))
 
     def test_idle_workers_forward_nothing(self):
         results = worker_close([], 10, 2, random.Random(8))
         assert union(results) == []
-        assert sum(result.arrival_count for result in results) == 0
+        assert sum(sum(result.seen.values()) for result in results) == 0
 
     def test_weights_are_per_worker_and_never_rescaled(self):
         """Eq. 1 runs against each worker's own portion and reservoir;
