@@ -71,9 +71,10 @@ def _collapse(column: list):
 def _shared(fields: list, kind: type):
     """The one scalar ``kind`` field every batch carries, else ``None``."""
     first = fields[0]
-    if all(isinstance(f, kind) and f == first for f in fields):
-        return first
-    return None
+    for field in fields:  # a plain loop: the root joins batches per window
+        if not (isinstance(field, kind) and field == first):
+            return None
+    return first
 
 
 def _concat(columns: list):
@@ -172,7 +173,7 @@ class ColumnarBatch:
     @classmethod
     def concat(cls, batches: Sequence["ColumnarBatch"]) -> "ColumnarBatch":
         """Stack batches record-wise, preserving order."""
-        batches = [batch for batch in batches if len(batch)]
+        batches = [batch for batch in batches if len(batch.values)]
         if not batches:
             return cls.empty()
         if len(batches) == 1:

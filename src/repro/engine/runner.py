@@ -445,7 +445,7 @@ class EngineRunner:
         the weight bookkeeping.
         """
         state = self._window_state
-        if state is None or not state.offline:
+        if not state.offline:
             return dst
         tree = self._pipeline.tree
         while dst in state.offline:
@@ -464,20 +464,18 @@ class EngineRunner:
         the nearest live ancestor. Static windows never come here:
         :meth:`sample_theta` hands their hops to the transport.
         """
-        state = self._window_state
-        if state is not None:
-            link = state.degraded.get(src)
-            if link is not None:
-                if link.loss > 0.0:
-                    assert self._loss_rng is not None
-                    if self._loss_rng.random() < link.loss:
-                        self._window_dropped += len(batch)
-                        return
-                if link.delay_windows > 0:
-                    self._delayed.append(
-                        (self._windows_run + link.delay_windows, src, dst, batch)
-                    )
+        link = self._window_state.degraded.get(src)
+        if link is not None:
+            if link.loss > 0.0:
+                assert self._loss_rng is not None
+                if self._loss_rng.random() < link.loss:
+                    self._window_dropped += len(batch)
                     return
+            if link.delay_windows > 0:
+                self._delayed.append(
+                    (self._windows_run + link.delay_windows, src, dst, batch)
+                )
+                return
         self._transport.send(src, self._route(dst), batch)
 
     def _release_due_stragglers(self) -> None:
