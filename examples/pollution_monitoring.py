@@ -9,8 +9,6 @@ the sampling fraction window by window.
 Run:  python examples/pollution_monitoring.py
 """
 
-from repro.core.estimator import ThetaStore
-from repro.core.items import WeightedBatch
 from repro.engine.pipeline import build_pipeline
 from repro.engine.runner import EngineRunner
 from repro.engine.transport import InProcessTransport
@@ -30,16 +28,9 @@ def grouped_query_demo(scale: ExperimentScale) -> None:
     schedule, generators = pollution_workload(scale)
     config = PipelineConfig(sampling_fraction=0.2, seed=scale.config.seed)
     runner = StatisticalRunner(config, schedule, generators)
-    outcome = runner.run_window()
-
-    # Rebuild a Theta store from a second sampled window to show the
-    # grouped query API (the runner reports the overall SUM itself).
-    import random
-    rng = random.Random(scale.config.seed)
-    theta = ThetaStore()
-    for substream, generator in generators.items():
-        items = generator.generate(400, rng)
-        theta.add(WeightedBatch(substream, 5.0, items[:80]))
+    # The grouped query reads the root Theta of the window it reports:
+    # the same (W_out, I) pairs the whole-window estimate came from.
+    outcome, theta = runner.engine.run_window_with_theta()
 
     table = Table("Per-pollutant totals (grouped SUM query)",
                   ["pollutant", "approx total", "error (95%)"])

@@ -68,3 +68,24 @@ def test_pollution_adaptive_demo_pins_its_fractions(capsys):
     assert used == ["2.0%", "3.0%", "4.5%", "6.8%",
                     "10.1%", "15.2%", "22.8%", "34.2%"]
     assert "final fraction: 34.2%" in out
+
+
+def test_pollution_grouped_totals_are_the_reported_window(capsys):
+    """The per-pollutant table reads the root Theta of the window whose
+    loss it prints: its totals add up to that window's SUM estimate."""
+    from repro.experiments.base import pollution_workload
+    from repro.system import PipelineConfig, StatisticalRunner
+
+    example = runpy.run_path(str(ROOT / "examples" / "pollution_monitoring.py"))
+    scale = example["SCALE"]
+    example["grouped_query_demo"](scale)
+    rows = [line.split() for line in capsys.readouterr().out.splitlines()]
+    totals = [
+        float(row[1].replace(",", ""))
+        for row in rows if row and row[0] in ("co", "no2", "pm", "so2")
+    ]
+    schedule, generators = pollution_workload(scale)
+    config = PipelineConfig(sampling_fraction=0.2, seed=scale.config.seed)
+    window = StatisticalRunner(config, schedule, generators).run_window()
+    assert len(totals) == 4
+    assert sum(totals) == pytest.approx(window.approx_sum.value, abs=2.0)
