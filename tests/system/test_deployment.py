@@ -400,6 +400,12 @@ class TestPinnedReports:
         ),
     }
 
+    #: Latency samples per mode at that point: one per record the root
+    #: processed (approxiot: per record the root kept).
+    DEPLOY_REPLAY_LATENCY_RECORDS = {
+        "approxiot": 90000, "srs": 79421, "native": 800000,
+    }
+
     @pytest.mark.parametrize("mode", sorted(DEPLOY_REPLAY))
     def test_deploy_replay_point(self, mode):
         schedule = uniform_schedule(1.0)
@@ -411,3 +417,7 @@ class TestPinnedReports:
             config, schedule, gaussian_generators(), n_windows=8
         )
         assert simulator.run() == self.DEPLOY_REPLAY[mode]
+        assert (
+            simulator.latency_recorder.count
+            == self.DEPLOY_REPLAY_LATENCY_RECORDS[mode]
+        )
