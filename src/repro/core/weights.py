@@ -87,10 +87,6 @@ class WeightMap:
         """Snapshot of all explicitly-set weights."""
         return dict(self._weights)
 
-    def copy(self) -> "WeightMap":
-        """Independent copy of this map."""
-        return WeightMap(self._weights)
-
     def __contains__(self, substream: str) -> bool:
         return substream in self._weights
 

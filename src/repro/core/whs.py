@@ -43,13 +43,13 @@ class WHSampResult:
     Attributes:
         batches: One :class:`WeightedBatch` per sub-stream seen in the
             interval, carrying the sampled items and output weight.
-        weights: The output weight map ``W_out`` for all sub-streams.
+        weights: The output weights ``W_out`` per sub-stream.
         seen: Per-sub-stream arrival counts ``c_i`` for the interval.
         allocation: Per-sub-stream reservoir sizes ``N_i`` used.
     """
 
     batches: list[WeightedBatch] = field(default_factory=list)
-    weights: WeightMap = field(default_factory=WeightMap)
+    weights: dict[str, float] = field(default_factory=dict)
     seen: dict[str, int] = field(default_factory=dict)
     allocation: dict[str, int] = field(default_factory=dict)
 
@@ -77,10 +77,10 @@ def whsamp_batches(
     "multiple pairs of the weight map and sampled items" per
     sub-stream (§III-C).
 
-    The result's weight map records, per sub-stream, the output weight
-    of that sub-stream's largest group — the "up-to-date weight" used
-    by the stale-weight rule of Figure 3 when later items arrive
-    without metadata.
+    The result's ``weights`` dict records, per sub-stream, the output
+    weight of that sub-stream's largest group — the "up-to-date weight"
+    used by the stale-weight rule of Figure 3 when later items arrive
+    without metadata; each is a batch weight, checked with its batch.
 
     Each overflowing group's survivors are drawn by
     :func:`~repro.core.fastpath.batch_sample_indices` from ``gen`` (the
@@ -143,7 +143,7 @@ def whsamp_batches(
         if count >= dominant.get(substream, 0):
             dominant[substream] = count
             weights[substream] = w_out
-    return WHSampResult(sampled_batches, WeightMap(weights), seen, reservoirs)
+    return WHSampResult(sampled_batches, weights, seen, reservoirs)
 
 
 def whsamp(
@@ -177,15 +177,12 @@ def whsamp(
         rng: Random source (pass a seeded instance for reproducibility).
 
     Returns:
-        A :class:`WHSampResult` with the sampled batches and ``W_out``.
+        A :class:`WHSampResult` with the sampled batches and ``W_out``
+        (the received map with this interval's weights merged in).
     """
     if sample_size <= 0:
         raise SamplingError(f"sample size must be positive, got {sample_size}")
-    weights_in = (
-        input_weights.copy()
-        if isinstance(input_weights, WeightMap)
-        else WeightMap(input_weights)
-    )
+    weights_in = WeightMap(input_weights)
     # line 5: Update(items)
     substreams = ColumnarBatch.from_items(items).group_by_substream()
     pairs = [
@@ -195,7 +192,6 @@ def whsamp(
     result = whsamp_batches(pairs, sample_size, policy=policy, rng=rng)
     # The caller's full weight map rolls forward: sub-streams absent
     # from this interval keep their stale weights (Figure 3's rule).
-    merged = weights_in.copy()
-    merged.merge(result.weights)
-    result.weights = merged
+    weights_in.merge(result.weights)
+    result.weights = weights_in.as_dict()
     return result

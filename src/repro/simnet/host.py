@@ -48,28 +48,32 @@ class Host:
         """How long a new arrival would wait before service starts."""
         return max(0.0, self._busy_until - self._clock.now)
 
+    def admit(self, item_count: int) -> float:
+        """Queue ``item_count`` items of work; return their completion time.
+
+        Work is FIFO behind whatever the host is already serving, so the
+        completion time is known on arrival: a sink settles it here.
+        """
+        if item_count < 0:
+            raise ConfigurationError(
+                f"item count must be >= 0, got {item_count}"
+            )
+        start = max(self._clock.now, self._busy_until)
+        service_time = item_count / self._service_rate
+        self._busy_until = start + service_time
+        self.items_processed += item_count
+        self.busy_time += service_time
+        return self._busy_until
+
     def process(
         self,
         item_count: int,
         payload: Any,
         done: Callable[[Any], None],
     ) -> float:
-        """Enqueue ``item_count`` items of work; call ``done`` when served.
-
-        Returns the completion time. Work is FIFO behind whatever the
-        host is already serving.
-        """
-        if item_count < 0:
-            raise ConfigurationError(
-                f"item count must be >= 0, got {item_count}"
-            )
-        now = self._clock.now
-        start = max(now, self._busy_until)
-        service_time = item_count / self._service_rate
-        completion = start + service_time
-        self._busy_until = completion
-        self.items_processed += item_count
-        self.busy_time += service_time
+        """:meth:`admit` the work; the clock calls ``done(payload)`` at
+        the returned completion time."""
+        completion = self.admit(item_count)
         self._clock.schedule_at(completion, done, payload)
         return completion
 

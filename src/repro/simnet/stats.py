@@ -1,13 +1,10 @@
 """Measurement helpers over the simulated network.
 
 Collects the quantities the paper's evaluation reports: bandwidth
-saving (Fig. 7) and latency percentiles over recorded end-to-end
-samples.
+saving (Fig. 7) and the mean end-to-end latency (Figs. 8, 9).
 """
 
 from __future__ import annotations
-
-import math
 
 import numpy as _np
 
@@ -23,15 +20,10 @@ class LatencyRecorder:
     consolidate them once.
     """
 
-    __slots__ = ("_chunks", "_ordered")
+    __slots__ = ("_chunks",)
 
     def __init__(self) -> None:
         self._chunks: list = []
-        self._ordered = None  # sorted samples, dropped on every record
-
-    def record(self, emitted_at: float, delivered_at: float) -> None:
-        """Record one item's source-to-result latency."""
-        self.record_column((emitted_at,), delivered_at)
 
     def record_column(self, emitted_at, delivered_at: float) -> None:
         """Record one delivery: a column of emissions that arrived together."""
@@ -45,7 +37,6 @@ class LatencyRecorder:
                 f"delivery at {delivered_at} precedes emission at {latest}"
             )
         self._chunks.append(chunk)
-        self._ordered = None
 
     def _column(self):
         """Every sample as one column; raises if empty."""
@@ -64,21 +55,6 @@ class LatencyRecorder:
         """Mean latency; raises if empty."""
         column = self._column()
         return float(column.sum()) / len(column)
-
-    def percentile(self, q: float) -> float:
-        """Latency percentile ``q`` in [0, 100] (nearest-rank, one sort)."""
-        column = self._column()
-        if not 0.0 <= q <= 100.0:
-            raise SimulationError(f"percentile must be in [0, 100], got {q}")
-        if self._ordered is None:
-            self._ordered = _np.sort(column)
-        rank = max(1, math.ceil(q / 100.0 * len(column)))
-        return float(self._ordered[rank - 1])
-
-    def max(self) -> float:
-        """Largest latency observed."""
-        column = self._column()
-        return float(column.max())
 
 
 def bandwidth_saving(sampled_bytes: int, native_bytes: int) -> float:

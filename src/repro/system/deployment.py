@@ -26,6 +26,11 @@ WAN links). What remains here is deployment-specific: the emission
 chunking, the interval-close clockwork, host CPU accounting and the
 latency/bandwidth measurements.
 
+The root forwards nothing and its host is FIFO, so a streaming root
+delivery is settled on arrival (:meth:`~repro.simnet.host.Host.admit`),
+not held in a completion event. An ``approxiot`` root keeps its event:
+its WHSamp draws from the pipeline's generator in event order.
+
 ``PipelineConfig.workers`` does not apply here: the deployment
 simulator models distribution *explicitly* — every tree node is a
 simulated host with its own service rate, so parallelism is a property
@@ -283,10 +288,19 @@ class DeploymentSimulator:
     # stored callback that references the simulator is a reference
     # cycle, and finished simulators would outlive their run.
     def _deliver_streaming(self, delivery: tuple[str, WeightedBatch]) -> None:
-        """SRS/native delivery: straight into the host's service queue."""
+        """SRS/native delivery into the host's queue; the root, a sink,
+        is accounted at once, stamped with its completion time."""
         node_name, batch = delivery
-        self._hosts[node_name].process(
-            len(batch), delivery, self._finish_streaming
+        host = self._hosts[node_name]
+        if node_name != "root":
+            host.process(len(batch), delivery, self._finish_streaming)
+            return
+        count = len(batch)
+        completion = host.admit(count)
+        self._items_at_root += count
+        self._root_last_completion = completion
+        self._latency.record_column(
+            batch.items.timestamp_column(), completion
         )
 
     def _close(self, node_name: str) -> None:
@@ -323,15 +337,9 @@ class DeploymentSimulator:
                 self._transport.send(state.node.name, state.node.parent, batch)
 
     def _finish_streaming(self, delivery: tuple[str, WeightedBatch]) -> None:
-        """Service completed for one SRS/native delivery."""
+        """Service completed for one SRS/native delivery below the root."""
         node_name, batch = delivery
         node = self._tree.nodes[node_name]
-        now = self._clock.now
-        if node.name == "root":
-            self._items_at_root += len(batch)
-            self._root_last_completion = max(self._root_last_completion, now)
-            self._latency.record_column(batch.items.timestamp_column(), now)
-            return
         if self._config.mode == ExecutionMode.SRS and node.layer == 1:
             fraction = self._config.sampling_fraction
             payload = batch.items.compress(
@@ -360,5 +368,5 @@ class DeploymentSimulator:
 
     @property
     def latency_recorder(self) -> LatencyRecorder:
-        """Raw latency samples (for percentile reporting)."""
+        """Latency samples of the run (``count``, ``mean``)."""
         return self._latency

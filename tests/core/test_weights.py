@@ -111,9 +111,9 @@ class TestWeightMap:
         assert wm.as_dict() == {"a": 2.0, "b": 6.0}
         assert fresh.as_dict() == {"b": 6.0}
 
-    def test_copy_is_independent(self):
+    def test_a_map_built_from_a_map_is_independent(self):
         wm = WeightMap({"a": 2.0})
-        clone = wm.copy()
+        clone = WeightMap(wm)
         clone.update("a", 9.0)
         assert wm.get("a") == 2.0
 

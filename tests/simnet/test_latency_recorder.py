@@ -1,12 +1,10 @@
 """``LatencyRecorder``: column recording against the per-record loop.
 
 The reference below is the recorder this repo shipped before samples
-moved into float64 chunks — one boxed float per record, re-sorted on
-every percentile. Everything but the mean must agree with it exactly;
-the mean may differ by summation order only.
+moved into float64 chunks — one boxed float per record. The count must
+agree with it exactly; the mean may differ by summation order only.
 """
 
-import math
 import random
 
 import pytest
@@ -14,8 +12,6 @@ import pytest
 from repro.errors import SimulationError
 from repro.simnet import stats
 from repro.simnet.stats import LatencyRecorder
-
-QUANTILES = [0, 0.001, 1, 25, 50, 75, 90, 95, 99, 99.999, 100]
 
 
 class PerRecordReference:
@@ -27,10 +23,6 @@ class PerRecordReference:
     def record(self, emitted_at, delivered_at):
         assert delivered_at >= emitted_at
         self.samples.append(delivered_at - emitted_at)
-
-    def percentile(self, q):
-        ordered = sorted(self.samples)
-        return ordered[max(1, math.ceil(q / 100.0 * len(ordered))) - 1]
 
 
 def deliveries(seed=5, count=40):
@@ -46,36 +38,27 @@ def deliveries(seed=5, count=40):
 
 
 class TestColumnEqualsPerRecord:
-    def test_count_max_percentiles_exact_mean_close(self):
+    def test_count_exact_mean_close(self):
         recorder, reference = LatencyRecorder(), PerRecordReference()
         for column, delivered_at in deliveries():
             recorder.record_column(column, delivered_at)
             for emitted_at in column:
                 reference.record(emitted_at, delivered_at)
         assert recorder.count == len(reference.samples)
-        assert recorder.max() == max(reference.samples)
-        for q in QUANTILES:
-            assert recorder.percentile(q) == reference.percentile(q), q
         mean = sum(reference.samples) / len(reference.samples)
         assert recorder.mean() == pytest.approx(mean, rel=1e-12)
 
-    def test_record_is_the_length_one_column(self):
-        by_record, by_column = LatencyRecorder(), LatencyRecorder()
-        for column, delivered_at in deliveries(seed=9, count=10):
-            by_column.record_column(column, delivered_at)
-            for emitted_at in column:
-                by_record.record(emitted_at, delivered_at)
-        assert by_record.count == by_column.count
-        assert by_record.max() == by_column.max()
-        assert [by_record.percentile(q) for q in QUANTILES] == [
-            by_column.percentile(q) for q in QUANTILES
-        ]
+    def test_length_one_columns(self):
+        recorder = LatencyRecorder()
+        recorder.record_column([0.0], 1.0)
+        recorder.record_column((0.0,), 3.0)
+        assert recorder.count == 2
+        assert recorder.mean() == 2.0
 
     def test_results_are_plain_floats(self):
         recorder = LatencyRecorder()
         recorder.record_column([0.0, 0.5], 1.0)
-        for value in (recorder.mean(), recorder.max(), recorder.percentile(50)):
-            assert type(value) is float
+        assert type(recorder.mean()) is float
 
     def test_empty_column_records_nothing(self):
         recorder = LatencyRecorder()
@@ -92,47 +75,45 @@ class TestValidation:
             recorder.record_column([0.1, 2.5, 0.3], 2.0)
         assert recorder.count == 0
 
-    def test_per_record_call_raises_the_same_error(self):
+    def test_a_length_one_column_raises_the_same_error(self):
         with pytest.raises(SimulationError, match="precedes emission at 5.0"):
-            LatencyRecorder().record(5.0, 1.0)
+            LatencyRecorder().record_column([5.0], 1.0)
 
-    def test_empty_recorder_and_bad_quantile(self):
-        recorder = LatencyRecorder()
-        for read in (recorder.mean, recorder.max, lambda: recorder.percentile(50)):
-            with pytest.raises(SimulationError, match="no latency samples"):
-                read()
-        recorder.record(0.0, 1.0)
-        for q in (-0.1, 100.1):
-            with pytest.raises(SimulationError, match=r"\[0, 100\]"):
-                recorder.percentile(q)
+    def test_empty_recorder(self):
+        with pytest.raises(SimulationError, match="no latency samples"):
+            LatencyRecorder().mean()
 
 
-class TestPercentileSortsOnce:
+class TestMeanConsolidatesOnce:
     @pytest.fixture
-    def sorts(self, monkeypatch):
-        """Count the sorts the recorder performs."""
+    def concatenations(self, monkeypatch):
+        """Count the concatenations the recorder performs."""
         calls = []
-        real_sort = stats._np.sort
+        real_concatenate = stats._np.concatenate
 
-        def counting_sort(values):
-            calls.append(len(values))
-            return real_sort(values)
+        def counting_concatenate(chunks):
+            calls.append(len(chunks))
+            return real_concatenate(chunks)
 
-        monkeypatch.setattr(stats._np, "sort", counting_sort)
+        monkeypatch.setattr(stats._np, "concatenate", counting_concatenate)
         return calls
 
-    def test_a_p50_p95_p99_report_sorts_once(self, sorts):
+    def test_repeated_reads_concatenate_once(self, concatenations):
         recorder = LatencyRecorder()
-        for column, delivered_at in deliveries():
+        for column, delivered_at in deliveries(count=10):
             recorder.record_column(column, delivered_at)
-        for q in (50, 95, 99):
-            recorder.percentile(q)
-        assert sorts == [recorder.count]
+        first = recorder.mean()
+        assert recorder.mean() == first
+        assert recorder.count == sum(
+            len(column) for column, _ in deliveries(count=10)
+        )
+        assert concatenations == [10]
 
-    def test_a_record_invalidates_the_order(self, sorts):
+    def test_a_record_after_a_read_is_counted(self, concatenations):
         recorder = LatencyRecorder()
         recorder.record_column([0.0, 0.0], 2.0)
-        assert recorder.percentile(100) == 2.0
-        recorder.record(0.0, 9.0)
-        assert recorder.percentile(100) == 9.0
-        assert sorts == [2, 3]
+        assert recorder.mean() == 2.0
+        recorder.record_column([0.0], 8.0)
+        assert recorder.count == 3
+        assert recorder.mean() == 4.0
+        assert concatenations == [2]

@@ -5,6 +5,7 @@ import weakref
 
 import pytest
 
+from repro.core.items import WeightedBatch
 from repro.errors import PipelineError
 from repro.experiments.base import (
     ExperimentScale,
@@ -152,16 +153,30 @@ def quick_simulator(mode, fraction, window_seconds=1.0, n_windows=12):
     )
 
 
+def deploy_replay_simulator(mode):
+    """The point ``deploy-replay`` runs (there fed by replayed inputs):
+    100 k items/s for 8 windows, seed 42, the native root saturated."""
+    schedule = uniform_schedule(1.0)
+    config = PipelineConfig(
+        sampling_fraction=1.0 if mode == ExecutionMode.NATIVE else 0.1,
+        seed=42, mode=mode, placement=saturating_placement(schedule),
+    )
+    return DeploymentSimulator(
+        config, schedule, gaussian_generators(), n_windows=8
+    )
+
+
 class TestEventCounts:
     """Clock events per run: counters, never clocks.
 
     The simulator pays per event, so an added event per send or per
     source shows here before it shows in a timing. A quick-scale Fig. 6
     point emits 48 chunks from 8 sources; each chunk instant is one
-    event, not one per source.
+    event, not one per source. A streaming (srs, native) root is a
+    sink settled on arrival: its deliveries fire no completion event.
     """
 
-    EVENTS = {"approxiot": 857, "srs": 2348, "native": 2352}
+    EVENTS = {"approxiot": 857, "srs": 1965, "native": 1968}
 
     @pytest.mark.parametrize("mode", sorted(EVENTS))
     def test_events_fired(self, mode):
@@ -175,6 +190,55 @@ class TestEventCounts:
         simulator.run()
         assert len(chunks) == 48
         assert simulator._clock.events_fired == self.EVENTS[mode]
+
+
+def held_records(queue):
+    """Records in pending clock events' ``(node, WeightedBatch)`` args."""
+    return sum(
+        len(arg[1]) for *_, arg in queue
+        if isinstance(arg, tuple) and isinstance(arg[-1], WeightedBatch)
+    )
+
+
+class TestStreamingRootIsASink:
+    """A streaming root is accounted on arrival — counters, never clocks.
+
+    The root forwards nothing and serves FIFO, so a delivery's
+    completion time is known when it arrives. At the ``deploy-replay``
+    point (100 k items/s for 8 windows, seed 42) the saturated native
+    root would otherwise keep 725,000 of its 800,000 records queued in
+    completion events.
+    """
+
+    def test_native_clock_holds_few_records(self):
+        simulator = deploy_replay_simulator(ExecutionMode.NATIVE)
+        clock = simulator._clock
+        schedule_at = clock.schedule_at
+        peak = 0
+
+        def measured(time, fn, arg):
+            nonlocal peak
+            schedule_at(time, fn, arg)
+            peak = max(peak, held_records(clock._queue))
+
+        clock.schedule_at = measured
+        assert simulator.run().items_at_root == 800_000
+        assert 0 < peak <= 50_000
+
+    @pytest.mark.parametrize("mode", [ExecutionMode.SRS, ExecutionMode.NATIVE])
+    def test_root_never_reaches_a_completion_event(self, mode):
+        simulator = deploy_replay_simulator(mode)
+        finished = []
+        finish_streaming = simulator._finish_streaming
+
+        def recorded(delivery):
+            finished.append(delivery[0])
+            finish_streaming(delivery)
+
+        simulator._finish_streaming = recorded
+        report = simulator.run()
+        assert finished and "root" not in finished
+        assert simulator._hosts["root"].items_processed == report.items_at_root
 
 
 class TestNoReferenceCycle:
@@ -362,8 +426,7 @@ class TestPinnedReports:
         report = self.quick_point(mode, 0.1, window, n_windows=10)
         assert report == self.FIG9[mode, window]
 
-    #: The point the ``deploy-replay`` benchmark runs (there fed by
-    #: replayed inputs): 100 k items/s for 8 windows, seed 42.
+    #: The point the ``deploy-replay`` benchmark runs.
     DEPLOY_REPLAY = {
         "approxiot": DeploymentReport(
             mode="approxiot",
@@ -408,14 +471,7 @@ class TestPinnedReports:
 
     @pytest.mark.parametrize("mode", sorted(DEPLOY_REPLAY))
     def test_deploy_replay_point(self, mode):
-        schedule = uniform_schedule(1.0)
-        config = PipelineConfig(
-            sampling_fraction=self.DEPLOY_REPLAY[mode].sampling_fraction,
-            seed=42, mode=mode, placement=saturating_placement(schedule),
-        )
-        simulator = DeploymentSimulator(
-            config, schedule, gaussian_generators(), n_windows=8
-        )
+        simulator = deploy_replay_simulator(mode)
         assert simulator.run() == self.DEPLOY_REPLAY[mode]
         assert (
             simulator.latency_recorder.count
