@@ -2,7 +2,10 @@
 Quickstart block and the package docstring's quickstart.
 
 Each example runs in a fresh interpreter with ``src`` on the path, the
-way README tells users to run it.
+way README tells users to run it, and its stdout must equal the golden
+``tests/examples/<name>.txt`` byte for byte: every example is seeded,
+so a refactor that moves an example's output has changed its draws.
+Regenerate a golden only when a change means to move it.
 """
 
 from __future__ import annotations
@@ -20,6 +23,7 @@ import repro
 
 ROOT = Path(__file__).resolve().parents[1]
 EXAMPLES = sorted((ROOT / "examples").glob("*.py"))
+GOLDENS = Path(__file__).resolve().parent / "examples"
 
 
 @pytest.mark.parametrize("script", EXAMPLES, ids=lambda path: path.name)
@@ -33,11 +37,18 @@ def test_example_runs(script):
         cwd=ROOT, env=env, capture_output=True, text=True, timeout=120,
     )
     assert completed.returncode == 0, completed.stderr
-    assert completed.stdout.strip()
+    golden = (GOLDENS / f"{script.stem}.txt").read_text()
+    assert completed.stdout == golden
 
 
 def test_examples_exist():
     assert len(EXAMPLES) >= 7, [path.name for path in EXAMPLES]
+
+
+def test_every_golden_has_its_example():
+    assert sorted(path.stem for path in GOLDENS.glob("*.txt")) == [
+        path.stem for path in EXAMPLES
+    ]
 
 
 def test_readme_quickstart_block_runs(capsys):
