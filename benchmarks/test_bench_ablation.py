@@ -11,15 +11,16 @@ import random
 
 import pytest
 
+from repro.core.columns import ColumnarBatch
 from repro.core.estimator import ThetaStore
-from repro.core.items import StreamItem
+from repro.core.items import WeightedBatch
 from repro.core.reservoir import ReservoirSampler, SkipAheadReservoirSampler
 from repro.core.stratified import (
     allocate_equal,
     allocate_fair_fill,
     allocate_proportional,
 )
-from repro.core.whs import whsamp
+from repro.core.whs import whsamp_batches
 from repro.engine.sharding import ShardedEngineRunner
 from repro.experiments.base import gaussian_generators, uniform_schedule
 from repro.metrics.report import Table
@@ -29,11 +30,24 @@ from repro.workloads.rates import RateSchedule
 from repro.workloads.synthetic import PoissonSubstream
 
 
-def _skewed_items(rng, common=20_000, rare=4):
-    items = [StreamItem("common", rng.gauss(10, 3)) for _ in range(common)]
-    items += [StreamItem("rare", rng.gauss(1e6, 1e4)) for _ in range(rare)]
-    rng.shuffle(items)
-    return items
+def _skewed_batch(rng, common=20_000, rare=4):
+    """A shuffled two-stratum batch: many small values, a few huge ones."""
+    batch = ColumnarBatch.concat([
+        ColumnarBatch.single("common", [rng.gauss(10, 3) for _ in range(common)]),
+        ColumnarBatch.single("rare", [rng.gauss(1e6, 1e4) for _ in range(rare)]),
+    ])
+    order = list(range(common + rare))
+    rng.shuffle(order)
+    return batch.select(order)
+
+
+def _fresh(batch):
+    """A mixed batch as a node receives it from sources: one
+    weight-1 pair per stratum."""
+    return [
+        WeightedBatch(substream, 1.0, items)
+        for substream, items in batch.group_by_substream().items()
+    ]
 
 
 def test_ablation_stratified_vs_single_reservoir(benchmark, results_sink):
@@ -44,20 +58,20 @@ def test_ablation_stratified_vs_single_reservoir(benchmark, results_sink):
         strat_losses, single_losses = [], []
         for trial in range(30):
             trial_rng = random.Random(trial)
-            items = _skewed_items(trial_rng)
-            exact = sum(i.value for i in items)
-            budget = len(items) // 10
+            mixed = _skewed_batch(trial_rng)
+            values = mixed.values.tolist()
+            exact = sum(values)
+            budget = len(values) // 10
             # Stratified (the paper's algorithm).
-            result = whsamp(items, budget, rng=trial_rng)
             theta = ThetaStore()
-            theta.extend(result.batches)
+            theta.extend(whsamp_batches(_fresh(mixed), budget, rng=trial_rng))
             estimate = sum(batch.estimated_sum for batch in theta.batches)
             strat_losses.append(abs(estimate - exact) / exact)
             # Single shared reservoir: one stratum for everything.
             sampler = ReservoirSampler(budget, trial_rng)
-            sampler.extend(items)
-            weight = len(items) / budget
-            estimate = weight * sum(i.value for i in sampler.sample())
+            sampler.extend(values)
+            weight = len(values) / budget
+            estimate = weight * sum(sampler.sample())
             single_losses.append(abs(estimate - exact) / exact)
         return (
             sum(strat_losses) / len(strat_losses),
@@ -89,19 +103,27 @@ def test_ablation_weight_propagation(benchmark, results_sink):
             # A big low-value stratum and a rare high-value one: the
             # hierarchy keeps the rare stratum whole (weight 1) while
             # thinning the big one (weight ~1/fraction).
-            items = [StreamItem("big", rng.gauss(10, 3)) for _ in range(20_000)]
-            items += [StreamItem("rare", rng.gauss(1e5, 1e3)) for _ in range(40)]
-            exact = sum(i.value for i in items)
-            budget = int(len(items) * fraction)
-            l1 = whsamp(items, budget, rng=rng)
-            forwarded = [i for b in l1.batches for i in b.items]
-            root = whsamp(forwarded, budget, l1.weights, rng=rng)
+            big = [rng.gauss(10, 3) for _ in range(20_000)]
+            rare = [rng.gauss(1e5, 1e3) for _ in range(40)]
+            exact = sum(big + rare)
+            budget = int((len(big) + len(rare)) * fraction)
+            l1 = whsamp_batches(
+                [
+                    WeightedBatch("big", 1.0, ColumnarBatch.single("big", big)),
+                    WeightedBatch("rare", 1.0, ColumnarBatch.single("rare", rare)),
+                ],
+                budget, rng=rng,
+            )
+            # The root receives L1's batches as they are, weights and all.
+            root = whsamp_batches(l1, budget, rng=rng)
             theta = ThetaStore()
-            theta.extend(root.batches)
+            theta.extend(root)
             weighted = sum(batch.estimated_sum for batch in theta.batches)
             # Naive root: discard the weight metadata, blow every
             # sampled value up by the nominal 1/fraction.
-            naive = sum(i.value for b in root.batches for i in b.items) / fraction
+            naive = sum(
+                value for b in root for value in b.items.values.tolist()
+            ) / fraction
             weighted_losses.append(100.0 * abs(weighted - exact) / exact)
             naive_losses.append(100.0 * abs(naive - exact) / exact)
         return (

@@ -13,7 +13,8 @@ Run:  python examples/heavy_hitters.py
 
 import random
 
-from repro.core import ThetaStore, whsamp
+from repro.core import ThetaStore, WeightedBatch, whsamp_batches
+from repro.core.fastpath import make_generator
 from repro.metrics.report import Table
 from repro.queries import QuantileQuery, TopKQuery
 from repro.workloads import paper_skewed_mixture
@@ -22,17 +23,21 @@ from repro.workloads import paper_skewed_mixture
 def main() -> None:
     rng = random.Random(2018)
     mixture = paper_skewed_mixture()
-    items = mixture.generate(100_000, rng)
-    exact_totals: dict[str, float] = {}
-    for item in items:
-        exact_totals[item.substream] = (
-            exact_totals.get(item.substream, 0.0) + item.value
-        )
+    mixed = mixture.draw_columns(100_000, make_generator(rng))
+    strata = mixed.group_by_substream()
+    exact_totals = {
+        substream: sum(batch.values.tolist())
+        for substream, batch in strata.items()
+    }
 
-    # One window at a 10% sampling fraction.
-    result = whsamp(items, sample_size=10_000, rng=rng)
+    # One window at a 10% sampling fraction: every stratum arrives
+    # fresh from its source, at weight 1.
+    arrivals = [
+        WeightedBatch(substream, 1.0, batch)
+        for substream, batch in strata.items()
+    ]
     theta = ThetaStore()
-    theta.extend(result.batches)
+    theta.extend(whsamp_batches(arrivals, sample_size=10_000, rng=rng))
 
     table = Table(
         "Top-k sub-streams by estimated total (10% sample, skewed mixture)",
@@ -56,7 +61,7 @@ def main() -> None:
 
     quantiles = Table("\nValue quantiles from the same weighted sample",
                       ["q", "approx value", "band (95%)", "exact value"])
-    exact_sorted = sorted(item.value for item in items)
+    exact_sorted = sorted(mixed.values.tolist())
     for q in (0.5, 0.9, 0.99):
         estimate = QuantileQuery(q).execute(theta)
         exact = exact_sorted[int(q * len(exact_sorted))]

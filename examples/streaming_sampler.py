@@ -41,8 +41,7 @@ def main() -> None:
             transport.send("source", "sampler", batch)
         network.clock.run_until(interval + 1.0)
         # Sampling node: one interval close over what its link delivered.
-        result = whsamp_batches(transport.collect("sampler"), 30, gen=gen)
-        for weighted in result.batches:
+        for weighted in whsamp_batches(transport.collect("sampler"), 30, gen=gen):
             transport.send("sampler", "sink", weighted)
     network.clock.run()
     theta = ThetaStore()  # The sink: one SUM over everything it received.

@@ -25,25 +25,23 @@ Algorithm 1 calls.
 
 from repro.core import (
     ApproximateResult,
+    ColumnarBatch,
     FractionBudget,
     ReservoirSampler,
-    StreamItem,
     ThetaStore,
-    WeightMap,
     WeightedBatch,
-    whsamp,
+    whsamp_batches,
 )
 
 __version__ = "1.0.0"
 
 __all__ = [
     "ApproximateResult",
+    "ColumnarBatch",
     "FractionBudget",
     "ReservoirSampler",
-    "StreamItem",
     "ThetaStore",
-    "WeightMap",
     "WeightedBatch",
     "__version__",
-    "whsamp",
+    "whsamp_batches",
 ]

@@ -23,7 +23,7 @@ from repro.core.error_bounds import (
     sum_variance,
 )
 from repro.core.estimator import SubstreamEstimate, ThetaStore
-from repro.core.items import StreamItem, WeightedBatch
+from repro.core.items import WeightedBatch
 from repro.core.reservoir import ReservoirSampler, SkipAheadReservoirSampler
 from repro.core.srs import coin_flips
 from repro.core.stratified import (
@@ -32,8 +32,8 @@ from repro.core.stratified import (
     allocate_proportional,
     allocate_weighted,
 )
-from repro.core.weights import WeightMap, local_weight, output_weight
-from repro.core.whs import WHSampResult, whsamp
+from repro.core.weights import local_weight, output_weight
+from repro.core.whs import whsamp_batches
 
 __all__ = [
     "ApproximateResult",
@@ -41,11 +41,8 @@ __all__ = [
     "FractionBudget",
     "ReservoirSampler",
     "SkipAheadReservoirSampler",
-    "StreamItem",
     "SubstreamEstimate",
     "ThetaStore",
-    "WHSampResult",
-    "WeightMap",
     "WeightedBatch",
     "allocate_equal",
     "allocate_fair_fill",
@@ -61,5 +58,5 @@ __all__ = [
     "sample_variance",
     "substream_sum_variance",
     "sum_variance",
-    "whsamp",
+    "whsamp_batches",
 ]

@@ -13,9 +13,8 @@ a source emits one stratum at one size at one instant, and only the
 deployment simulator, which measures latency, stamps per-record times
 (:meth:`ColumnarBatch.with_timestamps_from`). Columns become arrays
 once, where records enter — :func:`value_column`,
-:meth:`ColumnarBatch.single`, :meth:`ColumnarBatch.from_items` and the
-codec's decoder — so every gather, sum and filter below is one array
-op.
+:meth:`ColumnarBatch.single` and the codec's decoder — so every
+gather, sum and filter below is one array op.
 
 * **Seeded determinism.** Every per-record random decision is made
   once, on columns: the sampling kernel selects survivor *indices* and
@@ -23,19 +22,15 @@ op.
   columns from per-source ``numpy.random.Generator`` streams. A seeded
   run is therefore deterministic per seed on every transport and every
   shard count.
-* **The edge adapter.** :class:`~repro.core.items.StreamItem` lists are
-  accepted and returned at the public API edge only:
-  :meth:`ColumnarBatch.from_items` converts one in (and returns a
-  ``ColumnarBatch`` argument unchanged), :meth:`ColumnarBatch.to_items`
-  and iteration hand ``StreamItem`` objects back out, so per-item
-  consumers (queries, examples) keep their contracts.
+* **No row form.** There is no per-record object at any API: callers
+  build batches from value lists with :meth:`ColumnarBatch.single` and
+  read results from the columns.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Sequence
 
-from repro.core.items import StreamItem
 from repro.errors import SamplingError
 
 import numpy as _np
@@ -47,7 +42,7 @@ __all__ = [
     "value_column",
 ]
 
-#: Default serialized item size, mirroring ``StreamItem.size_bytes``.
+#: Default serialized record size in bytes.
 DEFAULT_ITEM_BYTES = 100
 
 
@@ -60,12 +55,6 @@ def value_column(values: Iterable[float]):
 
 def _empty_column():
     return _np.empty(0, dtype=_np.float64)
-
-
-def _collapse(column: list):
-    """The one entry every record shares, else the per-record list."""
-    first = column[0]
-    return first if all(entry == first for entry in column) else column
 
 
 def _shared(fields: list, kind: type):
@@ -145,30 +134,6 @@ class ColumnarBatch:
     def empty(cls) -> "ColumnarBatch":
         """A zero-record batch (what a silent interval emits)."""
         return cls("", _empty_column(), _empty_column())
-
-    @classmethod
-    def from_items(
-        cls, items: "Iterable[StreamItem] | ColumnarBatch"
-    ) -> "ColumnarBatch":
-        """Transpose ``StreamItem`` records into columns (the edge adapter).
-
-        A ``ColumnarBatch`` argument is returned unchanged, so callers
-        that accept either form normalise with one call.
-        """
-        if isinstance(items, ColumnarBatch):
-            return items
-        items = list(items)
-        if not items:
-            return cls.empty()
-        timestamps = _collapse([float(item.emitted_at) for item in items])
-        if not isinstance(timestamps, float):
-            timestamps = value_column(timestamps)
-        return cls(
-            _collapse([item.substream for item in items]),
-            value_column([item.value for item in items]),
-            timestamps,
-            _collapse([item.size_bytes for item in items]),
-        )
 
     @classmethod
     def concat(cls, batches: Sequence["ColumnarBatch"]) -> "ColumnarBatch":
@@ -331,29 +296,6 @@ class ColumnarBatch:
             )
             for substream, indices in groups.items()
         }
-
-    # ------------------------------------------------------------------
-    # The StreamItem edge
-    # ------------------------------------------------------------------
-    def to_items(self) -> list[StreamItem]:
-        """Materialize ``StreamItem`` records (the edge adapter, outbound)."""
-        return list(self)
-
-    def __iter__(self) -> Iterator[StreamItem]:
-        ids = (
-            [self.substreams] * len(self)
-            if isinstance(self.substreams, str)
-            else self.substreams
-        )
-        sizes = (
-            [self.sizes] * len(self)
-            if isinstance(self.sizes, int)
-            else self.sizes
-        )
-        for substream, value, timestamp, size in zip(
-            ids, self.values, self.timestamp_column(), sizes
-        ):
-            yield StreamItem(substream, float(value), float(timestamp), int(size))
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         tag = self.uniform_substream

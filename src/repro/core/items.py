@@ -9,16 +9,16 @@ Algorithm 1 (the ``(W_out, I)`` pairs the paper stores in ``Theta``).
 A batch's payload is always a
 :class:`~repro.core.columns.ColumnarBatch` — the records as
 structure-of-arrays columns, which the hot paths aggregate with vector
-ops. ``StreamItem`` lists are an edge format: :class:`WeightedBatch`
-accepts one and converts it once on construction, and iterating a batch
-hands ``StreamItem`` objects back out.
+ops. :class:`StreamItem` names one record's fields; no part of the
+library builds or consumes one.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Iterator
+from dataclasses import dataclass
+
+from repro.core.columns import ColumnarBatch
 
 __all__ = ["StreamItem", "WeightedBatch"]
 
@@ -56,31 +56,26 @@ class WeightedBatch:
             that sampled the batch. A weight of ``w`` means each carried
             item statistically represents ``w`` original items.
         items: The sampled records as a
-            :class:`~repro.core.columns.ColumnarBatch`. Anything else
-            handed to the constructor (a ``StreamItem`` sequence) is
-            converted once with ``ColumnarBatch.from_items``; iterating
-            yields :class:`StreamItem` objects.
+            :class:`~repro.core.columns.ColumnarBatch`.
     """
 
     substream: str
     weight: float
-    items: _columns.ColumnarBatch = field(default_factory=list)
+    items: ColumnarBatch
 
     def __post_init__(self) -> None:
         if not 0 < self.weight < math.inf:  # NaN fails both sides
             raise ValueError(
                 f"batch weight must be positive and finite, got {self.weight}"
             )
-        # The tree builds a batch per group per node: columns cost one
-        # isinstance here, only the StreamItem edge pays a conversion.
-        if not isinstance(self.items, _columns.ColumnarBatch):
-            self.items = _columns.ColumnarBatch.from_items(self.items)
+        if not isinstance(self.items, ColumnarBatch):
+            raise TypeError(
+                f"batch items must be a ColumnarBatch, got "
+                f"{type(self.items).__name__}"
+            )
 
     def __len__(self) -> int:
         return len(self.items)
-
-    def __iter__(self) -> Iterator[StreamItem]:
-        return iter(self.items)
 
     @property
     def estimated_count(self) -> float:
@@ -100,8 +95,3 @@ class WeightedBatch:
     def total_bytes(self) -> int:
         """Serialized payload size of the batch for bandwidth accounting."""
         return self.items.total_bytes
-
-
-# At the bottom because the import is circular: repro.core.columns takes
-# StreamItem from this module, WeightedBatch normalises through it.
-from repro.core import columns as _columns  # noqa: E402

@@ -38,7 +38,7 @@ from repro.core.error_bounds import ApproximateResult, estimate_sum_with_error
 from repro.core.estimator import ThetaStore
 from repro.core.items import WeightedBatch
 from repro.core.srs import coin_flips
-from repro.core.whs import WHSampResult, whsamp_batches
+from repro.core.whs import whsamp_batches
 from repro.engine.pipeline import Pipeline
 from repro.engine.transport import Transport
 from repro.errors import PipelineError
@@ -196,7 +196,7 @@ def _estimate_window(
 
 def sample_interval(
     pipeline: Pipeline, node_name: str, batches: list[WeightedBatch]
-) -> WHSampResult:
+) -> list[WeightedBatch]:
     """One node's interval close: Algorithm 1 under the node's budget.
 
     The single WHSamp step shared by every execution mode — the
@@ -564,11 +564,11 @@ class EngineRunner:
             batches = self._transport.collect(node.name)
             if not batches:
                 continue
-            result = sample_interval(self._pipeline, node.name, batches)
+            sampled = sample_interval(self._pipeline, node.name, batches)
             if node.parent is None:
-                theta.extend(result.batches)
+                theta.extend(sampled)
             else:
-                for batch in result.batches:
+                for batch in sampled:
                     hop(node.name, node.parent, batch)
         return theta
 

@@ -131,8 +131,8 @@ class QuantileQuery:
         """Estimate the quantile over one window's Theta store."""
         weighted: list[tuple[float, float]] = []
         for batch in theta.batches:
-            for item in batch.items:
-                weighted.append((item.value, batch.weight))
+            for value in batch.items.values.tolist():
+                weighted.append((value, batch.weight))
         if not weighted:
             raise EstimationError("cannot estimate a quantile from no items")
         weighted.sort()

@@ -11,8 +11,8 @@ compiles the timeline into a :class:`WindowState` per window:
 * effective per-sub-stream arrival rates (bursts/ramps/waves
   multiplied together, then skew drift re-shares the total);
 * the set of offline nodes (churn), from which the engine derives
-  WeightMap-correct re-parenting (children route to the nearest live
-  ancestor);
+  weight-preserving re-parenting (children route to the nearest live
+  ancestor, each batch keeping its ``W_in``);
 * per-uplink degradation (:class:`LinkState`): seeded batch loss and
   straggler delay in windows.
 

@@ -238,10 +238,8 @@ class NodeChurn:
     ground truth shrinks with it). An offline *sampling* node is routed
     around: traffic that would cross it re-parents to its nearest live
     ancestor, which keeps every batch's ``(W_in, items)`` pair intact —
-    weights ride with the batches, so the Eq. 8 count invariant (and
-    the :class:`~repro.core.weights.WeightMap` stale-weight rule for
-    per-node samplers) survive re-parenting unchanged. The root cannot
-    churn.
+    weights ride with the batches, so the Eq. 8 count invariant
+    survives re-parenting unchanged. The root cannot churn.
 
     Attributes:
         start_window: First window (inclusive) the nodes are offline.

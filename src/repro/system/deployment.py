@@ -323,17 +323,17 @@ class DeploymentSimulator:
         ingested = sum(len(batch) for batch in batches)
         if ingested == 0:
             return
-        result = sample_interval(self._pipeline, node_name, batches)
+        sampled = sample_interval(self._pipeline, node_name, batches)
         if state.node.name == "root":
             now = self._clock.now
             self._items_at_root += ingested
             self._root_last_completion = max(self._root_last_completion, now)
-            for batch in result.batches:
+            for batch in sampled:
                 stamps = batch.items.timestamp_column()
                 self._latency.record_column(stamps, now)
         else:
             assert state.node.parent is not None
-            for batch in result.batches:
+            for batch in sampled:
                 self._transport.send(state.node.name, state.node.parent, batch)
 
     def _finish_streaming(self, delivery: tuple[str, WeightedBatch]) -> None:

@@ -10,12 +10,9 @@ it, scale up into a huge overestimate).
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass, field
 
 from repro.core.columns import ColumnarBatch
-from repro.core.fastpath import make_generator
-from repro.core.items import StreamItem
 from repro.errors import WorkloadError
 from repro.workloads.synthetic import PoissonSubstream
 
@@ -85,14 +82,6 @@ class SkewedMixture:
             ]
         )
         return merged.select(gen.permutation(len(merged)))
-
-    def generate(
-        self, total_items: int, rng: random.Random, emitted_at: float = 0.0
-    ) -> list[StreamItem]:
-        """:meth:`draw_columns` on a Generator seeded from ``rng``."""
-        return self.draw_columns(
-            total_items, make_generator(rng), emitted_at
-        ).to_items()
 
 
 def paper_skewed_mixture() -> SkewedMixture:

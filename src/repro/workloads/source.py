@@ -15,54 +15,30 @@ from typing import Protocol
 
 from repro.core.columns import ColumnarBatch
 from repro.core.fastpath import make_generator
-from repro.core.items import StreamItem
 from repro.errors import WorkloadError
 
 __all__ = [
     "Source",
     "ItemGenerator",
     "SubstreamGenerator",
-    "generate_columns",
 ]
 
 
 class ItemGenerator(Protocol):
-    """Anything that can generate ``count`` items at a timestamp.
+    """Anything that can draw ``count`` records at a timestamp.
 
-    Generators may additionally implement two optional hooks, each
-    returning a :class:`~repro.core.columns.ColumnarBatch`:
-    ``draw_columns(count, gen, emitted_at)`` — whole-column draws from
-    a ``numpy.random.Generator``, which a :class:`Source` prefers (every
-    built-in generator has it) — and ``generate_columns(count, rng,
-    emitted_at)`` — the source's ``random.Random`` entropy, emitted as
-    columns (see :func:`generate_columns`). A generator without
-    ``draw_columns`` keeps receiving the source's ``random.Random``.
+    Every built-in generator draws whole columns from a
+    ``numpy.random.Generator`` (``draw_columns``). A :class:`Source`
+    also takes a generator that instead has ``generate_columns(count,
+    rng, emitted_at)``, fed the source's ``random.Random``; either hook
+    returns a :class:`~repro.core.columns.ColumnarBatch`.
     """
 
-    def generate(
-        self, count: int, rng: random.Random, emitted_at: float = 0.0
-    ) -> list[StreamItem]:
-        """Produce a batch of items."""
+    def draw_columns(
+        self, count: int, gen, emitted_at: float = 0.0
+    ) -> ColumnarBatch:
+        """Draw ``count`` records from a numpy ``Generator``."""
         ...  # pragma: no cover - protocol
-
-
-def generate_columns(
-    generator: ItemGenerator,
-    count: int,
-    rng: random.Random,
-    emitted_at: float = 0.0,
-) -> ColumnarBatch:
-    """A generator's batch as columns, however the generator is built.
-
-    Generators that implement ``generate_columns`` emit columns
-    natively (no item objects ever exist); anything else falls back to
-    transposing its object batch — same records, object-churn cost
-    paid once at the seam.
-    """
-    native = getattr(generator, "generate_columns", None)
-    if native is not None:
-        return native(count, rng, emitted_at)
-    return ColumnarBatch.from_items(generator.generate(count, rng, emitted_at))
 
 
 class SubstreamGenerator:
@@ -70,9 +46,7 @@ class SubstreamGenerator:
 
     A subclass carries its stratum tag as ``name`` and its
     ``item_bytes``, and supplies ``_values(count, gen)`` — whole-column
-    ``numpy.random.Generator`` draws. Every batch shape is derived
-    here, so ``generate`` is the columnar draw transposed rather than a
-    second loop kept in step with it.
+    ``numpy.random.Generator`` draws.
     """
 
     name: str
@@ -88,20 +62,14 @@ class SubstreamGenerator:
             self.name, self._values(count, gen), emitted_at, self.item_bytes
         )
 
-    def generate(
-        self, count: int, rng: random.Random, emitted_at: float = 0.0
-    ) -> list[StreamItem]:
-        """:meth:`draw_columns` on a Generator seeded from ``rng``."""
-        gen = make_generator(rng)
-        return self.draw_columns(count, gen, emitted_at).to_items()
-
 
 class Source:
     """One logical data source with a fixed arrival rate.
 
     A generator with a ``draw_columns`` hook draws from one
     ``numpy.random.Generator`` the source seeds from its ``random.Random``,
-    once; any other generator receives the ``random.Random`` itself.
+    once; a generator with only ``generate_columns`` receives the
+    ``random.Random`` itself. A generator with neither is rejected here.
     """
 
     def __init__(
@@ -117,15 +85,19 @@ class Source:
                 f"rate must be finite and >= 0, got {rate_per_second}"
             )
         self.name = name
-        self._generator = generator
         self.rate_per_second = float(rate_per_second)
-        self._rng = rng if rng is not None else random.Random()
-        self._draw_columns = getattr(generator, "draw_columns", None)
-        self._gen = (
-            make_generator(self._rng)
-            if self._draw_columns is not None
-            else None
-        )
+        rng = rng if rng is not None else random.Random()
+        draw = getattr(generator, "draw_columns", None)
+        if draw is not None:
+            self._draw, self._entropy = draw, make_generator(rng)
+        else:
+            draw = getattr(generator, "generate_columns", None)
+            if draw is None:
+                raise WorkloadError(
+                    f"{type(generator).__name__} has neither draw_columns "
+                    f"nor generate_columns"
+                )
+            self._draw, self._entropy = draw, rng
         self.items_emitted = 0
         # Centered at 0.5 so a lone interval rounds to nearest rather
         # than truncating; see _interval_count.
@@ -167,11 +139,6 @@ class Source:
         count = self._interval_count(interval_seconds)
         if count == 0:
             return ColumnarBatch.empty()
-        if self._draw_columns is not None:
-            batch = self._draw_columns(count, self._gen, interval_start)
-        else:
-            batch = generate_columns(
-                self._generator, count, self._rng, interval_start
-            )
+        batch = self._draw(count, self._entropy, interval_start)
         self.items_emitted += len(batch)
         return batch

@@ -23,7 +23,7 @@ from repro.broker.records import (
     encode_weighted_batches_chunks,
 )
 from repro.core.columns import ColumnarBatch, value_column
-from repro.core.items import StreamItem, WeightedBatch
+from repro.core.items import WeightedBatch
 from repro.errors import ConfigurationError
 
 
@@ -58,15 +58,6 @@ class TestColumnarRoundtrip:
         assert decoded.items.size_list() == [10, 20, 30]
         assert decoded.total_bytes == 60
 
-    def test_list_built_batch_roundtrips_to_equal_items(self):
-        items = [
-            StreamItem("B", 4.5, 1.0, 10),
-            StreamItem("B", 5.5, 2.0, 20),
-        ]
-        decoded = roundtrip(WeightedBatch("B", 3.0, items))
-        assert isinstance(decoded.items, ColumnarBatch)
-        assert decoded.items.to_items() == items
-
     def test_empty_payload_roundtrips(self):
         decoded = roundtrip(WeightedBatch("A", 1.0, ColumnarBatch.empty()))
         assert len(decoded.items) == 0
@@ -82,8 +73,8 @@ class TestColumnarRoundtrip:
     def test_batch_sequence_framing(self):
         batches = [
             WeightedBatch("A", 1.0, ColumnarBatch.single("A", [1.0], 0.0)),
-            WeightedBatch("B", 2.0, [StreamItem("B", 7.0)]),
-            WeightedBatch("C", 3.0, []),
+            WeightedBatch("B", 2.0, ColumnarBatch.single("B", [7.0])),
+            WeightedBatch("C", 3.0, ColumnarBatch.empty()),
         ]
         decoded = decode_weighted_batches(encode_weighted_batches(batches))
         assert [b.substream for b in decoded] == ["A", "B", "C"]

@@ -5,14 +5,39 @@ rings where shards fork and ``/dev/shm`` is usable, the pipe codec
 everywhere else. ``pipe_only`` sends every sharded run down the second
 route the way a host without usable shared memory does, ``needs_shm``
 skips a test on a host that cannot take the first, and ``shard_path``
-runs a test once per route.
+runs a test once per route. ``columns`` builds the record batches
+tests feed the sampling primitives, ``fresh`` a source's raw arrivals
+as the weight-1 pair a node receives.
 """
 
 import multiprocessing
 
 import pytest
 
+from repro.core.columns import ColumnarBatch
+from repro.core.items import WeightedBatch
 from repro.engine import shm
+
+
+def _columns(substream, values, emitted_at=0.0):
+    return ColumnarBatch.single(substream, values, emitted_at)
+
+
+@pytest.fixture(scope="session")
+def columns():
+    """``columns(substream, values, emitted_at=0.0)``: one sub-stream's
+    records as a :class:`ColumnarBatch` of float64 values."""
+    return _columns
+
+
+def _fresh(substream, values):
+    return WeightedBatch(substream, 1.0, _columns(substream, values))
+
+
+@pytest.fixture(scope="session")
+def fresh():
+    """``fresh(substream, values)``: raw arrivals, a pair at weight 1."""
+    return _fresh
 
 
 @pytest.fixture

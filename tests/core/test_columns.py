@@ -1,4 +1,4 @@
-"""Unit tests for the columnar (SoA) batch and its StreamItem edge."""
+"""Unit tests for the columnar (SoA) batch and the weighted pair over it."""
 
 import random
 
@@ -11,34 +11,33 @@ from repro.core.columns import (
     value_column,
 )
 from repro.core.fastpath import batch_sample_indices, make_generator
-from repro.core.items import StreamItem, WeightedBatch
+from repro.core.items import WeightedBatch
 from repro.errors import SamplingError
 
 
-def items_fixture():
-    return [
-        StreamItem("A", 1.0, 0.1, 100),
-        StreamItem("A", 2.0, 0.2, 100),
-        StreamItem("B", 3.0, 0.3, 64),
-        StreamItem("A", 4.0, 0.4, 100),
-    ]
+def mixed():
+    """Four records over two strata, with per-record times and sizes."""
+    return ColumnarBatch(
+        ["A", "A", "B", "A"],
+        value_column([1.0, 2.0, 3.0, 4.0]),
+        value_column([0.1, 0.2, 0.3, 0.4]),
+        [100, 100, 64, 100],
+    )
+
+
+def rows(batch):
+    """``(substream, value, emitted_at, size)`` per record."""
+    return list(zip(
+        batch.substream_ids(), batch.values.tolist(),
+        batch.timestamp_column().tolist(), batch.size_list(),
+    ))
 
 
 class TestConstruction:
-    def test_from_items_roundtrip(self):
-        items = items_fixture()
-        batch = ColumnarBatch.from_items(items)
-        assert len(batch) == 4
-        assert batch.to_items() == items
-
     def test_uniform_substream_detected(self):
-        batch = ColumnarBatch.from_items(
-            [StreamItem("A", 1.0), StreamItem("A", 2.0)]
-        )
-        assert batch.uniform_substream == "A"
-        mixed = ColumnarBatch.from_items(items_fixture())
-        assert mixed.uniform_substream is None
-        assert mixed.substream_ids() == ["A", "A", "B", "A"]
+        assert ColumnarBatch.single("A", [1.0, 2.0]).uniform_substream == "A"
+        assert mixed().uniform_substream is None
+        assert mixed().substream_ids() == ["A", "A", "B", "A"]
 
     def test_single(self):
         batch = ColumnarBatch.single("X", [1.0, 2.0, 3.0], 5.0, 42)
@@ -51,7 +50,6 @@ class TestConstruction:
         batch = ColumnarBatch.empty()
         assert len(batch) == 0
         assert not batch
-        assert batch.to_items() == []
         assert batch.group_by_substream() == {}
 
     def test_length_mismatch_rejected(self):
@@ -70,14 +68,12 @@ class TestConstruction:
 
 class TestAggregation:
     def test_value_sum(self):
-        batch = ColumnarBatch.from_items(items_fixture())
-        assert batch.value_sum() == pytest.approx(10.0)
+        assert mixed().value_sum() == pytest.approx(10.0)
 
     def test_total_bytes_uniform_and_mixed(self):
         uniform = ColumnarBatch.single("A", [1.0, 2.0], size_bytes=100)
         assert uniform.total_bytes == 200
-        mixed = ColumnarBatch.from_items(items_fixture())
-        assert mixed.total_bytes == 100 + 100 + 64 + 100
+        assert mixed().total_bytes == 100 + 100 + 64 + 100
 
     def test_masked_sum(self):
         column = value_column([1.0, 2.0, 3.0, 4.0])
@@ -92,17 +88,13 @@ class TestAggregation:
 
 class TestTransformation:
     def test_select_preserves_index_order(self):
-        batch = ColumnarBatch.from_items(items_fixture())
-        picked = batch.select([2, 0])
-        assert picked.to_items() == [
-            StreamItem("B", 3.0, 0.3, 64),
-            StreamItem("A", 1.0, 0.1, 100),
-        ]
+        picked = mixed().select([2, 0])
+        assert rows(picked) == [("B", 3.0, 0.3, 64), ("A", 1.0, 0.1, 100)]
 
     def test_compress(self):
-        batch = ColumnarBatch.from_items(items_fixture())
+        batch = mixed()
         kept = batch.compress([False, True, True, False])
-        assert [item.value for item in kept] == [2.0, 3.0]
+        assert kept.values.tolist() == [2.0, 3.0]
         with pytest.raises(SamplingError):
             batch.compress([True])
 
@@ -112,9 +104,9 @@ class TestTransformation:
         merged = ColumnarBatch.concat([a, b])
         assert merged.uniform_substream == "A"
         assert list(merged.values) == [1.0, 2.0, 3.0]
-        mixed = ColumnarBatch.concat([a, ColumnarBatch.single("B", [9.0])])
-        assert mixed.uniform_substream is None
-        assert mixed.substream_ids() == ["A", "A", "B"]
+        strata = ColumnarBatch.concat([a, ColumnarBatch.single("B", [9.0])])
+        assert strata.uniform_substream is None
+        assert strata.substream_ids() == ["A", "A", "B"]
 
     def test_spread_is_the_closed_form_bitwise(self):
         n, start, seconds = 7, 5.0, 2.0
@@ -123,52 +115,39 @@ class TestTransformation:
         expected = [start + seconds * (i + 1) / (n + 1) for i in range(n)]
         assert list(batch.timestamps) == expected
 
-    def test_group_by_substream_matches_object_grouping(self):
-        items = items_fixture()
-        columnar = ColumnarBatch.from_items(items).group_by_substream()
-        objects = {}
-        for item in items:
-            objects.setdefault(item.substream, []).append(item)
-        assert list(columnar) == list(objects)  # first-occurrence order
-        for key in objects:
-            assert columnar[key].to_items() == objects[key]
+    def test_group_by_substream_keeps_first_occurrence_order(self):
+        groups = mixed().group_by_substream()
+        assert list(groups) == ["A", "B"]
+        assert groups["A"].uniform_substream == "A"
+        assert rows(groups["A"]) == [
+            row for row in rows(mixed()) if row[0] == "A"
+        ]
+        assert rows(groups["B"]) == [("B", 3.0, 0.3, 64)]
 
     def test_group_by_uniform_is_zero_copy(self):
         batch = ColumnarBatch.single("A", [1.0, 2.0])
         assert batch.group_by_substream()["A"] is batch
 
 
-class TestStreamItemEdge:
-    """Lists of ``StreamItem`` enter and leave at the API edge only."""
-
-    def test_from_items_is_the_identity_on_a_columnar_batch(self):
-        batch = ColumnarBatch.from_items(items_fixture())
-        assert ColumnarBatch.from_items(batch) is batch
-
+class TestWeightedBatch:
     @pytest.mark.parametrize(
-        "items",
-        [
-            [],
-            [StreamItem("A", 2.0, 0.5, 10) for _ in range(4)],
-            items_fixture(),  # mixed strata, mixed sizes
-        ],
+        "columns",
+        [ColumnarBatch.empty(), ColumnarBatch.single("A", [2.0] * 4, 0.5, 10),
+         mixed()],
         ids=["empty", "uniform", "mixed"],
     )
-    def test_weighted_batch_normalises_a_list_and_iterates_it_back(self, items):
-        batch = WeightedBatch("A", 3.0, items)
-        assert isinstance(batch.items, ColumnarBatch)
-        assert list(batch) == batch.items.to_items() == items
-        assert len(batch) == len(items)
-        assert batch.estimated_count == 3.0 * len(items)
-        assert batch.estimated_sum == pytest.approx(
-            3.0 * sum(item.value for item in items)
-        )
-        assert batch.total_bytes == sum(item.size_bytes for item in items)
+    def test_aggregates_read_the_columns(self, columns):
+        batch = WeightedBatch("A", 3.0, columns)
+        assert batch.items is columns
+        assert len(batch) == len(columns)
+        assert batch.estimated_count == 3.0 * len(columns)
+        assert batch.estimated_sum == pytest.approx(3.0 * columns.value_sum())
+        assert batch.total_bytes == sum(columns.size_list())
 
-    def test_weighted_batch_keeps_a_columnar_payload_as_is(self):
-        columns = ColumnarBatch.from_items(items_fixture())
-        assert WeightedBatch("A", 1.0, columns).items is columns
-        assert isinstance(WeightedBatch("A", 1.0).items, ColumnarBatch)
+    @pytest.mark.parametrize("items", [[1.0, 2.0], (), None])
+    def test_a_payload_that_is_not_columns_is_rejected(self, items):
+        with pytest.raises(TypeError, match="ColumnarBatch"):
+            WeightedBatch("A", 1.0, items)
 
 
 class TestReservoirIndexKernel:

@@ -5,6 +5,7 @@ import random
 
 import pytest
 
+from repro.core.columns import ColumnarBatch
 from repro.core.error_bounds import (
     confidence_multiplier,
     estimate_sum_with_error,
@@ -12,15 +13,13 @@ from repro.core.error_bounds import (
     substream_sum_variance,
 )
 from repro.core.estimator import ThetaStore
-from repro.core.items import StreamItem, WeightedBatch
-from repro.core.whs import whsamp
+from repro.core.items import WeightedBatch
+from repro.core.whs import whsamp_batches
 from repro.errors import EstimationError
 
 
 def batch(substream, weight, values):
-    return WeightedBatch(
-        substream, weight, [StreamItem(substream, float(v)) for v in values]
-    )
+    return WeightedBatch(substream, weight, ColumnarBatch.single(substream, values))
 
 
 class TestSampleVariance:
@@ -110,14 +109,14 @@ class TestSumErrorBound:
     def test_coverage_monte_carlo(self):
         """~95% of 2-sigma intervals should cover the true sum."""
         rng = random.Random(42)
-        population = [StreamItem("s", rng.gauss(100, 15)) for _ in range(2000)]
-        true_sum = sum(i.value for i in population)
+        values = [rng.gauss(100, 15) for _ in range(2000)]
+        population = [batch("s", 1.0, values)]
+        true_sum = sum(values)
         covered = 0
         trials = 300
         for _ in range(trials):
-            result = whsamp(population, 200, rng=rng)
             theta = ThetaStore()
-            theta.extend(result.batches)
+            theta.extend(whsamp_batches(population, 200, rng=rng))
             approx = estimate_sum_with_error(theta, 0.95)
             if approx.contains(true_sum):
                 covered += 1

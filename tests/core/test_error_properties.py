@@ -6,12 +6,13 @@ import numpy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core.columns import ColumnarBatch
 from repro.core.error_bounds import (
     estimate_sum_with_error,
     sample_variance,
 )
 from repro.core.estimator import ThetaStore
-from repro.core.items import StreamItem, WeightedBatch
+from repro.core.items import WeightedBatch
 
 batch_strategy = st.tuples(
     st.sampled_from(["a", "b", "c"]),
@@ -26,8 +27,7 @@ def build_theta(raw_batches):
     for substream, weight, values in raw_batches:
         theta.add(
             WeightedBatch(
-                substream, weight,
-                [StreamItem(substream, v) for v in values],
+                substream, weight, ColumnarBatch.single(substream, values)
             )
         )
     return theta
@@ -70,8 +70,7 @@ def test_unsampled_batches_have_zero_error(raw):
     for substream, _weight, values in raw:
         theta.add(
             WeightedBatch(
-                substream, 1.0,
-                [StreamItem(substream, v) for v in values],
+                substream, 1.0, ColumnarBatch.single(substream, values)
             )
         )
     result = estimate_sum_with_error(theta)

@@ -4,16 +4,15 @@ import math
 
 import pytest
 
+from repro.core.columns import ColumnarBatch
 from repro.core.error_bounds import estimate_sum_with_error
 from repro.core.estimator import ThetaStore
-from repro.core.items import StreamItem, WeightedBatch
+from repro.core.items import WeightedBatch
 from repro.errors import EstimationError
 
 
 def batch(substream, weight, values):
-    return WeightedBatch(
-        substream, weight, [StreamItem(substream, float(v)) for v in values]
-    )
+    return WeightedBatch(substream, weight, ColumnarBatch.single(substream, values))
 
 
 def sum_star(theta):

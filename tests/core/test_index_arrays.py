@@ -70,8 +70,13 @@ class TestSelectTakesTheArrayAsIs:
         )
         picks = [0, 2, 3]
         by_array = batch.select(numpy.asarray(picks, dtype=numpy.intp))
-        assert by_array.to_items() == batch.select(picks).to_items()
-        assert by_array.to_items() == [batch.to_items()[i] for i in picks]
+        for picked in (by_array, batch.select(picks)):
+            assert picked.substream_ids() == ["A", "A", "C"]
+            assert picked.values.tolist() == [0.0, 2.0, 3.0]
+            assert picked.timestamp_column().tolist() == [
+                batch.timestamps[i] for i in picks
+            ]
+            assert picked.size_list() == [100, 300, 400]
 
     def test_whsamp_hands_select_the_kernel_array(self, monkeypatch):
         seen = []

@@ -5,68 +5,100 @@ import random
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core.columns import ColumnarBatch
 from repro.core.estimator import ThetaStore
-from repro.core.items import StreamItem, WeightedBatch
+from repro.core.items import WeightedBatch
 from repro.core.reservoir import ReservoirSampler, SkipAheadReservoirSampler
-from repro.core.stratified import allocate_equal, allocate_proportional
-from repro.core.weights import output_weight
-from repro.core.whs import whsamp
-
-# Strategy: a stream of items over up to 5 sub-streams.
-substream_names = st.sampled_from(["a", "b", "c", "d", "e"])
-item_strategy = st.builds(
-    StreamItem,
-    substream=substream_names,
-    value=st.floats(min_value=-1e6, max_value=1e6,
-                    allow_nan=False, allow_infinity=False),
+from repro.core.stratified import (
+    allocate_equal,
+    allocate_fair_fill,
+    allocate_proportional,
 )
-items_strategy = st.lists(item_strategy, min_size=0, max_size=300)
+from repro.core.weights import output_weight
+from repro.core.whs import whsamp_batches
+
+# Strategy: a stream of (sub-stream, value) records over up to 5 strata.
+substream_names = st.sampled_from(["a", "b", "c", "d", "e"])
+record_strategy = st.tuples(
+    substream_names,
+    st.floats(min_value=-1e6, max_value=1e6,
+              allow_nan=False, allow_infinity=False),
+)
+stream_strategy = st.lists(record_strategy, min_size=0, max_size=300)
 
 
-@given(items=items_strategy, sample_size=st.integers(1, 100),
+def strata(stream):
+    """The stream's values per sub-stream, in first-arrival order."""
+    out: dict[str, list[float]] = {}
+    for substream, value in stream:
+        out.setdefault(substream, []).append(value)
+    return out
+
+
+def arrivals(stream, weights=None):
+    """A node's interval: one pair per stratum at its input weight."""
+    weights = weights or {}
+    return [
+        WeightedBatch(
+            substream, weights.get(substream, 1.0),
+            ColumnarBatch.single(substream, values),
+        )
+        for substream, values in strata(stream).items()
+    ]
+
+
+@given(stream=stream_strategy, sample_size=st.integers(1, 100),
        seed=st.integers(0, 2**32 - 1))
 @settings(max_examples=150, deadline=None)
-def test_whsamp_count_invariant(items, sample_size, seed):
+def test_whsamp_count_invariant(stream, sample_size, seed):
     """Eq. 8: W_out * |sample| == W_in * c for every sub-stream, always."""
-    result = whsamp(items, sample_size, rng=random.Random(seed))
-    for batch in result.batches:
-        seen = result.seen[batch.substream]
-        assert abs(batch.estimated_count - seen) < 1e-6 * max(1, seen)
+    seen = {name: len(values) for name, values in strata(stream).items()}
+    out = whsamp_batches(arrivals(stream), sample_size, rng=random.Random(seed))
+    for batch in out:
+        count = seen[batch.substream]
+        assert abs(batch.estimated_count - count) < 1e-6 * max(1, count)
 
 
-@given(items=items_strategy, sample_size=st.integers(1, 100),
+@given(stream=stream_strategy, sample_size=st.integers(1, 100),
        seed=st.integers(0, 2**32 - 1))
 @settings(max_examples=100, deadline=None)
-def test_whsamp_sample_within_budget_per_stratum(items, sample_size, seed):
+def test_whsamp_sample_within_budget_per_stratum(stream, sample_size, seed):
     """No stratum ever exceeds its allocated reservoir."""
-    result = whsamp(items, sample_size, rng=random.Random(seed))
-    for batch in result.batches:
-        assert len(batch) <= result.allocation[batch.substream]
+    out = whsamp_batches(arrivals(stream), sample_size, rng=random.Random(seed))
+    if not out:
+        return
+    allocation = allocate_fair_fill(
+        sample_size,
+        {(name, 1.0): len(values) for name, values in strata(stream).items()},
+    )
+    for batch in out:
+        assert len(batch) <= allocation[(batch.substream, 1.0)]
 
 
-@given(items=items_strategy, sample_size=st.integers(1, 100),
+@given(stream=stream_strategy, sample_size=st.integers(1, 100),
        seed=st.integers(0, 2**32 - 1))
 @settings(max_examples=100, deadline=None)
-def test_whsamp_covers_every_substream(items, sample_size, seed):
+def test_whsamp_covers_every_substream(stream, sample_size, seed):
     """Stratification guarantee: every arriving stratum is represented."""
-    result = whsamp(items, sample_size, rng=random.Random(seed))
-    arrived = {item.substream for item in items}
-    sampled = {batch.substream for batch in result.batches if len(batch) > 0}
-    assert sampled == arrived
+    out = whsamp_batches(arrivals(stream), sample_size, rng=random.Random(seed))
+    sampled = {batch.substream for batch in out if len(batch) > 0}
+    assert sampled == {substream for substream, _value in stream}
 
 
-@given(items=items_strategy, sample_size=st.integers(1, 100),
+@given(stream=stream_strategy, sample_size=st.integers(1, 100),
        seed=st.integers(0, 2**32 - 1),
        weights=st.dictionaries(substream_names,
                                st.floats(min_value=0.1, max_value=100.0),
                                max_size=5))
 @settings(max_examples=100, deadline=None)
-def test_whsamp_weights_monotone_nondecreasing(items, sample_size, seed, weights):
+def test_whsamp_weights_monotone_nondecreasing(stream, sample_size, seed,
+                                               weights):
     """Output weights never fall below input weights (w_i >= 1)."""
-    result = whsamp(items, sample_size, weights, rng=random.Random(seed))
-    for substream in result.seen:
-        w_in = weights.get(substream, 1.0)
-        assert result.weights.get(substream) >= w_in - 1e-12
+    out = whsamp_batches(arrivals(stream, weights), sample_size,
+                         rng=random.Random(seed))
+    for batch in out:
+        w_in = weights.get(batch.substream, 1.0)
+        assert batch.weight >= w_in - 1e-12
 
 
 @given(seen=st.integers(0, 10_000), capacity=st.integers(1, 1_000),
@@ -143,7 +175,7 @@ def test_theta_sum_is_linear(batches):
     expected = 0.0
     for substream, weight, values in batches:
         batch = WeightedBatch(
-            substream, weight, [StreamItem(substream, v) for v in values]
+            substream, weight, ColumnarBatch.single(substream, values)
         )
         theta.add(batch)
         expected += weight * sum(values)

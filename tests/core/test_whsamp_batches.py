@@ -7,15 +7,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.estimator import ThetaStore
-from repro.core.items import StreamItem, WeightedBatch
+from repro.core.columns import ColumnarBatch
+from repro.core.items import WeightedBatch
 from repro.core.whs import whsamp_batches
 from repro.errors import SamplingError
 
 
 def batch(substream, weight, values):
-    return WeightedBatch(
-        substream, weight, [StreamItem(substream, float(v)) for v in values]
-    )
+    return WeightedBatch(substream, weight, ColumnarBatch.single(substream, values))
 
 
 class TestPairSemantics:
@@ -26,7 +25,7 @@ class TestPairSemantics:
             100,
             rng=random.Random(1),
         )
-        weights = sorted(b.weight for b in result.batches)
+        weights = sorted(b.weight for b in result)
         assert weights == [1.0, 5.0]  # both underfull: pass-through
 
     def test_same_weight_pairs_merge(self):
@@ -36,8 +35,8 @@ class TestPairSemantics:
             100,
             rng=random.Random(2),
         )
-        assert len(result.batches) == 1
-        assert result.seen == {"s": 20}
+        [merged] = result
+        assert len(merged) == 20
 
     def test_count_invariant_per_group(self):
         """Eq. 8 holds for each (sub-stream, weight) group separately."""
@@ -48,14 +47,13 @@ class TestPairSemantics:
         ]
         result = whsamp_batches(pairs, 30, rng=random.Random(3))
         theta = ThetaStore()
-        theta.extend(result.batches)
+        theta.extend(result)
         per = theta.per_substream()
         assert per["s"].estimated_count == pytest.approx(1.5 * 100 + 3.0 * 50)
         assert per["t"].estimated_count == pytest.approx(200.0)
 
     def test_empty_input(self):
-        result = whsamp_batches([], 10)
-        assert result.batches == []
+        assert whsamp_batches([], 10) == []
 
     def test_empty_batches_skipped(self):
         result = whsamp_batches(
@@ -63,22 +61,11 @@ class TestPairSemantics:
             10,
             rng=random.Random(4),
         )
-        assert [b.substream for b in result.batches] == ["t"]
+        assert [b.substream for b in result] == ["t"]
 
     def test_sample_size_validated(self):
         with pytest.raises(SamplingError):
             whsamp_batches([batch("s", 1.0, [1.0])], 0)
-
-    def test_weight_map_uses_dominant_group(self):
-        """The stale-weight map records the largest group's W_out."""
-        result = whsamp_batches(
-            [batch("s", 7.0, range(100)), batch("s", 2.0, range(3))],
-            200,
-            rng=random.Random(5),
-        )
-        # Both underfull -> pass-through weights; dominant group is the
-        # 100-item one with weight 7.0.
-        assert result.weights.get("s") == pytest.approx(7.0)
 
     def test_sibling_weights_dont_bias_estimate(self):
         """The regression the pair fix addressed: different child
@@ -95,7 +82,7 @@ class TestPairSemantics:
         for trial in range(100):
             result = whsamp_batches(pairs, 120, rng=random.Random(trial))
             estimates.append(
-                sum(batch.estimated_sum for batch in result.batches)
+                sum(batch.estimated_sum for batch in result)
             )
         mean = sum(estimates) / len(estimates)
         expected = 2.0 * sum(values_a[:500]) + 10.0 * sum(values_b[:100])
@@ -122,7 +109,7 @@ def test_property_group_count_invariant(pairs, sample_size, seed):
             inputs[(name, weight)] = inputs.get((name, weight), 0) + len(values)
     result = whsamp_batches(batches, sample_size, rng=random.Random(seed))
     recovered: dict[str, float] = {}
-    for out in result.batches:
+    for out in result:
         recovered[out.substream] = (
             recovered.get(out.substream, 0.0) + out.estimated_count
         )
@@ -147,4 +134,4 @@ def test_property_budget_respected(pairs, sample_size, seed):
     }
     result = whsamp_batches(batches, sample_size, rng=random.Random(seed))
     limit = max(sample_size, len(groups))  # min 1 slot per group
-    assert sum(len(b) for b in result.batches) <= limit
+    assert sum(len(b) for b in result) <= limit

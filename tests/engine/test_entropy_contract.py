@@ -22,7 +22,7 @@ import pytest
 
 from repro.core.columns import ColumnarBatch
 from repro.core.fastpath import batch_sample_indices, make_generator
-from repro.core.items import StreamItem, WeightedBatch
+from repro.core.items import WeightedBatch
 from repro.core.reservoir import ReservoirSampler
 from repro.core.srs import coin_flips
 from repro.core.whs import whsamp_batches
@@ -136,8 +136,6 @@ class TestSeededGolden:
             200, make_generator(random.Random(42)), 3.0
         )
         assert digest(columns.values) == expected
-        items = factory().generate(200, random.Random(42), 3.0)
-        assert digest(item.value for item in items) == expected
 
     def test_coin_flip_mask_is_unchanged(self):
         mask = coin_flips(make_generator(random.Random(42)), 0.1, 1000)
@@ -276,8 +274,8 @@ class TestDeterminism:
             emitted = pipeline.emit_window(0.0)
             columns = {
                 name: (
-                    digest(i.value for i in payload),
-                    digest(i.emitted_at for i in payload),
+                    digest(payload.values),
+                    digest(payload.timestamp_column()),
                 )
                 for name, payload in emitted.items()
             }
@@ -312,18 +310,16 @@ class TestDeterminism:
 # (c) a random.Random-only generator still runs
 # ----------------------------------------------------------------------
 class ScalarOnlyGenerator:
-    """Implements the protocol's ``generate`` and nothing else."""
+    """Has ``generate_columns`` (fed a ``random.Random``), no ``draw_columns``."""
 
     def __init__(self, name):
         self.name = name
         self.rng_types = set()
 
-    def generate(self, count, rng, emitted_at=0.0):
+    def generate_columns(self, count, rng, emitted_at=0.0):
         self.rng_types.add(type(rng))
-        return [
-            StreamItem(self.name, rng.gauss(10.0, 1.0), emitted_at)
-            for _ in range(count)
-        ]
+        values = [rng.gauss(10.0, 1.0) for _ in range(count)]
+        return ColumnarBatch.single(self.name, values, emitted_at)
 
 
 class TestScalarOnlyGenerator:
@@ -335,7 +331,7 @@ class TestScalarOnlyGenerator:
         assert outcome.mean_approxiot_loss < 5.0
         # The run draws from the pipeline's copies of the generators.
         for source in pipeline.sources.values():
-            assert source._generator.rng_types == {random.Random}
+            assert source._draw.__self__.rng_types == {random.Random}
 
     def test_deployment_run(self):
         generators = {name: ScalarOnlyGenerator(name) for name in "ABCD"}
@@ -528,7 +524,7 @@ class TestBatchSampleIndices:
             for name in "ABCD"
         ]
         result = whsamp_batches(batches, 200, gen=gen)
-        assert sum(len(b) for b in result.batches) == 200
+        assert sum(len(b) for b in result) == 200
         assert gen.bit_generator.state == before
         whsamp_batches(batches, 199, gen=gen)
         assert gen.bit_generator.state != before

@@ -89,6 +89,6 @@ class TestEmission:
     def test_emission_is_seed_deterministic(self):
         a = make_pipeline(seed=5).emit_window(0.0)
         b = make_pipeline(seed=5).emit_window(0.0)
-        assert {k: [i.value for i in v] for k, v in a.items()} == {
-            k: [i.value for i in v] for k, v in b.items()
+        assert {k: v.values.tolist() for k, v in a.items()} == {
+            k: v.values.tolist() for k, v in b.items()
         }

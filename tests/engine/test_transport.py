@@ -2,7 +2,8 @@
 
 import pytest
 
-from repro.core.items import StreamItem, WeightedBatch
+from repro.core.columns import ColumnarBatch
+from repro.core.items import WeightedBatch
 from repro.engine.transport import InProcessTransport, SimnetTransport
 from repro.errors import ConfigurationError, NetworkError
 from repro.simnet.netem import NetemConfig
@@ -10,9 +11,7 @@ from repro.simnet.network import Network
 
 
 def batch(substream="a", weight=1.0, n=3):
-    return WeightedBatch(
-        substream, weight, [StreamItem(substream, float(i)) for i in range(n)]
-    )
+    return WeightedBatch(substream, weight, ColumnarBatch.single(substream, range(n)))
 
 
 def two_host_network(config=None):

@@ -56,7 +56,7 @@ class TestEndToEndInvariants:
         sources emitted (a twin pipeline emits the same window)."""
         emitted = runner_for(config_for()).pipeline.emit_window(0.0)
         direct = sum(
-            item.value for batch in emitted.values() for item in batch
+            value for batch in emitted.values() for value in batch.values.tolist()
         )
         window = runner_for(config_for()).run_window()
         assert window.exact_sum == pytest.approx(direct, rel=1e-12)

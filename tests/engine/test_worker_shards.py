@@ -3,7 +3,7 @@
 A sub-stream handled by ``w`` workers is split into ``w`` equal
 portions; each worker samples its portion with ``1/w`` of the budget
 and the per-worker ``(W_out, I)`` pairs are concatenated upstream (the
-union is every worker's ``result.batches``, end to end). Eq. 8 holds
+union is every worker's output batches, end to end). Eq. 8 holds
 per pair, hence for the union, so the worker count must change neither
 the recovered count nor the expectation of the estimate. The engine's form of the
 same model is :func:`plan_shards` + ``ShardedEngineRunner(...,
@@ -17,8 +17,9 @@ import pytest
 
 from repro.core.error_bounds import estimate_sum_with_error
 from repro.core.estimator import ThetaStore
-from repro.core.items import StreamItem
-from repro.core.whs import whsamp
+from repro.core.columns import ColumnarBatch
+from repro.core.items import WeightedBatch
+from repro.core.whs import whsamp_batches
 from repro.engine.sharding import ShardedEngineRunner, plan_shards
 from repro.errors import SamplingError
 from repro.system.config import PipelineConfig
@@ -32,26 +33,25 @@ SCHEDULE = RateSchedule(
 )
 
 
-def make_items(substream, values):
-    return [StreamItem(substream, float(v)) for v in values]
-
-
-def worker_close(items, capacity, workers, rng, input_weight=1.0):
+def worker_close(arrivals, capacity, workers, rng, input_weight=1.0):
     """One node's interval close run by ``workers`` round-robin workers.
 
     Returns each worker's Algorithm 1 output, in worker order.
     """
-    portions = [items[index::workers] for index in range(workers)]
-    weights = {item.substream: input_weight for item in items}
-    return [
-        whsamp(portion, capacity // workers, weights, rng=rng)
-        for portion in portions
-    ]
+    outputs = []
+    for index in range(workers):
+        portion = arrivals.select(list(range(index, len(arrivals), workers)))
+        pairs = [
+            WeightedBatch(substream, input_weight, part)
+            for substream, part in portion.group_by_substream().items()
+        ]
+        outputs.append(whsamp_batches(pairs, capacity // workers, rng=rng))
+    return outputs
 
 
 def union(results):
     """§III-E's merge: the workers' pairs, concatenated."""
-    return [batch for result in results for batch in result.batches]
+    return [batch for result in results for batch in result]
 
 
 def recovered_count(results):
@@ -73,67 +73,63 @@ class TestPlanShards:
 
 class TestWorkerUnion:
     @pytest.mark.parametrize("workers", WIDTHS)
-    def test_union_recovers_the_count_exactly(self, workers):
+    def test_union_recovers_the_count_exactly(self, workers, columns):
         results = worker_close(
-            make_items("s", range(1000)), 40, workers, random.Random(4)
+            columns("s", range(1000)), 40, workers, random.Random(4)
         )
-        assert sum(sum(result.seen.values()) for result in results) == 1000
         assert recovered_count(results) == pytest.approx(1000.0)
 
-    def test_input_weight_composes_over_the_union(self):
+    def test_input_weight_composes_over_the_union(self, columns):
         results = worker_close(
-            make_items("s", range(100)), 20, 2, random.Random(5),
+            columns("s", range(100)), 20, 2, random.Random(5),
             input_weight=2.5,
         )
         assert recovered_count(results) == pytest.approx(250.0)
 
-    def test_one_pair_per_worker(self):
+    def test_one_pair_per_worker(self, columns):
         results = worker_close(
-            make_items("s", range(400)), 40, 4, random.Random(1)
+            columns("s", range(400)), 40, 4, random.Random(1)
         )
         assert len(union(results)) == 4
         assert all(len(batch) == 10 for batch in union(results))
-        assert [result.allocation for result in results] == [{"s": 10}] * 4
 
-    def test_substreams_keep_separate_worker_pairs(self):
-        items = make_items("a", range(50)) + make_items("b", range(50))
-        results = worker_close(items, 10, 2, random.Random(4))
+    def test_substreams_keep_separate_worker_pairs(self, columns):
+        arrivals = ColumnarBatch.concat(
+            [columns("a", range(50)), columns("b", range(50))]
+        )
+        results = worker_close(arrivals, 10, 2, random.Random(4))
         substreams = [batch.substream for batch in union(results)]
         assert sorted(substreams) == ["a", "a", "b", "b"]
 
-    def test_underfull_workers_keep_everything(self):
+    def test_underfull_workers_keep_everything(self, columns):
         results = worker_close(
-            make_items("s", range(8)), 100, 4, random.Random(7)
+            columns("s", range(8)), 100, 4, random.Random(7)
         )
         assert sum(len(batch) for batch in union(results)) == 8
         assert all(batch.weight == 1.0 for batch in union(results))
 
     def test_idle_workers_forward_nothing(self):
-        results = worker_close([], 10, 2, random.Random(8))
+        results = worker_close(ColumnarBatch.empty(), 10, 2, random.Random(8))
         assert union(results) == []
-        assert sum(sum(result.seen.values()) for result in results) == 0
 
-    def test_weights_are_per_worker_and_never_rescaled(self):
+    def test_weights_are_per_worker_and_never_rescaled(self, columns):
         """Eq. 1 runs against each worker's own portion and reservoir;
         concatenation keeps every worker's W_out as it was."""
         results = worker_close(
-            make_items("s", range(300)), 30, 3, random.Random(2)
+            columns("s", range(300)), 30, 3, random.Random(2)
         )
         assert [batch.weight for batch in union(results)] == [10.0] * 3
-        assert union(results) == [
-            batch for result in results for batch in result.batches
-        ]
 
-    def test_union_estimate_is_the_sum_of_worker_estimates(self):
+    def test_union_estimate_is_the_sum_of_worker_estimates(self, columns):
         rng = random.Random(11)
-        items = make_items("s", [rng.gauss(50, 5) for _ in range(900)])
-        results = worker_close(items, 90, 3, random.Random(12))
+        arrivals = columns("s", [rng.gauss(50, 5) for _ in range(900)])
+        results = worker_close(arrivals, 90, 3, random.Random(12))
         theta = ThetaStore()
         theta.extend(union(results))
         per_worker = []
         for result in results:
             own = ThetaStore()
-            own.extend(result.batches)
+            own.extend(result)
             per_worker.append(estimate_sum_with_error(own))
         merged = estimate_sum_with_error(theta)
         assert merged.value == pytest.approx(
@@ -141,21 +137,21 @@ class TestWorkerUnion:
         )
         assert merged.sampled_items == sum(w.sampled_items for w in per_worker)
 
-    def test_less_than_one_slot_per_worker_is_rejected(self):
+    def test_less_than_one_slot_per_worker_is_rejected(self, columns):
         with pytest.raises(SamplingError):
-            worker_close(make_items("s", range(10)), 3, 4, random.Random(9))
+            worker_close(columns("s", range(10)), 3, 4, random.Random(9))
 
     @pytest.mark.parametrize("workers", WIDTHS)
-    def test_estimate_unbiased_across_worker_counts(self, workers):
+    def test_estimate_unbiased_across_worker_counts(self, workers, columns):
         """The Ablation 5 claim: worker count does not bias the estimate."""
         rng = random.Random(6)
         values = [rng.gauss(100, 10) for _ in range(2000)]
-        items = make_items("s", values)
+        arrivals = columns("s", values)
         estimates = []
         for trial in range(30):
             theta = ThetaStore()
             theta.extend(union(
-                worker_close(items, 200, workers, random.Random(100 + trial))
+                worker_close(arrivals, 200, workers, random.Random(100 + trial))
             ))
             estimates.append(estimate_sum_with_error(theta).value)
         mean = sum(estimates) / len(estimates)

@@ -4,18 +4,17 @@ import random
 
 import pytest
 
+from repro.core.columns import ColumnarBatch
 from repro.core.error_bounds import estimate_sum_with_error
 from repro.core.estimator import ThetaStore
-from repro.core.items import StreamItem, WeightedBatch
-from repro.core.whs import whsamp
+from repro.core.items import WeightedBatch
+from repro.core.whs import whsamp_batches
 from repro.errors import EstimationError
 from repro.queries.query import PerSubstreamSumQuery
 
 
 def batch(substream, weight, values):
-    return WeightedBatch(
-        substream, weight, [StreamItem(substream, float(v)) for v in values]
-    )
+    return WeightedBatch(substream, weight, ColumnarBatch.single(substream, values))
 
 
 def sample_theta():
@@ -43,10 +42,9 @@ class TestQueries:
 
     def test_count_matches_true_count_after_sampling(self):
         rng = random.Random(1)
-        items = [StreamItem("s", rng.random()) for _ in range(500)]
-        result = whsamp(items, 50, rng=rng)
+        arrivals = [batch("s", 1.0, [rng.random() for _ in range(500)])]
         theta = ThetaStore()
-        theta.extend(result.batches)
+        theta.extend(whsamp_batches(arrivals, 50, rng=rng))
         assert recovered_count(theta) == pytest.approx(500.0)
 
     def test_per_substream_grouped(self):
@@ -118,12 +116,14 @@ class TestQueryProperties:
         rng = random.Random(3)
         truth = {"a": [rng.gauss(10, 2) for _ in range(400)],
                  "b": [rng.gauss(100, 30) for _ in range(200)]}
-        items = [StreamItem(s, v) for s, values in truth.items() for v in values]
+        arrivals = [batch(s, 1.0, values) for s, values in truth.items()]
         covered = {"a": 0, "b": 0}
         trials = 200
         for trial in range(trials):
             theta = ThetaStore()
-            theta.extend(whsamp(items, 60, rng=random.Random(trial)).batches)
+            theta.extend(
+                whsamp_batches(arrivals, 60, rng=random.Random(trial))
+            )
             grouped = PerSubstreamSumQuery().execute_grouped(theta)
             for substream, values in truth.items():
                 covered[substream] += grouped[substream].contains(sum(values))

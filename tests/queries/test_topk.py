@@ -4,17 +4,16 @@ import random
 
 import pytest
 
+from repro.core.columns import ColumnarBatch
 from repro.core.estimator import ThetaStore
-from repro.core.items import StreamItem, WeightedBatch
-from repro.core.whs import whsamp
+from repro.core.items import WeightedBatch
+from repro.core.whs import whsamp_batches
 from repro.errors import EstimationError
 from repro.queries.topk import QuantileQuery, TopKQuery
 
 
 def batch(substream, weight, values):
-    return WeightedBatch(
-        substream, weight, [StreamItem(substream, float(v)) for v in values]
-    )
+    return WeightedBatch(substream, weight, ColumnarBatch.single(substream, values))
 
 
 def ranked_theta():
@@ -44,10 +43,9 @@ class TestTopK:
         theta = ThetaStore()
         rng = random.Random(1)
         # Two strata with nearly equal totals and real sampling noise.
-        items = [StreamItem("a", rng.gauss(100, 40)) for _ in range(1000)]
-        items += [StreamItem("b", rng.gauss(101, 40)) for _ in range(1000)]
-        result = whsamp(items, 100, rng=rng)
-        theta.extend(result.batches)
+        a = batch("a", 1.0, [rng.gauss(100, 40) for _ in range(1000)])
+        b = batch("b", 1.0, [rng.gauss(101, 40) for _ in range(1000)])
+        theta.extend(whsamp_batches([a, b], 100, rng=rng))
         ranked = TopKQuery(k=2).execute(theta)
         assert ranked[0].stable is False
 
@@ -66,15 +64,14 @@ class TestTopK:
 
     def test_ranking_matches_truth_after_sampling(self):
         rng = random.Random(2)
-        items = []
+        arrivals = []
         truth = {}
         for substream, mu in (("x", 10.0), ("y", 100.0), ("z", 1000.0)):
             values = [rng.gauss(mu, mu * 0.1) for _ in range(2000)]
             truth[substream] = sum(values)
-            items.extend(StreamItem(substream, v) for v in values)
-        result = whsamp(items, 300, rng=rng)
+            arrivals.append(batch(substream, 1.0, values))
         theta = ThetaStore()
-        theta.extend(result.batches)
+        theta.extend(whsamp_batches(arrivals, 300, rng=rng))
         ranked = TopKQuery(k=3).execute(theta)
         true_order = sorted(truth, key=truth.get, reverse=True)
         assert [r.substream for r in ranked] == true_order
@@ -110,10 +107,8 @@ class TestQuantile:
     def test_quantile_accuracy_after_sampling(self):
         rng = random.Random(3)
         values = [rng.gauss(100, 15) for _ in range(20_000)]
-        items = [StreamItem("s", v) for v in values]
-        result = whsamp(items, 2_000, rng=rng)
         theta = ThetaStore()
-        theta.extend(result.batches)
+        theta.extend(whsamp_batches([batch("s", 1.0, values)], 2_000, rng=rng))
         estimate = QuantileQuery(0.5).execute(theta)
         exact = sorted(values)[10_000]
         assert estimate.value == pytest.approx(exact, rel=0.02)

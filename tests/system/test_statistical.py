@@ -76,7 +76,7 @@ class TestAccuracyProperties:
                 covered += 1
         assert covered / windows >= 0.8  # 95% nominal, CLT slack
 
-    def test_estimated_count_matches_emitted(self):
+    def test_estimated_count_matches_emitted(self, fresh):
         """Eq. 8 end-to-end through the whole 4-layer tree.
 
         Run the tree manually so we can inspect Theta: the recovered
@@ -86,17 +86,17 @@ class TestAccuracyProperties:
         import random
 
         from repro.core.estimator import ThetaStore
-        from repro.core.items import StreamItem
-        from repro.core.whs import whsamp, whsamp_batches
+        from repro.core.whs import whsamp_batches
 
         rng = random.Random(6)
-        items = [StreamItem("a", rng.random()) for _ in range(1200)]
-        items += [StreamItem("b", rng.random()) for _ in range(400)]
-        l1 = whsamp(items, 160, rng=rng)
-        l2 = whsamp_batches(l1.batches, 160, rng=rng)
-        root = whsamp_batches(l2.batches, 160, rng=rng)
+        raw = [
+            fresh("a", [rng.random() for _ in range(1200)]),
+            fresh("b", [rng.random() for _ in range(400)]),
+        ]
+        l1 = whsamp_batches(raw, 160, rng=rng)
+        l2 = whsamp_batches(l1, 160, rng=rng)
         theta = ThetaStore()
-        theta.extend(root.batches)
+        theta.extend(whsamp_batches(l2, 160, rng=rng))
         recovered = sum(
             est.estimated_count for est in theta.per_substream().values()
         )

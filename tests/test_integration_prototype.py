@@ -59,10 +59,9 @@ class Prototype:
             inbox = self.transport.collect(node)
             if not inbox:
                 continue
-            result = whsamp_batches(
+            for weighted in whsamp_batches(
                 inbox, self.sample_sizes[node], gen=self.gen
-            )
-            for weighted in result.batches:
+            ):
                 self.transport.send(node, parent, weighted)
         self.theta.extend(self.transport.collect("root"))
 

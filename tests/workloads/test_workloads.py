@@ -4,8 +4,8 @@ import random
 
 import pytest
 
+from repro.core.columns import ColumnarBatch
 from repro.core.fastpath import make_generator
-from repro.core.items import StreamItem
 from repro.errors import WorkloadError
 from repro.workloads.pollution import (
     POLLUTANTS,
@@ -14,7 +14,7 @@ from repro.workloads.pollution import (
 )
 from repro.workloads.rates import RateSchedule, paper_rate_settings
 from repro.workloads.skew import SkewedMixture, paper_skewed_mixture
-from repro.workloads.source import Source, generate_columns
+from repro.workloads.source import Source
 from repro.workloads.synthetic import (
     GaussianSubstream,
     PoissonSubstream,
@@ -22,6 +22,11 @@ from repro.workloads.synthetic import (
     paper_poisson_substreams,
 )
 from repro.workloads.taxi import BOROUGHS, BoroughSubstream, borough_generators
+
+
+def draw(generator, count, rng, emitted_at=0.0):
+    """``count`` records from ``generator``, seeded off a ``random.Random``."""
+    return generator.draw_columns(count, make_generator(rng), emitted_at)
 
 
 class TestSynthetic:
@@ -35,29 +40,22 @@ class TestSynthetic:
         assert [subs[n].lam for n in "ABCD"] == [10.0, 100.0, 1000.0, 10000.0]
 
     def test_gaussian_sample_mean(self):
-        gen = GaussianSubstream("X", 100.0, 5.0)
-        items = gen.generate(5000, random.Random(1))
-        mean = sum(i.value for i in items) / len(items)
-        assert mean == pytest.approx(100.0, rel=0.02)
-        assert all(i.substream == "X" for i in items)
+        batch = draw(GaussianSubstream("X", 100.0, 5.0), 5000, random.Random(1))
+        assert batch.values.mean() == pytest.approx(100.0, rel=0.02)
+        assert batch.uniform_substream == "X"
 
     def test_poisson_small_lambda_mean(self):
-        gen = PoissonSubstream("X", 10.0)
-        items = gen.generate(5000, random.Random(2))
-        mean = sum(i.value for i in items) / len(items)
-        assert mean == pytest.approx(10.0, rel=0.05)
+        batch = draw(PoissonSubstream("X", 10.0), 5000, random.Random(2))
+        assert batch.values.mean() == pytest.approx(10.0, rel=0.05)
 
     def test_poisson_large_lambda_mean(self):
-        gen = PoissonSubstream("X", 10_000_000.0)
-        items = gen.generate(100, random.Random(3))
-        mean = sum(i.value for i in items) / len(items)
-        assert mean == pytest.approx(10_000_000.0, rel=0.01)
-        assert all(v.value >= 0 for v in items)
+        batch = draw(PoissonSubstream("X", 10_000_000.0), 100, random.Random(3))
+        assert batch.values.mean() == pytest.approx(10_000_000.0, rel=0.01)
+        assert (batch.values >= 0).all()
 
     def test_emitted_at_propagates(self):
-        gen = GaussianSubstream("X", 1.0, 0.0)
-        items = gen.generate(3, random.Random(4), emitted_at=7.5)
-        assert all(i.emitted_at == 7.5 for i in items)
+        batch = draw(GaussianSubstream("X", 1.0, 0.0), 3, random.Random(4), 7.5)
+        assert batch.timestamps == 7.5
 
     def test_validation(self):
         with pytest.raises(WorkloadError):
@@ -65,7 +63,7 @@ class TestSynthetic:
         with pytest.raises(WorkloadError):
             PoissonSubstream("X", 0.0)
         with pytest.raises(WorkloadError):
-            GaussianSubstream("X", 0.0, 1.0).generate(-1, random.Random())
+            draw(GaussianSubstream("X", 0.0, 1.0), -1, random.Random(0))
 
 
 class TestRates:
@@ -120,11 +118,10 @@ class TestSkew:
         counts = mixture.counts_for(1000)
         assert counts["D"] >= 1  # 0.01% of 1000 would round to 0
 
-    def test_generate_shuffles_and_tags(self):
-        mixture = paper_skewed_mixture()
-        items = mixture.generate(1000, random.Random(5))
-        assert len(items) == 1000
-        assert {i.substream for i in items} == {"A", "B", "C", "D"}
+    def test_draw_shuffles_and_tags(self):
+        batch = draw(paper_skewed_mixture(), 1000, random.Random(5))
+        assert len(batch) == 1000
+        assert set(batch.substream_ids()) == {"A", "B", "C", "D"}
 
     def test_validation(self):
         sub = PoissonSubstream("A", 1.0)
@@ -136,11 +133,10 @@ class TestSkew:
 
 class TestTaxi:
     def test_borough_generator_protocol(self):
-        gen = BoroughSubstream("queens")
-        items = gen.generate(100, random.Random(6), emitted_at=1.0)
-        assert len(items) == 100
-        assert all(i.substream == "taxi/queens" for i in items)
-        assert all(i.value > 2.5 for i in items)  # flagfall floor
+        batch = draw(BoroughSubstream("queens"), 100, random.Random(6), 1.0)
+        assert len(batch) == 100
+        assert batch.uniform_substream == "taxi/queens"
+        assert (batch.values > 2.5).all()  # flagfall floor
 
     def test_borough_generators_cover_all(self):
         gens = borough_generators()
@@ -154,24 +150,17 @@ class TestTaxi:
 class TestPollution:
     def test_values_stay_near_baseline(self):
         """The stability property the paper notes for this dataset."""
-        gen = PollutantSubstream("pm")
-        items = gen.generate(2000, random.Random(7))
+        values = draw(PollutantSubstream("pm"), 2000, random.Random(7)).values
         baseline = POLLUTANTS["pm"][0]
-        mean = sum(i.value for i in items) / len(items)
-        assert mean == pytest.approx(baseline, rel=0.2)
-        values = [i.value for i in items]
+        assert values.mean() == pytest.approx(baseline, rel=0.2)
         spread = (max(values) - min(values)) / baseline
         assert spread < 1.0  # low relative variability
 
     def test_pollution_less_variable_than_taxi(self):
         """Why Fig. 11(a)'s pollution curve sits below the taxi curve."""
         rng = random.Random(8)
-        taxi_values = [
-            i.value for i in BoroughSubstream("manhattan").generate(2000, rng)
-        ]
-        pollution_values = [
-            i.value for i in PollutantSubstream("pm").generate(2000, rng)
-        ]
+        taxi_values = draw(BoroughSubstream("manhattan"), 2000, rng).values
+        pollution_values = draw(PollutantSubstream("pm"), 2000, rng).values
 
         def cv(values):
             mean = sum(values) / len(values)
@@ -247,22 +236,30 @@ class TestSource:
         source = Source("s", gen, 0.0)
         assert len(source.emit_interval_columns(0.0, 1.0)) == 0
 
-    def test_generate_columns_fallback_for_plain_generators(self):
-        """Generators without a native columnar path transpose their
-        object batch at the seam."""
+    def test_a_random_random_generator_gets_the_source_rng(self):
+        """A generator with ``generate_columns`` but no ``draw_columns``
+        is fed the source's ``random.Random`` itself."""
 
-        class PlainGenerator:
+        class ScalarGenerator:
+            def generate_columns(self, count, rng, emitted_at=0.0):
+                values = [rng.random() for _ in range(count)]
+                return ColumnarBatch.single("P", values, emitted_at)
+
+        source = Source("s", ScalarGenerator(), 3.0, rng=random.Random(0))
+        batch = source.emit_interval_columns(1.0, 1.0)
+        rng = random.Random(0)
+        assert batch.values.tolist() == [rng.random() for _ in range(3)]
+        assert batch.timestamps == 1.0
+
+    def test_a_generator_without_a_column_hook_is_rejected(self):
+        """Refused at construction, by name — not at the first interval."""
+
+        class RowGenerator:
             def generate(self, count, rng, emitted_at=0.0):
-                return [
-                    StreamItem("P", float(i), emitted_at) for i in range(count)
-                ]
+                return [rng.random() for _ in range(count)]
 
-        batch = generate_columns(PlainGenerator(), 3, random.Random(0), 1.0)
-        assert batch.to_items() == [
-            StreamItem("P", 0.0, 1.0),
-            StreamItem("P", 1.0, 1.0),
-            StreamItem("P", 2.0, 1.0),
-        ]
+        with pytest.raises(WorkloadError, match="RowGenerator"):
+            Source("s", RowGenerator(), 1.0)
 
     def test_validation(self):
         gen = GaussianSubstream("X", 1.0, 0.0)
@@ -271,44 +268,6 @@ class TestSource:
         source = Source("s", gen, 1.0)
         with pytest.raises(WorkloadError):
             source.emit_interval_columns(0.0, 0.0)
-
-
-class TestGeneratorColumnParity:
-    """``generate`` is ``draw_columns`` from a Generator seeded off the
-    caller's ``random.Random``, transposed into items."""
-
-    @pytest.mark.parametrize(
-        "generator",
-        [
-            GaussianSubstream("A", 10.0, 5.0),
-            PoissonSubstream("B", 100.0),
-            BoroughSubstream("brooklyn"),
-            paper_skewed_mixture(),
-        ],
-        ids=["gaussian", "poisson", "taxi", "skewed-mixture"],
-    )
-    def test_columns_match_objects(self, generator):
-        expected = generator.generate(40, random.Random(21), 3.0)
-        batch = generator.draw_columns(
-            40, make_generator(random.Random(21)), 3.0
-        )
-        assert batch.to_items() == expected
-
-    def test_pollution_columns_match_objects(self):
-        """AR(1) state advances identically on either plane."""
-        objects_gen = PollutantSubstream("pm")
-        columns_gen = PollutantSubstream("pm")
-        expected = objects_gen.generate(25, random.Random(5), 1.0)
-        batch = columns_gen.draw_columns(
-            25, make_generator(random.Random(5)), 1.0
-        )
-        assert batch.to_items() == expected
-
-    def test_negative_count_rejected(self):
-        with pytest.raises(WorkloadError):
-            GaussianSubstream("A", 1.0, 0.0).draw_columns(
-                -1, make_generator(random.Random(0))
-            )
 
 
 class TestColumnStaging:
@@ -322,28 +281,6 @@ class TestColumnStaging:
         snapshot = list(first.values)
         gen.draw_columns(50, rng, 1.0)
         assert list(first.values) == snapshot
-
-    def test_reuse_preserves_cross_plane_parity(self):
-        values = {}
-        for plane in ("objects", "columnar"):
-            gen = PollutantSubstream("pm")
-            rng = random.Random(12)
-            drawn = []
-            for window in range(3):  # stateful AR(1) across windows
-                if plane == "objects":
-                    drawn.extend(
-                        item.value
-                        for item in gen.generate(20, rng, float(window))
-                    )
-                else:
-                    drawn.extend(
-                        float(v)
-                        for v in gen.draw_columns(
-                            20, make_generator(rng), float(window)
-                        ).values
-                    )
-            values[plane] = drawn
-        assert values["objects"] == values["columnar"]
 
 
 class TestScheduleSplit:
