@@ -34,6 +34,13 @@ def rows(batch):
 
 
 class TestConstruction:
+    def test_columns_roundtrip(self):
+        assert rows(mixed()) == [
+            ("A", 1.0, 0.1, 100), ("A", 2.0, 0.2, 100),
+            ("B", 3.0, 0.3, 64), ("A", 4.0, 0.4, 100),
+        ]
+        assert len(mixed()) == 4
+
     def test_uniform_substream_detected(self):
         assert ColumnarBatch.single("A", [1.0, 2.0]).uniform_substream == "A"
         assert mixed().uniform_substream is None

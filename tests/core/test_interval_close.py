@@ -16,11 +16,13 @@ import pytest
 
 from repro.core.error_bounds import estimate_sum_with_error
 from repro.core.estimator import ThetaStore
+from repro.core.items import WeightedBatch
+from repro.core.stratified import allocate_proportional
 from repro.core.whs import whsamp_batches
 from repro.engine.pipeline import build_pipeline
-from repro.engine.runner import EngineRunner
+from repro.engine.runner import EngineRunner, sample_interval
 from repro.engine.transport import InProcessTransport
-from repro.errors import EstimationError
+from repro.errors import EstimationError, SamplingError
 from repro.system.config import PipelineConfig
 from repro.workloads.rates import RateSchedule
 from repro.workloads.synthetic import paper_gaussian_substreams
@@ -35,6 +37,110 @@ def root_theta(batches, sample_size, rng):
 
 def recovered_count(theta):
     return sum(est.estimated_count for est in theta.per_substream().values())
+
+
+class TestEdgeClose:
+    def test_overflowing_substream_forwards_capacity_items(self, fresh):
+        [batch] = whsamp_batches([fresh("a", range(100))], 10,
+                                 rng=random.Random(1))
+        assert batch.substream == "a"
+        assert len(batch) == 10
+        assert batch.weight == pytest.approx(10.0)
+
+    def test_each_substream_forwards_its_own_batch(self, fresh):
+        out = whsamp_batches([fresh("a", range(50)), fresh("b", range(50))],
+                             10, rng=random.Random(2))
+        assert [batch.substream for batch in out] == ["a", "b"]
+
+    def test_received_weight_composes_into_the_output_weight(self, columns):
+        # Figure 3 node B: 2 items into reservoir 1, W_in 1.5 -> W_out 3.
+        received = [WeightedBatch("s", 1.5, columns("s", [5, 2]))]
+        [batch] = whsamp_batches(received, 1, rng=random.Random(3))
+        assert batch.weight == pytest.approx(3.0)
+
+    def test_next_interval_pair_carries_its_own_weight(self, columns):
+        """Figure 3: items 3, 4 arrive an interval later under w = 3."""
+        rng = random.Random(4)
+        [first] = whsamp_batches(
+            [WeightedBatch("s", 1.5, columns("s", [5, 2]))], 1, rng=rng
+        )
+        [second] = whsamp_batches(
+            [WeightedBatch("s", 3.0, columns("s", [3, 4]))], 1, rng=rng
+        )
+        assert first.weight == pytest.approx(3.0)
+        assert second.weight == pytest.approx(6.0)
+
+    def test_idle_interval_forwards_nothing(self, columns):
+        assert whsamp_batches([], 10) == []
+        idle = WeightedBatch("s", 2.0, columns("s", []))
+        assert whsamp_batches([idle], 10) == []
+
+    def test_arrival_counter_covers_the_interval(self, fresh):
+        """An underfull interval forwards every arrival at its W_in."""
+        out = whsamp_batches([fresh("a", range(7))], 10, rng=random.Random(5))
+        assert sum(batch.estimated_count for batch in out) == 7
+        assert sorted(v for b in out for v in b.items.values.tolist()) == [
+            float(v) for v in range(7)
+        ]
+
+    @pytest.mark.parametrize("budget", [0, -1])
+    def test_budget_must_be_positive(self, fresh, budget):
+        with pytest.raises(SamplingError):
+            whsamp_batches([fresh("a", range(3))], budget)
+        with pytest.raises(SamplingError):
+            whsamp_batches([], budget)
+
+
+def small_pipeline(seed=8):
+    config = PipelineConfig(sampling_fraction=0.2, window_seconds=1.0,
+                            seed=seed)
+    schedule = RateSchedule("close-test", {"A": 100.0, "B": 100.0})
+    gens = {g.name: g for g in paper_gaussian_substreams()}
+    return build_pipeline(config, schedule, gens)
+
+
+class TestSampleInterval:
+    """The engine's close: Algorithm 1 under the node's own budget."""
+
+    def test_a_node_keeps_its_budget(self, fresh):
+        pipeline = small_pipeline()
+        node = pipeline.tree.sampling_nodes[0].name
+        budget = pipeline.budget(node)
+        out = sample_interval(
+            pipeline, node, [fresh("a", range(10 * budget))]
+        )
+        [batch] = out
+        assert len(batch) == budget
+        assert batch.estimated_count == pytest.approx(10 * budget)
+
+    def test_draws_come_from_the_pipeline_generator(self, fresh):
+        """Equal seeds, equal survivors; the run's one Generator moves."""
+        picked = []
+        for _ in range(2):
+            pipeline = small_pipeline(seed=3)
+            node = pipeline.tree.sampling_nodes[0].name
+            [batch] = sample_interval(pipeline, node, [fresh("a", range(500))])
+            picked.append(batch.items.values.tolist())
+        assert picked[0] == picked[1]
+        pipeline = small_pipeline(seed=3)
+        node = pipeline.tree.sampling_nodes[0].name
+        sample_interval(pipeline, node, [fresh("a", range(500))])
+        [again] = sample_interval(pipeline, node, [fresh("a", range(500))])
+        assert again.items.values.tolist() != picked[0]
+
+    def test_an_allocation_override_supersedes_the_config_policy(self, fresh):
+        pipeline = small_pipeline()
+        node = pipeline.tree.sampling_nodes[0].name
+        budget = pipeline.budget(node)
+        arrivals = [fresh("a", range(9 * budget)), fresh("b", range(budget))]
+        proportional = allocate_proportional(
+            budget, {"a": 9 * budget, "b": budget}
+        )
+        by_config = sample_interval(pipeline, node, arrivals)
+        assert {b.substream: len(b) for b in by_config} != proportional
+        pipeline.allocation_override = allocate_proportional
+        out = sample_interval(pipeline, node, arrivals)
+        assert {b.substream: len(b) for b in out} == proportional
 
 
 class TestRootClose:

@@ -4,6 +4,8 @@ import math
 
 import pytest
 
+from repro.core.columns import ColumnarBatch
+from repro.core.items import WeightedBatch
 from repro.core.weights import local_weight, output_weight
 
 
@@ -60,3 +62,13 @@ class TestOutputWeight:
     def test_equation_2_scales_the_input_weight(self, w_in, seen, size,
                                                 expected):
         assert output_weight(w_in, seen, size) == pytest.approx(expected)
+
+
+class TestBatchWeight:
+    """The weight a pair carries is its W_in at the next node, so a pair
+    refuses one that Eq. 2 could not take."""
+
+    @pytest.mark.parametrize("bad", [0.0, -1.0, math.nan, math.inf, -math.inf])
+    def test_rejects_non_positive_and_non_finite_weights(self, bad):
+        with pytest.raises(ValueError, match="positive and finite"):
+            WeightedBatch("s", bad, ColumnarBatch.single("s", [1.0]))

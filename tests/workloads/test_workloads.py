@@ -261,6 +261,37 @@ class TestSource:
         with pytest.raises(WorkloadError, match="RowGenerator"):
             Source("s", RowGenerator(), 1.0)
 
+    def test_intervals_draw_on_from_one_generator(self):
+        """The source seeds its Generator once, not per interval."""
+        source = Source("s", GaussianSubstream("X", 10.0, 2.0), 3.0,
+                        rng=random.Random(6))
+        drawn = [source.emit_interval_columns(float(t), 1.0).values.tolist()
+                 for t in range(2)]
+        reference = make_generator(random.Random(6)).normal(10.0, 2.0, 6)
+        assert drawn[0] + drawn[1] == reference.tolist()
+
+    def test_an_empty_interval_draws_no_entropy(self):
+        source = Source("s", GaussianSubstream("X", 10.0, 2.0), 0.5,
+                        rng=random.Random(7))
+        assert len(source.emit_interval_columns(0.0, 0.8)) == 0
+        [value] = source.emit_interval_columns(0.8, 1.0).values.tolist()
+        assert value == make_generator(random.Random(7)).normal(10.0, 2.0)
+
+    def test_a_draw_columns_hook_wins_over_generate_columns(self):
+        """A generator with both hooks draws from the source's Generator."""
+
+        class BothHooks:
+            def draw_columns(self, count, gen, emitted_at=0.0):
+                return ColumnarBatch.single("G", gen.random(count), emitted_at)
+
+            def generate_columns(self, count, rng, emitted_at=0.0):
+                raise AssertionError("the draw_columns hook was skipped")
+
+        source = Source("s", BothHooks(), 4.0, rng=random.Random(2))
+        batch = source.emit_interval_columns(0.0, 1.0)
+        expected = make_generator(random.Random(2)).random(4)
+        assert batch.values.tolist() == expected.tolist()
+
     def test_validation(self):
         gen = GaussianSubstream("X", 1.0, 0.0)
         with pytest.raises(WorkloadError):
@@ -268,6 +299,75 @@ class TestSource:
         source = Source("s", gen, 1.0)
         with pytest.raises(WorkloadError):
             source.emit_interval_columns(0.0, 0.0)
+
+
+class TestGeneratorColumnParity:
+    """A generator's columns are the numpy draws its distribution names,
+    consumed in order from the caller's Generator."""
+
+    @pytest.mark.parametrize(
+        "generator,reference",
+        [
+            (GaussianSubstream("A", 10.0, 5.0),
+             lambda gen: gen.normal(10.0, 5.0, 40)),
+            (PoissonSubstream("B", 100.0),
+             lambda gen: gen.poisson(100.0, 40).astype(float)),
+        ],
+        ids=["gaussian", "poisson"],
+    )
+    def test_columns_match_the_direct_draw(self, generator, reference):
+        batch = draw(generator, 40, random.Random(21), 3.0)
+        expected = reference(make_generator(random.Random(21)))
+        assert batch.values.tolist() == expected.tolist()
+        assert batch.timestamps == 3.0
+        assert batch.uniform_substream == generator.name
+
+    @pytest.mark.parametrize(
+        "generator",
+        [
+            GaussianSubstream("A", 10.0, 5.0),
+            PoissonSubstream("B", 100.0),
+            BoroughSubstream("brooklyn"),
+            paper_skewed_mixture(),
+        ],
+        ids=["gaussian", "poisson", "taxi", "skewed-mixture"],
+    )
+    def test_a_seed_fixes_the_columns(self, generator):
+        first = draw(generator, 40, random.Random(21), 3.0)
+        again = draw(generator, 40, random.Random(21), 3.0)
+        other = draw(generator, 40, random.Random(22), 3.0)
+        assert first.values.tolist() == again.values.tolist()
+        assert first.substream_ids() == again.substream_ids()
+        assert first.values.tolist() != other.values.tolist()
+
+    def test_skewed_mixture_is_a_permuted_stack_of_its_strata(self):
+        mixture = paper_skewed_mixture()
+        batch = draw(mixture, 1000, random.Random(23))
+        gen = make_generator(random.Random(23))
+        counts = mixture.counts_for(1000)
+        stacked = ColumnarBatch.concat([
+            sub.draw_columns(counts[sub.name], gen)
+            for sub in mixture.substreams
+        ])
+        expected = stacked.select(gen.permutation(len(stacked)))
+        assert batch.values.tolist() == expected.values.tolist()
+        assert batch.substream_ids() == expected.substream_ids()
+
+    def test_pollution_columns_follow_the_ar1_recurrence(self):
+        baseline, scale = POLLUTANTS["pm"]
+        batch = draw(PollutantSubstream("pm"), 25, random.Random(5), 1.0)
+        level, expected = baseline, []
+        innovations = make_generator(random.Random(5)).normal(0.0, scale, 25)
+        for innovation in innovations.tolist():
+            level = max(0.0, baseline + 0.95 * (level - baseline) + innovation)
+            expected.append(round(level, 2))
+        assert batch.values.tolist() == expected
+
+    def test_negative_count_rejected(self):
+        with pytest.raises(WorkloadError):
+            GaussianSubstream("A", 1.0, 0.0).draw_columns(
+                -1, make_generator(random.Random(0))
+            )
 
 
 class TestColumnStaging:
@@ -281,6 +381,23 @@ class TestColumnStaging:
         snapshot = list(first.values)
         gen.draw_columns(50, rng, 1.0)
         assert list(first.values) == snapshot
+
+    def test_ar1_state_carries_across_draws(self):
+        """Three windows of 20 continue one AR(1) path: the level left
+        by a draw seeds the next, on the same Generator."""
+        gen = PollutantSubstream("pm")
+        rng = make_generator(random.Random(12))
+        windows = [gen.draw_columns(20, rng, float(w)).values.tolist()
+                   for w in range(3)]
+        baseline, scale = POLLUTANTS["pm"]
+        reference = make_generator(random.Random(12))
+        level, expected = baseline, []
+        for _ in range(3):
+            for innovation in reference.normal(0.0, scale, 20).tolist():
+                level = max(0.0,
+                            baseline + 0.95 * (level - baseline) + innovation)
+                expected.append(round(level, 2))
+        assert [v for window in windows for v in window] == expected
 
 
 class TestScheduleSplit:
