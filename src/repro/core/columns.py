@@ -11,7 +11,7 @@ Values are a numpy ``float64`` array. Ids, sizes and emission times
 collapse to one scalar when every record shares it — the common case:
 a source emits one stratum at one size at one instant, and only the
 deployment simulator, which measures latency, stamps per-record times
-(:meth:`ColumnarBatch.with_timestamps_from`). Columns become arrays
+(:meth:`ColumnarBatch.with_timestamps`). Columns become arrays
 once, where records enter — :func:`value_column`,
 :meth:`ColumnarBatch.single` and the codec's decoder — so every
 gather, sum and filter below is one array op.
@@ -254,20 +254,19 @@ class ColumnarBatch:
     def spread_offsets(self, interval_seconds: float):
         """Offsets spreading the records uniformly over an interval.
 
-        Element-wise ``interval_seconds * (i + 1) / (count + 1)``,
-        added to the interval start by :meth:`with_timestamps_from`. A
-        function of count and interval length alone, so a steady-rate
-        source computes it once and reuses it.
+        Element-wise ``interval_seconds * (i + 1) / (count + 1)``; the
+        interval start plus these is the column
+        :meth:`with_timestamps` takes. A function of count and interval
+        length alone, so a caller computes it once per count and reuses
+        it.
         """
         n = len(self)
         offsets = interval_seconds * _np.arange(1, n + 1, dtype=_np.float64)
         return offsets / (n + 1)
 
-    def with_timestamps_from(self, interval_start: float, offsets) -> "ColumnarBatch":
-        """The same records re-stamped at ``interval_start + offsets``."""
-        return ColumnarBatch(
-            self.substreams, self.values, interval_start + offsets, self.sizes
-        )
+    def with_timestamps(self, stamps) -> "ColumnarBatch":
+        """The same records re-stamped with the column ``stamps``."""
+        return ColumnarBatch(self.substreams, self.values, stamps, self.sizes)
 
     def group_by_substream(self) -> dict[str, "ColumnarBatch"]:
         """Stratify by sub-stream id, preserving first-occurrence order.

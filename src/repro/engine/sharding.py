@@ -784,6 +784,11 @@ class ShardedEngineRunner:
                 "shard clocks are desynchronized; create a fresh runner"
             )
         if self._shards is None:
+            # numpy 2 imports ``numpy.random`` on first use, which here
+            # is the inline shard's build, after the fork. Loaded now,
+            # no shard process imports it again.
+            import numpy.random  # noqa: F401
+
             forked = self._plans[: self._processes]
             segments: "list[shm.ShardSegment | None]"
             if self._shard_transport == "shm":

@@ -41,11 +41,6 @@ class Clock:
         """Current virtual time in seconds."""
         return self._now
 
-    @property
-    def pending(self) -> int:
-        """Number of events still queued."""
-        return len(self._queue)
-
     def schedule(
         self, delay: float, fn: Callable[[Any], object], arg: Any
     ) -> None:

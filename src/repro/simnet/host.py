@@ -34,20 +34,6 @@ class Host:
         self.items_processed = 0
         self.busy_time = 0.0
 
-    @property
-    def service_rate(self) -> float:
-        """Items per second this host can process."""
-        return self._service_rate
-
-    @property
-    def busy_until(self) -> float:
-        """Virtual time at which the current queue drains."""
-        return self._busy_until
-
-    def queue_delay(self) -> float:
-        """How long a new arrival would wait before service starts."""
-        return max(0.0, self._busy_until - self._clock.now)
-
     def admit(self, item_count: int) -> float:
         """Queue ``item_count`` items of work; return their completion time.
 
@@ -76,14 +62,3 @@ class Host:
         completion = self.admit(item_count)
         self._clock.schedule_at(completion, done, payload)
         return completion
-
-    def utilization(self, elapsed: float) -> float:
-        """Fraction of the elapsed span the host spent serving."""
-        if elapsed <= 0:
-            raise ConfigurationError(f"elapsed must be positive, got {elapsed}")
-        return min(1.0, self.busy_time / elapsed)
-
-    def reset_counters(self) -> None:
-        """Zero the work counters (queue state unchanged)."""
-        self.items_processed = 0
-        self.busy_time = 0.0

@@ -39,14 +39,8 @@ class Link:
         self.messages_dropped = 0
         self.total_queueing_delay = 0.0
 
-    @property
-    def config(self) -> NetemConfig:
-        """The shaping parameters of this link."""
-        return self._config
-
     def reconfigure(self, config: NetemConfig) -> None:
         """Apply new shaping parameters (takes effect for new transfers)."""
-        self._config = config
         # Read once per transfer: kept as plain floats, not re-derived.
         self._rate_bps = config.rate_bps
         self._delay_seconds = config.delay_seconds
@@ -72,7 +66,7 @@ class Link:
         now = self._clock.now
         start = max(now, self._wire_free_at)
         self.total_queueing_delay += start - now
-        # NetemConfig.serialization_delay, inlined (size checked above).
+        # Serialization delay: the wire is busy for size * 8 / rate.
         self._wire_free_at = start + size_bytes * 8.0 / self._rate_bps
         arrival = self._wire_free_at + self._delay_seconds
         self.bytes_sent += size_bytes
@@ -82,17 +76,3 @@ class Link:
         self.messages_sent += 1
         self._clock.schedule_at(arrival, deliver, payload)
         return arrival
-
-    def utilization(self, elapsed: float) -> float:
-        """Fraction of capacity used over an elapsed wall-clock span."""
-        if elapsed <= 0:
-            raise NetworkError(f"elapsed must be positive, got {elapsed}")
-        capacity_bytes = self._config.rate_bps * elapsed / 8.0
-        return min(1.0, self.bytes_sent / capacity_bytes)
-
-    def reset_counters(self) -> None:
-        """Zero the byte/message counters (shaping state unchanged)."""
-        self.bytes_sent = 0
-        self.messages_sent = 0
-        self.messages_dropped = 0
-        self.total_queueing_delay = 0.0

@@ -57,12 +57,6 @@ class NetemConfig:
         """One-way delay in seconds."""
         return self.delay_ms / 1000.0
 
-    def serialization_delay(self, size_bytes: int) -> float:
-        """Time to push ``size_bytes`` onto the wire at this rate."""
-        if size_bytes < 0:
-            raise ConfigurationError(f"size must be >= 0, got {size_bytes}")
-        return size_bytes * 8.0 / self.rate_bps
-
 
 #: The paper's WAN settings (§V-A): RTTs of 20/40/80 ms between layers,
 #: every link 1 Gbps.

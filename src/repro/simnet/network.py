@@ -1,7 +1,7 @@
 """The simulated network: hosts wired by links over a shared clock.
 
-A thin layer that owns hosts and the links between them, sends
-messages over direct links, and aggregates transfer statistics for the
+A thin layer that owns hosts and the links between them and sends
+messages over direct links; each link counts its own bytes for the
 bandwidth experiments.
 """
 
@@ -66,11 +66,6 @@ class Network:
             raise NetworkError(f"no link {src}->{dst}") from None
 
     @property
-    def hosts(self) -> list[str]:
-        """All host names, sorted."""
-        return sorted(self._hosts)
-
-    @property
     def links(self) -> list[Link]:
         """All links."""
         return list(self._links.values())
@@ -88,17 +83,3 @@ class Network:
     ) -> float:
         """Send a message over the direct link ``src -> dst``."""
         return self.link(src, dst).transfer(size_bytes, payload, deliver)
-
-    # ------------------------------------------------------------------
-    # Accounting
-    # ------------------------------------------------------------------
-    def total_bytes_sent(self) -> int:
-        """Bytes transferred across every link since the last reset."""
-        return sum(link.bytes_sent for link in self._links.values())
-
-    def reset_counters(self) -> None:
-        """Zero all link and host counters."""
-        for link in self._links.values():
-            link.reset_counters()
-        for host in self._hosts.values():
-            host.reset_counters()

@@ -14,16 +14,20 @@ __all__ = ["LatencyRecorder", "bandwidth_saving"]
 
 
 class LatencyRecorder:
-    """Accumulates end-to-end latency samples (seconds).
+    """Running mean of end-to-end latencies (seconds).
 
-    Stored as float64 arrays, one per recorded delivery; readers
-    consolidate them once.
+    The paper reports the mean latency only, so the state is a sum and
+    a count, two scalars whatever the number of records: each delivery
+    adds its per-record latencies ``delivered_at - emitted_at`` to the
+    sum and is then dropped.
     """
 
-    __slots__ = ("_chunks",)
+    __slots__ = ("_sum", "count")
 
     def __init__(self) -> None:
-        self._chunks: list = []
+        self._sum = 0.0
+        #: Number of latencies recorded.
+        self.count = 0
 
     def record_column(self, emitted_at, delivered_at: float) -> None:
         """Record one delivery: a column of emissions that arrived together."""
@@ -31,30 +35,20 @@ class LatencyRecorder:
             return
         emitted_at = _np.asarray(emitted_at, dtype=_np.float64)
         latest = float(emitted_at.max())
-        chunk = delivered_at - emitted_at
         if delivered_at < latest:
             raise SimulationError(
                 f"delivery at {delivered_at} precedes emission at {latest}"
             )
-        self._chunks.append(chunk)
-
-    def _column(self):
-        """Every sample as one column; raises if empty."""
-        if not self._chunks:
-            raise SimulationError("no latency samples recorded")
-        if len(self._chunks) > 1:
-            self._chunks = [_np.concatenate(self._chunks)]
-        return self._chunks[0]
-
-    @property
-    def count(self) -> int:
-        """Number of samples recorded."""
-        return sum(len(chunk) for chunk in self._chunks)
+        # Per-record differences, then their sum: ``n * t - sum(stamps)``
+        # would cancel catastrophically at large ``t``.
+        self._sum += float(_np.add.reduce(delivered_at - emitted_at))
+        self.count += len(emitted_at)
 
     def mean(self) -> float:
         """Mean latency; raises if empty."""
-        column = self._column()
-        return float(column.sum()) / len(column)
+        if not self.count:
+            raise SimulationError("no latency samples recorded")
+        return self._sum / self.count
 
 
 def bandwidth_saving(sampled_bytes: int, native_bytes: int) -> float:

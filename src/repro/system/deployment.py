@@ -150,9 +150,9 @@ class DeploymentSimulator:
         }
         self._latency = LatencyRecorder()
         self._items_emitted = 0
-        # source -> ((count, seconds), offsets): a steady source reuses
-        # its spread.
-        self._spreads: dict[str, tuple] = {}
+        # (count, seconds) -> offsets. Counts are the floor or ceiling of
+        # each source's rate times the chunk, so the map stays small.
+        self._spreads: dict[tuple, object] = {}
         self._items_at_root = 0
         self._root_last_completion = 0.0
         self._states: dict[str, _ApproxIoTNodeState] = {}
@@ -236,25 +236,39 @@ class DeploymentSimulator:
         fire between them and the order is the same.
         """
         chunk_start, chunk_seconds = chunk
+        stamps: dict[tuple, object] = {}
         for source_node in self._tree.sources:
-            self._emit_source(source_node, chunk_start, chunk_seconds)
+            self._emit_source(source_node, chunk_start, chunk_seconds, stamps)
 
     def _emit_source(
-        self, source_node: TreeNode, chunk_start: float, chunk_seconds: float
+        self,
+        source_node: TreeNode,
+        chunk_start: float,
+        chunk_seconds: float,
+        stamps: dict,
     ) -> None:
         """One source's chunk, its records spread uniformly over the
-        chunk so latency accounting sees in-chunk arrival spread."""
+        chunk so latency accounting sees in-chunk arrival spread.
+
+        ``stamps`` maps ``(count, seconds)`` to this chunk's stamp
+        column: sources of one count share one read-only array.
+        """
         batch = self._pipeline.emit_source(
             source_node.name, chunk_start, chunk_seconds
         )
         if not len(batch):
             return
         key = (len(batch), chunk_seconds)
-        cached = self._spreads.get(source_node.name)
-        if cached is None or cached[0] != key:
-            cached = (key, batch.spread_offsets(chunk_seconds))
-            self._spreads[source_node.name] = cached
-        batch = batch.with_timestamps_from(chunk_start, cached[1])
+        column = stamps.get(key)
+        if column is None:
+            offsets = self._spreads.get(key)
+            if offsets is None:
+                offsets = batch.spread_offsets(chunk_seconds)
+                self._spreads[key] = offsets
+            column = chunk_start + offsets
+            column.flags.writeable = False
+            stamps[key] = column
+        batch = batch.with_timestamps(column)
         self._items_emitted += len(batch)
         assert source_node.parent is not None
         self._send_items(source_node.name, source_node.parent, batch, 1.0)
@@ -368,5 +382,5 @@ class DeploymentSimulator:
 
     @property
     def latency_recorder(self) -> LatencyRecorder:
-        """Latency samples of the run (``count``, ``mean``)."""
+        """The run's latency sum and count (``count``, ``mean``)."""
         return self._latency

@@ -118,7 +118,7 @@ class TestTransformation:
     def test_spread_is_the_closed_form_bitwise(self):
         n, start, seconds = 7, 5.0, 2.0
         batch = ColumnarBatch.single("A", [0.0] * n, start)
-        batch = batch.with_timestamps_from(start, batch.spread_offsets(seconds))
+        batch = batch.with_timestamps(start + batch.spread_offsets(seconds))
         expected = [start + seconds * (i + 1) / (n + 1) for i in range(n)]
         assert list(batch.timestamps) == expected
 

@@ -113,9 +113,7 @@ class TestSeededGolden:
             # spread of it is the column the digest was pinned on.
             assert payload.timestamps == 0.0
             assert isinstance(payload.timestamps, float)
-            stamped = payload.with_timestamps_from(
-                0.0, payload.spread_offsets(1.0)
-            )
+            stamped = payload.with_timestamps(0.0 + payload.spread_offsets(1.0))
             assert digest(stamped.timestamps) == GOLDEN_TIMESTAMP_DIGEST
         assert runner.run_srs(emitted) == GOLDEN_SRS_FIRST_WINDOW
 

@@ -192,8 +192,8 @@ class TestSimnetTransport:
         transport.register("edge")
         with pytest.raises(NetworkError, match="no link root->edge"):
             transport.send("root", "edge", batch())
-        assert network.total_bytes_sent() == 0
-        assert network.clock.pending == 0
+        assert sum(link.bytes_sent for link in network.links) == 0
+        assert len(network.clock._queue) == 0
 
     def test_inbox_order_is_arrival_order_across_links(self):
         """Two children on links of different delay: the batch sent
@@ -234,7 +234,7 @@ class TestSimnetLinkConditions:
         wire = 0.0
         for each in sent:
             # The second batch queues behind the first on the wire.
-            wire += config.serialization_delay(each.total_bytes)
+            wire += each.total_bytes * 8.0 / config.rate_bps
             arrival = wire + config.delay_seconds
             network.clock.run_until(arrival - 1e-12)
             assert transport.collect("root") == []

@@ -78,16 +78,6 @@ class TestLossyLink:
             assert delivered_at >= 4.0
         assert link.bytes_sent == 4000
 
-    def test_reset_clears_drop_counter(self):
-        clock = Clock()
-        link = Link(
-            "l", clock, NetemConfig(1.0, 1e9, loss=0.5), random.Random(5)
-        )
-        for i in range(100):
-            link.transfer(10, i, lambda m: None)
-        link.reset_counters()
-        assert link.messages_dropped == 0
-
 
 #: Twelve transfers over a ``loss=0.5`` link built without an rng.
 DROPS_PROBE = """

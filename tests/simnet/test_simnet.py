@@ -83,7 +83,7 @@ class TestClock:
             clock.schedule_at(bad, print, None)
         with pytest.raises(ClockError):
             clock.run_until(bad)
-        assert (clock.pending, clock.now) == (1, 0.0)
+        assert (len(clock._queue), clock.now) == (1, 0.0)
 
     def test_negative_infinity_rejected(self):
         clock = Clock()
@@ -91,7 +91,7 @@ class TestClock:
             clock.schedule_at(float("-inf"), print, None)
         with pytest.raises(ClockError):
             clock.run_until(float("-inf"))
-        assert (clock.pending, clock.now) == (0, 0.0)
+        assert (len(clock._queue), clock.now) == (0, 0.0)
 
     def test_step_on_an_empty_queue_leaves_the_clock_alone(self):
         clock = Clock(start=4.0)
@@ -103,17 +103,17 @@ class TestClock:
         clock.schedule(2.5, print, None)
         clock.schedule(7.0, print, None)
         clock.step()
-        assert (clock.now, clock.pending, clock.events_fired) == (2.5, 1, 1)
+        assert (clock.now, len(clock._queue), clock.events_fired) == (2.5, 1, 1)
 
     def test_pending_and_fired_counts_track_the_queue(self):
         clock = Clock()
         for delay in (1.0, 2.0, 3.0):
             clock.schedule(delay, print, None)
-        assert (clock.pending, clock.events_fired) == (3, 0)
+        assert (len(clock._queue), clock.events_fired) == (3, 0)
         clock.run_until(2.0)
-        assert (clock.pending, clock.events_fired) == (1, 2)
+        assert (len(clock._queue), clock.events_fired) == (1, 2)
         clock.run()
-        assert (clock.pending, clock.events_fired) == (0, 3)
+        assert (len(clock._queue), clock.events_fired) == (0, 3)
 
     def test_start_time_anchors_relative_scheduling(self):
         clock = Clock(start=10.0)
@@ -138,7 +138,7 @@ class TestClock:
         clock.schedule(2.0 + 1e-9, fired.append, "after")
         clock.run_until(2.0)
         assert fired == ["at-bound"]
-        assert clock.pending == 1
+        assert len(clock._queue) == 1
 
     def test_run_until_anchors_an_empty_queue(self):
         clock = Clock()
@@ -183,7 +183,7 @@ class TestClock:
         clock.schedule(2.0, fired.append, "later")
         with pytest.raises(RuntimeError):
             clock.run()
-        assert (clock.now, clock.pending, fired) == (1.0, 1, [])
+        assert (clock.now, len(clock._queue), fired) == (1.0, 1, [])
         clock.run()
         assert fired == ["later"]
 
@@ -205,10 +205,6 @@ class TestNetem:
         config = NetemConfig.from_rtt(20.0, 1e9)
         assert config.delay_ms == 10.0
         assert config.delay_seconds == 0.01
-
-    def test_serialization_delay(self):
-        config = NetemConfig(delay_ms=0.0, rate_bps=8_000.0)
-        assert config.serialization_delay(1000) == pytest.approx(1.0)
 
     def test_paper_wan_settings(self):
         assert PAPER_WAN["source_to_l1"].delay_ms == 10.0
@@ -257,14 +253,6 @@ class TestLink:
         link.transfer(250, None, lambda m: None)
         assert link.bytes_sent == 750
         assert link.messages_sent == 2
-        link.reset_counters()
-        assert link.bytes_sent == 0
-
-    def test_utilization(self):
-        clock = Clock()
-        link = Link("l", clock, NetemConfig(delay_ms=0.0, rate_bps=8_000.0))
-        link.transfer(500, None, lambda m: None)
-        assert link.utilization(elapsed=1.0) == pytest.approx(0.5)
 
     def test_negative_size_rejected(self):
         clock = Clock()
@@ -288,18 +276,18 @@ class TestHost:
         done = []
         host.process(10, "a", lambda j: done.append(clock.now))
         host.process(10, "b", lambda j: done.append(clock.now))
-        assert host.queue_delay() == pytest.approx(2.0)  # before serving
+        assert host._busy_until - clock.now == pytest.approx(2.0)
         clock.run()
         assert done == [1.0, 2.0]
-        assert host.queue_delay() == 0.0  # queue drained
+        assert host._busy_until == clock.now  # queue drained
 
-    def test_counters_and_utilization(self):
+    def test_counters(self):
         clock = Clock()
         host = Host("h", clock, service_rate=100.0)
         host.process(30, None, lambda j: None)
         clock.run()
         assert host.items_processed == 30
-        assert host.utilization(elapsed=1.0) == pytest.approx(0.3)
+        assert host.busy_time == pytest.approx(0.3)
 
     def test_validation(self):
         clock = Clock()
@@ -339,21 +327,10 @@ class TestNetwork:
         with pytest.raises(NetworkError):
             network.add_link("a", "b", NetemConfig(1.0, 1e9))
 
-    def test_total_bytes_and_reset(self):
+    def test_bytes_are_counted_on_the_link_used(self):
         network = self._simple_network()
         network.send("a", "b", 123, None, lambda m: None)
-        assert network.total_bytes_sent() == 123
-        network.reset_counters()
-        assert network.total_bytes_sent() == 0
-
-    def test_reset_also_zeroes_host_counters(self):
-        network = self._simple_network()
-        host = network.host("b")
-        host.process(10, None, lambda _: None)
-        network.clock.run()
-        assert host.items_processed == 10 and host.busy_time > 0
-        network.reset_counters()
-        assert (host.items_processed, host.busy_time) == (0, 0.0)
+        assert [link.bytes_sent for link in network.links] == [123, 0]
 
     def test_unknown_host_lookup_raises(self):
         network = self._simple_network()

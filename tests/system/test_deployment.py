@@ -1,6 +1,7 @@
 """Integration tests for the deployment simulator."""
 
 import gc
+import tracemalloc
 import weakref
 
 import pytest
@@ -246,8 +247,8 @@ class TestNoReferenceCycle:
 
     A callback that references the simulator and is stored on it (a
     cached per-node closure, say) makes a cycle: finished simulators
-    and their latency columns would then live until the cycle collector
-    runs, which shows as peak memory in long sweeps.
+    would then live until the cycle collector runs, which shows as peak
+    memory in long sweeps.
     """
 
     @pytest.mark.parametrize("mode", ExecutionMode.ALL)
@@ -268,6 +269,39 @@ class TestNoReferenceCycle:
             assert ref() is None
         finally:
             gc.enable()
+
+
+class TestMemoryDoesNotGrowWithRunLength:
+    """A run's traced peak is set by what is in flight, not by how long
+    it ran: nothing is kept per record that reached the root.
+
+    At 25 k items/s over all sources (bench scale), a run 4x as long
+    peaks at most 25 % higher. A recorder that keeps one latency per
+    record peaks ~3.9x higher (native), ~3.5x (srs), ~1.4x (approxiot).
+    """
+
+    @staticmethod
+    def traced_peak(mode, n_windows):
+        schedule = uniform_schedule(0.25)
+        config = PipelineConfig(
+            sampling_fraction=1.0 if mode == ExecutionMode.NATIVE else 0.1,
+            seed=42, mode=mode, placement=saturating_placement(schedule),
+        )
+        simulator = DeploymentSimulator(
+            config, schedule, gaussian_generators(), n_windows=n_windows
+        )
+        tracemalloc.start()
+        try:
+            simulator.run()
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    @pytest.mark.parametrize("mode", ExecutionMode.ALL)
+    def test_peak_at_24_windows_within_25_percent_of_6(self, mode):
+        short = self.traced_peak(mode, 6)
+        long = self.traced_peak(mode, 24)
+        assert long <= 1.25 * short, (short, long)
 
 
 def lossy_run(mode):
@@ -324,7 +358,7 @@ class TestPinnedReports:
             items_at_root=2367,
             makespan_seconds=12.437056799999995,
             throughput_items_per_second=1929.71700507149,
-            mean_latency_seconds=0.4840304005029477,
+            mean_latency_seconds=0.48403040050294766,
             boundary_bytes=[2400000, 236700, 236700],
         )
 
@@ -337,7 +371,7 @@ class TestPinnedReports:
             items_at_root=24000,
             makespan_seconds=120.44615120000002,
             throughput_items_per_second=199.25916902191554,
-            mean_latency_seconds=54.60341120000001,
+            mean_latency_seconds=54.60341119999999,
             boundary_bytes=[2400000, 2400000, 2400000],
         )
 
@@ -352,7 +386,7 @@ class TestPinnedReports:
             items_at_root=1507,
             makespan_seconds=9.0374,
             throughput_items_per_second=796.6893132980724,
-            mean_latency_seconds=2.811634030663919,
+            mean_latency_seconds=2.8116340306639196,
             boundary_bytes=[720000, 165700, 156700],
         )
 
@@ -367,7 +401,7 @@ class TestPinnedReports:
             items_at_root=1007,
             makespan_seconds=6.090042399999999,
             throughput_items_per_second=1182.2577786978957,
-            mean_latency_seconds=0.2126341748403548,
+            mean_latency_seconds=0.21263417484035468,
             boundary_bytes=[720000, 123100, 110200],
         )
 
@@ -405,7 +439,7 @@ class TestPinnedReports:
             items_at_root=959,
             makespan_seconds=5.3970568000000005,
             throughput_items_per_second=1852.861730119275,
-            mean_latency_seconds=0.4021291973484281,
+            mean_latency_seconds=0.40212919734842817,
             boundary_bytes=[1000000, 95900, 95900],
         ),
         ("srs", 4.0): DeploymentReport(
@@ -416,7 +450,7 @@ class TestPinnedReports:
             items_at_root=7939,
             makespan_seconds=40.813058399999974,
             throughput_items_per_second=1960.156948198718,
-            mean_latency_seconds=0.5667596319365742,
+            mean_latency_seconds=0.566759631936574,
             boundary_bytes=[8000000, 793900, 793900],
         ),
     }
@@ -436,7 +470,7 @@ class TestPinnedReports:
             items_at_root=90000,
             makespan_seconds=12.0,
             throughput_items_per_second=66666.66666666667,
-            mean_latency_seconds=3.776637991398308,
+            mean_latency_seconds=3.776637991398307,
             boundary_bytes=[80000000, 9000000, 9000000],
         ),
         "srs": DeploymentReport(
@@ -447,7 +481,7 @@ class TestPinnedReports:
             items_at_root=79421,
             makespan_seconds=8.396471999999997,
             throughput_items_per_second=95278.11204515424,
-            mean_latency_seconds=0.4098168168729501,
+            mean_latency_seconds=0.40981681687295,
             boundary_bytes=[80000000, 7942100, 7942100],
         ),
         "native": DeploymentReport(

@@ -62,11 +62,25 @@ class TestEmissionChunking:
         source = sim._tree.sources[0]
         chunk = sim.EMISSION_GRANULARITY
         for start in (5.0, 5.0 + chunk):
-            sim._emit_source(source, start, chunk)
+            sim._emit_source(source, start, chunk, {})
             times = list(sent[-1].timestamps)
             assert len(times) > 1
             assert all(start < t < start + chunk for t in times)
             assert times == sorted(times)
+
+    def test_sources_of_one_count_share_one_read_only_column(self):
+        """Every source emits the same count per chunk here, so the
+        chunk's one stamp column serves them all and cannot be written."""
+        sim = simulator()
+        sent = []
+        sim._send_items = lambda _src, _dst, items, _w: sent.append(items)
+        sim._emit_chunk((5.0, sim.EMISSION_GRANULARITY))
+        assert len(sent) == len(sim._tree.sources) > 1
+        column = sent[0].timestamps
+        assert all(batch.timestamps is column for batch in sent)
+        assert not column.flags.writeable
+        with pytest.raises(ValueError):
+            column[0] = 0.0
 
     def test_emitted_volume_independent_of_window(self):
         small = simulator(window=0.5, n_windows=8).run()

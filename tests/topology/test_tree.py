@@ -94,19 +94,19 @@ class TestPlacement:
     def test_paper_placement_builds_hosts_and_links(self):
         tree = paper_tree()
         network = place_tree(tree, PlacementSpec.paper_defaults())
-        assert len(network.hosts) == 15  # 8 + 4 + 2 + 1
+        assert len(network._hosts) == 15  # 8 + 4 + 2 + 1
         assert len(network.links) == 14  # one uplink per non-root node
         link = network.link("source-0", "l1-0")
-        assert link.config.delay_ms == 10.0
+        assert link._delay_seconds == 0.010
         link = network.link("l2-0", "root")
-        assert link.config.delay_ms == 40.0
+        assert link._delay_seconds == 0.040
 
     def test_service_rates_per_layer(self):
         tree = paper_tree()
         spec = PlacementSpec.paper_defaults(root_rate=5000.0, edge_rate=9000.0)
         network = place_tree(tree, spec)
-        assert network.host("root").service_rate == 5000.0
-        assert network.host("l1-0").service_rate == 9000.0
+        assert network.host("root")._service_rate == 5000.0
+        assert network.host("l1-0")._service_rate == 9000.0
 
     def test_spec_length_validation(self):
         tree = paper_tree()
